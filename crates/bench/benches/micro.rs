@@ -18,6 +18,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use univistor_core::config::JobGeometry;
+use univistor_core::integrity::Verifier;
 use univistor_core::log::LogFile;
 use univistor_core::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use univistor_core::placement::{ChainSet, ProcChain};
@@ -219,7 +220,8 @@ fn bench_read_path(filter: &Option<String>) {
         ("read_path/location_aware", true),
         ("read_path/naive", false),
     ] {
-        let svc = ReadService::new(&md, &chains, &geometry).location_aware(aware);
+        let verifier = Verifier::default();
+        let svc = ReadService::new(&md, &chains, &geometry, &verifier).location_aware(aware);
         let mut cursor = 0u64;
         bench(filter, name, || {
             cursor = (cursor + 7) % 960;

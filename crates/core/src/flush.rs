@@ -38,8 +38,9 @@
 
 use crate::config::{FlushPipeline, UniviStorConfig};
 use crate::fault::{with_retries, FaultInjector};
+use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
 use crate::striping::{adaptive_plan, naive_plan, StripePlan};
 use crate::tiering::DrainLedger;
@@ -276,19 +277,20 @@ fn gather_span(
     }
 }
 
-/// Finish one gathered span: verify a stamped record's full payload
-/// against its write-commit stamp and clip the requested window back out;
-/// on a verify failure fall back to the record's other healthy copy. No
-/// clean copy is a typed [`SimError::Integrity`] — the flush never
-/// persists wrong bytes, and the lost ledger stays reserved for node
-/// failures (a corrupt-but-present copy is the scrubber's job, not a
-/// silent skip).
+/// Finish one gathered span through the shared integrity ladder
+/// ([`verified_clip`]): verify a stamped record's full payload against its
+/// write-commit stamp and clip the requested window back out; on a verify
+/// failure fall back to the record's other healthy copy. No clean copy is
+/// a typed [`SimError::Integrity`] — the flush never persists wrong bytes,
+/// and the lost ledger stays reserved for node failures (a
+/// corrupt-but-present copy is the scrubber's job, not a silent skip).
 #[allow(clippy::too_many_arguments)]
 fn verify_gathered(
     source: &dyn FlushSource,
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     rec: &SegmentRecord,
     chosen: (ClientId, VirtualAddr),
     key_offset: u64,
@@ -301,49 +303,40 @@ fn verify_gathered(
     let Some(sum) = rec.checksum else {
         return Ok((payload, tier));
     };
-    let clip_off = clip_lo - key_offset;
-    let whole_record = clip_off == 0 && clip_len == rec.len;
-    if payload.content_checksum() == sum {
-        // Steady path: skip the clip when the gather spans the record.
-        return Ok(if whole_record {
-            (payload, tier)
-        } else {
-            (payload.slice(clip_off, clip_len), tier)
-        });
-    }
-    if let Some(m) = metrics {
-        m.record_verify_failure("flush");
-    }
-    // The record's other copy, when one exists on a healthy node.
-    let alt = if chosen == (rec.client, rec.va) {
-        rec.replica
-            .filter(|(rc, _)| !failed_nodes.contains(&cfg.geometry.node_of_rank(rc.rank as usize)))
-    } else {
-        let primary_node = cfg.geometry.node_of_rank(rec.client.rank as usize);
-        (!failed_nodes.contains(&primary_node)).then_some((rec.client, rec.va))
-    };
-    if let Some((alt_client, alt_va)) = alt {
-        let mut got = with_retries(&cfg.retry, metrics, || {
-            source.read_spans(alt_client, &[(alt_va, rec.len)])
-        })?;
-        *round_trips += 1;
-        let (alt_payload, alt_tier) = got.pop().expect("one span requested");
-        if alt_payload.content_checksum() == sum {
-            return Ok(if whole_record {
-                (alt_payload, alt_tier)
+    let node_failed =
+        |c: ClientId| failed_nodes.contains(&cfg.geometry.node_of_rank(c.rank as usize));
+    verified_clip(
+        StampedFetch {
+            site: VerifySite::Flush,
+            error_site: "flush_gather",
+            error_offset: clip_lo,
+            sum,
+            rec_len: rec.len,
+            clip_off: clip_lo - key_offset,
+            clip_len,
+            source: chosen,
+            payload,
+            tier,
+            verifier,
+            metrics,
+            report_to: None,
+        },
+        // The record's other copy, when one exists on a healthy node.
+        || {
+            if chosen == (rec.client, rec.va) {
+                rec.replica.filter(|&(rc, _)| !node_failed(rc))
             } else {
-                (alt_payload.slice(clip_off, clip_len), alt_tier)
-            });
-        }
-        if let Some(m) = metrics {
-            m.record_verify_failure("flush");
-        }
-    }
-    Err(SimError::Integrity {
-        site: "flush_gather".into(),
-        offset: clip_lo,
-        len: clip_len,
-    })
+                (!node_failed(rec.client)).then_some((rec.client, rec.va))
+            }
+        },
+        &mut |alt_client, alt_va, len| {
+            let mut got = with_retries(&cfg.retry, metrics, || {
+                source.read_spans(alt_client, &[(alt_va, len)])
+            })?;
+            *round_trips += 1;
+            Ok(got.pop().expect("one span requested"))
+        },
+    )
 }
 
 /// Flush every byte of `fid` (logical size `file_size`) to `dest` on
@@ -381,6 +374,7 @@ pub fn flush_file(
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     injector: Option<&FaultInjector>,
     fid: u64,
     file_size: u64,
@@ -394,6 +388,7 @@ pub fn flush_file(
         cfg,
         failed_nodes,
         metrics,
+        verifier,
         injector,
         fid,
         file_size,
@@ -411,6 +406,7 @@ pub(crate) fn flush_with_source(
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     injector: Option<&FaultInjector>,
     fid: u64,
     file_size: u64,
@@ -465,6 +461,7 @@ pub(crate) fn flush_with_source(
                 cfg,
                 failed_nodes,
                 metrics,
+                verifier,
                 injector,
                 fid,
                 &plan,
@@ -481,6 +478,7 @@ pub(crate) fn flush_with_source(
             cfg,
             failed_nodes,
             metrics,
+            verifier,
             injector,
             fid,
             &plan,
@@ -535,6 +533,7 @@ fn sequential_pass(
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     injector: Option<&FaultInjector>,
     fid: u64,
     plan: &StripePlan,
@@ -588,6 +587,7 @@ fn sequential_pass(
                 cfg,
                 failed_nodes,
                 metrics,
+                verifier,
                 &rec,
                 (client, base_va),
                 key.offset,
@@ -618,6 +618,7 @@ fn parallel_drain(
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     injector: Option<&FaultInjector>,
     fid: u64,
     plan: &StripePlan,
@@ -635,6 +636,7 @@ fn parallel_drain(
             cfg,
             failed_nodes,
             metrics,
+            verifier,
             injector,
             fid,
             plan,
@@ -683,6 +685,7 @@ fn parallel_pass(
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     injector: Option<&FaultInjector>,
     fid: u64,
     plan: &StripePlan,
@@ -726,8 +729,17 @@ fn parallel_pass(
                 let Some(&(start, end)) = ranges.get(i) else {
                     break;
                 };
-                let gathered =
-                    gather_range(source, cfg, failed_nodes, metrics, fid, resume, start, end);
+                let gathered = gather_range(
+                    source,
+                    cfg,
+                    failed_nodes,
+                    metrics,
+                    verifier,
+                    fid,
+                    resume,
+                    start,
+                    end,
+                );
                 if tx.send((i, gathered)).is_err() {
                     break;
                 }
@@ -768,6 +780,7 @@ fn gather_range(
     cfg: &UniviStorConfig,
     failed_nodes: &HashSet<usize>,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     fid: u64,
     resume: Option<&DrainLedger>,
     start: u64,
@@ -866,6 +879,7 @@ fn gather_range(
                         cfg,
                         failed_nodes,
                         metrics,
+                        verifier,
                         &rec,
                         (client, base_va),
                         key_offset,
@@ -1021,6 +1035,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1054,6 +1069,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             Some(&m),
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1096,6 +1112,7 @@ mod tests {
                 &cfg,
                 &HashSet::new(),
                 None,
+                &Verifier::default(),
                 None,
                 1,
                 size,
@@ -1120,6 +1137,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1136,6 +1154,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1158,6 +1177,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size + 64,
@@ -1184,6 +1204,7 @@ mod tests {
             &cfg,
             &failed,
             Some(&m),
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1228,6 +1249,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             Some(&inj),
             1,
             size,
@@ -1250,6 +1272,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             Some(&quiet),
             1,
             size,
@@ -1279,6 +1302,7 @@ mod tests {
             cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1311,6 +1335,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             Some(&m),
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1351,6 +1376,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1388,6 +1414,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1414,6 +1441,7 @@ mod tests {
             &cfg,
             &failed,
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1450,6 +1478,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1475,6 +1504,7 @@ mod tests {
                 &cfg,
                 &HashSet::new(),
                 None,
+                &Verifier::default(),
                 None,
                 1,
                 size,
@@ -1552,6 +1582,7 @@ mod tests {
                 &cfg,
                 &HashSet::new(),
                 None,
+                &Verifier::default(),
                 None,
                 1,
                 size,
@@ -1578,6 +1609,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             size,
@@ -1603,6 +1635,7 @@ mod tests {
             &cfg,
             &HashSet::new(),
             None,
+            &Verifier::default(),
             None,
             1,
             0,

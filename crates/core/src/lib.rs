@@ -24,6 +24,7 @@
 //! | [`metrics`] | —     | the job telemetry panel over `univistor-obs` |
 //! | [`fault`]  | —      | deterministic fault injection and retry with capped backoff |
 //! | [`repair`] | —      | online re-replication of segments degraded by node loss |
+//! | [`integrity`] | —   | the job's `Verifier`: stamps and verifies through a per-job digest memo |
 //! | [`tiering`] | §7/Unimem | background watermark spill, continuous PFS drain, benefit/cost promotion |
 //! | [`error`]  | —      | contextual error type wrapping the substrate's `SimError` |
 //!
@@ -37,6 +38,7 @@ pub mod driver;
 pub mod error;
 pub mod fault;
 pub mod flush;
+pub mod integrity;
 pub mod log;
 pub mod metadata;
 pub mod metrics;

@@ -43,10 +43,11 @@
 //! directly, so the trace stays runtime-invariant field for field.
 
 use crate::config::{JobGeometry, ReadPipeline};
+use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
-use crate::scrub::{CorruptQueue, CorruptReport};
+use crate::scrub::CorruptQueue;
 use crate::va::{Tier, VirtualAddr};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -249,70 +250,44 @@ pub(crate) fn fetch_span(f: &Fragment) -> (VirtualAddr, u64) {
     }
 }
 
-/// Finish one fetched fragment: verify stamped records against their
-/// write-commit stamp, clip the requested window back out, and on a
-/// verify failure reroute to the alternate copy — enqueueing every bad
-/// copy for online repair. The caller never sees wrong bytes: the result
-/// is a verified clip, or [`SimError::Integrity`] when no clean copy of
-/// the record exists.
+/// Finish one fetched fragment through the shared integrity ladder
+/// ([`verified_clip`]): verify stamped records against their write-commit
+/// stamp, clip the requested window back out, and on a verify failure
+/// reroute to the alternate copy — enqueueing every bad copy for online
+/// repair. The caller never sees wrong bytes: the result is a verified
+/// clip, or [`SimError::Integrity`] when no clean copy of the record
+/// exists.
 pub(crate) fn finish_fragment(
     f: &Fragment,
     payload: Payload,
     tier: Tier,
     refetch: &mut dyn FnMut(ClientId, VirtualAddr, u64) -> SimResult<(Payload, Tier)>,
+    verifier: &Verifier,
     metrics: Option<&JobMetrics>,
     queue: Option<&CorruptQueue>,
 ) -> SimResult<(Payload, Tier)> {
     let Some(sum) = f.checksum else {
         return Ok((payload, tier));
     };
-    let clip_off = f.va.0 - f.rec_va.0;
-    let whole_record = clip_off == 0 && f.len == f.rec_len;
-    if payload.content_checksum() == sum {
-        // Steady path: skip the clip when the request spans the record.
-        return Ok(if whole_record {
-            (payload, tier)
-        } else {
-            (payload.slice(clip_off, f.len), tier)
-        });
-    }
-    if let Some(m) = metrics {
-        m.record_verify_failure("read");
-    }
-    if let Some(q) = queue {
-        q.push(CorruptReport {
-            key: f.key,
-            client: f.source,
-            va: f.rec_va,
-            len: f.rec_len,
-        });
-    }
-    if let Some((alt_client, alt_va)) = f.alternate {
-        let (alt_payload, alt_tier) = refetch(alt_client, alt_va, f.rec_len)?;
-        if alt_payload.content_checksum() == sum {
-            return Ok(if whole_record {
-                (alt_payload, alt_tier)
-            } else {
-                (alt_payload.slice(clip_off, f.len), alt_tier)
-            });
-        }
-        if let Some(m) = metrics {
-            m.record_verify_failure("read");
-        }
-        if let Some(q) = queue {
-            q.push(CorruptReport {
-                key: f.key,
-                client: alt_client,
-                va: alt_va,
-                len: f.rec_len,
-            });
-        }
-    }
-    Err(SimError::Integrity {
-        site: "read_fetch".into(),
-        offset: f.logical,
-        len: f.len,
-    })
+    verified_clip(
+        StampedFetch {
+            site: VerifySite::Read,
+            error_site: "read_fetch",
+            error_offset: f.logical,
+            sum,
+            rec_len: f.rec_len,
+            clip_off: f.va.0 - f.rec_va.0,
+            clip_len: f.len,
+            source: (f.source, f.rec_va),
+            payload,
+            tier,
+            verifier,
+            metrics,
+            report_to: queue.map(|q| (q, f.key)),
+        },
+        || f.alternate,
+        refetch,
+    )
 }
 
 /// Stage 2, shared with the partitioned runtime's router: clip every
@@ -447,17 +422,20 @@ pub struct ReadService<'a> {
     readahead_window: u64,
     state: Option<&'a ReadState>,
     failed_nodes: Option<&'a HashSet<usize>>,
+    verifier: &'a Verifier,
     metrics: Option<&'a JobMetrics>,
     corrupt_queue: Option<&'a CorruptQueue>,
 }
 
 impl<'a> ReadService<'a> {
-    /// A service over the job's metadata, chains, and geometry. Defaults:
-    /// location-aware, batched pipeline, readahead off, no failed nodes.
+    /// A service over the job's metadata, chains, and geometry, verifying
+    /// stamped records through `verifier`. Defaults: location-aware,
+    /// batched pipeline, readahead off, no failed nodes.
     pub fn new(
         metadata: &'a MetadataService,
         chains: &'a ChainSet,
         geometry: &'a JobGeometry,
+        verifier: &'a Verifier,
     ) -> Self {
         ReadService {
             metadata,
@@ -469,6 +447,7 @@ impl<'a> ReadService<'a> {
             readahead_window: 0,
             state: None,
             failed_nodes: None,
+            verifier,
             metrics: None,
             corrupt_queue: None,
         }
@@ -566,6 +545,7 @@ impl<'a> ReadService<'a> {
                     locks.chain += 1;
                     self.chains.read_at(alt_client, alt_va, alt_len)
                 },
+                self.verifier,
                 self.metrics,
                 self.corrupt_queue,
             )?;
@@ -839,7 +819,10 @@ mod tests {
         geom: &'a JobGeometry,
         aware: bool,
     ) -> ReadService<'a> {
-        ReadService::new(md, chains, geom).location_aware(aware)
+        // The records here are unstamped, so the verifier is never asked.
+        static VERIFIER: std::sync::LazyLock<Verifier> =
+            std::sync::LazyLock::new(Verifier::default);
+        ReadService::new(md, chains, geom, &VERIFIER).location_aware(aware)
     }
 
     #[test]

@@ -18,8 +18,9 @@
 
 use crate::config::JobGeometry;
 use crate::fault::{with_retries, RetryPolicy};
+use crate::integrity::Verifier;
 use crate::metadata::{ClientId, MetadataService, SegmentRecord};
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::{healthy_buddy, ChainSet};
 use crate::va::VirtualAddr;
 use std::collections::HashSet;
@@ -115,6 +116,7 @@ pub fn repair_file(
     failed: &HashSet<usize>,
     retry: &RetryPolicy,
     metrics: Option<&JobMetrics>,
+    verifier: &Verifier,
     ensure_chain: &dyn Fn(ClientId) -> SimResult<()>,
     fid: u64,
     file_size: u64,
@@ -160,9 +162,9 @@ pub fn repair_file(
         // corrupt survivor has no fallback — leave the record degraded for
         // the scrubber/read path to report instead of spreading rot.
         if let Some(sum) = rec.checksum {
-            if payload.content_checksum() != sum {
+            if !verifier.verify(VerifySite::Repair, &payload, sum) {
                 if let Some(m) = metrics {
-                    m.record_verify_failure("repair");
+                    m.record_verify_failure(VerifySite::Repair);
                 }
                 report.remaining_degraded += 1;
                 continue;
@@ -312,6 +314,7 @@ mod tests {
             &failed,
             &cfg.retry,
             None,
+            &Verifier::default(),
             &ensure_noop,
             1,
             128,
@@ -357,6 +360,7 @@ mod tests {
             &failed,
             &cfg.retry,
             None,
+            &Verifier::default(),
             &ensure_noop,
             1,
             128,
@@ -383,6 +387,7 @@ mod tests {
             &failed,
             &cfg.retry,
             None,
+            &Verifier::default(),
             &ensure_noop,
             1,
             128,
@@ -409,6 +414,7 @@ mod tests {
             &failed,
             &cfg.retry,
             None,
+            &Verifier::default(),
             &ensure_noop,
             1,
             128,

@@ -82,6 +82,7 @@
 
 use crate::config::UniviStorConfig;
 use crate::fault::{with_retries, FaultInjector, RetryPolicy};
+use crate::integrity::{stamp_records, Verifier};
 use crate::metadata::{
     split_overlapped, CacheEntry, ClientId, Displaced, MetadataService, SegKey, SegmentRecord,
     READ_CACHE_WINDOWS_PER_FID,
@@ -329,6 +330,8 @@ enum Req {
         node: usize,
         offset: u64,
         end: u64,
+        /// The whole write, for the seal-time record stamps.
+        payload: Payload,
         payloads: Vec<Payload>,
         pieces: Vec<(u64, u64)>,
         reply: Arc<ReplySlot>,
@@ -441,8 +444,9 @@ struct Worker {
     /// router so checkouts keep one coherent counter set.
     generations: Arc<RwLock<HashMap<u64, u64>>>,
     injector: Option<Arc<FaultInjector>>,
-    /// Whether the integrity plane stamps checksums on fused commits.
-    integrity: bool,
+    /// The job's verifier when the integrity plane stamps checksums on
+    /// fused commits; `None` with checksums off.
+    stamper: Option<Arc<Verifier>>,
     /// Retry budget for the fused write's in-handler retry loops.
     retry: RetryPolicy,
     /// The job panel, for retry accounting and per-segment metrics on the
@@ -542,14 +546,15 @@ impl Worker {
                     node,
                     offset,
                     end,
+                    payload,
                     payloads,
                     pieces,
                     reply,
                 } => {
                     self.metrics.batched_ops.add(payloads.len() as u64);
-                    reply.fill(Reply::Fused(
-                        self.fused_write(client, fid, node, offset, end, payloads, pieces),
-                    ));
+                    reply.fill(Reply::Fused(self.fused_write(
+                        client, fid, node, offset, end, payload, payloads, pieces,
+                    )));
                 }
                 Req::ReadPlan {
                     node,
@@ -686,6 +691,7 @@ impl Worker {
         node: usize,
         offset: u64,
         end: u64,
+        payload: Payload,
         payloads: Vec<Payload>,
         pieces: Vec<(u64, u64)>,
     ) -> SimResult<FusedReply> {
@@ -704,11 +710,6 @@ impl Worker {
         let range = self.partitioner.range_size;
         let mut records: Vec<(u64, SegmentRecord)> = Vec::with_capacity(pieces.len());
         let mut tail_layer = 0usize;
-        // Checksum stamping rides the coalescing loop: a running
-        // checksum state per tail record absorbs each merged piece, so
-        // the stamp covers the record's full (post-merge) payload span
-        // without re-walking it.
-        let mut tail_sum = univistor_sim::Checksum::new();
         for (i, p) in placed.iter().enumerate() {
             let (off, plen) = pieces[i];
             jm.record_segment(p.tier, p.layer, plen);
@@ -718,21 +719,15 @@ impl Worker {
                     && last.len + plen <= range
                 {
                     last.len += plen;
-                    if self.integrity {
-                        payloads[i].absorb_to(&mut tail_sum);
-                        last.checksum = Some(tail_sum.finalize());
-                    }
                     continue;
                 }
             }
-            let mut record = SegmentRecord::new(client, p.va, plen);
-            if self.integrity {
-                tail_sum = univistor_sim::Checksum::new();
-                payloads[i].absorb_to(&mut tail_sum);
-                record.checksum = Some(tail_sum.finalize());
-            }
-            records.push((off, record));
+            records.push((off, SegmentRecord::new(client, p.va, plen)));
             tail_layer = p.layer;
+        }
+        // Records are sealed: stamp each one's span of the payload once.
+        if let Some(verifier) = &self.stamper {
+            stamp_records(verifier, &payload, offset, &mut records);
         }
         for &(off, record) in &records {
             assert!(
@@ -1200,6 +1195,7 @@ impl PartitionedCore {
         cfg: &UniviStorConfig,
         metrics: &Arc<JobMetrics>,
         injector: Option<Arc<FaultInjector>>,
+        verifier: &Arc<Verifier>,
         layer_caps: Vec<(Tier, u64)>,
     ) -> Self {
         let servers = cfg.geometry.total_servers().max(1);
@@ -1225,7 +1221,7 @@ impl PartitionedCore {
                 procs_per_node: cfg.geometry.procs_per_node.max(1),
                 generations: Arc::clone(&generations),
                 injector: injector.clone(),
-                integrity: cfg.integrity.checksums,
+                stamper: cfg.integrity.checksums.then(|| Arc::clone(verifier)),
                 retry: cfg.retry,
                 job_metrics: Arc::clone(metrics),
                 metrics: handles.clone(),
@@ -1611,6 +1607,7 @@ impl PartitionedCore {
         node: usize,
         offset: u64,
         end: u64,
+        payload: Payload,
         payloads: Vec<Payload>,
         pieces: Vec<(u64, u64)>,
     ) -> SimResult<u64> {
@@ -1621,6 +1618,7 @@ impl PartitionedCore {
             node,
             offset,
             end,
+            payload,
             payloads,
             pieces,
             reply,
@@ -2022,7 +2020,7 @@ mod tests {
             cfg.geometry.total_procs(),
         );
         let metrics = Arc::new(JobMetrics::new());
-        PartitionedCore::new(&cfg, &metrics, None, caps)
+        PartitionedCore::new(&cfg, &metrics, None, &Arc::default(), caps)
     }
 
     #[test]
@@ -2092,6 +2090,7 @@ mod tests {
                 0,
                 0,
                 128,
+                Payload::pattern(9, 128),
                 vec![Payload::pattern(9, 128)],
                 vec![(0, 128)],
             )
@@ -2119,6 +2118,7 @@ mod tests {
             0,
             32,
             96,
+            Payload::pattern(4, 64),
             vec![Payload::pattern(4, 64)],
             vec![(32, 64)],
         )
@@ -2142,7 +2142,7 @@ mod tests {
             4096,
             cfg.geometry.total_procs(),
         );
-        let core = PartitionedCore::new(&cfg, &metrics, None, caps);
+        let core = PartitionedCore::new(&cfg, &metrics, None, &Arc::default(), caps);
         let client = ClientId::new(0, 0);
         core.ensure_chain(client).unwrap();
         for _ in 0..8 {

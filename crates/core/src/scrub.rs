@@ -43,8 +43,9 @@
 
 use crate::config::UniviStorConfig;
 use crate::fault::with_retries;
+use crate::integrity::Verifier;
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
 use crate::repair::place_copy;
 use crate::server::UniviStorJob;
@@ -202,6 +203,7 @@ pub(crate) struct ScrubCtx<'a> {
     pub metadata: &'a MetadataService,
     pub chains: &'a ChainSet,
     pub metrics: &'a JobMetrics,
+    pub verifier: &'a Verifier,
     pub state: &'a ScrubState,
     pub queue: &'a CorruptQueue,
     /// `(fid, size)` of every written file — the walk's work list.
@@ -263,11 +265,11 @@ fn repair_copy(
         report.unrepaired_copies += 1;
         return Ok(());
     };
-    if payload.content_checksum() != sum {
+    if !ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
         // The would-be source is corrupt too: both copies bad, nothing
         // clean to rebuild from. Count the second copy's failure — the
         // caller only verified the first.
-        ctx.metrics.record_verify_failure("scrub");
+        ctx.metrics.record_verify_failure(VerifySite::Scrub);
         report.corrupt_copies += 1;
         report.unrepaired_copies += 1;
         return Ok(());
@@ -328,8 +330,8 @@ fn verify_record(
     };
     if !ctx.node_failed(rec.client) {
         if let Ok(payload) = ctx.read_copy(rec.client, rec.va, rec.len) {
-            if payload.content_checksum() != sum {
-                ctx.metrics.record_verify_failure("scrub");
+            if !ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
+                ctx.metrics.record_verify_failure(VerifySite::Scrub);
                 report.corrupt_copies += 1;
                 repair_copy(ctx, key, rec, CopySel::Primary, sum, report)?;
                 // The record may have been swapped by the repair; the
@@ -341,8 +343,8 @@ fn verify_record(
     if let Some((rc, rva)) = rec.replica {
         if !ctx.node_failed(rc) {
             if let Ok(payload) = ctx.read_copy(rc, rva, rec.len) {
-                if payload.content_checksum() != sum {
-                    ctx.metrics.record_verify_failure("scrub");
+                if !ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
+                    ctx.metrics.record_verify_failure(VerifySite::Scrub);
                     report.corrupt_copies += 1;
                     // Re-read the live record: a primary repair above
                     // replaced the index entry, and the replica swap must
@@ -382,7 +384,7 @@ fn restamp_record(
     let Ok(payload) = ctx.read_copy(rec.client, rec.va, rec.len) else {
         return Ok(());
     };
-    let sum = payload.content_checksum();
+    let sum = ctx.verifier.stamp(&payload);
     if let Some((rc, rva)) = rec.replica {
         if ctx.node_failed(rc) {
             // Cannot compare against the lost copy; leave it for repair.
@@ -391,8 +393,8 @@ fn restamp_record(
         let Ok(mirror) = ctx.read_copy(rc, rva, rec.len) else {
             return Ok(());
         };
-        if mirror.content_checksum() != sum {
-            ctx.metrics.record_verify_failure("scrub");
+        if !ctx.verifier.verify(VerifySite::Scrub, &mirror, sum) {
+            ctx.metrics.record_verify_failure(VerifySite::Scrub);
             report.corrupt_copies += 1;
             report.unrepaired_copies += 1;
             return Ok(());
@@ -453,7 +455,7 @@ pub(crate) fn run_scrub_pass(ctx: &ScrubCtx<'_>, node: usize) -> SimResult<Scrub
             ctx.queue.push(hint);
             continue;
         };
-        if payload.content_checksum() == sum {
+        if ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
             continue;
         }
         report.corrupt_copies += 1;

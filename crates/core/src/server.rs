@@ -41,6 +41,7 @@ use crate::config::{FlushPipeline, Runtime, UniviStorConfig, WritePipeline};
 use crate::error::{Error, Result};
 use crate::fault::{with_retries, FaultInjector};
 use crate::flush::{flush_file, flush_with_source, FlushReceipt};
+use crate::integrity::{stamp_records, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, ScalarValues, WriteLockCounts};
 use crate::placement::{healthy_buddy, layer_caps_with_node_local, ChainSet, ProcChain};
@@ -184,6 +185,9 @@ pub struct UniviStorJob {
     /// lifetime counters). With tiering disabled the write path pays one
     /// relaxed atomic load against it.
     tiering: TieringState,
+    /// The job's digest authority (per-job digest memo): every stamp and
+    /// verify of the integrity plane goes through it.
+    verifier: Arc<Verifier>,
     /// Reader-reported corrupt copies awaiting online repair. Touched by
     /// the data path only on a verify *failure*.
     corrupt_queue: CorruptQueue,
@@ -294,6 +298,7 @@ impl UniviStorJob {
         if let Some(inj) = &injector {
             inj.install_counters(metrics.fault_counters());
         }
+        let verifier = Arc::new(Verifier::new(Arc::clone(&metrics)));
         let core = match cfg.runtime {
             Runtime::Locked => {
                 let servers = cfg.geometry.total_servers();
@@ -320,6 +325,7 @@ impl UniviStorJob {
                 &cfg,
                 &metrics,
                 injector.clone(),
+                &verifier,
                 job_layer_caps(&cfg),
             )),
         };
@@ -342,6 +348,7 @@ impl UniviStorJob {
             metrics,
             injector,
             tiering: TieringState::default(),
+            verifier,
             corrupt_queue: CorruptQueue::default(),
             scrub: ScrubState::default(),
         }
@@ -627,7 +634,7 @@ impl UniviStorJob {
             // the next (healthy) node, so a node failure loses no data.
             let mut record = SegmentRecord::new(client, placed.va, piece_len);
             if self.cfg.integrity.checksums {
-                record.checksum = Some(piece.content_checksum());
+                record.checksum = Some(self.verifier.stamp(&piece));
             }
             if self.cfg.replicate_volatile && placed.tier != Tier::Pfs {
                 if let Some(buddy) = self.replica_buddy(client) {
@@ -752,14 +759,9 @@ impl UniviStorJob {
         // stay correct. Layer equality matters because a VA seam between
         // two layers can also be address-adjacent.
         let range = self.cfg.metadata_range_size;
-        let integrity = self.cfg.integrity.checksums;
         let mut records: Vec<(u64, SegmentRecord)> = Vec::with_capacity(pieces.len());
         let mut tail_layer = 0usize;
         let mut tail_replica_layer = 0usize;
-        // Running checksum state of the record currently being
-        // coalesced, so the write-commit stamp streams through the same
-        // loop instead of re-walking the merged payloads afterwards.
-        let mut tail_sum = univistor_sim::Checksum::new();
         for (i, p) in placed.iter().enumerate() {
             let (off, plen) = pieces[i];
             self.metrics.record_segment(p.tier, p.layer, plen);
@@ -777,28 +779,23 @@ impl UniviStorJob {
                     && last.len + plen <= range
                 {
                     last.len += plen;
-                    if integrity {
-                        payloads[i].absorb_to(&mut tail_sum);
-                        last.checksum = Some(tail_sum.finalize());
-                    }
                     continue;
                 }
             }
-            let mut record = SegmentRecord {
+            let record = SegmentRecord {
                 client,
                 va: p.va,
                 len: plen,
                 replica: replicas[i].map(|(c, va, _)| (c, va)),
                 checksum: None,
             };
-            if integrity {
-                tail_sum = univistor_sim::Checksum::new();
-                payloads[i].absorb_to(&mut tail_sum);
-                record.checksum = Some(tail_sum.finalize());
-            }
             records.push((off, record));
             tail_layer = p.layer;
             tail_replica_layer = replicas[i].map(|(_, _, l)| l).unwrap_or(0);
+        }
+        // Records are sealed: stamp each one's span of the payload once.
+        if self.cfg.integrity.checksums {
+            stamp_records(&self.verifier, &payload, offset, &mut records);
         }
 
         // Commit the run: one punch over the full span, partition-grouped
@@ -875,8 +872,16 @@ impl UniviStorJob {
         // commit (with the retry loops inside the handler — do not wrap
         // it in `with_retries`, a replayed message would double-append).
         if !self.cfg.replicate_volatile && core.fused_owner(client, node, offset, end).is_some() {
-            let records =
-                core.write_fused(client, fid, node, offset, end, payloads, pieces.clone())?;
+            let records = core.write_fused(
+                client,
+                fid,
+                node,
+                offset,
+                end,
+                payload,
+                payloads,
+                pieces.clone(),
+            )?;
             self.metrics.record_write_batch(
                 pieces.len() as u64,
                 records,
@@ -922,14 +927,9 @@ impl UniviStorJob {
         // same-layer VA-adjacent pieces with lined-up replicas merge, each
         // record capped at the metadata range size.
         let range = self.cfg.metadata_range_size;
-        let integrity = self.cfg.integrity.checksums;
         let mut records: Vec<(u64, SegmentRecord)> = Vec::with_capacity(pieces.len());
         let mut tail_layer = 0usize;
         let mut tail_replica_layer = 0usize;
-        // Running checksum state of the record currently being
-        // coalesced, so the write-commit stamp streams through the same
-        // loop instead of re-walking the merged payloads afterwards.
-        let mut tail_sum = univistor_sim::Checksum::new();
         for (i, p) in placed.iter().enumerate() {
             let (off, plen) = pieces[i];
             self.metrics.record_segment(p.tier, p.layer, plen);
@@ -947,28 +947,23 @@ impl UniviStorJob {
                     && last.len + plen <= range
                 {
                     last.len += plen;
-                    if integrity {
-                        payloads[i].absorb_to(&mut tail_sum);
-                        last.checksum = Some(tail_sum.finalize());
-                    }
                     continue;
                 }
             }
-            let mut record = SegmentRecord {
+            let record = SegmentRecord {
                 client,
                 va: p.va,
                 len: plen,
                 replica: replicas[i].map(|(c, va, _)| (c, va)),
                 checksum: None,
             };
-            if integrity {
-                tail_sum = univistor_sim::Checksum::new();
-                payloads[i].absorb_to(&mut tail_sum);
-                record.checksum = Some(tail_sum.finalize());
-            }
             records.push((off, record));
             tail_layer = p.layer;
             tail_replica_layer = replicas[i].map(|(_, _, l)| l).unwrap_or(0);
+        }
+        // Records are sealed: stamp each one's span of the payload once.
+        if self.cfg.integrity.checksums {
+            stamp_records(&self.verifier, &payload, offset, &mut records);
         }
 
         // Commit. `insert_batch` fails only by injection *before* touching
@@ -1058,14 +1053,19 @@ impl UniviStorJob {
         match &self.core {
             Core::Locked(core) => {
                 let out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                    ReadService::new(&core.metadata, &core.chains, &self.cfg.geometry)
-                        .location_aware(self.cfg.features.location_aware_reads)
-                        .pipeline(self.cfg.read_pipeline)
-                        .readahead(self.cfg.readahead_min_streak, self.cfg.readahead_window)
-                        .with_state(&self.read_state)
-                        .with_failed_nodes(failed)
-                        .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
-                        .read(client, fid, offset, len)
+                    ReadService::new(
+                        &core.metadata,
+                        &core.chains,
+                        &self.cfg.geometry,
+                        &self.verifier,
+                    )
+                    .location_aware(self.cfg.features.location_aware_reads)
+                    .pipeline(self.cfg.read_pipeline)
+                    .readahead(self.cfg.readahead_min_streak, self.cfg.readahead_window)
+                    .with_state(&self.read_state)
+                    .with_failed_nodes(failed)
+                    .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
+                    .read(client, fid, offset, len)
                 })?;
                 self.metrics.record_read_trace(&out.trace);
                 self.metrics.record_read_locks(out.locks);
@@ -1218,6 +1218,7 @@ impl UniviStorJob {
                     let got = core.fetch(alt_client, vec![(alt_va, alt_len)])?;
                     Ok(got.into_iter().next().expect("one span requested"))
                 },
+                &self.verifier,
                 Some(&self.metrics),
                 Some(&self.corrupt_queue),
             )?;
@@ -1422,6 +1423,7 @@ impl UniviStorJob {
                         &failed,
                         &self.cfg.retry,
                         Some(&self.metrics),
+                        &self.verifier,
                         &ensure,
                         fid,
                         size,
@@ -1553,6 +1555,7 @@ impl UniviStorJob {
                 metadata: &core.metadata,
                 chains: &core.chains,
                 metrics: &self.metrics,
+                verifier: &self.verifier,
                 state: &self.scrub,
                 queue: &self.corrupt_queue,
                 files,
@@ -1604,6 +1607,7 @@ impl UniviStorJob {
                 lustre: &self.lustre,
                 heat: &core.heat,
                 metrics: &self.metrics,
+                verifier: &self.verifier,
                 state: &self.tiering,
                 files,
                 failed,
@@ -1712,6 +1716,7 @@ impl UniviStorJob {
                     &self.cfg,
                     &failed,
                     Some(&self.metrics),
+                    &self.verifier,
                     self.injector.as_deref(),
                     fid,
                     size,
@@ -1740,6 +1745,7 @@ impl UniviStorJob {
                     &self.cfg,
                     &failed,
                     Some(&self.metrics),
+                    &self.verifier,
                     self.injector.as_deref(),
                     fid,
                     size,

@@ -32,8 +32,9 @@ use std::time::Duration;
 use crate::config::{PromotionPolicy, UniviStorConfig};
 use crate::error::Result;
 use crate::fault::with_retries;
+use crate::integrity::Verifier;
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
 use crate::server::UniviStorJob;
 use crate::striping::{adaptive_plan, naive_plan, StripePlan};
@@ -336,6 +337,7 @@ pub(crate) struct PassCtx<'a> {
     pub lustre: &'a RwLock<Lustre>,
     pub heat: &'a [HeatShard],
     pub metrics: &'a JobMetrics,
+    pub verifier: &'a Verifier,
     pub state: &'a TieringState,
     /// Written files visible to this pass.
     pub files: Vec<PassFile>,
@@ -856,8 +858,8 @@ fn migrate_record(
     // would destroy the healthy source VA this record points at. Leave
     // the segment in place for the read path / scrubber to repair.
     if let Some(sum) = rec.checksum {
-        if payload.content_checksum() != sum {
-            ctx.metrics.record_verify_failure("tiering");
+        if !ctx.verifier.verify(VerifySite::Tiering, &payload, sum) {
+            ctx.metrics.record_verify_failure(VerifySite::Tiering);
             return Ok(false);
         }
     }

@@ -19,6 +19,14 @@
 //!
 //! All storage tiers store `Payload`s, so the *placement* of data is always
 //! exact even when the bytes themselves are virtual.
+//!
+//! [`Payload::content_checksum`] is the integrity plane's digest: a pure
+//! function of the byte stream (see [`Checksum`]), so a pattern's digest is
+//! a pure function of its `(seed, offset, len)` descriptor. It is never
+//! cached here — it is the oracle. The product's data path digests through
+//! `univistor_core::integrity::Verifier`, which remembers descriptor
+//! digests per job; tests, benches and probes that want the raw cost call
+//! this module directly.
 
 use crate::bytes::Bytes;
 use std::fmt;
@@ -273,8 +281,9 @@ impl Payload {
 
     /// Absorb this payload's bytes into a running [`Checksum`] state.
     /// Absorbing payloads in sequence equals checksumming their
-    /// concatenation — the write pipelines use this to stamp coalesced
-    /// records without assembling the merged payload.
+    /// concatenation — which is why a chunked stored copy, read back as a
+    /// chain of parts, digests to the stamp of the payload that was
+    /// written.
     pub fn absorb_to(&self, state: &mut Checksum) {
         match self {
             Payload::Bytes(b) => state.absorb_bytes(b),
@@ -478,9 +487,8 @@ impl Checksum {
         self.partial_len += n as u32;
     }
 
-    /// Fold the state to the 64-bit digest. Pure: the state keeps
-    /// absorbing afterwards — the coalescing write paths re-finalize as
-    /// a record grows under them.
+    /// Fold the state to the 64-bit digest. Pure: the state can keep
+    /// absorbing afterwards.
     pub fn finalize(&self) -> u64 {
         let len = self
             .words
@@ -692,8 +700,8 @@ mod tests {
     #[test]
     fn checksum_is_split_invariant_at_any_byte_boundary() {
         // The digest must be a pure function of the byte stream no
-        // matter how awkwardly the stream is partitioned — the write
-        // pipelines chain arbitrary-size payloads through one state.
+        // matter how awkwardly the stream is partitioned — stored copies
+        // come back as chains of arbitrary-size parts.
         let bytes: Vec<u8> = (0..97u8).collect();
         let expected = Payload::from_bytes(bytes.clone()).content_checksum();
         for split in [1usize, 3, 7, 8, 9, 31, 32, 33, 64, 96] {
