@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 use univistor_bench::cli::Options;
+use univistor_bench::report::median;
 use univistor_core::config::{JobGeometry, UniviStorConfig};
 use univistor_core::metadata::ClientId;
 use univistor_core::repair::RepairReport;
@@ -130,11 +131,6 @@ fn run_once(segments: u64, read_passes: u64) -> RunStats {
         read_calls: read_passes * blocks,
         report,
     }
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn main() {

@@ -28,6 +28,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use univistor_bench::cli::Options;
+use univistor_bench::report::median;
 use univistor_core::config::{JobGeometry, TieringConfig, UniviStorConfig};
 use univistor_core::driver::UniviStorDriver;
 use univistor_core::metadata::ClientId;
@@ -117,11 +118,6 @@ fn run_once(w: &TierPressure, tiered: bool) -> RunStats {
         catchup_bytes: receipt.drained_ahead_bytes,
         tiering: job.tiering().stats(),
     }
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn main() {

@@ -8,7 +8,7 @@
 //!   checkpoints (default 60, the paper's sleep);
 //! * `--threads N`        — OS threads driving ranks concurrently
 //!   (default 1, the deterministic rank loop; figure benches stay at 1 so
-//!   their CSVs are reproducible — only the `scaling` bench sweeps this);
+//!   their CSVs are reproducible);
 //! * `--quick`            — shorthand for `--max-procs 512
 //!   --bytes-per-proc 16M` (fast smoke runs).
 

@@ -57,6 +57,13 @@ pub fn speedup_stats(num: &[f64], den: &[f64]) -> (f64, f64, f64) {
     (min, geo.exp(), max)
 }
 
+/// The median of `xs` (upper middle for even counts) — the robust
+/// estimate the wall-clock bins report for paired-round ratios.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Render a figure as CSV (x column + one column per series) — the format
 /// plotting scripts consume.
 pub fn figure_to_csv(fig: &Figure) -> String {

@@ -74,7 +74,7 @@ pub enum WritePipeline {
     Batched,
     /// Reference implementation: one chain-lock / punch / KV put /
     /// node-buffer and accounting acquisition per segment piece. Kept for
-    /// differential tests and as the `write_batch` bench baseline.
+    /// differential tests.
     PerPiece,
 }
 
@@ -90,7 +90,7 @@ pub enum ReadPipeline {
     Batched,
     /// Reference implementation: one chain-lock acquisition per overlapping
     /// fragment, fetched while walking the record list. Kept for
-    /// differential tests and as the `read_batch` bench baseline.
+    /// differential tests.
     PerRecord,
 }
 

@@ -42,6 +42,7 @@ use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
+use crate::read::{covered_bytes, Gathered, RemoteLookup};
 use crate::striping::{adaptive_plan, naive_plan, StripePlan};
 use crate::tiering::DrainLedger;
 use crate::va::{Tier, VirtualAddr};
@@ -108,15 +109,20 @@ pub struct FlushReport {
     pub lost_bytes: u64,
 }
 
-/// Where the flush engines get records and bytes from. Implemented by the
-/// locked core's metadata + chains pair and by the partitioned runtime
-/// (which routes fetches to the owning partition workers), so both
-/// runtimes share one flush engine.
+/// Where the flush engines and the read pipeline ([`crate::read`]) get
+/// records and bytes from. Implemented by the locked core's metadata +
+/// chains pair and by the partitioned runtime (which routes lookups and
+/// fetches to the owning partition workers), so both runtimes share one
+/// flush engine and one read driver.
 pub(crate) trait FlushSource: Sync {
-    /// All records of `fid` overlapping `[lo, hi)`, offset-ascending.
-    fn records(&self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)>;
+    /// All records of `fid` overlapping `[lo, hi)`, offset-ascending, plus
+    /// the number of metadata servers the lookup visited (one RPC each on
+    /// the naive read path; the flush engines ignore it).
+    fn records(&self, fid: u64, lo: u64, hi: u64) -> (usize, Vec<(SegKey, SegmentRecord)>);
     /// Read every `(va, len)` request from `client`'s chain, results in
-    /// request order. One call is one gather round-trip.
+    /// request order. One call is one gather round-trip (one shared
+    /// chain-lock acquisition under the locked core, one message under the
+    /// partitioned one).
     fn read_spans(
         &self,
         client: ClientId,
@@ -124,18 +130,28 @@ pub(crate) trait FlushSource: Sync {
     ) -> SimResult<Vec<(Payload, Tier)>>;
     /// The fid's current mutation generation — the catch-up fence.
     fn generation(&self, fid: u64) -> u64;
+    /// The gather stage of a location-aware read by a client on `node`:
+    /// the node buffer's hits over `[lo, hi)` and — only when they leave
+    /// the request uncovered — the distributed lookup through the node's
+    /// generation-validated read record cache, widened to `[lo, fetch_hi)`
+    /// on a miss (readahead). Fails only by the `kv_lookup` fault draw,
+    /// before touching any state, so the caller may retry it.
+    fn gather(&self, node: usize, fid: u64, lo: u64, hi: u64, fetch_hi: u64)
+        -> SimResult<Gathered>;
 }
 
 /// The locked core's view: direct shared-lock reads of the metadata
 /// service and chain set.
-pub(crate) struct CoreFlushSource<'a> {
-    pub metadata: &'a MetadataService,
-    pub chains: &'a ChainSet,
+#[derive(Debug, Clone, Copy)]
+pub struct CoreFlushSource<'a> {
+    pub(crate) metadata: &'a MetadataService,
+    pub(crate) chains: &'a ChainSet,
 }
 
 impl FlushSource for CoreFlushSource<'_> {
-    fn records(&self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
-        self.metadata.lookup_range(fid, lo, hi).1
+    fn records(&self, fid: u64, lo: u64, hi: u64) -> (usize, Vec<(SegKey, SegmentRecord)>) {
+        let (servers, records) = self.metadata.lookup_range(fid, lo, hi);
+        (servers.len(), records)
     }
 
     fn read_spans(
@@ -148,6 +164,30 @@ impl FlushSource for CoreFlushSource<'_> {
 
     fn generation(&self, fid: u64) -> u64 {
         self.metadata.generation(fid)
+    }
+
+    fn gather(
+        &self,
+        node: usize,
+        fid: u64,
+        lo: u64,
+        hi: u64,
+        fetch_hi: u64,
+    ) -> SimResult<Gathered> {
+        let local = self.metadata.lookup_local(node, fid, lo, hi);
+        let remote = if covered_bytes(&local, lo, hi) < hi - lo {
+            let (servers, records, cache_hit) = self
+                .metadata
+                .lookup_range_cached(node, fid, lo, hi, fetch_hi)?;
+            Some(RemoteLookup {
+                records,
+                rpcs: servers.len() as u64,
+                cache_hit,
+            })
+        } else {
+            None
+        };
+        Ok(Gathered { local, remote })
     }
 }
 
@@ -203,6 +243,7 @@ pub(crate) fn write_stripes(
 }
 
 /// Per-pass accumulator shared by both engines; becomes the receipt.
+#[derive(Default)]
 struct FlushAcc {
     per_server_bytes: Vec<u64>,
     per_ost_bytes: Vec<u64>,
@@ -217,21 +258,6 @@ struct FlushAcc {
 }
 
 impl FlushAcc {
-    fn new(servers: usize, osts: usize) -> Self {
-        FlushAcc {
-            per_server_bytes: vec![0; servers],
-            per_ost_bytes: vec![0; osts],
-            source_tiers: HashMap::new(),
-            revocations: 0,
-            lost: FlushReport::default(),
-            drained_ahead: 0,
-            ost_writes: 0,
-            write_calls: 0,
-            spans: 0,
-            gather_round_trips: 0,
-        }
-    }
-
     fn absorb_write(&mut self, w: StripeWrite) {
         self.revocations += w.revocations;
         self.ost_writes += w.ost_writes;
@@ -245,35 +271,109 @@ impl FlushAcc {
     }
 }
 
-/// Prefer the primary; fall back to a replica on a healthy node; with
-/// neither, the span is lost.
-fn healthy_source(
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    rec: &SegmentRecord,
-) -> Option<(ClientId, VirtualAddr)> {
-    let primary_node = cfg.geometry.node_of_rank(rec.client.rank as usize);
-    if !failed_nodes.contains(&primary_node) {
-        Some((rec.client, rec.va))
-    } else {
-        rec.replica
-            .filter(|(rc, _)| !failed_nodes.contains(&cfg.geometry.node_of_rank(rc.rank as usize)))
+/// What to flush and with what: the caller's half of a flush, everything
+/// [`flush_with_source`] needs besides the record/byte source.
+pub(crate) struct FlushRequest<'a> {
+    pub lustre: &'a RwLock<Lustre>,
+    pub cfg: &'a UniviStorConfig,
+    pub failed_nodes: &'a HashSet<usize>,
+    pub metrics: Option<&'a JobMetrics>,
+    pub verifier: &'a Verifier,
+    pub injector: Option<&'a FaultInjector>,
+    pub fid: u64,
+    pub file_size: u64,
+    pub dest: &'a str,
+    pub resume: Option<&'a DrainLedger>,
+}
+
+/// Everything one flush holds constant across its passes, ranges and spans:
+/// the request, the source, the striping decision, and the resume ledger
+/// once validated against the destination. Built once in
+/// [`flush_with_source`].
+struct FlushCtx<'a> {
+    source: &'a dyn FlushSource,
+    req: &'a FlushRequest<'a>,
+    plan: &'a StripePlan,
+    resume: Option<&'a DrainLedger>,
+    osts: usize,
+}
+
+impl FlushCtx<'_> {
+    fn new_acc(&self) -> FlushAcc {
+        FlushAcc {
+            per_server_bytes: vec![0; self.req.cfg.geometry.total_servers()],
+            per_ost_bytes: vec![0; self.osts],
+            ..FlushAcc::default()
+        }
+    }
+
+    fn node_failed(&self, client: ClientId) -> bool {
+        let node = self.req.cfg.geometry.node_of_rank(client.rank as usize);
+        self.req.failed_nodes.contains(&node)
+    }
+
+    /// One retried gather round-trip.
+    fn read_spans(
+        &self,
+        client: ClientId,
+        requests: &[(VirtualAddr, u64)],
+    ) -> SimResult<Vec<(Payload, Tier)>> {
+        with_retries(&self.req.cfg.retry, self.req.metrics, || {
+            self.source.read_spans(client, requests)
+        })
+    }
+
+    /// One instrumented metadata fetch per server range; transient faults
+    /// are absorbed by the retry budget.
+    fn draw_lookup(&self) -> SimResult<()> {
+        match self.req.injector {
+            Some(inj) => with_retries(&self.req.cfg.retry, self.req.metrics, || {
+                inj.inject("flush_lookup", None)
+            }),
+            None => Ok(()),
+        }
+    }
+
+    fn write(&self, lo: u64, payload: Payload) -> SimResult<StripeWrite> {
+        write_stripes(self.req.lustre, self.req.dest, self.plan, lo, payload)
+    }
+
+    /// Prefer the primary; fall back to a replica on a healthy node; with
+    /// neither, the span is lost.
+    fn healthy_source(&self, rec: &SegmentRecord) -> Option<(ClientId, VirtualAddr)> {
+        if !self.node_failed(rec.client) {
+            Some((rec.client, rec.va))
+        } else {
+            rec.replica.filter(|&(rc, _)| !self.node_failed(rc))
+        }
     }
 }
 
-/// The span both engines request for one clipped record: stamped records
-/// fetch the *whole* record from its base VA (the sequential checksum can
-/// only verify the full span), unstamped ones the clip alone.
-fn gather_span(
-    rec: &SegmentRecord,
+/// One clipped record with a healthy copy to drain: `len` bytes at logical
+/// `clip_lo`, cut from the record keyed at `key_offset` whose chosen copy
+/// starts at `base_va` of `client`'s chain.
+#[derive(Clone, Copy)]
+struct FetchSpan {
+    rec: SegmentRecord,
+    client: ClientId,
     base_va: VirtualAddr,
     key_offset: u64,
     clip_lo: u64,
-    clip_len: u64,
-) -> (VirtualAddr, u64) {
-    match rec.checksum {
-        Some(_) => (base_va, rec.len),
-        None => (VirtualAddr(base_va.0 + (clip_lo - key_offset)), clip_len),
+    len: u64,
+}
+
+impl FetchSpan {
+    /// The span both engines request: stamped records fetch the *whole*
+    /// record from its base VA (the checksum can only verify the full
+    /// span), unstamped ones the clip alone.
+    fn request(&self) -> (VirtualAddr, u64) {
+        match self.rec.checksum {
+            Some(_) => (self.base_va, self.rec.len),
+            None => (
+                VirtualAddr(self.base_va.0 + (self.clip_lo - self.key_offset)),
+                self.len,
+            ),
+        }
     }
 }
 
@@ -284,55 +384,44 @@ fn gather_span(
 /// a typed [`SimError::Integrity`] — the flush never persists wrong bytes,
 /// and the lost ledger stays reserved for node failures (a
 /// corrupt-but-present copy is the scrubber's job, not a silent skip).
-#[allow(clippy::too_many_arguments)]
 fn verify_gathered(
-    source: &dyn FlushSource,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    rec: &SegmentRecord,
-    chosen: (ClientId, VirtualAddr),
-    key_offset: u64,
-    clip_lo: u64,
-    clip_len: u64,
+    ctx: &FlushCtx,
+    span: &FetchSpan,
     payload: Payload,
     tier: Tier,
     round_trips: &mut u64,
 ) -> SimResult<(Payload, Tier)> {
+    let rec = &span.rec;
     let Some(sum) = rec.checksum else {
         return Ok((payload, tier));
     };
-    let node_failed =
-        |c: ClientId| failed_nodes.contains(&cfg.geometry.node_of_rank(c.rank as usize));
+    let chosen = (span.client, span.base_va);
     verified_clip(
         StampedFetch {
             site: VerifySite::Flush,
             error_site: "flush_gather",
-            error_offset: clip_lo,
+            error_offset: span.clip_lo,
             sum,
             rec_len: rec.len,
-            clip_off: clip_lo - key_offset,
-            clip_len,
+            clip_off: span.clip_lo - span.key_offset,
+            clip_len: span.len,
             source: chosen,
             payload,
             tier,
-            verifier,
-            metrics,
+            verifier: ctx.req.verifier,
+            metrics: ctx.req.metrics,
             report_to: None,
         },
         // The record's other copy, when one exists on a healthy node.
         || {
             if chosen == (rec.client, rec.va) {
-                rec.replica.filter(|&(rc, _)| !node_failed(rc))
+                rec.replica.filter(|&(rc, _)| !ctx.node_failed(rc))
             } else {
-                (!node_failed(rec.client)).then_some((rec.client, rec.va))
+                (!ctx.node_failed(rec.client)).then_some((rec.client, rec.va))
             }
         },
         &mut |alt_client, alt_va, len| {
-            let mut got = with_retries(&cfg.retry, metrics, || {
-                source.read_spans(alt_client, &[(alt_va, len)])
-            })?;
+            let mut got = ctx.read_spans(alt_client, &[(alt_va, len)])?;
             *round_trips += 1;
             Ok(got.pop().expect("one span requested"))
         },
@@ -381,38 +470,36 @@ pub fn flush_file(
     dest: &str,
     resume: Option<&DrainLedger>,
 ) -> SimResult<FlushReceipt> {
-    let source = CoreFlushSource { metadata, chains };
     flush_with_source(
-        &source,
-        lustre,
-        cfg,
-        failed_nodes,
-        metrics,
-        verifier,
-        injector,
-        fid,
-        file_size,
-        dest,
-        resume,
+        &CoreFlushSource { metadata, chains },
+        &FlushRequest {
+            lustre,
+            cfg,
+            failed_nodes,
+            metrics,
+            verifier,
+            injector,
+            fid,
+            file_size,
+            dest,
+            resume,
+        },
     )
 }
 
 /// [`flush_file`] generalized over a [`FlushSource`] — the entry point the
 /// partitioned runtime uses to flush without a whole-core checkout.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn flush_with_source(
     source: &dyn FlushSource,
-    lustre: &RwLock<Lustre>,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    injector: Option<&FaultInjector>,
-    fid: u64,
-    file_size: u64,
-    dest: &str,
-    resume: Option<&DrainLedger>,
+    req: &FlushRequest,
 ) -> SimResult<FlushReceipt> {
+    let &FlushRequest {
+        lustre,
+        cfg,
+        file_size,
+        dest,
+        ..
+    } = req;
     if file_size == 0 {
         return Err(SimError::InvalidFlow("flush of empty file".into()));
     }
@@ -420,7 +507,9 @@ pub(crate) fn flush_with_source(
     let osts = lustre.read().expect("lustre poisoned").ost_count();
     // A ledger is only trustworthy while the destination it drained into
     // still exists.
-    let resume = resume.filter(|_| lustre.read().expect("lustre poisoned").exists(dest));
+    let resume = req
+        .resume
+        .filter(|_| lustre.read().expect("lustre poisoned").exists(dest));
     let plan = match resume {
         Some(ledger) => {
             let mut plan = ledger.plan.clone();
@@ -453,40 +542,16 @@ pub(crate) fn flush_with_source(
         pfs.create(dest, plan.layout.clone())?;
     }
 
+    let ctx = FlushCtx {
+        source,
+        req,
+        plan: &plan,
+        resume,
+        osts,
+    };
     let (acc, catchup_passes) = match cfg.flush_pipeline {
-        FlushPipeline::Sequential => (
-            sequential_pass(
-                source,
-                lustre,
-                cfg,
-                failed_nodes,
-                metrics,
-                verifier,
-                injector,
-                fid,
-                &plan,
-                dest,
-                resume,
-                servers,
-                osts,
-            )?,
-            0,
-        ),
-        FlushPipeline::Parallel => parallel_drain(
-            source,
-            lustre,
-            cfg,
-            failed_nodes,
-            metrics,
-            verifier,
-            injector,
-            fid,
-            &plan,
-            dest,
-            resume,
-            servers,
-            osts,
-        )?,
+        FlushPipeline::Sequential => (sequential_pass(&ctx)?, 0),
+        FlushPipeline::Parallel => parallel_drain(&ctx)?,
     };
 
     let flushed: u64 = acc.per_server_bytes.iter().sum();
@@ -517,7 +582,7 @@ pub(crate) fn flush_with_source(
         gather_round_trips: acc.gather_round_trips,
         catchup_passes,
     };
-    if let Some(m) = metrics {
+    if let Some(m) = req.metrics {
         m.record_flush(&receipt);
     }
     Ok(receipt)
@@ -526,33 +591,14 @@ pub(crate) fn flush_with_source(
 /// The reference engine: one loop over the server ranges, one chain read
 /// and one stripe write per clipped span. Kept byte-for-byte equivalent to
 /// the pre-pipelined flush for differential testing.
-#[allow(clippy::too_many_arguments)]
-fn sequential_pass(
-    source: &dyn FlushSource,
-    lustre: &RwLock<Lustre>,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    injector: Option<&FaultInjector>,
-    fid: u64,
-    plan: &StripePlan,
-    dest: &str,
-    resume: Option<&DrainLedger>,
-    servers: usize,
-    osts: usize,
-) -> SimResult<FlushAcc> {
-    let mut acc = FlushAcc::new(servers, osts);
-    for &(start, end) in plan.server_ranges.iter() {
+fn sequential_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
+    let mut acc = ctx.new_acc();
+    for &(start, end) in ctx.plan.server_ranges.iter() {
         if end <= start {
             continue;
         }
-        // One instrumented metadata fetch per server range; transient
-        // faults are absorbed by the retry budget.
-        if let Some(inj) = injector {
-            with_retries(&cfg.retry, metrics, || inj.inject("flush_lookup", None))?;
-        }
-        for (key, rec) in source.records(fid, start, end) {
+        ctx.draw_lookup()?;
+        for (key, rec) in ctx.source.records(ctx.req.fid, start, end).1 {
             let seg_end = key.offset + rec.len;
             let clip_lo = key.offset.max(start);
             let clip_hi = seg_end.min(end);
@@ -564,41 +610,33 @@ fn sequential_pass(
             // bytes to `dest`. Checked before the health split, so a
             // drained span survives even when its source node has since
             // failed.
-            if let Some(ledger) = resume {
+            if let Some(ledger) = ctx.resume {
                 if ledger.spans.get(&key.offset) == Some(&rec) {
                     acc.drained_ahead += clip_len;
                     continue;
                 }
             }
-            let Some((client, base_va)) = healthy_source(cfg, failed_nodes, &rec) else {
+            let Some((client, base_va)) = ctx.healthy_source(&rec) else {
                 acc.lost.lost_segments += 1;
                 acc.lost.lost_bytes += clip_len;
                 continue;
             };
-            let request = gather_span(&rec, base_va, key.offset, clip_lo, clip_len);
-            let mut got = with_retries(&cfg.retry, metrics, || {
-                source.read_spans(client, &[request])
-            })?;
+            let span = FetchSpan {
+                rec,
+                client,
+                base_va,
+                key_offset: key.offset,
+                clip_lo,
+                len: clip_len,
+            };
+            let mut got = ctx.read_spans(client, &[span.request()])?;
             let (payload, tier) = got.pop().expect("one span requested");
             acc.spans += 1;
             acc.gather_round_trips += 1;
-            let (payload, tier) = verify_gathered(
-                source,
-                cfg,
-                failed_nodes,
-                metrics,
-                verifier,
-                &rec,
-                (client, base_va),
-                key.offset,
-                clip_lo,
-                clip_len,
-                payload,
-                tier,
-                &mut acc.gather_round_trips,
-            )?;
+            let (payload, tier) =
+                verify_gathered(ctx, &span, payload, tier, &mut acc.gather_round_trips)?;
             *acc.source_tiers.entry(tier).or_insert(0) += clip_len;
-            let w = write_stripes(lustre, dest, plan, clip_lo, payload)?;
+            let w = ctx.write(clip_lo, payload)?;
             acc.absorb_write(w);
         }
     }
@@ -611,41 +649,12 @@ fn sequential_pass(
 /// pass (error or not) under a changed generation may have read torn state
 /// and is discarded. Terminates once writers quiesce — close-time flush
 /// holds the fid's tiering gate, so only foreground writers race.
-#[allow(clippy::too_many_arguments)]
-fn parallel_drain(
-    source: &dyn FlushSource,
-    lustre: &RwLock<Lustre>,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    injector: Option<&FaultInjector>,
-    fid: u64,
-    plan: &StripePlan,
-    dest: &str,
-    resume: Option<&DrainLedger>,
-    servers: usize,
-    osts: usize,
-) -> SimResult<(FlushAcc, u64)> {
+fn parallel_drain(ctx: &FlushCtx) -> SimResult<(FlushAcc, u64)> {
     let mut catchup_passes = 0u64;
     loop {
-        let gen0 = source.generation(fid);
-        let pass = parallel_pass(
-            source,
-            lustre,
-            cfg,
-            failed_nodes,
-            metrics,
-            verifier,
-            injector,
-            fid,
-            plan,
-            dest,
-            resume,
-            servers,
-            osts,
-        );
-        if source.generation(fid) == gen0 {
+        let gen0 = ctx.source.generation(ctx.req.fid);
+        let pass = parallel_pass(ctx);
+        if ctx.source.generation(ctx.req.fid) == gen0 {
             return pass.map(|acc| (acc, catchup_passes));
         }
         catchup_passes += 1;
@@ -678,24 +687,10 @@ enum SpanOutcome {
 /// range order so the Lustre write sequence (and thus the revocation
 /// count) is identical to the sequential engine's, then coalesces
 /// adjacent spans into single object writes.
-#[allow(clippy::too_many_arguments)]
-fn parallel_pass(
-    source: &dyn FlushSource,
-    lustre: &RwLock<Lustre>,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    injector: Option<&FaultInjector>,
-    fid: u64,
-    plan: &StripePlan,
-    dest: &str,
-    resume: Option<&DrainLedger>,
-    servers: usize,
-    osts: usize,
-) -> SimResult<FlushAcc> {
-    let mut acc = FlushAcc::new(servers, osts);
-    let ranges: Vec<(u64, u64)> = plan
+fn parallel_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
+    let mut acc = ctx.new_acc();
+    let ranges: Vec<(u64, u64)> = ctx
+        .plan
         .server_ranges
         .iter()
         .copied()
@@ -707,10 +702,8 @@ fn parallel_pass(
     // One instrumented lookup per non-empty range, drawn up front in
     // range order so the injector sees the same flush_lookup count as the
     // sequential engine (draw *positions* may differ — accepted).
-    if let Some(inj) = injector {
-        for _ in &ranges {
-            with_retries(&cfg.retry, metrics, || inj.inject("flush_lookup", None))?;
-        }
+    for _ in &ranges {
+        ctx.draw_lookup()?;
     }
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -729,18 +722,7 @@ fn parallel_pass(
                 let Some(&(start, end)) = ranges.get(i) else {
                     break;
                 };
-                let gathered = gather_range(
-                    source,
-                    cfg,
-                    failed_nodes,
-                    metrics,
-                    verifier,
-                    fid,
-                    resume,
-                    start,
-                    end,
-                );
-                if tx.send((i, gathered)).is_err() {
+                if tx.send((i, gather_range(ctx, start, end))).is_err() {
                     break;
                 }
             });
@@ -754,7 +736,7 @@ fn parallel_pass(
             while let Some(g) = pending.remove(&next) {
                 next += 1;
                 if failed_err.is_none() {
-                    if let Err(e) = g.and_then(|g| write_range(&mut acc, lustre, dest, plan, g)) {
+                    if let Err(e) = g.and_then(|g| write_range(&mut acc, ctx, g)) {
                         // Stop handing out new ranges; drain what's in
                         // flight so the workers exit cleanly.
                         cursor.store(ranges.len(), Ordering::Relaxed);
@@ -774,33 +756,14 @@ fn parallel_pass(
 /// fetched in a single chain round-trip (the batching win); resolution
 /// (clip, ledger catch-up, health split) matches the sequential engine
 /// span for span.
-#[allow(clippy::too_many_arguments)]
-fn gather_range(
-    source: &dyn FlushSource,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    fid: u64,
-    resume: Option<&DrainLedger>,
-    start: u64,
-    end: u64,
-) -> SimResult<RangeGather> {
-    #[derive(Clone, Copy)]
-    enum Resolved {
-        Drained(u64),
-        Lost(u64),
-        Fetch {
-            clip_lo: u64,
-            len: u64,
-            client: ClientId,
-            base_va: VirtualAddr,
-            key_offset: u64,
-            rec: SegmentRecord,
-        },
-    }
-    let records = source.records(fid, start, end);
-    let mut resolved = Vec::with_capacity(records.len());
+fn gather_range(ctx: &FlushCtx, start: u64, end: u64) -> SimResult<RangeGather> {
+    let records = ctx.source.records(ctx.req.fid, start, end).1;
+    let mut out = RangeGather {
+        spans: Vec::with_capacity(records.len()),
+        gather_round_trips: 0,
+    };
+    // The open run of consecutive spans sharing one source chain.
+    let mut run: Vec<FetchSpan> = Vec::new();
     for (key, rec) in records {
         let seg_end = key.offset + rec.len;
         let clip_lo = key.offset.max(start);
@@ -808,113 +771,62 @@ fn gather_range(
         if clip_hi <= clip_lo {
             continue;
         }
-        let clip_len = clip_hi - clip_lo;
-        if let Some(ledger) = resume {
-            if ledger.spans.get(&key.offset) == Some(&rec) {
-                resolved.push(Resolved::Drained(clip_len));
-                continue;
+        let len = clip_hi - clip_lo;
+        let drained = ctx
+            .resume
+            .is_some_and(|ledger| ledger.spans.get(&key.offset) == Some(&rec));
+        let settled = if drained {
+            SpanOutcome::Drained { len }
+        } else if let Some((client, base_va)) = ctx.healthy_source(&rec) {
+            if run.first().is_some_and(|head| head.client != client) {
+                fetch_run(ctx, &mut run, &mut out)?;
             }
-        }
-        match healthy_source(cfg, failed_nodes, &rec) {
-            None => resolved.push(Resolved::Lost(clip_len)),
-            Some((client, base_va)) => resolved.push(Resolved::Fetch {
-                clip_lo,
-                len: clip_len,
+            run.push(FetchSpan {
+                rec,
                 client,
                 base_va,
                 key_offset: key.offset,
-                rec,
-            }),
-        }
+                clip_lo,
+                len,
+            });
+            continue;
+        } else {
+            SpanOutcome::Lost { len }
+        };
+        // A span with nothing to fetch closes the open run.
+        fetch_run(ctx, &mut run, &mut out)?;
+        out.spans.push(settled);
     }
-    let mut spans = Vec::with_capacity(resolved.len());
-    let mut round_trips = 0u64;
-    let mut requests: Vec<(VirtualAddr, u64)> = Vec::new();
-    let mut i = 0;
-    while i < resolved.len() {
-        match resolved[i] {
-            Resolved::Drained(len) => {
-                spans.push(SpanOutcome::Drained { len });
-                i += 1;
-            }
-            Resolved::Lost(len) => {
-                spans.push(SpanOutcome::Lost { len });
-                i += 1;
-            }
-            Resolved::Fetch { client, .. } => {
-                let run_start = i;
-                requests.clear();
-                while let Some(&Resolved::Fetch {
-                    client: c,
-                    base_va,
-                    key_offset,
-                    clip_lo,
-                    len,
-                    ref rec,
-                }) = resolved.get(i)
-                {
-                    if c != client {
-                        break;
-                    }
-                    requests.push(gather_span(rec, base_va, key_offset, clip_lo, len));
-                    i += 1;
-                }
-                let results =
-                    with_retries(&cfg.retry, metrics, || source.read_spans(client, &requests))?;
-                round_trips += 1;
-                for (j, (payload, tier)) in results.into_iter().enumerate() {
-                    let Resolved::Fetch {
-                        clip_lo,
-                        len,
-                        base_va,
-                        key_offset,
-                        rec,
-                        ..
-                    } = resolved[run_start + j]
-                    else {
-                        unreachable!("fetch run resolved from fetch entries");
-                    };
-                    let (payload, tier) = verify_gathered(
-                        source,
-                        cfg,
-                        failed_nodes,
-                        metrics,
-                        verifier,
-                        &rec,
-                        (client, base_va),
-                        key_offset,
-                        clip_lo,
-                        len,
-                        payload,
-                        tier,
-                        &mut round_trips,
-                    )?;
-                    spans.push(SpanOutcome::Data {
-                        clip_lo,
-                        len,
-                        payload,
-                        tier,
-                    });
-                }
-            }
-        }
+    fetch_run(ctx, &mut run, &mut out)?;
+    Ok(out)
+}
+
+/// Fetch the open same-source `run` in one round-trip, verify each span and
+/// queue it for the writer stage. A no-op on an empty run.
+fn fetch_run(ctx: &FlushCtx, run: &mut Vec<FetchSpan>, out: &mut RangeGather) -> SimResult<()> {
+    let Some(head) = run.first() else {
+        return Ok(());
+    };
+    let requests: Vec<(VirtualAddr, u64)> = run.iter().map(FetchSpan::request).collect();
+    let results = ctx.read_spans(head.client, &requests)?;
+    out.gather_round_trips += 1;
+    for (span, (payload, tier)) in run.drain(..).zip(results) {
+        let (payload, tier) =
+            verify_gathered(ctx, &span, payload, tier, &mut out.gather_round_trips)?;
+        out.spans.push(SpanOutcome::Data {
+            clip_lo: span.clip_lo,
+            len: span.len,
+            payload,
+            tier,
+        });
     }
-    Ok(RangeGather {
-        spans,
-        gather_round_trips: round_trips,
-    })
+    Ok(())
 }
 
 /// The writer stage for one gathered range: account outcomes, merge
 /// offset-adjacent data spans into coalesced runs, and issue each run as
 /// one stripe write.
-fn write_range(
-    acc: &mut FlushAcc,
-    lustre: &RwLock<Lustre>,
-    dest: &str,
-    plan: &StripePlan,
-    gathered: RangeGather,
-) -> SimResult<()> {
+fn write_range(acc: &mut FlushAcc, ctx: &FlushCtx, gathered: RangeGather) -> SimResult<()> {
     acc.gather_round_trips += gathered.gather_round_trips;
     // (run start, run end, parts)
     let mut run: Option<(u64, u64, Vec<Payload>)> = None;
@@ -940,7 +852,7 @@ fn write_range(
                     }
                     _ => {
                         if let Some(r) = run.take() {
-                            write_run(acc, lustre, dest, plan, r)?;
+                            write_run(acc, ctx, r)?;
                         }
                         run = Some((clip_lo, clip_lo + len, vec![payload]));
                     }
@@ -949,16 +861,14 @@ fn write_range(
         }
     }
     if let Some(r) = run {
-        write_run(acc, lustre, dest, plan, r)?;
+        write_run(acc, ctx, r)?;
     }
     Ok(())
 }
 
 fn write_run(
     acc: &mut FlushAcc,
-    lustre: &RwLock<Lustre>,
-    dest: &str,
-    plan: &StripePlan,
+    ctx: &FlushCtx,
     (lo, _end, mut parts): (u64, u64, Vec<Payload>),
 ) -> SimResult<()> {
     let payload = if parts.len() == 1 {
@@ -966,7 +876,7 @@ fn write_run(
     } else {
         Payload::chain(parts)
     };
-    let w = write_stripes(lustre, dest, plan, lo, payload)?;
+    let w = ctx.write(lo, payload)?;
     acc.absorb_write(w);
     Ok(())
 }
@@ -1024,25 +934,45 @@ mod tests {
         4 * segs_per_client * 64
     }
 
+    /// What a test flush may vary; the rest is fixed: fid 1 drains to
+    /// "/pfs/f" through [`flush_file`] with a fresh verifier.
+    #[derive(Default)]
+    struct Vary<'a> {
+        failed: Option<&'a HashSet<usize>>,
+        metrics: Option<&'a JobMetrics>,
+        injector: Option<&'a FaultInjector>,
+        resume: Option<&'a DrainLedger>,
+    }
+
+    fn flush(
+        md: &MetadataService,
+        chains: &ChainSet,
+        lustre: &RwLock<Lustre>,
+        cfg: &UniviStorConfig,
+        size: u64,
+        vary: Vary,
+    ) -> SimResult<FlushReceipt> {
+        flush_file(
+            md,
+            chains,
+            lustre,
+            cfg,
+            vary.failed.unwrap_or(&HashSet::new()),
+            vary.metrics,
+            &Verifier::default(),
+            vary.injector,
+            1,
+            size,
+            "/pfs/f",
+            vary.resume,
+        )
+    }
+
     #[test]
     fn flushed_file_reads_back_from_lustre() {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 4);
-        let receipt = flush_file(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            size,
-            "/pfs/f",
-            None,
-        )
-        .unwrap();
+        let receipt = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
         assert_eq!(receipt.file_size, size);
         let lustre = lustre.read().unwrap();
         assert_eq!(lustre.file_size("/pfs/f").unwrap(), size);
@@ -1062,19 +992,16 @@ mod tests {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 4);
         let m = JobMetrics::new();
-        let r = flush_file(
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            Some(&m),
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            None,
+            Vary {
+                metrics: Some(&m),
+                ..Vary::default()
+            },
         )
         .unwrap();
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size);
@@ -1105,21 +1032,7 @@ mod tests {
             let (md, chains, lustre, mut cfg) = setup();
             cfg.features.adaptive_striping = adaptive;
             let size = populate(&md, &chains, 2);
-            let r = flush_file(
-                &md,
-                &chains,
-                &lustre,
-                &cfg,
-                &HashSet::new(),
-                None,
-                &Verifier::default(),
-                None,
-                1,
-                size,
-                "/pfs/f",
-                None,
-            )
-            .unwrap();
+            let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
             let whole = lustre.read().unwrap().read("/pfs/f", 0, size, 999).unwrap();
             assert_eq!(whole.len(), size, "adaptive={adaptive}");
             assert_eq!(r.file_size, size);
@@ -1130,38 +1043,10 @@ mod tests {
     fn reflush_overwrites_destination() {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 2);
-        flush_file(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            size,
-            "/pfs/f",
-            None,
-        )
-        .unwrap();
+        flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
         // Flush again (e.g. the file was re-opened and appended — here
         // identical): destination is recreated, not corrupted.
-        flush_file(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            size,
-            "/pfs/f",
-            None,
-        )
-        .unwrap();
+        flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
         assert_eq!(lustre.read().unwrap().file_size("/pfs/f").unwrap(), size);
     }
 
@@ -1170,21 +1055,7 @@ mod tests {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 2);
         // Claim the file is bigger than what was written.
-        let err = flush_file(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            size + 64,
-            "/pfs/f",
-            None,
-        )
-        .unwrap_err();
+        let err = flush(&md, &chains, &lustre, &cfg, size + 64, Vary::default()).unwrap_err();
         assert!(matches!(err, SimError::InvalidFlow(_)));
     }
 
@@ -1197,19 +1068,17 @@ mod tests {
         // land on the PFS.
         let failed: HashSet<usize> = [0].into_iter().collect();
         let m = JobMetrics::new();
-        let r = flush_file(
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &failed,
-            Some(&m),
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            None,
+            Vary {
+                failed: Some(&failed),
+                metrics: Some(&m),
+                ..Vary::default()
+            },
         )
         .unwrap();
         assert_eq!(r.lost.lost_bytes, size / 2);
@@ -1242,19 +1111,16 @@ mod tests {
             transient_prob: 1.0,
             ..FaultConfig::default()
         });
-        let err = flush_file(
+        let err = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            Some(&inj),
-            1,
             size,
-            "/pfs/f",
-            None,
+            Vary {
+                injector: Some(&inj),
+                ..Vary::default()
+            },
         )
         .unwrap_err();
         match err {
@@ -1265,19 +1131,16 @@ mod tests {
         }
         // A fault-free injector changes nothing about a healthy flush.
         let quiet = FaultInjector::new(FaultConfig::default());
-        flush_file(
+        flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            Some(&quiet),
-            1,
             size,
-            "/pfs/f",
-            None,
+            Vary {
+                injector: Some(&quiet),
+                ..Vary::default()
+            },
         )
         .unwrap();
     }
@@ -1293,23 +1156,8 @@ mod tests {
         cfg: &UniviStorConfig,
         size: u64,
         upto: u64,
-        dest: &str,
     ) -> DrainLedger {
-        let receipt = flush_file(
-            md,
-            chains,
-            lustre,
-            cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            size,
-            dest,
-            None,
-        )
-        .unwrap();
+        let receipt = flush(md, chains, lustre, cfg, size, Vary::default()).unwrap();
         let (_, records) = md.lookup_range(1, 0, upto);
         DrainLedger {
             plan: receipt.plan,
@@ -1326,21 +1174,19 @@ mod tests {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 4);
         // Everything was drained ahead.
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size, "/pfs/f");
+        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
         let m = JobMetrics::new();
-        let r = flush_file(
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            Some(&m),
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            Some(&ledger),
+            Vary {
+                metrics: Some(&m),
+                resume: Some(&ledger),
+                ..Vary::default()
+            },
         )
         .unwrap();
         assert_eq!(r.drained_ahead_bytes, size);
@@ -1368,20 +1214,17 @@ mod tests {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 4);
         // Only the first half was drained ahead.
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size / 2, "/pfs/f");
-        let r = flush_file(
+        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size / 2);
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            Some(&ledger),
+            Vary {
+                resume: Some(&ledger),
+                ..Vary::default()
+            },
         )
         .unwrap();
         assert_eq!(r.drained_ahead_bytes, size / 2);
@@ -1401,25 +1244,22 @@ mod tests {
     fn resume_ignores_stale_ledger_entries() {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 4);
-        let mut ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size, "/pfs/f");
+        let mut ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
         // One entry no longer matches the live record (as after an
         // overwrite the invalidation hook missed): it must be re-flushed
         // from the cache, not trusted.
         let stale = ledger.spans.get_mut(&0).expect("span at 0");
         stale.len = 32;
-        let r = flush_file(
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            Some(&ledger),
+            Vary {
+                resume: Some(&ledger),
+                ..Vary::default()
+            },
         )
         .unwrap();
         assert_eq!(r.drained_ahead_bytes, size - 64);
@@ -1432,21 +1272,19 @@ mod tests {
         let size = populate(&md, &chains, 2);
         // The drain copied everything while all nodes were healthy; then
         // node 0 (logical [0, 256), no replicas) died before close.
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size, "/pfs/f");
+        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
         let failed: HashSet<usize> = [0].into_iter().collect();
-        let r = flush_file(
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &failed,
-            None,
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            Some(&ledger),
+            Vary {
+                failed: Some(&failed),
+                resume: Some(&ledger),
+                ..Vary::default()
+            },
         )
         .unwrap();
         // Nothing is lost: the drained copies stand in for the dead node.
@@ -1467,23 +1305,20 @@ mod tests {
     fn resume_without_destination_falls_back_to_full_flush() {
         let (md, chains, lustre, cfg) = setup();
         let size = populate(&md, &chains, 2);
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size, "/pfs/f");
+        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
         // The destination vanished (e.g. an external delete): the ledger
         // must be discarded, not trusted into a hole-ridden file.
         lustre.write().unwrap().delete("/pfs/f").unwrap();
-        let r = flush_file(
+        let r = flush(
             &md,
             &chains,
             &lustre,
             &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
             size,
-            "/pfs/f",
-            Some(&ledger),
+            Vary {
+                resume: Some(&ledger),
+                ..Vary::default()
+            },
         )
         .unwrap();
         assert_eq!(r.drained_ahead_bytes, 0);
@@ -1497,21 +1332,7 @@ mod tests {
             let (md, chains, lustre, mut cfg) = setup();
             cfg.flush_pipeline = pipeline;
             let size = populate(&md, &chains, 4);
-            let r = flush_file(
-                &md,
-                &chains,
-                &lustre,
-                &cfg,
-                &HashSet::new(),
-                None,
-                &Verifier::default(),
-                None,
-                1,
-                size,
-                "/pfs/f",
-                None,
-            )
-            .unwrap();
+            let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
             let bytes = lustre.read().unwrap().read("/pfs/f", 0, size, 999).unwrap();
             (r, bytes)
         };
@@ -1575,21 +1396,7 @@ mod tests {
                     );
                 }
             });
-            let r = flush_file(
-                &md,
-                &chains,
-                &lustre,
-                &cfg,
-                &HashSet::new(),
-                None,
-                &Verifier::default(),
-                None,
-                1,
-                size,
-                "/pfs/f",
-                None,
-            )
-            .unwrap();
+            let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
             assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size);
             assert_eq!(r.lost, FlushReport::default());
         });
@@ -1602,21 +1409,7 @@ mod tests {
             .any(|p| got.content_eq(&p));
         assert!(valid, "offset 0 holds a torn or unknown version");
         // With writers quiesced, a fresh flush lands the final version.
-        let r = flush_file(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            size,
-            "/pfs/f",
-            None,
-        )
-        .unwrap();
+        let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
         assert_eq!(r.catchup_passes, 0);
         let got = lustre.read().unwrap().read("/pfs/f", 0, 64, 999).unwrap();
         let (_, records) = md.lookup_range(1, 0, 64);
@@ -1628,20 +1421,6 @@ mod tests {
     #[test]
     fn empty_flush_rejected() {
         let (md, chains, lustre, cfg) = setup();
-        assert!(flush_file(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            &HashSet::new(),
-            None,
-            &Verifier::default(),
-            None,
-            1,
-            0,
-            "/pfs/f",
-            None
-        )
-        .is_err());
+        assert!(flush(&md, &chains, &lustre, &cfg, 0, Vary::default()).is_err());
     }
 }

@@ -53,6 +53,7 @@ pub mod striping;
 pub mod tiering;
 pub mod va;
 pub mod workflow;
+pub(crate) mod write;
 
 pub use config::{
     Features, FlushPipeline, IntegrityConfig, JobGeometry, PromotionPolicy, Runtime, ScrubConfig,

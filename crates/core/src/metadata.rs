@@ -211,22 +211,172 @@ pub(crate) fn split_overlapped(
     }
 }
 
+/// One node's shared metadata buffer: fid → offset → record, for records
+/// produced on that node. The locked service keeps one behind a lock per
+/// node, a partition worker keeps its nodes' buffers as plain maps; the
+/// functions below are the buffer and read-cache logic both share.
+pub(crate) type NodeBuffer = HashMap<u64, BTreeMap<u64, SegmentRecord>>;
+
+/// One node's read record cache: fid → window lo → cached lookup result.
+pub(crate) type ReadCache = HashMap<u64, BTreeMap<u64, CacheEntry>>;
+
+/// Records of `fid` in `buffer` intersecting `[lo, hi)`.
+pub(crate) fn buffer_lookup(
+    buffer: &NodeBuffer,
+    fid: u64,
+    lo: u64,
+    hi: u64,
+) -> Vec<(SegKey, SegmentRecord)> {
+    let Some(per_fid) = buffer.get(&fid) else {
+        return Vec::new();
+    };
+    // Start one record earlier in case it overlaps from the left.
+    let start = per_fid
+        .range(..lo)
+        .next_back()
+        .map(|(o, _)| *o)
+        .unwrap_or(lo);
+    per_fid
+        .range(start..hi)
+        .filter(|(o, r)| **o < hi && **o + r.len > lo)
+        .map(|(o, r)| (SegKey { fid, offset: *o }, *r))
+        .collect()
+}
+
+/// Refresh `buffer` with freshly committed records of `fid`.
+pub(crate) fn buffer_insert(buffer: &mut NodeBuffer, fid: u64, records: &[(u64, SegmentRecord)]) {
+    let per_fid = buffer.entry(fid).or_default();
+    for &(offset, record) in records {
+        per_fid.insert(offset, record);
+    }
+}
+
+/// A punch's pass over one node buffer: drop every claimed key, then
+/// re-cache the surviving fragments if the node tracks the fid at all (the
+/// producer's node is among those that do).
+pub(crate) fn buffer_sweep(
+    buffer: &mut NodeBuffer,
+    fid: u64,
+    removed: &[SegKey],
+    fragments: &[(SegKey, SegmentRecord)],
+) {
+    let Some(per_fid) = buffer.get_mut(&fid) else {
+        return;
+    };
+    for k in removed {
+        per_fid.remove(&k.offset);
+    }
+    for (k, frag) in fragments {
+        per_fid.insert(k.offset, *frag);
+    }
+}
+
+/// The cached window of `fid` containing `[lo, hi)`, if one exists at
+/// generation `gen`: the records of it that overlap the request (a subset
+/// of the window's, since `[lo, hi)` ⊆ `[window lo, window hi)`).
+pub(crate) fn cache_probe(
+    cache: &ReadCache,
+    fid: u64,
+    lo: u64,
+    hi: u64,
+    gen: u64,
+) -> Option<Vec<(SegKey, SegmentRecord)>> {
+    let (_, entry) = cache.get(&fid)?.range(..=lo).next_back()?;
+    (entry.gen == gen && entry.hi >= hi).then(|| {
+        entry
+            .records
+            .iter()
+            .filter(|(k, r)| k.offset < hi && k.offset + r.len > lo)
+            .copied()
+            .collect()
+    })
+}
+
+/// Install the window `[lo, fetch_hi)` fetched at generation `gen`.
+pub(crate) fn cache_store(
+    cache: &mut ReadCache,
+    fid: u64,
+    lo: u64,
+    fetch_hi: u64,
+    gen: u64,
+    records: Vec<(SegKey, SegmentRecord)>,
+) {
+    let per_fid = cache.entry(fid).or_default();
+    if per_fid.len() >= READ_CACHE_WINDOWS_PER_FID {
+        per_fid.clear();
+    }
+    per_fid.insert(
+        lo,
+        CacheEntry {
+            hi: fetch_hi,
+            gen,
+            records,
+        },
+    );
+}
+
+/// The preconditions of a batched commit over `[lo, hi)`: every record
+/// obeys the coalescing cap `len <= range` (the left-widened overlap scans
+/// in `punch`/`lookup_range` assume no record is longer than one metadata
+/// range) and lies within the batch span (so every record owner is a span
+/// owner). Checked by [`MetadataService::insert_batch`] and, ahead of
+/// every executor's commit, by the write driver.
+pub(crate) fn assert_batch_records(range: u64, lo: u64, hi: u64, records: &[(u64, SegmentRecord)]) {
+    for (offset, record) in records {
+        assert!(
+            record.len <= range,
+            "segment length {} exceeds metadata range size {range}",
+            record.len
+        );
+        assert!(
+            *offset >= lo && offset + record.len <= hi,
+            "record [{offset}, {}) outside batch span [{lo}, {hi})",
+            offset + record.len
+        );
+    }
+}
+
+/// Per-fid mutation generations: bumped after every index mutation, which
+/// atomically invalidates every cached read window of the fid (entries are
+/// validated against it at hit time) and fences the parallel flush's
+/// catch-up passes. A cloneable handle, so the partitioned runtime's router
+/// and workers share one counter set with the service they check out.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Generations(Arc<RwLock<HashMap<u64, u64>>>);
+
+impl Generations {
+    /// The fid's current generation (0 if never mutated).
+    pub(crate) fn get(&self, fid: u64) -> u64 {
+        let table = self.0.read().expect("generations poisoned");
+        table.get(&fid).copied().unwrap_or(0)
+    }
+
+    /// Call after a mutation has fully landed, so a reader that captured
+    /// the old generation before it can never install (or keep trusting) a
+    /// pre-mutation window.
+    pub(crate) fn bump(&self, fid: u64) {
+        *self
+            .0
+            .write()
+            .expect("generations poisoned")
+            .entry(fid)
+            .or_insert(0) += 1;
+    }
+}
+
 /// The distributed metadata service plus per-node shared metadata buffers.
 #[derive(Debug)]
 pub struct MetadataService {
     kv: DistKv<SegKey, SegmentRecord>,
-    /// Per node: fid → offset → record, for records produced on that node.
-    local: Vec<RwLock<HashMap<u64, BTreeMap<u64, SegmentRecord>>>>,
-    /// Per node: fid → window lo → cached lookup result (the read record
-    /// cache). Entries are validated against `generations` at hit time,
-    /// so mutators only bump a counter instead of chasing cached copies.
-    read_cache: Vec<RwLock<HashMap<u64, BTreeMap<u64, CacheEntry>>>>,
-    /// Per fid: mutation generation. Bumped after every index mutation
-    /// (`insert`, `insert_batch`, `punch`, `replace_if_current`), which
-    /// atomically invalidates every cached window of the fid. Behind an
-    /// `Arc` so the partitioned runtime's router shares the same counters
-    /// with the service it periodically checks out.
-    generations: Arc<RwLock<HashMap<u64, u64>>>,
+    /// Per node: the shared metadata buffer.
+    local: Vec<RwLock<NodeBuffer>>,
+    /// Per node: the read record cache. Entries are validated against
+    /// `generations` at hit time, so mutators only bump a counter instead
+    /// of chasing cached copies.
+    read_cache: Vec<RwLock<ReadCache>>,
+    /// Per fid: mutation generation, bumped by `insert`, `insert_batch`,
+    /// a displacing `punch` and a successful `replace_if_current`.
+    generations: Generations,
     /// Fault injector shared with the job; `None` (the default) costs the
     /// KV entry points only this `Option` check.
     injector: Option<Arc<FaultInjector>>,
@@ -239,7 +389,7 @@ impl MetadataService {
             kv: DistKv::new(range_size, servers),
             local: (0..nodes).map(|_| RwLock::new(HashMap::new())).collect(),
             read_cache: (0..nodes).map(|_| RwLock::new(HashMap::new())).collect(),
-            generations: Arc::new(RwLock::new(HashMap::new())),
+            generations: Generations::default(),
             injector: None,
         }
     }
@@ -253,9 +403,9 @@ impl MetadataService {
         shards: Vec<BTreeMap<SegKey, SegmentRecord>>,
         puts: Vec<u64>,
         gets: Vec<u64>,
-        local: Vec<HashMap<u64, BTreeMap<u64, SegmentRecord>>>,
-        read_cache: Vec<HashMap<u64, BTreeMap<u64, CacheEntry>>>,
-        generations: Arc<RwLock<HashMap<u64, u64>>>,
+        local: Vec<NodeBuffer>,
+        read_cache: Vec<ReadCache>,
+        generations: Generations,
         injector: Option<Arc<FaultInjector>>,
     ) -> Self {
         MetadataService {
@@ -276,8 +426,8 @@ impl MetadataService {
         Vec<BTreeMap<SegKey, SegmentRecord>>,
         Vec<u64>,
         Vec<u64>,
-        Vec<HashMap<u64, BTreeMap<u64, SegmentRecord>>>,
-        Vec<HashMap<u64, BTreeMap<u64, CacheEntry>>>,
+        Vec<NodeBuffer>,
+        Vec<ReadCache>,
     ) {
         let (shards, puts, gets) = self.kv.into_parts();
         let local = self
@@ -309,25 +459,12 @@ impl MetadataService {
 
     /// The fid's current mutation generation (0 if never mutated).
     pub fn generation(&self, fid: u64) -> u64 {
-        self.generations
-            .read()
-            .expect("generations poisoned")
-            .get(&fid)
-            .copied()
-            .unwrap_or(0)
+        self.generations.get(fid)
     }
 
-    /// Invalidate every cached read window of `fid`. Called after a
-    /// mutation has fully landed in the KV and node buffers, so a reader
-    /// that captured the old generation before the mutation can never
-    /// install (or keep trusting) a pre-mutation window.
+    /// Invalidate every cached read window of `fid`.
     pub(crate) fn bump_generation(&self, fid: u64) {
-        *self
-            .generations
-            .write()
-            .expect("generations poisoned")
-            .entry(fid)
-            .or_insert(0) += 1;
+        self.generations.bump(fid)
     }
 
     /// Insert a record for a fresh segment, also caching it in the
@@ -340,16 +477,15 @@ impl MetadataService {
         record: SegmentRecord,
         producer_node: usize,
     ) -> (ServerId, Vec<Displaced>) {
-        // The left-widened overlap scans in `punch`/`lookup_range` assume
-        // no record is longer than one metadata range.
-        assert!(
-            record.len <= self.kv.partitioner().range_size,
-            "segment length {} exceeds metadata range size {}",
-            record.len,
-            self.kv.partitioner().range_size
+        let end = key.offset + record.len;
+        assert_batch_records(
+            self.kv.partitioner().range_size,
+            key.offset,
+            end,
+            &[(key.offset, record)],
         );
         let mut locks = CommitStats::default();
-        let displaced = self.punch_inner(key.fid, key.offset, key.offset + record.len, &mut locks);
+        let displaced = self.punch_inner(key.fid, key.offset, end, &mut locks);
         let (server, _) = self.kv.put(key, record);
         self.local[producer_node]
             .write()
@@ -445,16 +581,7 @@ impl MetadataService {
         for node in &self.local {
             let mut node = node.write().expect("node buffer poisoned");
             locks.node_buffer_acquisitions += 1;
-            if let Some(per_fid) = node.get_mut(&fid) {
-                for k in &removed {
-                    per_fid.remove(&k.offset);
-                }
-            }
-            if node.contains_key(&fid) {
-                for (k, frag) in &fragments {
-                    node.entry(k.fid).or_default().insert(k.offset, *frag);
-                }
-            }
+            buffer_sweep(&mut node, fid, &removed, &fragments);
         }
         displaced
     }
@@ -480,19 +607,7 @@ impl MetadataService {
         producer_node: usize,
     ) -> SimResult<BatchOutcome> {
         self.inject("kv_insert")?;
-        let range = self.kv.partitioner().range_size;
-        for (offset, record) in records {
-            assert!(
-                record.len <= range,
-                "segment length {} exceeds metadata range size {range}",
-                record.len
-            );
-            assert!(
-                *offset >= lo && offset + record.len <= hi,
-                "record [{offset}, {}) outside batch span [{lo}, {hi})",
-                offset + record.len
-            );
-        }
+        assert_batch_records(self.kv.partitioner().range_size, lo, hi, records);
         let mut locks = CommitStats::default();
         let displaced = self.punch_inner(fid, lo, hi, &mut locks);
         locks.kv_shard_acquisitions += self.kv.put_batch(records.iter().map(|(offset, record)| {
@@ -509,10 +624,7 @@ impl MetadataService {
                 .write()
                 .expect("node buffer poisoned");
             locks.node_buffer_acquisitions += 1;
-            let per_fid = node.entry(fid).or_default();
-            for (offset, record) in records {
-                per_fid.insert(*offset, *record);
-            }
+            buffer_insert(&mut node, fid, records);
         }
         self.bump_generation(fid);
         Ok(BatchOutcome { displaced, locks })
@@ -617,20 +729,8 @@ impl MetadataService {
         let gen = self.generation(fid);
         {
             let cache = self.read_cache[node].read().expect("read cache poisoned");
-            if let Some(per_fid) = cache.get(&fid) {
-                if let Some((_, entry)) = per_fid.range(..=lo).next_back() {
-                    if entry.gen == gen && entry.hi >= hi {
-                        // Records overlapping [lo, hi) are a subset of the
-                        // window's: [lo, hi) ⊆ [window lo, window hi).
-                        let records = entry
-                            .records
-                            .iter()
-                            .filter(|(k, r)| k.offset < hi && k.offset + r.len > lo)
-                            .copied()
-                            .collect();
-                        return Ok((Vec::new(), records, true));
-                    }
-                }
+            if let Some(records) = cache_probe(&cache, fid, lo, hi, gen) {
+                return Ok((Vec::new(), records, true));
             }
         }
         let (servers, records) = self.lookup_range(fid, lo, fetch_hi);
@@ -639,18 +739,7 @@ impl MetadataService {
         // it once but never cache it.
         if self.generation(fid) == gen {
             let mut cache = self.read_cache[node].write().expect("read cache poisoned");
-            let per_fid = cache.entry(fid).or_default();
-            if per_fid.len() >= READ_CACHE_WINDOWS_PER_FID {
-                per_fid.clear();
-            }
-            per_fid.insert(
-                lo,
-                CacheEntry {
-                    hi: fetch_hi,
-                    gen,
-                    records: records.clone(),
-                },
-            );
+            cache_store(&mut cache, fid, lo, fetch_hi, gen, records.clone());
         }
         Ok((servers, records, false))
     }
@@ -671,20 +760,7 @@ impl MetadataService {
         hi: u64,
     ) -> Vec<(SegKey, SegmentRecord)> {
         let node = self.local[node].read().expect("node buffer poisoned");
-        let Some(per_fid) = node.get(&fid) else {
-            return Vec::new();
-        };
-        // Start one record earlier in case it overlaps from the left.
-        let start = per_fid
-            .range(..lo)
-            .next_back()
-            .map(|(o, _)| *o)
-            .unwrap_or(lo);
-        per_fid
-            .range(start..hi)
-            .filter(|(o, r)| **o < hi && **o + r.len > lo)
-            .map(|(o, r)| (SegKey { fid, offset: *o }, *r))
-            .collect()
+        buffer_lookup(&node, fid, lo, hi)
     }
 
     /// Per-server record counts (distribution inspection).

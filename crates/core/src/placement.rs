@@ -180,15 +180,6 @@ impl ChainSet {
         self.injector = Some(injector);
     }
 
-    /// Corruption registration hook: a piece landed (and its append draw
-    /// passed), so the injector may mark the stored copy silently corrupt
-    /// — and must clear stale corruption the fresh bytes overwrote.
-    fn note_append(&self, client: ClientId, p: &PlacedSegment) {
-        if let Some(inj) = &self.injector {
-            inj.on_append(client, p.va, p.len, p.tier);
-        }
-    }
-
     /// Corruption application hook: flips registered corrupt bytes into
     /// a payload read from `client`'s chain at `va`.
     fn corrupt(&self, client: ClientId, va: VirtualAddr, payload: Payload) -> Payload {
@@ -261,15 +252,8 @@ impl ChainSet {
     /// An injected transient fault rolls the placement back, so a failed
     /// append leaves the chain unchanged and is safe to retry.
     pub fn append(&self, client: ClientId, payload: Payload) -> SimResult<PlacedSegment> {
-        let chain = self.chain(client)?;
-        let mut chain = chain.write().expect("chain poisoned");
-        let placed = chain.append(payload)?;
-        if let Err(e) = self.inject("chain_append", placed.tier) {
-            chain.release(placed.va, placed.len);
-            return Err(e);
-        }
-        self.note_append(client, &placed);
-        Ok(placed)
+        let mut placed = self.append_many(client, vec![payload])?;
+        Ok(placed.pop().expect("one payload placed"))
     }
 
     /// Append a run of segments to `client`'s chain under ONE exclusive
@@ -283,39 +267,7 @@ impl ChainSet {
         client: ClientId,
         payloads: Vec<Payload>,
     ) -> SimResult<Vec<PlacedSegment>> {
-        let chain = self.chain(client)?;
-        let mut chain = chain.write().expect("chain poisoned");
-        let mut placed = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            // Each placed piece is one instrumented operation; a transient
-            // fault mid-run aborts (and rolls back) the whole batch,
-            // mirroring a real mid-batch I/O error.
-            let appended = match chain.append(payload) {
-                Ok(p) => match self.inject("chain_append", p.tier) {
-                    Ok(()) => Ok(p),
-                    Err(e) => {
-                        chain.release(p.va, p.len);
-                        Err(e)
-                    }
-                },
-                Err(e) => Err(e),
-            };
-            match appended {
-                Ok(p) => placed.push(p),
-                Err(e) => {
-                    for p in &placed {
-                        chain.release(p.va, p.len);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        // Corruption registration only once the whole batch has stuck —
-        // rolled-back pieces never existed.
-        for p in &placed {
-            self.note_append(client, p);
-        }
-        Ok(placed)
+        self.append_many_from(client, 0, payloads)
     }
 
     /// [`append_many`](Self::append_many) restricted to layers `min_layer`
@@ -330,32 +282,13 @@ impl ChainSet {
     ) -> SimResult<Vec<PlacedSegment>> {
         let chain = self.chain(client)?;
         let mut chain = chain.write().expect("chain poisoned");
-        let mut placed = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let appended = match chain.append_from(min_layer, payload) {
-                Ok(p) => match self.inject("chain_append", p.tier) {
-                    Ok(()) => Ok(p),
-                    Err(e) => {
-                        chain.release(p.va, p.len);
-                        Err(e)
-                    }
-                },
-                Err(e) => Err(e),
-            };
-            match appended {
-                Ok(p) => placed.push(p),
-                Err(e) => {
-                    for p in &placed {
-                        chain.release(p.va, p.len);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        for p in &placed {
-            self.note_append(client, p);
-        }
-        Ok(placed)
+        append_run(
+            &mut chain,
+            self.injector.as_deref(),
+            client,
+            min_layer,
+            payloads,
+        )
     }
 
     /// Read `len` bytes at `va` of `client`'s chain plus the tier they
@@ -508,6 +441,51 @@ impl FromIterator<(ClientId, ProcChain)> for ChainSet {
             injector: None,
         }
     }
+}
+
+/// Place a run of payloads on `chain` from layer `min_layer` down — the one
+/// append loop behind [`ChainSet::append_many`],
+/// [`ChainSet::append_many_from`] and the partition workers' `Append`
+/// handler. Each placed piece is one instrumented operation (a
+/// `chain_append` draw); a transient fault mid-run aborts and rolls back the
+/// whole batch, mirroring a real mid-batch I/O error, so a failed run leaves
+/// the chain unchanged and is safe to retry. Silent-corruption registration
+/// happens only once the whole batch has stuck — rolled-back pieces never
+/// existed.
+pub(crate) fn append_run(
+    chain: &mut ProcChain,
+    injector: Option<&FaultInjector>,
+    client: ClientId,
+    min_layer: usize,
+    payloads: Vec<Payload>,
+) -> SimResult<Vec<PlacedSegment>> {
+    let mut placed: Vec<PlacedSegment> = Vec::with_capacity(payloads.len());
+    for payload in payloads {
+        let appended = chain.append_from(min_layer, payload).and_then(|p| {
+            match injector.map_or(Ok(()), |inj| inj.inject("chain_append", Some(p.tier))) {
+                Ok(()) => Ok(p),
+                Err(e) => {
+                    chain.release(p.va, p.len);
+                    Err(e)
+                }
+            }
+        });
+        match appended {
+            Ok(p) => placed.push(p),
+            Err(e) => {
+                for p in &placed {
+                    chain.release(p.va, p.len);
+                }
+                return Err(e);
+            }
+        }
+    }
+    if let Some(inj) = injector {
+        for p in &placed {
+            inj.on_append(client, p.va, p.len, p.tier);
+        }
+    }
+    Ok(placed)
 }
 
 /// The first replication buddy for `client` whose node is healthy: walk

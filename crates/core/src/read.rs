@@ -18,31 +18,33 @@
 //!
 //! [`ReadService`] executes one request in four stages:
 //! 1. **gather** the covering metadata records — local buffer first, then
-//!    the distributed KV through the node's read record cache
-//!    ([`MetadataService::lookup_range_cached`]), optionally widened by
-//!    sequential readahead ([`ReadState`]);
+//!    the distributed KV through the node's read record cache, optionally
+//!    widened by sequential readahead ([`ReadState`]);
 //! 2. **plan** every clipped fragment up front, resolving replica
 //!    rerouting around failed nodes in the plan;
 //! 3. **fetch** the fragments — [`ReadPipeline::Batched`] groups them by
-//!    producer chain and takes one shared chain-lock acquisition per
-//!    group ([`ChainSet::read_at_many`]); [`ReadPipeline::PerRecord`]
-//!    takes one per fragment (the reference implementation);
+//!    producer chain and takes one fetch round-trip per group;
+//!    [`ReadPipeline::PerRecord`] takes one per fragment (the reference
+//!    implementation);
 //! 4. **assemble** the payload in logical order and classify each
 //!    fragment for the timing plane.
 //!
-//! Stages 1, 2, and 4 are shared between the pipelines, so the
-//! [`ReadTrace`] accounting is identical by construction; only the
-//! chain-lock acquisition count ([`ReadLockCounts`]) differs.
-//!
-//! The partitioned runtime's routed read mirrors the same four stages
-//! with messages instead of locks: stage 1 opens with one fused
-//! `ReadPlan` round-trip to the node owner (buffer lookup + `kv_lookup`
-//! fault draw + generation-validated cache probe in a single handler
-//! pass), falling back to a distributed scan wave only on a cache miss;
-//! stages 2 and 4 reuse [`plan_fragments`] / [`classify_fragment`]
-//! directly, so the trace stays runtime-invariant field for field.
+//! The service is written once, generic over the `FlushSource` it reads
+//! through — the same trait the flush engines drain through. A source says
+//! only *how* records and bytes are reached: the locked core
+//! ([`CoreFlushSource`]) answers the gather stage with
+//! [`MetadataService::lookup_local`] +
+//! [`MetadataService::lookup_range_cached`] and a fetch with one shared
+//! chain-lock acquisition ([`ChainSet::read_at_many`]); the partitioned
+//! runtime answers the gather stage with one fused `ReadPlan` round-trip
+//! to the node owner (falling back to a distributed scan wave only on a
+//! cache miss) and a fetch with one message to the chain owner. Every
+//! [`ReadTrace`] field, the dedup/sort, the plan, the producer grouping,
+//! the verify-and-reroute ladder and the classification are decided here,
+//! so they are runtime- and pipeline-invariant by construction.
 
 use crate::config::{JobGeometry, ReadPipeline};
+use crate::flush::{CoreFlushSource, FlushSource};
 use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, VerifySite};
@@ -125,8 +127,11 @@ impl ReadTrace {
 /// `univistor_read_lock_acquisitions_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadLockCounts {
-    /// Shared chain-lock acquisitions: one per fragment on the
-    /// per-record path, one per producer group on the batched path.
+    /// Fetch round-trips: one per fragment on the per-record path, one
+    /// per producer group on the batched path, plus one per alternate-copy
+    /// refetch. Under the locked core each is a shared chain-lock
+    /// acquisition; under the partitioned runtime each is a message and no
+    /// lock is counted.
     pub chain: u64,
 }
 
@@ -211,6 +216,42 @@ impl ReadState {
     }
 }
 
+/// What a source's gather stage found for one location-aware read (see
+/// [`FlushSource::gather`]).
+#[derive(Debug)]
+pub(crate) struct Gathered {
+    /// Node-buffer hits overlapping the request.
+    pub(crate) local: Vec<(SegKey, SegmentRecord)>,
+    /// `None` when the node buffer fully covered the request; otherwise
+    /// the distributed lookup's answer.
+    pub(crate) remote: Option<RemoteLookup>,
+}
+
+/// The distributed half of a gather, served by the node's read record
+/// cache or by the metadata servers.
+#[derive(Debug)]
+pub(crate) struct RemoteLookup {
+    /// Records intersecting the (possibly readahead-widened) window.
+    pub(crate) records: Vec<(SegKey, SegmentRecord)>,
+    /// Metadata servers visited — zero on a cache hit.
+    pub(crate) rpcs: u64,
+    /// Whether the read record cache answered.
+    pub(crate) cache_hit: bool,
+}
+
+/// Bytes of `[lo, hi)` the (disjoint) `records` cover — the gather stage's
+/// "does the node buffer answer this request alone" test.
+pub(crate) fn covered_bytes(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u64) -> u64 {
+    records
+        .iter()
+        .map(|(k, r)| {
+            let a = k.offset.max(lo);
+            let b = (k.offset + r.len).min(hi);
+            b.saturating_sub(a)
+        })
+        .sum()
+}
+
 /// One clipped fragment of the read plan: `len` bytes at `va` of
 /// `source`'s chain (the replica owner when the primary's node failed —
 /// rerouting is resolved at plan time, not per fetch). Carries enough of
@@ -220,30 +261,30 @@ impl ReadState {
 /// and clip after the verify), and the alternate copy a verify failure
 /// reroutes to.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fragment {
-    pub(crate) source: ClientId,
-    pub(crate) va: VirtualAddr,
-    pub(crate) len: u64,
+struct Fragment {
+    source: ClientId,
+    va: VirtualAddr,
+    len: u64,
     /// Write-commit stamp of the whole record this clip came from;
     /// `None` (unstamped overwrite fragment, or checksums disabled)
     /// keeps the legacy clip-only fetch.
-    pub(crate) checksum: Option<u64>,
+    checksum: Option<u64>,
     /// Record-base VA on `source`'s chain and the record's full length —
     /// the span actually fetched when stamped.
-    pub(crate) rec_va: VirtualAddr,
-    pub(crate) rec_len: u64,
+    rec_va: VirtualAddr,
+    rec_len: u64,
     /// The other copy of the record (record-base VA) when one exists on
     /// a healthy node: the reroute target after a verify failure.
-    pub(crate) alternate: Option<(ClientId, VirtualAddr)>,
+    alternate: Option<(ClientId, VirtualAddr)>,
     /// Metadata key of the record (repair enqueue) and the clip's
     /// logical file offset (error context).
-    pub(crate) key: SegKey,
-    pub(crate) logical: u64,
+    key: SegKey,
+    logical: u64,
 }
 
 /// The span to request for `f`: the full record when stamped (so the
 /// fetch can be verified), the clip alone otherwise.
-pub(crate) fn fetch_span(f: &Fragment) -> (VirtualAddr, u64) {
+fn fetch_span(f: &Fragment) -> (VirtualAddr, u64) {
     match f.checksum {
         Some(_) => (f.rec_va, f.rec_len),
         None => (f.va, f.len),
@@ -257,7 +298,7 @@ pub(crate) fn fetch_span(f: &Fragment) -> (VirtualAddr, u64) {
 /// repair. The caller never sees wrong bytes: the result is a verified
 /// clip, or [`SimError::Integrity`] when no clean copy of the record
 /// exists.
-pub(crate) fn finish_fragment(
+fn finish_fragment(
     f: &Fragment,
     payload: Payload,
     tier: Tier,
@@ -290,11 +331,10 @@ pub(crate) fn finish_fragment(
     )
 }
 
-/// Stage 2, shared with the partitioned runtime's router: clip every
-/// record to the requested window, verify there are no holes, and resolve
-/// replica rerouting around failed nodes — the full fetch plan, before any
-/// chain is touched.
-pub(crate) fn plan_fragments(
+/// Stage 2: clip every record to the requested window, verify there are no
+/// holes, and resolve replica rerouting around failed nodes — the full fetch
+/// plan, before any chain is touched.
+fn plan_fragments(
     geometry: &JobGeometry,
     failed: &HashSet<usize>,
     records: &[(SegKey, SegmentRecord)],
@@ -369,9 +409,9 @@ pub(crate) fn plan_fragments(
     Ok((fragments, touched))
 }
 
-/// Stage 4 helper, shared with the partitioned runtime's router: attribute
-/// one fetched fragment to its timing-plane bucket.
-pub(crate) fn classify_fragment(
+/// Stage 4 helper: attribute one fetched fragment to its timing-plane
+/// bucket.
+fn classify_fragment(
     geometry: &JobGeometry,
     location_aware: bool,
     fragment: &Fragment,
@@ -405,16 +445,19 @@ pub(crate) fn classify_fragment(
 /// The read path's execution context: borrow the job's shared structures
 /// once, then serve any number of requests through [`read`](Self::read).
 ///
-/// The whole path takes only shared locks in steady state (metadata
-/// shards, node buffers, read caches, producer chains); the exceptions
-/// are first-touch installs (a new `(client, fid)` readahead cursor) and
-/// the one exclusive node-cache acquisition a cache *miss* pays to
-/// install its window — cache hits never write. Concurrent readers never
-/// serialize on each other.
+/// `S` is the source the service reads through. Outside the crate only the
+/// locked-core instantiation built by [`new`](ReadService::new) exists;
+/// the job also runs the service over its partitioned runtime.
+///
+/// Over the locked core the whole path takes only shared locks in steady
+/// state (metadata shards, node buffers, read caches, producer chains);
+/// the exceptions are first-touch installs (a new `(client, fid)`
+/// readahead cursor) and the one exclusive node-cache acquisition a cache
+/// *miss* pays to install its window — cache hits never write. Concurrent
+/// readers never serialize on each other.
 #[derive(Debug, Clone, Copy)]
-pub struct ReadService<'a> {
-    metadata: &'a MetadataService,
-    chains: &'a ChainSet,
+pub struct ReadService<'a, S = CoreFlushSource<'a>> {
+    source: S,
     geometry: &'a JobGeometry,
     location_aware: bool,
     pipeline: ReadPipeline,
@@ -437,9 +480,19 @@ impl<'a> ReadService<'a> {
         geometry: &'a JobGeometry,
         verifier: &'a Verifier,
     ) -> Self {
+        Self::over(CoreFlushSource { metadata, chains }, geometry, verifier)
+    }
+}
+
+// The source trait is crate-internal: outside the crate `S` is always the
+// default `CoreFlushSource`.
+#[allow(private_bounds)]
+impl<'a, S: FlushSource> ReadService<'a, S> {
+    /// A service reading through `source`, with [`new`](ReadService::new)'s
+    /// defaults.
+    pub(crate) fn over(source: S, geometry: &'a JobGeometry, verifier: &'a Verifier) -> Self {
         ReadService {
-            metadata,
-            chains,
+            source,
             geometry,
             location_aware: true,
             pipeline: ReadPipeline::default(),
@@ -528,8 +581,11 @@ impl<'a> ReadService<'a> {
         let my_node = self.geometry.node_of_rank(client.rank as usize);
         let end = offset + len;
 
-        let records = self.gather_records(client, my_node, fid, offset, end, len, &mut trace)?;
-        let (fragments, touched) = self.plan_fragments(&records, offset, end, &mut trace)?;
+        let records = self.gather_records(client, my_node, fid, offset, end, &mut trace)?;
+        let no_failures = HashSet::new();
+        let failed = self.failed_nodes.unwrap_or(&no_failures);
+        let (fragments, touched) =
+            plan_fragments(self.geometry, failed, &records, offset, end, &mut trace)?;
         let fetched = match self.pipeline {
             ReadPipeline::Batched => self.fetch_batched(&fragments, &mut locks)?,
             ReadPipeline::PerRecord => self.fetch_per_record(&fragments, &mut locks)?,
@@ -543,13 +599,21 @@ impl<'a> ReadService<'a> {
                 tier,
                 &mut |alt_client, alt_va, alt_len| {
                     locks.chain += 1;
-                    self.chains.read_at(alt_client, alt_va, alt_len)
+                    let mut got = self.source.read_spans(alt_client, &[(alt_va, alt_len)])?;
+                    Ok(got.pop().expect("one span requested"))
                 },
                 self.verifier,
                 self.metrics,
                 self.corrupt_queue,
             )?;
-            self.classify(fragment, tier, my_node, &mut trace);
+            classify_fragment(
+                self.geometry,
+                self.location_aware,
+                fragment,
+                tier,
+                my_node,
+                &mut trace,
+            );
             parts.push(payload);
         }
         Ok(ReadOutcome {
@@ -561,12 +625,11 @@ impl<'a> ReadService<'a> {
     }
 
     /// Stage 1: the records covering `[offset, end)`, offset-sorted and
-    /// deduplicated. Shared between the pipelines, so every [`ReadTrace`]
-    /// field it feeds (RPCs, buffer/cache hits, readahead) is
-    /// pipeline-invariant. Fallible only under fault injection (the
-    /// cached distributed lookup can fail transiently before touching any
-    /// state).
-    #[allow(clippy::too_many_arguments)]
+    /// deduplicated. Shared between the pipelines and the sources, so
+    /// every [`ReadTrace`] field it feeds (RPCs, buffer/cache hits,
+    /// readahead) is invariant across both. Fallible only under fault
+    /// injection (the cached distributed lookup can fail transiently
+    /// before touching any state).
     fn gather_records(
         &self,
         client: ClientId,
@@ -574,90 +637,64 @@ impl<'a> ReadService<'a> {
         fid: u64,
         offset: u64,
         end: u64,
-        len: u64,
         trace: &mut ReadTrace,
     ) -> SimResult<Vec<(SegKey, SegmentRecord)>> {
-        let mut records: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        if self.location_aware {
-            // Every location-aware read advances the scan detector (even
-            // ones the node buffer fully covers), so a stream stays "hot"
-            // when it transitions from local to remote data.
-            let readahead_active = match (self.state, self.readahead_window) {
-                (Some(state), window) if window > 0 => {
-                    state.advance(client, fid, offset, end, self.readahead_min_streak)
+        if !self.location_aware {
+            // Naive path: the co-located server performs a raw
+            // distributed lookup on the client's behalf (offset-sorted by
+            // the source).
+            let (servers, records) = self.source.records(fid, offset, end);
+            trace.md_rpcs += servers as u64;
+            return Ok(records);
+        }
+        // Every location-aware read advances the scan detector (even ones
+        // the node buffer fully covers), so a stream stays "hot" when it
+        // transitions from local to remote data.
+        let readahead_active = match (self.state, self.readahead_window) {
+            (Some(state), window) if window > 0 => {
+                state.advance(client, fid, offset, end, self.readahead_min_streak)
+            }
+            _ => false,
+        };
+        // A sequential scan widens the distributed fetch window so the
+        // following reads become cache hits.
+        let fetch_hi = if readahead_active {
+            end.saturating_add(self.readahead_window)
+        } else {
+            end
+        };
+        // 1. Shared metadata buffer: free lookups for locally-produced
+        //    data. 2. Distributed lookup only when that leaves the request
+        //    uncovered, through the node's read record cache.
+        let Gathered { local, remote } = self.source.gather(my_node, fid, offset, end, fetch_hi)?;
+        trace.local_md_hits += local.len() as u64;
+        let mut records = local;
+        if let Some(remote) = remote {
+            trace.md_rpcs += remote.rpcs;
+            if remote.cache_hit {
+                trace.md_cache_hits += 1;
+            } else {
+                trace.md_cache_misses += 1;
+                trace.readahead_bytes += fetch_hi - end;
+            }
+            let mut seen: HashSet<SegKey> = records.iter().map(|(k, _)| *k).collect();
+            for (k, r) in remote.records {
+                // Readahead overshoot stays in the cache but out of this
+                // request's plan.
+                if k.offset >= end || k.offset + r.len <= offset {
+                    continue;
                 }
-                _ => false,
-            };
-            // 1. Shared metadata buffer: free lookups for locally-produced
-            //    data.
-            let local_hits = self.metadata.lookup_local(my_node, fid, offset, end);
-            trace.local_md_hits += local_hits.len() as u64;
-            let covered: u64 = local_hits
-                .iter()
-                .map(|(k, r)| {
-                    let lo = k.offset.max(offset);
-                    let hi = (k.offset + r.len).min(end);
-                    hi.saturating_sub(lo)
-                })
-                .sum();
-            records.extend(local_hits.iter().copied());
-            // 2. Distributed lookup only for the uncovered remainder,
-            //    through the node's read record cache; a sequential scan
-            //    widens the fetch window so following reads become hits.
-            if covered < len {
-                let fetch_hi = if readahead_active {
-                    end.saturating_add(self.readahead_window)
-                } else {
-                    end
-                };
-                let (servers, remote_hits, hit) = self
-                    .metadata
-                    .lookup_range_cached(my_node, fid, offset, end, fetch_hi)?;
-                trace.md_rpcs += servers.len() as u64;
-                if hit {
-                    trace.md_cache_hits += 1;
-                } else {
-                    trace.md_cache_misses += 1;
-                    trace.readahead_bytes += fetch_hi - end;
-                }
-                let mut seen: HashSet<SegKey> = records.iter().map(|(k, _)| *k).collect();
-                for (k, r) in remote_hits {
-                    // Readahead overshoot stays in the cache but out of
-                    // this request's plan.
-                    if k.offset >= end || k.offset + r.len <= offset {
-                        continue;
-                    }
-                    if seen.insert(k) {
-                        records.push((k, r));
-                    }
+                if seen.insert(k) {
+                    records.push((k, r));
                 }
             }
-        } else {
-            // Naive path: the co-located server performs a raw
-            // distributed lookup on the client's behalf.
-            let (servers, hits) = self.metadata.lookup_range(fid, offset, end);
-            trace.md_rpcs += servers.len() as u64;
-            records = hits;
         }
         records.sort_by_key(|(k, _)| k.offset);
         Ok(records)
     }
 
-    /// Stage 2: delegate to the shared [`plan_fragments`] planner.
-    fn plan_fragments(
-        &self,
-        records: &[(SegKey, SegmentRecord)],
-        offset: u64,
-        end: u64,
-        trace: &mut ReadTrace,
-    ) -> SimResult<(Vec<Fragment>, Vec<SegKey>)> {
-        let no_failures = HashSet::new();
-        let failed = self.failed_nodes.unwrap_or(&no_failures);
-        plan_fragments(self.geometry, failed, records, offset, end, trace)
-    }
-
-    /// Stage 3, reference flavor: one shared chain-lock acquisition per
-    /// fragment, in plan order.
+    /// Stage 3, reference flavor: one fetch round-trip per fragment, in
+    /// plan order.
     fn fetch_per_record(
         &self,
         fragments: &[Fragment],
@@ -665,16 +702,16 @@ impl<'a> ReadService<'a> {
     ) -> SimResult<Vec<(Payload, Tier)>> {
         let mut fetched = Vec::with_capacity(fragments.len());
         for f in fragments {
-            let (va, len) = fetch_span(f);
-            fetched.push(self.chains.read_at(f.source, va, len)?);
+            let mut got = self.source.read_spans(f.source, &[fetch_span(f)])?;
+            fetched.push(got.pop().expect("one span requested"));
             locks.chain += 1;
         }
         Ok(fetched)
     }
 
     /// Stage 3, batched flavor: group fragments by producer chain (first
-    /// appearance order) and fetch each group under one shared
-    /// acquisition. Payloads come back in plan order regardless.
+    /// appearance order) and fetch each group in one round-trip. Payloads
+    /// come back in plan order regardless.
     fn fetch_batched(
         &self,
         fragments: &[Fragment],
@@ -702,7 +739,7 @@ impl<'a> ReadService<'a> {
         if let [(source, _)] = groups[..] {
             // Single producer: the plan order is already the group order.
             let requests: Vec<(VirtualAddr, u64)> = fragments.iter().map(fetch_span).collect();
-            let fetched = self.chains.read_at_many(source, &requests)?;
+            let fetched = self.source.read_spans(source, &requests)?;
             locks.chain += 1;
             return Ok(fetched);
         }
@@ -721,14 +758,14 @@ impl<'a> ReadService<'a> {
             requests[s as usize] = fetch_span(f);
             slot.push(s);
         }
-        // One shared chain-lock acquisition per producer group.
+        // One fetch round-trip per producer group.
         let mut grouped: Vec<Option<(Payload, Tier)>> = Vec::with_capacity(n);
         let mut start = 0usize;
         for &(source, count) in &groups {
             let end = start + count as usize;
             grouped.extend(
-                self.chains
-                    .read_at_many(source, &requests[start..end])?
+                self.source
+                    .read_spans(source, &requests[start..end])?
                     .into_iter()
                     .map(Some),
             );
@@ -741,18 +778,6 @@ impl<'a> ReadService<'a> {
             fetched.push(grouped[s as usize].take().expect("each slot taken once"));
         }
         Ok(fetched)
-    }
-
-    /// Stage 4 helper: delegate to the shared [`classify_fragment`].
-    fn classify(&self, fragment: &Fragment, tier: Tier, my_node: usize, trace: &mut ReadTrace) {
-        classify_fragment(
-            self.geometry,
-            self.location_aware,
-            fragment,
-            tier,
-            my_node,
-            trace,
-        );
     }
 }
 
@@ -867,7 +892,7 @@ mod tests {
         let per_record = run(ReadPipeline::PerRecord);
         let batched = run(ReadPipeline::Batched);
         // 16 fragments from 4 producers: 16 acquisitions per-record,
-        // 4 batched — the ≥2× the read_batch bench pins at scale.
+        // 4 batched.
         assert_eq!(per_record.locks.chain, 16);
         assert_eq!(batched.locks.chain, 4);
         // Everything else is pipeline-invariant.

@@ -12,15 +12,15 @@
 //! * client `c`'s log chain belongs to the worker owning `c`'s node.
 //!
 //! Workers hold **plain** maps — no interior locks at all — and are fed
-//! typed request messages over bounded mailboxes. `UniviStorJob`'s data
-//! plane becomes a routing layer; the steady-state write/read path takes
-//! zero counted lock acquisitions end to end.
+//! typed request messages over bounded mailboxes. The runtime adds no
+//! pipeline of its own: it implements the executor traits of the shared
+//! write driver ([`crate::write`]) and of the read and flush pipelines
+//! ([`FlushSource`]), and the steady-state write/read path takes zero
+//! counted lock acquisitions end to end.
 //!
 //! ## Fused commit protocol
 //!
-//! A write commits in at most two waves instead of the original 4–6
-//! (EnsureChain → Append → Punch → PutRecords → BufferApply →
-//! BufferInsert):
+//! [`RoutedWrite`] commits a write in at most two waves:
 //!
 //! 1. **Awaited**: [`Req::Append`] to the chain owner (chain creation is
 //!    fused in via its `ensure` flag), then one [`Req::WriteCommit`] per
@@ -36,23 +36,20 @@
 //! When the whole widened span *and* the producer chain live on a single
 //! worker (and replication is off), the write collapses further into one
 //! [`Req::WriteFused`] message — one round-trip total — whose handler
-//! runs the entire locked commit order (ensure → append → kv draw →
-//! punch → fragment puts → sweep → record puts → buffer insert →
-//! generation bump → releases) with the retry loops *inside* the
-//! handler, preserving the locked pipeline's retry scoping (append and
-//! the kv-insert draw retry independently; a replayed message would
-//! double-append). Reads mirror this with [`Req::ReadPlan`]: node-buffer
-//! lookup, the `kv_lookup` fault draw, and the generation-validated
-//! cache probe fused into one message to the node owner.
+//! runs the whole write driver with the worker itself as the executor
+//! ([`FusedWrite`]), retry loops included (the append and the kv-insert
+//! draw retry independently, so a replayed message would double-append).
+//! Reads open with [`Req::ReadPlan`]: node-buffer lookup, the `kv_lookup`
+//! fault draw, and the generation-validated cache probe fused into one
+//! message to the node owner.
 //!
-//! Ordering inside the protocol preserves the locked runtime's commit
-//! order where it is observable: the punch precedes record puts in the
-//! same worker (the CAS claim must not see the new records), the
-//! node-buffer sweep's fid-tracking check runs against *pre-insert*
-//! buffer state (the producer refresh rides the finish wave, after the
-//! sweep), and fragment keys never collide with record keys (left
-//! fragment offset < lo, right fragment offset = hi, records ∈ [lo,
-//! hi)), so their put order is free.
+//! Ordering inside the protocol keeps the commit order where it is
+//! observable: the punch precedes record puts in the same worker (the CAS
+//! claim must not see the new records), the node-buffer sweep's
+//! fid-tracking check runs against *pre-insert* buffer state (the
+//! producer refresh rides the finish wave, after the sweep), and fragment
+//! keys never collide with record keys (left fragment offset < lo, right
+//! fragment offset = hi, records ∈ [lo, hi)), so their put order is free.
 //!
 //! ## Zero-allocation message plane
 //!
@@ -67,10 +64,10 @@
 //! otherwise; disabled on single-core hosts). Awaited round-trips are
 //! counted in `univistor_partition_round_trips_total`.
 //!
-//! Every handler replicates its locked counterpart's semantics byte for
-//! byte, including the per-server `puts`/`gets` RPC accounting and the
-//! fault-injection draw order, so the differential tests in
-//! `tests/runtime.rs` can pin `Runtime::Locked` ≡ `Runtime::Partitioned`.
+//! The handlers below the shared pipelines (punch, scan, fetch) keep the
+//! locked structures' per-server `puts`/`gets` RPC accounting and
+//! fault-injection draw order; the differential tests in
+//! `tests/runtime.rs` pin `Runtime::Locked` ≡ `Runtime::Partitioned`.
 //!
 //! Cold paths (tiering passes, flush, repair, stats probes) run through a
 //! **checkout**: the router parks every worker, collects their slices,
@@ -81,15 +78,18 @@
 //! stepwise (non-atomic) lock acquisitions.
 
 use crate::config::UniviStorConfig;
-use crate::fault::{with_retries, FaultInjector, RetryPolicy};
-use crate::integrity::{stamp_records, Verifier};
+use crate::fault::FaultInjector;
+use crate::flush::FlushSource;
 use crate::metadata::{
-    split_overlapped, CacheEntry, ClientId, Displaced, MetadataService, SegKey, SegmentRecord,
-    READ_CACHE_WINDOWS_PER_FID,
+    buffer_insert, buffer_lookup, buffer_sweep, cache_probe, cache_store, split_overlapped,
+    BatchOutcome, ClientId, CommitStats, Displaced, Generations, MetadataService, NodeBuffer,
+    ReadCache, SegKey, SegmentRecord,
 };
-use crate::metrics::{JobMetrics, MsgPlaneMetrics, PartitionMetrics};
-use crate::placement::{ChainSet, PlacedSegment, ProcChain};
+use crate::metrics::{MsgPlaneMetrics, PartitionMetrics, WriteLockCounts};
+use crate::placement::{append_run, ChainSet, PlacedSegment, ProcChain};
+use crate::read::{covered_bytes, Gathered, RemoteLookup};
 use crate::va::{Tier, VirtualAddr};
+use crate::write::{self, piece_count, Span, WriteExecutor, WriteOp, WritePolicy};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -138,22 +138,19 @@ pub(crate) struct PunchOutcome {
     pub(crate) fragments: Vec<(SegKey, SegmentRecord)>,
 }
 
-/// What a [`WriteFused`](Req::WriteFused) handler committed, plus the
-/// leftovers it could not apply locally and hands back to the router.
-#[derive(Debug)]
+/// The leftovers of a [`WriteFused`](Req::WriteFused) commit: what the
+/// handler could not apply locally and hands back to the router.
+#[derive(Debug, Default)]
 pub(crate) struct FusedReply {
-    /// Coalesced records installed (for the write-batch metric).
-    pub(crate) records: u64,
     /// Keys the punch claimed (sweep input for other workers' nodes).
     pub(crate) removed: Vec<SegKey>,
-    /// Surviving fragments (sweep re-cache input; own-partition copies
-    /// are already re-inserted).
+    /// Surviving fragments (sweep re-cache input). Those on the fused
+    /// worker's own partitions are already re-inserted; a block-aligned
+    /// right edge can escape even a single-owner span, and the router
+    /// installs it on its owner.
     pub(crate) fragments: Vec<(SegKey, SegmentRecord)>,
-    /// Fragments whose partition another worker owns (a block-aligned
-    /// right edge escapes even a single-owner span).
-    pub(crate) foreign_fragments: Vec<(SegKey, SegmentRecord)>,
-    /// Displaced spans owned by other workers' chains, in punch order.
-    pub(crate) foreign_spans: Vec<(ClientId, VirtualAddr, u64)>,
+    /// Displaced spans owned by other workers' chains, in release order.
+    pub(crate) foreign_spans: Vec<Span>,
 }
 
 /// A read-cache probe result: `Some` hits, or `None` for a miss (the
@@ -186,10 +183,10 @@ struct Slice {
     puts: HashMap<usize, u64>,
     /// Owned per-partition KV get (visit) counters.
     gets: HashMap<usize, u64>,
-    /// Owned nodes' shared metadata buffers: node → fid → offset → record.
-    local: HashMap<usize, HashMap<u64, BTreeMap<u64, SegmentRecord>>>,
-    /// Owned nodes' read record caches: node → fid → window lo → entry.
-    read_cache: HashMap<usize, HashMap<u64, BTreeMap<u64, CacheEntry>>>,
+    /// Owned nodes' shared metadata buffers.
+    local: HashMap<usize, NodeBuffer>,
+    /// Owned nodes' read record caches.
+    read_cache: HashMap<usize, ReadCache>,
     /// Owned clients' log chains.
     chains: Vec<(ClientId, ProcChain)>,
     /// Owned heat shards: partition → key → read count.
@@ -198,7 +195,6 @@ struct Slice {
 
 /// A typed reply, deposited into the request's [`ReplySlot`].
 enum Reply {
-    Chain(SimResult<()>),
     Placed(SimResult<Vec<PlacedSegment>>),
     Punch(PunchOutcome),
     Records(Vec<(SegKey, SegmentRecord)>),
@@ -270,11 +266,6 @@ impl ReplySlot {
 /// and mailbox FIFO order sequences them before any later observer) and
 /// [`Shutdown`](Req::Shutdown) ends the event loop.
 enum Req {
-    /// Fail exactly like a chain lookup would if `client` has no chain.
-    ChainExists {
-        client: ClientId,
-        reply: Arc<ReplySlot>,
-    },
     /// Append a payload run to `client`'s chain — `ChainSet::append_many`
     /// semantics (per-piece fault draw, full-batch rollback). With
     /// `ensure` set, the chain is created first if absent (the fused
@@ -317,23 +308,16 @@ enum Req {
         reinsert: Option<BufferRefresh>,
         release: Vec<(ClientId, VirtualAddr, u64)>,
     },
-    /// Single-round-trip write: the entire commit (ensure → append →
-    /// kv-insert draw → punch → fragment puts → sweep → record puts →
-    /// buffer insert → generation bump → releases) applied atomically in
-    /// one handler pass, with the locked pipeline's retry scoping *inside*
-    /// the handler. Only valid when this worker owns the whole widened
-    /// span and the producer chain (the router gates on
-    /// [`PartitionedCore::fused_owner`]).
+    /// Single-round-trip write: the whole write driver
+    /// ([`write::write`]) run inside the handler over this worker's own
+    /// maps — plan, ensure + append, coalesce, stamp, kv-insert draw,
+    /// punch, fragment puts, sweep, record puts, buffer insert, generation
+    /// bump, releases — with the retry loops *inside* the handler. Only
+    /// valid when this worker owns the whole widened span and the producer
+    /// chain (the router gates on [`PartitionedCore::fused_owner`]).
     WriteFused {
-        client: ClientId,
-        fid: u64,
-        node: usize,
-        offset: u64,
-        end: u64,
-        /// The whole write, for the seal-time record stamps.
+        op: WriteOp,
         payload: Payload,
-        payloads: Vec<Payload>,
-        pieces: Vec<(u64, u64)>,
         reply: Arc<ReplySlot>,
     },
     /// Fused read plan: node-buffer lookup, and — only when the buffer
@@ -442,24 +426,18 @@ struct Worker {
     procs_per_node: usize,
     /// Shared per-fid generation table (cache validation), cloned from the
     /// router so checkouts keep one coherent counter set.
-    generations: Arc<RwLock<HashMap<u64, u64>>>,
+    generations: Generations,
     injector: Option<Arc<FaultInjector>>,
-    /// The job's verifier when the integrity plane stamps checksums on
-    /// fused commits; `None` with checksums off.
-    stamper: Option<Arc<Verifier>>,
-    /// Retry budget for the fused write's in-handler retry loops.
-    retry: RetryPolicy,
-    /// The job panel, for retry accounting and per-segment metrics on the
-    /// fused path (the router records them on the multi-wave path).
-    job_metrics: Arc<JobMetrics>,
+    /// The job's write policy, for the driver run inside fused commits.
+    policy: Arc<WritePolicy>,
     metrics: PartitionMetrics,
     spin_cap: u32,
     // ---- exclusively owned state (plain maps, no locks) ----
     kv: HashMap<usize, BTreeMap<SegKey, SegmentRecord>>,
     puts: HashMap<usize, u64>,
     gets: HashMap<usize, u64>,
-    local: HashMap<usize, HashMap<u64, BTreeMap<u64, SegmentRecord>>>,
-    read_cache: HashMap<usize, HashMap<u64, BTreeMap<u64, CacheEntry>>>,
+    local: HashMap<usize, NodeBuffer>,
+    read_cache: HashMap<usize, ReadCache>,
     chains: HashMap<ClientId, ProcChain>,
     heat: HashMap<usize, HashMap<SegKey, u32>>,
     bytes: HashMap<(ClientId, Tier), u64>,
@@ -478,14 +456,6 @@ impl Worker {
                 .observe(env.at.elapsed().as_secs_f64());
             self.metrics.messages.inc();
             match env.req {
-                Req::ChainExists { client, reply } => {
-                    self.metrics.batched_ops.inc();
-                    reply.fill(Reply::Chain(if self.chains.contains_key(&client) {
-                        Ok(())
-                    } else {
-                        Err(no_chain(client))
-                    }));
-                }
                 Req::Append {
                     client,
                     payloads,
@@ -529,32 +499,19 @@ impl Worker {
                         self.buffer_apply(fid, &removed, &fragments);
                     }
                     if let Some((node, records)) = reinsert {
-                        let per_fid = self.local.entry(node).or_default().entry(fid).or_default();
-                        for &(offset, record) in records.iter() {
-                            per_fid.insert(offset, record);
-                        }
+                        buffer_insert(self.local.entry(node).or_default(), fid, &records);
                     }
                     for (client, va, len) in release {
-                        if let Some(chain) = self.chains.get_mut(&client) {
-                            chain.release(va, len);
-                        }
+                        self.release(client, va, len);
                     }
                 }
-                Req::WriteFused {
-                    client,
-                    fid,
-                    node,
-                    offset,
-                    end,
-                    payload,
-                    payloads,
-                    pieces,
-                    reply,
-                } => {
-                    self.metrics.batched_ops.add(payloads.len() as u64);
-                    reply.fill(Reply::Fused(self.fused_write(
-                        client, fid, node, offset, end, payload, payloads, pieces,
-                    )));
+                Req::WriteFused { op, payload, reply } => {
+                    self.metrics.batched_ops.add(piece_count(
+                        self.policy.segment_size,
+                        op.offset,
+                        payload.len(),
+                    ));
+                    reply.fill(Reply::Fused(self.fused_write(&op, payload)));
                 }
                 Req::ReadPlan {
                     node,
@@ -575,7 +532,10 @@ impl Worker {
                 }
                 Req::Scan { fid, lo, hi, reply } => {
                     self.metrics.batched_ops.inc();
-                    reply.fill(Reply::Records(self.scan(fid, lo, hi)));
+                    let scan_lo = lo.saturating_sub(self.partitioner.range_size);
+                    let mut records = Vec::new();
+                    self.visit_span(fid, scan_lo, hi, lo, &mut records);
+                    reply.fill(Reply::Records(records));
                 }
                 Req::CacheInstall {
                     node,
@@ -629,48 +589,18 @@ impl Worker {
         Ok(())
     }
 
+    /// [`append_run`] on an owned chain; with `account` set, successful
+    /// placements are added to the per-(client, tier) byte ledger.
     fn append(
         &mut self,
         client: ClientId,
         payloads: Vec<Payload>,
         account: bool,
     ) -> SimResult<Vec<PlacedSegment>> {
-        let injector = self.injector.clone();
         let Some(chain) = self.chains.get_mut(&client) else {
             return Err(no_chain(client));
         };
-        let mut placed: Vec<PlacedSegment> = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            // Same fault-draw order and rollback as `ChainSet::append_many`:
-            // one draw per placed piece, a transient fault mid-run aborts
-            // (and releases) the whole batch.
-            let appended = match chain.append(payload) {
-                Ok(p) => match inject(&injector, "chain_append", Some(p.tier)) {
-                    Ok(()) => Ok(p),
-                    Err(e) => {
-                        chain.release(p.va, p.len);
-                        Err(e)
-                    }
-                },
-                Err(e) => Err(e),
-            };
-            match appended {
-                Ok(p) => placed.push(p),
-                Err(e) => {
-                    for p in &placed {
-                        chain.release(p.va, p.len);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        // Corruption registration once the batch has stuck, mirroring
-        // `ChainSet::append_many` — rolled-back pieces never existed.
-        if let Some(inj) = &injector {
-            for p in &placed {
-                inj.on_append(client, p.va, p.len, p.tier);
-            }
-        }
+        let placed = append_run(chain, self.injector.as_deref(), client, 0, payloads)?;
         if account {
             for p in &placed {
                 *self.bytes.entry((client, p.tier)).or_insert(0) += p.len;
@@ -679,139 +609,28 @@ impl Worker {
         Ok(placed)
     }
 
-    /// The single-round-trip write: the whole locked commit order in one
-    /// handler pass. The retry loops live *here* — the locked pipeline
-    /// retries the append and the kv-insert draw independently, so the
-    /// router must not replay the message (a replay would append twice).
-    #[allow(clippy::too_many_arguments)]
-    fn fused_write(
-        &mut self,
-        client: ClientId,
-        fid: u64,
-        node: usize,
-        offset: u64,
-        end: u64,
-        payload: Payload,
-        payloads: Vec<Payload>,
-        pieces: Vec<(u64, u64)>,
-    ) -> SimResult<FusedReply> {
-        debug_assert_eq!(node % self.workers, self.id, "fused write misrouted");
-        self.ensure_chain(client)?;
-        let retry = self.retry;
-        let jm = Arc::clone(&self.job_metrics);
-        let placed = with_retries(&retry, Some(&jm), || {
-            self.append(client, payloads.clone(), true)
-        })?;
+    /// Release a span of an owned chain; a missing chain is a no-op (as
+    /// for `ChainSet::release`).
+    fn release(&mut self, client: ClientId, va: VirtualAddr, len: u64) {
+        if let Some(chain) = self.chains.get_mut(&client) {
+            chain.release(va, len);
+        }
+    }
 
-        // Coalesce exactly like the locked pipeline (`write_batched`):
-        // same-layer VA-adjacent pieces merge, capped at the metadata
-        // range size. The fused path never replicates (the router gates
-        // it off), so the replica alignment check is trivially true.
-        let range = self.partitioner.range_size;
-        let mut records: Vec<(u64, SegmentRecord)> = Vec::with_capacity(pieces.len());
-        let mut tail_layer = 0usize;
-        for (i, p) in placed.iter().enumerate() {
-            let (off, plen) = pieces[i];
-            jm.record_segment(p.tier, p.layer, plen);
-            if let Some((_, last)) = records.last_mut() {
-                if p.layer == tail_layer
-                    && last.va.0 + last.len == p.va.0
-                    && last.len + plen <= range
-                {
-                    last.len += plen;
-                    continue;
-                }
-            }
-            records.push((off, SegmentRecord::new(client, p.va, plen)));
-            tail_layer = p.layer;
-        }
-        // Records are sealed: stamp each one's span of the payload once.
-        if let Some(verifier) = &self.stamper {
-            stamp_records(verifier, &payload, offset, &mut records);
-        }
-        for &(off, record) in &records {
-            assert!(
-                record.len <= range,
-                "segment length {} exceeds metadata range size {range}",
-                record.len
-            );
-            assert!(
-                off >= offset && off + record.len <= end,
-                "record [{off}, {}) outside batch span [{offset}, {end})",
-                off + record.len
-            );
-        }
-
-        // `insert_batch` fails only by injection *before* touching state;
-        // draw it alone under the retry loop (locked parity: placed
-        // survives and stays accounted on exhaustion).
-        let injector = self.injector.clone();
-        with_retries(&retry, Some(&jm), || inject(&injector, "kv_insert", None))?;
-
-        let outcome = self.punch(fid, offset, end);
-        // Locked commit order from here: fragment puts, node-buffer sweep
-        // (against pre-insert buffer state), record puts, producer buffer
-        // insert, generation bump, releases. A block-aligned right-edge
-        // fragment can land on a foreign partition even when the whole
-        // span is ours — hand those back to the router.
-        let mut own_fragments: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        let mut foreign_fragments: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        for &(k, v) in &outcome.fragments {
-            if self.partitioner.server_for(k.offset).0 % self.workers == self.id {
-                own_fragments.push((k, v));
-            } else {
-                foreign_fragments.push((k, v));
-            }
-        }
-        self.put_records(own_fragments);
-        if !outcome.removed.is_empty() {
-            self.buffer_apply(fid, &outcome.removed, &outcome.fragments);
-        }
-        let record_count = records.len() as u64;
-        self.put_records(
-            records
-                .iter()
-                .map(|&(off, record)| (SegKey { fid, offset: off }, record))
-                .collect(),
-        );
-        let per_fid = self.local.entry(node).or_default().entry(fid).or_default();
-        for &(off, record) in &records {
-            per_fid.insert(off, record);
-        }
-        *self
-            .generations
-            .write()
-            .expect("generations poisoned")
-            .entry(fid)
-            .or_insert(0) += 1;
-
-        // Releases in the locked order (stable sort by owning client,
-        // punch order within); foreign chains go back to the router.
-        let mut spans: Vec<(ClientId, VirtualAddr, u64)> = Vec::new();
-        for (_, d) in &outcome.displaced {
-            spans.push((d.client, d.va, d.len));
-            if let Some((rc, rva)) = d.replica {
-                spans.push((rc, rva, d.len));
-            }
-        }
-        spans.sort_by_key(|&(c, _, _)| c);
-        let mut foreign_spans: Vec<(ClientId, VirtualAddr, u64)> = Vec::new();
-        for (c, va, len) in spans {
-            if (c.rank as usize / self.procs_per_node) % self.workers == self.id {
-                if let Some(chain) = self.chains.get_mut(&c) {
-                    chain.release(va, len);
-                }
-            } else {
-                foreign_spans.push((c, va, len));
-            }
-        }
-        Ok(FusedReply {
-            records: record_count,
-            removed: outcome.removed,
-            fragments: outcome.fragments,
-            foreign_fragments,
-            foreign_spans,
-        })
+    /// The single-round-trip write: the write driver over this worker as
+    /// its executor ([`FusedWrite`]). The driver's retry loops therefore
+    /// run *here* — the append and the kv-insert draw retry independently,
+    /// so the router must not replay the message (a replay would append
+    /// twice).
+    fn fused_write(&mut self, op: &WriteOp, payload: Payload) -> SimResult<FusedReply> {
+        debug_assert_eq!(op.node % self.workers, self.id, "fused write misrouted");
+        let policy = Arc::clone(&self.policy);
+        let mut exec = FusedWrite {
+            worker: self,
+            reply: FusedReply::default(),
+        };
+        write::write(&mut exec, &policy, op, payload)?;
+        Ok(exec.reply)
     }
 
     /// The fused read plan: node-buffer lookup; only when it does not
@@ -819,25 +638,18 @@ impl Worker {
     /// `lookup_range_cached` draws it before touching state) and the
     /// generation-validated cache probe.
     fn read_plan(&self, node: usize, fid: u64, lo: u64, hi: u64) -> SimResult<PlanReply> {
-        let local = self.lookup_local(node, fid, lo, hi);
-        let covered: u64 = local
-            .iter()
-            .map(|(k, r)| {
-                let a = k.offset.max(lo);
-                let b = (k.offset + r.len).min(hi);
-                b.saturating_sub(a)
-            })
-            .sum();
-        let remote = if covered < hi - lo {
+        let local = match self.local.get(&node) {
+            Some(buffer) => buffer_lookup(buffer, fid, lo, hi),
+            None => Vec::new(),
+        };
+        let remote = if covered_bytes(&local, lo, hi) < hi - lo {
             inject(&self.injector, "kv_lookup", None)?;
-            let gen = self
-                .generations
-                .read()
-                .expect("generations poisoned")
-                .get(&fid)
-                .copied()
-                .unwrap_or(0);
-            Some((gen, self.cache_lookup(node, fid, lo, hi, gen)))
+            let gen = self.generations.get(fid);
+            let probe = self
+                .read_cache
+                .get(&node)
+                .and_then(|cache| cache_probe(cache, fid, lo, hi, gen));
+            Some((gen, probe))
         } else {
             None
         };
@@ -916,7 +728,7 @@ impl Worker {
         }
     }
 
-    fn put_records(&mut self, items: Vec<(SegKey, SegmentRecord)>) {
+    fn put_records(&mut self, items: impl IntoIterator<Item = (SegKey, SegmentRecord)>) {
         for (k, v) in items {
             let server = self.partitioner.server_for(k.offset).0;
             *self.puts.entry(server).or_insert(0) += 1;
@@ -930,73 +742,9 @@ impl Worker {
         removed: &[SegKey],
         fragments: &[(SegKey, SegmentRecord)],
     ) {
-        for node in self.local.values_mut() {
-            if let Some(per_fid) = node.get_mut(&fid) {
-                for k in removed {
-                    per_fid.remove(&k.offset);
-                }
-            }
-            if node.contains_key(&fid) {
-                for (k, frag) in fragments {
-                    node.entry(k.fid).or_default().insert(k.offset, *frag);
-                }
-            }
+        for buffer in self.local.values_mut() {
+            buffer_sweep(buffer, fid, removed, fragments);
         }
-    }
-
-    fn lookup_local(
-        &self,
-        node: usize,
-        fid: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<(SegKey, SegmentRecord)> {
-        let Some(per_fid) = self.local.get(&node).and_then(|n| n.get(&fid)) else {
-            return Vec::new();
-        };
-        // Start one record earlier in case it overlaps from the left.
-        let start = per_fid
-            .range(..lo)
-            .next_back()
-            .map(|(o, _)| *o)
-            .unwrap_or(lo);
-        per_fid
-            .range(start..hi)
-            .filter(|(o, r)| **o < hi && **o + r.len > lo)
-            .map(|(o, r)| (SegKey { fid, offset: *o }, *r))
-            .collect()
-    }
-
-    fn cache_lookup(
-        &self,
-        node: usize,
-        fid: u64,
-        lo: u64,
-        hi: u64,
-        gen: u64,
-    ) -> Option<Vec<(SegKey, SegmentRecord)>> {
-        let per_fid = self.read_cache.get(&node)?.get(&fid)?;
-        let (_, entry) = per_fid.range(..=lo).next_back()?;
-        if entry.gen == gen && entry.hi >= hi {
-            // Records overlapping [lo, hi) are a subset of the window's.
-            Some(
-                entry
-                    .records
-                    .iter()
-                    .filter(|(k, r)| k.offset < hi && k.offset + r.len > lo)
-                    .copied()
-                    .collect(),
-            )
-        } else {
-            None
-        }
-    }
-
-    fn scan(&mut self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
-        let scan_lo = lo.saturating_sub(self.partitioner.range_size);
-        let mut records = Vec::new();
-        self.visit_span(fid, scan_lo, hi, lo, &mut records);
-        records
     }
 
     fn cache_install(
@@ -1011,33 +759,10 @@ impl Worker {
         // Same re-check as `lookup_range_cached`: a mutation that landed
         // (and bumped) while the lookup was in flight may have produced a
         // window mixing old and new state — never cache it.
-        let current = self
-            .generations
-            .read()
-            .expect("generations poisoned")
-            .get(&fid)
-            .copied()
-            .unwrap_or(0);
-        if current != gen {
-            return;
+        if self.generations.get(fid) == gen {
+            let cache = self.read_cache.entry(node).or_default();
+            cache_store(cache, fid, lo, fetch_hi, gen, records);
         }
-        let per_fid = self
-            .read_cache
-            .entry(node)
-            .or_default()
-            .entry(fid)
-            .or_default();
-        if per_fid.len() >= READ_CACHE_WINDOWS_PER_FID {
-            per_fid.clear();
-        }
-        per_fid.insert(
-            lo,
-            CacheEntry {
-                hi: fetch_hi,
-                gen,
-                records,
-            },
-        );
     }
 
     fn fetch(
@@ -1083,6 +808,86 @@ impl Worker {
         self.read_cache = slice.read_cache;
         self.chains = slice.chains.into_iter().collect();
         self.heat = slice.heat;
+    }
+}
+
+/// A partition worker as the write driver's executor, inside its
+/// `WriteFused` handler: every stage runs in place on the worker's own
+/// maps, and whatever belongs to other workers (a foreign right-edge
+/// fragment, sweeps of their nodes, displaced spans on their chains)
+/// collects in `reply` for the router to post.
+struct FusedWrite<'w> {
+    worker: &'w mut Worker,
+    reply: FusedReply,
+}
+
+impl WriteExecutor for FusedWrite<'_> {
+    const APPEND_LOCKS: u64 = 0;
+
+    fn append(
+        &mut self,
+        client: ClientId,
+        payloads: Vec<Payload>,
+        primary: bool,
+    ) -> SimResult<Vec<PlacedSegment>> {
+        self.worker.ensure_chain(client)?;
+        self.worker.append(client, payloads, primary)
+    }
+
+    fn commit(
+        &mut self,
+        op: &WriteOp,
+        end: u64,
+        records: &[(u64, SegmentRecord)],
+    ) -> SimResult<BatchOutcome> {
+        let w = &mut *self.worker;
+        inject(&w.injector, "kv_insert", None)?;
+        let fid = op.fid;
+        let punched = w.punch(fid, op.offset, end);
+        // The sweep's fid-tracking check must see *pre-insert* buffer
+        // state, so it precedes the producer buffer refresh; fragment and
+        // record keys never collide, so their put order is free.
+        let own: Vec<(SegKey, SegmentRecord)> = punched
+            .fragments
+            .iter()
+            .copied()
+            .filter(|(k, _)| w.partitioner.server_for(k.offset).0 % w.workers == w.id)
+            .collect();
+        w.put_records(own);
+        if !punched.removed.is_empty() {
+            w.buffer_apply(fid, &punched.removed, &punched.fragments);
+        }
+        w.put_records(
+            records
+                .iter()
+                .map(|&(offset, record)| (SegKey { fid, offset }, record)),
+        );
+        buffer_insert(w.local.entry(op.node).or_default(), fid, records);
+        w.generations.bump(fid);
+        self.reply.removed = punched.removed;
+        self.reply.fragments = punched.fragments;
+        Ok(BatchOutcome {
+            displaced: punched.displaced.into_iter().map(|(_, d)| d).collect(),
+            locks: CommitStats::default(),
+        })
+    }
+
+    fn finish(
+        &mut self,
+        _op: &WriteOp,
+        _placed: &[PlacedSegment],
+        _records: &[(u64, SegmentRecord)],
+        spans: Vec<Span>,
+    ) -> WriteLockCounts {
+        let w = &mut *self.worker;
+        for (client, va, len) in spans {
+            if (client.rank as usize / w.procs_per_node) % w.workers == w.id {
+                w.release(client, va, len);
+            } else {
+                self.reply.foreign_spans.push((client, va, len));
+            }
+        }
+        WriteLockCounts::default()
     }
 }
 
@@ -1150,7 +955,7 @@ pub(crate) struct PartitionedCore {
     nodes: usize,
     procs_per_node: usize,
     partitioner: RangePartitioner,
-    generations: Arc<RwLock<HashMap<u64, u64>>>,
+    generations: Generations,
     /// fid → bitmask (bit `w & 63`) of workers whose nodes may track the
     /// fid in their shared metadata buffers. Conservative-complete: every
     /// buffer insert marks its owner, so a zero bit proves no tracking
@@ -1193,17 +998,17 @@ impl PartitionedCore {
     /// post to each other, so a full mailbox only blocks the router).
     pub(crate) fn new(
         cfg: &UniviStorConfig,
-        metrics: &Arc<JobMetrics>,
+        policy: &Arc<WritePolicy>,
         injector: Option<Arc<FaultInjector>>,
-        verifier: &Arc<Verifier>,
         layer_caps: Vec<(Tier, u64)>,
     ) -> Self {
+        let metrics = &policy.metrics;
         let servers = cfg.geometry.total_servers().max(1);
         let nodes = cfg.geometry.nodes;
         let pool = cfg.partition_workers();
         let mailbox_depth = cfg.mailbox_depth.max(1);
         let partitioner = RangePartitioner::new(cfg.metadata_range_size, servers);
-        let generations = Arc::new(RwLock::new(HashMap::new()));
+        let generations = Generations::default();
         let spin_cap = match std::thread::available_parallelism() {
             Ok(n) if n.get() > 1 => SPIN_CAP,
             _ => 0,
@@ -1219,11 +1024,9 @@ impl PartitionedCore {
                 layer_caps: layer_caps.clone(),
                 chunk_size: cfg.chunk_size,
                 procs_per_node: cfg.geometry.procs_per_node.max(1),
-                generations: Arc::clone(&generations),
+                generations: generations.clone(),
                 injector: injector.clone(),
-                stamper: cfg.integrity.checksums.then(|| Arc::clone(verifier)),
-                retry: cfg.retry,
-                job_metrics: Arc::clone(metrics),
+                policy: Arc::clone(policy),
                 metrics: handles.clone(),
                 spin_cap,
                 kv: (id..servers)
@@ -1284,7 +1087,7 @@ impl PartitionedCore {
     }
 
     /// The worker owning compute node `node`'s buffers and caches.
-    pub(crate) fn owner_of_node(&self, node: usize) -> usize {
+    fn owner_of_node(&self, node: usize) -> usize {
         node % self.workers.len()
     }
 
@@ -1295,39 +1098,16 @@ impl PartitionedCore {
 
     /// The KV partition (server index) owning logical `offset` — the
     /// router-side mirror of `MetadataService::partition_of`.
-    pub(crate) fn partition_of(&self, offset: u64) -> usize {
+    fn partition_of(&self, offset: u64) -> usize {
         self.partitioner.server_for(offset).0
     }
 
     /// Metadata servers a `lookup_range(fid, lo, hi)` would visit — the
     /// locked runtime charges one RPC per visited server, so the routed
     /// read path computes the same count here.
-    pub(crate) fn rpc_servers(&self, lo: u64, hi: u64) -> usize {
+    fn rpc_servers(&self, lo: u64, hi: u64) -> usize {
         let scan_lo = lo.saturating_sub(self.partitioner.range_size);
         self.partitioner.servers_for_span(scan_lo, hi).len()
-    }
-
-    /// Invalidate every cached read window of `fid` (mirrors
-    /// `MetadataService::bump_generation`).
-    pub(crate) fn bump_generation(&self, fid: u64) {
-        *self
-            .generations
-            .write()
-            .expect("generations poisoned")
-            .entry(fid)
-            .or_insert(0) += 1;
-    }
-
-    /// The fid's current mutation generation (0 if never mutated) —
-    /// mirrors `MetadataService::generation`, the flush engine's
-    /// catch-up fence.
-    pub(crate) fn fid_generation(&self, fid: u64) -> u64 {
-        self.generations
-            .read()
-            .expect("generations poisoned")
-            .get(&fid)
-            .copied()
-            .unwrap_or(0)
     }
 
     // ---- reply-slot pool ----
@@ -1358,6 +1138,28 @@ impl PartitionedCore {
         let reply = slot.take(self.spin_cap);
         self.release_slot(slot);
         reply
+    }
+
+    /// One awaited request wave: post `make(slot)` to every owner, then
+    /// take the replies in posting order.
+    fn wave(
+        &self,
+        owners: impl IntoIterator<Item = usize>,
+        mut make: impl FnMut(usize, Arc<ReplySlot>) -> Req,
+        mut absorb: impl FnMut(Reply),
+    ) {
+        WAVE.with_borrow_mut(|wave| {
+            for owner in owners {
+                let slot = self.slot();
+                self.workers[owner].post(make(owner, Arc::clone(&slot)));
+                wave.push(slot);
+            }
+            for slot in wave.drain(..) {
+                self.plane.round_trips.inc();
+                absorb(slot.take(self.spin_cap));
+                self.release_slot(slot);
+            }
+        });
     }
 
     // ---- fid-tracking mask (node-buffer sweep targeting) ----
@@ -1411,19 +1213,14 @@ impl PartitionedCore {
         self.append(client, Vec::new(), false, true).map(|_| ())
     }
 
-    /// Error exactly like a chain lookup if `client` has no chain.
+    /// Error exactly like a chain lookup if `client` has no chain (an
+    /// empty append that must not create one).
     pub(crate) fn chain_exists(&self, client: ClientId) -> SimResult<()> {
-        match self.call(self.owner_of_client(client), |reply| Req::ChainExists {
-            client,
-            reply,
-        }) {
-            Reply::Chain(r) => r,
-            _ => unreachable!("chain-exists reply"),
-        }
+        self.append(client, Vec::new(), false, false).map(|_| ())
     }
 
     /// Append a payload run to `client`'s chain (see [`Req::Append`]).
-    pub(crate) fn append(
+    fn append(
         &self,
         client: ClientId,
         payloads: Vec<Payload>,
@@ -1447,7 +1244,7 @@ impl PartitionedCore {
     /// the same message, and merge the outcomes back into the locked
     /// runtime's global key order. Record offsets must lie in `[lo, hi)`,
     /// so every record owner is a span owner.
-    pub(crate) fn write_commit(
+    fn write_commit(
         &self,
         fid: u64,
         lo: u64,
@@ -1467,35 +1264,28 @@ impl PartitionedCore {
                     groups[self.owner_of_partition(self.partition_of(off))]
                         .push((SegKey { fid, offset: off }, record));
                 }
-                WAVE.with_borrow_mut(|wave| {
-                    for &owner in owners.iter() {
-                        let slot = self.slot();
-                        self.workers[owner].post(Req::WriteCommit {
-                            fid,
-                            lo,
-                            hi,
-                            records: std::mem::take(&mut groups[owner]),
-                            reply: Arc::clone(&slot),
-                        });
-                        wave.push(slot);
-                    }
-                    debug_assert!(
-                        groups.iter().all(Vec::is_empty),
-                        "record outside the punch span"
-                    );
-                    for slot in wave.drain(..) {
-                        self.plane.round_trips.inc();
-                        match slot.take(self.spin_cap) {
-                            Reply::Punch(part) => {
-                                out.removed.extend(part.removed);
-                                out.displaced.extend(part.displaced);
-                                out.fragments.extend(part.fragments);
-                            }
-                            _ => unreachable!("write-commit reply"),
+                self.wave(
+                    owners.iter().copied(),
+                    |owner, reply| Req::WriteCommit {
+                        fid,
+                        lo,
+                        hi,
+                        records: std::mem::take(&mut groups[owner]),
+                        reply,
+                    },
+                    |reply| match reply {
+                        Reply::Punch(part) => {
+                            out.removed.extend(part.removed);
+                            out.displaced.extend(part.displaced);
+                            out.fragments.extend(part.fragments);
                         }
-                        self.release_slot(slot);
-                    }
-                });
+                        _ => unreachable!("write-commit reply"),
+                    },
+                );
+                debug_assert!(
+                    groups.iter().all(Vec::is_empty),
+                    "record outside the punch span"
+                );
             });
         });
         // Per-owner replies concatenate in owner order; the locked punch
@@ -1506,67 +1296,95 @@ impl PartitionedCore {
         out
     }
 
-    /// Second commit wave, fire-and-forget: fragment puts grouped by
-    /// owner, the node-buffer sweep on workers whose nodes may track the
-    /// fid (one shared `Arc<[_]>` across the fan-out instead of
-    /// per-worker clones), the producer buffer refresh (after the sweep —
-    /// the locked sweep-then-insert order), and chain releases. `spans`
-    /// must already be sorted by owning client (the locked pipeline's
-    /// release order); grouping preserves each chain's relative order.
-    pub(crate) fn write_finish(
+    /// The fire-and-forget finish wave, the one place `WriteFinish`
+    /// messages are posted: fragment puts grouped by owner, the
+    /// node-buffer sweep on workers whose nodes may track the fid (one
+    /// shared `Arc<[_]>` across the fan-out instead of per-worker clones),
+    /// the producer buffer refresh (after the sweep — the locked
+    /// sweep-then-insert order), and chain releases. `spans` must already
+    /// be sorted by owning client (the write driver's release order);
+    /// grouping preserves each chain's relative order.
+    ///
+    /// `records` is `Some` after a two-wave commit, whose producer worker
+    /// still owes its share and the buffer refresh, and `None` after a
+    /// fused commit, whose worker already applied its own fragment puts,
+    /// sweep and refresh in-handler — there the wave carries only the
+    /// rare leftovers and usually posts nothing at all.
+    fn write_finish(
         &self,
         fid: u64,
         node: usize,
-        outcome: PunchOutcome,
-        records: &[(u64, SegmentRecord)],
-        spans: Vec<(ClientId, VirtualAddr, u64)>,
+        removed: Vec<SegKey>,
+        fragments: Vec<(SegKey, SegmentRecord)>,
+        records: Option<&[(u64, SegmentRecord)]>,
+        spans: Vec<Span>,
     ) {
         let pool = self.workers.len();
         let producer = self.owner_of_node(node);
+        let settled = records.is_none().then_some(producer);
         // The sweep mask reflects pre-insert tracking state — exactly the
         // buffer state the locked sweep's fid check runs against.
-        let sweep_mask = if outcome.removed.is_empty() {
+        let mut sweep_mask = if removed.is_empty() {
             0
         } else {
             self.tracked_mask(fid)
         };
-        let removed: Arc<[SegKey]> = outcome.removed.into();
-        let fragments: Arc<[(SegKey, SegmentRecord)]> = outcome.fragments.into();
-        let reinsert: Arc<[(u64, SegmentRecord)]> = Arc::from(records);
-        REC_GROUPS.with_borrow_mut(|frag_groups| {
-            frag_groups.resize_with(pool, Vec::new);
-            for &(k, v) in fragments.iter() {
-                frag_groups[self.owner_of_partition(self.partition_of(k.offset))].push((k, v));
-            }
-            SPAN_GROUPS.with_borrow_mut(|span_groups| {
-                span_groups.resize_with(pool, Vec::new);
-                for span in spans {
-                    span_groups[self.owner_of_client(span.0)].push(span);
-                }
-                for w in 0..pool {
-                    let put_fragments = std::mem::take(&mut frag_groups[w]);
-                    let release = std::mem::take(&mut span_groups[w]);
-                    let sweep = sweep_mask & (1u64 << (w & 63)) != 0;
-                    let reinsert = (w == producer).then(|| (node, Arc::clone(&reinsert)));
-                    if put_fragments.is_empty()
-                        && release.is_empty()
-                        && !sweep
-                        && reinsert.is_none()
-                    {
-                        continue;
+        if let Some(w) = settled {
+            sweep_mask &= !(1u64 << (w & 63));
+        }
+        // Fragments on the settled worker's partitions are already in.
+        let frag_owner = |k: &SegKey| {
+            let owner = self.owner_of_partition(self.partition_of(k.offset));
+            (Some(owner) != settled).then_some(owner)
+        };
+        if sweep_mask != 0
+            || records.is_some()
+            || !spans.is_empty()
+            || fragments.iter().any(|(k, _)| frag_owner(k).is_some())
+        {
+            let removed: Arc<[SegKey]> = removed.into();
+            let fragments: Arc<[(SegKey, SegmentRecord)]> = fragments.into();
+            let reinsert: Option<Arc<[(u64, SegmentRecord)]>> = records.map(Arc::from);
+            REC_GROUPS.with_borrow_mut(|frag_groups| {
+                frag_groups.resize_with(pool, Vec::new);
+                for &(k, v) in fragments.iter() {
+                    if let Some(owner) = frag_owner(&k) {
+                        frag_groups[owner].push((k, v));
                     }
-                    self.workers[w].post(Req::WriteFinish {
-                        fid,
-                        put_fragments,
-                        removed: Arc::clone(&removed),
-                        fragments: Arc::clone(&fragments),
-                        sweep,
-                        reinsert,
-                        release,
-                    });
                 }
+                SPAN_GROUPS.with_borrow_mut(|span_groups| {
+                    span_groups.resize_with(pool, Vec::new);
+                    for span in spans {
+                        span_groups[self.owner_of_client(span.0)].push(span);
+                    }
+                    for w in 0..pool {
+                        let put_fragments = std::mem::take(&mut frag_groups[w]);
+                        let release = std::mem::take(&mut span_groups[w]);
+                        let sweep = sweep_mask & (1u64 << (w & 63)) != 0;
+                        let reinsert = reinsert
+                            .as_ref()
+                            .filter(|_| w == producer)
+                            .map(|records| (node, Arc::clone(records)));
+                        if put_fragments.is_empty()
+                            && release.is_empty()
+                            && !sweep
+                            && reinsert.is_none()
+                        {
+                            continue;
+                        }
+                        self.workers[w].post(Req::WriteFinish {
+                            fid,
+                            put_fragments,
+                            removed: Arc::clone(&removed),
+                            fragments: Arc::clone(&fragments),
+                            sweep,
+                            reinsert,
+                            release,
+                        });
+                    }
+                });
             });
-        });
+        }
         self.mark_tracked(fid, producer);
     }
 
@@ -1594,98 +1412,43 @@ impl PartitionedCore {
 
     /// Single-round-trip write (gate with
     /// [`fused_owner`](Self::fused_owner) first): one awaited message to
-    /// the owning worker, then fire-and-forget finish posts for the rare
-    /// leftovers (a foreign right-edge fragment, displaced spans on other
-    /// workers' chains, sweeps of other workers' tracked nodes). Returns
-    /// the coalesced record count. Do **not** wrap in a retry loop — the
+    /// the owning worker, which runs the whole write driver in-handler,
+    /// then the finish wave for its rare leftovers (a foreign right-edge
+    /// fragment, displaced spans on other workers' chains, sweeps of other
+    /// workers' tracked nodes). Do **not** wrap in a retry loop — the
     /// handler retries internally (a replay would double-append).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn write_fused(
-        &self,
-        client: ClientId,
-        fid: u64,
-        node: usize,
-        offset: u64,
-        end: u64,
-        payload: Payload,
-        payloads: Vec<Payload>,
-        pieces: Vec<(u64, u64)>,
-    ) -> SimResult<u64> {
-        let w = self.owner_of_node(node);
-        let fused = match self.call(w, |reply| Req::WriteFused {
-            client,
-            fid,
-            node,
-            offset,
-            end,
+    pub(crate) fn write_fused(&self, op: &WriteOp, payload: Payload) -> SimResult<()> {
+        let op = *op;
+        let fused = match self.call(self.owner_of_node(op.node), |reply| Req::WriteFused {
+            op,
             payload,
-            payloads,
-            pieces,
             reply,
         }) {
             Reply::Fused(r) => r,
             _ => unreachable!("fused-write reply"),
         }?;
-        let FusedReply {
-            records,
-            removed,
-            fragments,
-            foreign_fragments,
-            foreign_spans,
-        } = fused;
-        // Pre-insert mask, minus the fused worker (it already swept its
-        // own nodes in-handler).
-        let sweep_mask = if removed.is_empty() {
-            0
-        } else {
-            self.tracked_mask(fid) & !(1u64 << (w & 63))
-        };
-        if sweep_mask != 0 || !foreign_fragments.is_empty() || !foreign_spans.is_empty() {
-            let pool = self.workers.len();
-            let removed: Arc<[SegKey]> = removed.into();
-            let fragments: Arc<[(SegKey, SegmentRecord)]> = fragments.into();
-            REC_GROUPS.with_borrow_mut(|frag_groups| {
-                frag_groups.resize_with(pool, Vec::new);
-                for (k, v) in foreign_fragments {
-                    frag_groups[self.owner_of_partition(self.partition_of(k.offset))].push((k, v));
-                }
-                SPAN_GROUPS.with_borrow_mut(|span_groups| {
-                    span_groups.resize_with(pool, Vec::new);
-                    for span in foreign_spans {
-                        span_groups[self.owner_of_client(span.0)].push(span);
-                    }
-                    for v in 0..pool {
-                        let put_fragments = std::mem::take(&mut frag_groups[v]);
-                        let release = std::mem::take(&mut span_groups[v]);
-                        let sweep = v != w && sweep_mask & (1u64 << (v & 63)) != 0;
-                        if put_fragments.is_empty() && release.is_empty() && !sweep {
-                            continue;
-                        }
-                        self.workers[v].post(Req::WriteFinish {
-                            fid,
-                            put_fragments,
-                            removed: Arc::clone(&removed),
-                            fragments: Arc::clone(&fragments),
-                            sweep,
-                            reinsert: None,
-                            release,
-                        });
-                    }
-                });
-            });
+        self.write_finish(
+            op.fid,
+            op.node,
+            fused.removed,
+            fused.fragments,
+            None,
+            fused.foreign_spans,
+        );
+        Ok(())
+    }
+
+    /// The general two-wave protocol as the write driver's executor.
+    pub(crate) fn routed_write(&self) -> RoutedWrite<'_> {
+        RoutedWrite {
+            core: self,
+            removed: Vec::new(),
+            fragments: Vec::new(),
         }
-        self.mark_tracked(fid, w);
-        Ok(records)
     }
 
     /// Fused read plan against `node`'s owner (see [`Req::ReadPlan`]).
-    pub(crate) fn read_plan(
-        &self,
-        node: usize,
-        fid: u64,
-        lo: u64,
-        hi: u64,
-    ) -> SimResult<PlanReply> {
+    fn read_plan(&self, node: usize, fid: u64, lo: u64, hi: u64) -> SimResult<PlanReply> {
         match self.call(self.owner_of_node(node), |reply| Req::ReadPlan {
             node,
             fid,
@@ -1718,60 +1481,26 @@ impl PartitionedCore {
 
     /// Distributed lookup of records intersecting `[lo, hi)` of `fid`,
     /// merged and offset-sorted like `MetadataService::lookup_range`.
-    pub(crate) fn scan(&self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
+    fn scan(&self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
         let scan_lo = lo.saturating_sub(self.partitioner.range_size);
         let mut records = Vec::new();
         OWNERS.with_borrow_mut(|owners| {
             self.span_owners_into(scan_lo, hi, owners);
-            WAVE.with_borrow_mut(|wave| {
-                for &owner in owners.iter() {
-                    let slot = self.slot();
-                    self.workers[owner].post(Req::Scan {
-                        fid,
-                        lo,
-                        hi,
-                        reply: Arc::clone(&slot),
-                    });
-                    wave.push(slot);
-                }
-                for slot in wave.drain(..) {
-                    self.plane.round_trips.inc();
-                    match slot.take(self.spin_cap) {
-                        Reply::Records(part) => records.extend(part),
-                        _ => unreachable!("scan reply"),
-                    }
-                    self.release_slot(slot);
-                }
-            });
+            self.wave(
+                owners.iter().copied(),
+                |_, reply| Req::Scan { fid, lo, hi, reply },
+                |reply| match reply {
+                    Reply::Records(part) => records.extend(part),
+                    _ => unreachable!("scan reply"),
+                },
+            );
         });
         records.sort_by_key(|(k, _)| *k);
         records
     }
 
-    /// Install a fetched window into `node`'s read cache. Fire-and-forget:
-    /// the read's answer never depends on the install landing, and FIFO
-    /// order sequences it before any later probe of the same node.
-    pub(crate) fn cache_install(
-        &self,
-        node: usize,
-        fid: u64,
-        lo: u64,
-        fetch_hi: u64,
-        gen: u64,
-        records: Vec<(SegKey, SegmentRecord)>,
-    ) {
-        self.workers[self.owner_of_node(node)].post(Req::CacheInstall {
-            node,
-            fid,
-            lo,
-            fetch_hi,
-            gen,
-            records,
-        });
-    }
-
     /// Batched fragment fetch from `client`'s chain.
-    pub(crate) fn fetch(
+    fn fetch(
         &self,
         client: ClientId,
         requests: Vec<(VirtualAddr, u64)>,
@@ -1790,28 +1519,18 @@ impl PartitionedCore {
     /// partitioned replacement for the locked accounting mutex.
     pub(crate) fn collect_bytes(&self, take: bool) -> HashMap<(ClientId, Tier), u64> {
         let mut merged: HashMap<(ClientId, Tier), u64> = HashMap::new();
-        WAVE.with_borrow_mut(|wave| {
-            for worker in &self.workers {
-                let slot = self.slot();
-                worker.post(Req::CollectBytes {
-                    take,
-                    reply: Arc::clone(&slot),
-                });
-                wave.push(slot);
-            }
-            for slot in wave.drain(..) {
-                self.plane.round_trips.inc();
-                match slot.take(self.spin_cap) {
-                    Reply::Bytes(ledger) => {
-                        for (key, bytes) in ledger {
-                            *merged.entry(key).or_insert(0) += bytes;
-                        }
+        self.wave(
+            0..self.workers.len(),
+            |_, reply| Req::CollectBytes { take, reply },
+            |reply| match reply {
+                Reply::Bytes(ledger) => {
+                    for (key, bytes) in ledger {
+                        *merged.entry(key).or_insert(0) += bytes;
                     }
-                    _ => unreachable!("collect-bytes reply"),
                 }
-                self.release_slot(slot);
-            }
-        });
+                _ => unreachable!("collect-bytes reply"),
+            },
+        );
         merged
     }
 
@@ -1857,10 +1576,8 @@ impl PartitionedCore {
             (0..self.servers).map(|_| BTreeMap::new()).collect();
         let mut puts = vec![0u64; self.servers];
         let mut gets = vec![0u64; self.servers];
-        let mut local: Vec<HashMap<u64, BTreeMap<u64, SegmentRecord>>> =
-            (0..self.nodes).map(|_| HashMap::new()).collect();
-        let mut read_cache: Vec<HashMap<u64, BTreeMap<u64, CacheEntry>>> =
-            (0..self.nodes).map(|_| HashMap::new()).collect();
+        let mut local: Vec<NodeBuffer> = (0..self.nodes).map(|_| HashMap::new()).collect();
+        let mut read_cache: Vec<ReadCache> = (0..self.nodes).map(|_| HashMap::new()).collect();
         let mut heat_maps: Vec<HashMap<SegKey, u32>> =
             (0..self.servers).map(|_| HashMap::new()).collect();
         let mut chain_list: Vec<(ClientId, ProcChain)> = Vec::new();
@@ -1896,7 +1613,7 @@ impl PartitionedCore {
             gets,
             local,
             read_cache,
-            Arc::clone(&self.generations),
+            self.generations.clone(),
             self.injector.clone(),
         );
         let heat = heat_maps
@@ -1968,13 +1685,79 @@ impl PartitionedCore {
     }
 }
 
-/// The flush engine's view of the partitioned runtime: record scans and
-/// chain fetches route to the owning partition workers as ordinary
-/// messages, so a close-time flush drains without a whole-core checkout —
-/// foreground writers keep committing, fenced by the generation counter.
-impl crate::flush::FlushSource for PartitionedCore {
-    fn records(&self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
-        self.scan(fid, lo, hi)
+/// The routed two-wave protocol as the write driver's executor: the append
+/// is one awaited message (chain creation folded in, the byte ledger kept
+/// by the appending worker), the commit one awaited `WriteCommit` per span
+/// owner, and everything after it rides the fire-and-forget finish wave —
+/// mailbox FIFO order sequences that before any later observer. Zero
+/// counted locks.
+pub(crate) struct RoutedWrite<'a> {
+    core: &'a PartitionedCore,
+    /// The commit's claimed keys and surviving fragments, held for the
+    /// finish wave.
+    removed: Vec<SegKey>,
+    fragments: Vec<(SegKey, SegmentRecord)>,
+}
+
+impl WriteExecutor for RoutedWrite<'_> {
+    const APPEND_LOCKS: u64 = 0;
+
+    fn append(
+        &mut self,
+        client: ClientId,
+        payloads: Vec<Payload>,
+        primary: bool,
+    ) -> SimResult<Vec<PlacedSegment>> {
+        self.core.append(client, payloads, primary, true)
+    }
+
+    fn commit(
+        &mut self,
+        op: &WriteOp,
+        end: u64,
+        records: &[(u64, SegmentRecord)],
+    ) -> SimResult<BatchOutcome> {
+        // The commit messages themselves are infallible; the router draws
+        // the one fault a commit can take, before sending any of them.
+        inject(&self.core.injector, "kv_insert", None)?;
+        let punched = self.core.write_commit(op.fid, op.offset, end, records);
+        self.core.generations.bump(op.fid);
+        self.removed = punched.removed;
+        self.fragments = punched.fragments;
+        Ok(BatchOutcome {
+            displaced: punched.displaced.into_iter().map(|(_, d)| d).collect(),
+            locks: CommitStats::default(),
+        })
+    }
+
+    fn finish(
+        &mut self,
+        op: &WriteOp,
+        _placed: &[PlacedSegment],
+        records: &[(u64, SegmentRecord)],
+        spans: Vec<Span>,
+    ) -> WriteLockCounts {
+        self.core.write_finish(
+            op.fid,
+            op.node,
+            std::mem::take(&mut self.removed),
+            std::mem::take(&mut self.fragments),
+            Some(records),
+            spans,
+        );
+        WriteLockCounts::default()
+    }
+}
+
+/// The read and flush pipelines' view of the partitioned runtime: record
+/// lookups and chain fetches route to the owning partition workers as
+/// ordinary messages, so reads take no counted locks and a close-time
+/// flush drains without a whole-core checkout — foreground writers keep
+/// committing, fenced by the generation counter. (On the reference, so the
+/// read service can hold its source by value like the locked core's pair.)
+impl FlushSource for &PartitionedCore {
+    fn records(&self, fid: u64, lo: u64, hi: u64) -> (usize, Vec<(SegKey, SegmentRecord)>) {
+        (self.rpc_servers(lo, hi), self.scan(fid, lo, hi))
     }
 
     fn read_spans(
@@ -1986,7 +1769,51 @@ impl crate::flush::FlushSource for PartitionedCore {
     }
 
     fn generation(&self, fid: u64) -> u64 {
-        self.fid_generation(fid)
+        self.generations.get(fid)
+    }
+
+    /// One fused `ReadPlan` round-trip to the node owner; on a cache miss
+    /// a distributed scan wave, whose window the owner installs
+    /// (fire-and-forget) after re-checking the generation — a mutation may
+    /// have landed while the scan was in flight.
+    fn gather(
+        &self,
+        node: usize,
+        fid: u64,
+        lo: u64,
+        hi: u64,
+        fetch_hi: u64,
+    ) -> SimResult<Gathered> {
+        let plan = self.read_plan(node, fid, lo, hi)?;
+        let remote = plan.remote.map(|(gen, probe)| match probe {
+            Some(records) => RemoteLookup {
+                records,
+                rpcs: 0,
+                cache_hit: true,
+            },
+            None => {
+                let records = self.scan(fid, lo, fetch_hi);
+                // The read's answer never depends on the install landing,
+                // and FIFO order sequences it before any later probe.
+                self.workers[self.owner_of_node(node)].post(Req::CacheInstall {
+                    node,
+                    fid,
+                    lo,
+                    fetch_hi,
+                    gen,
+                    records: records.clone(),
+                });
+                RemoteLookup {
+                    records,
+                    rpcs: self.rpc_servers(lo, fetch_hi) as u64,
+                    cache_hit: false,
+                }
+            }
+        });
+        Ok(Gathered {
+            local: plan.local,
+            remote,
+        })
     }
 }
 
@@ -2007,9 +1834,15 @@ impl Drop for PartitionedCore {
 mod tests {
     use super::*;
     use crate::config::UniviStorConfig;
+    use crate::metrics::JobMetrics;
     use crate::placement::layer_caps_with_node_local;
 
-    fn core(nodes: usize, procs_per_node: usize, partitions: usize) -> PartitionedCore {
+    fn core_on(
+        metrics: &Arc<JobMetrics>,
+        nodes: usize,
+        procs_per_node: usize,
+        partitions: usize,
+    ) -> PartitionedCore {
         let mut cfg = UniviStorConfig::test_small(nodes, procs_per_node);
         cfg.partitions = partitions;
         let caps = layer_caps_with_node_local(
@@ -2019,8 +1852,27 @@ mod tests {
             4096,
             cfg.geometry.total_procs(),
         );
-        let metrics = Arc::new(JobMetrics::new());
-        PartitionedCore::new(&cfg, &metrics, None, &Arc::default(), caps)
+        let policy = Arc::new(WritePolicy::new(&cfg, metrics, &Arc::default()));
+        PartitionedCore::new(&cfg, &policy, None, caps)
+    }
+
+    fn core(nodes: usize, procs_per_node: usize, partitions: usize) -> PartitionedCore {
+        core_on(
+            &Arc::new(JobMetrics::new()),
+            nodes,
+            procs_per_node,
+            partitions,
+        )
+    }
+
+    fn op(client: ClientId, fid: u64, node: usize, offset: u64) -> WriteOp {
+        WriteOp {
+            client,
+            fid,
+            node,
+            offset,
+            buddy: None,
+        }
     }
 
     #[test]
@@ -2083,19 +1935,8 @@ mod tests {
         let core = core(1, 2, 1);
         let client = ClientId::new(0, 0);
         assert_eq!(core.fused_owner(client, 0, 0, 128), Some(0));
-        let records = core
-            .write_fused(
-                client,
-                5,
-                0,
-                0,
-                128,
-                Payload::pattern(9, 128),
-                vec![Payload::pattern(9, 128)],
-                vec![(0, 128)],
-            )
+        core.write_fused(&op(client, 5, 0, 0), Payload::pattern(9, 128))
             .unwrap();
-        assert_eq!(records, 1);
         // The commit is fully visible: KV record, node buffer, readable
         // bytes, generation bump.
         assert_eq!(core.scan(5, 0, 128).len(), 1);
@@ -2106,23 +1947,14 @@ mod tests {
         let got = core.fetch(client, vec![(rec.va, rec.len)]).unwrap();
         assert!(got[0].0.content_eq(&Payload::pattern(9, 128)));
         assert_eq!(
-            core.generations.read().unwrap().get(&5).copied(),
-            Some(1),
+            core.generations.get(5),
+            1,
             "fused write bumps the generation in-handler"
         );
         // Overwrite the middle through the same path: the punch claims
         // the old record and the fragments survive.
-        core.write_fused(
-            client,
-            5,
-            0,
-            32,
-            96,
-            Payload::pattern(4, 64),
-            vec![Payload::pattern(4, 64)],
-            vec![(32, 64)],
-        )
-        .unwrap();
+        core.write_fused(&op(client, 5, 0, 32), Payload::pattern(4, 64))
+            .unwrap();
         let after = core.scan(5, 0, 128);
         assert_eq!(after.len(), 3, "left fragment, new record, right fragment");
         assert_eq!(after[0].0.offset, 0);
@@ -2133,16 +1965,7 @@ mod tests {
     #[test]
     fn reply_slot_pool_recycles_across_round_trips() {
         let metrics = Arc::new(JobMetrics::new());
-        let mut cfg = UniviStorConfig::test_small(2, 2);
-        cfg.partitions = 2;
-        let caps = layer_caps_with_node_local(
-            cfg.cal.dram_cache_capacity_per_node,
-            None,
-            cfg.geometry.procs_per_node,
-            4096,
-            cfg.geometry.total_procs(),
-        );
-        let core = PartitionedCore::new(&cfg, &metrics, None, &Arc::default(), caps);
+        let core = core_on(&metrics, 2, 2, 2);
         let client = ClientId::new(0, 0);
         core.ensure_chain(client).unwrap();
         for _ in 0..8 {
@@ -2176,7 +1999,14 @@ mod tests {
             .unwrap();
         let rec = SegmentRecord::new(client, placed[0].va, 64);
         let out = core.write_commit(9, 0, 64, &[(0, rec)]);
-        core.write_finish(9, 1, out, &[(0, rec)], Vec::new());
+        core.write_finish(
+            9,
+            1,
+            out.removed,
+            out.fragments,
+            Some(&[(0, rec)]),
+            Vec::new(),
+        );
         // The assembled locked core sees everything the workers own …
         let (len, local_hits, live) = core.with_checked_out(|locked| {
             (

@@ -24,12 +24,16 @@
 //!   for the shard map and the lock acquisition order.
 //! * **Partitioned**: a shared-nothing pool of partition workers
 //!   exclusively owns the same state sliced by ownership (KV partitions,
-//!   node buffers, chains, heat shards) with no interior locks; the write
-//!   and read paths below become routing layers that partition each
-//!   planned batch by owner and await batched replies over bounded
-//!   mailboxes (see [`crate::runtime`] and DESIGN.md §13). The two
-//!   runtimes are byte-identical by construction and pinned so by the
-//!   differential tests in `tests/runtime.rs`.
+//!   node buffers, chains, heat shards) with no interior locks, fed
+//!   typed messages over bounded mailboxes (see [`crate::runtime`] and
+//!   DESIGN.md §13).
+//!
+//! A runtime is only *how* an operation is executed: the batched write
+//! pipeline (`crate::write`), the read pipeline ([`crate::read`]) and the
+//! flush engines ([`crate::flush`]) are each written once, generic over a
+//! small executor/source trait both cores implement, so the two runtimes
+//! are byte-identical by construction (and pinned so by the differential
+//! tests in `tests/runtime.rs`).
 //!
 //! Every hot path reports into the job's [`JobMetrics`] panel;
 //! [`UniviStorJob::metrics`] snapshots it. The legacy [`JobStats`] view is
@@ -40,23 +44,23 @@
 use crate::config::{FlushPipeline, Runtime, UniviStorConfig, WritePipeline};
 use crate::error::{Error, Result};
 use crate::fault::{with_retries, FaultInjector};
-use crate::flush::{flush_file, flush_with_source, FlushReceipt};
-use crate::integrity::{stamp_records, Verifier};
-use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
+use crate::flush::{flush_with_source, CoreFlushSource, FlushReceipt, FlushRequest, FlushSource};
+use crate::integrity::Verifier;
+use crate::metadata::{BatchOutcome, ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, ScalarValues, WriteLockCounts};
-use crate::placement::{healthy_buddy, layer_caps_with_node_local, ChainSet, ProcChain};
-use crate::read::{
-    classify_fragment, fetch_span, finish_fragment, plan_fragments, ReadLockCounts, ReadService,
-    ReadState, ReadTrace,
+use crate::placement::{
+    healthy_buddy, layer_caps_with_node_local, ChainSet, PlacedSegment, ProcChain,
 };
+use crate::read::{ReadService, ReadState, ReadTrace};
 use crate::repair::{repair_file, RepairReport};
 use crate::runtime::{LockedCore, PartitionedCore};
 use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubCtx, ScrubHandle, ScrubReport, ScrubState};
 use crate::tiering::{
     run_pass, PassCtx, PassOptions, TieringHandle, TieringPassReport, TieringState,
 };
-use crate::va::{Tier, VirtualAddr};
+use crate::va::Tier;
 use crate::workflow::StateFile;
+use crate::write::{self, plan_pieces, Span, WriteExecutor, WriteOp, WritePolicy};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -188,6 +192,9 @@ pub struct UniviStorJob {
     /// The job's digest authority (per-job digest memo): every stamp and
     /// verify of the integrity plane goes through it.
     verifier: Arc<Verifier>,
+    /// The write pipeline's per-job constants, shared with every
+    /// partition worker.
+    write_policy: Arc<WritePolicy>,
     /// Reader-reported corrupt copies awaiting online repair. Touched by
     /// the data path only on a verify *failure*.
     corrupt_queue: CorruptQueue,
@@ -299,6 +306,7 @@ impl UniviStorJob {
             inj.install_counters(metrics.fault_counters());
         }
         let verifier = Arc::new(Verifier::new(Arc::clone(&metrics)));
+        let write_policy = Arc::new(WritePolicy::new(&cfg, &metrics, &verifier));
         let core = match cfg.runtime {
             Runtime::Locked => {
                 let servers = cfg.geometry.total_servers();
@@ -323,9 +331,8 @@ impl UniviStorJob {
             }
             Runtime::Partitioned => Core::Partitioned(PartitionedCore::new(
                 &cfg,
-                &metrics,
+                &write_policy,
                 injector.clone(),
-                &verifier,
                 job_layer_caps(&cfg),
             )),
         };
@@ -349,6 +356,7 @@ impl UniviStorJob {
             injector,
             tiering: TieringState::default(),
             verifier,
+            write_policy,
             corrupt_queue: CorruptQueue::default(),
             scrub: ScrubState::default(),
         }
@@ -453,18 +461,6 @@ impl UniviStorJob {
     /// Open a file. `represents` is how many ranks this call stands for
     /// (the full communicator under COC, one otherwise); `lock_holder`
     /// marks the root that piggybacks workflow locking.
-    #[deprecated(note = "use open_file(path).mode(..).representing(..).by(client)")]
-    pub fn open(
-        &self,
-        path: &str,
-        mode: OpenMode,
-        _client: ClientId,
-        represents: usize,
-        lock_holder: bool,
-    ) -> SimResult<u64> {
-        self.open_impl(path, mode, represents, lock_holder)
-    }
-
     fn open_impl(
         &self,
         path: &str,
@@ -557,13 +553,25 @@ impl UniviStorJob {
             entry.fid
         };
         let node = self.cfg.geometry.node_of_rank(client.rank as usize);
+        // One batched pipeline (`crate::write`), three ways to execute it.
+        let replicate = self.cfg.replicate_volatile;
+        let op = WriteOp {
+            client,
+            fid,
+            node,
+            offset,
+            buddy: replicate.then(|| self.replica_buddy(client)).flatten(),
+        };
         match &self.core {
             Core::Locked(core) => {
                 self.ensure_chain(client)?;
                 match self.cfg.write_pipeline {
-                    WritePipeline::Batched => {
-                        self.write_batched(core, client, fid, node, offset, payload)?
-                    }
+                    WritePipeline::Batched => write::write(
+                        &mut LockedWrite { job: self, core },
+                        &self.write_policy,
+                        &op,
+                        payload,
+                    )?,
                     WritePipeline::PerPiece => {
                         self.write_per_piece(core, client, fid, node, offset, payload)?
                     }
@@ -572,7 +580,21 @@ impl UniviStorJob {
             // The routed pipeline is inherently batched; the pipeline
             // toggle selects locked-runtime reference flavors only.
             Core::Partitioned(core) => {
-                self.write_routed(core, client, fid, node, offset, payload)?
+                // The commit may be several messages; hold off tiering
+                // checkouts until the last one lands (see
+                // `PartitionedCore::exclude_passes`).
+                let _commit = core.exclude_passes();
+                // Single-round-trip fast path when one worker owns the
+                // whole widened span and the producer chain (and
+                // replication is off): that worker runs the driver itself,
+                // retry loops included — never wrapped in a retry here, a
+                // replayed message would double-append.
+                let end = offset + len;
+                if !replicate && core.fused_owner(client, node, offset, end).is_some() {
+                    core.write_fused(&op, payload)?
+                } else {
+                    write::write(&mut core.routed_write(), &self.write_policy, &op, payload)?
+                }
             }
         }
         // The write superseded any drained-ahead copies it overlapped
@@ -591,26 +613,12 @@ impl UniviStorJob {
         Ok(())
     }
 
-    /// Split `[offset, offset + len)` on the logical segment grid, so
-    /// overwrites displace whole records where possible. Returns
-    /// `(logical offset, length)` per piece.
-    fn plan_pieces(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
-        let seg = self.cfg.segment_size;
-        let end = offset + len;
-        let mut pieces = Vec::with_capacity((len / seg) as usize + 2);
-        let mut cur = offset;
-        while cur < end {
-            let piece_end = ((cur / seg + 1) * seg).min(end);
-            pieces.push((cur, piece_end - cur));
-            cur = piece_end;
-        }
-        pieces
-    }
-
     /// Reference write path: one chain-lock, punch, KV commit, node-buffer
     /// sweep, and accounting acquisition per grid piece — the pre-batch
     /// implementation, selected by [`WritePipeline::PerPiece`] for
-    /// differential tests and as the `write_batch` bench baseline.
+    /// differential tests. Deliberately not built on the write driver (it
+    /// shares only the grid plan): an oracle running the driver's stages
+    /// could not catch their mistakes.
     fn write_per_piece(
         &self,
         core: &LockedCore,
@@ -621,7 +629,7 @@ impl UniviStorJob {
         payload: Payload,
     ) -> SimResult<()> {
         let mut locks = WriteLockCounts::default();
-        let pieces = self.plan_pieces(offset, payload.len());
+        let pieces = plan_pieces(self.cfg.segment_size, offset, payload.len());
         for &(cur, piece_len) in &pieces {
             let piece = payload.slice(cur - offset, piece_len);
             let placed = with_retries(&self.cfg.retry, Some(&self.metrics), || {
@@ -688,336 +696,6 @@ impl UniviStorJob {
         Ok(())
     }
 
-    /// Batched write pipeline (the default): plan every grid piece up
-    /// front, place the run under one chain-lock acquisition
-    /// ([`ChainSet::append_many`]), replicate volatile pieces with one
-    /// buddy-chain acquisition, coalesce VA-contiguous same-layer pieces
-    /// into single records (capped at the metadata range size), commit them
-    /// with one punch over the full `[offset, end)` span plus
-    /// partition-grouped puts ([`MetadataService::insert_batch`]), release
-    /// displaced spans grouped by owning chain, and take the accounting
-    /// mutex once for the whole call.
-    fn write_batched(
-        &self,
-        core: &LockedCore,
-        client: ClientId,
-        fid: u64,
-        node: usize,
-        offset: u64,
-        payload: Payload,
-    ) -> SimResult<()> {
-        let len = payload.len();
-        let end = offset + len;
-        let pieces = self.plan_pieces(offset, len);
-        let payloads: Vec<Payload> = pieces
-            .iter()
-            .map(|&(cur, plen)| payload.slice(cur - offset, plen))
-            .collect();
-        let mut locks = WriteLockCounts::default();
-
-        let placed = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-            core.chains.append_many(client, payloads.clone())
-        })?;
-        locks.chain += 1;
-
-        // Resilience (future work of the paper): mirror the pieces that
-        // landed on volatile layers into a healthy buddy's chain — the
-        // whole run under one buddy chain-lock acquisition, taken after
-        // ours is released (never two chain locks at once). Best-effort: a
-        // failed buddy run degrades resilience, it does not fail the write.
-        let mut replicas: Vec<Option<(ClientId, VirtualAddr, usize)>> = vec![None; pieces.len()];
-        if self.cfg.replicate_volatile {
-            if let Some(buddy) = self.replica_buddy(client) {
-                let volatile: Vec<usize> = placed
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.tier != Tier::Pfs)
-                    .map(|(i, _)| i)
-                    .collect();
-                if !volatile.is_empty() {
-                    self.ensure_chain(buddy)?;
-                    locks.chain += 1;
-                    let copies: Vec<Payload> =
-                        volatile.iter().map(|&i| payloads[i].clone()).collect();
-                    let mirrored = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                        core.chains.append_many(buddy, copies.clone())
-                    });
-                    if let Ok(rplaced) = mirrored {
-                        for (&i, rp) in volatile.iter().zip(&rplaced) {
-                            replicas[i] = Some((buddy, rp.va, rp.layer));
-                            self.metrics.record_replication(pieces[i].1);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Coalesce: merge a piece into the previous record when both sit
-        // on the same chain layer at adjacent VAs (and their replica spans
-        // line up likewise, on one buddy layer), keeping every record
-        // within the metadata range size so the left-widened overlap scans
-        // stay correct. Layer equality matters because a VA seam between
-        // two layers can also be address-adjacent.
-        let range = self.cfg.metadata_range_size;
-        let mut records: Vec<(u64, SegmentRecord)> = Vec::with_capacity(pieces.len());
-        let mut tail_layer = 0usize;
-        let mut tail_replica_layer = 0usize;
-        for (i, p) in placed.iter().enumerate() {
-            let (off, plen) = pieces[i];
-            self.metrics.record_segment(p.tier, p.layer, plen);
-            if let Some((_, last)) = records.last_mut() {
-                let replica_ok = match (last.replica, replicas[i]) {
-                    (None, None) => true,
-                    (Some((lc, lva)), Some((rc, rva, rlayer))) => {
-                        lc == rc && lva.0 + last.len == rva.0 && rlayer == tail_replica_layer
-                    }
-                    _ => false,
-                };
-                if p.layer == tail_layer
-                    && last.va.0 + last.len == p.va.0
-                    && replica_ok
-                    && last.len + plen <= range
-                {
-                    last.len += plen;
-                    continue;
-                }
-            }
-            let record = SegmentRecord {
-                client,
-                va: p.va,
-                len: plen,
-                replica: replicas[i].map(|(c, va, _)| (c, va)),
-                checksum: None,
-            };
-            records.push((off, record));
-            tail_layer = p.layer;
-            tail_replica_layer = replicas[i].map(|(_, _, l)| l).unwrap_or(0);
-        }
-        // Records are sealed: stamp each one's span of the payload once.
-        if self.cfg.integrity.checksums {
-            stamp_records(&self.verifier, &payload, offset, &mut records);
-        }
-
-        // Commit the run: one punch over the full span, partition-grouped
-        // record puts, one producer node-buffer refresh.
-        let outcome = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-            core.metadata.insert_batch(fid, offset, end, &records, node)
-        })?;
-        locks.kv_shard += outcome.locks.kv_shard_acquisitions;
-        locks.node_buffer += outcome.locks.node_buffer_acquisitions;
-
-        // Free the log space of overwritten data (possibly owned by other
-        // clients' chains), including replica copies. Each displaced span
-        // was claimed exactly once by the punch and is released exactly
-        // once here, grouped so each owning chain's lock is taken once
-        // (the stable sort keeps punch order within an owner).
-        let mut spans: Vec<(ClientId, VirtualAddr, u64)> = Vec::new();
-        for d in &outcome.displaced {
-            spans.push((d.client, d.va, d.len));
-            if let Some((rc, rva)) = d.replica {
-                spans.push((rc, rva, d.len));
-            }
-        }
-        spans.sort_by_key(|&(c, _, _)| c);
-        locks.chain += core.chains.release_many(&spans);
-
-        {
-            let mut acct = self.accounting.lock().expect("accounting poisoned");
-            locks.accounting += 1;
-            for (i, p) in placed.iter().enumerate() {
-                *acct
-                    .bytes_by_client_tier
-                    .entry((client, p.tier))
-                    .or_insert(0) += pieces[i].1;
-            }
-        }
-        self.metrics
-            .record_write_batch(pieces.len() as u64, records.len() as u64, locks);
-        Ok(())
-    }
-
-    /// Routed write pipeline ([`Runtime::Partitioned`]): the same plan,
-    /// replication, coalescing, commit, and release steps as
-    /// [`write_batched`](Self::write_batched), fused into at most one
-    /// awaited round-trip per involved worker — the append (chain
-    /// creation folded in), then one `WriteCommit` per span owner; the
-    /// fragment puts, buffer sweep/refresh, and chain releases ride a
-    /// fire-and-forget finish wave. When one worker owns the whole
-    /// widened span and the producer chain (and replication is off), the
-    /// write collapses to a single fused message. The call takes **zero**
-    /// counted locks; byte ledgers accumulate in the appending worker
-    /// (`account`), replacing the router-side accounting mutex.
-    fn write_routed(
-        &self,
-        core: &PartitionedCore,
-        client: ClientId,
-        fid: u64,
-        node: usize,
-        offset: u64,
-        payload: Payload,
-    ) -> SimResult<()> {
-        // The commit below may be several messages; hold off tiering
-        // checkouts until the last one lands (see
-        // `PartitionedCore::exclude_passes`).
-        let _commit = core.exclude_passes();
-        let len = payload.len();
-        let end = offset + len;
-        let pieces = self.plan_pieces(offset, len);
-        let payloads: Vec<Payload> = pieces
-            .iter()
-            .map(|&(cur, plen)| payload.slice(cur - offset, plen))
-            .collect();
-
-        // Single-round-trip fast path: the owning worker runs the whole
-        // commit (with the retry loops inside the handler — do not wrap
-        // it in `with_retries`, a replayed message would double-append).
-        if !self.cfg.replicate_volatile && core.fused_owner(client, node, offset, end).is_some() {
-            let records = core.write_fused(
-                client,
-                fid,
-                node,
-                offset,
-                end,
-                payload,
-                payloads,
-                pieces.clone(),
-            )?;
-            self.metrics.record_write_batch(
-                pieces.len() as u64,
-                records,
-                WriteLockCounts::default(),
-            );
-            return Ok(());
-        }
-
-        let placed = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-            core.append(client, payloads.clone(), true, true)
-        })?;
-
-        // Replicate volatile pieces into a healthy buddy's chain —
-        // best-effort, one message (chain creation fused in), after the
-        // primary run completes (mirrors the locked pipeline's lock
-        // ordering: never two chains at once).
-        let mut replicas: Vec<Option<(ClientId, VirtualAddr, usize)>> = vec![None; pieces.len()];
-        if self.cfg.replicate_volatile {
-            if let Some(buddy) = self.replica_buddy(client) {
-                let volatile: Vec<usize> = placed
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.tier != Tier::Pfs)
-                    .map(|(i, _)| i)
-                    .collect();
-                if !volatile.is_empty() {
-                    let copies: Vec<Payload> =
-                        volatile.iter().map(|&i| payloads[i].clone()).collect();
-                    let mirrored = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                        core.append(buddy, copies.clone(), false, true)
-                    });
-                    if let Ok(rplaced) = mirrored {
-                        for (&i, rp) in volatile.iter().zip(&rplaced) {
-                            replicas[i] = Some((buddy, rp.va, rp.layer));
-                            self.metrics.record_replication(pieces[i].1);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Coalesce exactly like the locked pipeline (see `write_batched`):
-        // same-layer VA-adjacent pieces with lined-up replicas merge, each
-        // record capped at the metadata range size.
-        let range = self.cfg.metadata_range_size;
-        let mut records: Vec<(u64, SegmentRecord)> = Vec::with_capacity(pieces.len());
-        let mut tail_layer = 0usize;
-        let mut tail_replica_layer = 0usize;
-        for (i, p) in placed.iter().enumerate() {
-            let (off, plen) = pieces[i];
-            self.metrics.record_segment(p.tier, p.layer, plen);
-            if let Some((_, last)) = records.last_mut() {
-                let replica_ok = match (last.replica, replicas[i]) {
-                    (None, None) => true,
-                    (Some((lc, lva)), Some((rc, rva, rlayer))) => {
-                        lc == rc && lva.0 + last.len == rva.0 && rlayer == tail_replica_layer
-                    }
-                    _ => false,
-                };
-                if p.layer == tail_layer
-                    && last.va.0 + last.len == p.va.0
-                    && replica_ok
-                    && last.len + plen <= range
-                {
-                    last.len += plen;
-                    continue;
-                }
-            }
-            let record = SegmentRecord {
-                client,
-                va: p.va,
-                len: plen,
-                replica: replicas[i].map(|(c, va, _)| (c, va)),
-                checksum: None,
-            };
-            records.push((off, record));
-            tail_layer = p.layer;
-            tail_replica_layer = replicas[i].map(|(_, _, l)| l).unwrap_or(0);
-        }
-        // Records are sealed: stamp each one's span of the payload once.
-        if self.cfg.integrity.checksums {
-            stamp_records(&self.verifier, &payload, offset, &mut records);
-        }
-
-        // Commit. `insert_batch` fails only by injection *before* touching
-        // state, so the router draws that fault alone under the retry
-        // loop; the commit messages themselves are infallible.
-        with_retries(&self.cfg.retry, Some(&self.metrics), || {
-            match &self.injector {
-                Some(inj) => inj.inject("kv_insert", None),
-                None => Ok(()),
-            }
-        })?;
-        for (off, record) in &records {
-            assert!(
-                record.len <= range,
-                "segment length {} exceeds metadata range size {range}",
-                record.len
-            );
-            assert!(
-                *off >= offset && off + record.len <= end,
-                "record [{off}, {}) outside batch span [{offset}, {end})",
-                off + record.len
-            );
-        }
-        // First commit wave: one `WriteCommit` per span owner — the punch
-        // and that worker's record puts in one message. The punch
-        // precedes the puts inside each handler, so the CAS claims never
-        // see the new records.
-        let outcome = core.write_commit(fid, offset, end, &records);
-        core.bump_generation(fid);
-
-        // Second wave, fire-and-forget: fragment puts, the node-buffer
-        // sweep (only on workers whose nodes track the fid), the producer
-        // buffer refresh, and the releases of overwritten log space
-        // (including replica copies); the stable sort keeps punch order
-        // within an owner (the locked pipeline's release order). Mailbox
-        // FIFO order sequences these before any later observer.
-        let mut spans: Vec<(ClientId, VirtualAddr, u64)> = Vec::new();
-        for (_, d) in &outcome.displaced {
-            spans.push((d.client, d.va, d.len));
-            if let Some((rc, rva)) = d.replica {
-                spans.push((rc, rva, d.len));
-            }
-        }
-        spans.sort_by_key(|&(c, _, _)| c);
-        core.write_finish(fid, node, outcome, &records, spans);
-
-        self.metrics.record_write_batch(
-            pieces.len() as u64,
-            records.len() as u64,
-            WriteLockCounts::default(),
-        );
-        Ok(())
-    }
-
     /// Read `[offset, offset + len)` of `path` on behalf of `client`.
     pub fn read(&self, client: ClientId, path: &str, offset: u64, len: u64) -> Result<Payload> {
         self.read_impl(client, path, offset, len)
@@ -1044,195 +722,63 @@ impl UniviStorJob {
         } else {
             &no_failures
         };
-        // Locked: shared locks only from here (metadata shards, node
-        // buffers, read caches, producer chains) — concurrent readers
-        // never block each other. Partitioned: messages to owning workers,
-        // no counted locks at all. Reads mutate nothing, so an injected
-        // transient fault anywhere in the plan is absorbed by replanning
-        // the whole read.
-        match &self.core {
+        // One read pipeline (`crate::read`) over either core. Locked:
+        // shared locks only from here (metadata shards, node buffers, read
+        // caches, producer chains) — concurrent readers never block each
+        // other. Partitioned: messages to owning workers, no counted locks
+        // at all. Reads mutate nothing, so an injected transient fault
+        // anywhere in the plan is absorbed by replanning the whole read.
+        let out = match &self.core {
             Core::Locked(core) => {
+                let source = CoreFlushSource {
+                    metadata: &core.metadata,
+                    chains: &core.chains,
+                };
+                let service = self
+                    .read_service(source, failed)
+                    .pipeline(self.cfg.read_pipeline);
                 let out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                    ReadService::new(
-                        &core.metadata,
-                        &core.chains,
-                        &self.cfg.geometry,
-                        &self.verifier,
-                    )
-                    .location_aware(self.cfg.features.location_aware_reads)
-                    .pipeline(self.cfg.read_pipeline)
-                    .readahead(self.cfg.readahead_min_streak, self.cfg.readahead_window)
-                    .with_state(&self.read_state)
-                    .with_failed_nodes(failed)
-                    .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
-                    .read(client, fid, offset, len)
+                    service.read(client, fid, offset, len)
                 })?;
-                self.metrics.record_read_trace(&out.trace);
                 self.metrics.record_read_locks(out.locks);
-                for key in out.touched {
+                for &key in &out.touched {
                     Self::bump_heat(core, key);
                 }
-                Ok(out.payload)
+                out
             }
             Core::Partitioned(core) => {
-                let (payload, trace, touched) =
-                    with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                        self.read_routed(core, client, fid, offset, len, failed)
-                    })?;
-                self.metrics.record_read_trace(&trace);
-                self.metrics.record_read_locks(ReadLockCounts::default());
+                // The routed fetch is inherently grouped; the pipeline
+                // toggle selects locked-runtime reference flavors only.
+                let service = self.read_service(core, failed);
+                let mut out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
+                    // A checkout pass between the scan and the fetch could
+                    // migrate a record and release the location about to
+                    // be read; exclude passes for the whole attempt.
+                    let _view = core.exclude_passes();
+                    service.read(client, fid, offset, len)
+                })?;
                 // Fire-and-forget to the owning heat workers — the read
                 // never waits on access-pattern tracking.
-                core.bump_heat(touched);
-                Ok(payload)
+                core.bump_heat(std::mem::take(&mut out.touched));
+                out
             }
-        }
+        };
+        self.metrics.record_read_trace(&out.trace);
+        Ok(out.payload)
     }
 
-    /// Routed read pipeline ([`Runtime::Partitioned`]): the same four
-    /// stages as [`ReadService`] — gather (node buffer, then the
-    /// generation-validated read cache, then a distributed scan), plan
-    /// ([`plan_fragments`]), fetch (one message per producer group, first
-    /// appearance order), classify ([`classify_fragment`]) — with every
-    /// shared-lock acquisition replaced by a message to the owning worker.
-    /// Trace accounting and fault-draw order match the locked service
-    /// field for field; the differential tests pin it.
-    #[allow(clippy::type_complexity)]
-    fn read_routed(
-        &self,
-        core: &PartitionedCore,
-        client: ClientId,
-        fid: u64,
-        offset: u64,
-        len: u64,
-        failed: &HashSet<usize>,
-    ) -> SimResult<(Payload, ReadTrace, Vec<SegKey>)> {
-        // A checkout pass between our scan and fetch could migrate a
-        // record and release the location we are about to read; exclude
-        // passes for the whole attempt.
-        let _view = core.exclude_passes();
-        let mut trace = ReadTrace {
-            requests: 1,
-            ..ReadTrace::default()
-        };
-        if len == 0 {
-            return Ok((Payload::empty(), trace, Vec::new()));
-        }
-        let my_node = self.cfg.geometry.node_of_rank(client.rank as usize);
-        let end = offset + len;
-
-        let mut records: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        if self.cfg.features.location_aware_reads {
-            // Every location-aware read advances the scan detector (even
-            // ones the node buffer fully covers), so a stream stays "hot"
-            // when it transitions from local to remote data.
-            let readahead_active = self.cfg.readahead_window > 0
-                && self
-                    .read_state
-                    .advance(client, fid, offset, end, self.cfg.readahead_min_streak);
-            // One fused `ReadPlan` round-trip to the node owner: buffer
-            // lookup, and — only when the buffer leaves the request
-            // uncovered — the `kv_lookup` fault draw (drawn before
-            // touching further state, `lookup_range_cached` parity) plus
-            // the generation-validated cache probe.
-            let plan = core.read_plan(my_node, fid, offset, end)?;
-            trace.local_md_hits += plan.local.len() as u64;
-            records.extend(plan.local.iter().copied());
-            if let Some((gen, probe)) = plan.remote {
-                let fetch_hi = if readahead_active {
-                    end.saturating_add(self.cfg.readahead_window)
-                } else {
-                    end
-                };
-                let remote_hits = match probe {
-                    Some(hits) => {
-                        trace.md_cache_hits += 1;
-                        hits
-                    }
-                    None => {
-                        let hits = core.scan(fid, offset, fetch_hi);
-                        trace.md_rpcs += core.rpc_servers(offset, fetch_hi) as u64;
-                        // The owning worker re-checks the generation
-                        // before caching (a mutation may have landed while
-                        // the scan was in flight).
-                        core.cache_install(my_node, fid, offset, fetch_hi, gen, hits.clone());
-                        trace.md_cache_misses += 1;
-                        trace.readahead_bytes += fetch_hi - end;
-                        hits
-                    }
-                };
-                let mut seen: HashSet<SegKey> = records.iter().map(|(k, _)| *k).collect();
-                for (k, r) in remote_hits {
-                    // Readahead overshoot stays in the cache but out of
-                    // this request's plan.
-                    if k.offset >= end || k.offset + r.len <= offset {
-                        continue;
-                    }
-                    if seen.insert(k) {
-                        records.push((k, r));
-                    }
-                }
-            }
-        } else {
-            // Naive path: a raw distributed lookup on the client's behalf.
-            records = core.scan(fid, offset, end);
-            trace.md_rpcs += core.rpc_servers(offset, end) as u64;
-        }
-        records.sort_by_key(|(k, _)| k.offset);
-
-        let (fragments, touched) = plan_fragments(
-            &self.cfg.geometry,
-            failed,
-            &records,
-            offset,
-            end,
-            &mut trace,
-        )?;
-        let n = fragments.len();
-        let mut groups: Vec<(ClientId, Vec<usize>)> = Vec::new();
-        for (i, f) in fragments.iter().enumerate() {
-            match groups.iter_mut().find(|(source, _)| *source == f.source) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((f.source, vec![i])),
-            }
-        }
-        let mut fetched: Vec<Option<(Payload, Tier)>> = (0..n).map(|_| None).collect();
-        for (source, idxs) in &groups {
-            let requests: Vec<(VirtualAddr, u64)> =
-                idxs.iter().map(|&i| fetch_span(&fragments[i])).collect();
-            for (&i, got) in idxs.iter().zip(core.fetch(*source, requests)?) {
-                fetched[i] = Some(got);
-            }
-        }
-        let mut parts = Vec::with_capacity(n);
-        for (fragment, got) in fragments.iter().zip(fetched) {
-            let (payload, tier) = got.expect("every fragment fetched");
-            // Verify stamped records and reroute to the alternate copy on
-            // a failure, exactly like the locked service; the refetch is
-            // one more message to the alternate's owning worker.
-            let (payload, tier) = finish_fragment(
-                fragment,
-                payload,
-                tier,
-                &mut |alt_client, alt_va, alt_len| {
-                    let got = core.fetch(alt_client, vec![(alt_va, alt_len)])?;
-                    Ok(got.into_iter().next().expect("one span requested"))
-                },
-                &self.verifier,
-                Some(&self.metrics),
-                Some(&self.corrupt_queue),
-            )?;
-            classify_fragment(
-                &self.cfg.geometry,
-                self.cfg.features.location_aware_reads,
-                fragment,
-                tier,
-                my_node,
-                &mut trace,
-            );
-            parts.push(payload);
-        }
-        Ok((Payload::chain(parts), trace, touched))
+    /// The job's read pipeline over `source`, configured from `cfg`.
+    fn read_service<'a, S: FlushSource>(
+        &'a self,
+        source: S,
+        failed: &'a HashSet<usize>,
+    ) -> ReadService<'a, S> {
+        ReadService::over(source, &self.cfg.geometry, &self.verifier)
+            .location_aware(self.cfg.features.location_aware_reads)
+            .readahead(self.cfg.readahead_min_streak, self.cfg.readahead_window)
+            .with_state(&self.read_state)
+            .with_failed_nodes(failed)
+            .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
     }
 
     /// Count one read of `key` against the locked core's heat shards
@@ -1286,29 +832,19 @@ impl UniviStorJob {
         }
     }
 
-    /// The replica buddy of `client`: the same-index process on the next
-    /// node (wrapping), so primary and replica never share a node in
-    /// multi-node jobs.
-    fn buddy_of(&self, client: ClientId) -> ClientId {
-        let total = self.cfg.geometry.total_procs() as u32;
-        ClientId::new(
-            client.app,
-            (client.rank + self.cfg.geometry.procs_per_node as u32) % total,
-        )
-    }
-
-    /// Where a replica of `client`'s data should go right now: the default
-    /// buddy while no failure is injected (no lock beyond the atomic
-    /// check), else the nearest buddy on a healthy node — a replica placed
-    /// on an already-dead node protects nothing. `None` in single-node
-    /// jobs or when every other node is down.
+    /// Where a replica of `client`'s data should go right now: the
+    /// same-index process on the nearest healthy other node, so primary
+    /// and replica never share a node and a replica never lands on an
+    /// already-dead one (it would protect nothing). While no failure is
+    /// injected that is the next node, found without any lock beyond the
+    /// atomic check. `None` in single-node jobs or when every other node
+    /// is down.
     fn replica_buddy(&self, client: ClientId) -> Option<ClientId> {
         if self.failed_any.load(Ordering::Acquire) {
             let failed = self.failed_nodes.read().expect("failed set poisoned");
             healthy_buddy(&self.cfg.geometry, &failed, client)
         } else {
-            let buddy = self.buddy_of(client);
-            (buddy != client).then_some(buddy)
+            healthy_buddy(&self.cfg.geometry, &HashSet::new(), client)
         }
     }
 
@@ -1435,26 +971,6 @@ impl UniviStorJob {
         }
         self.degraded_segments();
         Ok(total)
-    }
-
-    /// Adaptive, proactive placement (future work of the paper): promote
-    /// every segment read at least `min_reads` times from a slower layer
-    /// into its producer's DRAM log, space permitting. Returns the number
-    /// of segments promoted.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `job.tiering()` — `run_pass()` applies the configured benefit/cost \
-                promotion policy, `drain_now()`/`pause()`/`resume()`/`stats()` cover the rest"
-    )]
-    pub fn promote_hot(&self, min_reads: u32) -> Result<usize> {
-        // Thin shim over the tiering engine's promotion phase: the old
-        // `min_reads` threshold with no benefit floor, run on every node.
-        let opts = PassOptions::promote_only(crate::config::PromotionPolicy {
-            min_reads,
-            min_benefit: 0.0,
-        });
-        let report = self.tiering_pass_all(&opts)?;
-        Ok(report.promoted_segments as usize)
     }
 
     /// The tiering control surface: pause/resume the background engine,
@@ -1694,6 +1210,32 @@ impl UniviStorJob {
             .read()
             .expect("failed set poisoned")
             .clone();
+        // Serialize against the tiering daemon on this file: a pass that
+        // holds the gate finishes (or is skipped) before the flush reads
+        // the chains, so no drain write or migration release races the
+        // flush. Passes only `try_lock` the gate, so this cannot deadlock.
+        // Then consume the drain ledger: spans the daemon already copied
+        // (and that are still current) turn the flush into a catch-up.
+        let flush = |source: &dyn FlushSource| {
+            let gate = self.tiering.fid_gate(fid);
+            let _gate = gate.lock().expect("tiering gate poisoned");
+            let ledger = self.tiering.take_ledger(fid);
+            flush_with_source(
+                source,
+                &FlushRequest {
+                    lustre: &self.lustre,
+                    cfg: &self.cfg,
+                    failed_nodes: &failed,
+                    metrics: Some(&self.metrics),
+                    verifier: &self.verifier,
+                    injector: self.injector.as_deref(),
+                    fid,
+                    file_size: size,
+                    dest: path,
+                    resume: ledger.as_ref(),
+                },
+            )
+        };
         // No job-wide lock during the flush under the locked runtime:
         // other clients keep writing and reading other files while this
         // one drains to Lustre. Under the partitioned runtime the
@@ -1703,55 +1245,12 @@ impl UniviStorJob {
         // the pass if a writer raced); only the sequential reference
         // engine still checks the core out for the duration.
         let result = match (&self.core, self.cfg.flush_pipeline) {
-            (Core::Partitioned(core), FlushPipeline::Parallel) => {
-                // Serialize against the tiering daemon on this file (see
-                // the locked arm below); the routed flush holds the gate
-                // across every pass of the generation-fenced drain.
-                let gate = self.tiering.fid_gate(fid);
-                let _gate = gate.lock().expect("tiering gate poisoned");
-                let ledger = self.tiering.take_ledger(fid);
-                flush_with_source(
-                    core,
-                    &self.lustre,
-                    &self.cfg,
-                    &failed,
-                    Some(&self.metrics),
-                    &self.verifier,
-                    self.injector.as_deref(),
-                    fid,
-                    size,
-                    path,
-                    ledger.as_ref(),
-                )
-            }
+            (Core::Partitioned(core), FlushPipeline::Parallel) => flush(&core),
             _ => self.with_core(|core| {
-                // Serialize against the tiering daemon on this file: a
-                // pass that holds the gate finishes (or is skipped)
-                // before the flush reads the chains, so no drain write
-                // or migration release races the flush. Passes only
-                // `try_lock` the gate, so this cannot deadlock (and
-                // under the partitioned runtime the checkout serializer
-                // already excludes concurrent passes).
-                let gate = self.tiering.fid_gate(fid);
-                let _gate = gate.lock().expect("tiering gate poisoned");
-                // Consume the drain ledger: spans the daemon already
-                // copied (and that are still current) turn the flush
-                // into a catch-up.
-                let ledger = self.tiering.take_ledger(fid);
-                flush_file(
-                    &core.metadata,
-                    &core.chains,
-                    &self.lustre,
-                    &self.cfg,
-                    &failed,
-                    Some(&self.metrics),
-                    &self.verifier,
-                    self.injector.as_deref(),
-                    fid,
-                    size,
-                    path,
-                    ledger.as_ref(),
-                )
+                flush(&CoreFlushSource {
+                    metadata: &core.metadata,
+                    chains: &core.chains,
+                })
             }),
         };
         self.metrics.flush_finished();
@@ -1794,8 +1293,7 @@ impl UniviStorJob {
     }
 
     /// Total records in the distributed metadata index, across all files —
-    /// the index size coalescing shrinks (reported by the `write_batch`
-    /// bench).
+    /// the index size coalescing shrinks.
     pub fn metadata_records(&self) -> usize {
         self.with_core(|core| core.metadata.len())
     }
@@ -1919,6 +1417,65 @@ impl UniviStorJob {
     }
 }
 
+/// The locked core as the write driver's executor: every stage is a direct
+/// call on the resident structures, and every lock it takes is counted.
+struct LockedWrite<'a> {
+    job: &'a UniviStorJob,
+    core: &'a LockedCore,
+}
+
+impl WriteExecutor for LockedWrite<'_> {
+    const APPEND_LOCKS: u64 = 1;
+
+    fn append(
+        &mut self,
+        client: ClientId,
+        payloads: Vec<Payload>,
+        primary: bool,
+    ) -> SimResult<Vec<PlacedSegment>> {
+        // The producer's chain was ensured on entry; a buddy's may not
+        // exist yet. Its lock is taken after the producer's is released —
+        // never two chain locks at once.
+        if !primary {
+            self.job.ensure_chain(client)?;
+        }
+        self.core.chains.append_many(client, payloads)
+    }
+
+    fn commit(
+        &mut self,
+        op: &WriteOp,
+        end: u64,
+        records: &[(u64, SegmentRecord)],
+    ) -> SimResult<BatchOutcome> {
+        self.core
+            .metadata
+            .insert_batch(op.fid, op.offset, end, records, op.node)
+    }
+
+    fn finish(
+        &mut self,
+        op: &WriteOp,
+        placed: &[PlacedSegment],
+        _records: &[(u64, SegmentRecord)],
+        spans: Vec<Span>,
+    ) -> WriteLockCounts {
+        let chain = self.core.chains.release_many(&spans);
+        let mut acct = self.job.accounting.lock().expect("accounting poisoned");
+        for p in placed {
+            *acct
+                .bytes_by_client_tier
+                .entry((op.client, p.tier))
+                .or_insert(0) += p.len;
+        }
+        WriteLockCounts {
+            chain,
+            accounting: 1,
+            ..WriteLockCounts::default()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1962,27 +1519,6 @@ mod tests {
         // And it is on Lustre, byte-exact.
         let pfs = j.lustre_read("/f", 512, 512).unwrap();
         assert!(pfs.content_eq(&Payload::pattern(1, 512)));
-    }
-
-    #[test]
-    fn deprecated_positional_open_still_works() {
-        let j = job();
-        #[allow(deprecated)]
-        let fid = j.open("/f", OpenMode::Write, client(0), 2, true).unwrap();
-        // Same file through the builder: same fid, open counts add up.
-        let fid2 = j
-            .open_file("/f")
-            .write()
-            .representing(2)
-            .by(client(1))
-            .unwrap();
-        assert_eq!(fid, fid2);
-        j.write(client(0), "/f", 0, Payload::pattern(1, 64))
-            .unwrap();
-        assert!(j
-            .close("/f", client(0), OpenMode::Write, 4, true)
-            .unwrap()
-            .is_some());
     }
 
     #[test]

@@ -176,8 +176,8 @@ impl PassOptions {
         }
     }
 
-    /// Promotion only, under an explicit policy — the deprecated
-    /// `promote_hot` shim.
+    /// Promotion only, under an explicit policy
+    /// ([`TieringHandle::promote_now`]).
     pub(crate) fn promote_only(policy: PromotionPolicy) -> Self {
         PassOptions {
             spill: false,
@@ -193,7 +193,7 @@ impl PassOptions {
 #[derive(Debug, Default)]
 pub(crate) struct TieringState {
     /// Pause flag ([`TieringHandle::pause`]); automatic passes check it,
-    /// explicit `drain_now`/`promote_hot` calls do not.
+    /// explicit `drain_now`/`promote_now` calls do not.
     pub(crate) paused: AtomicBool,
     /// Writes observed since open, for the drain cadence.
     pub(crate) write_ops: AtomicU64,
@@ -963,8 +963,7 @@ impl<'a> TieringHandle<'a> {
     }
 
     /// Run a promotion-only pass on every node right now under `policy`,
-    /// without spilling, draining, or ticking heat decay. This is the
-    /// replacement for the deprecated `UniviStorJob::promote_hot`.
+    /// without spilling, draining, or ticking heat decay.
     pub fn promote_now(&self, policy: PromotionPolicy) -> Result<TieringPassReport> {
         self.job
             .tiering_pass_all(&PassOptions::promote_only(policy))

@@ -139,6 +139,11 @@ fn pipelines_agree_and_parallel_coalesces_under_both_runtimes() {
             seq.gather_round_trips
         );
         assert_eq!(par.catchup_passes, 0, "{ctx}: quiescent flush redid work");
+        // Write calls / OST writes / gather round-trips per drain of this
+        // geometry (the retired `flush` bench's deterministic record).
+        let plane = |r: &FlushReceipt| (r.spans, r.write_calls, r.ost_writes, r.gather_round_trips);
+        assert_eq!(plane(&seq), (64, 64, 64, 64), "{ctx}");
+        assert_eq!(plane(&par), (64, 4, 32, 4), "{ctx}");
         parallel_receipts.push((par, par_bytes));
     }
     // The parallel engine is also runtime-invariant, counters included.

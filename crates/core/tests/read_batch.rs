@@ -8,7 +8,7 @@
 //! records.
 
 use std::sync::Arc;
-use univistor_core::config::{PromotionPolicy, ReadPipeline, UniviStorConfig};
+use univistor_core::config::{PromotionPolicy, ReadPipeline, Runtime, UniviStorConfig};
 use univistor_core::metadata::ClientId;
 use univistor_core::server::UniviStorJob;
 use univistor_sim::rng::DetRng;
@@ -303,4 +303,42 @@ fn replica_reads_span_coalesced_multi_chunk_records() {
         let trace = j.stats().read_trace;
         assert_eq!(trace.replica_bytes, 1024 + 500);
     }
+}
+
+/// The deterministic counter of the retired `read_batch` bench, at its
+/// shape: a 64 KiB read over 128 segment records of one producer's chain
+/// takes 128 shared chain-lock acquisitions on the per-record path and 1
+/// on the batched path; every `ReadTrace` field is the same on both.
+#[test]
+fn batched_read_takes_one_chain_lock_for_128_records() {
+    const SEGMENT: u64 = 512;
+    let run = |pipeline| {
+        let mut cfg = UniviStorConfig::paper(4);
+        cfg.runtime = Runtime::Locked;
+        cfg.features.flush_on_close = false;
+        cfg.chunk_size = 16 << 10;
+        cfg.segment_size = SEGMENT;
+        cfg.metadata_range_size = 32 << 10;
+        cfg.read_pipeline = pipeline;
+        let job = UniviStorJob::new(cfg);
+        let client = ClientId::new(0, 0);
+        job.open_file("/rb/f").read_write().by(client).unwrap();
+        for s in 0..128 {
+            job.write(client, "/rb/f", s * SEGMENT, Payload::pattern(s, SEGMENT))
+                .unwrap();
+        }
+        job.read(client, "/rb/f", 0, 128 * SEGMENT).unwrap();
+        let chain_locks = job
+            .metrics()
+            .counter(
+                "univistor_read_lock_acquisitions_total",
+                &[("lock", "chain")],
+            )
+            .unwrap_or(0);
+        (chain_locks, job.stats().read_trace)
+    };
+    let (per_record_locks, per_record_trace) = run(ReadPipeline::PerRecord);
+    let (batched_locks, batched_trace) = run(ReadPipeline::Batched);
+    assert_eq!((per_record_locks, batched_locks), (128, 1));
+    assert_eq!(per_record_trace, batched_trace);
 }

@@ -31,14 +31,26 @@ fn cfg(runtime: Runtime) -> UniviStorConfig {
     cfg
 }
 
+fn round_trips(j: &UniviStorJob) -> u64 {
+    j.metrics()
+        .counter_total("univistor_partition_round_trips_total")
+}
+
 /// The deterministic mixed workload both runtimes replay: four ranks
 /// tile a 4 KiB file, then random overwrites interleave with random
 /// reads. Every read is checked against the flat model *and* returned
-/// for cross-runtime comparison.
-fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>) {
+/// for cross-runtime comparison, along with the awaited round-trips each
+/// write cost (1 = the fused path, more = the two-wave path, 0 = locked).
+fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>, Vec<u64>) {
     let span = 4096u64;
     let mut model = SparseBuffer::new();
     let mut reads = Vec::new();
+    let mut write_trips = Vec::new();
+    let mut write = |rank: u32, offset: u64, p: Payload| {
+        let before = round_trips(j);
+        j.write(client(rank), "/d", offset, p).unwrap();
+        write_trips.push(round_trips(j) - before);
+    };
     j.open_file("/d")
         .read_write()
         .representing(4)
@@ -47,7 +59,7 @@ fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>) {
     for rank in 0..4u64 {
         let p = Payload::pattern(rank, 1024);
         model.write(rank * 1024, p.clone());
-        j.write(client(rank as u32), "/d", rank * 1024, p).unwrap();
+        write(rank as u32, rank * 1024, p);
     }
     let mut rng = DetRng::seed(0x5eed);
     for i in 0..60u64 {
@@ -57,7 +69,7 @@ fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>) {
             let len = ((rng.below(4) + 1) as u64 * 256).min(span - offset);
             let p = Payload::pattern(100 + i, len);
             model.write(offset, p.clone());
-            j.write(client(rank), "/d", offset, p).unwrap();
+            write(rank, offset, p);
         } else {
             let offset = (rng.below(15) as u64) * 256;
             let len = ((rng.below(6) + 1) as u64 * 256).min(span - offset);
@@ -70,7 +82,7 @@ fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>) {
             reads.push(got);
         }
     }
-    (model, reads)
+    (model, reads, write_trips)
 }
 
 /// The tentpole claim: a steady-state write + read on the partitioned
@@ -123,41 +135,102 @@ fn partitioned_steady_state_takes_no_counted_locks() {
     );
 }
 
-/// Byte-identity and accounting differential: the same deterministic
-/// mixed workload (tiling writes, random overwrites, random reads) on
-/// both runtimes produces identical bytes on every read, an identical
-/// aggregated `ReadTrace`, and identical placement statistics.
+/// Byte-identity, accounting and executor-conformance differential: the
+/// same deterministic mixed workload (tiling writes, random overwrites,
+/// random reads) through all three write executors — the locked core, a
+/// 4-worker pool (block-0 writes from node 0 take the fused path, the rest
+/// the two-wave path) and a 1-worker pool (every unreplicated write is
+/// fused) — with `replicate_volatile` off and on, fault-free and under a
+/// transient drizzle. Identical bytes on every read, identical index
+/// records (VAs, replicas and stamped checksums), identical aggregated
+/// `ReadTrace` and placement statistics, and identical fault-draw
+/// outcomes (a fault fires as a pure function of the draw index, so equal
+/// firing and retry counts pin the draw order).
 #[test]
 fn runtimes_agree_on_bytes_traces_and_stats() {
-    let run = |runtime| {
-        let j = Arc::new(UniviStorJob::new(cfg(runtime)));
-        let (_, reads) = mixed_workload(&j);
-        (j, reads)
-    };
-    let (locked, locked_reads) = run(Runtime::Locked);
-    let (part, part_reads) = run(Runtime::Partitioned);
+    for (replicate, drizzle) in [(false, false), (true, false), (false, true), (true, true)] {
+        let ctx = format!("replicate={replicate} drizzle={drizzle}");
+        let run = |runtime, partitions| {
+            let mut c = cfg(runtime);
+            c.partitions = partitions;
+            c.replicate_volatile = replicate;
+            if drizzle {
+                c.retry.backoff_base_us = 1;
+                c.retry.backoff_cap_us = 10;
+                c.fault = Some(FaultConfig {
+                    seed: 11,
+                    transient_prob: 0.05,
+                    ..FaultConfig::default()
+                });
+            }
+            let j = Arc::new(UniviStorJob::new(c));
+            let (_, reads, write_trips) = mixed_workload(&j);
+            (j, reads, write_trips)
+        };
+        let (locked, locked_reads, _) = run(Runtime::Locked, 4);
+        for partitions in [4, 1] {
+            let ctx = format!("{ctx} workers={partitions}");
+            let (part, part_reads, write_trips) = run(Runtime::Partitioned, partitions);
 
-    assert_eq!(locked_reads.len(), part_reads.len());
-    for (i, (a, b)) in locked_reads.iter().zip(&part_reads).enumerate() {
-        assert!(a.content_eq(b), "read {i} diverged between runtimes");
+            // Which executor ran: retries of a fused write stay inside
+            // the handler, so it costs one round-trip even under faults.
+            let fused = write_trips.iter().filter(|&&t| t == 1).count();
+            match (replicate, partitions) {
+                (true, _) => assert_eq!(fused, 0, "{ctx}: replication gates the fused path off"),
+                (false, 1) => assert_eq!(fused, write_trips.len(), "{ctx}: one owner, all fused"),
+                (false, _) => assert!(
+                    0 < fused && fused < write_trips.len(),
+                    "{ctx}: {fused} of {} writes fused — both paths must run",
+                    write_trips.len()
+                ),
+            }
+
+            assert_eq!(locked_reads.len(), part_reads.len());
+            for (i, (a, b)) in locked_reads.iter().zip(&part_reads).enumerate() {
+                assert!(a.content_eq(b), "{ctx}: read {i} diverged between runtimes");
+            }
+            assert_eq!(
+                locked.index_of("/d").unwrap(),
+                part.index_of("/d").unwrap(),
+                "{ctx}: index records (VAs, replicas, checksums)"
+            );
+
+            let (a, b) = (locked.stats(), part.stats());
+            assert_eq!(a.segments, b.segments, "{ctx}");
+            assert_eq!(a.bytes_by_tier, b.bytes_by_tier, "{ctx}");
+            assert_eq!(a.bytes_by_client_tier, b.bytes_by_client_tier, "{ctx}");
+            assert_eq!(a.write_md_rpcs, b.write_md_rpcs, "{ctx}");
+            assert_eq!(a.replicated_bytes, b.replicated_bytes, "{ctx}");
+            assert_eq!(
+                a.read_trace, b.read_trace,
+                "{ctx}: ReadTrace accounting must be runtime-invariant"
+            );
+            assert_eq!(locked.tier_usage(), part.tier_usage(), "{ctx}");
+            assert_eq!(locked.metadata_records(), part.metadata_records(), "{ctx}");
+            assert_eq!(
+                locked.file_size("/d").unwrap(),
+                part.file_size("/d").unwrap()
+            );
+
+            let (a, b) = (locked.metrics(), part.metrics());
+            for family in [
+                "univistor_faults_injected_total",
+                "univistor_retries_total",
+                "univistor_write_pieces_total",
+                "univistor_write_records_total",
+            ] {
+                assert_eq!(
+                    a.counter_total(family),
+                    b.counter_total(family),
+                    "{ctx}: {family}"
+                );
+            }
+            assert_eq!(
+                a.counter_total("univistor_faults_injected_total") > 0,
+                drizzle
+            );
+        }
     }
-
-    let (a, b) = (locked.stats(), part.stats());
-    assert_eq!(a.segments, b.segments);
-    assert_eq!(a.bytes_by_tier, b.bytes_by_tier);
-    assert_eq!(a.bytes_by_client_tier, b.bytes_by_client_tier);
-    assert_eq!(a.write_md_rpcs, b.write_md_rpcs);
-    assert_eq!(a.replicated_bytes, b.replicated_bytes);
-    assert_eq!(
-        a.read_trace, b.read_trace,
-        "ReadTrace accounting must be runtime-invariant"
-    );
-    assert_eq!(locked.tier_usage(), part.tier_usage());
-    assert_eq!(locked.metadata_records(), part.metadata_records());
-    assert_eq!(
-        locked.file_size("/d").unwrap(),
-        part.file_size("/d").unwrap()
-    );
 }
 
 /// Fault-injection differential: under a transient-fault drizzle plus a
@@ -233,7 +306,7 @@ fn runtimes_agree_with_active_tiering() {
         c.tiering = TieringConfig::on();
         c.tiering.drain_cadence_ops = 8;
         let j = Arc::new(UniviStorJob::new(c));
-        let (model, _) = mixed_workload(&j);
+        let (model, ..) = mixed_workload(&j);
         let got = j.read(client(0), "/d", 0, 4096).unwrap();
         assert!(got.content_eq(&model.read(0, 4096)));
         (j.tier_usage(), got)
@@ -346,7 +419,7 @@ fn single_partition_pool_is_exact() {
     c.partitions = 1;
     let j = Arc::new(UniviStorJob::new(c));
     assert_eq!(j.partition_workers(), 1);
-    let (model, _) = mixed_workload(&j);
+    let (model, ..) = mixed_workload(&j);
     let got = j.read(client(0), "/d", 0, 4096).unwrap();
     assert!(got.content_eq(&model.read(0, 4096)));
 }
@@ -452,18 +525,14 @@ fn batched_write_stays_within_two_round_trips_per_worker() {
         .representing(4)
         .by(client(0))
         .unwrap();
-    let trips = |j: &UniviStorJob| {
-        j.metrics()
-            .counter_total("univistor_partition_round_trips_total")
-    };
 
     // Fused fast path: rank 0 (node 0 → worker 0) writes the first
     // metadata block, whose widened span worker 0 owns outright.
-    let before = trips(&j);
+    let before = round_trips(&j);
     j.write(client(0), "/rt", 0, Payload::pattern(1, 1024))
         .unwrap();
     assert_eq!(
-        trips(&j) - before,
+        round_trips(&j) - before,
         1,
         "single-owner write must commit in one fused round-trip"
     );
@@ -472,10 +541,10 @@ fn batched_write_stays_within_two_round_trips_per_worker() {
     // all four workers involved. One append plus one commit per span
     // owner = 5 awaited round-trips ≤ 2 × 4; the punch sweep, fragment
     // puts, buffer refresh, and releases are fire-and-forget.
-    let before = trips(&j);
+    let before = round_trips(&j);
     j.write(client(2), "/rt", 0, Payload::pattern(2, 4096))
         .unwrap();
-    let wide = trips(&j) - before;
+    let wide = round_trips(&j) - before;
     assert!(
         wide <= 2 * 4,
         "all-partition write took {wide} round-trips (> 2 per worker)"
@@ -484,10 +553,44 @@ fn batched_write_stays_within_two_round_trips_per_worker() {
 
     // Overwriting the same span adds no extra awaited waves — the
     // sweep/release work stays asynchronous.
-    let before = trips(&j);
+    let before = round_trips(&j);
     j.write(client(2), "/rt", 0, Payload::pattern(3, 4096))
         .unwrap();
-    assert_eq!(trips(&j) - before, 5, "overwrite must not add waves");
+    assert_eq!(round_trips(&j) - before, 5, "overwrite must not add waves");
+
+    // Steady state (the reply-slot pool has grown to the widest wave):
+    // fused rewrites of a file only their writer's node tracks cost
+    // exactly one round-trip and one message each — the displaced space
+    // is the writer's own, so no finish post follows — and no round-trip,
+    // fused or wide, allocates a reply slot. (Messages are counted at
+    // dequeue, so a wide write's fire-and-forget finish wave may still
+    // trickle in.)
+    j.open_file("/solo").read_write().by(client(0)).unwrap();
+    j.write(client(0), "/solo", 0, Payload::pattern(9, 1024))
+        .unwrap();
+    let plane = |j: &UniviStorJob| {
+        let snap = j.metrics();
+        (
+            snap.counter_total("univistor_partition_round_trips_total"),
+            snap.counter_total("univistor_partition_messages_total"),
+            snap.counter_total("univistor_msgplane_reply_pool_misses_total"),
+        )
+    };
+    let (trips0, messages0, misses0) = plane(&j);
+    for i in 0..50 {
+        j.write(client(0), "/solo", 0, Payload::pattern(10 + i, 1024))
+            .unwrap();
+    }
+    j.write(client(2), "/rt", 0, Payload::pattern(4, 4096))
+        .unwrap();
+    let (trips1, messages1, misses1) = plane(&j);
+    assert_eq!(trips1 - trips0, 50 + 5);
+    let messages = messages1 - messages0;
+    assert!(
+        (50 + 5..=50 + 5 + 2 * 4).contains(&messages),
+        "{messages} messages for 50 fused + 1 wide write"
+    );
+    assert_eq!(misses1 - misses0, 0, "steady-state reply-slot allocation");
 
     let snap = j.metrics();
     assert_eq!(

@@ -6,7 +6,7 @@
 //! coalesced records never exceed the metadata range.
 
 use std::sync::Arc;
-use univistor_core::config::{UniviStorConfig, WritePipeline};
+use univistor_core::config::{Runtime, UniviStorConfig, WritePipeline};
 use univistor_core::metadata::ClientId;
 use univistor_core::server::UniviStorJob;
 use univistor_sim::rng::DetRng;
@@ -176,4 +176,65 @@ fn fresh_sequential_write_stats_are_pipeline_invariant() {
         assert_eq!(jobs[0].metadata_records(), 4 * 4);
     }
     assert_eq!(jobs[1].metadata_records(), 4 * 4);
+}
+
+/// The deterministic counters of the retired `write_batch` bench, at its
+/// shape: a client streams 16-segment writes, cycling a 64-block window so
+/// every pass after the first overwrites. The 32 KiB metadata range caps a
+/// coalesced record at 8 segments, so a batched call commits 2 records for
+/// its 16 pieces (8×: 40 000 records for 320 000 pieces at the bench's
+/// 20 000 calls) under one append plus at most one release chain lock and
+/// one accounting lock; the per-piece reference takes each 16 times.
+#[test]
+fn batched_call_coalesces_8x_within_two_chain_locks() {
+    const CALLS: u64 = 320;
+    const WINDOW: u64 = 64;
+    let block = 16 * 4096u64;
+    let client = ClientId::new(0, 0);
+    // [pieces, records committed, records live, chain locks, accounting locks]
+    let run = |pipeline| {
+        let mut cfg = UniviStorConfig::paper(4);
+        cfg.runtime = Runtime::Locked;
+        cfg.features.flush_on_close = false;
+        cfg.chunk_size = 64 << 10;
+        cfg.segment_size = 4 << 10;
+        cfg.metadata_range_size = 32 << 10;
+        cfg.write_pipeline = pipeline;
+        let job = UniviStorJob::new(cfg);
+        job.open_file("/wb").read_write().by(client).unwrap();
+        for i in 0..CALLS {
+            let data = Payload::pattern(i, block);
+            job.write(client, "/wb", (i % WINDOW) * block, data)
+                .unwrap();
+        }
+        let snap = job.metrics();
+        let lock = |l| {
+            snap.counter("univistor_write_lock_acquisitions_total", &[("lock", l)])
+                .unwrap_or(0)
+        };
+        [
+            snap.counter_total("univistor_write_pieces_total"),
+            snap.counter_total("univistor_write_records_total"),
+            job.metadata_records() as u64,
+            lock("chain"),
+            lock("accounting"),
+        ]
+    };
+    // Chain locks: one per append, one per release — and every call past
+    // the first pass over the window displaces what it overwrites.
+    let (pieces, overwrites) = (16 * CALLS, CALLS - WINDOW);
+    assert_eq!(
+        run(WritePipeline::Batched),
+        [pieces, 2 * CALLS, 2 * WINDOW, CALLS + overwrites, CALLS]
+    );
+    assert_eq!(
+        run(WritePipeline::PerPiece),
+        [
+            pieces,
+            pieces,
+            16 * WINDOW,
+            pieces + 16 * overwrites,
+            pieces
+        ]
+    );
 }
