@@ -69,12 +69,12 @@ pub enum WritePipeline {
     /// run under one chain-lock acquisition, commit metadata with a single
     /// punch and partition-grouped puts, coalesce VA-contiguous same-layer
     /// pieces into one record (capped at `metadata_range_size`), and touch
-    /// the node buffer and accounting mutex once per write call.
+    /// the node buffer once per write call.
     #[default]
     Batched,
     /// Reference implementation: one chain-lock / punch / KV put /
-    /// node-buffer and accounting acquisition per segment piece. Kept for
-    /// differential tests.
+    /// node-buffer acquisition per segment piece. Kept for differential
+    /// tests.
     PerPiece,
 }
 
@@ -216,9 +216,6 @@ pub struct TieringConfig {
     /// decay — the legacy behavior, where a once-hot segment pins the
     /// fast tier forever).
     pub heat_decay_passes: u64,
-    /// A span with at most this many recorded reads counts as cold for
-    /// the continuous PFS drain.
-    pub cold_max_reads: u32,
 }
 
 impl Default for TieringConfig {
@@ -234,7 +231,6 @@ impl Default for TieringConfig {
             drain_batch: 64,
             promotion: PromotionPolicy::default(),
             heat_decay_passes: 16,
-            cold_max_reads: 0,
         }
     }
 }
@@ -274,9 +270,6 @@ pub struct ScrubConfig {
     /// Wall-clock pause between a scrubber actor's passes, in
     /// milliseconds.
     pub interval_ms: u64,
-    /// Most segment records one pass verifies per node (rate limit, so
-    /// the scrubber steals bounded work from the data plane).
-    pub max_segments_per_pass: usize,
 }
 
 impl Default for ScrubConfig {
@@ -284,7 +277,6 @@ impl Default for ScrubConfig {
         ScrubConfig {
             enabled: false,
             interval_ms: 5,
-            max_segments_per_pass: 256,
         }
     }
 }
@@ -398,11 +390,10 @@ pub struct UniviStorConfig {
     pub read_pipeline: ReadPipeline,
     /// Which flush-plane implementation to use (parallel by default).
     pub flush_pipeline: FlushPipeline,
-    /// Forward reads by one `(client, fid)` pair whose start matches the
-    /// previous read's end before readahead kicks in. Streak detection is
-    /// per client+file, so interleaved streams don't defeat it.
-    pub readahead_min_streak: u32,
-    /// Bytes of extra metadata lookup issued past a sequential read's end;
+    /// Bytes of extra metadata lookup issued past a sequential read's end
+    /// (a `(client, fid)` stream counts as sequential after
+    /// [`READAHEAD_MIN_STREAK`](crate::read::READAHEAD_MIN_STREAK) forward
+    /// reads, so interleaved streams don't defeat the detection);
     /// the widened window lands in the node's read record cache, so the
     /// following reads of the scan are served without metadata RPCs.
     /// `0` disables readahead (the default for the figure configurations,
@@ -457,7 +448,6 @@ impl UniviStorConfig {
             write_pipeline: WritePipeline::default(),
             read_pipeline: ReadPipeline::default(),
             flush_pipeline: FlushPipeline::default(),
-            readahead_min_streak: 2,
             readahead_window: 0,
             retry: RetryPolicy::default(),
             fault: None,
@@ -482,27 +472,10 @@ impl UniviStorConfig {
                 procs_per_node,
                 servers_per_node: 2,
             },
-            features: Features::default(),
-            cal: Calibration::default(),
             chunk_size: 256,
             metadata_range_size: 1024,
-            alpha: 8,
             segment_size: 128,
-            enable_dram: true,
-            enable_bb: true,
-            replicate_volatile: false,
-            write_pipeline: WritePipeline::default(),
-            read_pipeline: ReadPipeline::default(),
-            flush_pipeline: FlushPipeline::default(),
-            readahead_min_streak: 2,
-            readahead_window: 0,
-            retry: RetryPolicy::default(),
-            fault: None,
-            tiering: TieringConfig::default(),
-            integrity: IntegrityConfig::default(),
-            runtime: Runtime::default(),
-            partitions: 0,
-            mailbox_depth: 1024,
+            ..UniviStorConfig::paper(1)
         };
         // Tiny tiers so tests exercise spilling: 1 KiB DRAM per node,
         // 4 KiB per BB node.

@@ -33,6 +33,7 @@
 //! after spilling across tiers and flushing to the PFS. The timing plane
 //! consumes the receipts these modules produce.
 
+pub(crate) mod actor;
 pub mod config;
 pub mod driver;
 pub mod error;

@@ -166,16 +166,20 @@ struct SeqCursor {
     streak: AtomicU32,
 }
 
+/// Forward reads by one `(client, fid)` stream, each starting where the
+/// previous ended, before readahead kicks in.
+pub const READAHEAD_MIN_STREAK: u32 = 2;
+
 impl SeqCursor {
     /// Record a read of `[offset, end)`; true when the forward streak has
-    /// reached `min_streak`.
-    fn advance(&self, offset: u64, end: u64, min_streak: u32) -> bool {
+    /// reached [`READAHEAD_MIN_STREAK`].
+    fn advance(&self, offset: u64, end: u64) -> bool {
         if self.last_end.swap(end, Ordering::Relaxed) == offset {
             let streak = self
                 .streak
                 .fetch_add(1, Ordering::Relaxed)
                 .saturating_add(1);
-            streak >= min_streak
+            streak >= READAHEAD_MIN_STREAK
         } else {
             self.streak.store(0, Ordering::Relaxed);
             false
@@ -190,21 +194,15 @@ impl ReadState {
     }
 
     /// Record `client` reading `[offset, end)` of `fid`; true when the
-    /// stream has sustained a forward scan for at least `min_streak`
-    /// consecutive reads (each starting where the previous ended).
-    pub fn advance(
-        &self,
-        client: ClientId,
-        fid: u64,
-        offset: u64,
-        end: u64,
-        min_streak: u32,
-    ) -> bool {
+    /// stream has sustained a forward scan for at least
+    /// [`READAHEAD_MIN_STREAK`] consecutive reads (each starting where the
+    /// previous ended).
+    pub fn advance(&self, client: ClientId, fid: u64, offset: u64, end: u64) -> bool {
         let key = (client, fid);
         {
             let cursors = self.cursors.read().expect("read state poisoned");
             if let Some(cursor) = cursors.get(&key) {
-                return cursor.advance(offset, end, min_streak);
+                return cursor.advance(offset, end);
             }
         }
         self.cursors
@@ -212,7 +210,7 @@ impl ReadState {
             .expect("read state poisoned")
             .entry(key)
             .or_default()
-            .advance(offset, end, min_streak)
+            .advance(offset, end)
     }
 }
 
@@ -461,7 +459,6 @@ pub struct ReadService<'a, S = CoreFlushSource<'a>> {
     geometry: &'a JobGeometry,
     location_aware: bool,
     pipeline: ReadPipeline,
-    readahead_min_streak: u32,
     readahead_window: u64,
     state: Option<&'a ReadState>,
     failed_nodes: Option<&'a HashSet<usize>>,
@@ -496,7 +493,6 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
             geometry,
             location_aware: true,
             pipeline: ReadPipeline::default(),
-            readahead_min_streak: 2,
             readahead_window: 0,
             state: None,
             failed_nodes: None,
@@ -536,10 +532,10 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
 
     /// Configure sequential readahead: widen distributed lookups by
     /// `window` bytes once a `(client, fid)` stream has read forward for
-    /// `min_streak` consecutive requests. `window == 0` disables it.
-    /// Requires [`with_state`](Self::with_state) to take effect.
-    pub fn readahead(mut self, min_streak: u32, window: u64) -> Self {
-        self.readahead_min_streak = min_streak;
+    /// [`READAHEAD_MIN_STREAK`] consecutive requests. `window == 0`
+    /// disables it. Requires [`with_state`](Self::with_state) to take
+    /// effect.
+    pub fn readahead(mut self, window: u64) -> Self {
         self.readahead_window = window;
         self
     }
@@ -651,9 +647,7 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
         // the node buffer fully covers), so a stream stays "hot" when it
         // transitions from local to remote data.
         let readahead_active = match (self.state, self.readahead_window) {
-            (Some(state), window) if window > 0 => {
-                state.advance(client, fid, offset, end, self.readahead_min_streak)
-            }
+            (Some(state), window) if window > 0 => state.advance(client, fid, offset, end),
             _ => false,
         };
         // A sequential scan widens the distributed fetch window so the
@@ -976,7 +970,7 @@ mod tests {
         write_segments(&md, &chains, &geom, ClientId::new(0, 2), 4);
         let state = ReadState::new();
         let service = svc(&md, &chains, &geom, true)
-            .readahead(2, 256)
+            .readahead(256)
             .with_state(&state);
         let base = 8 * 64;
         let mut trace = ReadTrace::default();
@@ -1056,13 +1050,13 @@ mod tests {
     fn scan_detector_requires_contiguous_forward_reads() {
         let state = ReadState::new();
         let c = ClientId::new(0, 0);
-        assert!(!state.advance(c, 1, 64, 128, 2), "fresh stream");
-        assert!(!state.advance(c, 1, 128, 192, 2), "streak 1 of 2");
-        assert!(state.advance(c, 1, 192, 256, 2), "streak reached 2");
+        assert!(!state.advance(c, 1, 64, 128), "fresh stream");
+        assert!(!state.advance(c, 1, 128, 192), "streak 1 of 2");
+        assert!(state.advance(c, 1, 192, 256), "streak reached 2");
         // A backward jump resets the streak.
-        assert!(!state.advance(c, 1, 0, 64, 2));
-        assert!(!state.advance(c, 1, 64, 128, 2));
+        assert!(!state.advance(c, 1, 0, 64));
+        assert!(!state.advance(c, 1, 64, 128));
         // Streams are independent per (client, fid).
-        assert!(!state.advance(ClientId::new(0, 1), 1, 128, 256, 2));
+        assert!(!state.advance(ClientId::new(0, 1), 1, 128, 256));
     }
 }

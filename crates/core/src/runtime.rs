@@ -85,7 +85,7 @@ use crate::metadata::{
     BatchOutcome, ClientId, CommitStats, Displaced, Generations, MetadataService, NodeBuffer,
     ReadCache, SegKey, SegmentRecord,
 };
-use crate::metrics::{MsgPlaneMetrics, PartitionMetrics, WriteLockCounts};
+use crate::metrics::{MsgPlaneMetrics, PartitionMetrics};
 use crate::placement::{append_run, ChainSet, PlacedSegment, ProcChain};
 use crate::read::{covered_bytes, Gathered, RemoteLookup};
 use crate::va::{Tier, VirtualAddr};
@@ -172,9 +172,7 @@ pub(crate) struct PlanReply {
 }
 
 /// A worker's entire owned state, detached for a checkout and re-installed
-/// afterwards. Byte accounting (`Worker::bytes`) deliberately stays
-/// resident in the worker: the locked core has no equivalent structure and
-/// workers are parked for the whole checkout, so it cannot drift.
+/// afterwards.
 #[derive(Debug, Default)]
 struct Slice {
     /// Owned KV partitions: partition → records.
@@ -199,7 +197,6 @@ enum Reply {
     Punch(PunchOutcome),
     Records(Vec<(SegKey, SegmentRecord)>),
     Fetched(SimResult<Vec<(Payload, Tier)>>),
-    Bytes(Vec<((ClientId, Tier), u64)>),
     Fused(SimResult<FusedReply>),
     Plan(SimResult<PlanReply>),
 }
@@ -269,14 +266,10 @@ enum Req {
     /// Append a payload run to `client`'s chain — `ChainSet::append_many`
     /// semantics (per-piece fault draw, full-batch rollback). With
     /// `ensure` set, the chain is created first if absent (the fused
-    /// replacement for a separate EnsureChain round-trip); with `account`
-    /// set, successful placements are added to the worker's per-(client,
-    /// tier) byte ledger (the routed write path's replacement for the
-    /// router-side accounting mutex).
+    /// replacement for a separate EnsureChain round-trip).
     Append {
         client: ClientId,
         payloads: Vec<Payload>,
-        account: bool,
         ensure: bool,
         reply: Arc<ReplySlot>,
     },
@@ -361,8 +354,6 @@ enum Req {
         requests: Vec<(VirtualAddr, u64)>,
         reply: Arc<ReplySlot>,
     },
-    /// Report (and with `take`, reset) the worker's byte ledger.
-    CollectBytes { take: bool, reply: Arc<ReplySlot> },
     /// Detach the worker's slice, park until the router checks it back in.
     /// The cold checkout path keeps plain `mpsc` channels — slices are
     /// large and the exchange is rare, so pooling buys nothing.
@@ -440,7 +431,6 @@ struct Worker {
     read_cache: HashMap<usize, ReadCache>,
     chains: HashMap<ClientId, ProcChain>,
     heat: HashMap<usize, HashMap<SegKey, u32>>,
-    bytes: HashMap<(ClientId, Tier), u64>,
 }
 
 impl Worker {
@@ -459,16 +449,15 @@ impl Worker {
                 Req::Append {
                     client,
                     payloads,
-                    account,
                     ensure,
                     reply,
                 } => {
                     self.metrics.batched_ops.add(payloads.len() as u64);
                     let result = if ensure {
                         self.ensure_chain(client)
-                            .and_then(|()| self.append(client, payloads, account))
+                            .and_then(|()| self.append(client, payloads))
                     } else {
-                        self.append(client, payloads, account)
+                        self.append(client, payloads)
                     };
                     reply.fill(Reply::Placed(result));
                 }
@@ -556,15 +545,6 @@ impl Worker {
                     self.metrics.batched_ops.add(requests.len() as u64);
                     reply.fill(Reply::Fetched(self.fetch(client, &requests)));
                 }
-                Req::CollectBytes { take, reply } => {
-                    self.metrics.batched_ops.inc();
-                    let ledger: Vec<((ClientId, Tier), u64)> =
-                        self.bytes.iter().map(|(k, v)| (*k, *v)).collect();
-                    if take {
-                        self.bytes.clear();
-                    }
-                    reply.fill(Reply::Bytes(ledger));
-                }
                 Req::Checkout { reply, checkin } => {
                     self.metrics.batched_ops.inc();
                     let _ = reply.send(self.take_slice());
@@ -589,24 +569,16 @@ impl Worker {
         Ok(())
     }
 
-    /// [`append_run`] on an owned chain; with `account` set, successful
-    /// placements are added to the per-(client, tier) byte ledger.
+    /// [`append_run`] on an owned chain.
     fn append(
         &mut self,
         client: ClientId,
         payloads: Vec<Payload>,
-        account: bool,
     ) -> SimResult<Vec<PlacedSegment>> {
         let Some(chain) = self.chains.get_mut(&client) else {
             return Err(no_chain(client));
         };
-        let placed = append_run(chain, self.injector.as_deref(), client, 0, payloads)?;
-        if account {
-            for p in &placed {
-                *self.bytes.entry((client, p.tier)).or_insert(0) += p.len;
-            }
-        }
-        Ok(placed)
+        append_run(chain, self.injector.as_deref(), client, 0, payloads)
     }
 
     /// Release a span of an owned chain; a missing chain is a no-op (as
@@ -828,10 +800,10 @@ impl WriteExecutor for FusedWrite<'_> {
         &mut self,
         client: ClientId,
         payloads: Vec<Payload>,
-        primary: bool,
+        _primary: bool,
     ) -> SimResult<Vec<PlacedSegment>> {
         self.worker.ensure_chain(client)?;
-        self.worker.append(client, payloads, primary)
+        self.worker.append(client, payloads)
     }
 
     fn commit(
@@ -875,10 +847,9 @@ impl WriteExecutor for FusedWrite<'_> {
     fn finish(
         &mut self,
         _op: &WriteOp,
-        _placed: &[PlacedSegment],
         _records: &[(u64, SegmentRecord)],
         spans: Vec<Span>,
-    ) -> WriteLockCounts {
+    ) -> u64 {
         let w = &mut *self.worker;
         for (client, va, len) in spans {
             if (client.rank as usize / w.procs_per_node) % w.workers == w.id {
@@ -887,7 +858,7 @@ impl WriteExecutor for FusedWrite<'_> {
                 self.reply.foreign_spans.push((client, va, len));
             }
         }
-        WriteLockCounts::default()
+        0
     }
 }
 
@@ -1048,7 +1019,6 @@ impl PartitionedCore {
                     .step_by(pool)
                     .map(|p| (p, HashMap::new()))
                     .collect(),
-                bytes: HashMap::new(),
             };
             let join = std::thread::Builder::new()
                 .name(format!("univistor-part-{id}"))
@@ -1210,13 +1180,13 @@ impl PartitionedCore {
 
     /// Create `client`'s chain if absent (an ensure-only append).
     pub(crate) fn ensure_chain(&self, client: ClientId) -> SimResult<()> {
-        self.append(client, Vec::new(), false, true).map(|_| ())
+        self.append(client, Vec::new(), true).map(|_| ())
     }
 
     /// Error exactly like a chain lookup if `client` has no chain (an
     /// empty append that must not create one).
     pub(crate) fn chain_exists(&self, client: ClientId) -> SimResult<()> {
-        self.append(client, Vec::new(), false, false).map(|_| ())
+        self.append(client, Vec::new(), false).map(|_| ())
     }
 
     /// Append a payload run to `client`'s chain (see [`Req::Append`]).
@@ -1224,13 +1194,11 @@ impl PartitionedCore {
         &self,
         client: ClientId,
         payloads: Vec<Payload>,
-        account: bool,
         ensure: bool,
     ) -> SimResult<Vec<PlacedSegment>> {
         match self.call(self.owner_of_client(client), |reply| Req::Append {
             client,
             payloads,
-            account,
             ensure,
             reply,
         }) {
@@ -1515,25 +1483,6 @@ impl PartitionedCore {
         }
     }
 
-    /// Merge (and with `take`, reset) every worker's byte ledger — the
-    /// partitioned replacement for the locked accounting mutex.
-    pub(crate) fn collect_bytes(&self, take: bool) -> HashMap<(ClientId, Tier), u64> {
-        let mut merged: HashMap<(ClientId, Tier), u64> = HashMap::new();
-        self.wave(
-            0..self.workers.len(),
-            |_, reply| Req::CollectBytes { take, reply },
-            |reply| match reply {
-                Reply::Bytes(ledger) => {
-                    for (key, bytes) in ledger {
-                        *merged.entry(key).or_insert(0) += bytes;
-                    }
-                }
-                _ => unreachable!("collect-bytes reply"),
-            },
-        );
-        merged
-    }
-
     /// Park every worker, assemble the full locked core from their slices,
     /// run `f` against it, then disassemble and redistribute by ownership.
     /// Chains or records `f` creates (e.g. repair's re-replication) land on
@@ -1686,8 +1635,8 @@ impl PartitionedCore {
 }
 
 /// The routed two-wave protocol as the write driver's executor: the append
-/// is one awaited message (chain creation folded in, the byte ledger kept
-/// by the appending worker), the commit one awaited `WriteCommit` per span
+/// is one awaited message (chain creation folded in), the commit one
+/// awaited `WriteCommit` per span
 /// owner, and everything after it rides the fire-and-forget finish wave —
 /// mailbox FIFO order sequences that before any later observer. Zero
 /// counted locks.
@@ -1706,9 +1655,9 @@ impl WriteExecutor for RoutedWrite<'_> {
         &mut self,
         client: ClientId,
         payloads: Vec<Payload>,
-        primary: bool,
+        _primary: bool,
     ) -> SimResult<Vec<PlacedSegment>> {
-        self.core.append(client, payloads, primary, true)
+        self.core.append(client, payloads, true)
     }
 
     fn commit(
@@ -1730,13 +1679,7 @@ impl WriteExecutor for RoutedWrite<'_> {
         })
     }
 
-    fn finish(
-        &mut self,
-        op: &WriteOp,
-        _placed: &[PlacedSegment],
-        records: &[(u64, SegmentRecord)],
-        spans: Vec<Span>,
-    ) -> WriteLockCounts {
+    fn finish(&mut self, op: &WriteOp, records: &[(u64, SegmentRecord)], spans: Vec<Span>) -> u64 {
         self.core.write_finish(
             op.fid,
             op.node,
@@ -1745,7 +1688,7 @@ impl WriteExecutor for RoutedWrite<'_> {
             Some(records),
             spans,
         );
-        WriteLockCounts::default()
+        0
     }
 }
 
@@ -1896,15 +1839,13 @@ mod tests {
         core.ensure_chain(client).unwrap();
         core.chain_exists(client).unwrap();
         let placed = core
-            .append(client, vec![Payload::pattern(7, 64)], true, false)
+            .append(client, vec![Payload::pattern(7, 64)], false)
             .unwrap();
         assert_eq!(placed.len(), 1);
         let got = core
             .fetch(client, vec![(placed[0].va, placed[0].len)])
             .unwrap();
         assert!(got[0].0.content_eq(&Payload::pattern(7, 64)));
-        let bytes = core.collect_bytes(false);
-        assert_eq!(bytes[&(client, placed[0].tier)], 64);
     }
 
     #[test]
@@ -1995,7 +1936,7 @@ mod tests {
         let client = ClientId::new(0, 2); // node 1 → worker 1
         core.ensure_chain(client).unwrap();
         let placed = core
-            .append(client, vec![Payload::pattern(3, 64)], false, false)
+            .append(client, vec![Payload::pattern(3, 64)], false)
             .unwrap();
         let rec = SegmentRecord::new(client, placed[0].va, 64);
         let out = core.write_commit(9, 0, 64, &[(0, rec)]);

@@ -21,8 +21,8 @@
 //!    record can have been overwritten, migrated, or already repaired),
 //!    and rebuild the ones still bad.
 //! 2. **Index walk** — resume the node's cursor over `(fid, offset)`
-//!    space, verify up to [`ScrubConfig::max_segments_per_pass`] of this
-//!    node's records (both copies when replicated), repair what fails,
+//!    space, verify up to [`MAX_SEGMENTS_PER_PASS`] of this node's
+//!    records (both copies when replicated), repair what fails,
 //!    and opportunistically stamp unstamped records whose content is
 //!    unambiguous.
 //!
@@ -39,8 +39,8 @@
 //! index shard locks strictly between chain acquisitions.
 //!
 //! [`ScrubConfig::enabled`]: crate::config::ScrubConfig
-//! [`ScrubConfig::max_segments_per_pass`]: crate::config::ScrubConfig
 
+use crate::actor::NodeActors;
 use crate::config::UniviStorConfig;
 use crate::fault::with_retries;
 use crate::integrity::Verifier;
@@ -51,10 +51,14 @@ use crate::repair::place_copy;
 use crate::server::UniviStorJob;
 use crate::va::VirtualAddr;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use univistor_sim::{Payload, SimResult};
+
+/// Most segment records one pass verifies per node (rate limit, so the
+/// scrubber steals bounded work from the data plane).
+pub const MAX_SEGMENTS_PER_PASS: usize = 256;
 
 /// One bad copy a reader (or flush) detected: the record's key and the
 /// exact `(client, va)` span that failed its verify. The scrubber treats
@@ -416,7 +420,7 @@ fn restamp_record(
 }
 
 /// Run one scrub pass for `node`: drain this node's share of the corrupt
-/// queue, then walk up to `max_segments_per_pass` of this node's records
+/// queue, then walk up to [`MAX_SEGMENTS_PER_PASS`] of this node's records
 /// from the resumable cursor. Returns a skipped report when a pass for
 /// the same node is already running.
 pub(crate) fn run_scrub_pass(ctx: &ScrubCtx<'_>, node: usize) -> SimResult<ScrubReport> {
@@ -463,7 +467,7 @@ pub(crate) fn run_scrub_pass(ctx: &ScrubCtx<'_>, node: usize) -> SimResult<Scrub
     }
 
     // Phase 2: resumable index walk over this node's records.
-    let mut budget = ctx.cfg.integrity.scrub.max_segments_per_pass;
+    let mut budget = MAX_SEGMENTS_PER_PASS;
     let mut files = ctx.files.clone();
     files.sort_unstable();
     let (cur_fid, cur_off) = ctx.state.cursor(node);
@@ -539,56 +543,32 @@ impl<'a> ScrubHandle<'a> {
 ///
 /// [`ScrubConfig::interval_ms`]: crate::config::ScrubConfig
 #[derive(Debug)]
-pub struct ScrubDaemon {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
+pub struct ScrubDaemon(NodeActors);
 
 impl ScrubDaemon {
     /// Start the per-node actors for `job`.
     pub fn spawn(job: Arc<UniviStorJob>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        if job.cfg().integrity.scrub.enabled {
-            for node in 0..job.cfg().geometry.nodes {
-                let job = Arc::clone(&job);
-                let stop = Arc::clone(&stop);
-                threads.push(std::thread::spawn(move || {
-                    let interval = Duration::from_millis(job.cfg().integrity.scrub.interval_ms);
-                    while !stop.load(Ordering::Acquire) {
-                        // Pass errors are not fatal to the daemon: the
-                        // next tick retries from fresh state.
-                        let _ = job.scrub_pass(node);
-                        std::thread::park_timeout(interval);
-                    }
-                }));
-            }
-        }
-        ScrubDaemon { stop, threads }
+        let cfg = job.cfg().integrity.scrub;
+        let interval = Duration::from_millis(cfg.interval_ms);
+        ScrubDaemon(NodeActors::spawn(
+            job,
+            cfg.enabled,
+            interval,
+            |job, node| {
+                let _ = job.scrub_pass(node);
+            },
+        ))
     }
 
     /// Number of actor threads running (0 when scrubbing is disabled).
     pub fn actors(&self) -> usize {
-        self.threads.len()
+        self.0.actors()
     }
 
-    /// Signal all actors and wait for them to exit.
+    /// Signal all actors and wait for them to exit (dropping does the
+    /// same).
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ScrubDaemon {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.0.stop_and_join();
     }
 }
 

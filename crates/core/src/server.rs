@@ -35,10 +35,10 @@
 //! are byte-identical by construction (and pinned so by the differential
 //! tests in `tests/runtime.rs`).
 //!
-//! Every hot path reports into the job's [`JobMetrics`] panel;
-//! [`UniviStorJob::metrics`] snapshots it. The legacy [`JobStats`] view is
-//! *derived* from those same counters (plus the structured leftovers the
-//! panel cannot hold: flush receipts and the per-client byte map), so the
+//! Every hot path reports into the job's [`JobMetrics`] panel — the only
+//! accounting the job keeps — and [`UniviStorJob::metrics`] snapshots it.
+//! [`JobStats`] is the typed delta of two such snapshots (plus the one
+//! structured leftover the panel cannot hold, the flush receipts), so the
 //! two can never disagree.
 
 use crate::config::{FlushPipeline, Runtime, UniviStorConfig, WritePipeline};
@@ -47,7 +47,7 @@ use crate::fault::{with_retries, FaultInjector};
 use crate::flush::{flush_with_source, CoreFlushSource, FlushReceipt, FlushRequest, FlushSource};
 use crate::integrity::Verifier;
 use crate::metadata::{BatchOutcome, ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::{JobMetrics, ScalarValues, WriteLockCounts};
+use crate::metrics::{tier_label, Fam, JobMetrics, WriteLockCounts, TIERS};
 use crate::placement::{
     healthy_buddy, layer_caps_with_node_local, ChainSet, PlacedSegment, ProcChain,
 };
@@ -69,11 +69,13 @@ use univistor_obs::MetricsSnapshot;
 use univistor_pfs::Lustre;
 use univistor_sim::{Payload, SimError, SimResult};
 
-/// Aggregated operation counters — the timing plane's raw material.
+/// Aggregated operation counters of one phase — the timing plane's raw
+/// material.
 ///
-/// This is a compatibility view computed from the job's [`JobMetrics`]
-/// panel; [`UniviStorJob::metrics`] exposes the full panel (including
-/// histograms and spill events this flat shape cannot carry).
+/// The typed delta of two [`JobMetrics`] snapshots (see
+/// [`UniviStorJob::stats`]); [`UniviStorJob::metrics`] exposes the full
+/// panel, including histograms and spill events this flat shape cannot
+/// carry.
 #[derive(Debug, Clone, Default)]
 pub struct JobStats {
     /// Metadata RPCs hitting the (single, file-name-hashed) server during
@@ -88,8 +90,6 @@ pub struct JobStats {
     pub segments: u64,
     /// Bytes cached per tier.
     pub bytes_by_tier: BTreeMap<Tier, u64>,
-    /// Bytes cached per (client, tier) — drives per-socket flow building.
-    pub bytes_by_client_tier: HashMap<(ClientId, Tier), u64>,
     /// Metadata-put RPCs from writes.
     pub write_md_rpcs: u64,
     /// Aggregated read accounting.
@@ -113,16 +113,15 @@ struct FileEntry {
     written: AtomicBool,
 }
 
-/// Structured accounting the flat metrics panel cannot hold, plus the
-/// baseline `stats()` diffs against. Cold-path only (flush completions,
-/// stats snapshots), so a plain mutex.
-#[derive(Debug)]
+/// The flush receipts (structured, so the flat panel cannot hold them)
+/// and the baseline `stats()` diffs against. Taken only at flush
+/// completion and in `stats()`/`take_stats()`, so a plain mutex.
+#[derive(Debug, Default)]
 struct Accounting {
-    /// Counter values at the last `take_stats` — `stats()` reports the
-    /// delta since this baseline over the monotonic metrics panel.
-    stats_base: ScalarValues,
+    /// The panel at the last `take_stats` (empty at construction: every
+    /// counter starts at zero) — `stats()` reports the delta since.
+    stats_base: MetricsSnapshot,
     flush_receipts: Vec<FlushReceipt>,
-    bytes_by_client_tier: HashMap<(ClientId, Tier), u64>,
 }
 
 /// The job's data-plane state, selected by [`Runtime`]: the resident
@@ -185,9 +184,9 @@ pub struct UniviStorJob {
     /// Deterministic fault schedule (`cfg.fault`); `None` — the default —
     /// means the data path pays only this `Option` check.
     injector: Option<Arc<FaultInjector>>,
-    /// Background tiering engine state (drain ledgers, pass gates,
-    /// lifetime counters). With tiering disabled the write path pays one
-    /// relaxed atomic load against it.
+    /// Background tiering engine state (drain ledgers, pass gates, the
+    /// pause flag). With tiering disabled the write path pays one relaxed
+    /// atomic load against it.
     tiering: TieringState,
     /// The job's digest authority (per-job digest memo): every stamp and
     /// verify of the integrity plane goes through it.
@@ -276,7 +275,10 @@ impl UniviStorJob {
     /// Panics when the configuration fails [`UniviStorConfig::validate`];
     /// use [`try_new`](Self::try_new) to receive the typed error instead.
     pub fn new(cfg: UniviStorConfig) -> Self {
-        Self::with_metrics(cfg, Arc::new(JobMetrics::new()))
+        if let Err(e) = cfg.validate() {
+            panic!("invalid UniviStorConfig: {e}");
+        }
+        Self::launch(cfg)
     }
 
     /// Launch the service after validating the configuration, rejecting
@@ -284,20 +286,14 @@ impl UniviStorJob {
     /// depth, or a zero-attempt retry policy with a typed error.
     pub fn try_new(cfg: UniviStorConfig) -> Result<Self> {
         cfg.validate().map_err(|e| Error::new("config", e))?;
-        Ok(Self::with_metrics(cfg, Arc::new(JobMetrics::new())))
+        Ok(Self::launch(cfg))
     }
 
-    /// Launch the service reporting into an existing metrics panel.
-    ///
-    /// Note that [`Self::stats`] reads phase deltas off the panel's
-    /// counters, so sharing one panel across concurrently *measured* jobs
-    /// mixes their stats; share only for passive fleet-wide aggregation.
-    pub fn with_metrics(cfg: UniviStorConfig, metrics: Arc<JobMetrics>) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid UniviStorConfig: {e}");
-        }
+    /// Build the job around a fresh panel of its own (the typed views
+    /// read lifetime totals off it, so a panel is never shared).
+    fn launch(cfg: UniviStorConfig) -> Self {
+        let metrics = Arc::new(JobMetrics::new());
         let lustre = Lustre::new(cfg.cal.ost_count);
-        let stats_base = metrics.scalars();
         let injector = cfg
             .fault
             .clone()
@@ -346,11 +342,7 @@ impl UniviStorJob {
             failed_nodes: RwLock::new(HashSet::new()),
             failed_any: AtomicBool::new(false),
             read_state: ReadState::new(),
-            accounting: Mutex::new(Accounting {
-                stats_base,
-                flush_receipts: Vec::new(),
-                bytes_by_client_tier: HashMap::new(),
-            }),
+            accounting: Mutex::new(Accounting::default()),
             state_file: StateFile::new(),
             metrics,
             injector,
@@ -388,8 +380,8 @@ impl UniviStorJob {
         self.metrics.snapshot()
     }
 
-    /// The live metrics panel (for wiring schedulers or sharing with
-    /// other jobs).
+    /// The live metrics panel (for wiring schedulers, or keeping it past
+    /// the job).
     pub fn metrics_handle(&self) -> &Arc<JobMetrics> {
         &self.metrics
     }
@@ -613,8 +605,8 @@ impl UniviStorJob {
         Ok(())
     }
 
-    /// Reference write path: one chain-lock, punch, KV commit, node-buffer
-    /// sweep, and accounting acquisition per grid piece — the pre-batch
+    /// Reference write path: one chain-lock, punch, KV commit and
+    /// node-buffer sweep per grid piece — the pre-batch
     /// implementation, selected by [`WritePipeline::PerPiece`] for
     /// differential tests. Deliberately not built on the write driver (it
     /// shares only the grid plan): an oracle running the driver's stages
@@ -682,14 +674,6 @@ impl UniviStorJob {
             }
             self.metrics
                 .record_segment(placed.tier, placed.layer, piece_len);
-            *self
-                .accounting
-                .lock()
-                .expect("accounting poisoned")
-                .bytes_by_client_tier
-                .entry((client, placed.tier))
-                .or_insert(0) += piece_len;
-            locks.accounting += 1;
         }
         self.metrics
             .record_write_batch(pieces.len() as u64, pieces.len() as u64, locks);
@@ -775,7 +759,7 @@ impl UniviStorJob {
     ) -> ReadService<'a, S> {
         ReadService::over(source, &self.cfg.geometry, &self.verifier)
             .location_aware(self.cfg.features.location_aware_reads)
-            .readahead(self.cfg.readahead_min_streak, self.cfg.readahead_window)
+            .readahead(self.cfg.readahead_window)
             .with_state(&self.read_state)
             .with_failed_nodes(failed)
             .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
@@ -979,7 +963,7 @@ impl UniviStorJob {
         TieringHandle::new(self)
     }
 
-    /// The engine's shared state (ledgers, gates, counters).
+    /// The engine's shared state (drain ledgers, gates, the pause flag).
     pub(crate) fn tiering_state(&self) -> &TieringState {
         &self.tiering
     }
@@ -1255,9 +1239,6 @@ impl UniviStorJob {
         };
         self.metrics.flush_finished();
         let receipt = result?;
-        self.tiering
-            .catchup_skipped_bytes
-            .fetch_add(receipt.drained_ahead_bytes, Ordering::Relaxed);
         if self.cfg.features.workflow {
             self.state_file.end_flush(path);
         }
@@ -1357,63 +1338,64 @@ impl UniviStorJob {
         self.lustre.read().expect("lustre poisoned").ost_loads()
     }
 
-    /// Build the legacy flat view from the panel delta + structured state.
-    fn stats_view(&self, acct: &Accounting) -> JobStats {
-        let d = self.metrics.scalars().since(&acct.stats_base);
-        JobStats {
-            open_close_md_rpcs: d.md_open_close,
-            opens: d.opens,
-            closes: d.closes,
-            segments: d.segments,
-            bytes_by_tier: d.bytes_by_tier(),
-            bytes_by_client_tier: acct.bytes_by_client_tier.clone(),
-            write_md_rpcs: d.md_write,
-            read_trace: ReadTrace {
-                local_direct_bytes: d.read_local_hit,
-                local_via_server_bytes: d.read_local_via_server,
-                shared_direct_bytes: d.read_bb_direct,
-                pfs_direct_bytes: d.read_pfs_direct,
-                remote_bytes: d.read_remote_hop,
-                md_rpcs: d.md_read,
-                local_md_hits: d.md_local_hits,
-                requests: d.reads,
-                replica_bytes: d.read_replica,
-                md_cache_hits: d.read_md_cache_hits,
-                md_cache_misses: d.read_md_cache_misses,
-                readahead_bytes: d.read_readahead_bytes,
-            },
-            flush_receipts: acct.flush_receipts.clone(),
-            replicated_bytes: d.replicated_bytes,
-            promotions: d.promotions,
-        }
-    }
-
-    /// Snapshot of the counters (since construction or the last
-    /// [`Self::take_stats`]). Under the partitioned runtime the
-    /// per-(client, tier) byte map is merged from the workers' ledgers.
+    /// What the panel counted since construction or the last
+    /// [`Self::take_stats`], with the flush receipts of that phase.
     pub fn stats(&self) -> JobStats {
         let acct = self.accounting.lock().expect("accounting poisoned");
-        let mut out = self.stats_view(&acct);
-        if let Core::Partitioned(core) = &self.core {
-            out.bytes_by_client_tier = core.collect_bytes(false);
-        }
-        out
+        let delta = self.metrics.snapshot().since(&acct.stats_base);
+        JobStats::from_delta(&delta, acct.flush_receipts.clone())
     }
 
-    /// Take and reset the counters (phase boundaries in experiments).
-    /// The underlying metrics panel is monotonic and unaffected; only the
-    /// baseline this view diffs against advances (and, under the
-    /// partitioned runtime, the workers' byte ledgers drain).
+    /// Take the phase's stats and start the next phase (phase boundaries
+    /// in experiments). The panel is monotonic and unaffected; only the
+    /// baseline this view diffs against advances.
     pub fn take_stats(&self) -> JobStats {
         let mut acct = self.accounting.lock().expect("accounting poisoned");
-        let mut out = self.stats_view(&acct);
-        if let Core::Partitioned(core) = &self.core {
-            out.bytes_by_client_tier = core.collect_bytes(true);
+        let now = self.metrics.snapshot();
+        let delta = now.since(&acct.stats_base);
+        acct.stats_base = now;
+        JobStats::from_delta(&delta, std::mem::take(&mut acct.flush_receipts))
+    }
+}
+
+impl JobStats {
+    /// The one place the typed view is read off a panel delta
+    /// ([`MetricsSnapshot::since`]).
+    fn from_delta(delta: &MetricsSnapshot, flush_receipts: Vec<FlushReceipt>) -> JobStats {
+        let total = |fam: Fam| delta.counter_total(fam.name());
+        let of = |fam: Fam, key: &str, value: &str| {
+            delta.counter(fam.name(), &[(key, value)]).unwrap_or(0)
+        };
+        JobStats {
+            open_close_md_rpcs: of(Fam::MdRpcs, "op", "open_close"),
+            opens: of(Fam::Ops, "op", "open"),
+            closes: of(Fam::Ops, "op", "close"),
+            segments: total(Fam::Segments),
+            // Tiers nothing landed on are omitted.
+            bytes_by_tier: TIERS
+                .into_iter()
+                .map(|t| (t, of(Fam::CachedBytes, "tier", tier_label(t))))
+                .filter(|&(_, bytes)| bytes > 0)
+                .collect(),
+            write_md_rpcs: of(Fam::MdRpcs, "op", "write"),
+            read_trace: ReadTrace {
+                local_direct_bytes: of(Fam::ReadBytes, "path", "local_hit"),
+                local_via_server_bytes: of(Fam::ReadBytes, "path", "local_via_server"),
+                shared_direct_bytes: of(Fam::ReadBytes, "path", "bb_direct"),
+                pfs_direct_bytes: of(Fam::ReadBytes, "path", "pfs_direct"),
+                remote_bytes: of(Fam::ReadBytes, "path", "remote_hop"),
+                md_rpcs: of(Fam::MdRpcs, "op", "read"),
+                local_md_hits: total(Fam::MdLocalHits),
+                requests: of(Fam::Ops, "op", "read"),
+                replica_bytes: total(Fam::ReadReplicaBytes),
+                md_cache_hits: total(Fam::ReadMdCacheHits),
+                md_cache_misses: total(Fam::ReadMdCacheMisses),
+                readahead_bytes: total(Fam::ReadReadaheadBytes),
+            },
+            flush_receipts,
+            replicated_bytes: total(Fam::ReplicatedBytes),
+            promotions: total(Fam::TieringPromotedSegments),
         }
-        acct.stats_base = self.metrics.scalars();
-        acct.flush_receipts = Vec::new();
-        acct.bytes_by_client_tier = HashMap::new();
-        out
     }
 }
 
@@ -1455,24 +1437,11 @@ impl WriteExecutor for LockedWrite<'_> {
 
     fn finish(
         &mut self,
-        op: &WriteOp,
-        placed: &[PlacedSegment],
+        _op: &WriteOp,
         _records: &[(u64, SegmentRecord)],
         spans: Vec<Span>,
-    ) -> WriteLockCounts {
-        let chain = self.core.chains.release_many(&spans);
-        let mut acct = self.job.accounting.lock().expect("accounting poisoned");
-        for p in placed {
-            *acct
-                .bytes_by_client_tier
-                .entry((op.client, p.tier))
-                .or_insert(0) += p.len;
-        }
-        WriteLockCounts {
-            chain,
-            accounting: 1,
-            ..WriteLockCounts::default()
-        }
+    ) -> u64 {
+        self.core.chains.release_many(&spans)
     }
 }
 

@@ -29,12 +29,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
+use crate::actor::NodeActors;
 use crate::config::{PromotionPolicy, UniviStorConfig};
 use crate::error::Result;
 use crate::fault::with_retries;
 use crate::integrity::Verifier;
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::{JobMetrics, VerifySite};
+use crate::metrics::{Fam, JobMetrics, VerifySite};
 use crate::placement::ChainSet;
 use crate::server::UniviStorJob;
 use crate::striping::{adaptive_plan, naive_plan, StripePlan};
@@ -115,7 +116,9 @@ impl TieringPassReport {
     }
 }
 
-/// Lifetime totals of the tiering engine, via [`TieringHandle::stats`].
+/// Lifetime totals of the tiering engine, via [`TieringHandle::stats`]:
+/// the job panel's `univistor_tiering_*` counters plus the engine's
+/// current ledger size and pause state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieringStats {
     /// Passes run (manual and automatic, all nodes).
@@ -189,7 +192,8 @@ impl PassOptions {
     }
 }
 
-/// Shared mutable state of the tiering engine, owned by the job.
+/// Shared mutable state of the tiering engine, owned by the job. What the
+/// engine has *done* is counted on the job panel only.
 #[derive(Debug, Default)]
 pub(crate) struct TieringState {
     /// Pause flag ([`TieringHandle::pause`]); automatic passes check it,
@@ -216,15 +220,6 @@ pub(crate) struct TieringState {
     gates: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
     /// node → gate ensuring at most one pass per node at a time.
     node_gates: Mutex<HashMap<usize, Arc<Mutex<()>>>>,
-    // Lifetime counters (see TieringStats).
-    passes: AtomicU64,
-    spilled_segments: AtomicU64,
-    spilled_bytes: AtomicU64,
-    drained_segments: AtomicU64,
-    drained_bytes: AtomicU64,
-    promoted_segments: AtomicU64,
-    heat_decays: AtomicU64,
-    pub(crate) catchup_skipped_bytes: AtomicU64,
 }
 
 impl TieringState {
@@ -298,22 +293,6 @@ impl TieringState {
             .fetch_sub(taken.spans.len() as u64, Ordering::AcqRel);
         Some(taken)
     }
-
-    /// Current totals.
-    pub(crate) fn stats(&self) -> TieringStats {
-        TieringStats {
-            passes: self.passes.load(Ordering::Relaxed),
-            spilled_segments: self.spilled_segments.load(Ordering::Relaxed),
-            spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-            drained_segments: self.drained_segments.load(Ordering::Relaxed),
-            drained_bytes: self.drained_bytes.load(Ordering::Relaxed),
-            promoted_segments: self.promoted_segments.load(Ordering::Relaxed),
-            heat_decays: self.heat_decays.load(Ordering::Relaxed),
-            catchup_skipped_bytes: self.catchup_skipped_bytes.load(Ordering::Relaxed),
-            ledger_spans: self.ledger_spans.load(Ordering::Relaxed),
-            paused: self.paused.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// A heat shard: offset-partitioned read counters (mirrors the job's
@@ -364,7 +343,6 @@ pub(crate) fn run_pass(
         report.skipped = true;
         return Ok(report);
     };
-    ctx.state.passes.fetch_add(1, Ordering::Relaxed);
     ctx.metrics.record_tiering_pass();
 
     if opts.decay {
@@ -373,7 +351,6 @@ pub(crate) fn run_pass(
             let tick = ctx.state.pass_clock.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(every) {
                 report.heat_entries_decayed = decay_heat(ctx.heat);
-                ctx.state.heat_decays.fetch_add(1, Ordering::Relaxed);
                 ctx.metrics.record_tiering_decay();
                 // Cooling can turn hot spans drainable without bumping
                 // any file generation, so the skip memo is void.
@@ -564,10 +541,6 @@ fn spill_phase(
                     budget -= 1;
                     report.spilled_segments += 1;
                     report.spilled_bytes += current.len;
-                    ctx.state.spilled_segments.fetch_add(1, Ordering::Relaxed);
-                    ctx.state
-                        .spilled_bytes
-                        .fetch_add(current.len, Ordering::Relaxed);
                     ctx.metrics.record_tiering_spill(tier, current.len);
                 }
             }
@@ -616,17 +589,17 @@ fn drain_phase(
         if !(ctx.is_open)(*fid) {
             continue;
         }
-        // Cold, healthy, not already drained; offset order up to the
-        // batch size. The heat and failed-node filters run outside the
-        // ledger mutex, and the already-drained check holds it only in
-        // short bursts — the write path's invalidation waits on the same
-        // mutex, and a long scan here would stall every concurrent
-        // write. A span invalidated between bursts is simply picked up
-        // again by a later pass.
+        // Cold (no read recorded since the last decay), healthy, not
+        // already drained; offset order up to the batch size. The heat
+        // and failed-node filters run outside the ledger mutex, and the
+        // already-drained check holds it only in short bursts — the write
+        // path's invalidation waits on the same mutex, and a long scan
+        // here would stall every concurrent write. A span invalidated
+        // between bursts is simply picked up again by a later pass.
         let cold: Vec<&(SegKey, SegmentRecord)> = records
             .iter()
             .filter(|(k, r)| {
-                heat_of(ctx, k) <= ctx.cfg.tiering.cold_max_reads
+                heat_of(ctx, k) == 0
                     && !ctx
                         .failed
                         .contains(&ctx.cfg.geometry.node_of_rank(r.client.rank as usize))
@@ -738,10 +711,6 @@ fn drain_phase(
                 }
                 report.drained_segments += 1;
                 report.drained_bytes += rec.len;
-                ctx.state.drained_segments.fetch_add(1, Ordering::Relaxed);
-                ctx.state
-                    .drained_bytes
-                    .fetch_add(rec.len, Ordering::Relaxed);
                 ctx.metrics.record_tiering_drain(rec.len);
             } else if ledger.spans.remove(&key.offset).is_some() {
                 // A racing write landed mid-copy; the bytes on the PFS
@@ -827,8 +796,6 @@ fn promote_phase(
         }
         if migrate_record(ctx, key, rec, 0, Some(0))? {
             report.promoted_segments += 1;
-            ctx.state.promoted_segments.fetch_add(1, Ordering::Relaxed);
-            ctx.metrics.record_promotions(1);
             ctx.metrics.record_tiering_promotion(rec.len);
         }
     }
@@ -969,9 +936,21 @@ impl<'a> TieringHandle<'a> {
             .tiering_pass_all(&PassOptions::promote_only(policy))
     }
 
-    /// Lifetime totals.
+    /// Lifetime totals, read off the job panel.
     pub fn stats(&self) -> TieringStats {
-        self.job.tiering_state().stats()
+        let (panel, state) = (self.job.metrics_handle(), self.job.tiering_state());
+        TieringStats {
+            passes: panel.total(Fam::TieringPasses),
+            spilled_segments: panel.total(Fam::TieringSpilledSegments),
+            spilled_bytes: panel.total(Fam::TieringSpilledBytes),
+            drained_segments: panel.total(Fam::TieringDrainedSegments),
+            drained_bytes: panel.total(Fam::TieringDrainedBytes),
+            promoted_segments: panel.total(Fam::TieringPromotedSegments),
+            heat_decays: panel.total(Fam::TieringHeatDecays),
+            catchup_skipped_bytes: panel.total(Fam::TieringCatchupSkippedBytes),
+            ledger_spans: state.ledger_spans.load(Ordering::Relaxed),
+            paused: state.paused.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -980,59 +959,29 @@ impl<'a> TieringHandle<'a> {
 /// dropped. With tiering disabled in the job's config, `spawn` starts no
 /// threads at all.
 #[derive(Debug)]
-pub struct TieringDaemon {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
+pub struct TieringDaemon(NodeActors);
 
 impl TieringDaemon {
     /// Start the per-node actors for `job`.
     pub fn spawn(job: Arc<UniviStorJob>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        if job.cfg().tiering.enabled {
-            for node in 0..job.cfg().geometry.nodes {
-                let job = Arc::clone(&job);
-                let stop = Arc::clone(&stop);
-                threads.push(std::thread::spawn(move || {
-                    let interval = Duration::from_millis(job.cfg().tiering.daemon_interval_ms);
-                    let opts = PassOptions::full(job.cfg());
-                    while !stop.load(Ordering::Acquire) {
-                        if !job.tiering_state().paused.load(Ordering::Acquire) {
-                            // Pass errors are not fatal to the daemon:
-                            // the next tick retries from fresh state.
-                            let _ = job.tiering_pass(node, &opts);
-                        }
-                        std::thread::park_timeout(interval);
-                    }
-                }));
+        let cfg = &job.cfg().tiering;
+        let (enabled, interval) = (cfg.enabled, Duration::from_millis(cfg.daemon_interval_ms));
+        TieringDaemon(NodeActors::spawn(job, enabled, interval, |job, node| {
+            if !job.tiering_state().paused.load(Ordering::Acquire) {
+                let _ = job.tiering_pass(node, &PassOptions::full(job.cfg()));
             }
-        }
-        TieringDaemon { stop, threads }
+        }))
     }
 
     /// Number of actor threads running (0 when tiering is disabled).
     pub fn actors(&self) -> usize {
-        self.threads.len()
+        self.0.actors()
     }
 
-    /// Signal all actors and wait for them to exit.
+    /// Signal all actors and wait for them to exit (dropping does the
+    /// same).
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TieringDaemon {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.0.stop_and_join();
     }
 }
 

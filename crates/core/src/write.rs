@@ -9,8 +9,8 @@
 //! metadata index, and how the write is closed out. Three executors exist:
 //!
 //! * the locked core (`server::LockedWrite`): `ChainSet::append_many`,
-//!   `MetadataService::insert_batch`, `ChainSet::release_many` and the
-//!   accounting mutex, every acquisition counted;
+//!   `MetadataService::insert_batch` and `ChainSet::release_many`, every
+//!   acquisition counted;
 //! * the routed two-wave protocol (`runtime::RoutedWrite`): one `Append`
 //!   message, one `WriteCommit` per span owner, a fire-and-forget
 //!   `WriteFinish` wave — zero counted locks;
@@ -102,8 +102,8 @@ pub(crate) trait WriteExecutor {
     /// [`append_run`](crate::placement::append_run) semantics: one
     /// `chain_append` draw per piece, the whole run rolled back on error —
     /// so the driver may retry it. `primary` is true for the producer's own
-    /// run and false for a buddy's replica run (whose chain may not exist
-    /// yet, and whose bytes stay out of the per-tier ledger).
+    /// run and false for a buddy's replica run, whose chain may not exist
+    /// yet.
     fn append(
         &mut self,
         client: ClientId,
@@ -126,16 +126,9 @@ pub(crate) trait WriteExecutor {
 
     /// Close the write out: release `spans` (sorted by owning chain, punch
     /// order within one) and settle whatever this runtime still owes — the
-    /// per-(client, tier) byte ledger under the locked core, the
     /// fire-and-forget finish wave on the routed path. Infallible. Returns
-    /// the counted locks taken.
-    fn finish(
-        &mut self,
-        op: &WriteOp,
-        placed: &[PlacedSegment],
-        records: &[(u64, SegmentRecord)],
-        spans: Vec<Span>,
-    ) -> WriteLockCounts;
+    /// the counted chain locks taken.
+    fn finish(&mut self, op: &WriteOp, records: &[(u64, SegmentRecord)], spans: Vec<Span>) -> u64;
 }
 
 /// Grid pieces `[offset, offset + len)` splits into.
@@ -307,9 +300,7 @@ pub(crate) fn write<E: WriteExecutor>(
         }
     }
     spans.sort_by_key(|&(c, _, _)| c);
-    let closing = exec.finish(op, &placed, &records, spans);
-    locks.chain += closing.chain;
-    locks.accounting += closing.accounting;
+    locks.chain += exec.finish(op, &records, spans);
 
     metrics.record_write_batch(pieces.len() as u64, records.len() as u64, locks);
     Ok(())

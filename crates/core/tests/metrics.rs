@@ -1,10 +1,14 @@
 //! Telemetry integration: the counters behind `UniviStorJob::metrics()`
 //! observed through real workloads — spill writes, classified reads,
-//! close-time flushes — plus a JSON round trip of a populated snapshot.
+//! close-time flushes — plus a JSON round trip of a populated snapshot,
+//! and the checks that keep the one family table (`metrics::FAMILIES`), the
+//! README's rendering of it and what a job actually registers the same.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use univistor_core::config::UniviStorConfig;
+use univistor_core::config::{Runtime, UniviStorConfig};
 use univistor_core::metadata::ClientId;
+use univistor_core::metrics::{JobMetrics, Kind, FAMILIES};
 use univistor_core::server::UniviStorJob;
 use univistor_core::MetricsSnapshot;
 use univistor_mpi::driver::OpenMode;
@@ -197,4 +201,112 @@ fn snapshot_json_round_trip_preserves_everything() {
         back.histogram("univistor_flush_drained_bytes", &[]),
         snap.histogram("univistor_flush_drained_bytes", &[])
     );
+}
+
+fn kind_name(kind: Kind) -> &'static str {
+    match kind {
+        Kind::Counter => "counter",
+        Kind::Gauge => "gauge",
+        Kind::Histogram(..) => "histogram",
+    }
+}
+
+/// The README's family table, rendered from [`FAMILIES`].
+fn render_family_table() -> String {
+    let mut out =
+        String::from("| family | kind | labels | registered | fed by |\n|---|---|---|---|---|\n");
+    for f in FAMILIES {
+        let kind = kind_name(f.kind);
+        let labels: Vec<String> = f
+            .labels
+            .iter()
+            .map(|(key, values)| match values {
+                [] => format!("`{key}` (set at run time)"),
+                values => format!("`{key}` (`{}`)", values.join("`, `")),
+            })
+            .collect();
+        let labels = if labels.is_empty() {
+            "—".to_string()
+        } else {
+            labels.join(", ")
+        };
+        let registered = if f.eager { "job start" } else { "first use" };
+        out += &format!(
+            "| `{}` | {kind} | {labels} | {registered} | {} |\n",
+            f.name, f.fed_by
+        );
+    }
+    out
+}
+
+/// The README carries the one rendered copy of the family table; a family
+/// added, renamed or dropped in the code fails here until the block
+/// between the markers is replaced by the one this prints.
+#[test]
+fn readme_family_table_is_rendered_from_the_code() {
+    let readme = include_str!("../../../README.md");
+    let block = readme
+        .split_once("<!-- metrics-families:begin -->\n")
+        .and_then(|(_, rest)| rest.split_once("<!-- metrics-families:end -->"))
+        .map(|(block, _)| block)
+        .expect("README.md has the metrics-families markers");
+    let want = render_family_table();
+    assert!(
+        block == want,
+        "README.md's family table is stale; replace the block between the markers with:\n{want}"
+    );
+}
+
+/// A fresh panel holds exactly the table's eager rows. Job construction is
+/// this registration walk (`setup_s` on the no-preload benchmark
+/// workloads), so the eager set may shrink but must not grow.
+#[test]
+fn fresh_panel_is_the_tables_eager_rows_and_no_more() {
+    let snap = JobMetrics::new().snapshot();
+    let eager = FAMILIES.iter().filter(|f| f.eager);
+    let names: BTreeSet<&str> = snap.families.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, eager.clone().map(|f| f.name).collect());
+    let series: usize = snap.families.iter().map(|f| f.samples.len()).sum();
+    assert_eq!(series, eager.map(|f| f.series()).sum::<usize>());
+    assert!(
+        names.len() <= 49 && series <= 89,
+        "{} / {series}",
+        names.len()
+    );
+}
+
+/// What a job registers is what the table lists — under each runtime every
+/// registered family is a table row of that kind with those label keys,
+/// and between the two runtimes (checksums on, so the digest plane wakes)
+/// every row is registered by somebody.
+#[test]
+fn exercised_jobs_register_exactly_the_table() {
+    let mut registered = BTreeSet::new();
+    for runtime in [Runtime::Locked, Runtime::Partitioned] {
+        let mut cfg = UniviStorConfig::test_small(2, 2);
+        cfg.runtime = runtime;
+        assert!(cfg.integrity.checksums);
+        let job = UniviStorJob::new(cfg);
+        let c = ClientId::new(0, 0);
+        job.open_file("/t").read_write().by(c).unwrap();
+        job.write(c, "/t", 0, Payload::pattern(4, 2048)).unwrap();
+        job.read(c, "/t", 0, 2048).unwrap();
+        job.close("/t", c, OpenMode::ReadWrite, 1, true).unwrap();
+        for family in job.metrics().families {
+            let row = FAMILIES
+                .iter()
+                .find(|f| f.name == family.name)
+                .unwrap_or_else(|| panic!("{} is registered but not in the table", family.name));
+            assert_eq!(family.kind.to_string(), kind_name(row.kind), "{}", row.name);
+            let keys: Vec<&str> = row.labels.iter().map(|(key, _)| *key).collect();
+            for sample in &family.samples {
+                let got: Vec<&str> = sample.labels.keys().map(String::as_str).collect();
+                assert_eq!(got, keys, "{}", row.name);
+            }
+            registered.insert(row.name);
+        }
+    }
+    let listed: BTreeSet<&str> = FAMILIES.iter().map(|f| f.name).collect();
+    assert_eq!(registered, listed, "a table row no exercised job registers");
+    assert_eq!(listed.len(), FAMILIES.len(), "duplicate family name");
 }

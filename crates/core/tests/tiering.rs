@@ -26,6 +26,35 @@ fn tier_bytes(j: &UniviStorJob, tier: Tier) -> u64 {
         .unwrap_or(0)
 }
 
+/// `TieringStats` is a read of the job panel: each lifetime total is the
+/// `univistor_tiering_*` family it comes from.
+fn assert_stats_are_the_panel(j: &UniviStorJob) {
+    let (stats, snap) = (j.tiering().stats(), j.metrics());
+    let panel = [
+        "univistor_tiering_passes_total",
+        "univistor_tiering_spilled_segments_total",
+        "univistor_tiering_spilled_bytes_total",
+        "univistor_tiering_drained_segments_total",
+        "univistor_tiering_drained_bytes_total",
+        "univistor_tiering_promoted_segments_total",
+        "univistor_tiering_heat_decays_total",
+        "univistor_tiering_catchup_skipped_bytes_total",
+    ]
+    .map(|family| snap.counter_total(family));
+    let view = [
+        stats.passes,
+        stats.spilled_segments,
+        stats.spilled_bytes,
+        stats.drained_segments,
+        stats.drained_bytes,
+        stats.promoted_segments,
+        stats.heat_decays,
+        stats.catchup_skipped_bytes,
+    ];
+    assert_eq!(view, panel);
+    assert!(stats.passes > 0, "nothing ran");
+}
+
 /// A tier sitting *exactly* at its high watermark is left alone — the
 /// spill trigger is strictly greater-than. One byte over, the tier
 /// drains down to the low watermark.
@@ -170,6 +199,8 @@ fn daemon_races_flush_and_repair_under_faults() {
             .unwrap()
             .expect("last close flushes");
         daemon.shutdown();
+        // After a mixed spill/drain/promote run, with the actors stopped.
+        assert_stats_are_the_panel(&j);
 
         assert_eq!(receipt.lost, Default::default(), "replicas covered node 1");
         let expected = [
@@ -368,8 +399,8 @@ fn disabled_config_runs_no_actors_but_handle_still_works() {
 }
 
 /// An explicit `promote_now` pass routes through the tiering engine:
-/// promotions show up in the handle's stats and still feed the legacy
-/// counter.
+/// promotions show up in the handle's stats and in the job's phase stats,
+/// both read off the one promotion family.
 #[test]
 fn promote_now_feeds_tiering_stats() {
     let mut cfg = UniviStorConfig::test_small(1, 1);
@@ -394,5 +425,6 @@ fn promote_now_feeds_tiering_stats() {
         .unwrap();
     assert_eq!(report.promoted_segments, 1);
     assert_eq!(j.tiering().stats().promoted_segments, 1);
-    assert_eq!(j.stats().promotions, 1, "legacy counter still fed");
+    assert_eq!(j.stats().promotions, 1);
+    assert_stats_are_the_panel(&j);
 }

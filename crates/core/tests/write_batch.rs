@@ -163,7 +163,6 @@ fn fresh_sequential_write_stats_are_pipeline_invariant() {
     let (a, b) = (jobs[0].stats(), jobs[1].stats());
     assert_eq!(a.segments, b.segments);
     assert_eq!(a.bytes_by_tier, b.bytes_by_tier);
-    assert_eq!(a.bytes_by_client_tier, b.bytes_by_client_tier);
     assert_eq!(a.write_md_rpcs, b.write_md_rpcs);
     assert_eq!(a.replicated_bytes, b.replicated_bytes);
     // Sequential 4 KiB runs coalesce fully (range 1024 B caps each record
@@ -183,15 +182,16 @@ fn fresh_sequential_write_stats_are_pipeline_invariant() {
 /// every pass after the first overwrites. The 32 KiB metadata range caps a
 /// coalesced record at 8 segments, so a batched call commits 2 records for
 /// its 16 pieces (8×: 40 000 records for 320 000 pieces at the bench's
-/// 20 000 calls) under one append plus at most one release chain lock and
-/// one accounting lock; the per-piece reference takes each 16 times.
+/// 20 000 calls) under one append plus at most one release chain lock; the
+/// per-piece reference takes each 16 times. Neither takes any lock to
+/// account the bytes — the panel's counters are the accounting.
 #[test]
 fn batched_call_coalesces_8x_within_two_chain_locks() {
     const CALLS: u64 = 320;
     const WINDOW: u64 = 64;
     let block = 16 * 4096u64;
     let client = ClientId::new(0, 0);
-    // [pieces, records committed, records live, chain locks, accounting locks]
+    // [pieces, records committed, records live, chain locks]
     let run = |pipeline| {
         let mut cfg = UniviStorConfig::paper(4);
         cfg.runtime = Runtime::Locked;
@@ -208,6 +208,10 @@ fn batched_call_coalesces_8x_within_two_chain_locks() {
                 .unwrap();
         }
         let snap = job.metrics();
+        let write_locks = snap
+            .family("univistor_write_lock_acquisitions_total")
+            .expect("write lock family");
+        assert_eq!(write_locks.samples.len(), 3, "chain, kv_shard, node_buffer");
         let lock = |l| {
             snap.counter("univistor_write_lock_acquisitions_total", &[("lock", l)])
                 .unwrap_or(0)
@@ -217,7 +221,6 @@ fn batched_call_coalesces_8x_within_two_chain_locks() {
             snap.counter_total("univistor_write_records_total"),
             job.metadata_records() as u64,
             lock("chain"),
-            lock("accounting"),
         ]
     };
     // Chain locks: one per append, one per release — and every call past
@@ -225,16 +228,10 @@ fn batched_call_coalesces_8x_within_two_chain_locks() {
     let (pieces, overwrites) = (16 * CALLS, CALLS - WINDOW);
     assert_eq!(
         run(WritePipeline::Batched),
-        [pieces, 2 * CALLS, 2 * WINDOW, CALLS + overwrites, CALLS]
+        [pieces, 2 * CALLS, 2 * WINDOW, CALLS + overwrites]
     );
     assert_eq!(
         run(WritePipeline::PerPiece),
-        [
-            pieces,
-            pieces,
-            16 * WINDOW,
-            pieces + 16 * overwrites,
-            pieces
-        ]
+        [pieces, pieces, 16 * WINDOW, pieces + 16 * overwrites]
     );
 }

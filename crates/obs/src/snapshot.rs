@@ -219,6 +219,37 @@ impl MetricsSnapshot {
         }
     }
 
+    /// What happened since `base`, an earlier snapshot of the same
+    /// registry: counters and histogram buckets/count/sum subtract, gauges
+    /// keep their current value. A family or sample `base` lacks (registered
+    /// since) counts from zero. The phase-delta view over counters that
+    /// never reset.
+    pub fn since(&self, base: &MetricsSnapshot) -> MetricsSnapshot {
+        let mut out = self.clone();
+        for fam in &mut out.families {
+            let Some(old) = base.family(&fam.name) else {
+                continue;
+            };
+            for sample in &mut fam.samples {
+                let Some(was) = old.samples.iter().find(|s| s.labels == sample.labels) else {
+                    continue;
+                };
+                match (&mut sample.value, &was.value) {
+                    (SampleValue::Counter(a), SampleValue::Counter(b)) => *a = a.saturating_sub(*b),
+                    (SampleValue::Histogram(a), SampleValue::Histogram(b)) => {
+                        for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
+                            x.1 = x.1.saturating_sub(y.1);
+                        }
+                        a.count = a.count.saturating_sub(b.count);
+                        a.sum -= b.sum;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
     /// Serialize to a stable, human-diffable JSON document.
     pub fn to_json(&self) -> String {
         Json::from(self).render()
@@ -427,6 +458,43 @@ mod tests {
         assert_eq!(
             h.buckets.iter().map(|&(_, c)| c).collect::<Vec<_>>(),
             vec![1, 1, 1]
+        );
+    }
+
+    #[test]
+    fn since_subtracts_counters_and_buckets_and_keeps_gauges() {
+        let r = Registry::new();
+        let jobs = r.counter_family("jobs_total", "jobs seen");
+        let depth = r.gauge_family("depth", "queue depth").with(&[]);
+        let lat = r
+            .histogram_family("latency", "op latency", &[1.0, 10.0])
+            .with(&[]);
+        jobs.with(&[("kind", "read")]).add(3);
+        depth.set(5);
+        lat.observe(0.5);
+        lat.observe(5.0);
+        let base = r.snapshot();
+
+        jobs.with(&[("kind", "read")]).add(4);
+        jobs.with(&[("kind", "flush")]).add(7); // child born after the base
+        depth.set(2);
+        lat.observe(5.0);
+        lat.observe(20.0);
+        let d = r.snapshot().since(&base);
+
+        assert_eq!(d.counter("jobs_total", &[("kind", "read")]), Some(4));
+        assert_eq!(d.counter("jobs_total", &[("kind", "flush")]), Some(7));
+        assert_eq!(d.gauge("depth", &[]), Some(2), "gauges are not deltas");
+        let h = d.histogram("latency", &[]).expect("histogram delta");
+        assert_eq!((h.count, h.sum), (2, 25.0));
+        assert_eq!(
+            h.buckets.iter().map(|&(_, c)| c).collect::<Vec<_>>(),
+            vec![0, 1, 1]
+        );
+        // Against an empty base everything counts from zero.
+        assert_eq!(
+            r.snapshot().since(&MetricsSnapshot::default()),
+            r.snapshot()
         );
     }
 
