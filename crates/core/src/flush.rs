@@ -242,6 +242,31 @@ pub(crate) fn write_stripes(
     Ok(out)
 }
 
+/// Choose the striping plan of a `size`-byte file — adaptive (Eqs. 2–6)
+/// or the naive all-OST layout, per `cfg` — and (re-)create `dest` with
+/// it. The one place the PFS destination is decided: the close-time flush
+/// and the background drain both come here.
+pub(crate) fn create_destination(
+    lustre: &RwLock<Lustre>,
+    cfg: &UniviStorConfig,
+    dest: &str,
+    size: u64,
+) -> SimResult<StripePlan> {
+    let servers = cfg.geometry.total_servers();
+    let osts = lustre.read().expect("lustre poisoned").ost_count();
+    let plan = if cfg.features.adaptive_striping {
+        adaptive_plan(size, servers, osts, cfg.alpha, cfg.cal.max_stripe_size)
+    } else {
+        naive_plan(size, servers, osts, cfg.cal.default_stripe_size)
+    };
+    let mut pfs = lustre.write().expect("lustre poisoned");
+    if pfs.exists(dest) {
+        pfs.delete(dest)?;
+    }
+    pfs.create(dest, plan.layout.clone())?;
+    Ok(plan)
+}
+
 /// Per-pass accumulator shared by both engines; becomes the receipt.
 #[derive(Default)]
 struct FlushAcc {
@@ -428,12 +453,15 @@ fn verify_gathered(
     )
 }
 
-/// Flush every byte of `fid` (logical size `file_size`) to `dest` on
-/// `lustre`, using the configuration's striping mode, server count, and
-/// flush engine (`cfg.flush_pipeline`). Segments whose primary node is in
-/// `failed_nodes` are flushed from their resilience replicas. A completed
-/// flush is accounted into `metrics` (drained/per-server histograms,
-/// source tiers, revocations, coalescing counters) when a panel is given.
+/// Flush every byte of `fid` (logical size `file_size`) from `source` to
+/// `dest` on `lustre`, using the configuration's striping mode, server
+/// count, and flush engine (`cfg.flush_pipeline`). The source is the
+/// locked core's [`CoreFlushSource`] or the partitioned runtime's routed
+/// view, which flushes without a whole-core checkout. Segments whose
+/// primary node is in `failed_nodes` are flushed from their resilience
+/// replicas. A completed flush is accounted into `metrics`
+/// (drained/per-server histograms, source tiers, revocations, coalescing
+/// counters) when a panel is given.
 ///
 /// The flush **degrades gracefully**: a span whose primary *and* replica
 /// (or a replica-less span whose primary) sit on failed nodes is skipped
@@ -455,40 +483,6 @@ fn verify_gathered(
 /// destination is then *not* recreated (it holds the drained bytes) and
 /// the ledger's striping plan is reused, with its last server range
 /// extended to cover growth since the plan was fixed.
-#[allow(clippy::too_many_arguments)]
-pub fn flush_file(
-    metadata: &MetadataService,
-    chains: &ChainSet,
-    lustre: &RwLock<Lustre>,
-    cfg: &UniviStorConfig,
-    failed_nodes: &HashSet<usize>,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    injector: Option<&FaultInjector>,
-    fid: u64,
-    file_size: u64,
-    dest: &str,
-    resume: Option<&DrainLedger>,
-) -> SimResult<FlushReceipt> {
-    flush_with_source(
-        &CoreFlushSource { metadata, chains },
-        &FlushRequest {
-            lustre,
-            cfg,
-            failed_nodes,
-            metrics,
-            verifier,
-            injector,
-            fid,
-            file_size,
-            dest,
-            resume,
-        },
-    )
-}
-
-/// [`flush_file`] generalized over a [`FlushSource`] — the entry point the
-/// partitioned runtime uses to flush without a whole-core checkout.
 pub(crate) fn flush_with_source(
     source: &dyn FlushSource,
     req: &FlushRequest,
@@ -503,7 +497,6 @@ pub(crate) fn flush_with_source(
     if file_size == 0 {
         return Err(SimError::InvalidFlow("flush of empty file".into()));
     }
-    let servers = cfg.geometry.total_servers();
     let osts = lustre.read().expect("lustre poisoned").ost_count();
     // A ledger is only trustworthy while the destination it drained into
     // still exists.
@@ -521,26 +514,11 @@ pub(crate) fn flush_with_source(
             }
             plan
         }
-        None => {
-            if cfg.features.adaptive_striping {
-                adaptive_plan(file_size, servers, osts, cfg.alpha, cfg.cal.max_stripe_size)
-            } else {
-                naive_plan(file_size, servers, osts, cfg.cal.default_stripe_size)
-            }
-        }
+        // The destination is created once: catch-up redo passes rewrite
+        // spans in place rather than recreating it (drained bytes must
+        // survive).
+        None => create_destination(lustre, cfg, dest, file_size)?,
     };
-
-    // (Re-)create the destination with the chosen layout — unless a
-    // resume ledger vouches for the existing file's drained contents. The
-    // destination is created once: catch-up redo passes rewrite spans in
-    // place rather than recreating it (drained bytes must survive).
-    if resume.is_none() {
-        let mut pfs = lustre.write().expect("lustre poisoned");
-        if pfs.exists(dest) {
-            pfs.delete(dest)?;
-        }
-        pfs.create(dest, plan.layout.clone())?;
-    }
 
     let ctx = FlushCtx {
         source,
@@ -888,122 +866,127 @@ mod tests {
     use crate::placement::ProcChain;
     use univistor_sim::Payload;
 
+    /// A flush's fixed surroundings: index, chains, PFS, config, and the
+    /// healthy failed-set and fresh verifier every request defaults to.
+    struct Harness {
+        md: MetadataService,
+        chains: ChainSet,
+        lustre: RwLock<Lustre>,
+        cfg: UniviStorConfig,
+        healthy: HashSet<usize>,
+        verifier: Verifier,
+    }
+
     /// 2 nodes × 2 clients; 128 B DRAM + 128 B BB per-proc logs, 64 B
     /// chunks/segments; 4 servers.
-    fn setup() -> (MetadataService, ChainSet, RwLock<Lustre>, UniviStorConfig) {
+    fn setup() -> Harness {
         let mut cfg = UniviStorConfig::test_small(2, 2);
         cfg.geometry.servers_per_node = 2;
-        let metadata = MetadataService::new(256, 4, 2);
+        let caps = [
+            (Tier::Dram, 128),
+            (Tier::SharedBurstBuffer, 128),
+            (Tier::Pfs, u64::MAX),
+        ];
         let chains: ChainSet = (0..4u32)
             .map(|rank| {
                 (
                     ClientId::new(0, rank),
-                    ProcChain::new(
-                        vec![
-                            (Tier::Dram, 128),
-                            (Tier::SharedBurstBuffer, 128),
-                            (Tier::Pfs, u64::MAX),
-                        ],
-                        64,
-                    )
-                    .unwrap(),
+                    ProcChain::new(caps.to_vec(), 64).unwrap(),
                 )
             })
             .collect();
-        (metadata, chains, RwLock::new(Lustre::new(8)), cfg)
+        Harness {
+            md: MetadataService::new(256, 4, 2),
+            chains,
+            lustre: RwLock::new(Lustre::new(8)),
+            cfg,
+            healthy: HashSet::new(),
+            verifier: Verifier::default(),
+        }
     }
 
-    fn populate(metadata: &MetadataService, chains: &ChainSet, segs_per_client: u64) -> u64 {
-        for rank in 0..4u32 {
-            let client = ClientId::new(0, rank);
-            for i in 0..segs_per_client {
-                let logical = (rank as u64 * segs_per_client + i) * 64;
-                let placed = chains
-                    .append(client, Payload::pattern(logical, 64))
-                    .unwrap();
-                metadata.insert(
-                    SegKey {
-                        fid: 1,
-                        offset: logical,
-                    },
-                    SegmentRecord::new(client, placed.va, 64),
-                    (rank / 2) as usize,
-                );
+    impl Harness {
+        /// Write `segs_per_client` 64 B segments per client, each holding
+        /// `Payload::pattern(offset, 64)`; returns the file size.
+        fn populate(&self, segs_per_client: u64) -> u64 {
+            for rank in 0..4u32 {
+                let client = ClientId::new(0, rank);
+                for i in 0..segs_per_client {
+                    let offset = (rank as u64 * segs_per_client + i) * 64;
+                    let placed = self.chains.append(client, Payload::pattern(offset, 64));
+                    let rec = SegmentRecord::new(client, placed.unwrap().va, 64);
+                    self.md
+                        .insert(SegKey { fid: 1, offset }, rec, (rank / 2) as usize);
+                }
+            }
+            4 * segs_per_client * 64
+        }
+
+        /// The default request: fid 1 (`size` bytes) drains to "/pfs/f"
+        /// with every node healthy, no panel, injector or ledger.
+        fn req(&self, size: u64) -> FlushRequest<'_> {
+            FlushRequest {
+                lustre: &self.lustre,
+                cfg: &self.cfg,
+                failed_nodes: &self.healthy,
+                metrics: None,
+                verifier: &self.verifier,
+                injector: None,
+                fid: 1,
+                file_size: size,
+                dest: "/pfs/f",
+                resume: None,
             }
         }
-        4 * segs_per_client * 64
-    }
 
-    /// What a test flush may vary; the rest is fixed: fid 1 drains to
-    /// "/pfs/f" through [`flush_file`] with a fresh verifier.
-    #[derive(Default)]
-    struct Vary<'a> {
-        failed: Option<&'a HashSet<usize>>,
-        metrics: Option<&'a JobMetrics>,
-        injector: Option<&'a FaultInjector>,
-        resume: Option<&'a DrainLedger>,
-    }
+        fn flush(&self, req: FlushRequest) -> SimResult<FlushReceipt> {
+            let source = CoreFlushSource {
+                metadata: &self.md,
+                chains: &self.chains,
+            };
+            flush_with_source(&source, &req)
+        }
 
-    fn flush(
-        md: &MetadataService,
-        chains: &ChainSet,
-        lustre: &RwLock<Lustre>,
-        cfg: &UniviStorConfig,
-        size: u64,
-        vary: Vary,
-    ) -> SimResult<FlushReceipt> {
-        flush_file(
-            md,
-            chains,
-            lustre,
-            cfg,
-            vary.failed.unwrap_or(&HashSet::new()),
-            vary.metrics,
-            &Verifier::default(),
-            vary.injector,
-            1,
-            size,
-            "/pfs/f",
-            vary.resume,
-        )
+        /// `len` bytes of "/pfs/f" at `lo`.
+        fn pfs(&self, lo: u64, len: u64) -> Payload {
+            let lustre = self.lustre.read().unwrap();
+            lustre.read("/pfs/f", lo, len, 999).unwrap()
+        }
+
+        /// The first 64 B segment of "/pfs/f" below `size` that does not
+        /// hold what [`populate`](Self::populate) wrote there.
+        fn bad_pfs_segment(&self, size: u64) -> Option<u64> {
+            let whole = self.pfs(0, size);
+            (0..size / 64).find(|s| {
+                !whole
+                    .slice(s * 64, 64)
+                    .content_eq(&Payload::pattern(s * 64, 64))
+            })
+        }
     }
 
     #[test]
     fn flushed_file_reads_back_from_lustre() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 4);
-        let receipt = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
+        let h = setup();
+        let size = h.populate(4);
+        let receipt = h.flush(h.req(size)).unwrap();
         assert_eq!(receipt.file_size, size);
-        let lustre = lustre.read().unwrap();
-        assert_eq!(lustre.file_size("/pfs/f").unwrap(), size);
-        let whole = lustre.read("/pfs/f", 0, size, 999).unwrap();
-        for s in 0..(size / 64) {
-            assert!(
-                whole
-                    .slice(s * 64, 64)
-                    .content_eq(&Payload::pattern(s * 64, 64)),
-                "segment {s} corrupt on PFS"
-            );
-        }
+        let on_pfs = h.lustre.read().unwrap().file_size("/pfs/f").unwrap();
+        assert_eq!(on_pfs, size);
+        assert_eq!(h.bad_pfs_segment(size), None, "corrupt on PFS");
     }
 
     #[test]
     fn receipt_accounts_every_byte() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 4);
+        let h = setup();
+        let size = h.populate(4);
         let m = JobMetrics::new();
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
+        let r = h
+            .flush(FlushRequest {
                 metrics: Some(&m),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size);
         assert_eq!(r.per_ost_bytes.iter().sum::<u64>(), size);
         let by_tier: u64 = r.source_tier_bytes.iter().map(|(_, b)| b).sum();
@@ -1029,11 +1012,11 @@ mod tests {
     #[test]
     fn adaptive_and_naive_both_produce_correct_files() {
         for adaptive in [true, false] {
-            let (md, chains, lustre, mut cfg) = setup();
-            cfg.features.adaptive_striping = adaptive;
-            let size = populate(&md, &chains, 2);
-            let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
-            let whole = lustre.read().unwrap().read("/pfs/f", 0, size, 999).unwrap();
+            let mut h = setup();
+            h.cfg.features.adaptive_striping = adaptive;
+            let size = h.populate(2);
+            let r = h.flush(h.req(size)).unwrap();
+            let whole = h.pfs(0, size);
             assert_eq!(whole.len(), size, "adaptive={adaptive}");
             assert_eq!(r.file_size, size);
         }
@@ -1041,56 +1024,48 @@ mod tests {
 
     #[test]
     fn reflush_overwrites_destination() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 2);
-        flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
+        let h = setup();
+        let size = h.populate(2);
+        h.flush(h.req(size)).unwrap();
         // Flush again (e.g. the file was re-opened and appended — here
         // identical): destination is recreated, not corrupted.
-        flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
-        assert_eq!(lustre.read().unwrap().file_size("/pfs/f").unwrap(), size);
+        h.flush(h.req(size)).unwrap();
+        assert_eq!(h.lustre.read().unwrap().file_size("/pfs/f").unwrap(), size);
     }
 
     #[test]
     fn flush_with_holes_fails() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 2);
+        let h = setup();
+        let size = h.populate(2);
         // Claim the file is bigger than what was written.
-        let err = flush(&md, &chains, &lustre, &cfg, size + 64, Vary::default()).unwrap_err();
+        let err = h.flush(h.req(size + 64)).unwrap_err();
         assert!(matches!(err, SimError::InvalidFlow(_)));
     }
 
     #[test]
     fn degraded_flush_skips_lost_spans_and_reports_them() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 2);
+        let h = setup();
+        let size = h.populate(2);
         // No replicas were written, and node 0 (ranks 0 and 1, logical
         // [0, 256)) fails: that half is lost, the other half must still
         // land on the PFS.
         let failed: HashSet<usize> = [0].into_iter().collect();
         let m = JobMetrics::new();
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
-                failed: Some(&failed),
+        let r = h
+            .flush(FlushRequest {
+                failed_nodes: &failed,
                 metrics: Some(&m),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         assert_eq!(r.lost.lost_bytes, size / 2);
         assert!(r.lost.lost_segments >= 4, "{:?}", r.lost);
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size / 2);
         // The healthy half is byte-identical on Lustre.
-        let pfs = lustre.read().unwrap();
         for s in (size / 2 / 64)..(size / 64) {
-            let got = pfs.read("/pfs/f", s * 64, 64, 999).unwrap();
+            let got = h.pfs(s * 64, 64);
             assert!(got.content_eq(&Payload::pattern(s * 64, 64)), "segment {s}");
         }
-        drop(pfs);
         // The skipped bytes feed the telemetry counter.
         assert_eq!(
             m.snapshot()
@@ -1102,46 +1077,33 @@ mod tests {
     #[test]
     fn flush_retries_exhaust_on_persistent_transient_faults() {
         use crate::fault::{FaultConfig, FaultInjector};
-        let (md, chains, lustre, mut cfg) = setup();
-        let size = populate(&md, &chains, 2);
-        cfg.retry.backoff_base_us = 0;
-        cfg.retry.backoff_cap_us = 0;
+        let mut h = setup();
+        let size = h.populate(2);
+        h.cfg.retry.backoff_base_us = 0;
+        h.cfg.retry.backoff_cap_us = 0;
         let inj = FaultInjector::new(FaultConfig {
             seed: 3,
             transient_prob: 1.0,
             ..FaultConfig::default()
         });
-        let err = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
+        let err = h
+            .flush(FlushRequest {
                 injector: Some(&inj),
-                ..Vary::default()
-            },
-        )
-        .unwrap_err();
+                ..h.req(size)
+            })
+            .unwrap_err();
         match err {
             SimError::Transient { attempt, .. } => {
-                assert_eq!(attempt, cfg.retry.max_attempts)
+                assert_eq!(attempt, h.cfg.retry.max_attempts)
             }
             other => panic!("expected exhausted transient, got {other:?}"),
         }
         // A fault-free injector changes nothing about a healthy flush.
         let quiet = FaultInjector::new(FaultConfig::default());
-        flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
-                injector: Some(&quiet),
-                ..Vary::default()
-            },
-        )
+        h.flush(FlushRequest {
+            injector: Some(&quiet),
+            ..h.req(size)
+        })
         .unwrap();
     }
 
@@ -1149,16 +1111,9 @@ mod tests {
     /// if the background drain had copied them: a first full flush puts
     /// the bytes on `dest` and fixes the plan, then the ledger remembers
     /// the records.
-    fn ledger_after_flush(
-        md: &MetadataService,
-        chains: &ChainSet,
-        lustre: &RwLock<Lustre>,
-        cfg: &UniviStorConfig,
-        size: u64,
-        upto: u64,
-    ) -> DrainLedger {
-        let receipt = flush(md, chains, lustre, cfg, size, Vary::default()).unwrap();
-        let (_, records) = md.lookup_range(1, 0, upto);
+    fn ledger_after_flush(h: &Harness, size: u64, upto: u64) -> DrainLedger {
+        let receipt = h.flush(h.req(size)).unwrap();
+        let (_, records) = h.md.lookup_range(1, 0, upto);
         DrainLedger {
             plan: receipt.plan,
             spans: records
@@ -1171,24 +1126,18 @@ mod tests {
 
     #[test]
     fn resume_skips_drained_spans_and_accounts_them() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 4);
+        let h = setup();
+        let size = h.populate(4);
         // Everything was drained ahead.
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
+        let ledger = ledger_after_flush(&h, size, size);
         let m = JobMetrics::new();
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
+        let r = h
+            .flush(FlushRequest {
                 metrics: Some(&m),
                 resume: Some(&ledger),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         assert_eq!(r.drained_ahead_bytes, size);
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), 0);
         assert_eq!(
@@ -1197,143 +1146,102 @@ mod tests {
             size
         );
         // The destination still reads back byte-identical.
-        let pfs = lustre.read().unwrap();
-        let whole = pfs.read("/pfs/f", 0, size, 999).unwrap();
-        for s in 0..(size / 64) {
-            assert!(
-                whole
-                    .slice(s * 64, 64)
-                    .content_eq(&Payload::pattern(s * 64, 64)),
-                "segment {s} corrupt after catch-up"
-            );
-        }
+        assert_eq!(h.bad_pfs_segment(size), None, "corrupt after catch-up");
     }
 
     #[test]
     fn resume_with_partial_ledger_flushes_only_the_rest() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 4);
+        let h = setup();
+        let size = h.populate(4);
         // Only the first half was drained ahead.
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size / 2);
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
+        let ledger = ledger_after_flush(&h, size, size / 2);
+        let r = h
+            .flush(FlushRequest {
                 resume: Some(&ledger),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         assert_eq!(r.drained_ahead_bytes, size / 2);
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size / 2);
-        let whole = lustre.read().unwrap().read("/pfs/f", 0, size, 999).unwrap();
-        for s in 0..(size / 64) {
-            assert!(
-                whole
-                    .slice(s * 64, 64)
-                    .content_eq(&Payload::pattern(s * 64, 64)),
-                "segment {s} corrupt after partial catch-up"
-            );
-        }
+        assert_eq!(
+            h.bad_pfs_segment(size),
+            None,
+            "corrupt after partial catch-up"
+        );
     }
 
     #[test]
     fn resume_ignores_stale_ledger_entries() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 4);
-        let mut ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
+        let h = setup();
+        let size = h.populate(4);
+        let mut ledger = ledger_after_flush(&h, size, size);
         // One entry no longer matches the live record (as after an
         // overwrite the invalidation hook missed): it must be re-flushed
         // from the cache, not trusted.
         let stale = ledger.spans.get_mut(&0).expect("span at 0");
         stale.len = 32;
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
+        let r = h
+            .flush(FlushRequest {
                 resume: Some(&ledger),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         assert_eq!(r.drained_ahead_bytes, size - 64);
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), 64);
     }
 
     #[test]
     fn drained_spans_survive_source_node_failure() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 2);
+        let h = setup();
+        let size = h.populate(2);
         // The drain copied everything while all nodes were healthy; then
         // node 0 (logical [0, 256), no replicas) died before close.
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
+        let ledger = ledger_after_flush(&h, size, size);
         let failed: HashSet<usize> = [0].into_iter().collect();
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
-                failed: Some(&failed),
+        let r = h
+            .flush(FlushRequest {
+                failed_nodes: &failed,
                 resume: Some(&ledger),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         // Nothing is lost: the drained copies stand in for the dead node.
         assert_eq!(r.lost, FlushReport::default());
         assert_eq!(r.drained_ahead_bytes, size);
-        let whole = lustre.read().unwrap().read("/pfs/f", 0, size, 999).unwrap();
-        for s in 0..(size / 64) {
-            assert!(
-                whole
-                    .slice(s * 64, 64)
-                    .content_eq(&Payload::pattern(s * 64, 64)),
-                "segment {s} corrupt after degraded catch-up"
-            );
-        }
+        assert_eq!(
+            h.bad_pfs_segment(size),
+            None,
+            "corrupt after degraded catch-up"
+        );
     }
 
     #[test]
     fn resume_without_destination_falls_back_to_full_flush() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 2);
-        let ledger = ledger_after_flush(&md, &chains, &lustre, &cfg, size, size);
+        let h = setup();
+        let size = h.populate(2);
+        let ledger = ledger_after_flush(&h, size, size);
         // The destination vanished (e.g. an external delete): the ledger
         // must be discarded, not trusted into a hole-ridden file.
-        lustre.write().unwrap().delete("/pfs/f").unwrap();
-        let r = flush(
-            &md,
-            &chains,
-            &lustre,
-            &cfg,
-            size,
-            Vary {
+        h.lustre.write().unwrap().delete("/pfs/f").unwrap();
+        let r = h
+            .flush(FlushRequest {
                 resume: Some(&ledger),
-                ..Vary::default()
-            },
-        )
-        .unwrap();
+                ..h.req(size)
+            })
+            .unwrap();
         assert_eq!(r.drained_ahead_bytes, 0);
         assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size);
-        assert_eq!(lustre.read().unwrap().file_size("/pfs/f").unwrap(), size);
+        assert_eq!(h.lustre.read().unwrap().file_size("/pfs/f").unwrap(), size);
     }
 
     #[test]
     fn parallel_and_sequential_receipts_agree_and_parallel_coalesces() {
         let run = |pipeline: FlushPipeline| {
-            let (md, chains, lustre, mut cfg) = setup();
-            cfg.flush_pipeline = pipeline;
-            let size = populate(&md, &chains, 4);
-            let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
-            let bytes = lustre.read().unwrap().read("/pfs/f", 0, size, 999).unwrap();
+            let mut h = setup();
+            h.cfg.flush_pipeline = pipeline;
+            let size = h.populate(4);
+            let r = h.flush(h.req(size)).unwrap();
+            let bytes = h.pfs(0, size);
             (r, bytes)
         };
         let (seq, seq_bytes) = run(FlushPipeline::Sequential);
@@ -1377,8 +1285,8 @@ mod tests {
 
     #[test]
     fn parallel_flush_catches_up_with_racing_overwrites() {
-        let (md, chains, lustre, cfg) = setup();
-        let size = populate(&md, &chains, 4);
+        let h = setup();
+        let size = h.populate(4);
         let writer = ClientId::new(0, 0);
         std::thread::scope(|s| {
             // A foreground writer keeps overwriting the span at offset 0
@@ -1386,41 +1294,45 @@ mod tests {
             // fid's generation, invalidating in-flight passes.
             s.spawn(|| {
                 for i in 0..32u64 {
-                    let placed = chains
+                    let placed = h
+                        .chains
                         .append(writer, Payload::pattern(7000 + i, 64))
                         .unwrap();
-                    md.insert(
+                    h.md.insert(
                         SegKey { fid: 1, offset: 0 },
                         SegmentRecord::new(writer, placed.va, 64),
                         0,
                     );
                 }
             });
-            let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
+            let r = h.flush(h.req(size)).unwrap();
             assert_eq!(r.per_server_bytes.iter().sum::<u64>(), size);
             assert_eq!(r.lost, FlushReport::default());
         });
         // The accepted pass saw a consistent snapshot: offset 0 on the
         // PFS holds one of the versions that was current at some point
         // during the flush — never torn or stale-beyond-recognition.
-        let got = lustre.read().unwrap().read("/pfs/f", 0, 64, 999).unwrap();
+        let got = h.pfs(0, 64);
         let valid = std::iter::once(Payload::pattern(0, 64))
             .chain((0..32u64).map(|i| Payload::pattern(7000 + i, 64)))
             .any(|p| got.content_eq(&p));
         assert!(valid, "offset 0 holds a torn or unknown version");
         // With writers quiesced, a fresh flush lands the final version.
-        let r = flush(&md, &chains, &lustre, &cfg, size, Vary::default()).unwrap();
+        let r = h.flush(h.req(size)).unwrap();
         assert_eq!(r.catchup_passes, 0);
-        let got = lustre.read().unwrap().read("/pfs/f", 0, 64, 999).unwrap();
-        let (_, records) = md.lookup_range(1, 0, 64);
+        let got = h.pfs(0, 64);
+        let (_, records) = h.md.lookup_range(1, 0, 64);
         let (_, final_rec) = records.first().expect("record at offset 0");
-        let (current, _) = chains.read_at(final_rec.client, final_rec.va, 64).unwrap();
+        let (current, _) = h
+            .chains
+            .read_at(final_rec.client, final_rec.va, 64)
+            .unwrap();
         assert!(got.content_eq(&current), "quiescent flush not current");
     }
 
     #[test]
     fn empty_flush_rejected() {
-        let (md, chains, lustre, cfg) = setup();
-        assert!(flush(&md, &chains, &lustre, &cfg, 0, Vary::default()).is_err());
+        let h = setup();
+        assert!(h.flush(h.req(0)).is_err());
     }
 }

@@ -33,7 +33,6 @@
 //! after spilling across tiers and flushing to the PFS. The timing plane
 //! consumes the receipts these modules produce.
 
-pub(crate) mod actor;
 pub mod config;
 pub mod driver;
 pub mod error;
@@ -41,6 +40,7 @@ pub mod fault;
 pub mod flush;
 pub mod integrity;
 pub mod log;
+pub(crate) mod maint;
 pub mod metadata;
 pub mod metrics;
 pub mod placement;

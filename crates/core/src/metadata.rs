@@ -148,6 +148,16 @@ pub(crate) struct CacheEntry {
 /// tuned working-set size.
 pub(crate) const READ_CACHE_WINDOWS_PER_FID: usize = 128;
 
+/// Where a bounded scan for records overlapping `[lo, ..)` starts: a
+/// record starting left of `lo` can still reach into the window, and no
+/// record exceeds one metadata range (the coalescing cap), so the scan
+/// widens left by exactly `range_size`. Every metadata scan of both
+/// runtimes — punch, lookup, routed scan, span ownership — starts here.
+#[inline]
+pub(crate) fn scan_start(lo: u64, range_size: u64) -> u64 {
+    lo.saturating_sub(range_size)
+}
+
 /// The geometry of one record `(k, v)` overlapped by a punch of `[lo, hi)`:
 /// surviving left/right fragments plus the displaced middle. Shared between
 /// [`MetadataService::punch`]'s batched implementation and the partitioned
@@ -523,15 +533,7 @@ impl MetadataService {
         if lo >= hi {
             return Vec::new();
         }
-        // A record starting before `lo` can still overlap; widen the scan
-        // to the left by the maximum record length we may have stored. We
-        // do not know that bound, so scan from 0 … in practice records are
-        // bounded by the segment size; but correctness first: scan keys in
-        // [0, hi) and filter by actual overlap. To avoid full scans we
-        // exploit that records never exceed one metadata range: scan
-        // [lo.saturating_sub(range), hi).
-        let range = self.kv.partitioner().range_size;
-        let scan_lo = lo.saturating_sub(range);
+        let scan_lo = scan_start(lo, self.kv.partitioner().range_size);
         let mut overlapping: Vec<(SegKey, SegmentRecord)> = Vec::new();
         let servers = self.kv.for_each_in_range(
             &SegKey {
@@ -680,8 +682,7 @@ impl MetadataService {
         lo: u64,
         hi: u64,
     ) -> (Vec<ServerId>, Vec<(SegKey, SegmentRecord)>) {
-        let range = self.kv.partitioner().range_size;
-        let scan_lo = lo.saturating_sub(range);
+        let scan_lo = scan_start(lo, self.kv.partitioner().range_size);
         let mut records: Vec<(SegKey, SegmentRecord)> = Vec::new();
         let servers = self.kv.for_each_in_range(
             &SegKey {

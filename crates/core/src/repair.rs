@@ -4,27 +4,27 @@
 //! whose primary span lived there is served from its buddy replica — the
 //! job runs *degraded*: one more failure loses data. This module restores
 //! full redundancy while the job keeps running, the robustness counterpart
-//! of the paper's replication "future work": scan the metadata index for
-//! records referencing a failed node, re-read each surviving copy, place a
-//! fresh copy on a healthy buddy chain, and swap the index entry with the
-//! same compare-and-swap discipline the promotion path uses — a record
-//! overwritten mid-repair is left alone and the fresh copy is rolled back.
+//! of the paper's replication "future work". Its policy is the triage of
+//! each record referencing a failed node:
 //!
-//! Lock order matches the data path: at most one chain lock at a time
-//! (source read, then copy append, then dead-span release), KV shard locks
-//! strictly between chain acquisitions, never nested inside one.
+//! * **primary lost, replica alive** — the replica is promoted to primary
+//!   and a fresh mirror goes to a healthy buddy of it;
+//! * **replica lost, primary alive** — a fresh mirror on a healthy buddy
+//!   replaces the dead reference;
+//! * **both lost** — reported as lost, the record left in place so reads
+//!   fail loudly with full context instead of returning holes.
+//!
+//! A survivor is verified before it is copied, and no healthy buddy with
+//! room leaves the record readable but un-mirrored. Each rebuild is one
+//! `Maint::relocate` (DESIGN.md §11).
 //!
 //! [`fail_node`]: crate::server::UniviStorJob::fail_node
 
-use crate::config::JobGeometry;
-use crate::fault::{with_retries, RetryPolicy};
-use crate::integrity::Verifier;
-use crate::metadata::{ClientId, MetadataService, SegmentRecord};
-use crate::metrics::{JobMetrics, VerifySite};
-use crate::placement::{healthy_buddy, ChainSet};
-use crate::va::VirtualAddr;
-use std::collections::HashSet;
-use univistor_sim::{Payload, SimResult};
+use crate::maint::{Maint, Move, Moved, Place};
+use crate::metadata::SegmentRecord;
+use crate::metrics::VerifySite;
+use crate::placement::healthy_buddy;
+use univistor_sim::SimResult;
 
 /// Outcome of one repair pass ([`rebuild_degraded`]).
 ///
@@ -62,193 +62,110 @@ impl RepairReport {
     }
 }
 
-/// Copy `payload` onto `target`'s chain as ONE contiguous same-layer span
-/// (chunk-split sub-appends, like the promotion path), returning its VA.
-/// A fragmented or cross-layer copy is rolled back and reported as `None`
-/// — the record must stay describable by a single `(client, va)` pair.
-/// Shared with the scrubber's corrupt-copy repair.
-pub(crate) fn place_copy(
-    chains: &ChainSet,
-    target: ClientId,
-    payload: &Payload,
-    len: u64,
-    chunk: u64,
-    retry: &RetryPolicy,
-    metrics: Option<&JobMetrics>,
-) -> SimResult<Option<VirtualAddr>> {
-    let mut sub = Vec::with_capacity((len / chunk) as usize + 1);
-    let mut pos = 0u64;
-    while pos < len {
-        let n = chunk.min(len - pos);
-        sub.push(payload.slice(pos, n));
-        pos += n;
-    }
-    let placements = match with_retries(retry, metrics, || chains.append_many(target, sub.clone()))
-    {
-        Ok(p) => p,
-        // No space on the buddy (or the fault budget ran out): degrade
-        // gracefully rather than failing the whole pass.
-        Err(_) => return Ok(None),
-    };
-    let layer = placements.first().map(|p| p.layer);
-    let one_span = placements.iter().all(|p| Some(p.layer) == layer)
-        && placements
-            .windows(2)
-            .all(|w| w[0].va.0 + w[0].len == w[1].va.0);
-    if !one_span {
-        for p in &placements {
-            chains.release(target, p.va, p.len);
-        }
-        return Ok(None);
-    }
-    Ok(placements.first().map(|p| p.va))
+/// Which of `rec`'s copies live on a failed node: `(primary, replica)`.
+fn lost_copies(m: &Maint, rec: &SegmentRecord) -> (bool, bool) {
+    let replica_lost = rec.replica.is_some_and(|(rc, _)| m.node_failed(rc));
+    (m.node_failed(rec.client), replica_lost)
 }
 
-/// Repair every degraded record of one file. See the module docs for the
-/// per-record cases; `ensure_chain` lets the pass materialize a buddy
-/// chain for a client that never wrote.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_file(
-    metadata: &MetadataService,
-    chains: &ChainSet,
-    geometry: &JobGeometry,
-    chunk_size: u64,
-    failed: &HashSet<usize>,
-    retry: &RetryPolicy,
-    metrics: Option<&JobMetrics>,
-    verifier: &Verifier,
-    ensure_chain: &dyn Fn(ClientId) -> SimResult<()>,
-    fid: u64,
-    file_size: u64,
-) -> SimResult<RepairReport> {
+/// Index records still referencing a failed node, as primary or replica.
+pub(crate) fn degraded_records(m: &Maint) -> u64 {
+    let mut n = 0;
+    for f in &m.files {
+        let (_, records) = m.core.metadata.lookup_range(f.fid, 0, f.size);
+        n += records
+            .iter()
+            .filter(|(_, r)| lost_copies(m, r) != (false, false))
+            .count() as u64;
+    }
+    n
+}
+
+/// Repair every file of the pass's snapshot.
+pub(crate) fn rebuild(m: &Maint) -> SimResult<RepairReport> {
+    let mut total = RepairReport::default();
+    for f in &m.files {
+        total.absorb(repair_file(m, f.fid, f.size)?);
+    }
+    Ok(total)
+}
+
+/// Repair every degraded record of one file (see the module docs for the
+/// per-record cases).
+pub(crate) fn repair_file(m: &Maint, fid: u64, file_size: u64) -> SimResult<RepairReport> {
     let mut report = RepairReport::default();
-    let node_failed = |c: ClientId| failed.contains(&geometry.node_of_rank(c.rank as usize));
-    let (_, records) = metadata.lookup_range(fid, 0, file_size);
+    let (_, records) = m.core.metadata.lookup_range(fid, 0, file_size);
     for (key, rec) in records {
         report.scanned_records += 1;
-        let primary_lost = node_failed(rec.client);
-        let replica_lost = rec.replica.is_some_and(|(rc, _)| node_failed(rc));
+        let (primary_lost, replica_lost) = lost_copies(m, &rec);
         if !primary_lost && !replica_lost {
             continue;
         }
-
-        // Both copies gone (or the primary gone with no replica): the
-        // bytes are unrecoverable. Leave the record so reads fail loudly
-        // with full context instead of returning holes.
-        let source = if primary_lost {
-            rec.replica.filter(|&(rc, _)| !node_failed(rc))
+        let survivor = if primary_lost {
+            rec.replica.filter(|&(rc, _)| !m.node_failed(rc))
         } else {
             Some((rec.client, rec.va))
         };
-        let Some((src_client, src_va)) = source else {
+        let Some(from) = survivor else {
             report.lost_records += 1;
             report.lost_bytes += rec.len;
             report.remaining_degraded += 1;
             continue;
         };
-
-        // Read the surviving copy (shared chain lock, released before any
-        // other lock is taken).
-        let Ok((payload, _)) = with_retries(retry, metrics, || {
-            chains.read_at(src_client, src_va, rec.len)
-        }) else {
-            report.remaining_degraded += 1;
-            continue;
+        // The survivor is the primary from here on; the fresh copy, if a
+        // healthy buddy of it has room, becomes the replica. The survivor
+        // carries the same bytes, so the write-commit stamp stays valid.
+        let to = healthy_buddy(&m.cfg.geometry, &m.failed, from.0).map(|client| Place {
+            client,
+            floor: 0,
+            exact: false,
+        });
+        let promoted = SegmentRecord {
+            client: from.0,
+            va: from.1,
+            ..rec
         };
-
-        // Verify the surviving copy before replicating it: propagating a
-        // silently corrupted source would mint two bad copies with a valid
-        // looking record. The other copy lives on the failed node, so a
-        // corrupt survivor has no fallback — leave the record degraded for
-        // the scrubber/read path to report instead of spreading rot.
-        if let Some(sum) = rec.checksum {
-            if !verifier.verify(VerifySite::Repair, &payload, sum) {
-                if let Some(m) = metrics {
-                    m.record_verify_failure(VerifySite::Repair);
-                }
-                report.remaining_degraded += 1;
-                continue;
-            }
-        }
-
-        // Place a fresh copy on a healthy buddy of the surviving owner.
-        // No healthy buddy (single node, or everything else failed) means
-        // the record stays un-mirrored but readable.
-        let fresh = match healthy_buddy(geometry, failed, src_client) {
-            Some(buddy) => {
-                ensure_chain(buddy)?;
-                place_copy(chains, buddy, &payload, rec.len, chunk_size, retry, metrics)?
-                    .map(|va| (buddy, va))
-            }
-            None => None,
+        let mv = Move {
+            key,
+            rec,
+            from,
+            site: VerifySite::Repair,
+            to,
         };
-
-        let new_record = if primary_lost {
-            // The surviving replica is promoted to primary; the fresh copy
-            // (if any) becomes the new replica.
-            SegmentRecord {
-                client: src_client,
-                va: src_va,
-                len: rec.len,
+        match m.relocate(&mv, |fresh| {
+            Some(SegmentRecord {
                 replica: fresh,
-                // The verified survivor carries the same bytes, so the
-                // write-commit stamp stays valid across the promotion.
-                checksum: rec.checksum,
-            }
-        } else {
-            // Primary healthy, replica lost: keep the primary span, point
-            // the record at the fresh mirror (or drop the dead reference).
-            SegmentRecord {
-                replica: fresh,
-                ..rec
-            }
-        };
-        if new_record == rec {
-            // Nothing changed (no buddy found for a lost replica): the
-            // record still references the failed node.
-            report.remaining_degraded += 1;
-            continue;
-        }
-
-        // Swap the index entry only if nobody overwrote it meanwhile.
-        let producer_node = geometry.node_of_rank(new_record.client.rank as usize);
-        if metadata
-            .replace_if_current(key, &rec, new_record, producer_node)
-            .1
-        {
-            // The dead span on the failed node is no longer referenced;
-            // release it so live-byte accounting drops the lost bytes.
-            if primary_lost {
-                chains.release(rec.client, rec.va, rec.len);
-                report.repaired_primary += 1;
-            } else if let Some((rc, rva)) = rec.replica {
-                chains.release(rc, rva, rec.len);
-            }
-            if fresh.is_some() {
-                if !primary_lost {
-                    report.repaired_replica += 1;
+                ..promoted
+            })
+        })? {
+            Moved::Swapped(new) => {
+                if primary_lost {
+                    report.repaired_primary += 1;
                 }
-                report.repaired_bytes += rec.len;
-            } else {
-                // The surviving copy is readable, but no healthy buddy
-                // had room for a mirror: still a single copy.
-                report.remaining_degraded += 1;
+                if new.replica.is_none() {
+                    // Readable, but no healthy buddy had room for a
+                    // mirror: still a single copy.
+                    report.remaining_degraded += 1;
+                } else {
+                    if !primary_lost {
+                        report.repaired_replica += 1;
+                    }
+                    report.repaired_bytes += rec.len;
+                }
             }
-        } else {
-            // Lost the race to an overwrite: the new data already has a
-            // fresh record; drop our copy.
-            if let Some((fc, fva)) = fresh {
-                chains.release(fc, fva, rec.len);
-            }
+            // An overwrite won: the new data already has a fresh record.
+            Moved::LostRace => {}
+            // An unreadable survivor, or a corrupt one — the other copy is
+            // on the failed node, so there is no fallback; leave it for
+            // the scrubber/read path to report instead of spreading rot.
+            _ => report.remaining_degraded += 1,
         }
     }
-    if let Some(m) = metrics {
-        m.record_repair(
-            report.repaired_primary,
-            report.repaired_replica,
-            report.repaired_bytes,
-        );
-    }
+    m.metrics.record_repair(
+        report.repaired_primary,
+        report.repaired_replica,
+        report.repaired_bytes,
+    );
     Ok(report)
 }
 
@@ -256,29 +173,25 @@ pub fn repair_file(
 mod tests {
     use super::*;
     use crate::config::UniviStorConfig;
-    use crate::metadata::SegKey;
-    use crate::placement::ProcChain;
-    use crate::va::Tier;
+    use crate::integrity::Verifier;
+    use crate::maint::tests::core as harness;
+    use crate::metadata::{ClientId, MetadataService, SegKey};
+    use crate::metrics::JobMetrics;
+    use crate::placement::ChainSet;
+    use crate::runtime::LockedCore;
+    use univistor_sim::Payload;
 
-    /// Chunk size shared by the harness chains and the repair calls.
-    const CHUNK: u64 = 128;
-
-    fn harness() -> (MetadataService, ChainSet, UniviStorConfig) {
-        let cfg = UniviStorConfig::test_small(4, 2);
-        let metadata = MetadataService::new(256, 4, 4);
-        let chains = ChainSet::new();
-        for rank in 0..8u32 {
-            chains
-                .ensure(ClientId::new(0, rank), || {
-                    ProcChain::new(vec![(Tier::Dram, 4096), (Tier::Pfs, u64::MAX)], CHUNK)
-                })
-                .unwrap();
-        }
-        (metadata, chains, cfg)
-    }
-
-    fn ensure_noop(_: ClientId) -> SimResult<()> {
-        Ok(())
+    /// Repair fid 1 (128 B) with `failed` nodes down.
+    fn repair(core: &LockedCore, cfg: &UniviStorConfig, failed: &[usize]) -> RepairReport {
+        let m = Maint {
+            cfg,
+            core,
+            metrics: &JobMetrics::new(),
+            verifier: &Verifier::default(),
+            failed: failed.iter().copied().collect(),
+            files: Vec::new(),
+        };
+        repair_file(&m, 1, 128).unwrap()
     }
 
     /// Write one 128 B replicated segment from rank 0 (node 0) with its
@@ -303,23 +216,10 @@ mod tests {
 
     #[test]
     fn lost_primary_promotes_replica_and_remirrors() {
-        let (md, chains, cfg) = harness();
-        let (key, rec) = seed_segment(&md, &chains);
-        let failed: HashSet<usize> = [0].into_iter().collect();
-        let report = repair_file(
-            &md,
-            &chains,
-            &cfg.geometry,
-            CHUNK,
-            &failed,
-            &cfg.retry,
-            None,
-            &Verifier::default(),
-            &ensure_noop,
-            1,
-            128,
-        )
-        .unwrap();
+        let (core, cfg) = harness();
+        let (md, chains) = (&core.metadata, &core.chains);
+        let (key, rec) = seed_segment(md, chains);
+        let report = repair(&core, &cfg, &[0]);
         assert_eq!(report.repaired_primary, 1);
         assert_eq!(report.repaired_bytes, 128);
         assert_eq!(report.remaining_degraded, 0);
@@ -348,24 +248,12 @@ mod tests {
 
     #[test]
     fn lost_replica_is_remirrored_from_primary() {
-        let (md, chains, cfg) = harness();
-        let (key, rec) = seed_segment(&md, &chains);
+        let (core, cfg) = harness();
+        let (md, chains) = (&core.metadata, &core.chains);
+        let (key, rec) = seed_segment(md, chains);
         // Node 1 hosts the replica (rank 2).
-        let failed: HashSet<usize> = [1].into_iter().collect();
-        let report = repair_file(
-            &md,
-            &chains,
-            &cfg.geometry,
-            CHUNK,
-            &failed,
-            &cfg.retry,
-            None,
-            &Verifier::default(),
-            &ensure_noop,
-            1,
-            128,
-        )
-        .unwrap();
+        let failed = [1];
+        let report = repair(&core, &cfg, &failed);
         assert_eq!(report.repaired_replica, 1);
         let (_, new_rec) = md.get(&key);
         let new_rec = new_rec.unwrap();
@@ -376,23 +264,10 @@ mod tests {
 
     #[test]
     fn both_copies_lost_is_reported_not_hidden() {
-        let (md, chains, cfg) = harness();
-        let (key, rec) = seed_segment(&md, &chains);
-        let failed: HashSet<usize> = [0, 1].into_iter().collect();
-        let report = repair_file(
-            &md,
-            &chains,
-            &cfg.geometry,
-            CHUNK,
-            &failed,
-            &cfg.retry,
-            None,
-            &Verifier::default(),
-            &ensure_noop,
-            1,
-            128,
-        )
-        .unwrap();
+        let (core, cfg) = harness();
+        let (md, chains) = (&core.metadata, &core.chains);
+        let (key, rec) = seed_segment(md, chains);
+        let report = repair(&core, &cfg, &[0, 1]);
         assert_eq!(report.lost_records, 1);
         assert_eq!(report.lost_bytes, 128);
         assert_eq!(report.remaining_degraded, 1);
@@ -402,24 +277,11 @@ mod tests {
 
     #[test]
     fn healthy_records_are_untouched() {
-        let (md, chains, cfg) = harness();
-        let (key, rec) = seed_segment(&md, &chains);
+        let (core, cfg) = harness();
+        let (md, chains) = (&core.metadata, &core.chains);
+        let (key, rec) = seed_segment(md, chains);
         // Node 3 hosts neither copy.
-        let failed: HashSet<usize> = [3].into_iter().collect();
-        let report = repair_file(
-            &md,
-            &chains,
-            &cfg.geometry,
-            CHUNK,
-            &failed,
-            &cfg.retry,
-            None,
-            &Verifier::default(),
-            &ensure_noop,
-            1,
-            128,
-        )
-        .unwrap();
+        let report = repair(&core, &cfg, &[3]);
         assert_eq!(report.scanned_records, 1);
         assert_eq!(report.repaired_primary + report.repaired_replica, 0);
         assert_eq!(md.get(&key).1, Some(rec));

@@ -81,9 +81,9 @@ use crate::config::UniviStorConfig;
 use crate::fault::FaultInjector;
 use crate::flush::FlushSource;
 use crate::metadata::{
-    buffer_insert, buffer_lookup, buffer_sweep, cache_probe, cache_store, split_overlapped,
-    BatchOutcome, ClientId, CommitStats, Displaced, Generations, MetadataService, NodeBuffer,
-    ReadCache, SegKey, SegmentRecord,
+    buffer_insert, buffer_lookup, buffer_sweep, cache_probe, cache_store, scan_start,
+    split_overlapped, BatchOutcome, ClientId, CommitStats, Displaced, Generations, MetadataService,
+    NodeBuffer, ReadCache, SegKey, SegmentRecord,
 };
 use crate::metrics::{MsgPlaneMetrics, PartitionMetrics};
 use crate::placement::{append_run, ChainSet, PlacedSegment, ProcChain};
@@ -521,9 +521,8 @@ impl Worker {
                 }
                 Req::Scan { fid, lo, hi, reply } => {
                     self.metrics.batched_ops.inc();
-                    let scan_lo = lo.saturating_sub(self.partitioner.range_size);
                     let mut records = Vec::new();
-                    self.visit_span(fid, scan_lo, hi, lo, &mut records);
+                    self.visit_span(fid, lo, hi, &mut records);
                     reply.fill(Reply::Records(records));
                 }
                 Req::CacheInstall {
@@ -637,9 +636,8 @@ impl Worker {
         if lo >= hi {
             return out;
         }
-        let scan_lo = lo.saturating_sub(self.partitioner.range_size);
         let mut overlapping: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        self.visit_span(fid, scan_lo, hi, lo, &mut overlapping);
+        self.visit_span(fid, lo, hi, &mut overlapping);
         if overlapping.is_empty() {
             return out;
         }
@@ -668,17 +666,11 @@ impl Worker {
     }
 
     /// The shared scan of `punch`/`scan`: visit each owned server of the
-    /// span `[scan_lo, hi)` in partitioner order, bump its `gets` counter
-    /// (even when nothing matches — a visit is a visit), and collect the
-    /// records actually overlapping `[lo, hi)`.
-    fn visit_span(
-        &mut self,
-        fid: u64,
-        scan_lo: u64,
-        hi: u64,
-        lo: u64,
-        into: &mut Vec<(SegKey, SegmentRecord)>,
-    ) {
+    /// widened span `[scan_start(lo), hi)` in partitioner order, bump its
+    /// `gets` counter (even when nothing matches — a visit is a visit),
+    /// and collect the records actually overlapping `[lo, hi)`.
+    fn visit_span(&mut self, fid: u64, lo: u64, hi: u64, into: &mut Vec<(SegKey, SegmentRecord)>) {
+        let scan_lo = scan_start(lo, self.partitioner.range_size);
         let lo_key = SegKey {
             fid,
             offset: scan_lo,
@@ -1076,7 +1068,7 @@ impl PartitionedCore {
     /// locked runtime charges one RPC per visited server, so the routed
     /// read path computes the same count here.
     fn rpc_servers(&self, lo: u64, hi: u64) -> usize {
-        let scan_lo = lo.saturating_sub(self.partitioner.range_size);
+        let scan_lo = scan_start(lo, self.partitioner.range_size);
         self.partitioner.servers_for_span(scan_lo, hi).len()
     }
 
@@ -1156,15 +1148,17 @@ impl PartitionedCore {
             .or_insert(0) |= bit;
     }
 
-    /// Workers owning at least one server of the span, in first-touch
-    /// span order, written into the caller's reused scratch. A seen
-    /// bitmask replaces the former O(owners²) `Vec::contains` dedup; past
-    /// 64 workers an aliased bit falls back to the exact (rare) check.
+    /// Workers owning at least one server of the widened span
+    /// `[scan_start(lo), hi)`, in first-touch span order, written into the
+    /// caller's reused scratch. A seen bitmask replaces the former
+    /// O(owners²) `Vec::contains` dedup; past 64 workers an aliased bit
+    /// falls back to the exact (rare) check.
     fn span_owners_into(&self, lo: u64, hi: u64, owners: &mut Vec<usize>) {
         owners.clear();
         let pool = self.workers.len();
         let mut seen: u64 = 0;
-        for server in self.partitioner.servers_for_span(lo, hi) {
+        let scan_lo = scan_start(lo, self.partitioner.range_size);
+        for server in self.partitioner.servers_for_span(scan_lo, hi) {
             let owner = server.0 % pool;
             let bit = 1u64 << (owner & 63);
             if seen & bit == 0 {
@@ -1223,9 +1217,8 @@ impl PartitionedCore {
         if lo >= hi {
             return out;
         }
-        let scan_lo = lo.saturating_sub(self.partitioner.range_size);
         OWNERS.with_borrow_mut(|owners| {
-            self.span_owners_into(scan_lo, hi, owners);
+            self.span_owners_into(lo, hi, owners);
             REC_GROUPS.with_borrow_mut(|groups| {
                 groups.resize_with(self.workers.len(), Vec::new);
                 for &(off, record) in records {
@@ -1371,9 +1364,8 @@ impl PartitionedCore {
         if self.owner_of_client(client) != w {
             return None;
         }
-        let scan_lo = lo.saturating_sub(self.partitioner.range_size);
         OWNERS.with_borrow_mut(|owners| {
-            self.span_owners_into(scan_lo, hi, owners);
+            self.span_owners_into(lo, hi, owners);
             (owners.len() == 1 && owners[0] == w).then_some(w)
         })
     }
@@ -1450,10 +1442,9 @@ impl PartitionedCore {
     /// Distributed lookup of records intersecting `[lo, hi)` of `fid`,
     /// merged and offset-sorted like `MetadataService::lookup_range`.
     fn scan(&self, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
-        let scan_lo = lo.saturating_sub(self.partitioner.range_size);
         let mut records = Vec::new();
         OWNERS.with_borrow_mut(|owners| {
-            self.span_owners_into(scan_lo, hi, owners);
+            self.span_owners_into(lo, hi, owners);
             self.wave(
                 owners.iter().copied(),
                 |_, reply| Req::Scan { fid, lo, hi, reply },
@@ -1483,10 +1474,6 @@ impl PartitionedCore {
         }
     }
 
-    /// Park every worker, assemble the full locked core from their slices,
-    /// run `f` against it, then disassemble and redistribute by ownership.
-    /// Chains or records `f` creates (e.g. repair's re-replication) land on
-    /// their correct owners. Serialized: one checkout at a time.
     /// Hold off checkouts while a routed multi-step protocol is in
     /// flight; see the `ops` field. Cheap and uncontended in steady
     /// state — no checkout, no writer, shared acquisition only.
@@ -1494,6 +1481,10 @@ impl PartitionedCore {
         self.ops.read().expect("pass-exclusion gate poisoned")
     }
 
+    /// Park every worker, assemble the full locked core from their slices,
+    /// run `f` against it, then disassemble and redistribute by ownership.
+    /// Chains or records `f` creates (e.g. repair's re-replication) land on
+    /// their correct owners. Serialized: one checkout at a time.
     pub(crate) fn with_checked_out<R>(&self, f: impl FnOnce(&LockedCore) -> R) -> R {
         let _serial = self.checkout.lock().expect("checkout serializer poisoned");
         // Wait for in-flight routed protocols to finish their commit

@@ -26,35 +26,25 @@
 //!    and opportunistically stamp unstamped records whose content is
 //!    unambiguous.
 //!
-//! Repair follows the online-repair discipline ([`crate::repair`]): read
-//! the clean copy, re-verify it against the stamp, append a fresh span on
-//! the bad copy's own chain ([`place_copy`] — one contiguous same-layer
-//! span), swap the index entry with `replace_if_current`, and release the
-//! bad span only after the swap lands. A record overwritten mid-repair
-//! wins the race; the fresh span is rolled back. Appending through the
-//! chain clears any injected corruption registered over the new span
+//! A corrupt copy is rebuilt from the record's other, verified copy onto
+//! the bad copy's own chain, so placement and locality are unchanged — one
+//! `Maint::relocate` (DESIGN.md §11), which also makes a record
+//! overwritten mid-repair win the race. Appending through the chain clears
+//! any injected corruption registered over the new span
 //! (`FaultInjector::on_append`), so the repaired copy is genuinely clean.
-//!
-//! Lock order matches the data path: at most one chain lock at a time,
-//! index shard locks strictly between chain acquisitions.
 //!
 //! [`ScrubConfig::enabled`]: crate::config::ScrubConfig
 
-use crate::actor::NodeActors;
-use crate::config::UniviStorConfig;
-use crate::fault::with_retries;
-use crate::integrity::Verifier;
-use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::{JobMetrics, VerifySite};
-use crate::placement::ChainSet;
-use crate::repair::place_copy;
+use crate::maint::{Gates, Maint, Move, Moved, NodeActors, Place};
+use crate::metadata::{ClientId, SegKey, SegmentRecord};
+use crate::metrics::VerifySite;
 use crate::server::UniviStorJob;
 use crate::va::VirtualAddr;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use univistor_sim::{Payload, SimResult};
+use univistor_sim::SimResult;
 
 /// Most segment records one pass verifies per node (rate limit, so the
 /// scrubber steals bounded work from the data plane).
@@ -168,21 +158,11 @@ pub(crate) struct ScrubState {
     cursors: Mutex<HashMap<usize, (u64, u64)>>,
     /// One gate per node: a pass `try_lock`s it and reports `skipped`
     /// when another pass for the same node is already running.
-    gates: Mutex<HashMap<usize, Arc<Mutex<()>>>>,
+    gates: Gates<usize>,
     pub(crate) passes: AtomicU64,
 }
 
 impl ScrubState {
-    fn node_gate(&self, node: usize) -> Arc<Mutex<()>> {
-        Arc::clone(
-            self.gates
-                .lock()
-                .expect("scrub gates poisoned")
-                .entry(node)
-                .or_default(),
-        )
-    }
-
     fn cursor(&self, node: usize) -> (u64, u64) {
         *self
             .cursors
@@ -200,169 +180,115 @@ impl ScrubState {
     }
 }
 
-/// Everything one pass needs, borrowed from the job (checkout-safe: only
-/// assembled-core structures and job-level shared state).
-pub(crate) struct ScrubCtx<'a> {
-    pub cfg: &'a UniviStorConfig,
-    pub metadata: &'a MetadataService,
-    pub chains: &'a ChainSet,
-    pub metrics: &'a JobMetrics,
-    pub verifier: &'a Verifier,
-    pub state: &'a ScrubState,
-    pub queue: &'a CorruptQueue,
-    /// `(fid, size)` of every written file — the walk's work list.
-    pub files: Vec<(u64, u64)>,
-    /// Nodes currently failed: their copies are the repair module's
-    /// problem (the spans are *gone*, not corrupt), so the scrubber
-    /// neither reads nor repairs them.
-    pub failed: HashSet<usize>,
-}
-
-impl ScrubCtx<'_> {
-    fn node_of(&self, c: ClientId) -> usize {
-        self.cfg.geometry.node_of_rank(c.rank as usize)
-    }
-
-    fn node_failed(&self, c: ClientId) -> bool {
-        self.failed.contains(&self.node_of(c))
-    }
-
-    /// Read the full span of one copy through the fault-aware chain path
-    /// (transient faults retried; injected corruption applied — that is
-    /// the point).
-    fn read_copy(&self, client: ClientId, va: VirtualAddr, len: u64) -> SimResult<Payload> {
-        let (payload, _) = with_retries(&self.cfg.retry, Some(self.metrics), || {
-            self.chains.read_at(client, va, len)
-        })?;
-        Ok(payload)
-    }
-}
-
-/// Which of a record's two copies a repair targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CopySel {
-    Primary,
-    Replica,
-}
-
-/// Rebuild one corrupt copy of `rec` from the other, verified copy. The
-/// fresh span lands on the bad copy's own chain, so placement and
-/// locality are unchanged; the index entry is swapped under
-/// `replace_if_current` and the bad span released only after the swap.
-fn repair_copy(
-    ctx: &ScrubCtx<'_>,
+/// Rebuild the corrupt copy `bad` of `rec` from the other copy, onto the
+/// bad copy's own chain.
+fn rebuild(
+    m: &Maint,
     key: SegKey,
     rec: SegmentRecord,
-    bad: CopySel,
-    sum: u64,
+    bad: (ClientId, VirtualAddr),
     report: &mut ScrubReport,
 ) -> SimResult<()> {
-    let source = match bad {
-        CopySel::Primary => rec.replica,
-        CopySel::Replica => Some((rec.client, rec.va)),
-    };
-    let Some((src_client, src_va)) = source.filter(|&(c, _)| !ctx.node_failed(c)) else {
-        report.unrepaired_copies += 1;
-        return Ok(());
-    };
-    let Ok(payload) = ctx.read_copy(src_client, src_va, rec.len) else {
-        report.unrepaired_copies += 1;
-        return Ok(());
-    };
-    if !ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
-        // The would-be source is corrupt too: both copies bad, nothing
-        // clean to rebuild from. Count the second copy's failure — the
-        // caller only verified the first.
-        ctx.metrics.record_verify_failure(VerifySite::Scrub);
-        report.corrupt_copies += 1;
-        report.unrepaired_copies += 1;
-        return Ok(());
-    }
-    let (bad_client, bad_va) = match bad {
-        CopySel::Primary => (rec.client, rec.va),
-        CopySel::Replica => rec.replica.expect("replica verified corrupt"),
-    };
-    let Some(new_va) = place_copy(
-        ctx.chains,
-        bad_client,
-        &payload,
-        rec.len,
-        ctx.cfg.chunk_size,
-        &ctx.cfg.retry,
-        Some(ctx.metrics),
-    )?
-    else {
-        // No room for one contiguous fresh span: the record stays
-        // readable through its clean copy; a later pass retries.
-        report.unrepaired_copies += 1;
-        return Ok(());
-    };
-    let new_rec = match bad {
-        CopySel::Primary => SegmentRecord { va: new_va, ..rec },
-        CopySel::Replica => SegmentRecord {
-            replica: Some((bad_client, new_va)),
-            ..rec
-        },
-    };
-    let producer_node = ctx.node_of(new_rec.client);
-    if ctx
-        .metadata
-        .replace_if_current(key, &rec, new_rec, producer_node)
-        .1
-    {
-        ctx.chains.release(bad_client, bad_va, rec.len);
-        ctx.metrics.record_scrub_repair();
-        report.repaired_copies += 1;
+    let primary = (rec.client, rec.va);
+    let source = if bad == primary {
+        rec.replica
     } else {
-        // Lost the race to an overwrite: the new data already has a
-        // fresh record; drop our copy.
-        ctx.chains.release(bad_client, new_va, rec.len);
+        Some(primary)
+    };
+    // A copy on a failed node is the repair module's problem (the span is
+    // *gone*, not corrupt): never read it.
+    let Some(from) = source.filter(|&(c, _)| !m.node_failed(c)) else {
         report.unrepaired_copies += 1;
+        return Ok(());
+    };
+    let to = Place {
+        client: bad.0,
+        floor: 0,
+        exact: false,
+    };
+    let mv = Move {
+        key,
+        rec,
+        from,
+        site: VerifySite::Scrub,
+        to: Some(to),
+    };
+    let moved = m.relocate(&mv, |fresh| {
+        fresh.map(|(client, va)| match bad == primary {
+            true => SegmentRecord { va, ..rec },
+            false => SegmentRecord {
+                replica: Some((client, va)),
+                ..rec
+            },
+        })
+    })?;
+    match moved {
+        Moved::Swapped(_) => {
+            m.metrics.record_scrub_repair();
+            report.repaired_copies += 1;
+        }
+        // Both copies bad, nothing clean to rebuild from. Count the second
+        // copy's failure — the caller only verified the first.
+        Moved::Corrupt => {
+            report.corrupt_copies += 1;
+            report.unrepaired_copies += 1;
+        }
+        // Unreadable source, no room for one contiguous span, or an
+        // overwrite won: the record stays readable through its clean copy
+        // (or is the overwrite's now); a later pass retries.
+        _ => report.unrepaired_copies += 1,
     }
     Ok(())
 }
 
+/// Whether `copy` reads back but fails `sum` (counted at the scrub
+/// site). A copy on a failed node or one that cannot be read right now is
+/// not this pass's to judge.
+fn fails_verify(m: &Maint, copy: (ClientId, VirtualAddr), len: u64, sum: u64) -> bool {
+    if m.node_failed(copy.0) {
+        return false;
+    }
+    let Ok(payload) = m.read_copy(copy, len) else {
+        return false;
+    };
+    let bad = !m.verifier.verify(VerifySite::Scrub, &payload, sum);
+    if bad {
+        m.metrics.record_verify_failure(VerifySite::Scrub);
+    }
+    bad
+}
+
 /// Verify both copies of one stamped record, repairing whichever fails.
 fn verify_record(
-    ctx: &ScrubCtx<'_>,
+    m: &Maint,
     key: SegKey,
     rec: SegmentRecord,
     report: &mut ScrubReport,
 ) -> SimResult<()> {
     let Some(sum) = rec.checksum else {
-        return restamp_record(ctx, key, rec, report);
+        return restamp_record(m, key, rec, report);
     };
-    if !ctx.node_failed(rec.client) {
-        if let Ok(payload) = ctx.read_copy(rec.client, rec.va, rec.len) {
-            if !ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
-                ctx.metrics.record_verify_failure(VerifySite::Scrub);
-                report.corrupt_copies += 1;
-                repair_copy(ctx, key, rec, CopySel::Primary, sum, report)?;
-                // The record may have been swapped by the repair; the
-                // replica (unchanged by a primary repair) is still worth
-                // checking below against the original coordinates.
-            }
-        }
+    if fails_verify(m, (rec.client, rec.va), rec.len, sum) {
+        report.corrupt_copies += 1;
+        rebuild(m, key, rec, (rec.client, rec.va), report)?;
+        // The record may have been swapped by the repair; the replica
+        // (unchanged by a primary repair) is still worth checking below
+        // against the original coordinates.
     }
-    if let Some((rc, rva)) = rec.replica {
-        if !ctx.node_failed(rc) {
-            if let Ok(payload) = ctx.read_copy(rc, rva, rec.len) {
-                if !ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
-                    ctx.metrics.record_verify_failure(VerifySite::Scrub);
-                    report.corrupt_copies += 1;
-                    // Re-read the live record: a primary repair above
-                    // replaced the index entry, and the replica swap must
-                    // CAS against the *current* one.
-                    let (_, Some(current)) = ctx.metadata.get(&key) else {
-                        report.unrepaired_copies += 1;
-                        return Ok(());
-                    };
-                    if current.replica == rec.replica && current.checksum == Some(sum) {
-                        repair_copy(ctx, key, current, CopySel::Replica, sum, report)?;
-                    } else {
-                        report.unrepaired_copies += 1;
-                    }
-                }
+    if let Some(replica) = rec.replica {
+        if fails_verify(m, replica, rec.len, sum) {
+            report.corrupt_copies += 1;
+            // Re-read the live record: a primary repair above replaced the
+            // index entry, and the replica swap must CAS against the
+            // *current* one.
+            let (_, Some(current)) = m.core.metadata.get(&key) else {
+                report.unrepaired_copies += 1;
+                return Ok(());
+            };
+            if current.replica == rec.replica && current.checksum == Some(sum) {
+                rebuild(m, key, current, replica, report)?;
+            } else {
+                report.unrepaired_copies += 1;
             }
         }
     }
@@ -377,28 +303,28 @@ fn verify_record(
 /// disagreeing copies mean one is already rotten and stamping either
 /// would launder the corruption.
 fn restamp_record(
-    ctx: &ScrubCtx<'_>,
+    m: &Maint,
     key: SegKey,
     rec: SegmentRecord,
     report: &mut ScrubReport,
 ) -> SimResult<()> {
-    if !ctx.cfg.integrity.checksums || ctx.node_failed(rec.client) {
+    if !m.cfg.integrity.checksums || m.node_failed(rec.client) {
         return Ok(());
     }
-    let Ok(payload) = ctx.read_copy(rec.client, rec.va, rec.len) else {
+    let Ok(payload) = m.read_copy((rec.client, rec.va), rec.len) else {
         return Ok(());
     };
-    let sum = ctx.verifier.stamp(&payload);
+    let sum = m.verifier.stamp(&payload);
     if let Some((rc, rva)) = rec.replica {
-        if ctx.node_failed(rc) {
+        if m.node_failed(rc) {
             // Cannot compare against the lost copy; leave it for repair.
             return Ok(());
         }
-        let Ok(mirror) = ctx.read_copy(rc, rva, rec.len) else {
+        let Ok(mirror) = m.read_copy((rc, rva), rec.len) else {
             return Ok(());
         };
-        if !ctx.verifier.verify(VerifySite::Scrub, &mirror, sum) {
-            ctx.metrics.record_verify_failure(VerifySite::Scrub);
+        if !m.verifier.verify(VerifySite::Scrub, &mirror, sum) {
+            m.metrics.record_verify_failure(VerifySite::Scrub);
             report.corrupt_copies += 1;
             report.unrepaired_copies += 1;
             return Ok(());
@@ -408,8 +334,8 @@ fn restamp_record(
         checksum: Some(sum),
         ..rec
     };
-    let producer_node = ctx.node_of(rec.client);
-    if ctx
+    let producer_node = m.node_of(rec.client);
+    if m.core
         .metadata
         .replace_if_current(key, &rec, new_rec, producer_node)
         .1
@@ -423,54 +349,52 @@ fn restamp_record(
 /// queue, then walk up to [`MAX_SEGMENTS_PER_PASS`] of this node's records
 /// from the resumable cursor. Returns a skipped report when a pass for
 /// the same node is already running.
-pub(crate) fn run_scrub_pass(ctx: &ScrubCtx<'_>, node: usize) -> SimResult<ScrubReport> {
+pub(crate) fn run_scrub_pass(m: &Maint, job: &UniviStorJob, node: usize) -> SimResult<ScrubReport> {
+    let (state, queue) = (job.scrub_state(), job.corrupt_queue());
     let mut report = ScrubReport::default();
-    let gate = ctx.state.node_gate(node);
+    let gate = state.gates.get(node);
     let Ok(_node_gate) = gate.try_lock() else {
         report.skipped = true;
         return Ok(report);
     };
-    ctx.state.passes.fetch_add(1, Ordering::Relaxed);
+    state.passes.fetch_add(1, Ordering::Relaxed);
 
     // Phase 1: targeted repairs of reader-reported bad copies owned by
     // this node's ranks.
-    let mine = ctx.queue.drain_matching(|r| ctx.node_of(r.client) == node);
+    let mine = queue.drain_matching(|r| m.node_of(r.client) == node);
     for hint in mine {
         report.queued_reports += 1;
         // Re-verify against the live index: the record may have been
         // overwritten, migrated, or repaired since the report.
-        let (_, Some(rec)) = ctx.metadata.get(&hint.key) else {
+        let (_, Some(rec)) = m.core.metadata.get(&hint.key) else {
             continue;
         };
         let Some(sum) = rec.checksum else { continue };
-        let bad = if (rec.client, rec.va) == (hint.client, hint.va) {
-            CopySel::Primary
-        } else if rec.replica == Some((hint.client, hint.va)) {
-            CopySel::Replica
-        } else {
+        let bad = (hint.client, hint.va);
+        if bad != (rec.client, rec.va) && rec.replica != Some(bad) {
             continue; // stale: the span the reader saw is gone
-        };
-        if ctx.node_failed(hint.client) {
+        }
+        if m.node_failed(hint.client) {
             continue; // node loss superseded the corruption
         }
         // Still corrupt? (A concurrent repair may have fixed it, or the
         // read may fail transiently — retry on a later pass.)
-        let Ok(payload) = ctx.read_copy(hint.client, hint.va, rec.len) else {
-            ctx.queue.push(hint);
+        let Ok(payload) = m.read_copy(bad, rec.len) else {
+            queue.push(hint);
             continue;
         };
-        if ctx.verifier.verify(VerifySite::Scrub, &payload, sum) {
+        if m.verifier.verify(VerifySite::Scrub, &payload, sum) {
             continue;
         }
         report.corrupt_copies += 1;
-        repair_copy(ctx, hint.key, rec, bad, sum, &mut report)?;
+        rebuild(m, hint.key, rec, bad, &mut report)?;
     }
 
     // Phase 2: resumable index walk over this node's records.
     let mut budget = MAX_SEGMENTS_PER_PASS;
-    let mut files = ctx.files.clone();
+    let mut files: Vec<(u64, u64)> = m.files.iter().map(|f| (f.fid, f.size)).collect();
     files.sort_unstable();
-    let (cur_fid, cur_off) = ctx.state.cursor(node);
+    let (cur_fid, cur_off) = state.cursor(node);
     let mut next_cursor: Option<(u64, u64)> = None;
     'walk: for &(fid, size) in files.iter().filter(|&&(fid, _)| fid >= cur_fid) {
         if size == 0 {
@@ -480,9 +404,9 @@ pub(crate) fn run_scrub_pass(ctx: &ScrubCtx<'_>, node: usize) -> SimResult<Scrub
         if start >= size {
             continue;
         }
-        let (_, records) = ctx.metadata.lookup_range(fid, start, size);
+        let (_, records) = m.core.metadata.lookup_range(fid, start, size);
         for (key, rec) in records {
-            if ctx.node_of(rec.client) != node {
+            if m.node_of(rec.client) != node {
                 continue;
             }
             if budget == 0 {
@@ -491,13 +415,13 @@ pub(crate) fn run_scrub_pass(ctx: &ScrubCtx<'_>, node: usize) -> SimResult<Scrub
             }
             budget -= 1;
             report.scanned_records += 1;
-            verify_record(ctx, key, rec, &mut report)?;
+            verify_record(m, key, rec, &mut report)?;
         }
     }
     // Budget exhausted mid-walk resumes there next pass; a completed
     // sweep wraps around to the start.
-    ctx.state.set_cursor(node, next_cursor.unwrap_or((0, 0)));
-    ctx.metrics.record_scrub_segments(report.scanned_records);
+    state.set_cursor(node, next_cursor.unwrap_or((0, 0)));
+    m.metrics.record_scrub_segments(report.scanned_records);
     Ok(report)
 }
 

@@ -46,18 +46,17 @@ use crate::error::{Error, Result};
 use crate::fault::{with_retries, FaultInjector};
 use crate::flush::{flush_with_source, CoreFlushSource, FlushReceipt, FlushRequest, FlushSource};
 use crate::integrity::Verifier;
+use crate::maint::{FileSnap, Maint};
 use crate::metadata::{BatchOutcome, ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{tier_label, Fam, JobMetrics, WriteLockCounts, TIERS};
 use crate::placement::{
     healthy_buddy, layer_caps_with_node_local, ChainSet, PlacedSegment, ProcChain,
 };
 use crate::read::{ReadService, ReadState, ReadTrace};
-use crate::repair::{repair_file, RepairReport};
+use crate::repair::{self, RepairReport};
 use crate::runtime::{LockedCore, PartitionedCore};
-use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubCtx, ScrubHandle, ScrubReport, ScrubState};
-use crate::tiering::{
-    run_pass, PassCtx, PassOptions, TieringHandle, TieringPassReport, TieringState,
-};
+use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubHandle, ScrubReport, ScrubState};
+use crate::tiering::{run_pass, PassOptions, TieringHandle, TieringPassReport, TieringState};
 use crate::va::Tier;
 use crate::workflow::StateFile;
 use crate::write::{self, plan_pieces, Span, WriteExecutor, WriteOp, WritePolicy};
@@ -102,15 +101,15 @@ pub struct JobStats {
     pub promotions: u64,
 }
 
-/// One cached file. `size`/`written` are atomics so the data path updates
-/// them under the file table's *shared* lock; `open_count` changes only in
+/// One cached file. `size` is atomic so the data path updates it under
+/// the file table's *shared* lock; it stays 0 until the first write, so
+/// it doubles as the written flag. `open_count` changes only in
 /// open/close, which hold the exclusive lock anyway.
 #[derive(Debug)]
 struct FileEntry {
     fid: u64,
     size: AtomicU64,
     open_count: usize,
-    written: AtomicBool,
 }
 
 /// The flush receipts (structured, so the flat panel cannot hold them)
@@ -133,7 +132,7 @@ enum Core {
 
 /// Per-client layer capacities under the `c/p` rule, honoring the
 /// configuration's tier toggles.
-fn job_layer_caps(cfg: &UniviStorConfig) -> Vec<(Tier, u64)> {
+pub(crate) fn job_layer_caps(cfg: &UniviStorConfig) -> Vec<(Tier, u64)> {
     let bb_total =
         cfg.cal.bb_nodes_for_job(cfg.geometry.nodes) as u64 * cfg.cal.bb_capacity_per_node;
     let all = layer_caps_with_node_local(
@@ -395,11 +394,6 @@ impl UniviStorJob {
         }
     }
 
-    /// Per-client layer capacities under the `c/p` rule.
-    fn layer_caps(&self) -> Vec<(Tier, u64)> {
-        job_layer_caps(&self.cfg)
-    }
-
     /// Run `f` against the locked-core structures: directly under
     /// [`Runtime::Locked`]; under [`Runtime::Partitioned`] the workers are
     /// parked and their slices assembled for the duration (a *checkout* —
@@ -413,6 +407,40 @@ impl UniviStorJob {
             Core::Locked(core) => f(core),
             Core::Partitioned(core) => core.with_checked_out(f),
         }
+    }
+
+    /// The one entry every maintenance pass (tiering, repair, scrub, and
+    /// their diagnostics) takes: snapshot the file table and the failed
+    /// set, then run `f` over a [`Maint`] context on the assembled core —
+    /// a single [`with_core`](Self::with_core).
+    pub(crate) fn maintain<R>(&self, f: impl FnOnce(&Maint<'_>) -> R) -> R {
+        let files = self
+            .files
+            .read()
+            .expect("file table poisoned")
+            .iter()
+            .map(|(path, e)| FileSnap {
+                fid: e.fid,
+                path: path.clone(),
+                size: e.size.load(Ordering::Relaxed),
+                open: e.open_count > 0,
+            })
+            .collect();
+        let failed = self
+            .failed_nodes
+            .read()
+            .expect("failed set poisoned")
+            .clone();
+        self.with_core(|core| {
+            f(&Maint {
+                cfg: &self.cfg,
+                core,
+                metrics: &self.metrics,
+                verifier: &self.verifier,
+                failed,
+                files,
+            })
+        })
     }
 
     /// Connection management: a client announced itself (`MPI_Init`).
@@ -494,7 +522,6 @@ impl UniviStorJob {
                     fid,
                     size: AtomicU64::new(0),
                     open_count: 0,
-                    written: AtomicBool::new(false),
                 },
             );
         }
@@ -506,7 +533,7 @@ impl UniviStorJob {
     fn ensure_chain(&self, client: ClientId) -> SimResult<()> {
         match &self.core {
             Core::Locked(core) => core.chains.ensure(client, || {
-                ProcChain::new(self.layer_caps(), self.cfg.chunk_size)
+                ProcChain::new(job_layer_caps(&self.cfg), self.cfg.chunk_size)
             }),
             Core::Partitioned(core) => core.ensure_chain(client),
         }
@@ -533,7 +560,7 @@ impl UniviStorJob {
         }
         self.metrics.record_write_call();
         self.poll_faults();
-        // Shared file-table lock: size/written are atomics, so concurrent
+        // Shared file-table lock: the size is atomic, so concurrent
         // writers to different (or the same) file don't serialize here.
         let fid = {
             let files = self.files.read().expect("file table poisoned");
@@ -541,7 +568,6 @@ impl UniviStorJob {
                 .get(path)
                 .ok_or_else(|| SimError::InvalidConfig(format!("write to unopened '{path}'")))?;
             entry.size.fetch_max(offset + len, Ordering::Relaxed);
-            entry.written.store(true, Ordering::Relaxed);
             entry.fid
         };
         let node = self.cfg.geometry.node_of_rank(client.rank as usize);
@@ -866,45 +892,13 @@ impl UniviStorJob {
     /// or replica) and publish the `univistor_degraded_segments` gauge.
     /// Cold path: scans every file's index.
     pub fn degraded_segments(&self) -> u64 {
-        let failed = self
-            .failed_nodes
-            .read()
-            .expect("failed set poisoned")
-            .clone();
-        let mut n = 0u64;
-        if !failed.is_empty() {
-            let node_failed =
-                |c: ClientId| failed.contains(&self.cfg.geometry.node_of_rank(c.rank as usize));
-            let spans = self.file_spans();
-            n = self.with_core(|core| {
-                spans
-                    .iter()
-                    .map(|&(fid, size)| {
-                        core.metadata
-                            .lookup_range(fid, 0, size)
-                            .1
-                            .iter()
-                            .filter(|(_, r)| {
-                                node_failed(r.client)
-                                    || r.replica.is_some_and(|(rc, _)| node_failed(rc))
-                            })
-                            .count() as u64
-                    })
-                    .sum()
-            });
-        }
+        let n = if self.failed_any.load(Ordering::Acquire) {
+            self.maintain(repair::degraded_records)
+        } else {
+            0
+        };
         self.metrics.set_degraded_segments(n);
         n
-    }
-
-    /// `(fid, size)` of every cached file — the repair scan's work list.
-    fn file_spans(&self) -> Vec<(u64, u64)> {
-        self.files
-            .read()
-            .expect("file table poisoned")
-            .values()
-            .map(|e| (e.fid, e.size.load(Ordering::Relaxed)))
-            .collect()
     }
 
     /// Online repair: restore full redundancy for every record degraded by
@@ -913,46 +907,12 @@ impl UniviStorJob {
     /// mid-repair is left to the overwrite. Refreshes the
     /// `univistor_degraded_segments` gauge on the way out.
     pub fn rebuild_degraded(&self) -> Result<RepairReport> {
-        self.rebuild_degraded_impl()
-            .map_err(|e| Error::new("repair", e))
-    }
-
-    fn rebuild_degraded_impl(&self) -> SimResult<RepairReport> {
-        let failed = self
-            .failed_nodes
-            .read()
-            .expect("failed set poisoned")
-            .clone();
-        let mut total = RepairReport::default();
-        if !failed.is_empty() {
-            let spans = self.file_spans();
-            // Inside a checkout, chains must be ensured on the assembled
-            // core directly — routed `ensure_chain` would wait on the
-            // parked workers.
-            self.with_core(|core| {
-                let ensure = |c: ClientId| {
-                    core.chains
-                        .ensure(c, || ProcChain::new(self.layer_caps(), self.cfg.chunk_size))
-                };
-                for (fid, size) in spans {
-                    let report = repair_file(
-                        &core.metadata,
-                        &core.chains,
-                        &self.cfg.geometry,
-                        self.cfg.chunk_size,
-                        &failed,
-                        &self.cfg.retry,
-                        Some(&self.metrics),
-                        &self.verifier,
-                        &ensure,
-                        fid,
-                        size,
-                    )?;
-                    total.absorb(report);
-                }
-                Ok::<(), SimError>(())
-            })?;
-        }
+        let total = if self.failed_any.load(Ordering::Acquire) {
+            self.maintain(repair::rebuild)
+                .map_err(|e| Error::new("repair", e))?
+        } else {
+            RepairReport::default()
+        };
         self.degraded_segments();
         Ok(total)
     }
@@ -966,6 +926,22 @@ impl UniviStorJob {
     /// The engine's shared state (drain ledgers, gates, the pause flag).
     pub(crate) fn tiering_state(&self) -> &TieringState {
         &self.tiering
+    }
+
+    /// The destination PFS.
+    pub(crate) fn lustre(&self) -> &RwLock<Lustre> {
+        &self.lustre
+    }
+
+    /// Whether a writer still holds `fid` open — the live re-check behind
+    /// a maintenance pass's file snapshot, which goes stale the moment a
+    /// close completes.
+    pub(crate) fn is_open(&self, fid: u64) -> bool {
+        self.files
+            .read()
+            .expect("file table poisoned")
+            .values()
+            .any(|e| e.fid == fid && e.open_count > 0)
     }
 
     /// The integrity scrubber's control surface: run passes synchronously,
@@ -997,31 +973,23 @@ impl UniviStorJob {
                 ),
             )
         })?;
-        let fid = self
-            .files
-            .read()
-            .expect("file table poisoned")
-            .get(path)
+        let records = self
+            .maintain(|m| {
+                let fid = m.files.iter().find(|f| f.path == path)?.fid;
+                Some(m.core.metadata.lookup_range(fid, offset, offset + len).1)
+            })
             .ok_or_else(|| {
                 Error::new(
                     "corrupt",
                     SimError::InvalidConfig(format!("corrupt of unopened '{path}'")),
                 )
-            })?
-            .fid;
-        let records = self.with_core(|core| {
-            let (_, records) = core.metadata.lookup_range(fid, offset, offset + len);
-            records
-        });
+            })?;
         let mut corrupted = 0;
         for (_, rec) in records {
-            inj.corrupt_span(rec.client, rec.va, rec.len);
-            corrupted += 1;
-            if include_replicas {
-                if let Some((rc, rva)) = rec.replica {
-                    inj.corrupt_span(rc, rva, rec.len);
-                    corrupted += 1;
-                }
+            let replica = rec.replica.filter(|_| include_replicas);
+            for (client, va) in std::iter::once((rec.client, rec.va)).chain(replica) {
+                inj.corrupt_span(client, va, rec.len);
+                corrupted += 1;
             }
         }
         Ok(corrupted)
@@ -1043,27 +1011,8 @@ impl UniviStorJob {
     /// reading — repairs swap records with the same compare-and-swap
     /// discipline as online repair and lose gracefully to overwrites.
     pub(crate) fn scrub_pass(&self, node: usize) -> Result<ScrubReport> {
-        let files = self.file_spans();
-        let failed = self
-            .failed_nodes
-            .read()
-            .expect("failed set poisoned")
-            .clone();
-        self.with_core(|core| {
-            let ctx = ScrubCtx {
-                cfg: &self.cfg,
-                metadata: &core.metadata,
-                chains: &core.chains,
-                metrics: &self.metrics,
-                verifier: &self.verifier,
-                state: &self.scrub,
-                queue: &self.corrupt_queue,
-                files,
-                failed,
-            };
-            run_scrub_pass(&ctx, node)
-        })
-        .map_err(|e| Error::new("scrub", e))
+        self.maintain(|m| run_scrub_pass(m, self, node))
+            .map_err(|e| Error::new("scrub", e))
     }
 
     /// Run one tiering pass for `node` with the given phase selection.
@@ -1072,50 +1021,8 @@ impl UniviStorJob {
         node: usize,
         opts: &PassOptions,
     ) -> Result<TieringPassReport> {
-        let files: Vec<(u64, String, u64, bool)> = {
-            let files = self.files.read().expect("file table poisoned");
-            files
-                .iter()
-                .filter(|(_, e)| e.written.load(Ordering::Relaxed))
-                .map(|(path, e)| {
-                    (
-                        e.fid,
-                        path.clone(),
-                        e.size.load(Ordering::Relaxed),
-                        e.open_count > 0,
-                    )
-                })
-                .collect()
-        };
-        let failed = self
-            .failed_nodes
-            .read()
-            .expect("failed set poisoned")
-            .clone();
-        let is_open = |fid: u64| {
-            self.files
-                .read()
-                .expect("file table poisoned")
-                .values()
-                .any(|e| e.fid == fid && e.open_count > 0)
-        };
-        self.with_core(|core| {
-            let ctx = PassCtx {
-                cfg: &self.cfg,
-                metadata: &core.metadata,
-                chains: &core.chains,
-                lustre: &self.lustre,
-                heat: &core.heat,
-                metrics: &self.metrics,
-                verifier: &self.verifier,
-                state: &self.tiering,
-                files,
-                failed,
-                is_open: &is_open,
-            };
-            run_pass(&ctx, node, opts)
-        })
-        .map_err(|e| Error::new("tiering", e))
+        self.maintain(|m| run_pass(m, self, node, opts))
+            .map_err(|e| Error::new("tiering", e))
     }
 
     /// Run one tiering pass on every node, aggregating the reports.
@@ -1165,10 +1072,8 @@ impl UniviStorJob {
                 "close of '{path}' beyond open count"
             );
             entry.open_count -= represents;
-            let trigger = entry.open_count == 0
-                && entry.written.load(Ordering::Relaxed)
-                && mode.writable()
-                && self.cfg.features.flush_on_close;
+            let trigger =
+                entry.open_count == 0 && mode.writable() && self.cfg.features.flush_on_close;
             (trigger, entry.fid, entry.size.load(Ordering::Relaxed))
         };
 
@@ -1201,7 +1106,7 @@ impl UniviStorJob {
         // Then consume the drain ledger: spans the daemon already copied
         // (and that are still current) turn the flush into a catch-up.
         let flush = |source: &dyn FlushSource| {
-            let gate = self.tiering.fid_gate(fid);
+            let gate = self.tiering.fid_gates.get(fid);
             let _gate = gate.lock().expect("tiering gate poisoned");
             let ledger = self.tiering.take_ledger(fid);
             flush_with_source(
@@ -1252,18 +1157,17 @@ impl UniviStorJob {
 
     /// Logical size of a cached file. Shared file-table lock only.
     pub fn file_size(&self, path: &str) -> Result<u64> {
-        self.files
-            .read()
-            .expect("file table poisoned")
-            .get(path)
-            .map(|e| e.size.load(Ordering::Relaxed))
-            .ok_or_else(|| {
-                Error::new(
-                    "stat",
-                    SimError::InvalidConfig(format!("no such file '{path}'")),
-                )
-                .with_path(path)
-            })
+        Ok(self.stat("stat", path)?.1)
+    }
+
+    /// `(fid, logical size)` of `path`, or `op`'s "no such file" error.
+    fn stat(&self, op: &'static str, path: &str) -> Result<(u64, u64)> {
+        let files = self.files.read().expect("file table poisoned");
+        let entry = files.get(path).ok_or_else(|| {
+            let missing = SimError::InvalidConfig(format!("no such file '{path}'"));
+            Error::new(op, missing).with_path(path)
+        })?;
+        Ok((entry.fid, entry.size.load(Ordering::Relaxed)))
     }
 
     /// Live cached bytes per tier across all clients. Under the locked
@@ -1283,17 +1187,7 @@ impl UniviStorJob {
     /// span, producer, VA, and replica. Diagnostics and verification only
     /// (shared locks, but scans the file's whole index).
     pub fn index_of(&self, path: &str) -> Result<Vec<(SegKey, SegmentRecord)>> {
-        let (fid, size) = {
-            let files = self.files.read().expect("file table poisoned");
-            let entry = files.get(path).ok_or_else(|| {
-                Error::new(
-                    "index",
-                    SimError::InvalidConfig(format!("no such file '{path}'")),
-                )
-                .with_path(path)
-            })?;
-            (entry.fid, entry.size.load(Ordering::Relaxed))
-        };
+        let (fid, size) = self.stat("index", path)?;
         Ok(self.with_core(|core| core.metadata.lookup_range(fid, 0, size).1))
     }
 

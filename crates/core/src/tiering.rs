@@ -16,31 +16,26 @@
 //!    `heat × (c_src − c_dst) / (c_src + c_dst)` clears the policy's
 //!    threshold.
 //!
-//! All migrations reuse the repair path's discipline
-//! ([`crate::repair::place_copy`]): chunk-split sub-appends, a single
-//! contiguous same-layer span or full rollback, a metadata
-//! compare-and-swap, and release of exactly one copy. Drain additionally
-//! guards against A-B-A overwrites with a file-generation check, and a
-//! per-file gate serializes drain/flush so a close never reads spans the
-//! daemon is concurrently retiring.
+//! Spill and promotion moves are each one `Maint::relocate` of the
+//! primary within its own chain (DESIGN.md §11). Drain guards against
+//! A-B-A overwrites with a file-generation check, and a per-file gate
+//! serializes drain/flush so a close never reads spans the daemon is
+//! concurrently retiring.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
-use crate::actor::NodeActors;
 use crate::config::{PromotionPolicy, UniviStorConfig};
 use crate::error::Result;
-use crate::fault::with_retries;
-use crate::integrity::Verifier;
-use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::{Fam, JobMetrics, VerifySite};
-use crate::placement::ChainSet;
+use crate::flush::{create_destination, write_stripes};
+use crate::maint::{Gates, Maint, Move, Moved, NodeActors, Place};
+use crate::metadata::{SegKey, SegmentRecord};
+use crate::metrics::{Fam, VerifySite};
 use crate::server::UniviStorJob;
-use crate::striping::{adaptive_plan, naive_plan, StripePlan};
+use crate::striping::StripePlan;
 use crate::va::Tier;
-use univistor_pfs::Lustre;
 use univistor_sim::SimResult;
 
 /// Relative access cost of a tier, after Unimem's NVM/DRAM cost model:
@@ -217,31 +212,21 @@ pub(crate) struct TieringState {
     /// cooling can make spans drainable without touching the generation.
     drain_gen: Mutex<HashMap<(u64, usize), u64>>,
     /// fid → gate serializing drain passes against the close-time flush.
-    gates: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// A pass `try_lock`s it (skipping the file when contended); the flush
+    /// blocks on it so no drain write or migration release races the
+    /// flush's chain reads.
+    pub(crate) fid_gates: Gates<u64>,
     /// node → gate ensuring at most one pass per node at a time.
-    node_gates: Mutex<HashMap<usize, Arc<Mutex<()>>>>,
+    node_gates: Gates<usize>,
 }
 
 impl TieringState {
-    /// The per-file gate. A pass `try_lock`s it (skipping the file when
-    /// contended); the close-time flush blocks on it so no drain write
-    /// or migration release races the flush's chain reads.
-    pub(crate) fn fid_gate(&self, fid: u64) -> Arc<Mutex<()>> {
-        self.gates
-            .lock()
-            .expect("tiering gates poisoned")
-            .entry(fid)
-            .or_default()
-            .clone()
+    fn ledgers(&self) -> MutexGuard<'_, HashMap<u64, DrainLedger>> {
+        self.drain.lock().expect("drain ledger poisoned")
     }
 
-    fn node_gate(&self, node: usize) -> Arc<Mutex<()>> {
-        self.node_gates
-            .lock()
-            .expect("tiering node gates poisoned")
-            .entry(node)
-            .or_default()
-            .clone()
+    fn memo(&self) -> MutexGuard<'_, HashMap<(u64, usize), u64>> {
+        self.drain_gen.lock().expect("drain memo poisoned")
     }
 
     /// Drop ledger entries overlapping `[lo, hi)` of `fid`. Called by the
@@ -251,7 +236,7 @@ impl TieringState {
         if self.ledger_spans.load(Ordering::Acquire) == 0 {
             return;
         }
-        let mut drain = self.drain.lock().expect("drain ledger poisoned");
+        let mut drain = self.ledgers();
         let Some(ledger) = drain.get_mut(&fid) else {
             return;
         };
@@ -280,15 +265,8 @@ impl TieringState {
         if self.ledger_spans.load(Ordering::Acquire) == 0 {
             return None;
         }
-        self.drain_gen
-            .lock()
-            .expect("drain memo poisoned")
-            .retain(|(f, _), _| *f != fid);
-        let taken = self
-            .drain
-            .lock()
-            .expect("drain ledger poisoned")
-            .remove(&fid)?;
+        self.memo().retain(|(f, _), _| *f != fid);
+        let taken = self.ledgers().remove(&fid)?;
         self.ledger_spans
             .fetch_sub(taken.spans.len() as u64, Ordering::AcqRel);
         Some(taken)
@@ -299,66 +277,38 @@ impl TieringState {
 /// layout).
 pub(crate) type HeatShard = RwLock<HashMap<SegKey, AtomicU32>>;
 
-/// One open or written file a pass may touch: fid, destination path,
-/// logical size, and whether a writer still has it open.
-pub(crate) type PassFile = (u64, String, u64, bool);
-
-/// One file's share of a pass's index scan: index into [`PassCtx::files`],
+/// One file's share of a pass's index scan: index into [`Maint::files`],
 /// the file generation captured just before the scan, and this node's
 /// records (offset-sorted).
 type ScannedFile = (usize, u64, Vec<(SegKey, SegmentRecord)>);
 
-/// Everything one pass needs, borrowed from the job.
-pub(crate) struct PassCtx<'a> {
-    pub cfg: &'a UniviStorConfig,
-    pub metadata: &'a MetadataService,
-    pub chains: &'a ChainSet,
-    pub lustre: &'a RwLock<Lustre>,
-    pub heat: &'a [HeatShard],
-    pub metrics: &'a JobMetrics,
-    pub verifier: &'a Verifier,
-    pub state: &'a TieringState,
-    /// Written files visible to this pass.
-    pub files: Vec<PassFile>,
-    /// Nodes currently failed (drain sources must be healthy).
-    pub failed: HashSet<usize>,
-    /// Live open-state query against the job's file table. The `files`
-    /// snapshot goes stale the moment a close completes; the drain
-    /// re-checks through this while holding the file's gate (the close
-    /// decrements the open count *before* taking the gate, so a
-    /// gate-held true cannot be overtaken by a flush).
-    pub is_open: &'a (dyn Fn(u64) -> bool + Sync),
-}
-
 /// Run one tiering pass for `node`. Returns a skipped report when a pass
 /// for the same node is already running.
 pub(crate) fn run_pass(
-    ctx: &PassCtx<'_>,
+    m: &Maint,
+    job: &UniviStorJob,
     node: usize,
     opts: &PassOptions,
 ) -> SimResult<TieringPassReport> {
+    let state = job.tiering_state();
     let mut report = TieringPassReport::default();
-    let gate = ctx.state.node_gate(node);
+    let gate = state.node_gates.get(node);
     let Ok(_node_gate) = gate.try_lock() else {
         report.skipped = true;
         return Ok(report);
     };
-    ctx.metrics.record_tiering_pass();
+    m.metrics.record_tiering_pass();
 
     if opts.decay {
-        let every = ctx.cfg.tiering.heat_decay_passes;
+        let every = m.cfg.tiering.heat_decay_passes;
         if every > 0 {
-            let tick = ctx.state.pass_clock.fetch_add(1, Ordering::Relaxed) + 1;
+            let tick = state.pass_clock.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(every) {
-                report.heat_entries_decayed = decay_heat(ctx.heat);
-                ctx.metrics.record_tiering_decay();
+                report.heat_entries_decayed = decay_heat(&m.core.heat);
+                m.metrics.record_tiering_decay();
                 // Cooling can turn hot spans drainable without bumping
                 // any file generation, so the skip memo is void.
-                ctx.state
-                    .drain_gen
-                    .lock()
-                    .expect("drain memo poisoned")
-                    .clear();
+                state.memo().clear();
             }
         }
     }
@@ -372,29 +322,22 @@ pub(crate) fn run_pass(
     // is actually over its high watermark, and drain scans a file only
     // when its generation moved since the last complete sweep.
     let mut mine: Vec<ScannedFile> = Vec::new();
-    let spill_needed = opts.spill && spill_pressure(ctx, node);
+    let spill_needed = opts.spill && spill_pressure(m, node);
     if spill_needed || opts.drain {
-        for (i, (fid, _path, size, open)) in ctx.files.iter().enumerate() {
-            if *size == 0 {
+        for (i, file) in m.files.iter().enumerate() {
+            if file.size == 0 {
                 continue;
             }
-            let gen = ctx.metadata.generation(*fid);
-            let drain_wants = opts.drain
-                && *open
-                && ctx
-                    .state
-                    .drain_gen
-                    .lock()
-                    .expect("drain memo poisoned")
-                    .get(&(*fid, node))
-                    != Some(&gen);
+            let gen = m.core.metadata.generation(file.fid);
+            let drain_wants =
+                opts.drain && file.open && state.memo().get(&(file.fid, node)) != Some(&gen);
             if !spill_needed && !drain_wants {
                 continue;
             }
-            let (_, records) = ctx.metadata.lookup_range(*fid, 0, *size);
+            let (_, records) = m.core.metadata.lookup_range(file.fid, 0, file.size);
             let owned: Vec<_> = records
                 .into_iter()
-                .filter(|(_, r)| ctx.cfg.geometry.node_of_rank(r.client.rank as usize) == node)
+                .filter(|(_, r)| m.node_of(r.client) == node)
                 .collect();
             if !owned.is_empty() {
                 mine.push((i, gen, owned));
@@ -403,13 +346,13 @@ pub(crate) fn run_pass(
     }
 
     if spill_needed {
-        spill_phase(ctx, node, &mine, &mut report)?;
+        spill_phase(m, state, node, &mine, &mut report)?;
     }
     if opts.drain {
-        drain_phase(ctx, node, &mine, &mut report)?;
+        drain_phase(m, job, node, &mine, &mut report)?;
     }
     if opts.promote {
-        promote_phase(ctx, node, &opts.policy, &mut report)?;
+        promote_phase(m, state, node, &opts.policy, &mut report)?;
     }
     Ok(report)
 }
@@ -431,9 +374,9 @@ fn decay_heat(heat: &[HeatShard]) -> u64 {
 }
 
 /// Read `key`'s current heat (0 when never read or already decayed out).
-fn heat_of(ctx: &PassCtx<'_>, key: &SegKey) -> u32 {
-    let shard = &ctx.heat[ctx.metadata.partition_of(key.offset) % ctx.heat.len()];
-    shard
+fn heat_of(m: &Maint, key: &SegKey) -> u32 {
+    let heat = &m.core.heat;
+    heat[m.core.metadata.partition_of(key.offset) % heat.len()]
         .read()
         .expect("heat poisoned")
         .get(key)
@@ -444,27 +387,42 @@ fn heat_of(ctx: &PassCtx<'_>, key: &SegKey) -> u32 {
 /// True when any capped layer of any of `node`'s chains sits above its
 /// high watermark — the cheap pre-check that decides whether the spill
 /// phase needs the index scan at all.
-fn spill_pressure(ctx: &PassCtx<'_>, node: usize) -> bool {
-    ctx.chains
-        .clients()
-        .into_iter()
-        .filter(|c| ctx.cfg.geometry.node_of_rank(c.rank as usize) == node)
-        .any(|client| {
-            let Ok(usage) = ctx.chains.with(client, |c| c.layer_usage()) else {
-                return false;
-            };
-            usage
-                .iter()
-                .take(usage.len().saturating_sub(1))
-                .any(|&(tier, live, cap)| {
-                    cap != u64::MAX
-                        && ctx
-                            .cfg
-                            .tiering
-                            .watermarks(tier)
-                            .is_some_and(|wm| live > (cap as f64 * wm.high) as u64)
-                })
-        })
+fn spill_pressure(m: &Maint, node: usize) -> bool {
+    m.clients_on(node).into_iter().any(|client| {
+        let Ok(usage) = m.core.chains.with(client, |c| c.layer_usage()) else {
+            return false;
+        };
+        usage
+            .iter()
+            .take(usage.len().saturating_sub(1))
+            .any(|&(tier, live, cap)| {
+                cap != u64::MAX
+                    && m.cfg
+                        .tiering
+                        .watermarks(tier)
+                        .is_some_and(|wm| live > (cap as f64 * wm.high) as u64)
+            })
+    })
+}
+
+/// Move `rec`'s primary within its own chain to layer `floor` or below
+/// (exactly onto `floor` when `exact`); true when the swap landed.
+fn shift(m: &Maint, key: SegKey, rec: SegmentRecord, floor: usize, exact: bool) -> SimResult<bool> {
+    let mv = Move {
+        key,
+        rec,
+        from: (rec.client, rec.va),
+        site: VerifySite::Tiering,
+        to: Some(Place {
+            client: rec.client,
+            floor,
+            exact,
+        }),
+    };
+    let moved = m.relocate(&mv, |fresh| {
+        fresh.map(|(_, va)| SegmentRecord { va, ..rec })
+    })?;
+    Ok(matches!(moved, Moved::Swapped(_)))
 }
 
 /// Spill phase: walk each of the node's chains top-down; any layer above
@@ -473,23 +431,19 @@ fn spill_pressure(ctx: &PassCtx<'_>, node: usize) -> bool {
 /// trigger is strictly greater-than, so a tier sitting exactly at the
 /// watermark is left alone.
 fn spill_phase(
-    ctx: &PassCtx<'_>,
+    m: &Maint,
+    state: &TieringState,
     node: usize,
     mine: &[ScannedFile],
     report: &mut TieringPassReport,
 ) -> SimResult<()> {
-    let mut budget = ctx.cfg.tiering.spill_batch;
-    let clients: Vec<ClientId> = ctx
-        .chains
-        .clients()
-        .into_iter()
-        .filter(|c| ctx.cfg.geometry.node_of_rank(c.rank as usize) == node)
-        .collect();
-    for client in clients {
+    let mut budget = m.cfg.tiering.spill_batch;
+    for client in m.clients_on(node) {
         if budget == 0 {
             break;
         }
-        let Ok((usage, tiers)) = ctx
+        let Ok((usage, tiers)) = m
+            .core
             .chains
             .with(client, |c| (c.layer_usage(), c.tiers().clone()))
         else {
@@ -501,7 +455,7 @@ fn spill_phase(
             .iter()
             .flat_map(|(_, _, records)| records.iter())
             .filter(|(_, r)| r.client == client)
-            .map(|(k, r)| (*k, *r, tiers.decode(r.va).0, heat_of(ctx, k)))
+            .map(|(k, r)| (*k, *r, tiers.decode(r.va).0, heat_of(m, k)))
             .collect();
         // The last layer (PFS) has nowhere to spill to.
         let spillable = usage.len().saturating_sub(1);
@@ -509,7 +463,7 @@ fn spill_phase(
             if cap == u64::MAX {
                 continue;
             }
-            let Some(wm) = ctx.cfg.tiering.watermarks(tier) else {
+            let Some(wm) = m.cfg.tiering.watermarks(tier) else {
                 continue;
             };
             let high = (cap as f64 * wm.high) as u64;
@@ -525,23 +479,23 @@ fn spill_phase(
                 if need == 0 || budget == 0 {
                     break;
                 }
-                let gate = ctx.state.fid_gate(key.fid);
+                let gate = state.fid_gates.get(key.fid);
                 let Ok(_gate) = gate.try_lock() else {
                     continue; // a flush owns this file right now
                 };
                 // Refresh: the snapshot may be stale by now.
-                let (_, Some(current)) = ctx.metadata.get(key) else {
+                let (_, Some(current)) = m.core.metadata.get(key) else {
                     continue;
                 };
                 if current != *scanned || tiers.decode(current.va).0 != layer {
                     continue; // overwritten or already migrated
                 }
-                if migrate_record(ctx, *key, current, layer + 1, None)? {
+                if shift(m, *key, current, layer + 1, false)? {
                     need = need.saturating_sub(current.len);
                     budget -= 1;
                     report.spilled_segments += 1;
                     report.spilled_bytes += current.len;
-                    ctx.metrics.record_tiering_spill(tier, current.len);
+                    m.metrics.record_tiering_spill(tier, current.len);
                 }
             }
         }
@@ -555,29 +509,25 @@ fn spill_phase(
 /// destination holds the finished file, and recreating it here would
 /// clobber it.
 fn drain_phase(
-    ctx: &PassCtx<'_>,
+    m: &Maint,
+    job: &UniviStorJob,
     node: usize,
     mine: &[ScannedFile],
     report: &mut TieringPassReport,
 ) -> SimResult<()> {
+    let state = job.tiering_state();
     for (file_idx, scan_gen, records) in mine {
-        let (fid, path, size, open) = &ctx.files[*file_idx];
-        if !*open || *size == 0 {
+        let file = &m.files[*file_idx];
+        let (fid, path, size) = (file.fid, &file.path, file.size);
+        if !file.open || size == 0 {
             continue;
         }
         // The scan may have run for the spill phase's sake; skip files
         // the memo says are already fully swept at this generation.
-        if ctx
-            .state
-            .drain_gen
-            .lock()
-            .expect("drain memo poisoned")
-            .get(&(*fid, node))
-            == Some(scan_gen)
-        {
+        if state.memo().get(&(fid, node)) == Some(scan_gen) {
             continue;
         }
-        let gate = ctx.state.fid_gate(*fid);
+        let gate = state.fid_gates.get(fid);
         let Ok(_gate) = gate.try_lock() else {
             continue; // close-time flush in progress
         };
@@ -586,7 +536,7 @@ fn drain_phase(
         // and draining now would recreate (and so wipe) the flushed
         // destination. Re-check under the gate, which the close cannot
         // overtake.
-        if !(ctx.is_open)(*fid) {
+        if !job.is_open(fid) {
             continue;
         }
         // Cold (no read recorded since the last decay), healthy, not
@@ -598,22 +548,17 @@ fn drain_phase(
         // between bursts is simply picked up again by a later pass.
         let cold: Vec<&(SegKey, SegmentRecord)> = records
             .iter()
-            .filter(|(k, r)| {
-                heat_of(ctx, k) == 0
-                    && !ctx
-                        .failed
-                        .contains(&ctx.cfg.geometry.node_of_rank(r.client.rank as usize))
-            })
+            .filter(|(k, r)| heat_of(m, k) == 0 && !m.node_failed(r.client))
             .collect();
         let mut candidates: Vec<&(SegKey, SegmentRecord)> = Vec::new();
         for burst in cold.chunks(64) {
-            if candidates.len() >= ctx.cfg.tiering.drain_batch {
+            if candidates.len() >= m.cfg.tiering.drain_batch {
                 break;
             }
-            let drain = ctx.state.drain.lock().expect("drain ledger poisoned");
-            let ledger = drain.get(fid);
+            let drain = state.ledgers();
+            let ledger = drain.get(&fid);
             for entry @ (k, r) in burst {
-                if candidates.len() >= ctx.cfg.tiering.drain_batch {
+                if candidates.len() >= m.cfg.tiering.drain_batch {
                     break;
                 }
                 if ledger.is_none_or(|l| l.spans.get(&k.offset) != Some(r)) {
@@ -624,125 +569,67 @@ fn drain_phase(
         // A sweep that saw the whole cold set (not cut off by the batch
         // budget) and leaves nothing behind is recorded in the memo, so
         // later passes skip this file until its generation moves.
-        let mut clean = candidates.len() < ctx.cfg.tiering.drain_batch;
+        let mut clean = candidates.len() < m.cfg.tiering.drain_batch;
         if candidates.is_empty() {
             if clean {
-                ctx.state
-                    .drain_gen
-                    .lock()
-                    .expect("drain memo poisoned")
-                    .insert((*fid, node), *scan_gen);
+                state.memo().insert((fid, node), *scan_gen);
             }
             continue;
         }
-        // First drain of this file: fix the striping plan and create the
-        // destination, exactly as the flush would.
-        let plan = {
-            let existing = ctx
-                .state
-                .drain
-                .lock()
-                .expect("drain ledger poisoned")
-                .get(fid)
-                .map(|l| l.plan.clone());
-            match existing {
-                Some(p) => p,
-                None => {
-                    let servers = ctx.cfg.geometry.total_servers();
-                    let osts = ctx.lustre.read().expect("lustre poisoned").ost_count();
-                    let plan = if ctx.cfg.features.adaptive_striping {
-                        adaptive_plan(
-                            *size,
-                            servers,
-                            osts,
-                            ctx.cfg.alpha,
-                            ctx.cfg.cal.max_stripe_size,
-                        )
-                    } else {
-                        naive_plan(*size, servers, osts, ctx.cfg.cal.default_stripe_size)
-                    };
-                    {
-                        let mut pfs = ctx.lustre.write().expect("lustre poisoned");
-                        if pfs.exists(path) {
-                            pfs.delete(path)?;
-                        }
-                        pfs.create(path, plan.layout.clone())?;
-                    }
-                    ctx.state
-                        .drain
-                        .lock()
-                        .expect("drain ledger poisoned")
-                        .insert(
-                            *fid,
-                            DrainLedger {
-                                plan: plan.clone(),
-                                spans: BTreeMap::new(),
-                            },
-                        );
-                    plan
-                }
+        // First drain of this file: create the destination exactly as
+        // the flush would.
+        let existing = state.ledgers().get(&fid).map(|l| l.plan.clone());
+        let plan = match existing {
+            Some(plan) => plan,
+            None => {
+                let plan = create_destination(job.lustre(), m.cfg, path, size)?;
+                let ledger = DrainLedger {
+                    plan: plan.clone(),
+                    spans: BTreeMap::new(),
+                };
+                state.ledgers().insert(fid, ledger);
+                plan
             }
         };
         for (key, _) in candidates {
             // Generation fence: any write/punch/CAS on this file between
             // here and the ledger commit bumps the generation, and the
             // copy is discarded instead of remembered.
-            let gen0 = ctx.metadata.generation(*fid);
-            let (_, Some(rec)) = ctx.metadata.get(key) else {
+            let gen0 = m.core.metadata.generation(fid);
+            let (_, Some(rec)) = m.core.metadata.get(key) else {
                 continue;
             };
-            let Ok((payload, _)) = with_retries(&ctx.cfg.retry, Some(ctx.metrics), || {
-                ctx.chains.read_at(rec.client, rec.va, rec.len)
-            }) else {
+            let Ok(payload) = m.read_copy((rec.client, rec.va), rec.len) else {
                 clean = false; // transient failure: retry on a later pass
                 continue;
             };
-            if write_span_to_dest(ctx, path, &plan, key.offset, &payload).is_err() {
+            // The drain's receipts are the ledger entries (the close-time
+            // catch-up accounts them), so the write's stats are dropped.
+            if write_stripes(job.lustre(), path, &plan, key.offset, payload).is_err() {
                 clean = false;
                 continue;
             }
-            let mut drain = ctx.state.drain.lock().expect("drain ledger poisoned");
-            let Some(ledger) = drain.get_mut(fid) else {
+            let mut drain = state.ledgers();
+            let Some(ledger) = drain.get_mut(&fid) else {
                 continue;
             };
-            if ctx.metadata.generation(*fid) == gen0 {
+            if m.core.metadata.generation(fid) == gen0 {
                 if ledger.spans.insert(key.offset, rec).is_none() {
-                    ctx.state.ledger_spans.fetch_add(1, Ordering::AcqRel);
+                    state.ledger_spans.fetch_add(1, Ordering::AcqRel);
                 }
                 report.drained_segments += 1;
                 report.drained_bytes += rec.len;
-                ctx.metrics.record_tiering_drain(rec.len);
+                m.metrics.record_tiering_drain(rec.len);
             } else if ledger.spans.remove(&key.offset).is_some() {
                 // A racing write landed mid-copy; the bytes on the PFS
                 // may be stale, so forget them.
-                ctx.state.ledger_spans.fetch_sub(1, Ordering::AcqRel);
+                state.ledger_spans.fetch_sub(1, Ordering::AcqRel);
             }
         }
         if clean {
-            ctx.state
-                .drain_gen
-                .lock()
-                .expect("drain memo poisoned")
-                .insert((*fid, node), *scan_gen);
+            state.memo().insert((fid, node), *scan_gen);
         }
     }
-    Ok(())
-}
-
-/// Write one span's bytes to the destination file through the flush
-/// plane's shared stripe writer ([`crate::flush::write_stripes`]), which
-/// splits it along the plan's per-server ranges so server attribution
-/// matches the flush (the last range is extended to cover growth past
-/// the plan's size). The drain ignores the write's stats — its receipts
-/// are the ledger entries, and the close-time catch-up accounts them.
-fn write_span_to_dest(
-    ctx: &PassCtx<'_>,
-    dest: &str,
-    plan: &StripePlan,
-    lo: u64,
-    payload: &univistor_sim::Payload,
-) -> SimResult<()> {
-    crate::flush::write_stripes(ctx.lustre, dest, plan, lo, payload.clone())?;
     Ok(())
 }
 
@@ -751,12 +638,14 @@ fn write_span_to_dest(
 /// layer 0 are skipped (which also covers DRAM-less chains, where layer
 /// 0 is the node-local log).
 fn promote_phase(
-    ctx: &PassCtx<'_>,
+    m: &Maint,
+    state: &TieringState,
     node: usize,
     policy: &PromotionPolicy,
     report: &mut TieringPassReport,
 ) -> SimResult<()> {
-    let mut hot: Vec<(SegKey, u32)> = ctx
+    let mut hot: Vec<(SegKey, u32)> = m
+        .core
         .heat
         .iter()
         .flat_map(|shard| {
@@ -774,17 +663,17 @@ fn promote_phase(
     // which the cross-runtime differential tests rely on.
     hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     for (key, heat) in hot {
-        let gate = ctx.state.fid_gate(key.fid);
+        let gate = state.fid_gates.get(key.fid);
         let Ok(_gate) = gate.try_lock() else {
             continue;
         };
-        let (_, Some(rec)) = ctx.metadata.get(&key) else {
+        let (_, Some(rec)) = m.core.metadata.get(&key) else {
             continue; // overwritten since it was read
         };
-        if ctx.cfg.geometry.node_of_rank(rec.client.rank as usize) != node {
+        if m.node_of(rec.client) != node {
             continue;
         }
-        let Ok(tiers) = ctx.chains.with(rec.client, |c| c.tiers().clone()) else {
+        let Ok(tiers) = m.core.chains.with(rec.client, |c| c.tiers().clone()) else {
             continue; // producer never connected here
         };
         let layer = tiers.decode(rec.va).0;
@@ -794,88 +683,12 @@ fn promote_phase(
         if promotion_score(heat, tiers.tier(layer), tiers.tier(0)) < policy.min_benefit {
             continue; // not worth the migration bytes
         }
-        if migrate_record(ctx, key, rec, 0, Some(0))? {
+        if shift(m, key, rec, 0, true)? {
             report.promoted_segments += 1;
-            ctx.metrics.record_tiering_promotion(rec.len);
+            m.metrics.record_tiering_promotion(rec.len);
         }
     }
     Ok(())
-}
-
-/// Copy `rec`'s bytes into its producer chain at or below `min_layer`
-/// and swap the index entry — the repair path's discipline: chunk-split
-/// sub-appends, one contiguous same-layer span (landing exactly on
-/// `require_layer` when given) or full rollback, metadata CAS, then
-/// release of exactly one copy. Returns whether the migration committed;
-/// failures (no space, faults, lost races) leave the segment where it
-/// was.
-fn migrate_record(
-    ctx: &PassCtx<'_>,
-    key: SegKey,
-    rec: SegmentRecord,
-    min_layer: usize,
-    require_layer: Option<usize>,
-) -> SimResult<bool> {
-    let Ok((payload, _)) = with_retries(&ctx.cfg.retry, Some(ctx.metrics), || {
-        ctx.chains.read_at(rec.client, rec.va, rec.len)
-    }) else {
-        return Ok(false);
-    };
-    // Never migrate a copy that fails its write-commit stamp: moving it
-    // would destroy the healthy source VA this record points at. Leave
-    // the segment in place for the read path / scrubber to repair.
-    if let Some(sum) = rec.checksum {
-        if !ctx.verifier.verify(VerifySite::Tiering, &payload, sum) {
-            ctx.metrics.record_verify_failure(VerifySite::Tiering);
-            return Ok(false);
-        }
-    }
-    let chunk = ctx.cfg.chunk_size;
-    let mut sub = Vec::with_capacity((rec.len / chunk) as usize + 1);
-    let mut pos = 0u64;
-    while pos < rec.len {
-        let n = chunk.min(rec.len - pos);
-        sub.push(payload.slice(pos, n));
-        pos += n;
-    }
-    let placements = match with_retries(&ctx.cfg.retry, Some(ctx.metrics), || {
-        ctx.chains
-            .append_many_from(rec.client, min_layer, sub.clone())
-    }) {
-        Ok(p) => p,
-        Err(_) => return Ok(false), // out of space or fault budget
-    };
-    let first_layer = placements.first().map(|p| p.layer);
-    let one_span = require_layer.is_none_or(|r| first_layer == Some(r))
-        && placements.iter().all(|p| Some(p.layer) == first_layer)
-        && placements
-            .windows(2)
-            .all(|w| w[0].va.0 + w[0].len == w[1].va.0);
-    if !one_span {
-        for p in &placements {
-            ctx.chains.release(rec.client, p.va, p.len);
-        }
-        return Ok(false);
-    }
-    let placed = placements[0];
-    let new_record = SegmentRecord {
-        va: placed.va,
-        ..rec
-    };
-    let node = ctx.cfg.geometry.node_of_rank(rec.client.rank as usize);
-    // Swap only if nobody overwrote the entry meanwhile; the replica (if
-    // any) stays referenced by the new record and is never touched.
-    if ctx
-        .metadata
-        .replace_if_current(key, &rec, new_record, node)
-        .1
-    {
-        ctx.chains.release(rec.client, rec.va, rec.len);
-        Ok(true)
-    } else {
-        ctx.chains.release(rec.client, placed.va, rec.len);
-        Ok(false)
-    }
 }
 
 /// Control surface of the tiering engine, from [`UniviStorJob::tiering`].
@@ -895,20 +708,18 @@ impl<'a> TieringHandle<'a> {
 
     /// Stop automatic passes until [`TieringHandle::resume`].
     pub fn pause(&self) {
-        self.job
-            .tiering_state()
-            .paused
-            .store(true, Ordering::Release);
-        self.job.metrics_handle().set_tiering_paused(true);
+        self.set_paused(true);
     }
 
     /// Re-enable automatic passes.
     pub fn resume(&self) {
-        self.job
-            .tiering_state()
-            .paused
-            .store(false, Ordering::Release);
-        self.job.metrics_handle().set_tiering_paused(false);
+        self.set_paused(false);
+    }
+
+    fn set_paused(&self, paused: bool) {
+        let state = self.job.tiering_state();
+        state.paused.store(paused, Ordering::Release);
+        self.job.metrics_handle().set_tiering_paused(paused);
     }
 
     /// True while paused.
@@ -988,6 +799,9 @@ impl TieringDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::ClientId;
+    use crate::striping::naive_plan;
+    use crate::va::VirtualAddr;
 
     #[test]
     fn tier_costs_are_monotonic_down_the_hierarchy() {
@@ -1016,13 +830,7 @@ mod tests {
     #[test]
     fn ledger_invalidation_drops_overlaps_only() {
         let state = TieringState::default();
-        let rec = |len| SegmentRecord {
-            client: ClientId::new(0, 0),
-            va: crate::va::VirtualAddr(0),
-            len,
-            replica: None,
-            checksum: None,
-        };
+        let rec = |len| SegmentRecord::new(ClientId::new(0, 0), VirtualAddr(0), len);
         {
             let mut drain = state.drain.lock().unwrap();
             let mut spans = BTreeMap::new();
@@ -1058,13 +866,7 @@ mod tests {
             let mut spans = BTreeMap::new();
             spans.insert(
                 0u64,
-                SegmentRecord {
-                    client: ClientId::new(0, 0),
-                    va: crate::va::VirtualAddr(0),
-                    len: 32,
-                    replica: None,
-                    checksum: None,
-                },
+                SegmentRecord::new(ClientId::new(0, 0), VirtualAddr(0), 32),
             );
             drain.insert(
                 9,
