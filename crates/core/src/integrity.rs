@@ -68,28 +68,24 @@ pub struct Verifier {
     /// that never writes a large pattern pays nothing. A leaf lock,
     /// uncounted like the partitioned runtime's pass-exclusion lock.
     memo: RwLock<HashMap<Descriptor, u64>>,
-    /// The job panel the instruments register on at the first digest
-    /// (see [`JobMetrics::integrity_handles`]); `None` counts into
-    /// detached instruments.
-    panel: Option<Arc<JobMetrics>>,
+    /// The job panel whose integrity block the instruments view, taken at
+    /// the first digest (see [`JobMetrics::integrity_handles`]).
+    panel: Arc<JobMetrics>,
     metrics: OnceLock<IntegrityMetrics>,
 }
 
 impl Verifier {
-    /// A verifier reporting into `panel`; `Verifier::default()` counts
-    /// into detached instruments.
+    /// A verifier reporting into `panel`; `Verifier::default()` reports
+    /// into a panel of its own.
     pub fn new(panel: Arc<JobMetrics>) -> Self {
         Verifier {
-            panel: Some(panel),
+            panel,
             ..Verifier::default()
         }
     }
 
     fn metrics(&self) -> &IntegrityMetrics {
-        self.metrics.get_or_init(|| match &self.panel {
-            Some(panel) => panel.integrity_handles(),
-            None => IntegrityMetrics::default(),
-        })
+        self.metrics.get_or_init(|| self.panel.integrity_handles())
     }
 
     /// The write-commit stamp of `payload` — bit-identical to

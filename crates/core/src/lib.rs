@@ -21,7 +21,7 @@
 //! | [`workflow`] | §II-E | lightweight workflow management (state file + lock piggybacking) |
 //! | [`server`] | §II-A  | the UniviStor job: servers, tiers, connection management |
 //! | [`driver`] | §II-F  | the ADIO driver (`ROMIO_FSTYPE_FORCE=UniviStor`), COC optimization |
-//! | [`metrics`] | —     | the job telemetry panel over `univistor-obs` |
+//! | [`metrics`] | —     | the job telemetry panel: one block of atomics, snapshots as `univistor-obs` values |
 //! | [`fault`]  | —      | deterministic fault injection and retry with capped backoff |
 //! | [`repair`] | —      | online re-replication of segments degraded by node loss |
 //! | [`integrity`] | —   | the job's `Verifier`: stamps and verifies through a per-job digest memo |

@@ -1,22 +1,28 @@
 //! Job-wide telemetry: every hot path of the UniviStor runtime reports
-//! into one [`JobMetrics`] instrument panel backed by the lock-cheap
-//! `univistor-obs` registry, and the panel is the job's only accounting
-//! plane — [`UniviStorJob::metrics`](crate::server::UniviStorJob::metrics)
+//! into one [`JobMetrics`] instrument panel, and the panel is the job's
+//! only accounting plane — [`UniviStorJob::metrics`](crate::server::UniviStorJob::metrics)
 //! snapshots it, and the typed views ([`JobStats`](crate::server::JobStats),
 //! [`TieringStats`](crate::tiering::TieringStats)) are reads of it.
 //!
 //! Every family the panel can publish is one row of [`FAMILIES`]: name,
-//! kind, labels, whether [`JobMetrics::new`] registers it or its plane does
-//! on first use, help, and what feeds it. Walking that table, the panel
-//! caches one atomic handle per series, so recording from the data path is
-//! a single `fetch_add` — no lock, no allocation, no label lookup. The
-//! rendered table lives in the README ("Telemetry"); a test keeps it equal
-//! to this one and to what an exercised job registers.
+//! kind, labels, whether [`JobMetrics::new`] allocates it or its plane does
+//! on first use, help, and what feeds it. The panel is a projection of that
+//! table: one block of atomic cells holds every eager series in table
+//! order, and each lazy plane gets a block of its own. Recording is a
+//! single `fetch_add` on a cell whose index [`at!`] resolves at compile
+//! time — no lock, no allocation, no label lookup; labels exist only in
+//! [`JobMetrics::snapshot`]. The rendered table lives in the README
+//! ("Telemetry"); a test keeps it equal to this one and to what an
+//! exercised job publishes.
 
 use crate::flush::FlushReceipt;
 use crate::read::{ReadLockCounts, ReadTrace};
 use crate::va::Tier;
-use univistor_obs::{exponential_buckets, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
+use univistor_obs::{
+    FamilyKind, FamilySnapshot, HistogramSnapshot, MetricsSnapshot, Sample, SampleValue,
+};
 
 /// What a family measures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,11 +39,10 @@ use Kind::{Counter as C, Gauge as G, Histogram as H};
 pub struct Family {
     pub name: &'static str,
     pub kind: Kind,
-    /// Label keys, each with the values registered up front (series order
-    /// is row-major over them); a key without values is filled in at run
-    /// time (`partition`).
+    /// Label keys, each with its values (series order is row-major over
+    /// them); a key without values is filled in at run time (`partition`).
     pub labels: &'static [(&'static str, &'static [&'static str])],
-    /// Registered by [`JobMetrics::new`]; otherwise by its plane's
+    /// Allocated by [`JobMetrics::new`]; otherwise by its plane's
     /// `*_handles` call on first use.
     pub eager: bool,
     pub help: &'static str,
@@ -69,8 +74,10 @@ macro_rules! families {
 }
 
 const EAGER: bool = true;
-/// The integrity, partition and message-plane handles register on first
-/// use, which keeps their series off `UniviStorJob::new` (`setup_s`).
+/// The integrity, partition and message-plane families are published once
+/// their plane first asks for its handles, so a snapshot lists only the
+/// planes the job runs: a locked job's lists no partition families, and a
+/// checksums-off job's no integrity families.
 const LAZY: bool = false;
 /// `tier` values, indexed by [`Tier`] (declared fastest-first).
 const TIER: &[&str] = &["dram", "node_local", "burst_buffer", "pfs"];
@@ -223,8 +230,8 @@ families! {
 }
 
 impl Family {
-    /// Series registered up front: the product of the label value counts
-    /// (none for a family whose label is filled in at run time).
+    /// Series the table lists: the product of the label value counts (none
+    /// for a family whose label is filled in at run time).
     pub const fn series(&self) -> usize {
         let (mut n, mut i) = (1, 0);
         while i < self.labels.len() {
@@ -234,21 +241,20 @@ impl Family {
         n
     }
 
-    /// Call `f` with the label set of each series, row-major in table
-    /// order; a key without table values takes `dynamic`.
-    fn each_series(&self, dynamic: &str, mut f: impl FnMut(&[(&str, &str)])) {
-        let values = |i: usize| match self.labels[i].1 {
-            [] => std::slice::from_ref(&dynamic),
-            table => table,
-        };
-        match *self.labels {
-            [] => f(&[]),
-            [(key, _)] => values(0).iter().for_each(|v| f(&[(key, v)])),
-            [(a, _), (b, _)] => values(0)
-                .iter()
-                .for_each(|va| values(1).iter().for_each(|vb| f(&[(a, va), (b, vb)]))),
-            _ => unreachable!("no family has three label keys"),
+    /// Cells one series takes: one for a counter or a gauge; a histogram's
+    /// bucket counts (the last is `+Inf`), its count and its sum's bits.
+    const fn cells(&self) -> usize {
+        match self.kind {
+            Kind::Histogram(_, _, buckets) => buckets + 3,
+            Kind::Counter | Kind::Gauge => 1,
         }
+    }
+
+    /// Cells the family takes in its block: every series, a label filled
+    /// in at run time taking its one value there.
+    const fn span(&self) -> usize {
+        let series = self.series();
+        (if series == 0 { 1 } else { series }) * self.cells()
     }
 }
 
@@ -264,27 +270,79 @@ impl Fam {
     }
 }
 
-/// Where each eager family's series start in the panel's handle vector of
-/// its kind (series follow in table order).
+/// The lazy planes' families, in the order they lie in the plane's block.
+const INTEGRITY: &[Fam] = &[Fam::IntegrityDigestBytes, Fam::IntegrityMemoEntries];
+const MSGPLANE: &[Fam] = &[
+    Fam::PartitionRoundTrips,
+    Fam::MsgplaneReplyPoolHits,
+    Fam::MsgplaneReplyPoolMisses,
+];
+/// One partition worker's families; the workers' blocks lie end to end,
+/// [`PARTITION_STRIDE`] cells apart.
+const PARTITION: &[Fam] = &[
+    Fam::PartitionMailboxDepth,
+    Fam::PartitionWaitSeconds,
+    Fam::PartitionMessages,
+    Fam::PartitionBatchedOps,
+];
+
+/// Where each family's series start in its block: the eager families in
+/// table order in the panel's block, each lazy plane's in its list order.
 const SLOT: [usize; FAMILIES.len()] = {
-    let mut slot = [0; FAMILIES.len()];
-    let (mut counters, mut gauges, mut histograms, mut i) = (0, 0, 0, 0);
+    let mut slot = [usize::MAX; FAMILIES.len()];
+    let (mut eager, mut i) = (0, 0);
     while i < FAMILIES.len() {
         if FAMILIES[i].eager {
-            let next = match FAMILIES[i].kind {
-                Kind::Counter => &mut counters,
-                Kind::Gauge => &mut gauges,
-                Kind::Histogram(..) => &mut histograms,
-            };
-            slot[i] = *next;
-            *next += FAMILIES[i].series();
+            slot[i] = eager;
+            eager += FAMILIES[i].span();
         }
+        i += 1;
+    }
+    let planes = [INTEGRITY, MSGPLANE, PARTITION];
+    let mut p = 0;
+    while p < planes.len() {
+        let (mut at, mut k) = (0, 0);
+        while k < planes[p].len() {
+            slot[planes[p][k] as usize] = at;
+            at += planes[p][k].row().span();
+            k += 1;
+        }
+        p += 1;
+    }
+    i = 0;
+    while i < FAMILIES.len() {
+        assert!(slot[i] != usize::MAX, "a lazy family in no plane's list");
         i += 1;
     }
     slot
 };
 
-/// Handle index of the series of `fam` whose (only) label has `value`.
+/// Cells of a block holding `fams`, laid out by [`SLOT`].
+const fn cells(fams: &[Fam]) -> usize {
+    let last = fams[fams.len() - 1];
+    SLOT[last as usize] + last.row().span()
+}
+
+/// Cells of the panel's block: every eager series.
+const EAGER_CELLS: usize = {
+    let (mut n, mut i) = (0, 0);
+    while i < FAMILIES.len() {
+        if FAMILIES[i].eager {
+            n = SLOT[i] + FAMILIES[i].span();
+        }
+        i += 1;
+    }
+    n
+};
+
+/// Cells per cache line.
+const LINE: usize = 8;
+
+/// Cells between two partition workers' blocks: whole lines, so no two
+/// workers share one.
+const PARTITION_STRIDE: usize = cells(PARTITION).div_ceil(LINE) * LINE;
+
+/// Cell index of the series of `fam` whose (only) label has `value`.
 /// Called through [`at!`] at compile time, so a misspelt value fails the
 /// build instead of counting into a neighbour.
 const fn slot_of(fam: Fam, value: &str) -> usize {
@@ -299,15 +357,15 @@ const fn slot_of(fam: Fam, value: &str) -> usize {
             k += 1;
         }
         if same {
-            return SLOT[fam as usize] + i;
+            return SLOT[fam as usize] + i * fam.row().cells();
         }
         i += 1;
     }
     panic!("label value missing from the family's table row")
 }
 
-/// Compile-time handle index of an eager family's first series, or of the
-/// series with the given label value.
+/// Compile-time cell index, in its block, of a family's first series, or
+/// of the series with the given label value.
 macro_rules! at {
     ($fam:ident) => {
         const { SLOT[Fam::$fam as usize] }
@@ -315,6 +373,140 @@ macro_rules! at {
     ($fam:ident, $value:literal) => {
         const { slot_of(Fam::$fam, $value) }
     };
+}
+
+/// One cache line of cells. Blocks are built of whole lines, so every
+/// block starts on a line of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Line([AtomicU64; LINE]);
+
+/// A block of atomic cells, shared by the panel and the views into it. A
+/// counter's cell holds its value and a gauge's the bits of an `i64`; a
+/// histogram's cells hold its bucket counts, its count and its sum's bits.
+#[derive(Clone)]
+struct Block(Arc<[Line]>);
+
+impl std::fmt::Debug for Block {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Block({} cells)", self.len())
+    }
+}
+
+impl Block {
+    fn new(cells: usize) -> Self {
+        Block((0..cells.div_ceil(LINE)).map(|_| Line::default()).collect())
+    }
+
+    fn len(&self) -> usize {
+        self.0.len() * LINE
+    }
+
+    fn cell(&self, i: usize) -> &AtomicU64 {
+        &self.0[i / LINE].0[i % LINE]
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        self.cell(i).load(Relaxed)
+    }
+
+    fn add(&self, i: usize, n: u64) {
+        self.cell(i).fetch_add(n, Relaxed);
+    }
+
+    /// Record `v` into the histogram of `fam` whose cells start at `at`.
+    fn observe(&self, at: usize, fam: Fam, v: f64) {
+        let Kind::Histogram(first, factor, buckets) = fam.row().kind else {
+            unreachable!("{} is not a histogram", fam.name());
+        };
+        // `<= bound` semantics: the bucket is how many bounds lie below `v`.
+        let bucket = bounds(first, factor, buckets)
+            .take_while(|&b| b < v)
+            .count();
+        self.add(at + bucket, 1);
+        self.add(at + buckets + 1, 1);
+        let sum = self.cell(at + buckets + 2);
+        let _ = sum.fetch_update(Relaxed, Relaxed, |s| {
+            Some((f64::from_bits(s) + v).to_bits())
+        });
+    }
+
+    fn counter(&self, cell: usize) -> Counter {
+        Counter {
+            block: self.clone(),
+            cell,
+        }
+    }
+
+    fn gauge(&self, cell: usize) -> Gauge {
+        Gauge {
+            block: self.clone(),
+            cell,
+        }
+    }
+}
+
+/// A histogram's finite bucket bounds: `first`, `first * factor`, … .
+fn bounds(first: f64, factor: f64, buckets: usize) -> impl Iterator<Item = f64> {
+    std::iter::successors(Some(first), move |b| Some(b * factor)).take(buckets)
+}
+
+/// A monotonically increasing counter: a view of one cell of a block.
+#[derive(Debug, Clone)]
+pub struct Counter {
+    block: Block,
+    cell: usize,
+}
+
+impl Counter {
+    /// Increment by one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Increment by `n`.
+    pub fn add(&self, n: u64) {
+        self.block.add(self.cell, n);
+    }
+}
+
+/// A value that goes up and down: a view of one cell of a block.
+#[derive(Debug, Clone)]
+pub struct Gauge {
+    block: Block,
+    cell: usize,
+}
+
+impl Gauge {
+    /// Set to an absolute value.
+    pub fn set(&self, v: i64) {
+        self.block.cell(self.cell).store(v as u64, Relaxed);
+    }
+
+    /// Increment by one.
+    pub fn inc(&self) {
+        self.block.add(self.cell, 1);
+    }
+
+    /// Decrement by one.
+    pub fn dec(&self) {
+        self.block.cell(self.cell).fetch_sub(1, Relaxed);
+    }
+}
+
+/// A fixed-bucket histogram of one family: a view of its cells.
+#[derive(Debug, Clone)]
+pub struct Histogram {
+    block: Block,
+    cell: usize,
+    fam: Fam,
+}
+
+impl Histogram {
+    /// Record one observation.
+    pub fn observe(&self, v: f64) {
+        self.block.observe(self.cell, self.fam, v);
+    }
 }
 
 /// Stable label value for a tier (snake_case, unlike the display form).
@@ -357,7 +549,7 @@ pub enum VerifySite {
 pub type DigestBytes = [Counter; 2];
 
 /// Cached instruments of the job's [`Verifier`](crate::integrity::Verifier).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct IntegrityMetrics {
     /// The write-commit (and scrubber re-) stamp, `site="stamp"`.
     pub stamp_bytes: DigestBytes,
@@ -368,7 +560,7 @@ pub struct IntegrityMetrics {
 }
 
 /// Cached scheduler counters handed to [`crate::sched`] so the placement
-/// policy can report without holding a registry reference.
+/// policy can report without holding the panel.
 #[derive(Debug, Clone)]
 pub struct SchedCounters {
     /// Processes placed on a free core.
@@ -381,7 +573,7 @@ pub struct SchedCounters {
 
 /// Cached fault-injection counters handed to
 /// [`crate::fault::FaultInjector::install_counters`] so the injector can
-/// report without holding a registry reference.
+/// report without holding the panel.
 #[derive(Debug, Clone)]
 pub struct FaultCounters {
     /// Transient I/O errors injected.
@@ -422,53 +614,15 @@ pub struct MsgPlaneMetrics {
     pub pool_misses: Counter,
 }
 
-/// Handles of registered series, per kind, in registration order.
-#[derive(Debug, Default)]
-struct Handles {
-    counters: Vec<Counter>,
-    gauges: Vec<Gauge>,
-    histograms: Vec<Histogram>,
-}
-
-impl Handles {
-    /// Register `rows` on `registry` (idempotent — the registry hands back
-    /// an existing family or child) and collect every series' handle.
-    fn register<'a>(
-        registry: &Registry,
-        rows: impl Iterator<Item = &'a Family> + Clone,
-        dynamic: &str,
-    ) -> Handles {
-        let mut h = Handles::default();
-        // Nearly every series is a counter: size that vector once, not by
-        // a growth chain — for the eager rows this walk is `setup_s`.
-        h.counters.reserve(rows.clone().map(Family::series).sum());
-        for row in rows {
-            match row.kind {
-                Kind::Counter => {
-                    let family = registry.counter_family(row.name, row.help);
-                    row.each_series(dynamic, |l| h.counters.push(family.with(l)));
-                }
-                Kind::Gauge => {
-                    let family = registry.gauge_family(row.name, row.help);
-                    row.each_series(dynamic, |l| h.gauges.push(family.with(l)));
-                }
-                Kind::Histogram(first, factor, buckets) => {
-                    let bounds = exponential_buckets(first, factor, buckets);
-                    let family = registry.histogram_family(row.name, row.help, &bounds);
-                    row.each_series(dynamic, |l| h.histograms.push(family.with(l)));
-                }
-            }
-        }
-        h
-    }
-}
-
 /// The job's instrument panel, one per [`crate::server::UniviStorJob`].
 #[derive(Debug)]
 pub struct JobMetrics {
-    registry: Registry,
-    /// Handles of every eager series, addressed through [`at!`].
-    eager: Handles,
+    /// Every eager series, in table order, addressed through [`at!`].
+    eager: Block,
+    integrity: OnceLock<Block>,
+    msgplane: OnceLock<Block>,
+    /// The partition workers' blocks, end to end.
+    partitions: OnceLock<Block>,
 }
 
 /// Lock-acquisition counts of one write call, by lock category. The write
@@ -491,38 +645,116 @@ impl Default for JobMetrics {
 }
 
 impl JobMetrics {
-    /// A fresh panel: one walk of the table registers every eager family
-    /// and caches its series' handles.
+    /// A fresh panel: one zeroed block for every eager series.
     pub fn new() -> Self {
-        let registry = Registry::new();
-        let eager = Handles::register(&registry, FAMILIES.iter().filter(|f| f.eager), "");
-        JobMetrics { registry, eager }
+        JobMetrics {
+            eager: Block::new(EAGER_CELLS),
+            integrity: OnceLock::new(),
+            msgplane: OnceLock::new(),
+            partitions: OnceLock::new(),
+        }
     }
 
-    /// Point-in-time snapshot of every family.
+    /// Point-in-time snapshot of every published family, sorted by name,
+    /// each family's samples in label order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        let member = |fams: &[Fam], i: usize| fams.iter().any(|&f| f as usize == i);
+        let mut families = Vec::new();
+        for (i, row) in FAMILIES.iter().enumerate() {
+            // The blocks holding the family: where its series start in
+            // each, and the partition each counts for.
+            let blocks: Vec<(&Block, usize, Option<usize>)> = if row.eager {
+                vec![(&self.eager, SLOT[i], None)]
+            } else if member(PARTITION, i) {
+                let Some(b) = self.partitions.get() else {
+                    continue;
+                };
+                (0..b.len() / PARTITION_STRIDE)
+                    .map(|p| (b, p * PARTITION_STRIDE + SLOT[i], Some(p)))
+                    .collect()
+            } else {
+                let plane = match member(INTEGRITY, i) {
+                    true => &self.integrity,
+                    false => &self.msgplane,
+                };
+                let Some(b) = plane.get() else {
+                    continue;
+                };
+                vec![(b, SLOT[i], None)]
+            };
+            let mut samples = Vec::new();
+            for (block, start, partition) in blocks {
+                for series in 0..row.series().max(1) {
+                    // Row-major: the last key's value varies fastest.
+                    let mut rest = series;
+                    let labels = (row.labels.iter().rev())
+                        .map(|&(key, values)| {
+                            let value = match values {
+                                [] => partition.expect("a run-time label").to_string(),
+                                _ => {
+                                    let v = values[rest % values.len()];
+                                    rest /= values.len();
+                                    v.to_string()
+                                }
+                            };
+                            (key.to_string(), value)
+                        })
+                        .collect();
+                    let at = start + series * row.cells();
+                    let value = match row.kind {
+                        Kind::Counter => SampleValue::Counter(block.get(at)),
+                        Kind::Gauge => SampleValue::Gauge(block.get(at) as i64),
+                        Kind::Histogram(first, factor, n) => {
+                            SampleValue::Histogram(HistogramSnapshot {
+                                buckets: (bounds(first, factor, n).chain([f64::INFINITY]))
+                                    .enumerate()
+                                    .map(|(k, bound)| (bound, block.get(at + k)))
+                                    .collect(),
+                                count: block.get(at + n + 1),
+                                sum: f64::from_bits(block.get(at + n + 2)),
+                            })
+                        }
+                    };
+                    samples.push(Sample { labels, value });
+                }
+            }
+            // Label-set order, as strings: partition "10" before "2".
+            samples.sort_by(|a, b| a.labels.cmp(&b.labels));
+            families.push(FamilySnapshot {
+                name: row.name.to_string(),
+                help: row.help.to_string(),
+                kind: match row.kind {
+                    Kind::Counter => FamilyKind::Counter,
+                    Kind::Gauge => FamilyKind::Gauge,
+                    Kind::Histogram(..) => FamilyKind::Histogram,
+                },
+                samples,
+            });
+        }
+        families.sort_by(|a, b| a.name.cmp(&b.name));
+        MetricsSnapshot { families }
     }
 
-    /// Register a plane's lazy families and hand back their handles.
-    fn lazy(&self, families: &[Fam], dynamic: &str) -> Handles {
-        Handles::register(&self.registry, families.iter().map(|f| f.row()), dynamic)
-    }
-
-    /// Sum of an eager counter family's series, off the cached handles —
-    /// how the typed views read a lifetime total.
+    /// Sum of an eager counter family's series — how the typed views read
+    /// a lifetime total.
     pub(crate) fn total(&self, fam: Fam) -> u64 {
         let first = SLOT[fam as usize];
-        let series = &self.eager.counters[first..first + fam.row().series()];
-        series.iter().map(Counter::get).sum()
+        (first..first + fam.row().series())
+            .map(|i| self.eager.get(i))
+            .sum()
+    }
+
+    /// Record `v` into an eager histogram.
+    fn observe(&self, fam: Fam, v: f64) {
+        self.eager.observe(SLOT[fam as usize], fam, v);
     }
 
     /// Cached scheduler counters for [`crate::sched`].
     pub fn sched_counters(&self) -> SchedCounters {
         SchedCounters {
-            free_core: self.eager.counters[at!(SchedDecisions, "free_core")].clone(),
-            stacked: self.eager.counters[at!(SchedDecisions, "stacked")].clone(),
-            flush_migrations: self.eager.counters[at!(SchedDecisions, "flush_migration")].clone(),
+            free_core: self.eager.counter(at!(SchedDecisions, "free_core")),
+            stacked: self.eager.counter(at!(SchedDecisions, "stacked")),
+            flush_migrations: self.eager.counter(at!(SchedDecisions, "flush_migration")),
         }
     }
 
@@ -530,10 +762,10 @@ impl JobMetrics {
     /// [`crate::fault::FaultInjector::install_counters`].
     pub fn fault_counters(&self) -> FaultCounters {
         FaultCounters {
-            transient: self.eager.counters[at!(FaultsInjected, "transient")].clone(),
-            node_loss: self.eager.counters[at!(FaultsInjected, "node_loss")].clone(),
-            latency: self.eager.counters[at!(FaultsInjected, "latency")].clone(),
-            corruption: self.eager.counters[at!(FaultsInjected, "corruption")].clone(),
+            transient: self.eager.counter(at!(FaultsInjected, "transient")),
+            node_loss: self.eager.counter(at!(FaultsInjected, "node_loss")),
+            latency: self.eager.counter(at!(FaultsInjected, "latency")),
+            corruption: self.eager.counter(at!(FaultsInjected, "corruption")),
         }
     }
 
@@ -541,52 +773,55 @@ impl JobMetrics {
     /// [`Verifier`](crate::integrity::Verifier), which asks at its first
     /// digest.
     pub fn integrity_handles(&self) -> IntegrityMetrics {
-        let h = self.lazy(&[Fam::IntegrityDigestBytes, Fam::IntegrityMemoEntries], "");
+        let block = self.integrity.get_or_init(|| Block::new(cells(INTEGRITY)));
         // Series order: `site` (stamp, then the verify points) × `source`.
-        let mut sites = h
-            .counters
-            .chunks_exact(2)
-            .map(|p| [p[0].clone(), p[1].clone()]);
-        let mut next = || sites.next().expect("one counter pair per digest point");
+        let site = |s: usize| {
+            let at = at!(IntegrityDigestBytes) + 2 * s;
+            [block.counter(at), block.counter(at + 1)]
+        };
         IntegrityMetrics {
-            stamp_bytes: next(),
-            verify_bytes: std::array::from_fn(|_| next()),
-            memo_entries: h.gauges[0].clone(),
+            stamp_bytes: site(0),
+            verify_bytes: std::array::from_fn(|s| site(s + 1)),
+            memo_entries: block.gauge(at!(IntegrityMemoEntries)),
         }
     }
 
-    /// Cached mailbox instruments for one partition worker of the
-    /// partitioned runtime, asked for once per worker at runtime
-    /// construction.
-    pub fn partition_handles(&self, partition: usize) -> PartitionMetrics {
-        let families = [
-            Fam::PartitionMailboxDepth,
-            Fam::PartitionWaitSeconds,
-            Fam::PartitionMessages,
-            Fam::PartitionBatchedOps,
-        ];
-        let h = self.lazy(&families, &partition.to_string());
-        PartitionMetrics {
-            mailbox_depth: h.gauges[0].clone(),
-            wait_seconds: h.histograms[0].clone(),
-            messages: h.counters[0].clone(),
-            batched_ops: h.counters[1].clone(),
-        }
+    /// Cached mailbox instruments for the partitioned runtime's `workers`
+    /// partition workers, asked for once at runtime construction.
+    pub fn partition_handles(&self, workers: usize) -> Vec<PartitionMetrics> {
+        let block = self
+            .partitions
+            .get_or_init(|| Block::new(workers * PARTITION_STRIDE));
+        assert_eq!(
+            block.len(),
+            workers * PARTITION_STRIDE,
+            "one partition pool per panel"
+        );
+        (0..workers)
+            .map(|p| {
+                let base = p * PARTITION_STRIDE;
+                PartitionMetrics {
+                    mailbox_depth: block.gauge(base + at!(PartitionMailboxDepth)),
+                    wait_seconds: Histogram {
+                        block: block.clone(),
+                        cell: base + at!(PartitionWaitSeconds),
+                        fam: Fam::PartitionWaitSeconds,
+                    },
+                    messages: block.counter(base + at!(PartitionMessages)),
+                    batched_ops: block.counter(base + at!(PartitionBatchedOps)),
+                }
+            })
+            .collect()
     }
 
     /// Cached message-plane instruments for the partitioned runtime's
     /// routing layer.
     pub fn msgplane_handles(&self) -> MsgPlaneMetrics {
-        let families = [
-            Fam::PartitionRoundTrips,
-            Fam::MsgplaneReplyPoolHits,
-            Fam::MsgplaneReplyPoolMisses,
-        ];
-        let h = self.lazy(&families, "");
+        let block = self.msgplane.get_or_init(|| Block::new(cells(MSGPLANE)));
         MsgPlaneMetrics {
-            round_trips: h.counters[0].clone(),
-            pool_hits: h.counters[1].clone(),
-            pool_misses: h.counters[2].clone(),
+            round_trips: block.counter(at!(PartitionRoundTrips)),
+            pool_hits: block.counter(at!(MsgplaneReplyPoolHits)),
+            pool_misses: block.counter(at!(MsgplaneReplyPoolMisses)),
         }
     }
 
@@ -595,176 +830,196 @@ impl JobMetrics {
     /// `kv_insert`, `kv_lookup`, `flush_lookup`, ...), folded into the
     /// op-kind label so scrub- and app-path retries are distinguishable.
     pub fn record_retry(&self, site: &str) {
-        self.eager.counters[at!(Retries) + retry_index(site)].inc();
+        self.eager.add(at!(Retries) + retry_index(site), 1);
     }
 
     /// An operation failed after exhausting its retry budget.
     pub fn record_retry_exhausted(&self) {
-        self.eager.counters[at!(RetryExhausted)].inc();
+        self.eager.add(at!(RetryExhausted), 1);
     }
 
     /// A checksum verify failed at the named verify point.
     pub fn record_verify_failure(&self, site: VerifySite) {
-        self.eager.counters[at!(IntegrityVerifyFailures) + site as usize].inc();
-        self.eager.counters[at!(ScrubCorruptionsDetected)].inc();
+        self.eager
+            .add(at!(IntegrityVerifyFailures) + site as usize, 1);
+        self.eager.add(at!(ScrubCorruptionsDetected), 1);
     }
 
     /// The scrubber checksum-verified `n` records.
     pub fn record_scrub_segments(&self, n: u64) {
-        self.eager.counters[at!(ScrubSegments)].add(n);
+        self.eager.add(at!(ScrubSegments), n);
     }
 
     /// A corrupt copy was repaired from a clean one.
     pub fn record_scrub_repair(&self) {
-        self.eager.counters[at!(ScrubRepaired)].inc();
+        self.eager.add(at!(ScrubRepaired), 1);
     }
 
     /// Publish the current count of degraded records (records whose
     /// primary or replica sits on a failed node).
     pub fn set_degraded_segments(&self, n: u64) {
-        self.eager.gauges[at!(DegradedSegments)].set(n.min(i64::MAX as u64) as i64);
+        self.eager
+            .cell(at!(DegradedSegments))
+            .store(n.min(i64::MAX as u64), Relaxed);
     }
 
     /// Account a repair pass: records whose primary / replica were
     /// re-protected, and the bytes copied onto healthy chains.
     pub fn record_repair(&self, primary: u64, replica: u64, bytes: u64) {
-        self.eager.counters[at!(RepairedSegments, "primary")].add(primary);
-        self.eager.counters[at!(RepairedSegments, "replica")].add(replica);
-        self.eager.counters[at!(RepairedBytes)].add(bytes);
+        self.eager.add(at!(RepairedSegments, "primary"), primary);
+        self.eager.add(at!(RepairedSegments, "replica"), replica);
+        self.eager.add(at!(RepairedBytes), bytes);
     }
 
     /// An open served (one metadata RPC against the file-name-hashed
     /// server — the all-to-one storm without COC).
     pub fn record_open(&self) {
-        self.eager.counters[at!(Ops, "open")].inc();
-        self.eager.counters[at!(MdRpcs, "open_close")].inc();
+        self.eager.add(at!(Ops, "open"), 1);
+        self.eager.add(at!(MdRpcs, "open_close"), 1);
     }
 
     /// A close served (ditto).
     pub fn record_close(&self) {
-        self.eager.counters[at!(Ops, "close")].inc();
-        self.eager.counters[at!(MdRpcs, "open_close")].inc();
+        self.eager.add(at!(Ops, "close"), 1);
+        self.eager.add(at!(MdRpcs, "open_close"), 1);
     }
 
     /// A write call accepted (before segmentation).
     pub fn record_write_call(&self) {
-        self.eager.counters[at!(Ops, "write")].inc();
+        self.eager.add(at!(Ops, "write"), 1);
     }
 
     /// One segment placed by DHP: `layer` is the chain index it landed on
     /// (> 0 means the fastest layer was full — a spill event).
     pub fn record_segment(&self, tier: Tier, layer: usize, len: u64) {
-        self.eager.counters[at!(Segments)].inc();
-        self.eager.counters[at!(MdRpcs, "write")].inc();
-        self.eager.counters[at!(CachedBytes) + tier as usize].add(len);
+        self.eager.add(at!(Segments), 1);
+        self.eager.add(at!(MdRpcs, "write"), 1);
+        self.eager.add(at!(CachedBytes) + tier as usize, len);
         if layer > 0 {
-            self.eager.counters[at!(TierSpillEvents) + tier as usize].inc();
+            self.eager.add(at!(TierSpillEvents) + tier as usize, 1);
         }
     }
 
     /// Bytes mirrored into a buddy chain.
     pub fn record_replication(&self, len: u64) {
-        self.eager.counters[at!(ReplicatedBytes)].add(len);
+        self.eager.add(at!(ReplicatedBytes), len);
     }
 
     /// One write call's pipeline accounting: how many grid pieces were
     /// planned, how many metadata records they coalesced into, and the lock
     /// round-trips spent. The coalescing ratio is `pieces / records`.
     pub fn record_write_batch(&self, pieces: u64, records: u64, locks: WriteLockCounts) {
-        self.eager.counters[at!(WritePieces)].add(pieces);
-        self.eager.counters[at!(WriteRecords)].add(records);
-        self.eager.counters[at!(WriteLockAcquisitions, "chain")].add(locks.chain);
-        self.eager.counters[at!(WriteLockAcquisitions, "kv_shard")].add(locks.kv_shard);
-        self.eager.counters[at!(WriteLockAcquisitions, "node_buffer")].add(locks.node_buffer);
+        self.eager.add(at!(WritePieces), pieces);
+        self.eager.add(at!(WriteRecords), records);
+        self.eager
+            .add(at!(WriteLockAcquisitions, "chain"), locks.chain);
+        self.eager
+            .add(at!(WriteLockAcquisitions, "kv_shard"), locks.kv_shard);
+        self.eager
+            .add(at!(WriteLockAcquisitions, "node_buffer"), locks.node_buffer);
     }
 
     /// A read call's aggregated accounting.
     pub fn record_read_trace(&self, t: &ReadTrace) {
-        self.eager.counters[at!(Ops, "read")].add(t.requests);
-        self.eager.counters[at!(MdRpcs, "read")].add(t.md_rpcs);
-        self.eager.counters[at!(MdLocalHits)].add(t.local_md_hits);
-        self.eager.counters[at!(ReadBytes, "local_hit")].add(t.local_direct_bytes);
-        self.eager.counters[at!(ReadBytes, "local_via_server")].add(t.local_via_server_bytes);
-        self.eager.counters[at!(ReadBytes, "bb_direct")].add(t.shared_direct_bytes);
-        self.eager.counters[at!(ReadBytes, "pfs_direct")].add(t.pfs_direct_bytes);
-        self.eager.counters[at!(ReadBytes, "remote_hop")].add(t.remote_bytes);
-        self.eager.counters[at!(ReadReplicaBytes)].add(t.replica_bytes);
-        self.eager.counters[at!(ReadMdCacheHits)].add(t.md_cache_hits);
-        self.eager.counters[at!(ReadMdCacheMisses)].add(t.md_cache_misses);
-        self.eager.counters[at!(ReadReadaheadBytes)].add(t.readahead_bytes);
+        self.eager.add(at!(Ops, "read"), t.requests);
+        self.eager.add(at!(MdRpcs, "read"), t.md_rpcs);
+        self.eager.add(at!(MdLocalHits), t.local_md_hits);
+        self.eager
+            .add(at!(ReadBytes, "local_hit"), t.local_direct_bytes);
+        self.eager
+            .add(at!(ReadBytes, "local_via_server"), t.local_via_server_bytes);
+        self.eager
+            .add(at!(ReadBytes, "bb_direct"), t.shared_direct_bytes);
+        self.eager
+            .add(at!(ReadBytes, "pfs_direct"), t.pfs_direct_bytes);
+        self.eager.add(at!(ReadBytes, "remote_hop"), t.remote_bytes);
+        self.eager.add(at!(ReadReplicaBytes), t.replica_bytes);
+        self.eager.add(at!(ReadMdCacheHits), t.md_cache_hits);
+        self.eager.add(at!(ReadMdCacheMisses), t.md_cache_misses);
+        self.eager.add(at!(ReadReadaheadBytes), t.readahead_bytes);
     }
 
     /// A read call's lock accounting: shared chain-lock round-trips spent
     /// fetching fragments (one per fragment on the per-record pipeline, one
     /// per producer group on the batched one).
     pub fn record_read_locks(&self, locks: ReadLockCounts) {
-        self.eager.counters[at!(ReadLockAcquisitions, "chain")].add(locks.chain);
+        self.eager
+            .add(at!(ReadLockAcquisitions, "chain"), locks.chain);
     }
 
     /// A flush entered the pipeline. Pair with [`Self::flush_finished`].
     pub fn flush_started(&self) {
-        self.eager.gauges[at!(FlushInProgress)].inc();
+        self.eager.add(at!(FlushInProgress), 1);
     }
 
     /// A flush left the pipeline (success or failure).
     pub fn flush_finished(&self) {
-        self.eager.gauges[at!(FlushInProgress)].dec();
+        self.eager.cell(at!(FlushInProgress)).fetch_sub(1, Relaxed);
     }
 
     /// Account a completed flush from its receipt.
     pub fn record_flush(&self, receipt: &FlushReceipt) {
-        self.eager.counters[at!(Flushes)].inc();
-        self.eager.histograms[at!(FlushDrainedBytes)].observe(receipt.file_size as f64);
+        self.eager.add(at!(Flushes), 1);
+        self.observe(Fam::FlushDrainedBytes, receipt.file_size as f64);
         for &bytes in &receipt.per_server_bytes {
             if bytes > 0 {
-                self.eager.histograms[at!(FlushServerBytes)].observe(bytes as f64);
+                self.observe(Fam::FlushServerBytes, bytes as f64);
             }
         }
         for &(tier, bytes) in &receipt.source_tier_bytes {
-            self.eager.counters[at!(FlushSourceBytes) + tier as usize].add(bytes);
+            self.eager.add(at!(FlushSourceBytes) + tier as usize, bytes);
         }
-        self.eager.counters[at!(FlushLockRevocations)].add(receipt.lock_revocations);
-        self.eager.counters[at!(FlushOstWrites)].add(receipt.ost_writes);
-        self.eager.counters[at!(FlushWriteCalls)].add(receipt.write_calls);
-        self.eager.counters[at!(FlushSpans)].add(receipt.spans);
-        self.eager.counters[at!(FlushGatherRoundTrips)].add(receipt.gather_round_trips);
-        self.eager.counters[at!(FlushCatchupPasses)].add(receipt.catchup_passes);
-        self.eager.counters[at!(FlushSkippedLostBytes)].add(receipt.lost.lost_bytes);
-        self.eager.counters[at!(TieringCatchupSkippedBytes)].add(receipt.drained_ahead_bytes);
+        self.eager
+            .add(at!(FlushLockRevocations), receipt.lock_revocations);
+        self.eager.add(at!(FlushOstWrites), receipt.ost_writes);
+        self.eager.add(at!(FlushWriteCalls), receipt.write_calls);
+        self.eager.add(at!(FlushSpans), receipt.spans);
+        self.eager
+            .add(at!(FlushGatherRoundTrips), receipt.gather_round_trips);
+        self.eager
+            .add(at!(FlushCatchupPasses), receipt.catchup_passes);
+        self.eager
+            .add(at!(FlushSkippedLostBytes), receipt.lost.lost_bytes);
+        self.eager
+            .add(at!(TieringCatchupSkippedBytes), receipt.drained_ahead_bytes);
     }
 
     /// One background tiering pass started on some node.
     pub fn record_tiering_pass(&self) {
-        self.eager.counters[at!(TieringPasses)].inc();
+        self.eager.add(at!(TieringPasses), 1);
     }
 
     /// One segment spilled down a layer; `tier` is the *source* tier it
     /// left.
     pub fn record_tiering_spill(&self, tier: Tier, len: u64) {
-        self.eager.counters[at!(TieringSpilledSegments) + tier as usize].inc();
-        self.eager.counters[at!(TieringSpilledBytes) + tier as usize].add(len);
+        self.eager
+            .add(at!(TieringSpilledSegments) + tier as usize, 1);
+        self.eager
+            .add(at!(TieringSpilledBytes) + tier as usize, len);
     }
 
     /// One cold segment copied ahead to the PFS by the drain phase.
     pub fn record_tiering_drain(&self, len: u64) {
-        self.eager.counters[at!(TieringDrainedSegments)].inc();
-        self.eager.counters[at!(TieringDrainedBytes)].add(len);
+        self.eager.add(at!(TieringDrainedSegments), 1);
+        self.eager.add(at!(TieringDrainedBytes), len);
     }
 
     /// One segment promoted to the top layer by the benefit/cost policy.
     pub fn record_tiering_promotion(&self, len: u64) {
-        self.eager.counters[at!(TieringPromotedSegments)].inc();
-        self.eager.counters[at!(TieringPromotedBytes)].add(len);
+        self.eager.add(at!(TieringPromotedSegments), 1);
+        self.eager.add(at!(TieringPromotedBytes), len);
     }
 
     /// One periodic heat-halving tick applied.
     pub fn record_tiering_decay(&self) {
-        self.eager.counters[at!(TieringHeatDecays)].inc();
+        self.eager.add(at!(TieringHeatDecays), 1);
     }
 
     /// Publish the engine's pause state.
     pub fn set_tiering_paused(&self, paused: bool) {
-        self.eager.gauges[at!(TieringPaused)].set(paused as i64);
+        self.eager
+            .cell(at!(TieringPaused))
+            .store(paused as u64, Relaxed);
     }
 }
 
@@ -794,8 +1049,8 @@ mod tests {
             ),
             Some(2)
         );
-        // Layer 0 never counts as a spill (the child exists at zero —
-        // the panel pre-registers every tier's handle).
+        // Layer 0 never counts as a spill (the series exists at zero —
+        // the panel holds a cell for every tier).
         assert_eq!(
             snap.counter("univistor_tier_spill_events_total", &[("tier", "dram")]),
             Some(0)
@@ -901,6 +1156,63 @@ mod tests {
         ] {
             assert_eq!(snap.counter(family, &[]), Some(want), "{family}");
         }
+    }
+
+    #[test]
+    fn histogram_buckets_hold_observations_at_or_below_their_bound() {
+        let m = JobMetrics::new();
+        // Bounds 1024, 4096, 16384, …: a boundary value lands in its own
+        // bucket, and past the last bound in `+Inf`.
+        for v in [0.5, 1024.0, 1025.0, 4096.0, 1e12] {
+            m.observe(Fam::FlushServerBytes, v);
+        }
+        let snap = m.snapshot();
+        let h = snap
+            .histogram("univistor_flush_server_bytes", &[])
+            .expect("histogram present");
+        let counts: Vec<u64> = h.buckets.iter().map(|&(_, c)| c).collect();
+        assert_eq!(counts, [2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(h.buckets[1].0, 4096.0);
+        assert!(h.buckets[10].0.is_infinite());
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 0.5 + 1024.0 + 1025.0 + 4096.0 + 1e12);
+    }
+
+    #[test]
+    fn views_share_their_cells() {
+        let m = JobMetrics::new();
+        let parts = m.partition_handles(3);
+        let depth = parts[2].mailbox_depth.clone();
+        depth.inc();
+        depth.inc();
+        parts[2].mailbox_depth.dec();
+        parts[2].messages.clone().add(4);
+        parts[2].messages.inc();
+        let snap = m.snapshot();
+        let p2 = [("partition", "2")];
+        assert_eq!(
+            snap.gauge("univistor_partition_mailbox_depth", &p2),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter("univistor_partition_messages_total", &p2),
+            Some(5)
+        );
+        // Neighbouring workers' cells are untouched.
+        let p1 = [("partition", "1")];
+        assert_eq!(
+            snap.gauge("univistor_partition_mailbox_depth", &p1),
+            Some(0)
+        );
+        assert_eq!(
+            snap.counter("univistor_partition_messages_total", &p1),
+            Some(0)
+        );
+        parts[2].mailbox_depth.set(-3);
+        assert_eq!(
+            m.snapshot().gauge("univistor_partition_mailbox_depth", &p2),
+            Some(-3)
+        );
     }
 
     #[test]

@@ -977,9 +977,8 @@ impl PartitionedCore {
             _ => 0,
         };
         let mut workers = Vec::with_capacity(pool);
-        for id in 0..pool {
+        for (id, handles) in metrics.partition_handles(pool).into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel(mailbox_depth);
-            let handles = metrics.partition_handles(id);
             let worker = Worker {
                 id,
                 workers: pool,

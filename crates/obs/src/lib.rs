@@ -1,49 +1,19 @@
-//! # univistor-obs — lightweight observability for the UniviStor runtime
+//! # univistor-obs — the wire form of UniviStor telemetry
 //!
-//! A std-only metrics layer: a [`Registry`] hands out labeled families of
-//! monotonic [`Counter`]s, [`Gauge`]s, and fixed-bucket [`Histogram`]s.
-//! Handles are `Arc`-backed atomics, so the hot path is a single
-//! `fetch_add` — the registry lock is only taken when a labeled child is
-//! first created (callers cache the handle) and when snapshotting.
-//!
-//! [`Registry::snapshot`] produces a point-in-time [`MetricsSnapshot`]
-//! that serializes to JSON ([`MetricsSnapshot::to_json`]) and parses back
+//! A std-only value layer: a [`MetricsSnapshot`] is a point-in-time
+//! capture of labeled counter, gauge and fixed-bucket histogram families.
+//! The job's instrument panel (`univistor_core::metrics`) builds one from
+//! its atomics; this crate serializes it to JSON
+//! ([`MetricsSnapshot::to_json`]) and parses it back
 //! ([`MetricsSnapshot::from_json`]), so bench binaries can drop a
 //! `metrics.json` next to each figure's CSV and later runs can diff them.
-//!
-//! [`ScopedTimer`] is a drop guard that observes an elapsed duration into
-//! a histogram; simulated-time observations (the codebase's analytic
-//! timing plane) go through [`Histogram::observe`] directly.
+//! [`MetricsSnapshot::since`] and [`MetricsSnapshot::absorb`] take phase
+//! deltas and fold many short-lived jobs into one figure's totals.
 
 mod json;
-mod metrics;
 mod snapshot;
-mod timer;
 
 pub use json::{Json, JsonError};
-pub use metrics::{
-    Counter, CounterFamily, Gauge, GaugeFamily, Histogram, HistogramFamily, Registry,
-};
 pub use snapshot::{
     FamilyKind, FamilySnapshot, HistogramSnapshot, MetricsSnapshot, Sample, SampleValue,
 };
-pub use timer::ScopedTimer;
-
-/// Exponential bucket bounds: `start`, `start*factor`, … (`count` bounds).
-/// The implicit final `+Inf` bucket is always present in the histogram.
-pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
-    assert!(start > 0.0 && factor > 1.0 && count > 0);
-    let mut bounds = Vec::with_capacity(count);
-    let mut b = start;
-    for _ in 0..count {
-        bounds.push(b);
-        b *= factor;
-    }
-    bounds
-}
-
-/// Linear bucket bounds: `start`, `start+width`, … (`count` bounds).
-pub fn linear_buckets(start: f64, width: f64, count: usize) -> Vec<f64> {
-    assert!(width > 0.0 && count > 0);
-    (0..count).map(|i| start + width * i as f64).collect()
-}

@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::{Json, JsonError};
-use crate::metrics::Labels;
 
 /// What kind of metric a family holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,29 +73,6 @@ pub enum SampleValue {
     Histogram(HistogramSnapshot),
 }
 
-impl Sample {
-    pub(crate) fn counter(labels: Labels, v: u64) -> Self {
-        Sample {
-            labels,
-            value: SampleValue::Counter(v),
-        }
-    }
-
-    pub(crate) fn gauge(labels: Labels, v: i64) -> Self {
-        Sample {
-            labels,
-            value: SampleValue::Gauge(v),
-        }
-    }
-
-    pub(crate) fn histogram(labels: Labels, v: HistogramSnapshot) -> Self {
-        Sample {
-            labels,
-            value: SampleValue::Histogram(v),
-        }
-    }
-}
-
 /// Frozen state of one family.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FamilySnapshot {
@@ -106,7 +82,7 @@ pub struct FamilySnapshot {
     pub samples: Vec<Sample>,
 }
 
-/// A point-in-time capture of every registered family, sorted by name.
+/// A point-in-time capture of every published family, sorted by name.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub families: Vec<FamilySnapshot>,
@@ -212,7 +188,7 @@ impl MetricsSnapshot {
                         }
                     }
                     // Kind mismatch within a family cannot happen for
-                    // registry-produced snapshots; keep ours.
+                    // snapshots of one source; keep ours.
                     _ => {}
                 }
             }
@@ -220,7 +196,7 @@ impl MetricsSnapshot {
     }
 
     /// What happened since `base`, an earlier snapshot of the same
-    /// registry: counters and histogram buckets/count/sum subtract, gauges
+    /// source: counters and histogram buckets/count/sum subtract, gauges
     /// keep their current value. A family or sample `base` lacks (registered
     /// since) counts from zero. The phase-delta view over counters that
     /// never reset.
@@ -428,25 +404,65 @@ impl From<&MetricsSnapshot> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
 
-    fn snap_with(counts: &[(&str, u64)], hist: &[f64]) -> MetricsSnapshot {
-        let r = Registry::new();
-        let c = r.counter_family("jobs_total", "jobs seen");
-        for &(label, n) in counts {
-            c.with(&[("kind", label)]).add(n);
-        }
-        let h = r.histogram_family("latency", "op latency", &[1.0, 10.0]);
+    fn labels(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// A snapshot of three families: `depth` (gauge), `jobs_total`
+    /// (counter, one sample per `kind`) and `latency` (a histogram over
+    /// bounds 1 and 10 holding `hist`).
+    fn snap_with(counts: &[(&str, u64)], depth: i64, hist: &[f64]) -> MetricsSnapshot {
+        let mut buckets = vec![(1.0, 0), (10.0, 0), (f64::INFINITY, 0)];
         for &v in hist {
-            h.with(&[]).observe(v);
+            buckets.iter_mut().find(|(bound, _)| v <= *bound).unwrap().1 += 1;
         }
-        r.snapshot()
+        let family = |name: &str, help: &str, kind, samples| FamilySnapshot {
+            name: name.into(),
+            help: help.into(),
+            kind,
+            samples,
+        };
+        let sample = |pairs: &[(&str, &str)], value| Sample {
+            labels: labels(pairs),
+            value,
+        };
+        let mut jobs: Vec<Sample> = counts
+            .iter()
+            .map(|&(kind, n)| sample(&[("kind", kind)], SampleValue::Counter(n)))
+            .collect();
+        jobs.sort_by(|a, b| a.labels.cmp(&b.labels));
+        let latency = HistogramSnapshot {
+            buckets,
+            count: hist.len() as u64,
+            sum: hist.iter().fold(0.0, |s, v| s + v),
+        };
+        MetricsSnapshot {
+            families: vec![
+                family(
+                    "depth",
+                    "queue depth",
+                    FamilyKind::Gauge,
+                    vec![sample(&[], SampleValue::Gauge(depth))],
+                ),
+                family("jobs_total", "jobs seen", FamilyKind::Counter, jobs),
+                family(
+                    "latency",
+                    "op latency",
+                    FamilyKind::Histogram,
+                    vec![sample(&[], SampleValue::Histogram(latency))],
+                ),
+            ],
+        }
     }
 
     #[test]
     fn absorb_adds_counters_and_merges_histograms() {
-        let mut a = snap_with(&[("read", 3), ("write", 1)], &[0.5, 5.0]);
-        let b = snap_with(&[("read", 2), ("flush", 7)], &[20.0]);
+        let mut a = snap_with(&[("read", 3), ("write", 1)], 0, &[0.5, 5.0]);
+        let b = snap_with(&[("read", 2), ("flush", 7)], 0, &[20.0]);
         a.absorb(&b);
         assert_eq!(a.counter("jobs_total", &[("kind", "read")]), Some(5));
         assert_eq!(a.counter("jobs_total", &[("kind", "write")]), Some(1));
@@ -463,24 +479,10 @@ mod tests {
 
     #[test]
     fn since_subtracts_counters_and_buckets_and_keeps_gauges() {
-        let r = Registry::new();
-        let jobs = r.counter_family("jobs_total", "jobs seen");
-        let depth = r.gauge_family("depth", "queue depth").with(&[]);
-        let lat = r
-            .histogram_family("latency", "op latency", &[1.0, 10.0])
-            .with(&[]);
-        jobs.with(&[("kind", "read")]).add(3);
-        depth.set(5);
-        lat.observe(0.5);
-        lat.observe(5.0);
-        let base = r.snapshot();
-
-        jobs.with(&[("kind", "read")]).add(4);
-        jobs.with(&[("kind", "flush")]).add(7); // child born after the base
-        depth.set(2);
-        lat.observe(5.0);
-        lat.observe(20.0);
-        let d = r.snapshot().since(&base);
+        let base = snap_with(&[("read", 3)], 5, &[0.5, 5.0]);
+        // Four more reads, a child born after the base, two observations.
+        let now = snap_with(&[("read", 7), ("flush", 7)], 2, &[0.5, 5.0, 5.0, 20.0]);
+        let d = now.since(&base);
 
         assert_eq!(d.counter("jobs_total", &[("kind", "read")]), Some(4));
         assert_eq!(d.counter("jobs_total", &[("kind", "flush")]), Some(7));
@@ -492,15 +494,12 @@ mod tests {
             vec![0, 1, 1]
         );
         // Against an empty base everything counts from zero.
-        assert_eq!(
-            r.snapshot().since(&MetricsSnapshot::default()),
-            r.snapshot()
-        );
+        assert_eq!(now.since(&MetricsSnapshot::default()), now);
     }
 
     #[test]
     fn absorb_into_empty_clones_everything() {
-        let b = snap_with(&[("read", 4)], &[2.0]);
+        let b = snap_with(&[("read", 4)], 0, &[2.0]);
         let mut a = MetricsSnapshot::default();
         a.absorb(&b);
         assert_eq!(a, b);
