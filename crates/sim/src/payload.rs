@@ -30,6 +30,7 @@
 
 use crate::bytes::Bytes;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Maximum size `to_bytes` will materialize (1 GiB). Larger payloads are
 /// always synthetic at paper scale; materializing them indicates a bug.
@@ -288,30 +289,7 @@ impl Payload {
         match self {
             Payload::Bytes(b) => state.absorb_bytes(b),
             Payload::Zeros { len } => state.absorb_zeros(*len),
-            Payload::Pattern { seed, offset, len } => {
-                let mut pos = *offset;
-                let end = offset + len;
-                while pos < end {
-                    // Fast path: the stream word boundary and the pattern
-                    // block boundary coincide, so whole blocks absorb as
-                    // words in one register-resident bulk loop.
-                    if state.word_aligned() && pos % 8 == 0 && end - pos >= 32 {
-                        let quads = (end - pos) / 32;
-                        state.absorb_pattern_quads(*seed, pos / 8, quads);
-                        pos += quads * 32;
-                    } else if state.word_aligned() && pos % 8 == 0 && end - pos >= 8 {
-                        state.absorb_word(splitmix64(seed ^ (pos / 8)));
-                        pos += 8;
-                    } else {
-                        let block = splitmix64(seed ^ (pos / 8));
-                        let in_block = (pos % 8) as u32;
-                        let take = ((8 - in_block) as u64).min(end - pos) as u32;
-                        let shifted = block >> (8 * in_block);
-                        state.absorb_bytes(&shifted.to_le_bytes()[..take as usize]);
-                        pos += take as u64;
-                    }
-                }
-            }
+            Payload::Pattern { seed, offset, len } => state.absorb_pattern(*seed, *offset, *len),
             Payload::Chain(parts) => {
                 for p in parts {
                     p.absorb_to(state);
@@ -319,6 +297,54 @@ impl Payload {
             }
         }
     }
+}
+
+/// Pattern words one generator call fills: a stack block that stays in L1.
+const BLOCK_WORDS: usize = 64;
+
+type Block = [u64; BLOCK_WORDS];
+
+/// A block generator compiled for wider vectors than the build's
+/// baseline.
+///
+/// # Safety
+///
+/// Call only on a CPU that has the generator's target features; the one
+/// [`vector_fill`] returns has been detected on this CPU.
+type VectorFill = unsafe fn(u64, u64, &mut Block);
+
+/// `out[i] = splitmix64(seed ^ (first + i))`. The words are independent
+/// of each other, so the loop vectorises wherever the target has a
+/// 64-bit vector multiply. Always inlined, so each caller compiles the
+/// loop with its own target features.
+#[inline(always)]
+fn fill_block(seed: u64, first: u64, out: &mut Block) {
+    for (i, w) in out.iter_mut().enumerate() {
+        *w = splitmix64(seed ^ (first + i as u64));
+    }
+}
+
+/// [`fill_block`] compiled for AVX-512, where LLVM emits 8-wide `vpmullq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn fill_block_avx512(seed: u64, first: u64, out: &mut Block) {
+    fill_block(seed, first, out)
+}
+
+/// This CPU's vector block generator, if it has one; detected once per
+/// process. Without one, buffering the generated words only adds memory
+/// traffic, so aligned windows keep the fused scalar loop.
+fn vector_fill() -> Option<VectorFill> {
+    static PICK: OnceLock<Option<VectorFill>> = OnceLock::new();
+    *PICK.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+        {
+            return Some(fill_block_avx512 as VectorFill);
+        }
+        None
+    })
 }
 
 /// The lane multiplier (odd, so xor-then-multiply is a bijection per
@@ -336,12 +362,14 @@ const LANE_INIT: [u64; 4] = [splitmix64(1), splitmix64(2), splitmix64(3), splitm
 /// The digest is a pure function of the byte stream — however that
 /// stream is split across payloads, chain parts, or representation
 /// (bytes vs. synthetic). Word-granular absorption keeps four
-/// independent multiply chains in flight, so verifying runs at
-/// memcpy-class throughput instead of the one-multiply-per-byte serial
-/// chain of a classic FNV loop; any corruption of a word changes its
-/// lane irreversibly (each absorb is a bijection), and zero runs and
-/// length changes are caught by the word counter folded into
-/// [`finalize`](Checksum::finalize).
+/// independent multiply chains in flight instead of the
+/// one-multiply-per-byte serial chain of a classic FNV loop: about
+/// 15 GiB/s on real bytes and, generating the words as it goes, about
+/// 9 GiB/s on a pattern with the AVX-512 block generator and 4–7 GiB/s
+/// without it (4 MiB digests on a 2-vCPU AVX-512 VM). Any corruption of
+/// a word changes its lane irreversibly (each absorb is a bijection),
+/// and zero runs and length changes are caught by the word counter
+/// folded into [`finalize`](Checksum::finalize).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checksum {
     lanes: [u64; 4],
@@ -384,10 +412,112 @@ impl Checksum {
         self.words += 1;
     }
 
+    /// Absorb `len` bytes of `seed`'s pattern stream from position
+    /// `offset`: byte-wise up to the next stream word boundary, then
+    /// whole stream words through a bulk kernel, then the tail byte-wise.
+    fn absorb_pattern(&mut self, seed: u64, offset: u64, len: u64) {
+        let head = (u64::from(8 - self.partial_len) % 8).min(len);
+        self.absorb_pattern_bytes(seed, offset, head);
+        let pos = offset + head;
+        let words = (len - head) / 8;
+        let vector = vector_fill();
+        if vector.is_none() && pos.is_multiple_of(8) {
+            let quads = words / 4;
+            self.absorb_pattern_quads(seed, pos / 8, quads);
+            for k in pos / 8 + quads * 4..pos / 8 + words {
+                self.absorb_word(splitmix64(seed ^ k));
+            }
+        } else if words > 0 {
+            self.absorb_pattern_blocks(seed, pos, words, vector);
+        }
+        let tail = pos + words * 8;
+        self.absorb_pattern_bytes(seed, tail, offset + len - tail);
+    }
+
+    /// Absorb `len` pattern bytes from `pos` one pattern word at a time —
+    /// for the sub-word edges of a window.
+    fn absorb_pattern_bytes(&mut self, seed: u64, mut pos: u64, len: u64) {
+        let end = pos + len;
+        while pos < end {
+            let block = splitmix64(seed ^ (pos / 8));
+            let in_block = (pos % 8) as u32;
+            let take = ((8 - in_block) as u64).min(end - pos) as usize;
+            let shifted = block >> (8 * in_block);
+            self.absorb_bytes(&shifted.to_le_bytes()[..take]);
+            pos += take as u64;
+        }
+    }
+
+    /// Absorb `n` whole stream words of `seed`'s pattern from stream
+    /// position `pos`; the state must be word-aligned. Generate, then
+    /// absorb: each step fills a block of [`BLOCK_WORDS`] pattern words
+    /// (through `vector` when given) and feeds it to the four lanes,
+    /// which stay in locals for the whole run. When `pos` is not on a
+    /// pattern word boundary, every stream word straddles two generated
+    /// words and is funnel-shifted out of them, so a misaligned window
+    /// runs at block speed too.
+    fn absorb_pattern_blocks(&mut self, seed: u64, pos: u64, n: u64, vector: Option<VectorFill>) {
+        debug_assert!(self.word_aligned());
+        let sh = 8 * (pos % 8) as u32;
+        let mut k = pos / 8 + u64::from(sh != 0);
+        // `raw[0]` holds the last generated word of the previous block:
+        // with `sh != 0` the block's first stream word starts in it.
+        let mut raw = [0u64; BLOCK_WORDS + 1];
+        raw[BLOCK_WORDS] = splitmix64(seed ^ (pos / 8));
+        let mut shifted: Block = [0; BLOCK_WORDS];
+        let p = (self.words & 3) as usize;
+        let mut l0 = self.lanes[p];
+        let mut l1 = self.lanes[(p + 1) & 3];
+        let mut l2 = self.lanes[(p + 2) & 3];
+        let mut l3 = self.lanes[(p + 3) & 3];
+        let mut left = n;
+        while left > 0 {
+            raw[0] = raw[BLOCK_WORDS];
+            let fresh: &mut Block = (&mut raw[1..]).try_into().expect("one block");
+            match vector {
+                // SAFETY: `vector_fill` hands out a generator only after
+                // `is_x86_feature_detected!` found avx512f and avx512dq on
+                // this CPU.
+                Some(fill) => unsafe { fill(seed, k, fresh) },
+                None => fill_block(seed, k, fresh),
+            }
+            let words: &Block = if sh == 0 {
+                fresh
+            } else {
+                for (w, pair) in shifted.iter_mut().zip(raw.windows(2)) {
+                    *w = (pair[0] >> sh) | (pair[1] << (64 - sh));
+                }
+                &shifted
+            };
+            let take = left.min(BLOCK_WORDS as u64) as usize;
+            let (quads, rest) = words[..take].split_at(take & !3);
+            for q in quads.chunks_exact(4) {
+                l0 = (l0 ^ q[0]).wrapping_mul(WORD_MUL);
+                l1 = (l1 ^ q[1]).wrapping_mul(WORD_MUL);
+                l2 = (l2 ^ q[2]).wrapping_mul(WORD_MUL);
+                l3 = (l3 ^ q[3]).wrapping_mul(WORD_MUL);
+            }
+            // Only the last block can end mid-quad; its words continue
+            // the round-robin from lane `p`.
+            for (lane, &w) in [&mut l0, &mut l1, &mut l2].into_iter().zip(rest) {
+                *lane = (*lane ^ w).wrapping_mul(WORD_MUL);
+            }
+            left -= take as u64;
+            k += BLOCK_WORDS as u64;
+        }
+        self.lanes[p] = l0;
+        self.lanes[(p + 1) & 3] = l1;
+        self.lanes[(p + 2) & 3] = l2;
+        self.lanes[(p + 3) & 3] = l3;
+        self.words += n;
+    }
+
     /// Absorb `quads * 4` consecutive synthetic pattern blocks starting
-    /// at `first_block`, word-aligned. The lanes live in locals for the
-    /// whole run, so the hot loop is four independent xor-multiply
-    /// chains plus the block generation — no per-word state traffic.
+    /// at `first_block`, word-aligned: generation fused into the absorb
+    /// loop, the fastest form without a vector generator. The lanes live
+    /// in locals for the whole run, so the hot loop is four independent
+    /// xor-multiply chains plus the block generation — no per-word state
+    /// traffic.
     fn absorb_pattern_quads(&mut self, seed: u64, first_block: u64, quads: u64) {
         let p = (self.words & 3) as usize;
         let mut l0 = self.lanes[p];
@@ -534,6 +664,7 @@ impl fmt::Debug for Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
 
     #[test]
     fn pattern_is_deterministic() {
@@ -746,6 +877,133 @@ mod tests {
             Payload::zeros(72).content_checksum(),
             "zero-run length change undetected"
         );
+    }
+
+    #[test]
+    fn pattern_digest_known_answers() {
+        let digest = |offset, len| {
+            Payload::Pattern {
+                seed: 0x1234_5678,
+                offset,
+                len,
+            }
+            .content_checksum()
+        };
+        assert_eq!(digest(0, 4 << 20), 0x3d14_1ea6_bc03_dee9);
+        assert_eq!(digest(3, 4 << 20), 0xd4d1_46ef_a440_6d66);
+        for (words, want) in [
+            (0u64, 0xbcb2_1e79_18f9_475f_u64),
+            (7, 0x5543_3193_a5a7_6f8e),
+            (31, 0x6ec6_c61a_79f6_a55f),
+            (32, 0x0430_d62a_490f_9510),
+            (33, 0x13c5_ff12_5597_0e56),
+            (2047, 0x48cc_b850_4d43_5274),
+            (2048, 0x45ff_9304_358e_55f5),
+        ] {
+            assert_eq!(digest(0, words * 8), want, "{words} words");
+        }
+    }
+
+    fn generator_name() -> &'static str {
+        if vector_fill().is_some() {
+            "avx512"
+        } else {
+            "scalar (no AVX-512 on this CPU)"
+        }
+    }
+
+    /// The state after absorbing `prefix`, and the digest of `prefix`
+    /// followed by the pattern window's materialised bytes.
+    fn prefixed(prefix: &[u8], window: &Payload) -> (Checksum, u64) {
+        let mut start = Checksum::new();
+        start.absorb_bytes(prefix);
+        let mut whole = start;
+        whole.absorb_bytes(&window.to_bytes());
+        (start, whole.finalize())
+    }
+
+    #[test]
+    fn pattern_kernels_agree_with_materialized_bytes() {
+        eprintln!("pattern block generator: {}", generator_name());
+        let mut rng = DetRng::seed(0x5eed_d16e);
+        for case in 0..500 {
+            let seed = splitmix64(case);
+            let offset = rng.below(1 << 20) as u64;
+            // Up to five blocks, mostly not a multiple of the block.
+            let words = rng.below(5 * BLOCK_WORDS + 1) as u64;
+            // 0, 8, 16 or 24 bytes first: every starting lane phase.
+            let prefix: Vec<u8> = (0..8 * rng.below(4)).map(|i| (i * 37) as u8).collect();
+            let window = Payload::Pattern {
+                seed,
+                offset,
+                len: words * 8,
+            };
+            let (start, want) = prefixed(&prefix, &window);
+            let tag = format!("case {case}: seed {seed:#x} offset {offset} words {words}");
+            if offset.is_multiple_of(8) {
+                let mut scalar = start;
+                scalar.absorb_pattern_quads(seed, offset / 8, words / 4);
+                for k in offset / 8 + words / 4 * 4..offset / 8 + words {
+                    scalar.absorb_word(splitmix64(seed ^ k));
+                }
+                assert_eq!(scalar.finalize(), want, "scalar loop, {tag}");
+            }
+            for (name, vector) in [(generator_name(), vector_fill()), ("plain block", None)] {
+                let mut blocks = start;
+                blocks.absorb_pattern_blocks(seed, offset, words, vector);
+                assert_eq!(blocks.finalize(), want, "{name} kernel, {tag}");
+            }
+            let mut dispatched = start;
+            window.absorb_to(&mut dispatched);
+            assert_eq!(dispatched.finalize(), want, "absorb_to, {tag}");
+        }
+    }
+
+    #[test]
+    fn misaligned_windows_digest_like_their_bytes() {
+        // A stream word boundary off the pattern word boundary: from the
+        // window's offset, or from a partial word left by a byte part.
+        for in_word in 0..8u64 {
+            for partial_len in 0..8usize {
+                let prefix: Vec<u8> = (0..partial_len as u8).map(|b| b ^ 0xa5).collect();
+                let window = Payload::Pattern {
+                    seed: 0xfeed,
+                    offset: 8 * 1000 + in_word,
+                    len: 3 * 8 * BLOCK_WORDS as u64 + 13,
+                };
+                let (mut state, want) = prefixed(&prefix, &window);
+                window.absorb_to(&mut state);
+                assert_eq!(
+                    state.finalize(),
+                    want,
+                    "offset % 8 = {in_word}, partial_len = {partial_len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_chains_digest_like_their_bytes() {
+        let mut rng = DetRng::seed(0xc4a1);
+        for case in 0..200 {
+            let parts: Vec<Payload> = (0..1 + rng.below(6))
+                .map(|_| match rng.below(3) {
+                    0 => Payload::Pattern {
+                        seed: splitmix64(case),
+                        offset: rng.below(1 << 16) as u64,
+                        len: rng.below(3000) as u64,
+                    },
+                    1 => Payload::zeros(rng.below(100) as u64),
+                    _ => Payload::from_bytes(vec![rng.below(256) as u8; rng.below(40)]),
+                })
+                .collect();
+            let chain = Payload::chain(parts);
+            assert_eq!(
+                chain.content_checksum(),
+                Payload::from_bytes(chain.to_bytes()).content_checksum(),
+                "case {case}: {chain:?}"
+            );
+        }
     }
 
     #[test]
