@@ -61,60 +61,6 @@ impl Features {
     }
 }
 
-/// Which write-path implementation [`write`](crate::server::UniviStorJob::write)
-/// uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WritePipeline {
-    /// Batched pipeline: plan all grid-aligned pieces up front, place the
-    /// run under one chain-lock acquisition, commit metadata with a single
-    /// punch and partition-grouped puts, coalesce VA-contiguous same-layer
-    /// pieces into one record (capped at `metadata_range_size`), and touch
-    /// the node buffer once per write call.
-    #[default]
-    Batched,
-    /// Reference implementation: one chain-lock / punch / KV put /
-    /// node-buffer acquisition per segment piece. Kept for differential
-    /// tests.
-    PerPiece,
-}
-
-/// Which read-path implementation [`read`](crate::server::UniviStorJob::read)
-/// uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPipeline {
-    /// Batched pipeline: plan every clipped fragment up front (replica
-    /// rerouting resolved in the plan), group fragments by producer chain,
-    /// and fetch each group under one shared chain-lock acquisition
-    /// ([`ChainSet::read_at_many`](crate::placement::ChainSet::read_at_many)).
-    #[default]
-    Batched,
-    /// Reference implementation: one chain-lock acquisition per overlapping
-    /// fragment, fetched while walking the record list. Kept for
-    /// differential tests.
-    PerRecord,
-}
-
-/// Which flush-plane implementation the close-time flush (and the
-/// tiering daemon's catch-up) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlushPipeline {
-    /// Parallel pipelined engine: per-server gather workers overlap the
-    /// metadata lookup and tier gather of range N+1 with the stripe
-    /// write of range N through a bounded queue; adjacent spans bound
-    /// for the same server range coalesce into single Lustre writes;
-    /// and instead of holding the core for the whole flush, the record
-    /// set is snapshotted and drained live, with a generation-validated
-    /// catch-up pass re-draining anything mutated mid-flight.
-    #[default]
-    Parallel,
-    /// Reference implementation: one sequential loop over the server
-    /// ranges, one chain read and one Lustre write per clipped span.
-    /// Under [`Runtime::Partitioned`] the core is checked out (workers
-    /// parked) for the whole flush. Kept for differential tests and as
-    /// the `flush` bench baseline.
-    Sequential,
-}
-
 /// Which server-core runtime [`UniviStorJob`](crate::server::UniviStorJob)
 /// executes its data plane on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -184,9 +130,8 @@ impl Default for PromotionPolicy {
 ///
 /// Disabled by default: with `enabled == false` the data path pays only a
 /// boolean check and behaves exactly as before this subsystem existed
-/// (figure results stay byte-identical). Enable via
-/// `UniviStorConfig::builder().tiering(TieringConfig::on()).build()` or by
-/// setting the field directly.
+/// (figure results stay byte-identical). Enable by setting
+/// `cfg.tiering = TieringConfig::on()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieringConfig {
     /// Master switch for the *automatic* triggers (write-path cadence and
@@ -258,9 +203,8 @@ impl TieringConfig {
 
 /// Background checksum-scrubber daemon knobs. Modeled on
 /// [`TieringConfig`]: disabled by default, so jobs that never opt in pay
-/// nothing and produce byte-identical figure results. Enable via
-/// `UniviStorConfig::builder().integrity(IntegrityConfig { scrub: ScrubConfig::on(), ..Default::default() })`
-/// or by setting the fields directly.
+/// nothing and produce byte-identical figure results. Enable by setting
+/// `cfg.integrity.scrub = ScrubConfig::on()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubConfig {
     /// Spawn one scrubber actor per node at job construction. Explicit
@@ -384,12 +328,6 @@ pub struct UniviStorConfig {
     /// Mirror volatile-layer segments to a buddy process on another node
     /// (the paper's future work: resilience for data in volatile layers).
     pub replicate_volatile: bool,
-    /// Which write-path implementation to use (batched by default).
-    pub write_pipeline: WritePipeline,
-    /// Which read-path implementation to use (batched by default).
-    pub read_pipeline: ReadPipeline,
-    /// Which flush-plane implementation to use (parallel by default).
-    pub flush_pipeline: FlushPipeline,
     /// Bytes of extra metadata lookup issued past a sequential read's end
     /// (a `(client, fid)` stream counts as sequential after
     /// [`READAHEAD_MIN_STREAK`](crate::read::READAHEAD_MIN_STREAK) forward
@@ -445,9 +383,6 @@ impl UniviStorConfig {
             enable_dram: true,
             enable_bb: true,
             replicate_volatile: false,
-            write_pipeline: WritePipeline::default(),
-            read_pipeline: ReadPipeline::default(),
-            flush_pipeline: FlushPipeline::default(),
             readahead_window: 0,
             retry: RetryPolicy::default(),
             fault: None,
@@ -507,7 +442,8 @@ impl UniviStorConfig {
 
     /// Reject configurations that would misbehave at runtime with a
     /// typed [`SimError::InvalidConfig`] instead of silent clamping, a
-    /// wedged mailbox, or an unbounded probability draw. Called by job
+    /// wedged mailbox, an unbounded probability draw, or a panic on a zero
+    /// size or count deep in the data path. Called by job
     /// construction ([`UniviStorJob::try_new`](crate::server::UniviStorJob::try_new));
     /// the panicking constructors surface the same message.
     pub fn validate(&self) -> SimResult<()> {
@@ -544,171 +480,29 @@ impl UniviStorConfig {
                 )));
             }
         }
-        if self.mailbox_depth == 0 {
-            return Err(SimError::InvalidConfig(
-                "mailbox_depth must be at least 1 (a zero-depth mailbox \
-                 can never deliver a request)"
-                    .into(),
-            ));
-        }
-        if self.retry.max_attempts == 0 {
-            return Err(SimError::InvalidConfig(
-                "retry.max_attempts must be at least 1 (zero attempts \
-                 means every operation fails without running)"
-                    .into(),
-            ));
+        // Every size and count the data path divides by, indexes with, or
+        // loops over: zero would panic deep in placement, the KV or the
+        // striping planner. A zero-depth mailbox never delivers a request;
+        // zero retry attempts fail every operation without running it.
+        let g = &self.geometry;
+        for (name, n) in [
+            ("geometry.nodes", g.nodes as u64),
+            ("geometry.procs_per_node", g.procs_per_node as u64),
+            ("geometry.servers_per_node", g.servers_per_node as u64),
+            ("chunk_size", self.chunk_size),
+            ("segment_size", self.segment_size),
+            ("metadata_range_size", self.metadata_range_size),
+            ("alpha", self.alpha as u64),
+            ("mailbox_depth", self.mailbox_depth as u64),
+            ("retry.max_attempts", self.retry.max_attempts),
+        ] {
+            if n == 0 {
+                return Err(SimError::InvalidConfig(format!(
+                    "{name} must be at least 1"
+                )));
+            }
         }
         Ok(())
-    }
-
-    /// Start a [`UniviStorConfigBuilder`] from the paper configuration
-    /// for a single 32-process node — set the geometry (and anything
-    /// else) through the builder:
-    ///
-    /// ```ignore
-    /// let cfg = UniviStorConfig::builder()
-    ///     .total_procs(128)
-    ///     .tiering(TieringConfig::on())
-    ///     .build();
-    /// ```
-    pub fn builder() -> UniviStorConfigBuilder {
-        UniviStorConfigBuilder {
-            cfg: UniviStorConfig::paper(32),
-        }
-    }
-
-    /// Continue building from this configuration (e.g. refine
-    /// [`test_small`](Self::test_small) with tiering knobs).
-    pub fn to_builder(self) -> UniviStorConfigBuilder {
-        UniviStorConfigBuilder { cfg: self }
-    }
-}
-
-/// Builder over [`UniviStorConfig`], so call sites compose the typed
-/// sub-structures (`TieringConfig`, `Features`, `RetryPolicy`, …) instead
-/// of mutating a growing flat field list. Created by
-/// [`UniviStorConfig::builder`] (paper defaults) or
-/// [`UniviStorConfig::to_builder`] (any base).
-#[derive(Debug, Clone)]
-pub struct UniviStorConfigBuilder {
-    cfg: UniviStorConfig,
-}
-
-impl UniviStorConfigBuilder {
-    /// Replace the geometry with the paper layout for `total_procs`
-    /// clients (32 procs/node, 2 servers/node).
-    pub fn total_procs(mut self, total_procs: usize) -> Self {
-        self.cfg.geometry = JobGeometry::paper(total_procs);
-        self
-    }
-
-    /// Set an explicit geometry.
-    pub fn geometry(mut self, geometry: JobGeometry) -> Self {
-        self.cfg.geometry = geometry;
-        self
-    }
-
-    /// Set the feature toggles.
-    pub fn features(mut self, features: Features) -> Self {
-        self.cfg.features = features;
-        self
-    }
-
-    /// Set the background tiering policy.
-    pub fn tiering(mut self, tiering: TieringConfig) -> Self {
-        self.cfg.tiering = tiering;
-        self
-    }
-
-    /// Set the data-integrity plane (checksums + scrubber).
-    pub fn integrity(mut self, integrity: IntegrityConfig) -> Self {
-        self.cfg.integrity = integrity;
-        self
-    }
-
-    /// Set the write pipeline implementation.
-    pub fn write_pipeline(mut self, pipeline: WritePipeline) -> Self {
-        self.cfg.write_pipeline = pipeline;
-        self
-    }
-
-    /// Set the read pipeline implementation.
-    pub fn read_pipeline(mut self, pipeline: ReadPipeline) -> Self {
-        self.cfg.read_pipeline = pipeline;
-        self
-    }
-
-    /// Set the flush-plane implementation.
-    pub fn flush_pipeline(mut self, pipeline: FlushPipeline) -> Self {
-        self.cfg.flush_pipeline = pipeline;
-        self
-    }
-
-    /// Select the server-core runtime.
-    pub fn runtime(mut self, runtime: Runtime) -> Self {
-        self.cfg.runtime = runtime;
-        self
-    }
-
-    /// Set the partition-worker count for [`Runtime::Partitioned`]
-    /// (`0` = auto-size).
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.cfg.partitions = partitions;
-        self
-    }
-
-    /// Set the per-worker mailbox bound for [`Runtime::Partitioned`]
-    /// (clamped to at least 1).
-    pub fn mailbox_depth(mut self, depth: usize) -> Self {
-        self.cfg.mailbox_depth = depth.max(1);
-        self
-    }
-
-    /// Set the log chunk size.
-    pub fn chunk_size(mut self, bytes: u64) -> Self {
-        self.cfg.chunk_size = bytes;
-        self
-    }
-
-    /// Set the client segment size.
-    pub fn segment_size(mut self, bytes: u64) -> Self {
-        self.cfg.segment_size = bytes;
-        self
-    }
-
-    /// Set the transient-fault retry budget.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Install a deterministic fault-injection schedule.
-    pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.cfg.fault = Some(fault);
-        self
-    }
-
-    /// Toggle the DRAM cache layer.
-    pub fn enable_dram(mut self, on: bool) -> Self {
-        self.cfg.enable_dram = on;
-        self
-    }
-
-    /// Toggle the shared burst-buffer layer.
-    pub fn enable_bb(mut self, on: bool) -> Self {
-        self.cfg.enable_bb = on;
-        self
-    }
-
-    /// Toggle buddy replication of volatile-layer segments.
-    pub fn replicate_volatile(mut self, on: bool) -> Self {
-        self.cfg.replicate_volatile = on;
-        self
-    }
-
-    /// Finish: the assembled configuration.
-    pub fn build(self) -> UniviStorConfig {
-        self.cfg
     }
 }
 
@@ -756,43 +550,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_composes_typed_sections() {
-        let cfg = UniviStorConfig::builder()
-            .total_procs(128)
-            .tiering(TieringConfig::on())
-            .features(Features::all())
-            .replicate_volatile(true)
-            .build();
-        assert_eq!(cfg.geometry.total_procs(), 128);
-        assert!(cfg.tiering.enabled);
-        assert!(cfg.features.workflow);
-        assert!(cfg.replicate_volatile);
-        // A builder over an existing base only changes what it is told to.
-        let small = UniviStorConfig::test_small(2, 2)
-            .to_builder()
-            .tiering(TieringConfig {
-                drain_cadence_ops: 8,
-                ..TieringConfig::on()
-            })
-            .build();
-        assert_eq!(small.chunk_size, 256);
-        assert_eq!(small.tiering.drain_cadence_ops, 8);
-    }
-
-    #[test]
     fn integrity_defaults_checksums_on_scrubber_off() {
         let i = IntegrityConfig::default();
         assert!(i.checksums, "checksums default on");
         assert!(!i.scrub.enabled, "scrubber must default off");
         assert!(ScrubConfig::on().enabled);
         assert_eq!(UniviStorConfig::paper(64).integrity, i);
-        let cfg = UniviStorConfig::builder()
-            .integrity(IntegrityConfig {
-                checksums: false,
-                scrub: ScrubConfig::on(),
-            })
-            .build();
-        assert!(!cfg.integrity.checksums && cfg.integrity.scrub.enabled);
     }
 
     #[test]
@@ -848,6 +611,39 @@ mod tests {
         cfg.mailbox_depth = 0;
         let err = cfg.validate().unwrap_err().to_string();
         assert!(err.contains("mailbox_depth"), "{err}");
+    }
+
+    /// Each zero here used to panic somewhere past construction (a
+    /// divide by zero on the first write, the KV's partitioner, the
+    /// striping planner at close) or, for `metadata_range_size`, inside
+    /// `try_new` itself; now construction refuses it with a typed error.
+    #[test]
+    fn try_new_rejects_zero_sizes_and_counts() {
+        type Zeroing = (&'static str, fn(&mut UniviStorConfig));
+        let zeroes: [Zeroing; 7] = [
+            ("segment_size", |c| c.segment_size = 0),
+            ("metadata_range_size", |c| c.metadata_range_size = 0),
+            ("alpha", |c| c.alpha = 0),
+            ("servers_per_node", |c| c.geometry.servers_per_node = 0),
+            ("nodes", |c| c.geometry.nodes = 0),
+            ("procs_per_node", |c| c.geometry.procs_per_node = 0),
+            ("chunk_size", |c| c.chunk_size = 0),
+        ];
+        for (name, zero) in zeroes {
+            let mut cfg = UniviStorConfig::test_small(2, 2);
+            zero(&mut cfg);
+            match crate::server::UniviStorJob::try_new(cfg) {
+                Ok(_) => panic!("{name} = 0 was accepted"),
+                Err(e) => {
+                    let err = e.to_string();
+                    assert!(err.contains(name), "{name}: {err}");
+                    assert!(
+                        matches!(e.source_err(), SimError::InvalidConfig(_)),
+                        "{name}: {err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,25 +9,23 @@
 //! [`crate::striping::adaptive_plan`] (or the all-OST naive layout when
 //! ADPT is disabled).
 //!
-//! Two engines implement the drain, selected by
-//! [`FlushPipeline`](crate::config::FlushPipeline):
+//! One engine drains it, the pipelined one ([`parallel_drain`]): each
+//! server range is gathered by its own worker (scoped threads over a
+//! shared cursor), a single writer stage drains gathered ranges through a
+//! reorder buffer (so Lustre writes stay server-major and offset-ascending
+//! — the order that keeps lock-revocation counts equal to a
+//! record-at-a-time drain's), adjacent spans merge into coalesced object
+//! writes, and same-source spans within a range are fetched in one chain
+//! round-trip. Gathering takes no core checkout: a generation fence around
+//! each pass redoes the flush if a writer mutated the file mid-pass
+//! (write-overlapped catch-up).
 //!
-//! * **`Sequential`** — the reference engine: one loop over
-//!   `plan.server_ranges`, one chain read and one Lustre write per clipped
-//!   span. Kept verbatim for differential tests.
-//! * **`Parallel`** (default) — the pipelined engine: each server range is
-//!   gathered by its own worker (scoped threads over a shared cursor), a
-//!   single writer stage drains gathered ranges through a reorder buffer
-//!   (so Lustre writes stay server-major and offset-ascending — the order
-//!   that makes lock-revocation counts engine-independent), adjacent spans
-//!   merge into coalesced object writes, and same-source spans within a
-//!   range are fetched in one chain round-trip. Gathering takes no core
-//!   checkout: a generation fence around each pass redoes the flush if a
-//!   writer mutated the file mid-pass (write-overlapped catch-up).
-//!
-//! Both engines share the stripe writer ([`write_stripes`]) and produce
+//! The record-at-a-time reference engine — one chain read and one Lustre
+//! write per clipped span — is a test oracle (`server::oracle`, DESIGN.md
+//! §8a). It plugs into the same [`Engine`] slot of [`FlushRequest`],
+//! shares the stripe writer ([`write_stripes`]) and must produce
 //! byte-identical PFS contents and identical semantic receipts (bytes per
-//! server/OST/tier, loss ledger, revocations); they differ only in the
+//! server/OST/tier, loss ledger, revocations); the two differ only in the
 //! operation counters (`ost_writes`, `write_calls`, `gather_round_trips`)
 //! that measure the coalescing and batching wins.
 //!
@@ -36,7 +34,7 @@
 //! plane needs: per-server and per-OST byte loads, which tier each byte
 //! came from, stripe-synchronization fan-out, and lock revocations.
 
-use crate::config::{FlushPipeline, UniviStorConfig};
+use crate::config::UniviStorConfig;
 use crate::fault::{with_retries, FaultInjector};
 use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
@@ -79,22 +77,22 @@ pub struct FlushReceipt {
     /// saving. Always 0 without a resume ledger.
     pub drained_ahead_bytes: u64,
     /// OST object writes issued: one per stripe piece after coalescing.
-    /// The parallel engine's coalesced runs touch each OST object once
-    /// per run; the sequential engine once per span piece.
+    /// The engine's coalesced runs touch each OST object once per run;
+    /// the record-at-a-time reference (a test oracle) once per span piece.
     pub ost_writes: u64,
-    /// Lustre object-write calls issued: one per coalesced run under the
-    /// parallel engine, one per span under the sequential engine.
+    /// Lustre object-write calls issued: one per coalesced run (one per
+    /// span under the record-at-a-time reference).
     /// `spans / write_calls` is the coalescing ratio.
     pub write_calls: u64,
     /// Clipped spans drained (a record clipped by several server ranges
     /// counts once per range). Engine-independent.
     pub spans: u64,
-    /// Chain read round-trips: one per same-source span run under the
-    /// parallel engine, one per span under the sequential engine.
+    /// Chain read round-trips: one per same-source span run (one per span
+    /// under the record-at-a-time reference).
     pub gather_round_trips: u64,
     /// Generation-invalidated redo passes the write-overlapped drain ran
-    /// because a writer mutated the file mid-flush. Always 0 under the
-    /// sequential engine or when writers are quiescent.
+    /// because a writer mutated the file mid-flush. Always 0 when writers
+    /// are quiescent.
     pub catchup_passes: u64,
 }
 
@@ -267,23 +265,23 @@ pub(crate) fn create_destination(
     Ok(plan)
 }
 
-/// Per-pass accumulator shared by both engines; becomes the receipt.
+/// Per-pass accumulator an engine fills; becomes the receipt.
 #[derive(Default)]
-struct FlushAcc {
-    per_server_bytes: Vec<u64>,
-    per_ost_bytes: Vec<u64>,
-    source_tiers: HashMap<Tier, u64>,
-    revocations: u64,
-    lost: FlushReport,
-    drained_ahead: u64,
-    ost_writes: u64,
-    write_calls: u64,
-    spans: u64,
-    gather_round_trips: u64,
+pub(crate) struct FlushAcc {
+    pub per_server_bytes: Vec<u64>,
+    pub per_ost_bytes: Vec<u64>,
+    pub source_tiers: HashMap<Tier, u64>,
+    pub revocations: u64,
+    pub lost: FlushReport,
+    pub drained_ahead: u64,
+    pub ost_writes: u64,
+    pub write_calls: u64,
+    pub spans: u64,
+    pub gather_round_trips: u64,
 }
 
 impl FlushAcc {
-    fn absorb_write(&mut self, w: StripeWrite) {
+    pub(crate) fn absorb_write(&mut self, w: StripeWrite) {
         self.revocations += w.revocations;
         self.ost_writes += w.ost_writes;
         self.write_calls += w.write_calls;
@@ -309,22 +307,29 @@ pub(crate) struct FlushRequest<'a> {
     pub file_size: u64,
     pub dest: &'a str,
     pub resume: Option<&'a DrainLedger>,
+    /// The drain engine: [`parallel_drain`] everywhere outside the
+    /// differential tests.
+    pub engine: Engine,
 }
+
+/// A drain engine: run the passes over `ctx`, returning their accumulated
+/// outcome and the number of catch-up passes taken.
+pub(crate) type Engine = fn(&FlushCtx) -> SimResult<(FlushAcc, u64)>;
 
 /// Everything one flush holds constant across its passes, ranges and spans:
 /// the request, the source, the striping decision, and the resume ledger
 /// once validated against the destination. Built once in
 /// [`flush_with_source`].
-struct FlushCtx<'a> {
-    source: &'a dyn FlushSource,
-    req: &'a FlushRequest<'a>,
-    plan: &'a StripePlan,
-    resume: Option<&'a DrainLedger>,
+pub(crate) struct FlushCtx<'a> {
+    pub source: &'a dyn FlushSource,
+    pub req: &'a FlushRequest<'a>,
+    pub plan: &'a StripePlan,
+    pub resume: Option<&'a DrainLedger>,
     osts: usize,
 }
 
 impl FlushCtx<'_> {
-    fn new_acc(&self) -> FlushAcc {
+    pub(crate) fn new_acc(&self) -> FlushAcc {
         FlushAcc {
             per_server_bytes: vec![0; self.req.cfg.geometry.total_servers()],
             per_ost_bytes: vec![0; self.osts],
@@ -338,7 +343,7 @@ impl FlushCtx<'_> {
     }
 
     /// One retried gather round-trip.
-    fn read_spans(
+    pub(crate) fn read_spans(
         &self,
         client: ClientId,
         requests: &[(VirtualAddr, u64)],
@@ -350,7 +355,7 @@ impl FlushCtx<'_> {
 
     /// One instrumented metadata fetch per server range; transient faults
     /// are absorbed by the retry budget.
-    fn draw_lookup(&self) -> SimResult<()> {
+    pub(crate) fn draw_lookup(&self) -> SimResult<()> {
         match self.req.injector {
             Some(inj) => with_retries(&self.req.cfg.retry, self.req.metrics, || {
                 inj.inject("flush_lookup", None)
@@ -359,13 +364,13 @@ impl FlushCtx<'_> {
         }
     }
 
-    fn write(&self, lo: u64, payload: Payload) -> SimResult<StripeWrite> {
+    pub(crate) fn write(&self, lo: u64, payload: Payload) -> SimResult<StripeWrite> {
         write_stripes(self.req.lustre, self.req.dest, self.plan, lo, payload)
     }
 
     /// Prefer the primary; fall back to a replica on a healthy node; with
     /// neither, the span is lost.
-    fn healthy_source(&self, rec: &SegmentRecord) -> Option<(ClientId, VirtualAddr)> {
+    pub(crate) fn healthy_source(&self, rec: &SegmentRecord) -> Option<(ClientId, VirtualAddr)> {
         if !self.node_failed(rec.client) {
             Some((rec.client, rec.va))
         } else {
@@ -378,20 +383,20 @@ impl FlushCtx<'_> {
 /// `clip_lo`, cut from the record keyed at `key_offset` whose chosen copy
 /// starts at `base_va` of `client`'s chain.
 #[derive(Clone, Copy)]
-struct FetchSpan {
-    rec: SegmentRecord,
-    client: ClientId,
-    base_va: VirtualAddr,
-    key_offset: u64,
-    clip_lo: u64,
-    len: u64,
+pub(crate) struct FetchSpan {
+    pub rec: SegmentRecord,
+    pub client: ClientId,
+    pub base_va: VirtualAddr,
+    pub key_offset: u64,
+    pub clip_lo: u64,
+    pub len: u64,
 }
 
 impl FetchSpan {
-    /// The span both engines request: stamped records fetch the *whole*
+    /// The span every engine requests: stamped records fetch the *whole*
     /// record from its base VA (the checksum can only verify the full
     /// span), unstamped ones the clip alone.
-    fn request(&self) -> (VirtualAddr, u64) {
+    pub(crate) fn request(&self) -> (VirtualAddr, u64) {
         match self.rec.checksum {
             Some(_) => (self.base_va, self.rec.len),
             None => (
@@ -409,7 +414,7 @@ impl FetchSpan {
 /// a typed [`SimError::Integrity`] — the flush never persists wrong bytes,
 /// and the lost ledger stays reserved for node failures (a
 /// corrupt-but-present copy is the scrubber's job, not a silent skip).
-fn verify_gathered(
+pub(crate) fn verify_gathered(
     ctx: &FlushCtx,
     span: &FetchSpan,
     payload: Payload,
@@ -454,8 +459,8 @@ fn verify_gathered(
 }
 
 /// Flush every byte of `fid` (logical size `file_size`) from `source` to
-/// `dest` on `lustre`, using the configuration's striping mode, server
-/// count, and flush engine (`cfg.flush_pipeline`). The source is the
+/// `dest` on `lustre`, using the configuration's striping mode and server
+/// count and the request's drain engine. The source is the
 /// locked core's [`CoreFlushSource`] or the partitioned runtime's routed
 /// view, which flushes without a whole-core checkout. Segments whose
 /// primary node is in `failed_nodes` are flushed from their resilience
@@ -527,10 +532,7 @@ pub(crate) fn flush_with_source(
         resume,
         osts,
     };
-    let (acc, catchup_passes) = match cfg.flush_pipeline {
-        FlushPipeline::Sequential => (sequential_pass(&ctx)?, 0),
-        FlushPipeline::Parallel => parallel_drain(&ctx)?,
-    };
+    let (acc, catchup_passes) = (req.engine)(&ctx)?;
 
     let flushed: u64 = acc.per_server_bytes.iter().sum();
     if flushed + acc.lost.lost_bytes + acc.drained_ahead != file_size {
@@ -566,68 +568,14 @@ pub(crate) fn flush_with_source(
     Ok(receipt)
 }
 
-/// The reference engine: one loop over the server ranges, one chain read
-/// and one stripe write per clipped span. Kept byte-for-byte equivalent to
-/// the pre-pipelined flush for differential testing.
-fn sequential_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
-    let mut acc = ctx.new_acc();
-    for &(start, end) in ctx.plan.server_ranges.iter() {
-        if end <= start {
-            continue;
-        }
-        ctx.draw_lookup()?;
-        for (key, rec) in ctx.source.records(ctx.req.fid, start, end).1 {
-            let seg_end = key.offset + rec.len;
-            let clip_lo = key.offset.max(start);
-            let clip_hi = seg_end.min(end);
-            if clip_hi <= clip_lo {
-                continue;
-            }
-            let clip_len = clip_hi - clip_lo;
-            // Catch-up: the drain already copied this exact record's
-            // bytes to `dest`. Checked before the health split, so a
-            // drained span survives even when its source node has since
-            // failed.
-            if let Some(ledger) = ctx.resume {
-                if ledger.spans.get(&key.offset) == Some(&rec) {
-                    acc.drained_ahead += clip_len;
-                    continue;
-                }
-            }
-            let Some((client, base_va)) = ctx.healthy_source(&rec) else {
-                acc.lost.lost_segments += 1;
-                acc.lost.lost_bytes += clip_len;
-                continue;
-            };
-            let span = FetchSpan {
-                rec,
-                client,
-                base_va,
-                key_offset: key.offset,
-                clip_lo,
-                len: clip_len,
-            };
-            let mut got = ctx.read_spans(client, &[span.request()])?;
-            let (payload, tier) = got.pop().expect("one span requested");
-            acc.spans += 1;
-            acc.gather_round_trips += 1;
-            let (payload, tier) =
-                verify_gathered(ctx, &span, payload, tier, &mut acc.gather_round_trips)?;
-            *acc.source_tiers.entry(tier).or_insert(0) += clip_len;
-            let w = ctx.write(clip_lo, payload)?;
-            acc.absorb_write(w);
-        }
-    }
-    Ok(acc)
-}
-
-/// The parallel engine's catch-up fence: redo the whole pass whenever the
-/// fid's mutation generation moved while the pass ran without a checkout.
+/// The drain engine: parallel passes under a catch-up fence that redoes
+/// the whole pass whenever the fid's mutation generation moved while it
+/// ran without a checkout.
 /// A pass error under an *unchanged* generation is real and propagates; a
 /// pass (error or not) under a changed generation may have read torn state
 /// and is discarded. Terminates once writers quiesce — close-time flush
 /// holds the fid's tiering gate, so only foreground writers race.
-fn parallel_drain(ctx: &FlushCtx) -> SimResult<(FlushAcc, u64)> {
+pub(crate) fn parallel_drain(ctx: &FlushCtx) -> SimResult<(FlushAcc, u64)> {
     let mut catchup_passes = 0u64;
     loop {
         let gen0 = ctx.source.generation(ctx.req.fid);
@@ -663,7 +611,7 @@ enum SpanOutcome {
 /// The pipelined engine: per-range gather workers feed a single writer
 /// stage through a bounded queue; the writer reorders completions back to
 /// range order so the Lustre write sequence (and thus the revocation
-/// count) is identical to the sequential engine's, then coalesces
+/// count) is identical to a record-at-a-time drain's, then coalesces
 /// adjacent spans into single object writes.
 fn parallel_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
     let mut acc = ctx.new_acc();
@@ -679,7 +627,7 @@ fn parallel_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
     }
     // One instrumented lookup per non-empty range, drawn up front in
     // range order so the injector sees the same flush_lookup count as the
-    // sequential engine (draw *positions* may differ — accepted).
+    // record-at-a-time reference (draw *positions* may differ — accepted).
     for _ in &ranges {
         ctx.draw_lookup()?;
     }
@@ -732,8 +680,8 @@ fn parallel_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
 
 /// Resolve and fetch one server range. Maximal same-source span runs are
 /// fetched in a single chain round-trip (the batching win); resolution
-/// (clip, ledger catch-up, health split) matches the sequential engine
-/// span for span.
+/// (clip, ledger catch-up, health split) matches the record-at-a-time
+/// reference span for span.
 fn gather_range(ctx: &FlushCtx, start: u64, end: u64) -> SimResult<RangeGather> {
     let records = ctx.source.records(ctx.req.fid, start, end).1;
     let mut out = RangeGather {
@@ -936,6 +884,7 @@ mod tests {
                 file_size: size,
                 dest: "/pfs/f",
                 resume: None,
+                engine: parallel_drain,
             }
         }
 
@@ -1236,16 +1185,20 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_receipts_agree_and_parallel_coalesces() {
-        let run = |pipeline: FlushPipeline| {
-            let mut h = setup();
-            h.cfg.flush_pipeline = pipeline;
+        let run = |engine: Engine| {
+            let h = setup();
             let size = h.populate(4);
-            let r = h.flush(h.req(size)).unwrap();
+            let r = h
+                .flush(FlushRequest {
+                    engine,
+                    ..h.req(size)
+                })
+                .unwrap();
             let bytes = h.pfs(0, size);
             (r, bytes)
         };
-        let (seq, seq_bytes) = run(FlushPipeline::Sequential);
-        let (par, par_bytes) = run(FlushPipeline::Parallel);
+        let (seq, seq_bytes) = run(crate::server::oracle::sequential_drain);
+        let (par, par_bytes) = run(parallel_drain);
         // Byte-identical Lustre contents.
         assert!(par_bytes.content_eq(&seq_bytes));
         // Identical semantic receipt.

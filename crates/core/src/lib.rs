@@ -57,8 +57,8 @@ pub mod workflow;
 pub(crate) mod write;
 
 pub use config::{
-    Features, FlushPipeline, IntegrityConfig, JobGeometry, PromotionPolicy, Runtime, ScrubConfig,
-    TierWatermarks, TieringConfig, UniviStorConfig, UniviStorConfigBuilder,
+    Features, IntegrityConfig, JobGeometry, PromotionPolicy, Runtime, ScrubConfig, TierWatermarks,
+    TieringConfig, UniviStorConfig,
 };
 pub use driver::UniviStorDriver;
 pub use error::{Error, Result};

@@ -940,8 +940,8 @@ impl JobMetrics {
     }
 
     /// A read call's lock accounting: shared chain-lock round-trips spent
-    /// fetching fragments (one per fragment on the per-record pipeline, one
-    /// per producer group on the batched one).
+    /// fetching fragments (one per producer group; one per fragment under
+    /// the per-record reference fetch of the differential tests).
     pub fn record_read_locks(&self, locks: ReadLockCounts) {
         self.eager
             .add(at!(ReadLockAcquisitions, "chain"), locks.chain);

@@ -22,10 +22,9 @@
 //!    widened by sequential readahead ([`ReadState`]);
 //! 2. **plan** every clipped fragment up front, resolving replica
 //!    rerouting around failed nodes in the plan;
-//! 3. **fetch** the fragments — [`ReadPipeline::Batched`] groups them by
-//!    producer chain and takes one fetch round-trip per group;
-//!    [`ReadPipeline::PerRecord`] takes one per fragment (the reference
-//!    implementation);
+//! 3. **fetch** the fragments, grouped by producer chain: one fetch
+//!    round-trip per group (a per-fragment reference fetch lives with the
+//!    test oracles, `server::oracle`);
 //! 4. **assemble** the payload in logical order and classify each
 //!    fragment for the timing plane.
 //!
@@ -41,9 +40,10 @@
 //! cache miss) and a fetch with one message to the chain owner. Every
 //! [`ReadTrace`] field, the dedup/sort, the plan, the producer grouping,
 //! the verify-and-reroute ladder and the classification are decided here,
-//! so they are runtime- and pipeline-invariant by construction.
+//! so they are invariant across runtimes and fetch flavours by
+//! construction.
 
-use crate::config::{JobGeometry, ReadPipeline};
+use crate::config::JobGeometry;
 use crate::flush::{CoreFlushSource, FlushSource};
 use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
@@ -122,8 +122,8 @@ impl ReadTrace {
 }
 
 /// Lock-acquisition accounting of one read call. Kept out of
-/// [`ReadTrace`] because the two pipelines legitimately differ here while
-/// their traces must stay identical; feeds
+/// [`ReadTrace`] because the grouped fetch and the per-fragment reference
+/// legitimately differ here while their traces must stay identical; feeds
 /// `univistor_read_lock_acquisitions_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadLockCounts {
@@ -259,8 +259,8 @@ pub(crate) fn covered_bytes(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u6
 /// and clip after the verify), and the alternate copy a verify failure
 /// reroutes to.
 #[derive(Debug, Clone, Copy)]
-struct Fragment {
-    source: ClientId,
+pub(crate) struct Fragment {
+    pub(crate) source: ClientId,
     va: VirtualAddr,
     len: u64,
     /// Write-commit stamp of the whole record this clip came from;
@@ -282,7 +282,7 @@ struct Fragment {
 
 /// The span to request for `f`: the full record when stamped (so the
 /// fetch can be verified), the clip alone otherwise.
-fn fetch_span(f: &Fragment) -> (VirtualAddr, u64) {
+pub(crate) fn fetch_span(f: &Fragment) -> (VirtualAddr, u64) {
     match f.checksum {
         Some(_) => (f.rec_va, f.rec_len),
         None => (f.va, f.len),
@@ -458,7 +458,6 @@ pub struct ReadService<'a, S = CoreFlushSource<'a>> {
     source: S,
     geometry: &'a JobGeometry,
     location_aware: bool,
-    pipeline: ReadPipeline,
     readahead_window: u64,
     state: Option<&'a ReadState>,
     failed_nodes: Option<&'a HashSet<usize>>,
@@ -470,7 +469,7 @@ pub struct ReadService<'a, S = CoreFlushSource<'a>> {
 impl<'a> ReadService<'a> {
     /// A service over the job's metadata, chains, and geometry, verifying
     /// stamped records through `verifier`. Defaults: location-aware,
-    /// batched pipeline, readahead off, no failed nodes.
+    /// readahead off, no failed nodes.
     pub fn new(
         metadata: &'a MetadataService,
         chains: &'a ChainSet,
@@ -492,7 +491,6 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
             source,
             geometry,
             location_aware: true,
-            pipeline: ReadPipeline::default(),
             readahead_window: 0,
             state: None,
             failed_nodes: None,
@@ -521,12 +519,6 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
     /// no readahead — exactly the baseline the figures ablate.
     pub fn location_aware(mut self, aware: bool) -> Self {
         self.location_aware = aware;
-        self
-    }
-
-    /// Select the fetch pipeline.
-    pub fn pipeline(mut self, pipeline: ReadPipeline) -> Self {
-        self.pipeline = pipeline;
         self
     }
 
@@ -561,6 +553,22 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
         offset: u64,
         len: u64,
     ) -> SimResult<ReadOutcome> {
+        self.read_with(client, fid, offset, len, |fragments, locks| {
+            self.fetch_batched(fragments, locks)
+        })
+    }
+
+    /// [`read`](Self::read) with the fetch stage supplied by the caller
+    /// (every other stage is this service's) — the seam the per-fragment
+    /// reference fetch of the differential tests plugs into.
+    pub(crate) fn read_with(
+        &self,
+        client: ClientId,
+        fid: u64,
+        offset: u64,
+        len: u64,
+        fetch: impl FnOnce(&[Fragment], &mut ReadLockCounts) -> SimResult<Vec<(Payload, Tier)>>,
+    ) -> SimResult<ReadOutcome> {
         let mut trace = ReadTrace {
             requests: 1,
             ..ReadTrace::default()
@@ -582,10 +590,7 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
         let failed = self.failed_nodes.unwrap_or(&no_failures);
         let (fragments, touched) =
             plan_fragments(self.geometry, failed, &records, offset, end, &mut trace)?;
-        let fetched = match self.pipeline {
-            ReadPipeline::Batched => self.fetch_batched(&fragments, &mut locks)?,
-            ReadPipeline::PerRecord => self.fetch_per_record(&fragments, &mut locks)?,
-        };
+        let fetched = fetch(&fragments, &mut locks)?;
 
         let mut parts = Vec::with_capacity(fetched.len());
         for (fragment, (payload, tier)) in fragments.iter().zip(fetched) {
@@ -621,9 +626,9 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
     }
 
     /// Stage 1: the records covering `[offset, end)`, offset-sorted and
-    /// deduplicated. Shared between the pipelines and the sources, so
+    /// deduplicated. Shared between the fetch flavours and the sources, so
     /// every [`ReadTrace`] field it feeds (RPCs, buffer/cache hits,
-    /// readahead) is invariant across both. Fallible only under fault
+    /// readahead) is invariant across them. Fallible only under fault
     /// injection (the cached distributed lookup can fail transiently
     /// before touching any state).
     fn gather_records(
@@ -687,23 +692,7 @@ impl<'a, S: FlushSource> ReadService<'a, S> {
         Ok(records)
     }
 
-    /// Stage 3, reference flavor: one fetch round-trip per fragment, in
-    /// plan order.
-    fn fetch_per_record(
-        &self,
-        fragments: &[Fragment],
-        locks: &mut ReadLockCounts,
-    ) -> SimResult<Vec<(Payload, Tier)>> {
-        let mut fetched = Vec::with_capacity(fragments.len());
-        for f in fragments {
-            let mut got = self.source.read_spans(f.source, &[fetch_span(f)])?;
-            fetched.push(got.pop().expect("one span requested"));
-            locks.chain += 1;
-        }
-        Ok(fetched)
-    }
-
-    /// Stage 3, batched flavor: group fragments by producer chain (first
+    /// Stage 3: group fragments by producer chain (first
     /// appearance order) and fetch each group in one round-trip. Payloads
     /// come back in plan order regardless.
     fn fetch_batched(
@@ -844,6 +833,24 @@ mod tests {
         ReadService::new(md, chains, geom, &VERIFIER).location_aware(aware)
     }
 
+    /// `service`'s read of `[offset, offset + len)` by client 0 of fid 1,
+    /// fetching per record (the test oracle) or grouped (the product).
+    fn read_via(
+        per_record: bool,
+        service: &ReadService<'_>,
+        offset: u64,
+        len: u64,
+    ) -> SimResult<ReadOutcome> {
+        let client = ClientId::new(0, 0);
+        if per_record {
+            service.read_with(client, 1, offset, len, |fragments, locks| {
+                crate::server::oracle::fetch_per_record(&service.source, fragments, locks)
+            })
+        } else {
+            service.read(client, 1, offset, len)
+        }
+    }
+
     #[test]
     fn full_file_reads_back_exactly() {
         let (md, chains, geom) = setup();
@@ -851,18 +858,16 @@ mod tests {
             write_segments(&md, &chains, &geom, ClientId::new(0, rank), 4);
         }
         for aware in [false, true] {
-            for pipeline in [ReadPipeline::PerRecord, ReadPipeline::Batched] {
-                let out = svc(&md, &chains, &geom, aware)
-                    .pipeline(pipeline)
-                    .read(ClientId::new(0, 0), 1, 0, 16 * 64)
-                    .unwrap();
+            for per_record in [true, false] {
+                let service = svc(&md, &chains, &geom, aware);
+                let out = read_via(per_record, &service, 0, 16 * 64).unwrap();
                 assert_eq!(out.payload.len(), 16 * 64);
                 assert_eq!(out.trace.total_bytes(), 16 * 64);
                 for s in 0..16u64 {
                     let expect = Payload::pattern(s * 64, 64);
                     assert!(
                         out.payload.slice(s * 64, 64).content_eq(&expect),
-                        "segment {s} corrupt (aware={aware}, {pipeline:?})"
+                        "segment {s} corrupt (aware={aware}, per_record={per_record})"
                     );
                 }
             }
@@ -871,25 +876,22 @@ mod tests {
 
     #[test]
     fn batched_groups_chain_locks_per_producer() {
-        // One fresh world per pipeline so cache state matches too (within
+        // One fresh world per fetch so cache state matches too (within
         // one world, the first read would warm the cache for the second).
-        let run = |pipeline: ReadPipeline| {
+        let run = |per_record: bool| {
             let (md, chains, geom) = setup();
             for rank in 0..4 {
                 write_segments(&md, &chains, &geom, ClientId::new(0, rank), 4);
             }
-            svc(&md, &chains, &geom, true)
-                .pipeline(pipeline)
-                .read(ClientId::new(0, 0), 1, 0, 16 * 64)
-                .unwrap()
+            read_via(per_record, &svc(&md, &chains, &geom, true), 0, 16 * 64).unwrap()
         };
-        let per_record = run(ReadPipeline::PerRecord);
-        let batched = run(ReadPipeline::Batched);
+        let per_record = run(true);
+        let batched = run(false);
         // 16 fragments from 4 producers: 16 acquisitions per-record,
         // 4 batched.
         assert_eq!(per_record.locks.chain, 16);
         assert_eq!(batched.locks.chain, 4);
-        // Everything else is pipeline-invariant.
+        // Everything else is fetch-invariant.
         assert!(batched.payload.content_eq(&per_record.payload));
         assert_eq!(batched.trace, per_record.trace);
         assert_eq!(batched.touched, per_record.touched);
@@ -1009,11 +1011,8 @@ mod tests {
     fn hole_in_file_is_an_error() {
         let (md, chains, geom) = setup();
         write_segments(&md, &chains, &geom, ClientId::new(0, 0), 1);
-        for pipeline in [ReadPipeline::PerRecord, ReadPipeline::Batched] {
-            let err = svc(&md, &chains, &geom, true)
-                .pipeline(pipeline)
-                .read(ClientId::new(0, 0), 1, 0, 256)
-                .unwrap_err();
+        for per_record in [true, false] {
+            let err = read_via(per_record, &svc(&md, &chains, &geom, true), 0, 256).unwrap_err();
             assert!(matches!(err, SimError::Hole { .. }));
         }
     }

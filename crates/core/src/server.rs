@@ -30,10 +30,13 @@
 //!
 //! A runtime is only *how* an operation is executed: the batched write
 //! pipeline (`crate::write`), the read pipeline ([`crate::read`]) and the
-//! flush engines ([`crate::flush`]) are each written once, generic over a
+//! flush engine ([`crate::flush`]) are each written once, generic over a
 //! small executor/source trait both cores implement, so the two runtimes
 //! are byte-identical by construction (and pinned so by the differential
-//! tests in `tests/runtime.rs`).
+//! tests in `tests/runtime.rs`). Each stage has one product path; the
+//! reference flavours the differential tests compare it against (per-piece
+//! write, per-fragment fetch, record-at-a-time flush) live in the
+//! test-only `oracle` child module.
 //!
 //! Every hot path reports into the job's [`JobMetrics`] panel — the only
 //! accounting the job keeps — and [`UniviStorJob::metrics`] snapshots it.
@@ -41,14 +44,17 @@
 //! structured leftover the panel cannot hold, the flush receipts), so the
 //! two can never disagree.
 
-use crate::config::{FlushPipeline, Runtime, UniviStorConfig, WritePipeline};
+use crate::config::{Runtime, UniviStorConfig};
 use crate::error::{Error, Result};
 use crate::fault::{with_retries, FaultInjector};
-use crate::flush::{flush_with_source, CoreFlushSource, FlushReceipt, FlushRequest, FlushSource};
+use crate::flush::{
+    flush_with_source, parallel_drain, CoreFlushSource, Engine, FlushReceipt, FlushRequest,
+    FlushSource,
+};
 use crate::integrity::Verifier;
 use crate::maint::{FileSnap, Maint};
 use crate::metadata::{BatchOutcome, ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::{tier_label, Fam, JobMetrics, WriteLockCounts, TIERS};
+use crate::metrics::{tier_label, Fam, JobMetrics, TIERS};
 use crate::placement::{
     healthy_buddy, layer_caps_with_node_local, ChainSet, PlacedSegment, ProcChain,
 };
@@ -59,7 +65,7 @@ use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubHandle, ScrubReport, Scrub
 use crate::tiering::{run_pass, PassOptions, TieringHandle, TieringPassReport, TieringState};
 use crate::va::Tier;
 use crate::workflow::StateFile;
-use crate::write::{self, plan_pieces, Span, WriteExecutor, WriteOp, WritePolicy};
+use crate::write::{self, Span, WriteExecutor, WriteOp, WritePolicy};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -281,8 +287,9 @@ impl UniviStorJob {
     }
 
     /// Launch the service after validating the configuration, rejecting
-    /// out-of-range probabilities, inverted watermarks, a zero mailbox
-    /// depth, or a zero-attempt retry policy with a typed error.
+    /// out-of-range probabilities, inverted watermarks, and a zero size or
+    /// count (geometry, chunk/segment/range sizes, α, mailbox depth, retry
+    /// attempts) with a typed error.
     pub fn try_new(cfg: UniviStorConfig) -> Result<Self> {
         cfg.validate().map_err(|e| Error::new("config", e))?;
         Ok(Self::launch(cfg))
@@ -543,16 +550,19 @@ impl UniviStorJob {
     /// The payload is split into segments (≤ `segment_size`, aligned to
     /// the logical segment grid) and placed by DHP.
     pub fn write(&self, client: ClientId, path: &str, offset: u64, payload: Payload) -> Result<()> {
-        self.write_impl(client, path, offset, payload)
+        self.write_with(client, path, offset, payload, Self::place)
             .map_err(|e| Error::new("write", e).with_path(path).with_client(client))
     }
 
-    fn write_impl(
+    /// One write around `place`, the placement-and-commit stage: the
+    /// file-table, fault and tiering bookkeeping are this function's.
+    fn write_with(
         &self,
         client: ClientId,
         path: &str,
         offset: u64,
         payload: Payload,
+        place: impl FnOnce(&Self, &WriteOp, Payload) -> SimResult<()>,
     ) -> SimResult<()> {
         let len = payload.len();
         if len == 0 {
@@ -571,7 +581,6 @@ impl UniviStorJob {
             entry.fid
         };
         let node = self.cfg.geometry.node_of_rank(client.rank as usize);
-        // One batched pipeline (`crate::write`), three ways to execute it.
         let replicate = self.cfg.replicate_volatile;
         let op = WriteOp {
             client,
@@ -580,41 +589,7 @@ impl UniviStorJob {
             offset,
             buddy: replicate.then(|| self.replica_buddy(client)).flatten(),
         };
-        match &self.core {
-            Core::Locked(core) => {
-                self.ensure_chain(client)?;
-                match self.cfg.write_pipeline {
-                    WritePipeline::Batched => write::write(
-                        &mut LockedWrite { job: self, core },
-                        &self.write_policy,
-                        &op,
-                        payload,
-                    )?,
-                    WritePipeline::PerPiece => {
-                        self.write_per_piece(core, client, fid, node, offset, payload)?
-                    }
-                }
-            }
-            // The routed pipeline is inherently batched; the pipeline
-            // toggle selects locked-runtime reference flavors only.
-            Core::Partitioned(core) => {
-                // The commit may be several messages; hold off tiering
-                // checkouts until the last one lands (see
-                // `PartitionedCore::exclude_passes`).
-                let _commit = core.exclude_passes();
-                // Single-round-trip fast path when one worker owns the
-                // whole widened span and the producer chain (and
-                // replication is off): that worker runs the driver itself,
-                // retry loops included — never wrapped in a retry here, a
-                // replayed message would double-append.
-                let end = offset + len;
-                if !replicate && core.fused_owner(client, node, offset, end).is_some() {
-                    core.write_fused(&op, payload)?
-                } else {
-                    write::write(&mut core.routed_write(), &self.write_policy, &op, payload)?
-                }
-            }
-        }
+        place(self, &op, payload)?;
         // The write superseded any drained-ahead copies it overlapped
         // (one relaxed load when no ledger exists — the disabled-daemon
         // fast path).
@@ -631,79 +606,42 @@ impl UniviStorJob {
         Ok(())
     }
 
-    /// Reference write path: one chain-lock, punch, KV commit and
-    /// node-buffer sweep per grid piece — the pre-batch
-    /// implementation, selected by [`WritePipeline::PerPiece`] for
-    /// differential tests. Deliberately not built on the write driver (it
-    /// shares only the grid plan): an oracle running the driver's stages
-    /// could not catch their mistakes.
-    fn write_per_piece(
-        &self,
-        core: &LockedCore,
-        client: ClientId,
-        fid: u64,
-        node: usize,
-        offset: u64,
-        payload: Payload,
-    ) -> SimResult<()> {
-        let mut locks = WriteLockCounts::default();
-        let pieces = plan_pieces(self.cfg.segment_size, offset, payload.len());
-        for &(cur, piece_len) in &pieces {
-            let piece = payload.slice(cur - offset, piece_len);
-            let placed = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                core.chains.append(client, piece.clone())
-            })?;
-            locks.chain += 1;
-
-            // Resilience (future work of the paper): mirror segments that
-            // landed on volatile layers into a buddy process's chain on
-            // the next (healthy) node, so a node failure loses no data.
-            let mut record = SegmentRecord::new(client, placed.va, piece_len);
-            if self.cfg.integrity.checksums {
-                record.checksum = Some(self.verifier.stamp(&piece));
+    /// The batched write pipeline (`crate::write`), three ways to execute
+    /// it.
+    fn place(&self, op: &WriteOp, payload: Payload) -> SimResult<()> {
+        match &self.core {
+            Core::Locked(core) => {
+                self.ensure_chain(op.client)?;
+                write::write(
+                    &mut LockedWrite { job: self, core },
+                    &self.write_policy,
+                    op,
+                    payload,
+                )
             }
-            if self.cfg.replicate_volatile && placed.tier != Tier::Pfs {
-                if let Some(buddy) = self.replica_buddy(client) {
-                    self.ensure_chain(buddy)?;
-                    // Best-effort: a full buddy chain degrades resilience
-                    // for this segment, it does not fail the write. The
-                    // buddy's chain lock is taken after releasing ours —
-                    // never two chain locks at once.
-                    locks.chain += 1;
-                    let mirrored = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                        core.chains.append(buddy, piece.clone())
-                    });
-                    if let Ok(rplaced) = mirrored {
-                        record.replica = Some((buddy, rplaced.va));
-                        self.metrics.record_replication(piece_len);
-                    }
+            Core::Partitioned(core) => {
+                // The commit may be several messages; hold off tiering
+                // checkouts until the last one lands (see
+                // `PartitionedCore::exclude_passes`).
+                let _commit = core.exclude_passes();
+                // Single-round-trip fast path when one worker owns the
+                // whole widened span and the producer chain (and
+                // replication is off): that worker runs the driver itself,
+                // retry loops included — never wrapped in a retry here, a
+                // replayed message would double-append.
+                let end = op.offset + payload.len();
+                let replicate = self.cfg.replicate_volatile;
+                if !replicate
+                    && core
+                        .fused_owner(op.client, op.node, op.offset, end)
+                        .is_some()
+                {
+                    core.write_fused(op, payload)
+                } else {
+                    write::write(&mut core.routed_write(), &self.write_policy, op, payload)
                 }
             }
-
-            let outcome = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                core.metadata
-                    .insert_batch(fid, cur, cur + piece_len, &[(cur, record)], node)
-            })?;
-            locks.kv_shard += outcome.locks.kv_shard_acquisitions;
-            locks.node_buffer += outcome.locks.node_buffer_acquisitions;
-            // Free the log space of overwritten data (possibly owned by
-            // other clients' chains), including replica copies. Each
-            // displaced span was claimed exactly once by the punch, so it
-            // is released exactly once here.
-            for d in outcome.displaced {
-                core.chains.release(d.client, d.va, d.len);
-                locks.chain += 1;
-                if let Some((rc, rva)) = d.replica {
-                    core.chains.release(rc, rva, d.len);
-                    locks.chain += 1;
-                }
-            }
-            self.metrics
-                .record_segment(placed.tier, placed.layer, piece_len);
         }
-        self.metrics
-            .record_write_batch(pieces.len() as u64, pieces.len() as u64, locks);
-        Ok(())
     }
 
     /// Read `[offset, offset + len)` of `path` on behalf of `client`.
@@ -744,9 +682,7 @@ impl UniviStorJob {
                     metadata: &core.metadata,
                     chains: &core.chains,
                 };
-                let service = self
-                    .read_service(source, failed)
-                    .pipeline(self.cfg.read_pipeline);
+                let service = self.read_service(source, failed);
                 let out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
                     service.read(client, fid, offset, len)
                 })?;
@@ -757,8 +693,6 @@ impl UniviStorJob {
                 out
             }
             Core::Partitioned(core) => {
-                // The routed fetch is inherently grouped; the pipeline
-                // toggle selects locked-runtime reference flavors only.
                 let service = self.read_service(core, failed);
                 let mut out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
                     // A checkout pass between the scan and the fetch could
@@ -1050,16 +984,18 @@ impl UniviStorJob {
         represents: usize,
         lock_holder: bool,
     ) -> Result<Option<FlushReceipt>> {
-        self.close_impl(path, mode, represents, lock_holder)
+        self.close_impl(path, mode, represents, lock_holder, parallel_drain)
             .map_err(|e| Error::new("close", e).with_path(path).with_client(client))
     }
 
+    /// [`close`](Self::close), draining with `engine` when it flushes.
     fn close_impl(
         &self,
         path: &str,
         mode: OpenMode,
         represents: usize,
         lock_holder: bool,
+        engine: Engine,
     ) -> SimResult<Option<FlushReceipt>> {
         let (should_flush, fid, size) = {
             let mut files = self.files.write().expect("file table poisoned");
@@ -1122,25 +1058,23 @@ impl UniviStorJob {
                     file_size: size,
                     dest: path,
                     resume: ledger.as_ref(),
+                    engine,
                 },
             )
         };
         // No job-wide lock during the flush under the locked runtime:
         // other clients keep writing and reading other files while this
-        // one drains to Lustre. Under the partitioned runtime the
-        // parallel engine routes its record scans and chain fetches to
-        // the owning workers as ordinary messages (write-overlapped
-        // checkout: no core checkout at all, a generation fence redoes
-        // the pass if a writer raced); only the sequential reference
-        // engine still checks the core out for the duration.
-        let result = match (&self.core, self.cfg.flush_pipeline) {
-            (Core::Partitioned(core), FlushPipeline::Parallel) => flush(&core),
-            _ => self.with_core(|core| {
-                flush(&CoreFlushSource {
-                    metadata: &core.metadata,
-                    chains: &core.chains,
-                })
+        // one drains to Lustre. Under the partitioned runtime the engine
+        // routes its record scans and chain fetches to the owning workers
+        // as ordinary messages (write-overlapped checkout: no core
+        // checkout at all, a generation fence redoes the pass if a writer
+        // raced).
+        let result = match &self.core {
+            Core::Locked(core) => flush(&CoreFlushSource {
+                metadata: &core.metadata,
+                chains: &core.chains,
             }),
+            Core::Partitioned(core) => flush(&core),
         };
         self.metrics.flush_finished();
         let receipt = result?;
@@ -1340,6 +1274,9 @@ impl WriteExecutor for LockedWrite<'_> {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1457,6 +1394,29 @@ mod tests {
         let flushes_before = j.stats().flush_receipts.len();
         j.close("/f", client(1), OpenMode::Read, 1, true).unwrap();
         assert_eq!(j.stats().flush_receipts.len(), flushes_before);
+    }
+
+    /// `features.location_aware_reads` picks the read path: on, a
+    /// node-local read is served from the shared buffer with no RPC; off,
+    /// it goes through the co-located server and pays a metadata RPC.
+    #[test]
+    fn location_aware_reads_select_the_read_path() {
+        for aware in [true, false] {
+            let mut cfg = UniviStorConfig::test_small(2, 2);
+            cfg.features.location_aware_reads = aware;
+            let j = UniviStorJob::new(cfg);
+            j.open_file("/la").read_write().by(client(0)).unwrap();
+            j.write(client(0), "/la", 0, Payload::pattern(1, 128))
+                .unwrap();
+            j.read(client(0), "/la", 0, 128).unwrap();
+            let t = j.stats().read_trace;
+            if aware {
+                assert_eq!((t.local_direct_bytes, t.md_rpcs), (128, 0));
+            } else {
+                assert_eq!(t.local_via_server_bytes, 128);
+                assert!(t.md_rpcs > 0, "{t:?}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! is why the router must never replay a `WriteFused` message (the append
 //! would land twice).
 //!
-//! The per-piece reference path (`WritePipeline::PerPiece`) is a test
+//! The per-piece reference write (`server::oracle`) is a test-only
 //! oracle and deliberately does **not** run through this module.
 
 use crate::config::UniviStorConfig;

@@ -107,6 +107,53 @@ fn exactly_at_watermark_does_not_spill() {
     }
 }
 
+/// Each lower layer spills by its own watermark pair: with DRAM absent a
+/// write lands on the node-local layer (or, without one, on the burst
+/// buffer); the default pair leaves it there, and lowering only that
+/// layer's pair makes one pass move it a layer down.
+#[test]
+fn lower_layers_spill_by_their_own_watermarks() {
+    let run = |node_local: bool, marks: Option<TierWatermarks>| {
+        let mut cfg = UniviStorConfig::test_small(1, 2);
+        cfg.cal.dram_cache_capacity_per_node = 0;
+        cfg.tiering = TieringConfig::on();
+        cfg.tiering.drain_cadence_ops = 0;
+        let top = if node_local {
+            cfg.cal.node_local_capacity = Some(2048);
+            Tier::NodeLocal
+        } else {
+            Tier::SharedBurstBuffer
+        };
+        if let Some(marks) = marks {
+            match top {
+                Tier::NodeLocal => cfg.tiering.node_local = marks,
+                _ => cfg.tiering.burst_buffer = marks,
+            }
+        }
+        let j = UniviStorJob::new(cfg);
+        j.open_file("/low")
+            .read_write()
+            .representing(2)
+            .by(client(0))
+            .unwrap();
+        j.write(client(0), "/low", 0, Payload::pattern(5, 512))
+            .unwrap();
+        assert_eq!(tier_bytes(&j, top), 512, "{top:?} holds the write");
+        let report = j.tiering().run_pass().unwrap();
+        let got = j.read(client(1), "/low", 0, 512).unwrap();
+        assert!(got.content_eq(&Payload::pattern(5, 512)), "{top:?}");
+        (report.spilled_bytes, tier_bytes(&j, top))
+    };
+    let low = TierWatermarks {
+        high: 0.1,
+        low: 0.05,
+    };
+    for node_local in [true, false] {
+        assert_eq!(run(node_local, None), (0, 512), "default marks spilled");
+        assert_eq!(run(node_local, Some(low)), (512, 0), "low marks kept it");
+    }
+}
+
 /// A tier whose capacity cannot hold even one chunk is filtered out of
 /// the chain entirely: writes land on the next layer, passes run without
 /// incident, and promotion targets the surviving top layer.

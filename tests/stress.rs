@@ -83,43 +83,6 @@ fn identical_runs_are_bit_identical() {
     assert_eq!(run(), run());
 }
 
-/// The figure workloads' observable statistics are write-pipeline
-/// invariant: micro's disjoint once-written blocks place identically
-/// under the batched and per-piece paths, so everything the timing
-/// plane consumes — segments, RPC counts, tier byte splits, read
-/// classification, checksums — is unchanged by batching.
-#[test]
-fn batched_pipeline_preserves_figure_stats() {
-    use univistor::core::config::WritePipeline;
-    let run = |pipeline: WritePipeline| {
-        let mut cfg = medium_cfg();
-        cfg.write_pipeline = pipeline;
-        let job = Arc::new(UniviStorJob::new(cfg));
-        let driver = UniviStorDriver::new(Arc::clone(&job), 0);
-        let micro = univistor::workloads::MicroIo::scaled(32, 64 << 10);
-        micro.write_phase(&driver, "/fig").unwrap();
-        micro.read_phase(&driver, "/fig", false).unwrap();
-        let stats = job.stats();
-        // `local_md_hits` counts metadata *records* served from the
-        // shared buffer; coalescing legitimately shrinks it, and the
-        // timing plane never reads it — zero it before comparing.
-        let mut trace = stats.read_trace;
-        trace.local_md_hits = 0;
-        let checksum = job
-            .lustre_read("/fig", 0, micro.file_size())
-            .unwrap()
-            .content_checksum();
-        (
-            stats.segments,
-            stats.open_close_md_rpcs,
-            stats.bytes_by_tier.clone(),
-            trace,
-            checksum,
-        )
-    };
-    assert_eq!(run(WritePipeline::Batched), run(WritePipeline::PerPiece));
-}
-
 /// Many files cycling through open→write→close: per-file flushes stay
 /// isolated and the PFS accumulates every file intact.
 #[test]
