@@ -61,20 +61,21 @@ impl Features {
     }
 }
 
-/// Which server-core runtime [`UniviStorJob`](crate::server::UniviStorJob)
-/// executes its data plane on.
+/// Which threads run [`UniviStorJob`](crate::server::UniviStorJob)'s
+/// writes and reads. Both runtimes run the same data plane — one locked
+/// core (`ChainSet`, `MetadataService`, heat shards) guarded by sharded
+/// `RwLock`s — so they produce the same bytes, records and counters;
+/// flushes, maintenance passes and diagnostics run on the calling thread
+/// under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
-    /// Shared-state implementation: one set of library structures
-    /// (`ChainSet`, `MetadataService`, heat shards) guarded by sharded
-    /// `RwLock`s, mutated in place by the calling thread.
+    /// Each write and read runs on the calling thread.
     #[default]
     Locked,
-    /// Shared-nothing implementation: a fixed set of partition workers,
-    /// each exclusively owning its slice of chains, KV partitions, node
-    /// buffers, and heat shards. Calls become routing layers that send
-    /// typed request messages over bounded mailboxes and await batched
-    /// replies; the steady-state data path takes zero counted locks.
+    /// Each write and read is one typed message to the partition worker
+    /// owning the caller's node (`partitions` workers, mailboxes bounded
+    /// by `mailbox_depth`), which runs the identical call and replies
+    /// through a pooled reply slot: one awaited round-trip per call.
     Partitioned,
 }
 
@@ -352,9 +353,8 @@ pub struct UniviStorConfig {
     /// End-to-end data-integrity plane: write-commit checksums (on by
     /// default) and the background scrubber daemon (off by default).
     pub integrity: IntegrityConfig,
-    /// Which server-core runtime executes the data plane (locked by
-    /// default; the partitioned runtime is the shared-nothing
-    /// message-passing implementation).
+    /// Which threads run writes and reads over the data plane: the
+    /// callers' (locked, the default) or a pool of partition workers.
     pub runtime: Runtime,
     /// Partition-worker count for [`Runtime::Partitioned`]. `0` (the
     /// default) sizes the pool automatically: one worker per server,
@@ -362,7 +362,7 @@ pub struct UniviStorConfig {
     /// clamped to `[1, total_servers]`. Ignored under [`Runtime::Locked`].
     pub partitions: usize,
     /// Bound on queued requests per partition-worker mailbox under
-    /// [`Runtime::Partitioned`]. Routers block (natural backpressure)
+    /// [`Runtime::Partitioned`]. Callers block (natural backpressure)
     /// once a worker falls this far behind; any depth ≥ 1 is
     /// deadlock-free because workers never post to each other. Ignored
     /// under [`Runtime::Locked`].

@@ -16,8 +16,8 @@
 //! — the order that keeps lock-revocation counts equal to a
 //! record-at-a-time drain's), adjacent spans merge into coalesced object
 //! writes, and same-source spans within a range are fetched in one chain
-//! round-trip. Gathering takes no core checkout: a generation fence around
-//! each pass redoes the flush if a writer mutated the file mid-pass
+//! round-trip. Gathering holds no lock across a pass: a generation fence
+//! around each pass redoes the flush if a writer mutated the file mid-pass
 //! (write-overlapped catch-up).
 //!
 //! The record-at-a-time reference engine — one chain read and one Lustre
@@ -107,52 +107,33 @@ pub struct FlushReport {
     pub lost_bytes: u64,
 }
 
-/// Where the flush engines and the read pipeline ([`crate::read`]) get
-/// records and bytes from. Implemented by the locked core's metadata +
-/// chains pair and by the partitioned runtime (which routes lookups and
-/// fetches to the owning partition workers), so both runtimes share one
-/// flush engine and one read driver.
-pub(crate) trait FlushSource: Sync {
-    /// All records of `fid` overlapping `[lo, hi)`, offset-ascending, plus
-    /// the number of metadata servers the lookup visited (one RPC each on
-    /// the naive read path; the flush engines ignore it).
-    fn records(&self, fid: u64, lo: u64, hi: u64) -> (usize, Vec<(SegKey, SegmentRecord)>);
-    /// Read every `(va, len)` request from `client`'s chain, results in
-    /// request order. One call is one gather round-trip (one shared
-    /// chain-lock acquisition under the locked core, one message under the
-    /// partitioned one).
-    fn read_spans(
-        &self,
-        client: ClientId,
-        requests: &[(VirtualAddr, u64)],
-    ) -> SimResult<Vec<(Payload, Tier)>>;
-    /// The fid's current mutation generation — the catch-up fence.
-    fn generation(&self, fid: u64) -> u64;
-    /// The gather stage of a location-aware read by a client on `node`:
-    /// the node buffer's hits over `[lo, hi)` and — only when they leave
-    /// the request uncovered — the distributed lookup through the node's
-    /// generation-validated read record cache, widened to `[lo, fetch_hi)`
-    /// on a miss (readahead). Fails only by the `kv_lookup` fault draw,
-    /// before touching any state, so the caller may retry it.
-    fn gather(&self, node: usize, fid: u64, lo: u64, hi: u64, fetch_hi: u64)
-        -> SimResult<Gathered>;
-}
-
-/// The locked core's view: direct shared-lock reads of the metadata
-/// service and chain set.
+/// Where the flush engine and the read pipeline ([`crate::read`]) get
+/// records and bytes from: shared-lock reads of the locked core's metadata
+/// service and chain set. Both runtimes drain and read through it.
 #[derive(Debug, Clone, Copy)]
-pub struct CoreFlushSource<'a> {
+pub(crate) struct CoreView<'a> {
     pub(crate) metadata: &'a MetadataService,
     pub(crate) chains: &'a ChainSet,
 }
 
-impl FlushSource for CoreFlushSource<'_> {
-    fn records(&self, fid: u64, lo: u64, hi: u64) -> (usize, Vec<(SegKey, SegmentRecord)>) {
+impl CoreView<'_> {
+    /// All records of `fid` overlapping `[lo, hi)`, offset-ascending, plus
+    /// the number of metadata servers the lookup visited (one RPC each on
+    /// the naive read path; the flush engine ignores it).
+    pub(crate) fn records(
+        &self,
+        fid: u64,
+        lo: u64,
+        hi: u64,
+    ) -> (usize, Vec<(SegKey, SegmentRecord)>) {
         let (servers, records) = self.metadata.lookup_range(fid, lo, hi);
         (servers.len(), records)
     }
 
-    fn read_spans(
+    /// Read every `(va, len)` request from `client`'s chain, results in
+    /// request order: one gather round-trip, one shared chain-lock
+    /// acquisition.
+    pub(crate) fn read_spans(
         &self,
         client: ClientId,
         requests: &[(VirtualAddr, u64)],
@@ -160,11 +141,18 @@ impl FlushSource for CoreFlushSource<'_> {
         self.chains.read_at_many(client, requests)
     }
 
-    fn generation(&self, fid: u64) -> u64 {
+    /// The fid's current mutation generation — the catch-up fence.
+    pub(crate) fn generation(&self, fid: u64) -> u64 {
         self.metadata.generation(fid)
     }
 
-    fn gather(
+    /// The gather stage of a location-aware read by a client on `node`:
+    /// the node buffer's hits over `[lo, hi)` and — only when they leave
+    /// the request uncovered — the distributed lookup through the node's
+    /// generation-validated read record cache, widened to `[lo, fetch_hi)`
+    /// on a miss (readahead). Fails only by the `kv_lookup` fault draw,
+    /// before touching any state, so the caller may retry it.
+    pub(crate) fn gather(
         &self,
         node: usize,
         fid: u64,
@@ -321,7 +309,7 @@ pub(crate) type Engine = fn(&FlushCtx) -> SimResult<(FlushAcc, u64)>;
 /// once validated against the destination. Built once in
 /// [`flush_with_source`].
 pub(crate) struct FlushCtx<'a> {
-    pub source: &'a dyn FlushSource,
+    pub source: CoreView<'a>,
     pub req: &'a FlushRequest<'a>,
     pub plan: &'a StripePlan,
     pub resume: Option<&'a DrainLedger>,
@@ -460,9 +448,9 @@ pub(crate) fn verify_gathered(
 
 /// Flush every byte of `fid` (logical size `file_size`) from `source` to
 /// `dest` on `lustre`, using the configuration's striping mode and server
-/// count and the request's drain engine. The source is the
-/// locked core's [`CoreFlushSource`] or the partitioned runtime's routed
-/// view, which flushes without a whole-core checkout. Segments whose
+/// count and the request's drain engine. `source` is the locked core,
+/// under either runtime: the flush runs on the calling thread with shared
+/// locks, while writers keep committing. Segments whose
 /// primary node is in `failed_nodes` are flushed from their resilience
 /// replicas. A completed flush is accounted into `metrics`
 /// (drained/per-server histograms, source tiers, revocations, coalescing
@@ -488,10 +476,7 @@ pub(crate) fn verify_gathered(
 /// destination is then *not* recreated (it holds the drained bytes) and
 /// the ledger's striping plan is reused, with its last server range
 /// extended to cover growth since the plan was fixed.
-pub(crate) fn flush_with_source(
-    source: &dyn FlushSource,
-    req: &FlushRequest,
-) -> SimResult<FlushReceipt> {
+pub(crate) fn flush_with_source(source: CoreView, req: &FlushRequest) -> SimResult<FlushReceipt> {
     let &FlushRequest {
         lustre,
         cfg,
@@ -570,7 +555,7 @@ pub(crate) fn flush_with_source(
 
 /// The drain engine: parallel passes under a catch-up fence that redoes
 /// the whole pass whenever the fid's mutation generation moved while it
-/// ran without a checkout.
+/// ran.
 /// A pass error under an *unchanged* generation is real and propagates; a
 /// pass (error or not) under a changed generation may have read torn state
 /// and is discarded. Terminates once writers quiesce — close-time flush
@@ -835,14 +820,11 @@ mod tests {
             (Tier::SharedBurstBuffer, 128),
             (Tier::Pfs, u64::MAX),
         ];
-        let chains: ChainSet = (0..4u32)
-            .map(|rank| {
-                (
-                    ClientId::new(0, rank),
-                    ProcChain::new(caps.to_vec(), 64).unwrap(),
-                )
-            })
-            .collect();
+        let chains = ChainSet::new();
+        for rank in 0..4u32 {
+            let chain = || ProcChain::new(caps.to_vec(), 64);
+            chains.ensure(ClientId::new(0, rank), chain).unwrap();
+        }
         Harness {
             md: MetadataService::new(256, 4, 2),
             chains,
@@ -889,11 +871,11 @@ mod tests {
         }
 
         fn flush(&self, req: FlushRequest) -> SimResult<FlushReceipt> {
-            let source = CoreFlushSource {
+            let source = CoreView {
                 metadata: &self.md,
                 chains: &self.chains,
             };
-            flush_with_source(&source, &req)
+            flush_with_source(source, &req)
         }
 
         /// `len` bytes of "/pfs/f" at `lo`.
@@ -1243,7 +1225,7 @@ mod tests {
         let writer = ClientId::new(0, 0);
         std::thread::scope(|s| {
             // A foreground writer keeps overwriting the span at offset 0
-            // while the no-checkout flush runs; each insert bumps the
+            // while the flush runs; each insert bumps the
             // fid's generation, invalidating in-flight passes.
             s.spawn(|| {
                 for i in 0..32u64 {

@@ -65,8 +65,8 @@ const MEMO: usize = 1;
 #[derive(Debug, Default)]
 pub struct Verifier {
     /// The digest memo. Starts unallocated and grows with use, so a job
-    /// that never writes a large pattern pays nothing. A leaf lock,
-    /// uncounted like the partitioned runtime's pass-exclusion lock.
+    /// that never writes a large pattern pays nothing. A leaf lock, and
+    /// uncounted.
     memo: RwLock<HashMap<Descriptor, u64>>,
     /// The job panel whose integrity block the instruments view, taken at
     /// the first digest (see [`JobMetrics::integrity_handles`]).

@@ -5,8 +5,9 @@
 //!
 //! * [`Maint`], the one context a pass runs in: the job's config, metrics
 //!   and verifier, snapshots of the failed-node set and the file table,
-//!   and the assembled core. [`UniviStorJob::maintain`] builds it with a
-//!   single `with_core` — a checkout under the partitioned runtime.
+//!   and the job's locked core. [`UniviStorJob::maintain`] builds it on
+//!   the calling thread under both runtimes: passes share the core with
+//!   foreground writes and reads through its sharded locks.
 //! * [`Maint::relocate`], the only copy-and-swap: read a copy, verify it,
 //!   place one contiguous span, swap the index entry with
 //!   `replace_if_current`, release the copy that lost (DESIGN.md §11).
@@ -21,8 +22,7 @@ use crate::integrity::Verifier;
 use crate::metadata::{ClientId, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ProcChain;
-use crate::runtime::LockedCore;
-use crate::server::{job_layer_caps, UniviStorJob};
+use crate::server::{job_layer_caps, LockedCore, UniviStorJob};
 use crate::va::VirtualAddr;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -43,9 +43,7 @@ pub(crate) struct FileSnap {
 }
 
 /// Everything one maintenance pass needs, borrowed from the job. Built
-/// only by [`UniviStorJob::maintain`]; code running over it may read
-/// job-level state but must not call routed job operations (they would
-/// wait on the parked partition workers).
+/// only by [`UniviStorJob::maintain`].
 ///
 /// [`UniviStorJob::maintain`]: crate::server::UniviStorJob::maintain
 pub(crate) struct Maint<'a> {
@@ -127,8 +125,7 @@ impl Maint<'_> {
         .map(|(payload, _)| payload)
     }
 
-    /// Create `client`'s chain on the assembled core if absent (the routed
-    /// `ensure_chain` would wait on the parked workers).
+    /// Create `client`'s chain if absent.
     pub(crate) fn ensure_chain(&self, client: ClientId) -> SimResult<()> {
         self.core.chains.ensure(client, || {
             ProcChain::new(job_layer_caps(self.cfg), self.cfg.chunk_size)

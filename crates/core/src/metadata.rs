@@ -133,7 +133,7 @@ pub struct BatchOutcome {
 /// that intersected `[lo, hi)` of a fid at generation `gen` (the BTreeMap
 /// key is `lo`).
 #[derive(Debug, Clone)]
-pub(crate) struct CacheEntry {
+struct CacheEntry {
     /// Exclusive end of the cached window.
     pub(crate) hi: u64,
     /// The fid's generation when the window was fetched; a mismatch at
@@ -146,28 +146,24 @@ pub(crate) struct CacheEntry {
 /// Cached windows kept per `(node, fid)` before the whole fid map is
 /// dropped — a safety valve for pathological random-read patterns, not a
 /// tuned working-set size.
-pub(crate) const READ_CACHE_WINDOWS_PER_FID: usize = 128;
+const READ_CACHE_WINDOWS_PER_FID: usize = 128;
 
 /// Where a bounded scan for records overlapping `[lo, ..)` starts: a
 /// record starting left of `lo` can still reach into the window, and no
 /// record exceeds one metadata range (the coalescing cap), so the scan
-/// widens left by exactly `range_size`. Every metadata scan of both
-/// runtimes — punch, lookup, routed scan, span ownership — starts here.
+/// widens left by exactly `range_size`. Every metadata scan — punch and
+/// lookup — starts here.
 #[inline]
-pub(crate) fn scan_start(lo: u64, range_size: u64) -> u64 {
+fn scan_start(lo: u64, range_size: u64) -> u64 {
     lo.saturating_sub(range_size)
 }
 
 /// The geometry of one record `(k, v)` overlapped by a punch of `[lo, hi)`:
-/// surviving left/right fragments plus the displaced middle. Shared between
-/// [`MetadataService::punch`]'s batched implementation and the partitioned
-/// runtime's `WriteCommit`/`WriteFused` handlers so both compute
-/// byte-identical fragment VAs. Note the fragment keys can never collide
-/// with the batch's new record keys: a left fragment keeps its original
-/// offset `< lo`, the right fragment sits exactly at `hi`, and new
-/// records lie in `[lo, hi)` — which is what lets the fused commit order
-/// fragment puts and record puts freely within one handler pass.
-pub(crate) fn split_overlapped(
+/// surviving left/right fragments plus the displaced middle. Note the
+/// fragment keys can never collide with the batch's new record keys: a
+/// left fragment keeps its original offset `< lo`, the right fragment sits
+/// exactly at `hi`, and new records lie in `[lo, hi)`.
+fn split_overlapped(
     k: SegKey,
     v: SegmentRecord,
     lo: u64,
@@ -222,21 +218,15 @@ pub(crate) fn split_overlapped(
 }
 
 /// One node's shared metadata buffer: fid → offset → record, for records
-/// produced on that node. The locked service keeps one behind a lock per
-/// node, a partition worker keeps its nodes' buffers as plain maps; the
-/// functions below are the buffer and read-cache logic both share.
-pub(crate) type NodeBuffer = HashMap<u64, BTreeMap<u64, SegmentRecord>>;
+/// produced on that node, kept behind a lock per node; the functions below
+/// are the buffer and read-cache logic.
+type NodeBuffer = HashMap<u64, BTreeMap<u64, SegmentRecord>>;
 
 /// One node's read record cache: fid → window lo → cached lookup result.
-pub(crate) type ReadCache = HashMap<u64, BTreeMap<u64, CacheEntry>>;
+type ReadCache = HashMap<u64, BTreeMap<u64, CacheEntry>>;
 
 /// Records of `fid` in `buffer` intersecting `[lo, hi)`.
-pub(crate) fn buffer_lookup(
-    buffer: &NodeBuffer,
-    fid: u64,
-    lo: u64,
-    hi: u64,
-) -> Vec<(SegKey, SegmentRecord)> {
+fn buffer_lookup(buffer: &NodeBuffer, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
     let Some(per_fid) = buffer.get(&fid) else {
         return Vec::new();
     };
@@ -254,7 +244,7 @@ pub(crate) fn buffer_lookup(
 }
 
 /// Refresh `buffer` with freshly committed records of `fid`.
-pub(crate) fn buffer_insert(buffer: &mut NodeBuffer, fid: u64, records: &[(u64, SegmentRecord)]) {
+fn buffer_insert(buffer: &mut NodeBuffer, fid: u64, records: &[(u64, SegmentRecord)]) {
     let per_fid = buffer.entry(fid).or_default();
     for &(offset, record) in records {
         per_fid.insert(offset, record);
@@ -264,7 +254,7 @@ pub(crate) fn buffer_insert(buffer: &mut NodeBuffer, fid: u64, records: &[(u64, 
 /// A punch's pass over one node buffer: drop every claimed key, then
 /// re-cache the surviving fragments if the node tracks the fid at all (the
 /// producer's node is among those that do).
-pub(crate) fn buffer_sweep(
+fn buffer_sweep(
     buffer: &mut NodeBuffer,
     fid: u64,
     removed: &[SegKey],
@@ -284,7 +274,7 @@ pub(crate) fn buffer_sweep(
 /// The cached window of `fid` containing `[lo, hi)`, if one exists at
 /// generation `gen`: the records of it that overlap the request (a subset
 /// of the window's, since `[lo, hi)` ⊆ `[window lo, window hi)`).
-pub(crate) fn cache_probe(
+fn cache_probe(
     cache: &ReadCache,
     fid: u64,
     lo: u64,
@@ -303,7 +293,7 @@ pub(crate) fn cache_probe(
 }
 
 /// Install the window `[lo, fetch_hi)` fetched at generation `gen`.
-pub(crate) fn cache_store(
+fn cache_store(
     cache: &mut ReadCache,
     fid: u64,
     lo: u64,
@@ -329,9 +319,9 @@ pub(crate) fn cache_store(
 /// obeys the coalescing cap `len <= range` (the left-widened overlap scans
 /// in `punch`/`lookup_range` assume no record is longer than one metadata
 /// range) and lies within the batch span (so every record owner is a span
-/// owner). Checked by [`MetadataService::insert_batch`] and, ahead of
-/// every executor's commit, by the write driver.
-pub(crate) fn assert_batch_records(range: u64, lo: u64, hi: u64, records: &[(u64, SegmentRecord)]) {
+/// owner). Checked by [`MetadataService::insert`] and
+/// [`MetadataService::insert_batch`].
+fn assert_batch_records(range: u64, lo: u64, hi: u64, records: &[(u64, SegmentRecord)]) {
     for (offset, record) in records {
         assert!(
             record.len <= range,
@@ -349,10 +339,9 @@ pub(crate) fn assert_batch_records(range: u64, lo: u64, hi: u64, records: &[(u64
 /// Per-fid mutation generations: bumped after every index mutation, which
 /// atomically invalidates every cached read window of the fid (entries are
 /// validated against it at hit time) and fences the parallel flush's
-/// catch-up passes. A cloneable handle, so the partitioned runtime's router
-/// and workers share one counter set with the service they check out.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Generations(Arc<RwLock<HashMap<u64, u64>>>);
+/// catch-up passes.
+#[derive(Debug, Default)]
+struct Generations(RwLock<HashMap<u64, u64>>);
 
 impl Generations {
     /// The fid's current generation (0 if never mutated).
@@ -402,55 +391,6 @@ impl MetadataService {
             generations: Generations::default(),
             injector: None,
         }
-    }
-
-    /// Reassemble a service from partition-owned state (the partitioned
-    /// runtime's checkout path). `generations` is the shared handle cloned
-    /// at construction, so cached-window validation survives round trips.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        range_size: u64,
-        shards: Vec<BTreeMap<SegKey, SegmentRecord>>,
-        puts: Vec<u64>,
-        gets: Vec<u64>,
-        local: Vec<NodeBuffer>,
-        read_cache: Vec<ReadCache>,
-        generations: Generations,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Self {
-        MetadataService {
-            kv: DistKv::from_parts(range_size, shards, puts, gets),
-            local: local.into_iter().map(RwLock::new).collect(),
-            read_cache: read_cache.into_iter().map(RwLock::new).collect(),
-            generations,
-            injector,
-        }
-    }
-
-    /// Disassemble the service back into partition-owned state (end of a
-    /// checkout): KV shards + counters, node buffers, and read caches.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Vec<BTreeMap<SegKey, SegmentRecord>>,
-        Vec<u64>,
-        Vec<u64>,
-        Vec<NodeBuffer>,
-        Vec<ReadCache>,
-    ) {
-        let (shards, puts, gets) = self.kv.into_parts();
-        let local = self
-            .local
-            .into_iter()
-            .map(|l| l.into_inner().expect("node buffer poisoned"))
-            .collect();
-        let read_cache = self
-            .read_cache
-            .into_iter()
-            .map(|c| c.into_inner().expect("read cache poisoned"))
-            .collect();
-        (shards, puts, gets, local, read_cache)
     }
 
     /// Install the fault injector (at job construction, before the service

@@ -596,8 +596,8 @@ pub struct PartitionMetrics {
     pub wait_seconds: Histogram,
     /// Messages the worker has dequeued.
     pub messages: Counter,
-    /// Logical batched operations carried by those messages (an `Append`
-    /// carrying 8 pieces counts 8).
+    /// Logical operations carried by those messages (a write of 8 grid
+    /// pieces counts 8, a read 1).
     pub batched_ops: Counter,
 }
 
@@ -605,8 +605,7 @@ pub struct PartitionMetrics {
 /// layer: round-trip accounting plus reply-slot pool recycling.
 #[derive(Debug, Clone)]
 pub struct MsgPlaneMetrics {
-    /// Awaited request/reply round-trips issued by routers (fire-and-
-    /// forget messages are not round-trips and are excluded).
+    /// Awaited request/reply round-trips: one per routed write or read.
     pub round_trips: Counter,
     /// Awaited requests whose reply slot came from the recycle pool.
     pub pool_hits: Counter,

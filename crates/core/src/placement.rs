@@ -412,47 +412,17 @@ impl ChainSet {
             }
         }
     }
-
-    /// Consume the set into its plain `(client, chain)` pairs — the
-    /// partitioned runtime's checkout disassembly. Panics if any chain is
-    /// still shared (checkout serializes all access, so none is).
-    pub(crate) fn into_chain_list(self) -> Vec<(ClientId, ProcChain)> {
-        self.chains
-            .into_inner()
-            .expect("chain map poisoned")
-            .into_iter()
-            .map(|(c, chain)| {
-                let chain =
-                    Arc::try_unwrap(chain).expect("chain still shared during checkout disassembly");
-                (c, chain.into_inner().expect("chain poisoned"))
-            })
-            .collect()
-    }
-}
-
-impl FromIterator<(ClientId, ProcChain)> for ChainSet {
-    fn from_iter<I: IntoIterator<Item = (ClientId, ProcChain)>>(iter: I) -> Self {
-        ChainSet {
-            chains: RwLock::new(
-                iter.into_iter()
-                    .map(|(c, chain)| (c, Arc::new(RwLock::new(chain))))
-                    .collect(),
-            ),
-            injector: None,
-        }
-    }
 }
 
 /// Place a run of payloads on `chain` from layer `min_layer` down — the one
-/// append loop behind [`ChainSet::append_many`],
-/// [`ChainSet::append_many_from`] and the partition workers' `Append`
-/// handler. Each placed piece is one instrumented operation (a
-/// `chain_append` draw); a transient fault mid-run aborts and rolls back the
-/// whole batch, mirroring a real mid-batch I/O error, so a failed run leaves
-/// the chain unchanged and is safe to retry. Silent-corruption registration
-/// happens only once the whole batch has stuck — rolled-back pieces never
-/// existed.
-pub(crate) fn append_run(
+/// append loop behind [`ChainSet::append_many`] and
+/// [`ChainSet::append_many_from`]. Each placed piece is one instrumented
+/// operation (a `chain_append` draw); a transient fault mid-run aborts and
+/// rolls back the whole batch, mirroring a real mid-batch I/O error, so a
+/// failed run leaves the chain unchanged and is safe to retry.
+/// Silent-corruption registration happens only once the whole batch has
+/// stuck — rolled-back pieces never existed.
+fn append_run(
     chain: &mut ProcChain,
     injector: Option<&FaultInjector>,
     client: ClientId,
@@ -571,6 +541,13 @@ mod tests {
         .unwrap()
     }
 
+    /// A chain set holding one [`fig2_chain`], for `client`.
+    fn fig2_set(client: ClientId) -> ChainSet {
+        let chains = ChainSet::new();
+        chains.ensure(client, || Ok(fig2_chain())).unwrap();
+        chains
+    }
+
     #[test]
     fn fig2_spill_sequence() {
         // 8 segments (D1–D8 of process 1): 2 land on node-local, 3 on the
@@ -663,7 +640,7 @@ mod tests {
 
     #[test]
     fn read_at_many_matches_per_request_reads() {
-        let chains: ChainSet = [(ClientId::new(0, 0), fig2_chain())].into_iter().collect();
+        let chains = fig2_set(ClientId::new(0, 0));
         let client = ClientId::new(0, 0);
         let placed: Vec<PlacedSegment> = (0..8u64)
             .map(|i| chains.append(client, Payload::pattern(i, 64)).unwrap())
@@ -726,7 +703,7 @@ mod tests {
     #[test]
     fn injected_append_faults_roll_back_placement() {
         use crate::fault::{FaultConfig, FaultInjector};
-        let mut chains: ChainSet = [(ClientId::new(0, 0), fig2_chain())].into_iter().collect();
+        let mut chains = fig2_set(ClientId::new(0, 0));
         chains.set_injector(Arc::new(FaultInjector::new(FaultConfig {
             seed: 1,
             transient_prob: 1.0,
@@ -777,7 +754,7 @@ mod tests {
     fn append_many_from_rolls_back_like_append_many() {
         use crate::fault::{FaultConfig, FaultInjector};
         let client = ClientId::new(0, 0);
-        let chains: ChainSet = [(client, fig2_chain())].into_iter().collect();
+        let chains = fig2_set(client);
         let placed = chains
             .append_many_from(
                 client,
@@ -787,7 +764,7 @@ mod tests {
             .unwrap();
         assert!(placed.iter().all(|p| p.tier == Tier::SharedBurstBuffer));
         // And under a certain transient fault, the batch rolls back whole.
-        let mut faulty: ChainSet = [(client, fig2_chain())].into_iter().collect();
+        let mut faulty = fig2_set(client);
         faulty.set_injector(Arc::new(FaultInjector::new(FaultConfig {
             seed: 7,
             transient_prob: 1.0,

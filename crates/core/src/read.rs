@@ -28,23 +28,15 @@
 //! 4. **assemble** the payload in logical order and classify each
 //!    fragment for the timing plane.
 //!
-//! The service is written once, generic over the `FlushSource` it reads
-//! through — the same trait the flush engines drain through. A source says
-//! only *how* records and bytes are reached: the locked core
-//! ([`CoreFlushSource`]) answers the gather stage with
+//! The service reads through the locked core's view ([`CoreView`]), the
+//! same one the flush engine drains through: the gather stage is
 //! [`MetadataService::lookup_local`] +
-//! [`MetadataService::lookup_range_cached`] and a fetch with one shared
-//! chain-lock acquisition ([`ChainSet::read_at_many`]); the partitioned
-//! runtime answers the gather stage with one fused `ReadPlan` round-trip
-//! to the node owner (falling back to a distributed scan wave only on a
-//! cache miss) and a fetch with one message to the chain owner. Every
-//! [`ReadTrace`] field, the dedup/sort, the plan, the producer grouping,
-//! the verify-and-reroute ladder and the classification are decided here,
-//! so they are invariant across runtimes and fetch flavours by
-//! construction.
+//! [`MetadataService::lookup_range_cached`], a fetch one shared chain-lock
+//! acquisition ([`ChainSet::read_at_many`]). Both runtimes run this one
+//! service; they differ only in which thread calls it.
 
 use crate::config::JobGeometry;
-use crate::flush::{CoreFlushSource, FlushSource};
+use crate::flush::CoreView;
 use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, VerifySite};
@@ -129,9 +121,7 @@ impl ReadTrace {
 pub struct ReadLockCounts {
     /// Fetch round-trips: one per fragment on the per-record path, one
     /// per producer group on the batched path, plus one per alternate-copy
-    /// refetch. Under the locked core each is a shared chain-lock
-    /// acquisition; under the partitioned runtime each is a message and no
-    /// lock is counted.
+    /// refetch. Each is a shared chain-lock acquisition.
     pub chain: u64,
 }
 
@@ -214,8 +204,8 @@ impl ReadState {
     }
 }
 
-/// What a source's gather stage found for one location-aware read (see
-/// [`FlushSource::gather`]).
+/// What the gather stage found for one location-aware read (see
+/// [`CoreView::gather`]).
 #[derive(Debug)]
 pub(crate) struct Gathered {
     /// Node-buffer hits overlapping the request.
@@ -443,19 +433,15 @@ fn classify_fragment(
 /// The read path's execution context: borrow the job's shared structures
 /// once, then serve any number of requests through [`read`](Self::read).
 ///
-/// `S` is the source the service reads through. Outside the crate only the
-/// locked-core instantiation built by [`new`](ReadService::new) exists;
-/// the job also runs the service over its partitioned runtime.
-///
-/// Over the locked core the whole path takes only shared locks in steady
+/// The whole path takes only shared locks in steady
 /// state (metadata shards, node buffers, read caches, producer chains);
 /// the exceptions are first-touch installs (a new `(client, fid)`
 /// readahead cursor) and the one exclusive node-cache acquisition a cache
 /// *miss* pays to install its window — cache hits never write. Concurrent
 /// readers never serialize on each other.
 #[derive(Debug, Clone, Copy)]
-pub struct ReadService<'a, S = CoreFlushSource<'a>> {
-    source: S,
+pub struct ReadService<'a> {
+    source: CoreView<'a>,
     geometry: &'a JobGeometry,
     location_aware: bool,
     readahead_window: u64,
@@ -476,17 +462,16 @@ impl<'a> ReadService<'a> {
         geometry: &'a JobGeometry,
         verifier: &'a Verifier,
     ) -> Self {
-        Self::over(CoreFlushSource { metadata, chains }, geometry, verifier)
+        Self::over(CoreView { metadata, chains }, geometry, verifier)
     }
-}
 
-// The source trait is crate-internal: outside the crate `S` is always the
-// default `CoreFlushSource`.
-#[allow(private_bounds)]
-impl<'a, S: FlushSource> ReadService<'a, S> {
     /// A service reading through `source`, with [`new`](ReadService::new)'s
     /// defaults.
-    pub(crate) fn over(source: S, geometry: &'a JobGeometry, verifier: &'a Verifier) -> Self {
+    pub(crate) fn over(
+        source: CoreView<'a>,
+        geometry: &'a JobGeometry,
+        verifier: &'a Verifier,
+    ) -> Self {
         ReadService {
             source,
             geometry,
@@ -778,22 +763,16 @@ mod tests {
             servers_per_node: 1,
         };
         let metadata = MetadataService::new(256, 2, 2);
-        let chains: ChainSet = (0..4u32)
-            .map(|rank| {
-                (
-                    ClientId::new(0, rank),
-                    crate::placement::ProcChain::new(
-                        vec![
-                            (Tier::Dram, 128),
-                            (Tier::SharedBurstBuffer, 128),
-                            (Tier::Pfs, u64::MAX),
-                        ],
-                        64,
-                    )
-                    .unwrap(),
-                )
-            })
-            .collect();
+        let chains = ChainSet::new();
+        for rank in 0..4u32 {
+            let caps = vec![
+                (Tier::Dram, 128),
+                (Tier::SharedBurstBuffer, 128),
+                (Tier::Pfs, u64::MAX),
+            ];
+            let chain = || crate::placement::ProcChain::new(caps, 64);
+            chains.ensure(ClientId::new(0, rank), chain).unwrap();
+        }
         (metadata, chains, geometry)
     }
 
@@ -844,7 +823,7 @@ mod tests {
         let client = ClientId::new(0, 0);
         if per_record {
             service.read_with(client, 1, offset, len, |fragments, locks| {
-                crate::server::oracle::fetch_per_record(&service.source, fragments, locks)
+                crate::server::oracle::fetch_per_record(service.source, fragments, locks)
             })
         } else {
             service.read(client, 1, offset, len)

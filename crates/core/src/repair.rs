@@ -178,7 +178,7 @@ mod tests {
     use crate::metadata::{ClientId, MetadataService, SegKey};
     use crate::metrics::JobMetrics;
     use crate::placement::ChainSet;
-    use crate::runtime::LockedCore;
+    use crate::server::LockedCore;
     use univistor_sim::Payload;
 
     /// Repair fid 1 (128 B) with `failed` nodes down.

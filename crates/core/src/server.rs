@@ -9,34 +9,28 @@
 //! state file. Client-side drivers (`crate::driver`) call into it; the
 //! bench harness calls the same methods rank-by-rank at paper scale.
 //!
-//! The data plane comes in two interchangeable flavors, selected by
-//! [`Runtime`](crate::config::Runtime):
+//! The job's write/read state is one [`DataPlane`] — the locked core
+//! ([`LockedCore`]: per-client chains, the metadata service, heat shards)
+//! plus the config, verifier, read state, corrupt queue, metrics and the
+//! failed-node set — decomposed into independently locked shards so that
+//! operations by different clients proceed in parallel: the in-process
+//! analogue of the contention avoidance the paper builds at system scale
+//! (per-process logs, range-partitioned metadata servers). The file table
+//! and connection set are `RwLock`ed and read-mostly, file ids come from an
+//! atomic, every client's chain has its own lock ([`ChainSet`]), the
+//! metadata KV locks per shard, and Lustre sits behind one `RwLock` whose
+//! read path takes only the shared side. See DESIGN.md §"Concurrency
+//! model" for the shard map and the lock acquisition order.
 //!
-//! * **Locked** (the default): the job state is decomposed into
-//!   independently locked shards so that operations by different clients
-//!   proceed in parallel — the in-process analogue of the contention
-//!   avoidance the paper builds at system scale (per-process logs,
-//!   range-partitioned metadata servers): the file table and connection
-//!   set are `RwLock`ed and read-mostly, file ids come from an atomic,
-//!   every client's chain has its own lock ([`ChainSet`]), the metadata
-//!   KV locks per shard, and Lustre sits behind one `RwLock` whose read
-//!   path takes only the shared side. See DESIGN.md §"Concurrency model"
-//!   for the shard map and the lock acquisition order.
-//! * **Partitioned**: a shared-nothing pool of partition workers
-//!   exclusively owns the same state sliced by ownership (KV partitions,
-//!   node buffers, chains, heat shards) with no interior locks, fed
-//!   typed messages over bounded mailboxes (see [`crate::runtime`] and
-//!   DESIGN.md §13).
-//!
-//! A runtime is only *how* an operation is executed: the batched write
-//! pipeline (`crate::write`), the read pipeline ([`crate::read`]) and the
-//! flush engine ([`crate::flush`]) are each written once, generic over a
-//! small executor/source trait both cores implement, so the two runtimes
-//! are byte-identical by construction (and pinned so by the differential
-//! tests in `tests/runtime.rs`). Each stage has one product path; the
-//! reference flavours the differential tests compare it against (per-piece
-//! write, per-fragment fetch, record-at-a-time flush) live in the
-//! test-only `oracle` child module.
+//! [`Runtime`](crate::config::Runtime) says only which thread runs a write
+//! or read over that plane: the caller's (**Locked**, the default), or the
+//! partition worker owning the caller's node, reached by one message
+//! (**Partitioned**, see [`crate::runtime`]). Flushes, maintenance passes
+//! and diagnostics run on the plane from the caller's thread under both.
+//! Each stage has one product path; the reference flavours the
+//! differential tests compare it against (per-piece write, per-fragment
+//! fetch, record-at-a-time flush) live in the test-only `oracle` child
+//! module.
 //!
 //! Every hot path reports into the job's [`JobMetrics`] panel — the only
 //! accounting the job keeps — and [`UniviStorJob::metrics`] snapshots it.
@@ -48,24 +42,21 @@ use crate::config::{Runtime, UniviStorConfig};
 use crate::error::{Error, Result};
 use crate::fault::{with_retries, FaultInjector};
 use crate::flush::{
-    flush_with_source, parallel_drain, CoreFlushSource, Engine, FlushReceipt, FlushRequest,
-    FlushSource,
+    flush_with_source, parallel_drain, CoreView, Engine, FlushReceipt, FlushRequest,
 };
 use crate::integrity::Verifier;
 use crate::maint::{FileSnap, Maint};
-use crate::metadata::{BatchOutcome, ClientId, MetadataService, SegKey, SegmentRecord};
+use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{tier_label, Fam, JobMetrics, TIERS};
-use crate::placement::{
-    healthy_buddy, layer_caps_with_node_local, ChainSet, PlacedSegment, ProcChain,
-};
+use crate::placement::{healthy_buddy, layer_caps_with_node_local, ChainSet, ProcChain};
 use crate::read::{ReadService, ReadState, ReadTrace};
 use crate::repair::{self, RepairReport};
-use crate::runtime::{LockedCore, PartitionedCore};
+use crate::runtime::WorkerPool;
 use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubHandle, ScrubReport, ScrubState};
 use crate::tiering::{run_pass, PassOptions, TieringHandle, TieringPassReport, TieringState};
 use crate::va::Tier;
 use crate::workflow::StateFile;
-use crate::write::{self, Span, WriteExecutor, WriteOp, WritePolicy};
+use crate::write::{self, WriteOp};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -129,11 +120,176 @@ struct Accounting {
     flush_receipts: Vec<FlushReceipt>,
 }
 
-/// The job's data-plane state, selected by [`Runtime`]: the resident
-/// locked structures, or the shared-nothing partition-worker pool.
-enum Core {
-    Locked(LockedCore),
-    Partitioned(PartitionedCore),
+/// The locked core: the three structures every write, read, flush and
+/// maintenance pass works on, each sharded behind its own locks.
+#[derive(Debug)]
+pub(crate) struct LockedCore {
+    /// Per-client log chains.
+    pub(crate) chains: ChainSet,
+    /// Distributed metadata service (KV + node buffers + read caches).
+    pub(crate) metadata: MetadataService,
+    /// Per-KV-partition heat shards (segment read counters).
+    pub(crate) heat: Vec<RwLock<HashMap<SegKey, AtomicU32>>>,
+}
+
+impl LockedCore {
+    fn new(cfg: &UniviStorConfig, injector: Option<&Arc<FaultInjector>>) -> Self {
+        let servers = cfg.geometry.total_servers().max(1);
+        let mut metadata =
+            MetadataService::new(cfg.metadata_range_size, servers, cfg.geometry.nodes);
+        let mut chains = ChainSet::new();
+        if let Some(inj) = injector {
+            chains.set_injector(Arc::clone(inj));
+            metadata.set_injector(Arc::clone(inj));
+        }
+        LockedCore {
+            chains,
+            heat: (0..metadata.servers().max(1))
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
+            metadata,
+        }
+    }
+
+    /// The read pipeline's and flush engine's view of the core.
+    pub(crate) fn view(&self) -> CoreView<'_> {
+        CoreView {
+            metadata: &self.metadata,
+            chains: &self.chains,
+        }
+    }
+
+    /// Count one read of `key` against the heat shards (sharded like the
+    /// metadata KV's range partitioning): shared shard lock + atomic
+    /// increment in steady state; only a key's first touch takes the
+    /// shard's write lock, to install the counter.
+    pub(crate) fn bump_heat(&self, key: SegKey) {
+        let shard = &self.heat[self.metadata.partition_of(key.offset) % self.heat.len()];
+        {
+            let shard = shard.read().expect("heat poisoned");
+            if let Some(n) = shard.get(&key) {
+                n.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+        shard
+            .write()
+            .expect("heat poisoned")
+            .entry(key)
+            .or_insert_with(|| AtomicU32::new(0))
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The job's data plane: the locked core plus everything a write or read
+/// runs against. Shared (one `Arc`) by the job and, under
+/// [`Runtime::Partitioned`], every partition worker — which run the same
+/// [`place`](Self::place) and [`read`](Self::read) the caller's thread
+/// runs under [`Runtime::Locked`].
+pub(crate) struct DataPlane {
+    pub(crate) cfg: UniviStorConfig,
+    pub(crate) core: LockedCore,
+    pub(crate) metrics: Arc<JobMetrics>,
+    /// The job's digest authority (per-job digest memo): every stamp and
+    /// verify of the integrity plane goes through it.
+    pub(crate) verifier: Verifier,
+    /// Sequential-scan detector feeding the read pipeline's readahead.
+    read_state: ReadState,
+    /// Reader-reported corrupt copies awaiting online repair. Touched by
+    /// the data path only on a verify *failure*.
+    pub(crate) corrupt_queue: CorruptQueue,
+    /// Nodes whose volatile storage has been lost (failure injection).
+    pub(crate) failed_nodes: RwLock<HashSet<usize>>,
+    /// Whether `failed_nodes` is non-empty. Reads check this atomic and
+    /// skip the failed-set lock entirely in the (overwhelmingly common)
+    /// no-failure case.
+    pub(crate) failed_any: AtomicBool,
+}
+
+impl DataPlane {
+    /// Create `client`'s chain if it has none.
+    pub(crate) fn ensure_chain(&self, client: ClientId) -> SimResult<()> {
+        self.core.chains.ensure(client, || {
+            ProcChain::new(job_layer_caps(&self.cfg), self.cfg.chunk_size)
+        })
+    }
+
+    /// The placement-and-commit stage of one write: the producer's chain,
+    /// then the batched write pipeline ([`crate::write`]).
+    pub(crate) fn place(&self, op: &WriteOp, payload: Payload) -> SimResult<()> {
+        self.ensure_chain(op.client)?;
+        write::write(self, op, payload)
+    }
+
+    /// One read of `[offset, offset + len)` of `fid` by `client`: the read
+    /// pipeline ([`crate::read`]) under the retry budget — reads mutate
+    /// nothing, so a transient fault anywhere is absorbed by replanning the
+    /// whole read — then the lock, heat and trace accounting. Shared locks
+    /// only (metadata shards, node buffers, read caches, producer chains):
+    /// concurrent readers never block each other.
+    pub(crate) fn read(
+        &self,
+        client: ClientId,
+        fid: u64,
+        offset: u64,
+        len: u64,
+    ) -> SimResult<Payload> {
+        // No failure injected (the overwhelmingly common case): skip the
+        // failed-set lock and its clone entirely; otherwise hold the read
+        // guard — the plan resolves replica routes while holding it.
+        let no_failures = HashSet::new();
+        let guard;
+        let failed: &HashSet<usize> = if self.failed_any.load(Ordering::Acquire) {
+            guard = self.failed_nodes.read().expect("failed set poisoned");
+            &guard
+        } else {
+            &no_failures
+        };
+        let service = self.read_service(failed);
+        let out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
+            service.read(client, fid, offset, len)
+        })?;
+        self.metrics.record_read_locks(out.locks);
+        for &key in &out.touched {
+            self.core.bump_heat(key);
+        }
+        self.metrics.record_read_trace(&out.trace);
+        Ok(out.payload)
+    }
+
+    /// The job's read pipeline over the core, configured from `cfg`.
+    pub(crate) fn read_service<'a>(&'a self, failed: &'a HashSet<usize>) -> ReadService<'a> {
+        ReadService::over(self.core.view(), &self.cfg.geometry, &self.verifier)
+            .location_aware(self.cfg.features.location_aware_reads)
+            .readahead(self.cfg.readahead_window)
+            .with_state(&self.read_state)
+            .with_failed_nodes(failed)
+            .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
+    }
+
+    /// A snapshot of the failed-node set.
+    pub(crate) fn failed(&self) -> HashSet<usize> {
+        self.failed_nodes
+            .read()
+            .expect("failed set poisoned")
+            .clone()
+    }
+
+    /// Where a replica of `client`'s data should go right now: the
+    /// same-index process on the nearest healthy other node, so primary
+    /// and replica never share a node and a replica never lands on an
+    /// already-dead one (it would protect nothing). While no failure is
+    /// injected that is the next node, found without any lock beyond the
+    /// atomic check. `None` in single-node jobs or when every other node
+    /// is down.
+    pub(crate) fn replica_buddy(&self, client: ClientId) -> Option<ClientId> {
+        if self.failed_any.load(Ordering::Acquire) {
+            let failed = self.failed_nodes.read().expect("failed set poisoned");
+            healthy_buddy(&self.cfg.geometry, &failed, client)
+        } else {
+            healthy_buddy(&self.cfg.geometry, &HashSet::new(), client)
+        }
+    }
 }
 
 /// Per-client layer capacities under the `c/p` rule, honoring the
@@ -166,26 +322,19 @@ pub(crate) fn job_layer_caps(cfg: &UniviStorConfig) -> Vec<(Tier, u64)> {
 
 /// The running UniviStor service for one job.
 pub struct UniviStorJob {
-    cfg: UniviStorConfig,
     /// path → file entry. Read-mostly: exclusive only in open/close.
     files: RwLock<HashMap<String, FileEntry>>,
-    /// Chains, metadata, and heat shards — locked or partitioned.
-    core: Core,
+    /// The write/read state, shared with the partition workers.
+    plane: Arc<DataPlane>,
+    /// The partition workers under [`Runtime::Partitioned`]; `None` runs
+    /// writes and reads on the caller's thread.
+    pub(crate) pool: Option<WorkerPool>,
     /// Destination PFS; reads take the shared side.
     lustre: RwLock<Lustre>,
     connected: RwLock<HashSet<ClientId>>,
     next_fid: AtomicU64,
-    /// Nodes whose volatile storage has been lost (failure injection).
-    failed_nodes: RwLock<HashSet<usize>>,
-    /// Whether `failed_nodes` is non-empty. Reads check this atomic and
-    /// skip the failed-set lock entirely in the (overwhelmingly common)
-    /// no-failure case.
-    failed_any: AtomicBool,
-    /// Sequential-scan detector feeding the read pipeline's readahead.
-    read_state: ReadState,
     accounting: Mutex<Accounting>,
     state_file: StateFile,
-    metrics: Arc<JobMetrics>,
     /// Deterministic fault schedule (`cfg.fault`); `None` — the default —
     /// means the data path pays only this `Option` check.
     injector: Option<Arc<FaultInjector>>,
@@ -193,15 +342,6 @@ pub struct UniviStorJob {
     /// pause flag). With tiering disabled the write path pays one relaxed
     /// atomic load against it.
     tiering: TieringState,
-    /// The job's digest authority (per-job digest memo): every stamp and
-    /// verify of the integrity plane goes through it.
-    verifier: Arc<Verifier>,
-    /// The write pipeline's per-job constants, shared with every
-    /// partition worker.
-    write_policy: Arc<WritePolicy>,
-    /// Reader-reported corrupt copies awaiting online repair. Touched by
-    /// the data path only on a verify *failure*.
-    corrupt_queue: CorruptQueue,
     /// Background scrubber state (per-node cursors and pass gates).
     scrub: ScrubState,
 }
@@ -307,55 +447,28 @@ impl UniviStorJob {
         if let Some(inj) = &injector {
             inj.install_counters(metrics.fault_counters());
         }
-        let verifier = Arc::new(Verifier::new(Arc::clone(&metrics)));
-        let write_policy = Arc::new(WritePolicy::new(&cfg, &metrics, &verifier));
-        let core = match cfg.runtime {
-            Runtime::Locked => {
-                let servers = cfg.geometry.total_servers();
-                let mut metadata = MetadataService::new(
-                    cfg.metadata_range_size,
-                    servers.max(1),
-                    cfg.geometry.nodes,
-                );
-                let heat_shards = metadata.servers().max(1);
-                let mut chains = ChainSet::new();
-                if let Some(inj) = &injector {
-                    chains.set_injector(inj.clone());
-                    metadata.set_injector(inj.clone());
-                }
-                Core::Locked(LockedCore {
-                    chains,
-                    metadata,
-                    heat: (0..heat_shards)
-                        .map(|_| RwLock::new(HashMap::new()))
-                        .collect(),
-                })
-            }
-            Runtime::Partitioned => Core::Partitioned(PartitionedCore::new(
-                &cfg,
-                &write_policy,
-                injector.clone(),
-                job_layer_caps(&cfg),
-            )),
-        };
-        UniviStorJob {
+        let plane = Arc::new(DataPlane {
+            core: LockedCore::new(&cfg, injector.as_ref()),
+            verifier: Verifier::new(Arc::clone(&metrics)),
             cfg,
+            metrics,
+            read_state: ReadState::new(),
+            corrupt_queue: CorruptQueue::default(),
+            failed_nodes: RwLock::new(HashSet::new()),
+            failed_any: AtomicBool::new(false),
+        });
+        let pool = (plane.cfg.runtime == Runtime::Partitioned).then(|| WorkerPool::new(&plane));
+        UniviStorJob {
             files: RwLock::new(HashMap::new()),
-            core,
+            plane,
+            pool,
             lustre: RwLock::new(lustre),
             connected: RwLock::new(HashSet::new()),
             next_fid: AtomicU64::new(1),
-            failed_nodes: RwLock::new(HashSet::new()),
-            failed_any: AtomicBool::new(false),
-            read_state: ReadState::new(),
             accounting: Mutex::new(Accounting::default()),
             state_file: StateFile::new(),
-            metrics,
             injector,
             tiering: TieringState::default(),
-            verifier,
-            write_policy,
-            corrupt_queue: CorruptQueue::default(),
             scrub: ScrubState::default(),
         }
     }
@@ -373,7 +486,7 @@ impl UniviStorJob {
 
     /// The configuration.
     pub fn cfg(&self) -> &UniviStorConfig {
-        &self.cfg
+        &self.plane.cfg
     }
 
     /// The workflow state file (shared with tests/diagnostics).
@@ -383,43 +496,25 @@ impl UniviStorJob {
 
     /// Snapshot the job's full telemetry panel.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.plane.metrics.snapshot()
     }
 
     /// The live metrics panel (for wiring schedulers, or keeping it past
     /// the job).
     pub fn metrics_handle(&self) -> &Arc<JobMetrics> {
-        &self.metrics
+        &self.plane.metrics
     }
 
     /// Partition workers serving this job's data plane: the pool size
     /// under [`Runtime::Partitioned`], 0 under [`Runtime::Locked`].
     pub fn partition_workers(&self) -> usize {
-        match &self.core {
-            Core::Locked(_) => 0,
-            Core::Partitioned(core) => core.workers(),
-        }
-    }
-
-    /// Run `f` against the locked-core structures: directly under
-    /// [`Runtime::Locked`]; under [`Runtime::Partitioned`] the workers are
-    /// parked and their slices assembled for the duration (a *checkout* —
-    /// see [`PartitionedCore::with_checked_out`]). Cold paths only
-    /// (tiering passes, flush, repair, diagnostics).
-    ///
-    /// `f` must not call back into routed job operations (they would wait
-    /// on the parked workers); operate on the provided core instead.
-    fn with_core<R>(&self, f: impl FnOnce(&LockedCore) -> R) -> R {
-        match &self.core {
-            Core::Locked(core) => f(core),
-            Core::Partitioned(core) => core.with_checked_out(f),
-        }
+        self.pool.as_ref().map_or(0, WorkerPool::workers)
     }
 
     /// The one entry every maintenance pass (tiering, repair, scrub, and
     /// their diagnostics) takes: snapshot the file table and the failed
-    /// set, then run `f` over a [`Maint`] context on the assembled core —
-    /// a single [`with_core`](Self::with_core).
+    /// set, then run `f` over a [`Maint`] context on the shared core, on
+    /// the calling thread under both runtimes.
     pub(crate) fn maintain<R>(&self, f: impl FnOnce(&Maint<'_>) -> R) -> R {
         let files = self
             .files
@@ -433,20 +528,14 @@ impl UniviStorJob {
                 open: e.open_count > 0,
             })
             .collect();
-        let failed = self
-            .failed_nodes
-            .read()
-            .expect("failed set poisoned")
-            .clone();
-        self.with_core(|core| {
-            f(&Maint {
-                cfg: &self.cfg,
-                core,
-                metrics: &self.metrics,
-                verifier: &self.verifier,
-                failed,
-                files,
-            })
+        let plane = &*self.plane;
+        f(&Maint {
+            cfg: &plane.cfg,
+            core: &plane.core,
+            metrics: &plane.metrics,
+            verifier: &plane.verifier,
+            failed: plane.failed(),
+            files,
         })
     }
 
@@ -497,7 +586,7 @@ impl UniviStorJob {
     ) -> SimResult<u64> {
         // Workflow locking happens *before* touching job state and without
         // holding any lock — it may block.
-        if lock_holder && self.cfg.features.workflow {
+        if lock_holder && self.plane.cfg.features.workflow {
             if mode.writable() {
                 self.state_file.acquire_write(path);
             } else {
@@ -517,7 +606,7 @@ impl UniviStorJob {
         }
         let mut files = self.files.write().expect("file table poisoned");
         // The metadata RPC happened even if the open is then rejected.
-        self.metrics.record_open();
+        self.plane.metrics.record_open();
         if !files.contains_key(path) {
             if !mode.writable() {
                 return Err(SimError::InvalidConfig(format!("no such file '{path}'")));
@@ -535,15 +624,6 @@ impl UniviStorJob {
         let entry = files.get_mut(path).expect("just ensured");
         entry.open_count += represents;
         Ok(entry.fid)
-    }
-
-    fn ensure_chain(&self, client: ClientId) -> SimResult<()> {
-        match &self.core {
-            Core::Locked(core) => core.chains.ensure(client, || {
-                ProcChain::new(job_layer_caps(&self.cfg), self.cfg.chunk_size)
-            }),
-            Core::Partitioned(core) => core.ensure_chain(client),
-        }
     }
 
     /// Write `payload` at `offset` of `path` on behalf of `client`.
@@ -568,7 +648,7 @@ impl UniviStorJob {
         if len == 0 {
             return Ok(());
         }
-        self.metrics.record_write_call();
+        self.plane.metrics.record_write_call();
         self.poll_faults();
         // Shared file-table lock: the size is atomic, so concurrent
         // writers to different (or the same) file don't serialize here.
@@ -580,67 +660,40 @@ impl UniviStorJob {
             entry.size.fetch_max(offset + len, Ordering::Relaxed);
             entry.fid
         };
-        let node = self.cfg.geometry.node_of_rank(client.rank as usize);
-        let replicate = self.cfg.replicate_volatile;
+        let node = self.plane.cfg.geometry.node_of_rank(client.rank as usize);
+        let replicate = self.plane.cfg.replicate_volatile;
         let op = WriteOp {
             client,
             fid,
             node,
             offset,
-            buddy: replicate.then(|| self.replica_buddy(client)).flatten(),
+            buddy: replicate
+                .then(|| self.plane.replica_buddy(client))
+                .flatten(),
         };
         place(self, &op, payload)?;
         // The write superseded any drained-ahead copies it overlapped
         // (one relaxed load when no ledger exists — the disabled-daemon
         // fast path).
         self.tiering.invalidate(fid, offset, offset + len);
-        let t = &self.cfg.tiering;
+        let t = &self.plane.cfg.tiering;
         if t.enabled && t.drain_cadence_ops > 0 && !self.tiering.paused.load(Ordering::Acquire) {
             let ops = self.tiering.write_ops.fetch_add(1, Ordering::Relaxed) + 1;
             if ops.is_multiple_of(t.drain_cadence_ops) {
                 // Piggybacked pass on the writer's node; its errors never
                 // fail the write that triggered it.
-                let _ = self.tiering_pass(node, &PassOptions::full(&self.cfg));
+                let _ = self.tiering_pass(node, &PassOptions::full(&self.plane.cfg));
             }
         }
         Ok(())
     }
 
-    /// The batched write pipeline (`crate::write`), three ways to execute
-    /// it.
+    /// The product placement stage: [`DataPlane::place`], on the caller's
+    /// thread or on the partition worker owning the writer's node.
     fn place(&self, op: &WriteOp, payload: Payload) -> SimResult<()> {
-        match &self.core {
-            Core::Locked(core) => {
-                self.ensure_chain(op.client)?;
-                write::write(
-                    &mut LockedWrite { job: self, core },
-                    &self.write_policy,
-                    op,
-                    payload,
-                )
-            }
-            Core::Partitioned(core) => {
-                // The commit may be several messages; hold off tiering
-                // checkouts until the last one lands (see
-                // `PartitionedCore::exclude_passes`).
-                let _commit = core.exclude_passes();
-                // Single-round-trip fast path when one worker owns the
-                // whole widened span and the producer chain (and
-                // replication is off): that worker runs the driver itself,
-                // retry loops included — never wrapped in a retry here, a
-                // replayed message would double-append.
-                let end = op.offset + payload.len();
-                let replicate = self.cfg.replicate_volatile;
-                if !replicate
-                    && core
-                        .fused_owner(op.client, op.node, op.offset, end)
-                        .is_some()
-                {
-                    core.write_fused(op, payload)
-                } else {
-                    write::write(&mut core.routed_write(), &self.write_policy, op, payload)
-                }
-            }
+        match &self.pool {
+            None => self.plane.place(op, payload),
+            Some(pool) => pool.write(op, payload),
         }
     }
 
@@ -659,91 +712,10 @@ impl UniviStorJob {
             .get(path)
             .ok_or_else(|| SimError::InvalidConfig(format!("read of unopened '{path}'")))?
             .fid;
-        // No failure injected (the overwhelmingly common case): skip the
-        // failed-set lock and its clone entirely; otherwise pass the read
-        // guard down — the plan resolves replica routes while holding it.
-        let no_failures = HashSet::new();
-        let guard;
-        let failed: &HashSet<usize> = if self.failed_any.load(Ordering::Acquire) {
-            guard = self.failed_nodes.read().expect("failed set poisoned");
-            &guard
-        } else {
-            &no_failures
-        };
-        // One read pipeline (`crate::read`) over either core. Locked:
-        // shared locks only from here (metadata shards, node buffers, read
-        // caches, producer chains) — concurrent readers never block each
-        // other. Partitioned: messages to owning workers, no counted locks
-        // at all. Reads mutate nothing, so an injected transient fault
-        // anywhere in the plan is absorbed by replanning the whole read.
-        let out = match &self.core {
-            Core::Locked(core) => {
-                let source = CoreFlushSource {
-                    metadata: &core.metadata,
-                    chains: &core.chains,
-                };
-                let service = self.read_service(source, failed);
-                let out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                    service.read(client, fid, offset, len)
-                })?;
-                self.metrics.record_read_locks(out.locks);
-                for &key in &out.touched {
-                    Self::bump_heat(core, key);
-                }
-                out
-            }
-            Core::Partitioned(core) => {
-                let service = self.read_service(core, failed);
-                let mut out = with_retries(&self.cfg.retry, Some(&self.metrics), || {
-                    // A checkout pass between the scan and the fetch could
-                    // migrate a record and release the location about to
-                    // be read; exclude passes for the whole attempt.
-                    let _view = core.exclude_passes();
-                    service.read(client, fid, offset, len)
-                })?;
-                // Fire-and-forget to the owning heat workers — the read
-                // never waits on access-pattern tracking.
-                core.bump_heat(std::mem::take(&mut out.touched));
-                out
-            }
-        };
-        self.metrics.record_read_trace(&out.trace);
-        Ok(out.payload)
-    }
-
-    /// The job's read pipeline over `source`, configured from `cfg`.
-    fn read_service<'a, S: FlushSource>(
-        &'a self,
-        source: S,
-        failed: &'a HashSet<usize>,
-    ) -> ReadService<'a, S> {
-        ReadService::over(source, &self.cfg.geometry, &self.verifier)
-            .location_aware(self.cfg.features.location_aware_reads)
-            .readahead(self.cfg.readahead_window)
-            .with_state(&self.read_state)
-            .with_failed_nodes(failed)
-            .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
-    }
-
-    /// Count one read of `key` against the locked core's heat shards
-    /// (sharded like the metadata KV's range partitioning): shared shard
-    /// lock + atomic increment in steady state; only a key's first touch
-    /// takes the shard's write lock, to install the counter.
-    fn bump_heat(core: &LockedCore, key: SegKey) {
-        let shard = &core.heat[core.metadata.partition_of(key.offset) % core.heat.len()];
-        {
-            let shard = shard.read().expect("heat poisoned");
-            if let Some(n) = shard.get(&key) {
-                n.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        match &self.pool {
+            None => self.plane.read(client, fid, offset, len),
+            Some(pool) => pool.read(client, fid, offset, len),
         }
-        shard
-            .write()
-            .expect("heat poisoned")
-            .entry(key)
-            .or_insert_with(|| AtomicU32::new(0))
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Run `f` while holding a *shared* view of `client`'s chain — the
@@ -751,45 +723,23 @@ impl UniviStorJob {
     /// operation from inside `f` (on any thread) would deadlock; with the
     /// sharded layout reads of that same chain proceed in parallel.
     ///
-    /// Under the locked runtime the view is a `try_read`-with-backoff
-    /// acquisition ([`ChainSet::with`]): the caller never parks in the
-    /// rwlock's reader queue, and while a writer is queued new views back
-    /// off until it has gone through — so a stream of views cannot starve
-    /// writers on the chain. `f` may run concurrent job operations, but
-    /// must not *wait* on another thread acquiring a view of the same
-    /// chain (with a writer queued, that view defers to the writer, which
-    /// in turn waits for `f` — a cycle), and exclusive operations on
-    /// `client`'s own chain from the calling thread deadlock by
-    /// definition. Under the partitioned runtime chains have no locks at
-    /// all — the view is a plain existence check.
+    /// The view is a `try_read`-with-backoff acquisition
+    /// ([`ChainSet::with`]): the caller never parks in the rwlock's reader
+    /// queue, and while a writer is queued new views back off until it has
+    /// gone through — so a stream of views cannot starve writers on the
+    /// chain. `f` may run concurrent job operations, but must not *wait* on
+    /// another thread acquiring a view of the same chain (with a writer
+    /// queued, that view defers to the writer, which in turn waits for `f`
+    /// — a cycle), and exclusive operations on `client`'s own chain from
+    /// the calling thread deadlock by definition (under
+    /// [`Runtime::Partitioned`] the worker runs them, and the caller waits
+    /// on it just the same).
     pub fn with_shared_read_view<R>(&self, client: ClientId, f: impl FnOnce() -> R) -> Result<R> {
-        match &self.core {
-            Core::Locked(core) => core
-                .chains
-                .with(client, |_| f())
-                .map_err(|e| Error::new("read_view", e).with_client(client)),
-            Core::Partitioned(core) => {
-                core.chain_exists(client)
-                    .map_err(|e| Error::new("read_view", e).with_client(client))?;
-                Ok(f())
-            }
-        }
-    }
-
-    /// Where a replica of `client`'s data should go right now: the
-    /// same-index process on the nearest healthy other node, so primary
-    /// and replica never share a node and a replica never lands on an
-    /// already-dead one (it would protect nothing). While no failure is
-    /// injected that is the next node, found without any lock beyond the
-    /// atomic check. `None` in single-node jobs or when every other node
-    /// is down.
-    fn replica_buddy(&self, client: ClientId) -> Option<ClientId> {
-        if self.failed_any.load(Ordering::Acquire) {
-            let failed = self.failed_nodes.read().expect("failed set poisoned");
-            healthy_buddy(&self.cfg.geometry, &failed, client)
-        } else {
-            healthy_buddy(&self.cfg.geometry, &HashSet::new(), client)
-        }
+        self.plane
+            .core
+            .chains
+            .with(client, |_| f())
+            .map_err(|e| Error::new("read_view", e).with_client(client))
     }
 
     /// Failure injection: mark a node's volatile storage as lost. Reads
@@ -797,13 +747,14 @@ impl UniviStorJob {
     /// Idempotent; returns whether the node was newly failed.
     pub fn fail_node(&self, node: usize) -> bool {
         let fresh = self
+            .plane
             .failed_nodes
             .write()
             .expect("failed set poisoned")
             .insert(node);
         // After the set is populated, so a reader seeing the flag finds
         // the node in the set.
-        self.failed_any.store(true, Ordering::Release);
+        self.plane.failed_any.store(true, Ordering::Release);
         fresh
     }
 
@@ -814,10 +765,14 @@ impl UniviStorJob {
     /// when the set drains, the data path's failure flag clears and reads
     /// stop consulting the set entirely.
     pub fn restore_node(&self, node: usize) -> bool {
-        let mut failed = self.failed_nodes.write().expect("failed set poisoned");
+        let mut failed = self
+            .plane
+            .failed_nodes
+            .write()
+            .expect("failed set poisoned");
         let removed = failed.remove(&node);
         if failed.is_empty() {
-            self.failed_any.store(false, Ordering::Release);
+            self.plane.failed_any.store(false, Ordering::Release);
         }
         removed
     }
@@ -826,12 +781,12 @@ impl UniviStorJob {
     /// or replica) and publish the `univistor_degraded_segments` gauge.
     /// Cold path: scans every file's index.
     pub fn degraded_segments(&self) -> u64 {
-        let n = if self.failed_any.load(Ordering::Acquire) {
+        let n = if self.plane.failed_any.load(Ordering::Acquire) {
             self.maintain(repair::degraded_records)
         } else {
             0
         };
-        self.metrics.set_degraded_segments(n);
+        self.plane.metrics.set_degraded_segments(n);
         n
     }
 
@@ -841,7 +796,7 @@ impl UniviStorJob {
     /// mid-repair is left to the overwrite. Refreshes the
     /// `univistor_degraded_segments` gauge on the way out.
     pub fn rebuild_degraded(&self) -> Result<RepairReport> {
-        let total = if self.failed_any.load(Ordering::Acquire) {
+        let total = if self.plane.failed_any.load(Ordering::Acquire) {
             self.maintain(repair::rebuild)
                 .map_err(|e| Error::new("repair", e))?
         } else {
@@ -931,7 +886,7 @@ impl UniviStorJob {
 
     /// The reader-reported corrupt-copy queue.
     pub(crate) fn corrupt_queue(&self) -> &CorruptQueue {
-        &self.corrupt_queue
+        &self.plane.corrupt_queue
     }
 
     /// The scrub engine's shared state (cursors, gates, counters).
@@ -967,7 +922,7 @@ impl UniviStorJob {
             skipped: true,
             ..TieringPassReport::default()
         };
-        for node in 0..self.cfg.geometry.nodes {
+        for node in 0..self.plane.cfg.geometry.nodes {
             total.absorb(&self.tiering_pass(node, opts)?);
         }
         Ok(total)
@@ -999,23 +954,25 @@ impl UniviStorJob {
     ) -> SimResult<Option<FlushReceipt>> {
         let (should_flush, fid, size) = {
             let mut files = self.files.write().expect("file table poisoned");
-            self.metrics.record_close();
+            self.plane.metrics.record_close();
             let entry = files
                 .get_mut(path)
                 .ok_or_else(|| SimError::InvalidConfig(format!("close of unopened '{path}'")))?;
-            assert!(
-                entry.open_count >= represents,
-                "close of '{path}' beyond open count"
-            );
+            if entry.open_count < represents {
+                return Err(SimError::InvalidConfig(format!(
+                    "close of '{path}' for {represents} ranks, but only {} hold it open",
+                    entry.open_count
+                )));
+            }
             entry.open_count -= represents;
             let trigger =
-                entry.open_count == 0 && mode.writable() && self.cfg.features.flush_on_close;
+                entry.open_count == 0 && mode.writable() && self.plane.cfg.features.flush_on_close;
             (trigger, entry.fid, entry.size.load(Ordering::Relaxed))
         };
 
         // Release the workflow lock before flushing: readers may proceed
         // on the cached data while servers flush (§II-E).
-        if lock_holder && self.cfg.features.workflow {
+        if lock_holder && self.plane.cfg.features.workflow {
             if mode.writable() {
                 self.state_file.release_write(path);
             } else {
@@ -1026,33 +983,32 @@ impl UniviStorJob {
         if !should_flush || size == 0 {
             return Ok(None);
         }
-        if self.cfg.features.workflow {
+        if self.plane.cfg.features.workflow {
             self.state_file.begin_flush(path);
         }
-        self.metrics.flush_started();
-        let failed = self
-            .failed_nodes
-            .read()
-            .expect("failed set poisoned")
-            .clone();
-        // Serialize against the tiering daemon on this file: a pass that
-        // holds the gate finishes (or is skipped) before the flush reads
-        // the chains, so no drain write or migration release races the
-        // flush. Passes only `try_lock` the gate, so this cannot deadlock.
-        // Then consume the drain ledger: spans the daemon already copied
-        // (and that are still current) turn the flush into a catch-up.
-        let flush = |source: &dyn FlushSource| {
+        self.plane.metrics.flush_started();
+        // No job-wide lock during the flush: other clients keep writing
+        // and reading other files while this one drains to Lustre, and a
+        // generation fence redoes the pass if a writer raced. Serialize
+        // against the tiering daemon on this file: a pass that holds the
+        // gate finishes (or is skipped) before the flush reads the chains,
+        // so no drain write or migration release races the flush. Passes
+        // only `try_lock` the gate, so this cannot deadlock. Then consume
+        // the drain ledger: spans the daemon already copied (and that are
+        // still current) turn the flush into a catch-up.
+        let result = {
             let gate = self.tiering.fid_gates.get(fid);
             let _gate = gate.lock().expect("tiering gate poisoned");
             let ledger = self.tiering.take_ledger(fid);
+            let failed = self.plane.failed();
             flush_with_source(
-                source,
+                self.plane.core.view(),
                 &FlushRequest {
                     lustre: &self.lustre,
-                    cfg: &self.cfg,
+                    cfg: &self.plane.cfg,
                     failed_nodes: &failed,
-                    metrics: Some(&self.metrics),
-                    verifier: &self.verifier,
+                    metrics: Some(&self.plane.metrics),
+                    verifier: &self.plane.verifier,
                     injector: self.injector.as_deref(),
                     fid,
                     file_size: size,
@@ -1062,23 +1018,20 @@ impl UniviStorJob {
                 },
             )
         };
-        // No job-wide lock during the flush under the locked runtime:
-        // other clients keep writing and reading other files while this
-        // one drains to Lustre. Under the partitioned runtime the engine
-        // routes its record scans and chain fetches to the owning workers
-        // as ordinary messages (write-overlapped checkout: no core
-        // checkout at all, a generation fence redoes the pass if a writer
-        // raced).
-        let result = match &self.core {
-            Core::Locked(core) => flush(&CoreFlushSource {
-                metadata: &core.metadata,
-                chains: &core.chains,
-            }),
-            Core::Partitioned(core) => flush(&core),
+        self.plane.metrics.flush_finished();
+        let workflow = self.plane.cfg.features.workflow;
+        let receipt = match result {
+            Ok(receipt) => receipt,
+            Err(e) => {
+                // The file stays cached and whole: back to WRITE_DONE, so
+                // a later writer can reopen it and the next close retries.
+                if workflow {
+                    self.state_file.abort_flush(path);
+                }
+                return Err(e);
+            }
         };
-        self.metrics.flush_finished();
-        let receipt = result?;
-        if self.cfg.features.workflow {
+        if workflow {
             self.state_file.end_flush(path);
         }
         self.accounting
@@ -1104,17 +1057,17 @@ impl UniviStorJob {
         Ok((entry.fid, entry.size.load(Ordering::Relaxed)))
     }
 
-    /// Live cached bytes per tier across all clients. Under the locked
-    /// runtime takes each chain's shared lock in turn — never the whole
-    /// job; under the partitioned runtime checks the core out.
+    /// Live cached bytes per tier across all clients. Takes each chain's
+    /// shared lock in turn — never the whole job.
     pub fn tier_usage(&self) -> Vec<(Tier, u64)> {
-        self.with_core(|core| core.chains.live_by_tier().into_iter().collect())
+        let chains = &self.plane.core.chains;
+        chains.live_by_tier().into_iter().collect()
     }
 
     /// Total records in the distributed metadata index, across all files —
     /// the index size coalescing shrinks.
     pub fn metadata_records(&self) -> usize {
-        self.with_core(|core| core.metadata.len())
+        self.plane.core.metadata.len()
     }
 
     /// All index records of `path`, offset-sorted: each record's logical
@@ -1122,7 +1075,7 @@ impl UniviStorJob {
     /// (shared locks, but scans the file's whole index).
     pub fn index_of(&self, path: &str) -> Result<Vec<(SegKey, SegmentRecord)>> {
         let (fid, size) = self.stat("index", path)?;
-        Ok(self.with_core(|core| core.metadata.lookup_range(fid, 0, size).1))
+        Ok(self.plane.core.metadata.lookup_range(fid, 0, size).1)
     }
 
     /// Verify a flushed file: compare the PFS copy byte-for-byte against
@@ -1170,7 +1123,7 @@ impl UniviStorJob {
     /// [`Self::take_stats`], with the flush receipts of that phase.
     pub fn stats(&self) -> JobStats {
         let acct = self.accounting.lock().expect("accounting poisoned");
-        let delta = self.metrics.snapshot().since(&acct.stats_base);
+        let delta = self.plane.metrics.snapshot().since(&acct.stats_base);
         JobStats::from_delta(&delta, acct.flush_receipts.clone())
     }
 
@@ -1179,7 +1132,7 @@ impl UniviStorJob {
     /// baseline this view diffs against advances.
     pub fn take_stats(&self) -> JobStats {
         let mut acct = self.accounting.lock().expect("accounting poisoned");
-        let now = self.metrics.snapshot();
+        let now = self.plane.metrics.snapshot();
         let delta = now.since(&acct.stats_base);
         acct.stats_base = now;
         JobStats::from_delta(&delta, std::mem::take(&mut acct.flush_receipts))
@@ -1227,58 +1180,13 @@ impl JobStats {
     }
 }
 
-/// The locked core as the write driver's executor: every stage is a direct
-/// call on the resident structures, and every lock it takes is counted.
-struct LockedWrite<'a> {
-    job: &'a UniviStorJob,
-    core: &'a LockedCore,
-}
-
-impl WriteExecutor for LockedWrite<'_> {
-    const APPEND_LOCKS: u64 = 1;
-
-    fn append(
-        &mut self,
-        client: ClientId,
-        payloads: Vec<Payload>,
-        primary: bool,
-    ) -> SimResult<Vec<PlacedSegment>> {
-        // The producer's chain was ensured on entry; a buddy's may not
-        // exist yet. Its lock is taken after the producer's is released —
-        // never two chain locks at once.
-        if !primary {
-            self.job.ensure_chain(client)?;
-        }
-        self.core.chains.append_many(client, payloads)
-    }
-
-    fn commit(
-        &mut self,
-        op: &WriteOp,
-        end: u64,
-        records: &[(u64, SegmentRecord)],
-    ) -> SimResult<BatchOutcome> {
-        self.core
-            .metadata
-            .insert_batch(op.fid, op.offset, end, records, op.node)
-    }
-
-    fn finish(
-        &mut self,
-        _op: &WriteOp,
-        _records: &[(u64, SegmentRecord)],
-        spans: Vec<Span>,
-    ) -> u64 {
-        self.core.chains.release_many(&spans)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workflow::FileState;
 
     fn job() -> UniviStorJob {
         UniviStorJob::new(UniviStorConfig::test_small(2, 2))
@@ -1417,6 +1325,51 @@ mod tests {
                 assert!(t.md_rpcs > 0, "{t:?}");
             }
         }
+    }
+
+    /// A close-time flush that fails (here: a hole between two writes)
+    /// returns its typed error and hands the file back to WRITE_DONE, so a
+    /// writer can reopen it instead of waiting on a FLUSHING that never
+    /// ends.
+    #[test]
+    fn failed_close_flush_leaves_the_file_reopenable() {
+        let mut cfg = UniviStorConfig::test_small(2, 2);
+        cfg.features.workflow = true;
+        let j = UniviStorJob::new(cfg);
+        j.open_file("/h").write().by(client(0)).unwrap();
+        j.write(client(0), "/h", 0, Payload::pattern(1, 256))
+            .unwrap();
+        j.write(client(0), "/h", 4096, Payload::pattern(2, 256))
+            .unwrap();
+        let err = j
+            .close("/h", client(0), OpenMode::Write, 1, true)
+            .unwrap_err();
+        assert!(matches!(SimError::from(err), SimError::InvalidFlow(_)));
+        assert_eq!(j.state_file().state_of("/h"), FileState::WriteDone);
+        j.open_file("/h").write().by(client(0)).unwrap();
+        j.write(client(0), "/h", 256, Payload::pattern(3, 3840))
+            .unwrap();
+        let receipt = j.close("/h", client(0), OpenMode::Write, 1, true);
+        assert_eq!(receipt.unwrap().expect("flush").file_size, 4352);
+        assert_eq!(j.state_file().state_of("/h"), FileState::FlushDone);
+    }
+
+    /// Closing for more ranks than hold the file open is a typed error
+    /// that leaves the file table usable.
+    #[test]
+    fn over_close_is_a_typed_error_and_the_job_keeps_serving() {
+        let j = job();
+        j.open_file("/o").write().by(client(0)).unwrap();
+        let err = j
+            .close("/o", client(0), OpenMode::Write, 2, false)
+            .unwrap_err();
+        assert_eq!(err.op(), "close");
+        assert!(matches!(SimError::from(err), SimError::InvalidConfig(_)));
+        j.write(client(0), "/o", 0, Payload::pattern(1, 128))
+            .unwrap();
+        assert_eq!(j.file_size("/o").unwrap(), 128);
+        let receipt = j.close("/o", client(0), OpenMode::Write, 1, false);
+        assert!(receipt.unwrap().is_some(), "the one real close flushes");
     }
 
     #[test]

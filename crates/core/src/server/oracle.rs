@@ -15,20 +15,17 @@
 //! ([`crate::read::ReadService::read_with`]); the sequential drain only
 //! the flush request, span resolution and the stripe writer (the
 //! [`crate::flush::Engine`] slot). The write and read oracles run on the
-//! locked runtime only: a differential pins its oracle side to
-//! [`crate::config::Runtime::Locked`] and lets the side under test follow
-//! `UNIVISTOR_RUNTIME`.
+//! calling thread under either runtime; a differential pins its oracle
+//! side to [`crate::config::Runtime::Locked`] and lets the side under test
+//! follow `UNIVISTOR_RUNTIME`.
 
-use super::{Core, UniviStorJob};
+use super::{DataPlane, UniviStorJob};
 use crate::error::{Error, Result};
 use crate::fault::with_retries;
-use crate::flush::{
-    verify_gathered, CoreFlushSource, FetchSpan, FlushAcc, FlushCtx, FlushReceipt, FlushSource,
-};
+use crate::flush::{verify_gathered, CoreView, FetchSpan, FlushAcc, FlushCtx, FlushReceipt};
 use crate::metadata::{ClientId, SegmentRecord};
 use crate::metrics::WriteLockCounts;
 use crate::read::{fetch_span, Fragment, ReadLockCounts};
-use crate::runtime::LockedCore;
 use crate::va::Tier;
 use crate::write::{plan_pieces, WriteOp};
 use univistor_mpi::driver::{FileHandle, FsDriver, OpenContext, OpenMode};
@@ -45,11 +42,8 @@ pub(crate) fn write(
     payload: Payload,
 ) -> Result<()> {
     job.write_with(client, path, offset, payload, |job, op, payload| {
-        let Core::Locked(core) = &job.core else {
-            panic!("the per-piece write oracle runs on the locked runtime");
-        };
-        job.ensure_chain(op.client)?;
-        write_per_piece(job, core, op, payload)
+        job.plane.ensure_chain(op.client)?;
+        write_per_piece(&job.plane, op, payload)
     })
     .map_err(|e| Error::new("write", e).with_path(path).with_client(client))
 }
@@ -58,12 +52,8 @@ pub(crate) fn write(
 /// Deliberately not built on the write driver (it shares only the grid
 /// plan): an oracle running the driver's stages could not catch their
 /// mistakes.
-fn write_per_piece(
-    job: &UniviStorJob,
-    core: &LockedCore,
-    op: &WriteOp,
-    payload: Payload,
-) -> SimResult<()> {
+fn write_per_piece(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimResult<()> {
+    let core = &plane.core;
     let &WriteOp {
         client,
         fid,
@@ -72,10 +62,10 @@ fn write_per_piece(
         ..
     } = op;
     let mut locks = WriteLockCounts::default();
-    let pieces = plan_pieces(job.cfg.segment_size, offset, payload.len());
+    let pieces = plan_pieces(plane.cfg.segment_size, offset, payload.len());
     for &(cur, piece_len) in &pieces {
         let piece = payload.slice(cur - offset, piece_len);
-        let placed = with_retries(&job.cfg.retry, Some(&job.metrics), || {
+        let placed = with_retries(&plane.cfg.retry, Some(&plane.metrics), || {
             core.chains.append(client, piece.clone())
         })?;
         locks.chain += 1;
@@ -83,28 +73,28 @@ fn write_per_piece(
         // Mirror segments that landed on volatile layers into a buddy
         // process's chain on the next (healthy) node.
         let mut record = SegmentRecord::new(client, placed.va, piece_len);
-        if job.cfg.integrity.checksums {
-            record.checksum = Some(job.verifier.stamp(&piece));
+        if plane.cfg.integrity.checksums {
+            record.checksum = Some(plane.verifier.stamp(&piece));
         }
-        if job.cfg.replicate_volatile && placed.tier != Tier::Pfs {
-            if let Some(buddy) = job.replica_buddy(client) {
-                job.ensure_chain(buddy)?;
+        if plane.cfg.replicate_volatile && placed.tier != Tier::Pfs {
+            if let Some(buddy) = plane.replica_buddy(client) {
+                plane.ensure_chain(buddy)?;
                 // Best-effort: a full buddy chain degrades resilience for
                 // this segment, it does not fail the write. The buddy's
                 // chain lock is taken after releasing ours — never two
                 // chain locks at once.
                 locks.chain += 1;
-                let mirrored = with_retries(&job.cfg.retry, Some(&job.metrics), || {
+                let mirrored = with_retries(&plane.cfg.retry, Some(&plane.metrics), || {
                     core.chains.append(buddy, piece.clone())
                 });
                 if let Ok(rplaced) = mirrored {
                     record.replica = Some((buddy, rplaced.va));
-                    job.metrics.record_replication(piece_len);
+                    plane.metrics.record_replication(piece_len);
                 }
             }
         }
 
-        let outcome = with_retries(&job.cfg.retry, Some(&job.metrics), || {
+        let outcome = with_retries(&plane.cfg.retry, Some(&plane.metrics), || {
             core.metadata
                 .insert_batch(fid, cur, cur + piece_len, &[(cur, record)], node)
         })?;
@@ -122,10 +112,12 @@ fn write_per_piece(
                 locks.chain += 1;
             }
         }
-        job.metrics
+        plane
+            .metrics
             .record_segment(placed.tier, placed.layer, piece_len);
     }
-    job.metrics
+    plane
+        .metrics
         .record_write_batch(pieces.len() as u64, pieces.len() as u64, locks);
     Ok(())
 }
@@ -142,8 +134,7 @@ pub(crate) fn read(
         .map_err(|e| Error::new("read", e).with_path(path).with_client(client))
 }
 
-/// The locked arm of the job's read, with [`fetch_per_record`] as its
-/// fetch stage.
+/// The job's read, with [`fetch_per_record`] as its fetch stage.
 fn read_per_record(
     job: &UniviStorJob,
     client: ClientId,
@@ -151,9 +142,6 @@ fn read_per_record(
     offset: u64,
     len: u64,
 ) -> SimResult<Payload> {
-    let Core::Locked(core) = &job.core else {
-        panic!("the per-record read oracle runs on the locked runtime");
-    };
     job.poll_faults();
     let fid = job
         .files
@@ -162,33 +150,26 @@ fn read_per_record(
         .get(path)
         .ok_or_else(|| SimError::InvalidConfig(format!("read of unopened '{path}'")))?
         .fid;
-    let failed = job
-        .failed_nodes
-        .read()
-        .expect("failed set poisoned")
-        .clone();
-    let source = CoreFlushSource {
-        metadata: &core.metadata,
-        chains: &core.chains,
-    };
-    let service = job.read_service(source, &failed);
-    let out = with_retries(&job.cfg.retry, Some(&job.metrics), || {
+    let plane = &*job.plane;
+    let failed = plane.failed();
+    let service = plane.read_service(&failed);
+    let out = with_retries(&plane.cfg.retry, Some(&plane.metrics), || {
         service.read_with(client, fid, offset, len, |fragments, locks| {
-            fetch_per_record(&source, fragments, locks)
+            fetch_per_record(plane.core.view(), fragments, locks)
         })
     })?;
-    job.metrics.record_read_locks(out.locks);
+    plane.metrics.record_read_locks(out.locks);
     for &key in &out.touched {
-        UniviStorJob::bump_heat(core, key);
+        plane.core.bump_heat(key);
     }
-    job.metrics.record_read_trace(&out.trace);
+    plane.metrics.record_read_trace(&out.trace);
     Ok(out.payload)
 }
 
 /// The read driver's fetch stage, reference flavour: one fetch
 /// round-trip per fragment, in plan order.
 pub(crate) fn fetch_per_record(
-    source: &impl FlushSource,
+    source: CoreView,
     fragments: &[Fragment],
     locks: &mut ReadLockCounts,
 ) -> SimResult<Vec<(Payload, Tier)>> {

@@ -183,14 +183,24 @@ impl StateFile {
 
     /// Flush end: FLUSHING → FLUSH_DONE.
     pub fn end_flush(&self, path: &str) {
+        self.leave_flush(path, FileState::FlushDone);
+    }
+
+    /// Failed flush: FLUSHING → WRITE_DONE. The cached file is intact, so
+    /// a writer may reopen it and its next close flushes again.
+    pub fn abort_flush(&self, path: &str) {
+        self.leave_flush(path, FileState::WriteDone);
+    }
+
+    fn leave_flush(&self, path: &str, to: FileState) {
         let mut inner = self.inner.lock().unwrap();
         let entry = inner.files.entry(path.to_string()).or_default();
         assert_eq!(
             entry.state(),
             FileState::Flushing,
-            "end_flush without begin_flush on '{path}'"
+            "flush end without begin_flush on '{path}'"
         );
-        entry.state = Some(FileState::FlushDone);
+        entry.state = Some(to);
         drop(inner);
         self.cond.notify_all();
     }

@@ -1,84 +1,34 @@
 //! The write pipeline, written once: plan → place → commit (§II-A/B1/B3).
 //!
 //! [`write`] is the only batched write path in the crate. It owns every
-//! *decision* of a write — the segment-grid plan, which pieces get a
-//! replica, how placed pieces coalesce into metadata records, what gets
-//! stamped, in which order displaced log space is released — and is generic
-//! over a [`WriteExecutor`] that names only what differs between runtimes:
-//! how a payload run reaches a chain, how a record batch reaches the
-//! metadata index, and how the write is closed out. Three executors exist:
-//!
-//! * the locked core (`server::LockedWrite`): `ChainSet::append_many`,
-//!   `MetadataService::insert_batch` and `ChainSet::release_many`, every
-//!   acquisition counted;
-//! * the routed two-wave protocol (`runtime::RoutedWrite`): one `Append`
-//!   message, one `WriteCommit` per span owner, a fire-and-forget
-//!   `WriteFinish` wave — zero counted locks;
-//! * the partition worker itself (`runtime::FusedWrite`), inside the
-//!   `WriteFused` handler: the same driver runs on the owning worker's
-//!   plain maps, and whatever belongs to other workers is handed back to
-//!   the router.
-//!
-//! The driver runs wherever its executor lives, so the retry loops below
-//! are router-side for the first two and *in-handler* for the third — which
-//! is why the router must never replay a `WriteFused` message (the append
-//! would land twice).
+//! decision of a write — the segment-grid plan, which pieces get a replica,
+//! how placed pieces coalesce into metadata records, what gets stamped, in
+//! which order displaced log space is released — and runs each stage
+//! directly on the job's locked core: `ChainSet::append_many`,
+//! `MetadataService::insert_batch` and `ChainSet::release_many`, every
+//! acquisition counted. Both runtimes run it; under
+//! [`Runtime::Partitioned`](crate::config::Runtime::Partitioned) it runs
+//! on the partition worker owning the writer's node, retry loops included.
 //!
 //! The per-piece reference write (`server::oracle`) is a test-only
 //! oracle and deliberately does **not** run through this module.
 
-use crate::config::UniviStorConfig;
-use crate::fault::{with_retries, RetryPolicy};
-use crate::integrity::{stamp_records, Verifier};
-use crate::metadata::{assert_batch_records, BatchOutcome, ClientId, SegmentRecord};
-use crate::metrics::{JobMetrics, WriteLockCounts};
+use crate::fault::with_retries;
+use crate::integrity::stamp_records;
+use crate::metadata::{ClientId, SegmentRecord};
+use crate::metrics::WriteLockCounts;
 use crate::placement::PlacedSegment;
+use crate::server::DataPlane;
 use crate::va::{Tier, VirtualAddr};
-use std::sync::Arc;
 use univistor_sim::{Payload, SimResult};
 
 /// A span of log space to release: `(owning chain, first byte, length)`.
-pub(crate) type Span = (ClientId, VirtualAddr, u64);
+type Span = (ClientId, VirtualAddr, u64);
 
 /// Where a piece's replica landed: `(buddy, VA, buddy-chain layer)`.
 type Replica = (ClientId, VirtualAddr, usize);
 
-/// The per-job constants of the write pipeline, shared (one `Arc`) by the
-/// job and every partition worker so the driver reads the same policy
-/// wherever it runs.
-#[derive(Debug)]
-pub(crate) struct WritePolicy {
-    /// Logical segment grid the plan splits on.
-    pub segment_size: u64,
-    /// Metadata range size: the coalescing cap (the left-widened overlap
-    /// scans assume no record is longer).
-    pub range_size: u64,
-    /// Retry budget of the append and commit stages.
-    pub retry: RetryPolicy,
-    /// The job panel.
-    pub metrics: Arc<JobMetrics>,
-    /// The job's verifier when write commits stamp checksums; `None` with
-    /// the integrity plane off.
-    pub stamper: Option<Arc<Verifier>>,
-}
-
-impl WritePolicy {
-    pub(crate) fn new(
-        cfg: &UniviStorConfig,
-        metrics: &Arc<JobMetrics>,
-        verifier: &Arc<Verifier>,
-    ) -> Self {
-        WritePolicy {
-            segment_size: cfg.segment_size,
-            range_size: cfg.metadata_range_size,
-            retry: cfg.retry,
-            metrics: Arc::clone(metrics),
-            stamper: cfg.integrity.checksums.then(|| Arc::clone(verifier)),
-        }
-    }
-}
-
-/// One write call, as the executors see it.
+/// One write call.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WriteOp {
     pub client: ClientId,
@@ -89,46 +39,6 @@ pub(crate) struct WriteOp {
     pub offset: u64,
     /// Where volatile pieces are mirrored; `None` writes unreplicated.
     pub buddy: Option<ClientId>,
-}
-
-/// How one runtime carries out the stages of [`write`].
-pub(crate) trait WriteExecutor {
-    /// Counted chain-lock acquisitions one append run costs: 1 under the
-    /// locked core, 0 where the run is a message to (or runs inside) the
-    /// chain's owning worker.
-    const APPEND_LOCKS: u64;
-
-    /// Place a payload run on `client`'s chain with
-    /// [`append_run`](crate::placement::append_run) semantics: one
-    /// `chain_append` draw per piece, the whole run rolled back on error —
-    /// so the driver may retry it. `primary` is true for the producer's own
-    /// run and false for a buddy's replica run, whose chain may not exist
-    /// yet.
-    fn append(
-        &mut self,
-        client: ClientId,
-        payloads: Vec<Payload>,
-        primary: bool,
-    ) -> SimResult<Vec<PlacedSegment>>;
-
-    /// Commit sealed `records` over `[op.offset, end)`: the `kv_insert`
-    /// fault draw — the only fallible step, taken *before* any mutation, so
-    /// the driver may retry it — then the punch, fragment re-inserts,
-    /// node-buffer sweep, record puts, producer node-buffer refresh and
-    /// generation bump, in that order wherever the order is observable.
-    /// Returns the displaced spans in global key order.
-    fn commit(
-        &mut self,
-        op: &WriteOp,
-        end: u64,
-        records: &[(u64, SegmentRecord)],
-    ) -> SimResult<BatchOutcome>;
-
-    /// Close the write out: release `spans` (sorted by owning chain, punch
-    /// order within one) and settle whatever this runtime still owes — the
-    /// fire-and-forget finish wave on the routed path. Infallible. Returns
-    /// the counted chain locks taken.
-    fn finish(&mut self, op: &WriteOp, records: &[(u64, SegmentRecord)], spans: Vec<Span>) -> u64;
 }
 
 /// Grid pieces `[offset, offset + len)` splits into.
@@ -206,12 +116,11 @@ pub(crate) fn coalesce(
 
 /// Resilience (future work of the paper): mirror the pieces that landed on
 /// volatile layers into `buddy`'s chain as one run, after the primary run
-/// completed (never two chains at once). Best-effort: a failed buddy run
-/// degrades resilience, it does not fail the write. Returns the per-piece
-/// replica placements, empty when nothing was mirrored.
-fn replicate<E: WriteExecutor>(
-    exec: &mut E,
-    policy: &WritePolicy,
+/// completed (never two chain locks at once). Best-effort: a failed buddy
+/// run degrades resilience, it does not fail the write. Returns the
+/// per-piece replica placements, empty when nothing was mirrored.
+fn replicate(
+    plane: &DataPlane,
     buddy: Option<ClientId>,
     payloads: &[Payload],
     placed: &[PlacedSegment],
@@ -229,60 +138,59 @@ fn replicate<E: WriteExecutor>(
     if volatile.is_empty() {
         return Vec::new();
     }
-    locks.chain += E::APPEND_LOCKS;
+    locks.chain += 1;
     let copies: Vec<Payload> = volatile.iter().map(|&i| payloads[i].clone()).collect();
-    let mirrored = with_retries(&policy.retry, Some(&policy.metrics), || {
-        exec.append(buddy, copies.clone(), false)
+    // The buddy's chain may not exist yet.
+    let mirrored = with_retries(&plane.cfg.retry, Some(&plane.metrics), || {
+        plane.ensure_chain(buddy)?;
+        plane.core.chains.append_many(buddy, copies.clone())
     });
     let mut replicas = vec![None; placed.len()];
     if let Ok(rplaced) = mirrored {
         for (&i, rp) in volatile.iter().zip(&rplaced) {
             replicas[i] = Some((buddy, rp.va, rp.layer));
-            policy.metrics.record_replication(placed[i].len);
+            plane.metrics.record_replication(placed[i].len);
         }
     }
     replicas
 }
 
-/// Write `payload` at `op.offset`: plan every grid piece up front, place
-/// the run with one append, replicate volatile pieces with one buddy
-/// append, coalesce into records, stamp each sealed record once, commit
-/// them with one punch over the full span, release displaced log space
-/// grouped by owning chain, and account the call.
-pub(crate) fn write<E: WriteExecutor>(
-    exec: &mut E,
-    policy: &WritePolicy,
-    op: &WriteOp,
-    payload: Payload,
-) -> SimResult<()> {
-    let metrics = &*policy.metrics;
+/// Write `payload` at `op.offset` (the producer's chain must exist): plan
+/// every grid piece up front, place the run with one append, replicate
+/// volatile pieces with one buddy append, coalesce into records, stamp each
+/// sealed record once, commit them with one punch over the full span,
+/// release displaced log space grouped by owning chain, and account the
+/// call.
+pub(crate) fn write(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimResult<()> {
+    let (cfg, core, metrics) = (&plane.cfg, &plane.core, &*plane.metrics);
     let len = payload.len();
     let end = op.offset + len;
-    let pieces = plan_pieces(policy.segment_size, op.offset, len);
+    let pieces = plan_pieces(cfg.segment_size, op.offset, len);
     let payloads: Vec<Payload> = pieces
         .iter()
         .map(|&(cur, plen)| payload.slice(cur - op.offset, plen))
         .collect();
     let mut locks = WriteLockCounts::default();
 
-    let placed = with_retries(&policy.retry, Some(metrics), || {
-        exec.append(op.client, payloads.clone(), true)
+    let placed = with_retries(&cfg.retry, Some(metrics), || {
+        core.chains.append_many(op.client, payloads.clone())
     })?;
-    locks.chain += E::APPEND_LOCKS;
-    let replicas = replicate(exec, policy, op.buddy, &payloads, &placed, &mut locks);
+    locks.chain += 1;
+    let replicas = replicate(plane, op.buddy, &payloads, &placed, &mut locks);
 
     for p in &placed {
         metrics.record_segment(p.tier, p.layer, p.len);
     }
-    let mut records = coalesce(op.client, &pieces, &placed, &replicas, policy.range_size);
+    let range = cfg.metadata_range_size;
+    let mut records = coalesce(op.client, &pieces, &placed, &replicas, range);
     // Records are sealed: stamp each one's span of the payload once.
-    if let Some(verifier) = &policy.stamper {
-        stamp_records(verifier, &payload, op.offset, &mut records);
+    if cfg.integrity.checksums {
+        stamp_records(&plane.verifier, &payload, op.offset, &mut records);
     }
-    assert_batch_records(policy.range_size, op.offset, end, &records);
 
-    let outcome = with_retries(&policy.retry, Some(metrics), || {
-        exec.commit(op, end, &records)
+    let outcome = with_retries(&cfg.retry, Some(metrics), || {
+        core.metadata
+            .insert_batch(op.fid, op.offset, end, &records, op.node)
     })?;
     locks.kv_shard += outcome.locks.kv_shard_acquisitions;
     locks.node_buffer += outcome.locks.node_buffer_acquisitions;
@@ -300,7 +208,7 @@ pub(crate) fn write<E: WriteExecutor>(
         }
     }
     spans.sort_by_key(|&(c, _, _)| c);
-    locks.chain += exec.finish(op, &records, spans);
+    locks.chain += core.chains.release_many(&spans);
 
     metrics.record_write_batch(pieces.len() as u64, records.len() as u64, locks);
     Ok(())
@@ -309,6 +217,7 @@ pub(crate) fn write<E: WriteExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::Verifier;
 
     const C: ClientId = ClientId { app: 0, rank: 0 };
     const B: ClientId = ClientId { app: 0, rank: 2 };

@@ -1,11 +1,12 @@
-//! Partitioned-runtime pinning (DESIGN.md §13): the shared-nothing
-//! runtime must be observably identical to the locked reference — same
-//! bytes, same `ReadTrace` accounting, same placement statistics — while
-//! taking **zero** counted shared-lock acquisitions on the steady-state
-//! data path. Plus the routing edge cases: spans crossing every
+//! Partitioned-runtime pinning (DESIGN.md §13): the partitioned runtime
+//! runs the locked core's own write and read on its workers, so it must be
+//! observably identical to the locked runtime — same bytes, same
+//! `ReadTrace` accounting, same placement statistics, same counted locks —
+//! while every write or read costs exactly one message and one awaited
+//! round-trip. Plus the routing edge cases: spans crossing every KV
 //! partition, a single-worker pool, `fail_node`/`restore_node` racing
-//! in-flight messages, and clean shutdown draining non-empty mailboxes,
-//! and the shared-read-view non-starvation regression.
+//! in-flight messages, clean shutdown, a depth-one mailbox, and the
+//! shared-read-view non-starvation regression.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,7 +41,7 @@ fn round_trips(j: &UniviStorJob) -> u64 {
 /// tile a 4 KiB file, then random overwrites interleave with random
 /// reads. Every read is checked against the flat model *and* returned
 /// for cross-runtime comparison, along with the awaited round-trips each
-/// write cost (1 = the fused path, more = the two-wave path, 0 = locked).
+/// write cost (1 on the partitioned runtime, 0 on the locked one).
 fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>, Vec<u64>) {
     let span = 4096u64;
     let mut model = SparseBuffer::new();
@@ -85,67 +86,16 @@ fn mixed_workload(j: &UniviStorJob) -> (SparseBuffer, Vec<Payload>, Vec<u64>) {
     (model, reads, write_trips)
 }
 
-/// The tentpole claim: a steady-state write + read on the partitioned
-/// runtime takes zero counted shared-lock acquisitions end to end, while
-/// the same operations on the locked runtime demonstrably feed those
-/// counters (so a regression cannot hide behind a dead metric).
-#[test]
-fn partitioned_steady_state_takes_no_counted_locks() {
-    let run = |runtime| {
-        let j = Arc::new(UniviStorJob::new(cfg(runtime)));
-        j.open_file("/z").read_write().by(client(0)).unwrap();
-        j.write(client(0), "/z", 0, Payload::pattern(1, 1024))
-            .unwrap();
-        let got = j.read(client(0), "/z", 0, 1024).unwrap();
-        assert!(got.content_eq(&Payload::pattern(1, 1024)));
-        j.metrics()
-    };
-
-    let part = run(Runtime::Partitioned);
-    assert_eq!(
-        part.counter_total("univistor_write_lock_acquisitions_total"),
-        0,
-        "partitioned write path must take no counted locks"
-    );
-    assert_eq!(
-        part.counter_total("univistor_read_lock_acquisitions_total"),
-        0,
-        "partitioned read path must take no counted locks"
-    );
-    // The work really went through the mailboxes…
-    assert!(part.counter_total("univistor_partition_messages_total") > 0);
-    assert!(part.counter_total("univistor_partition_batched_ops_total") > 0);
-
-    // …and the locked control run proves the counters are live.
-    let locked = run(Runtime::Locked);
-    assert!(locked.counter_total("univistor_write_lock_acquisitions_total") > 0);
-    assert!(
-        locked
-            .counter(
-                "univistor_read_lock_acquisitions_total",
-                &[("lock", "chain")]
-            )
-            .unwrap_or(0)
-            > 0
-    );
-    assert_eq!(
-        locked.counter_total("univistor_partition_messages_total"),
-        0,
-        "locked runtime routes nothing through mailboxes"
-    );
-}
-
-/// Byte-identity, accounting and executor-conformance differential: the
-/// same deterministic mixed workload (tiling writes, random overwrites,
-/// random reads) through all three write executors — the locked core, a
-/// 4-worker pool (block-0 writes from node 0 take the fused path, the rest
-/// the two-wave path) and a 1-worker pool (every unreplicated write is
-/// fused) — with `replicate_volatile` off and on, fault-free and under a
-/// transient drizzle. Identical bytes on every read, identical index
-/// records (VAs, replicas and stamped checksums), identical aggregated
-/// `ReadTrace` and placement statistics, and identical fault-draw
-/// outcomes (a fault fires as a pure function of the draw index, so equal
-/// firing and retry counts pin the draw order).
+/// Byte-identity and accounting differential: the same deterministic
+/// mixed workload (tiling writes, random overwrites, random reads) on the
+/// locked runtime, a 4-worker pool and a 1-worker pool, with
+/// `replicate_volatile` off and on, fault-free and under a transient
+/// drizzle. Every partitioned write costs one round-trip; identical bytes
+/// on every read, identical index records (VAs, replicas and stamped
+/// checksums), identical aggregated `ReadTrace`, placement statistics and
+/// counted lock acquisitions, and identical fault-draw outcomes (a fault
+/// fires as a pure function of the draw index, so equal firing and retry
+/// counts pin the draw order).
 #[test]
 fn runtimes_agree_on_bytes_traces_and_stats() {
     for (replicate, drizzle) in [(false, false), (true, false), (false, true), (true, true)] {
@@ -172,18 +122,12 @@ fn runtimes_agree_on_bytes_traces_and_stats() {
             let ctx = format!("{ctx} workers={partitions}");
             let (part, part_reads, write_trips) = run(Runtime::Partitioned, partitions);
 
-            // Which executor ran: retries of a fused write stay inside
-            // the handler, so it costs one round-trip even under faults.
-            let fused = write_trips.iter().filter(|&&t| t == 1).count();
-            match (replicate, partitions) {
-                (true, _) => assert_eq!(fused, 0, "{ctx}: replication gates the fused path off"),
-                (false, 1) => assert_eq!(fused, write_trips.len(), "{ctx}: one owner, all fused"),
-                (false, _) => assert!(
-                    0 < fused && fused < write_trips.len(),
-                    "{ctx}: {fused} of {} writes fused — both paths must run",
-                    write_trips.len()
-                ),
-            }
+            // Retries run on the worker, so a write costs one round-trip
+            // even under faults.
+            assert!(
+                write_trips.iter().all(|&t| t == 1),
+                "{ctx}: write round-trips {write_trips:?}"
+            );
 
             assert_eq!(locked_reads.len(), part_reads.len());
             for (i, (a, b)) in locked_reads.iter().zip(&part_reads).enumerate() {
@@ -217,6 +161,8 @@ fn runtimes_agree_on_bytes_traces_and_stats() {
                 "univistor_retries_total",
                 "univistor_write_pieces_total",
                 "univistor_write_records_total",
+                "univistor_write_lock_acquisitions_total",
+                "univistor_read_lock_acquisitions_total",
             ] {
                 assert_eq!(
                     a.counter_total(family),
@@ -234,7 +180,7 @@ fn runtimes_agree_on_bytes_traces_and_stats() {
 
 /// Fault-injection differential: under a transient-fault drizzle plus a
 /// scheduled mid-workload node loss (with replication covering it), both
-/// runtimes still return exactly the model's bytes — the routed path's
+/// runtimes still return exactly the model's bytes — the worker-run path's
 /// retry draws and degraded rerouting lose nothing.
 #[test]
 fn runtimes_agree_under_fault_injection() {
@@ -296,7 +242,7 @@ fn runtimes_agree_under_fault_injection() {
 
 /// Active-tiering differential: with the cadence trigger spilling and
 /// promoting mid-workload, both runtimes land on identical bytes and
-/// identical per-tier residency — the checkout pass sees the same heat.
+/// identical per-tier residency — the pass sees the same heat.
 #[test]
 fn runtimes_agree_with_active_tiering() {
     let run = |runtime| {
@@ -319,9 +265,9 @@ fn runtimes_agree_with_active_tiering() {
     );
 }
 
-/// The background daemon ticking over the partitioned runtime (checkout
-/// passes racing routed writes and reads from two threads) never
-/// corrupts data: the final patterns read back exactly.
+/// The background daemon ticking over the partitioned runtime (passes on
+/// the shared core racing worker-run writes and reads from two threads)
+/// never corrupts data: the final patterns read back exactly.
 #[test]
 fn daemon_over_partitioned_runtime_preserves_bytes() {
     let mut c = cfg(Runtime::Partitioned);
@@ -375,9 +321,9 @@ fn daemon_over_partitioned_runtime_preserves_bytes() {
     }
 }
 
-/// A single write/read pair spanning every metadata range drives traffic
-/// through **all four** partition workers, and the bytes survive the
-/// scatter-gather.
+/// A write spanning every metadata range (and so all four KV partitions)
+/// reads back exactly, and each call ran on the worker owning its
+/// caller's node: workers own nodes, not key ranges.
 #[test]
 fn spans_crossing_every_partition_route_correctly() {
     let j = Arc::new(UniviStorJob::new(cfg(Runtime::Partitioned)));
@@ -398,16 +344,18 @@ fn spans_crossing_every_partition_route_correctly() {
     assert!(got.slice(0, 8192).content_eq(&wide));
     assert!(got.slice(8192, 1024).content_eq(&Payload::pattern(6, 1024)));
     let snap = j.metrics();
-    for p in 0..4 {
-        let label = p.to_string();
-        let n = snap
-            .counter(
+    let messages: Vec<u64> = (0..4)
+        .map(|p| {
+            let label = p.to_string();
+            snap.counter(
                 "univistor_partition_messages_total",
                 &[("partition", label.as_str())],
             )
-            .unwrap_or(0);
-        assert!(n > 0, "partition {p} saw no traffic for an all-span write");
-    }
+            .unwrap_or(0)
+        })
+        .collect();
+    // Node 0's write on worker 0; node 1's write and read on worker 1.
+    assert_eq!(messages, [1, 2, 0, 0]);
 }
 
 /// `partitions = 1` collapses the pool to a single worker that owns
@@ -474,9 +422,9 @@ fn node_flapping_races_in_flight_messages() {
     assert!(got.content_eq(&Payload::pattern(77, 4096)));
 }
 
-/// Dropping the job drains every mailbox before the workers exit: the
-/// fire-and-forget heat bumps queued by reads are all processed (the
-/// depth gauge returns to zero) rather than thrown away mid-queue.
+/// Dropping the job drains every mailbox before the workers exit: every
+/// post, the shutdown message included, is matched by a dequeue (the
+/// depth gauge returns to zero).
 #[test]
 fn shutdown_drains_queued_mailbox_messages() {
     let metrics;
@@ -486,8 +434,6 @@ fn shutdown_drains_queued_mailbox_messages() {
         j.open_file("/q").read_write().by(client(0)).unwrap();
         j.write(client(0), "/q", 0, Payload::pattern(3, 4096))
             .unwrap();
-        // Each read fires an asynchronous heat bump; drop immediately
-        // after so some are still queued when shutdown begins.
         for i in 0..16u64 {
             j.read(client(0), "/q", (i % 4) * 1024, 1024).unwrap();
         }
@@ -508,65 +454,13 @@ fn shutdown_drains_queued_mailbox_messages() {
     assert!(snap.counter_total("univistor_partition_messages_total") > 0);
 }
 
-/// The fused-protocol message budget: a steady-state batched write on
-/// the partitioned runtime costs at most **2 awaited round-trips per
-/// involved worker** (one append + one `WriteCommit` to the chain
-/// owner, one `WriteCommit` to each other span owner — everything else
-/// rides fire-and-forget finish posts), a fresh single-block write from
-/// the block's owner costs exactly **1** (the fused fast path), and the
-/// lock counters stay at zero throughout.
+/// The message budget: on the partitioned runtime every `write` and
+/// `read` call costs exactly one awaited round-trip and one message,
+/// whatever it touches — one owner's range, all four KV partitions, an
+/// overwrite, a replicated write — and, once the reply-slot pool holds a
+/// slot, no call allocates one.
 #[test]
-fn batched_write_stays_within_two_round_trips_per_worker() {
-    let j = Arc::new(UniviStorJob::new(cfg(Runtime::Partitioned)));
-    assert_eq!(j.partition_workers(), 4);
-    j.open_file("/rt")
-        .read_write()
-        .representing(4)
-        .by(client(0))
-        .unwrap();
-
-    // Fused fast path: rank 0 (node 0 → worker 0) writes the first
-    // metadata block, whose widened span worker 0 owns outright.
-    let before = round_trips(&j);
-    j.write(client(0), "/rt", 0, Payload::pattern(1, 1024))
-        .unwrap();
-    assert_eq!(
-        round_trips(&j) - before,
-        1,
-        "single-owner write must commit in one fused round-trip"
-    );
-
-    // General path: 4 KiB from rank 2 spans all four KV partitions →
-    // all four workers involved. One append plus one commit per span
-    // owner = 5 awaited round-trips ≤ 2 × 4; the punch sweep, fragment
-    // puts, buffer refresh, and releases are fire-and-forget.
-    let before = round_trips(&j);
-    j.write(client(2), "/rt", 0, Payload::pattern(2, 4096))
-        .unwrap();
-    let wide = round_trips(&j) - before;
-    assert!(
-        wide <= 2 * 4,
-        "all-partition write took {wide} round-trips (> 2 per worker)"
-    );
-    assert_eq!(wide, 5, "append + one WriteCommit per span owner");
-
-    // Overwriting the same span adds no extra awaited waves — the
-    // sweep/release work stays asynchronous.
-    let before = round_trips(&j);
-    j.write(client(2), "/rt", 0, Payload::pattern(3, 4096))
-        .unwrap();
-    assert_eq!(round_trips(&j) - before, 5, "overwrite must not add waves");
-
-    // Steady state (the reply-slot pool has grown to the widest wave):
-    // fused rewrites of a file only their writer's node tracks cost
-    // exactly one round-trip and one message each — the displaced space
-    // is the writer's own, so no finish post follows — and no round-trip,
-    // fused or wide, allocates a reply slot. (Messages are counted at
-    // dequeue, so a wide write's fire-and-forget finish wave may still
-    // trickle in.)
-    j.open_file("/solo").read_write().by(client(0)).unwrap();
-    j.write(client(0), "/solo", 0, Payload::pattern(9, 1024))
-        .unwrap();
+fn each_call_is_one_round_trip_and_one_message() {
     let plane = |j: &UniviStorJob| {
         let snap = j.metrics();
         (
@@ -575,37 +469,55 @@ fn batched_write_stays_within_two_round_trips_per_worker() {
             snap.counter_total("univistor_msgplane_reply_pool_misses_total"),
         )
     };
-    let (trips0, messages0, misses0) = plane(&j);
-    for i in 0..50 {
-        j.write(client(0), "/solo", 0, Payload::pattern(10 + i, 1024))
+    for replicate in [false, true] {
+        let mut c = cfg(Runtime::Partitioned);
+        c.replicate_volatile = replicate;
+        let j = Arc::new(UniviStorJob::new(c));
+        assert_eq!(j.partition_workers(), 4);
+        j.open_file("/rt")
+            .read_write()
+            .representing(4)
+            .by(client(0))
             .unwrap();
+        let calls: [(&str, u32, u64, u64); 5] = [
+            ("single-owner write", 0, 0, 1024),
+            ("all-partition write", 2, 0, 4096),
+            ("overwrite", 2, 0, 4096),
+            ("single-owner read", 0, 0, 1024),
+            ("all-partition read", 3, 0, 4096),
+        ];
+        for (i, (what, rank, offset, len)) in calls.into_iter().enumerate() {
+            let before = plane(&j);
+            if what.ends_with("write") {
+                let p = Payload::pattern(i as u64, len);
+                j.write(client(rank), "/rt", offset, p).unwrap();
+            } else {
+                j.read(client(rank), "/rt", offset, len).unwrap();
+            }
+            let after = plane(&j);
+            let ctx = format!("replicate={replicate} {what}");
+            assert_eq!(after.0 - before.0, 1, "{ctx}: round-trips");
+            assert_eq!(after.1 - before.1, 1, "{ctx}: messages");
+        }
+        // Steady state: sequential calls recycle the one slot.
+        let before = plane(&j);
+        for i in 0..50u64 {
+            let rank = (i % 4) as u32;
+            j.write(client(rank), "/rt", 0, Payload::pattern(10 + i, 4096))
+                .unwrap();
+            j.read(client(rank), "/rt", 0, 4096).unwrap();
+        }
+        let after = plane(&j);
+        assert_eq!(after.0 - before.0, 100, "replicate={replicate}");
+        assert_eq!(after.1 - before.1, 100, "replicate={replicate}");
+        assert_eq!(after.2, 1, "replicate={replicate}: one slot ever allocated");
     }
-    j.write(client(2), "/rt", 0, Payload::pattern(4, 4096))
-        .unwrap();
-    let (trips1, messages1, misses1) = plane(&j);
-    assert_eq!(trips1 - trips0, 50 + 5);
-    let messages = messages1 - messages0;
-    assert!(
-        (50 + 5..=50 + 5 + 2 * 4).contains(&messages),
-        "{messages} messages for 50 fused + 1 wide write"
-    );
-    assert_eq!(misses1 - misses0, 0, "steady-state reply-slot allocation");
-
-    let snap = j.metrics();
-    assert_eq!(
-        snap.counter_total("univistor_write_lock_acquisitions_total"),
-        0
-    );
-    assert_eq!(
-        snap.counter_total("univistor_read_lock_acquisitions_total"),
-        0
-    );
 }
 
-/// A depth-1 mailbox still drains a write spanning every partition:
-/// workers never post to other workers, so any mailbox depth ≥ 1 is
-/// deadlock-free — the router just blocks (backpressure) when a worker
-/// falls behind.
+/// A depth-1 mailbox still drains writes spanning every partition from
+/// several threads at once: workers never post to other workers, so any
+/// mailbox depth ≥ 1 is deadlock-free — a caller just blocks
+/// (backpressure) when its worker falls behind.
 #[test]
 fn depth_one_mailbox_drains_a_multi_partition_write() {
     let mut c = cfg(Runtime::Partitioned);
@@ -617,18 +529,26 @@ fn depth_one_mailbox_drains_a_multi_partition_write() {
         .representing(4)
         .by(client(0))
         .unwrap();
-    // 8 KiB across all four workers, twice (the overwrite adds the
-    // punch sweep + release fan-out), then a full read-back.
-    j.write(client(0), "/narrow", 0, Payload::pattern(1, 8192))
-        .unwrap();
-    j.write(client(2), "/narrow", 0, Payload::pattern(2, 8192))
+    // 8 KiB across all four KV partitions from each rank at once, then
+    // the last writer's overwrite and a full read-back.
+    std::thread::scope(|s| {
+        for rank in 0..4u32 {
+            let j = &j;
+            s.spawn(move || {
+                let p = Payload::pattern(rank as u64, 8192);
+                j.write(client(rank), "/narrow", 0, p).unwrap();
+                j.read(client(rank), "/narrow", 0, 8192).unwrap();
+            });
+        }
+    });
+    j.write(client(2), "/narrow", 0, Payload::pattern(9, 8192))
         .unwrap();
     let got = j.read(client(3), "/narrow", 0, 8192).unwrap();
-    assert!(got.content_eq(&Payload::pattern(2, 8192)));
+    assert!(got.content_eq(&Payload::pattern(9, 8192)));
 }
 
-/// Rollback spanning the stages of a fused commit: a transient fault
-/// exhausting the append retries inside the fused handler must leave
+/// Rollback spanning the stages of a worker-run commit: a transient fault
+/// exhausting the append retries on the partition worker must leave
 /// **no** partial stage behind — no chain bytes, no KV records, no bytes
 /// counted as cached, as if the write never happened.
 #[test]
@@ -646,7 +566,6 @@ fn no_partial_stage_of_a_fused_commit_survives_append_failure() {
     let cached = |j: &UniviStorJob| j.metrics().counter_total("univistor_cached_bytes_total");
     let live = |j: &UniviStorJob| j.tier_usage().iter().map(|&(_, used)| used).sum::<u64>();
     let (cached_before, live_before) = (cached(&j), live(&j));
-    // Rank 0 at offset 0: the single-owner fused path.
     let err = j.write(client(0), "/roll", 0, Payload::pattern(1, 1024));
     assert!(err.is_err(), "exhausted retries must surface the fault");
     assert_eq!(j.metadata_records(), 0, "a KV record survived rollback");
@@ -655,7 +574,7 @@ fn no_partial_stage_of_a_fused_commit_survives_append_failure() {
 }
 
 /// Same-seed replay equivalence with transient faults landing *inside*
-/// fused commits: both runtimes replay the identical overwrite-heavy
+/// worker-run commits: both runtimes replay the identical overwrite-heavy
 /// single-client workload under the same fault seed, drawing faults at
 /// the same logical points (per-piece appends, the kv-insert draw, the
 /// kv-lookup draw), so retries consume the same draws and the final
@@ -674,9 +593,8 @@ fn runtimes_replay_identically_under_faults_mid_fused_commit() {
         let j = Arc::new(UniviStorJob::new(c));
         j.open_file("/replay").read_write().by(client(0)).unwrap();
         let mut model = SparseBuffer::new();
-        // Rank 0 hammering block 0: every write takes the fused path,
-        // and from the second on the punch + sweep run mid-fused-commit
-        // under the fault drizzle.
+        // Rank 0 hammering block 0: from the second write on, the punch
+        // + sweep run mid-commit under the fault drizzle.
         for i in 0..24u64 {
             let offset = (i % 4) * 256;
             let p = Payload::pattern(i, 256);

@@ -323,40 +323,6 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
         (claimed, acquisitions)
     }
 
-    /// Rebuild a store from previously extracted parts (shard maps plus
-    /// per-server counter values, indexed by server). The inverse of
-    /// [`into_parts`](Self::into_parts); used by partitioned runtimes to
-    /// assemble a locked view from worker-owned slices.
-    pub fn from_parts(
-        range_size: u64,
-        shards: Vec<BTreeMap<K, V>>,
-        puts: Vec<u64>,
-        gets: Vec<u64>,
-    ) -> Self {
-        let servers = shards.len();
-        assert_eq!(puts.len(), servers);
-        assert_eq!(gets.len(), servers);
-        DistKv {
-            partitioner: RangePartitioner::new(range_size, servers),
-            shards: shards.into_iter().map(RwLock::new).collect(),
-            puts: puts.into_iter().map(AtomicU64::new).collect(),
-            gets: gets.into_iter().map(AtomicU64::new).collect(),
-        }
-    }
-
-    /// Decompose the store into its shard maps and per-server counter
-    /// values. The inverse of [`from_parts`](Self::from_parts).
-    pub fn into_parts(self) -> (Vec<BTreeMap<K, V>>, Vec<u64>, Vec<u64>) {
-        (
-            self.shards
-                .into_iter()
-                .map(|s| s.into_inner().expect("kv shard poisoned"))
-                .collect(),
-            self.puts.into_iter().map(|c| c.into_inner()).collect(),
-            self.gets.into_iter().map(|c| c.into_inner()).collect(),
-        )
-    }
-
     /// Records per server (distribution inspection).
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards
