@@ -9,7 +9,6 @@
 //!   rejected centralized map (insert and range-lookup);
 //! * `striping` — adaptive (Eqs. 2–6) vs. naive planning;
 //! * `read_path` — location-aware vs. naive read planning;
-//! * `flow_solver` — max–min fair allocation at growing flow counts;
 //! * `sparse_buffer` — extent-map write/read.
 //!
 //! Run with `cargo bench -p univistor-bench`. Pass a substring argument
@@ -26,8 +25,7 @@ use univistor_core::read::ReadService;
 use univistor_core::striping::{adaptive_plan, naive_plan};
 use univistor_core::va::{Tier, TierMap, VirtualAddr};
 use univistor_kv::CentralizedKv;
-use univistor_sim::flow::FlowSpec;
-use univistor_sim::{FlowSim, Payload, SimTime, SparseBuffer};
+use univistor_sim::{Payload, SparseBuffer};
 
 /// Time `f` for at least ~0.2 s after warmup and report ns/iteration.
 fn bench<R>(filter: &Option<String>, name: &str, mut f: impl FnMut() -> R) {
@@ -233,23 +231,6 @@ fn bench_read_path(filter: &Option<String>) {
     }
 }
 
-fn bench_flow_solver(filter: &Option<String>) {
-    for groups in [16usize, 128, 1024] {
-        bench(filter, &format!("flow_solver/groups/{groups}"), || {
-            let mut sim = FlowSim::new();
-            let resources: Vec<_> = (0..64)
-                .map(|i| sim.add_resource(format!("r{i}"), 1e9 + i as f64).unwrap())
-                .collect();
-            for i in 0..groups {
-                let path = vec![resources[i % 64], resources[(i * 7 + 1) % 64]];
-                sim.add_flow(FlowSpec::new(SimTime::ZERO, 1e6 + i as f64, path).with_count(16))
-                    .unwrap();
-            }
-            FlowSim::makespan(&sim.run()).secs()
-        });
-    }
-}
-
 fn bench_sparse_buffer(filter: &Option<String>) {
     bench(filter, "sparse_buffer/sequential_writes", || {
         let mut buf = SparseBuffer::new();
@@ -275,6 +256,5 @@ fn main() {
     bench_metadata(&filter);
     bench_striping(&filter);
     bench_read_path(&filter);
-    bench_flow_solver(&filter);
     bench_sparse_buffer(&filter);
 }

@@ -20,7 +20,7 @@
 //!
 //! Criterion micro-benches (`benches/micro.rs`) cover the data-structure
 //! ablations (log append, VA codec, distributed-vs-centralized metadata,
-//! striping planners, read paths, flow solver).
+//! striping planners, read paths, sparse buffers).
 
 pub mod cli;
 pub mod figures;

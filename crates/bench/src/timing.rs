@@ -6,8 +6,8 @@
 //! SSDs, OSTs), plus serial overheads (open/close metadata storms, stripe
 //! synchronization, lock revocations). For the symmetric bulk-synchronous
 //! phases the evaluation measures, this max-of-bottlenecks closed form
-//! equals the max–min-fair flow allocation; the flow simulator in
-//! `univistor_sim::flow` is used by tests to cross-check that claim.
+//! equals the max–min-fair flow allocation; a progressive-filling
+//! reference in this module's tests cross-checks that claim.
 //!
 //! Scheduling (IA vs. CFS) enters through real placements: every node's
 //! core assignment is computed with the actual policy implementations and
@@ -111,11 +111,6 @@ impl Platform {
     /// NIC aggregate bandwidth.
     pub fn nic_aggregate_bw(&self) -> f64 {
         self.geometry.nodes as f64 * self.cal.nic_bw
-    }
-
-    /// Socket-memory aggregate bandwidth.
-    pub fn mem_aggregate_bw(&self) -> f64 {
-        (self.geometry.nodes * self.cal.sockets_per_node) as f64 * self.cal.socket_mem_bw
     }
 
     /// Compute real placements on every node with the selected policy and
@@ -625,38 +620,69 @@ mod tests {
         );
     }
 
+    /// Max–min fair finish times of `flows` (`(bytes, rate cap)`) sharing
+    /// one pool of `bw` bytes/s, all starting at 0: progressive filling
+    /// grants the smallest caps first and splits what is left evenly among
+    /// the rest, re-rated at every completion.
+    fn maxmin_finish(bw: f64, flows: &[(f64, f64)]) -> Vec<f64> {
+        let mut left: Vec<f64> = flows.iter().map(|f| f.0).collect();
+        let mut finish = vec![0.0; flows.len()];
+        let mut active: Vec<usize> = (0..flows.len()).collect();
+        active.sort_by(|&a, &b| flows[a].1.total_cmp(&flows[b].1));
+        let mut now = 0.0;
+        while !active.is_empty() {
+            let (mut pool, n) = (bw, active.len());
+            let rates: Vec<f64> = (0..n)
+                .map(|k| {
+                    let rate = flows[active[k]].1.min(pool / (n - k) as f64);
+                    pool -= rate;
+                    rate
+                })
+                .collect();
+            let dt = (0..n)
+                .map(|k| left[active[k]] / rates[k])
+                .fold(f64::INFINITY, f64::min);
+            now += dt;
+            for (&i, rate) in active.iter().zip(&rates) {
+                left[i] -= rate * dt;
+                if left[i] <= 1e-6 {
+                    finish[i] = now;
+                }
+            }
+            active.retain(|&i| left[i] > 1e-6);
+        }
+        finish
+    }
+
     #[test]
-    fn analytic_write_time_matches_flow_simulator() {
+    fn maxmin_reference_known_answer() {
+        // Capped at 1 B/s, flow 0 leaves 9 B/s to the other two until they
+        // finish at 10 / 4.5 s; it then drains its last 70/9 bytes alone.
+        let inf = f64::INFINITY;
+        let got = maxmin_finish(10.0, &[(10.0, 1.0), (10.0, inf), (10.0, inf)]);
+        for (g, want) in got.iter().zip([10.0, 20.0 / 9.0, 20.0 / 9.0]) {
+            assert!((g - want).abs() < 1e-12, "{got:?}");
+        }
+    }
+
+    #[test]
+    fn analytic_write_time_matches_maxmin_allocation() {
         // The module doc promises the closed form equals the max–min-fair
         // flow allocation for symmetric phases. Check the DRAM sub-phase
-        // against an explicit FlowSim run with one flow per client.
+        // against the reference with one flow per client, at the
+        // calibrated socket bandwidth (the clients' rate caps bind) and at
+        // a starved one (the socket binds).
         use univistor_core::sched::InterferenceAwarePolicy;
         use univistor_sim::cores::{ContentionModel, PlacementPolicy, SERVER_PROGRAM};
-        use univistor_sim::flow::FlowSpec;
-        use univistor_sim::{FlowSim, SimTime};
 
-        let p = Platform::paper(256); // 8 nodes x 32 clients
+        let mut p = Platform::paper(256); // 8 nodes x 32 clients
         let bytes = 64u64 << 20;
         let f = Features {
             collective_open_close: true,
             ..Features::default()
         };
-        // Analytic DRAM time, stripped of the md/open-close latencies.
-        let analytic = p.univistor_write_time(
-            &f,
-            TierBytes {
-                dram: bytes,
-                ..Default::default()
-            },
-            0,
-        ) - 2.0 * p.open_close_cost(&f);
-
-        // Flow-simulator ground truth: per-socket memory resources,
-        // one flow per client with its contention-model rate cap.
-        let shape = univistor_sim::cores::NodeShape {
-            sockets: p.cal.sockets_per_node,
-            cores_per_socket: p.cal.cores_per_socket,
-        };
+        // All nodes are identical under IA; place one node.
+        let shape = p.shape();
         let programs = [
             (0u32, p.geometry.procs_per_node),
             (SERVER_PROGRAM, p.geometry.servers_per_node),
@@ -666,26 +692,34 @@ mod tests {
             per_proc_copy_bw: p.cal.per_proc_copy_bw,
             ctx_switch_efficiency: p.cal.ctx_switch_efficiency,
         };
-        let mut sim = FlowSim::new();
-        // All nodes are identical under IA; simulate one node.
-        let sockets: Vec<_> = (0..shape.sockets)
-            .map(|s| {
-                sim.add_resource(format!("s{s}"), p.cal.socket_mem_bw)
-                    .unwrap()
-            })
-            .collect();
-        for r in model.proc_rates(&assignment, |s| s.program == 0) {
-            sim.add_flow(
-                FlowSpec::new(SimTime::ZERO, bytes as f64, vec![sockets[r.socket]])
-                    .with_rate_cap(r.rate_cap),
-            )
-            .unwrap();
+        let rates = model.proc_rates(&assignment, |s| s.program == 0);
+        for socket_mem_bw in [p.cal.socket_mem_bw, 4.0 * p.cal.per_proc_copy_bw] {
+            p.cal.socket_mem_bw = socket_mem_bw;
+            // Analytic DRAM time, stripped of the md/open-close latencies.
+            let dram = TierBytes {
+                dram: bytes,
+                ..Default::default()
+            };
+            let analytic = p.univistor_write_time(&f, dram, 0) - 2.0 * p.open_close_cost(&f);
+            // Max–min ground truth: one memory pool per socket, one flow
+            // per client with its contention-model rate cap.
+            let simulated = (0..shape.sockets)
+                .map(|s| {
+                    let flows: Vec<(f64, f64)> = rates
+                        .iter()
+                        .filter(|r| r.socket == s)
+                        .map(|r| (bytes as f64, r.rate_cap))
+                        .collect();
+                    maxmin_finish(socket_mem_bw, &flows)
+                        .into_iter()
+                        .fold(0.0, f64::max)
+                })
+                .fold(0.0, f64::max);
+            assert!(
+                (analytic - simulated).abs() < 1e-6 * simulated,
+                "socket {socket_mem_bw}: analytic {analytic} vs max-min {simulated}"
+            );
         }
-        let simulated = FlowSim::makespan(&sim.run()).secs();
-        assert!(
-            (analytic - simulated).abs() < 1e-6 * simulated.max(1e-12),
-            "analytic {analytic} vs simulated {simulated}"
-        );
     }
 
     #[test]

@@ -84,15 +84,6 @@ impl Error {
         matches!(self.source, SimError::Transient { .. })
     }
 
-    /// The injection site of a transient source (`None` for any other
-    /// source) — retry loops fold it into the op-kind retry label.
-    pub fn transient_site(&self) -> Option<&str> {
-        match &self.source {
-            SimError::Transient { site, .. } => Some(site),
-            _ => None,
-        }
-    }
-
     /// How many attempts a transient failure survived before being
     /// surfaced, when the source is transient (0 = failed on the first
     /// try, no retry loop involved).
@@ -103,23 +94,9 @@ impl Error {
         }
     }
 
-    /// Rewrite the attempt count of a transient source (used by retry
-    /// loops when they exhaust their budget). No-op for other sources.
-    pub fn with_attempts(mut self, attempts: u64) -> Self {
-        if let SimError::Transient { attempt, .. } = &mut self.source {
-            *attempt = attempts;
-        }
-        self
-    }
-
     /// The underlying simulation error.
     pub fn source_err(&self) -> &SimError {
         &self.source
-    }
-
-    /// Consume the wrapper, yielding the underlying simulation error.
-    pub fn into_source(self) -> SimError {
-        self.source
     }
 }
 
@@ -206,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_errors_expose_and_rewrite_attempts() {
+    fn transient_errors_expose_attempts() {
         let err = Error::new(
             "write",
             SimError::Transient {
@@ -217,15 +194,11 @@ mod tests {
         .with_client(ClientId::new(0, 3));
         assert!(err.is_transient());
         assert_eq!(err.attempts(), Some(0));
-        let err = err.with_attempts(4);
-        assert_eq!(err.attempts(), Some(4));
         let text = err.to_string();
         assert!(text.contains("chain_append"), "{text}");
-        assert!(text.contains("attempt 4"), "{text}");
 
         let solid = Error::new("open", SimError::InvalidConfig("x".into()));
         assert!(!solid.is_transient());
         assert_eq!(solid.attempts(), None);
-        assert_eq!(solid.clone().with_attempts(9), solid);
     }
 }

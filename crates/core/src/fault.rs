@@ -31,7 +31,6 @@ use std::time::Duration;
 use univistor_sim::rng::DetRng;
 use univistor_sim::{Payload, SimError, SimResult};
 
-use crate::error::Error;
 use crate::metadata::ClientId;
 use crate::metrics::{FaultCounters, JobMetrics};
 use crate::va::{Tier, VirtualAddr};
@@ -417,39 +416,6 @@ pub fn with_retries<T>(
                 }
                 if let Some(m) = metrics {
                     m.record_retry(&site);
-                }
-                let us = policy.backoff_us(attempt);
-                if us > 0 {
-                    std::thread::sleep(Duration::from_micros(us));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`with_retries`] for operations returning the crate-level [`Error`]:
-/// only transient sources are retried, and exhaustion rewrites the
-/// embedded attempt count.
-pub fn with_retries_ctx<T>(
-    policy: &RetryPolicy,
-    metrics: Option<&JobMetrics>,
-    mut op: impl FnMut() -> Result<T, Error>,
-) -> Result<T, Error> {
-    let mut attempt: u64 = 0;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() => {
-                attempt += 1;
-                if attempt >= policy.max_attempts.max(1) {
-                    if let Some(m) = metrics {
-                        m.record_retry_exhausted();
-                    }
-                    return Err(e.with_attempts(attempt));
-                }
-                if let Some(m) = metrics {
-                    m.record_retry(e.transient_site().unwrap_or(""));
                 }
                 let us = policy.backoff_us(attempt);
                 if us > 0 {

@@ -648,18 +648,19 @@ impl UniviStorJob {
         if len == 0 {
             return Ok(());
         }
+        // The extent must not wrap, and its end must stay within the last
+        // whole cell of the segment grid (planning steps to the next cell
+        // boundary).
+        let seg = self.plane.cfg.segment_size;
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= u64::MAX / seg * seg)
+            .ok_or_else(|| {
+                SimError::InvalidConfig(format!("write extent [{offset}, +{len}) out of range"))
+            })?;
         self.plane.metrics.record_write_call();
         self.poll_faults();
-        // Shared file-table lock: the size is atomic, so concurrent
-        // writers to different (or the same) file don't serialize here.
-        let fid = {
-            let files = self.files.read().expect("file table poisoned");
-            let entry = files
-                .get(path)
-                .ok_or_else(|| SimError::InvalidConfig(format!("write to unopened '{path}'")))?;
-            entry.size.fetch_max(offset + len, Ordering::Relaxed);
-            entry.fid
-        };
+        let fid = self.fid_of(path, "write to")?;
         let node = self.plane.cfg.geometry.node_of_rank(client.rank as usize);
         let replicate = self.plane.cfg.replicate_volatile;
         let op = WriteOp {
@@ -672,10 +673,17 @@ impl UniviStorJob {
                 .flatten(),
         };
         place(self, &op, payload)?;
+        // Only a placed write grows the file. Shared file-table lock,
+        // re-taken rather than held across placement: the size is atomic,
+        // so concurrent writers to different (or the same) file don't
+        // serialize here, and opens and closes don't wait on a write.
+        if let Some(entry) = self.files.read().expect("file table poisoned").get(path) {
+            entry.size.fetch_max(end, Ordering::Relaxed);
+        }
         // The write superseded any drained-ahead copies it overlapped
         // (one relaxed load when no ledger exists — the disabled-daemon
         // fast path).
-        self.tiering.invalidate(fid, offset, offset + len);
+        self.tiering.invalidate(fid, offset, end);
         let t = &self.plane.cfg.tiering;
         if t.enabled && t.drain_cadence_ops > 0 && !self.tiering.paused.load(Ordering::Acquire) {
             let ops = self.tiering.write_ops.fetch_add(1, Ordering::Relaxed) + 1;
@@ -697,6 +705,15 @@ impl UniviStorJob {
         }
     }
 
+    /// The fid of open file `path`; `what` names the refused call.
+    fn fid_of(&self, path: &str, what: &str) -> SimResult<u64> {
+        let files = self.files.read().expect("file table poisoned");
+        let entry = files
+            .get(path)
+            .ok_or_else(|| SimError::InvalidConfig(format!("{what} unopened '{path}'")))?;
+        Ok(entry.fid)
+    }
+
     /// Read `[offset, offset + len)` of `path` on behalf of `client`.
     pub fn read(&self, client: ClientId, path: &str, offset: u64, len: u64) -> Result<Payload> {
         self.read_impl(client, path, offset, len)
@@ -704,14 +721,13 @@ impl UniviStorJob {
     }
 
     fn read_impl(&self, client: ClientId, path: &str, offset: u64, len: u64) -> SimResult<Payload> {
+        if offset.checked_add(len).is_none() {
+            return Err(SimError::InvalidConfig(format!(
+                "read extent [{offset}, +{len}) out of range"
+            )));
+        }
         self.poll_faults();
-        let fid = self
-            .files
-            .read()
-            .expect("file table poisoned")
-            .get(path)
-            .ok_or_else(|| SimError::InvalidConfig(format!("read of unopened '{path}'")))?
-            .fid;
+        let fid = self.fid_of(path, "read of")?;
         match &self.pool {
             None => self.plane.read(client, fid, offset, len),
             Some(pool) => pool.read(client, fid, offset, len),

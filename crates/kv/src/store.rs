@@ -23,11 +23,6 @@ pub struct KvStats {
 }
 
 impl KvStats {
-    /// Total operations across servers.
-    pub fn total_ops(&self) -> u64 {
-        self.puts.iter().sum::<u64>() + self.gets.iter().sum::<u64>()
-    }
-
     /// Max-over-min load ratio across servers (1.0 = perfectly balanced).
     /// Servers with zero load are ignored in the min.
     pub fn imbalance(&self) -> f64 {

@@ -34,11 +34,6 @@ impl MemDriver {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of files currently stored.
-    pub fn file_count(&self) -> usize {
-        self.inner.lock().unwrap().files.len()
-    }
 }
 
 impl FsDriver for MemDriver {

@@ -15,12 +15,13 @@
 //!   conflict/revocation counting, the mechanism behind shared-file write
 //!   degradation;
 //! * [`lustre::Lustre`] — the file system: create/write/read/stat/delete
-//!   plus per-OST load accounting that the timing plane turns into flows.
+//!   plus per-OST load accounting that the timing plane turns into
+//!   bottleneck bounds.
 //!
 //! Timing is *not* computed here — writes return a [`lustre::WriteReceipt`]
 //! describing exactly which OSTs received how many bytes and how many lock
-//! conflicts occurred; experiments feed that into
-//! [`univistor_sim::FlowSim`].
+//! conflicts occurred; the closed-form timing plane in `bench::timing`
+//! turns the busiest OST's load and the revocation count into phase time.
 
 pub mod layout;
 pub mod locks;

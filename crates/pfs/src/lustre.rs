@@ -158,11 +158,23 @@ impl Lustre {
     }
 
     /// Read `[offset, offset + len)` on behalf of `reader`; errors on holes.
+    /// A range reaching past the file's size is a hole before any stripe
+    /// piece is planned, and a range that wraps is refused.
     /// `&self`: file metadata and OST objects are only read, and the lock
     /// manager synchronizes itself.
     pub fn read(&self, path: &str, offset: u64, len: u64, reader: u64) -> SimResult<Payload> {
         let (fid, layout) = {
             let m = self.meta(path)?;
+            let end = offset.checked_add(len).ok_or_else(|| {
+                SimError::InvalidConfig(format!("read extent [{offset}, +{len}) out of range"))
+            })?;
+            if len > 0 && end > m.size {
+                let from = offset.max(m.size);
+                return Err(SimError::Hole {
+                    offset: from,
+                    len: end - from,
+                });
+            }
             (m.fid, m.layout.clone())
         };
         let n_osts = self.osts.len();
@@ -283,6 +295,27 @@ mod tests {
         fs.write("/f", 20, Payload::pattern(2, 10), 1).unwrap();
         assert!(fs.read("/f", 0, 10, 1).is_ok());
         assert!(fs.read("/f", 0, 30, 1).is_err());
+    }
+
+    #[test]
+    fn read_past_eof_is_a_hole_before_any_piece_is_planned() {
+        let mut fs = fs();
+        fs.create("/f", StripeLayout::new(4096, 4, 0)).unwrap();
+        fs.write("/f", 0, Payload::pattern(1, 4096), 1).unwrap();
+        let before = fs.locks().acquisitions();
+        for (offset, len) in [(0, 1u64 << 40), (0, 1 << 30), (4000, 100), (8192, 1)] {
+            let from = offset.max(4096);
+            let hole = SimError::Hole {
+                offset: from,
+                len: offset + len - from,
+            };
+            assert_eq!(fs.read("/f", offset, len, 2).unwrap_err(), hole);
+        }
+        let wrapped = fs.read("/f", u64::MAX - 10, 100, 2).unwrap_err();
+        assert!(matches!(wrapped, SimError::InvalidConfig(_)), "{wrapped}");
+        assert_eq!(fs.locks().acquisitions(), before, "no piece was locked");
+        assert!(fs.read("/f", 0, 4096, 2).is_ok());
+        assert!(fs.read("/f", 9000, 0, 2).unwrap().is_empty());
     }
 
     #[test]

@@ -204,8 +204,8 @@ pub struct ProcRate {
     /// Socket whose memory system it uses.
     pub socket: usize,
     /// Per-process rate cap (bytes/s) after core timeslicing and
-    /// context-switch penalties. Socket-level sharing is applied by the
-    /// flow simulator via the socket resource.
+    /// context-switch penalties. Socket-level sharing is applied on top by
+    /// the timing plane's per-socket memory-bandwidth bound.
     pub rate_cap: f64,
 }
 

@@ -5,11 +5,8 @@ use std::fmt;
 /// Errors produced by the simulation substrate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// A resource id referenced a resource that was never registered.
-    UnknownResource(usize),
-    /// A resource was registered with a non-positive bandwidth.
-    InvalidBandwidth(f64),
-    /// A flow was submitted with an invalid parameter (negative size, etc.).
+    /// An operation was handed an input it cannot act on (an empty flush,
+    /// an empty or oversized log append).
     InvalidFlow(String),
     /// A read touched a byte range with no data (hole in a sparse buffer)
     /// where the caller required full coverage.
@@ -34,8 +31,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::UnknownResource(id) => write!(f, "unknown resource id {id}"),
-            SimError::InvalidBandwidth(bw) => write!(f, "invalid bandwidth {bw}"),
             SimError::InvalidFlow(msg) => write!(f, "invalid flow: {msg}"),
             SimError::Hole { offset, len } => {
                 write!(f, "hole in data at offset {offset} (+{len} bytes)")

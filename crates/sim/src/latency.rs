@@ -1,6 +1,6 @@
 //! Analytic latency models for RPCs and MPI-style collectives.
 //!
-//! These costs delay flows (they do not consume bandwidth) and are the basis
+//! These costs delay a phase (they do not consume bandwidth) and are the basis
 //! of the Collective Open/Close (COC) study: without COC, `p` processes all
 //! send the same metadata RPC to one server, which services them serially —
 //! an all-to-one storm. With COC only the root talks to the server and

@@ -10,13 +10,6 @@
 //!   maps) let every storage tier store and return byte-accurate data while
 //!   allowing paper-scale experiments (terabytes of logical data) to run
 //!   without materializing the bytes.
-//! * **A timing plane** — [`flow::FlowSim`], a max–min-fair flow-level
-//!   discrete-event simulator. Every shared device (a NUMA socket's memory
-//!   system, a NIC, a burst-buffer node's SSD, a Lustre OST) is a
-//!   [`resource::Resource`] with a bandwidth; concurrent transfers share it
-//!   fairly and the simulator computes completion times under contention.
-//! * **Cluster topology** — [`topology::ClusterSpec`] describes a Cori-like
-//!   machine and registers its devices as flow resources.
 //! * **Core placement machinery** — [`cores`] models per-node CPU cores and
 //!   NUMA sockets, provides the CFS-like baseline placement policy, and
 //!   evaluates the memory-bandwidth contention a placement produces.
@@ -26,25 +19,22 @@
 //!   MPI-style collectives.
 //! * **Calibration constants** — [`calibration`] centralizes the Cori-like
 //!   bandwidth/latency numbers every experiment uses.
+//!
+//! The timing plane itself is not here: it is the closed form in
+//! `bench::timing` (one bound per bottleneck a phase crosses), built from
+//! these rate caps, latencies and constants, and cross-checked against a
+//! max–min fair allocation by one test there.
 
 pub mod buffer;
 pub mod bytes;
 pub mod calibration;
 pub mod cores;
 pub mod error;
-pub mod flow;
 pub mod latency;
 pub mod payload;
-pub mod resource;
 pub mod rng;
-pub mod time;
-pub mod topology;
 
 pub use buffer::SparseBuffer;
 pub use bytes::Bytes;
 pub use error::{SimError, SimResult};
-pub use flow::{FlowId, FlowOutcome, FlowSim, FlowSpec};
 pub use payload::{Checksum, Payload};
-pub use resource::{Resource, ResourceId};
-pub use time::SimTime;
-pub use topology::{ClusterResources, ClusterSpec};

@@ -1,17 +1,15 @@
 //! Randomized-property tests for the substrate's core data structures:
-//! the sparse buffer must behave like a flat byte array, payload slicing
-//! must commute with materialization, and the flow simulator must conserve
-//! work and respect capacity.
+//! the sparse buffer must behave like a flat byte array, and payload
+//! slicing must commute with materialization.
 //!
 //! Cases are generated with the crate's own deterministic RNG (the
 //! workspace builds without external crates, so no proptest): each test
 //! runs a few hundred seeded trials, which covers the same input space
 //! reproducibly.
 
-use univistor_sim::flow::FlowSpec;
 use univistor_sim::payload::Payload;
 use univistor_sim::rng::DetRng;
-use univistor_sim::{FlowSim, SimTime, SparseBuffer};
+use univistor_sim::SparseBuffer;
 
 const ARENA: usize = 512;
 
@@ -82,106 +80,5 @@ fn payload_slice_commutes_with_materialize() {
         let mut joined = a.to_bytes().to_vec();
         joined.extend_from_slice(&b.to_bytes());
         assert_eq!(&joined[..], &p.to_bytes()[..]);
-    }
-}
-
-#[test]
-fn flow_finish_times_respect_capacity() {
-    let mut rng = DetRng::seed(0xf10a_0001);
-    for _trial in 0..150 {
-        let n = 1 + rng.below(19);
-        let sizes: Vec<f64> = (0..n).map(|_| 1.0 + rng.unit() * (1e6 - 1.0)).collect();
-        let bw = 1e3 + rng.unit() * (1e9 - 1e3);
-        let mut sim = FlowSim::new();
-        let r = sim.add_resource("r", bw).unwrap();
-        for &s in &sizes {
-            sim.add_flow(FlowSpec::new(SimTime::ZERO, s, vec![r]))
-                .unwrap();
-        }
-        let out = sim.run();
-        let total: f64 = sizes.iter().sum();
-        let makespan = FlowSim::makespan(&out).secs();
-        // The device can never move data faster than its bandwidth …
-        assert!(makespan >= total / bw * (1.0 - 1e-9));
-        // … and fair sharing of one resource is work-conserving: the last
-        // finisher leaves no idle time.
-        assert!(makespan <= total / bw * (1.0 + 1e-6));
-        // No flow can beat its solo transfer time.
-        for (o, &s) in out.iter().zip(&sizes) {
-            assert!(o.finish.secs() >= s / bw * (1.0 - 1e-9));
-        }
-    }
-}
-
-#[test]
-fn flow_group_equivalence() {
-    let mut rng = DetRng::seed(0xf10a_0002);
-    for _trial in 0..150 {
-        // One group of `count` flows finishes exactly when `count`
-        // individual flows do.
-        let count = 1 + rng.below(63) as u64;
-        let bytes = 1.0 + rng.unit() * (1e6 - 1.0);
-        let bw = 1e3 + rng.unit() * (1e9 - 1e3);
-        let mut grouped = FlowSim::new();
-        let rg = grouped.add_resource("r", bw).unwrap();
-        grouped
-            .add_flow(FlowSpec::new(SimTime::ZERO, bytes, vec![rg]).with_count(count))
-            .unwrap();
-        let tg = FlowSim::makespan(&grouped.run()).secs();
-
-        let mut individual = FlowSim::new();
-        let ri = individual.add_resource("r", bw).unwrap();
-        for _ in 0..count {
-            individual
-                .add_flow(FlowSpec::new(SimTime::ZERO, bytes, vec![ri]))
-                .unwrap();
-        }
-        let ti = FlowSim::makespan(&individual.run()).secs();
-        assert!((tg - ti).abs() < 1e-9 * ti.max(1.0));
-    }
-}
-
-#[test]
-fn maxmin_rates_never_exceed_any_resource() {
-    let mut rng = DetRng::seed(0xf10a_0003);
-    for _trial in 0..150 {
-        // Random bipartite flows over the resources; after run(), total
-        // bytes moved per unit time through each resource must be ≤ bw.
-        // We check the aggregate invariant: makespan ≥ per-resource load/bw.
-        let n_flows = 1 + rng.below(11);
-        let n_res = 2 + rng.below(3);
-        let bws: Vec<f64> = (0..n_res).map(|_| 1e3 + rng.unit() * (1e6 - 1e3)).collect();
-        let mut sim = FlowSim::new();
-        let rids: Vec<_> = bws
-            .iter()
-            .enumerate()
-            .map(|(i, &bw)| sim.add_resource(format!("r{i}"), bw).unwrap())
-            .collect();
-        let mut load = vec![0.0f64; rids.len()];
-        for i in 0..n_flows {
-            let a = i % rids.len();
-            let b = (i * 7 + 1) % rids.len();
-            let bytes = 1e5 + i as f64 * 1e4;
-            let mut path = vec![rids[a]];
-            if b != a {
-                path.push(rids[b]);
-            }
-            load[a] += bytes;
-            if b != a {
-                load[b] += bytes;
-            }
-            sim.add_flow(FlowSpec::new(SimTime::ZERO, bytes, path))
-                .unwrap();
-        }
-        let makespan = FlowSim::makespan(&sim.run()).secs();
-        for (i, &l) in load.iter().enumerate() {
-            assert!(
-                makespan >= l / bws[i] * (1.0 - 1e-9),
-                "resource {} overloaded: makespan {} < {}",
-                i,
-                makespan,
-                l / bws[i]
-            );
-        }
     }
 }
