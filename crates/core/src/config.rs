@@ -2,6 +2,7 @@
 //! ablates (IA, COC, ADPT, workflow management, flush).
 
 use crate::fault::{FaultConfig, RetryPolicy};
+use crate::runtime::host_cpus;
 use crate::va::Tier;
 use univistor_sim::calibration::Calibration;
 use univistor_sim::{SimError, SimResult};
@@ -431,10 +432,7 @@ impl UniviStorConfig {
     pub fn partition_workers(&self) -> usize {
         let servers = self.geometry.total_servers().max(1);
         if self.partitions == 0 {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            servers.min(cores.max(1))
+            servers.min(host_cpus())
         } else {
             self.partitions.min(servers)
         }

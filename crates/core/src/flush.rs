@@ -41,6 +41,7 @@ use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
 use crate::read::{covered_bytes, Gathered, RemoteLookup};
+use crate::runtime::host_cpus;
 use crate::striping::{adaptive_plan, naive_plan, StripePlan};
 use crate::tiering::DrainLedger;
 use crate::va::{Tier, VirtualAddr};
@@ -616,10 +617,7 @@ fn parallel_pass(ctx: &FlushCtx) -> SimResult<FlushAcc> {
     for _ in &ranges {
         ctx.draw_lookup()?;
     }
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = ranges.len().min(cpus.max(1));
+    let workers = ranges.len().min(host_cpus());
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::sync_channel::<(usize, SimResult<RangeGather>)>(workers * 2);
     let mut failed_err: Option<SimError> = None;

@@ -5,14 +5,15 @@
 //! bytes are a pure function of it, and so is their digest. The write
 //! path digests that descriptor once when it stamps the record; every
 //! later verify of a clean copy fetches the very same descriptor back
-//! (chunked copies re-merge in [`Payload::chain`]) and would regenerate
-//! and re-absorb identical bytes only to reach the identical answer. A
-//! corrupted copy never looks like that: the fault injector hands back
-//! flipped [`Payload::Bytes`], a different payload, which is digested for
-//! real. So the [`Verifier`] remembers `descriptor → digest` per job and
-//! answers a repeated descriptor in O(1), while every verify point still
-//! compares a digest of the fetched payload against the write-commit
-//! stamp.
+//! (a record's pieces are stored as one extent, see
+//! [`SparseBuffer::write`](univistor_sim::SparseBuffer::write)) and would
+//! regenerate and re-absorb identical bytes only to reach the identical
+//! answer. A corrupted copy never looks like that: the fault injector
+//! hands back flipped [`Payload::Bytes`], a different payload, which is
+//! digested for real. So the [`Verifier`] remembers `descriptor → digest`
+//! per job and answers a repeated descriptor in O(1), while every verify
+//! point still compares a digest of the fetched payload against the
+//! write-commit stamp.
 //!
 //! * **Why a memo and not `Checksum::combine`:** the lane step
 //!   `(lane ^ w) · M` mixes xor with multiplication mod 2^64, so the state

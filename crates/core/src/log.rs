@@ -313,6 +313,24 @@ mod tests {
     }
 
     #[test]
+    fn stream_contiguous_appends_read_back_as_one_window() {
+        // The pieces of one write: consecutive windows of one stream,
+        // appended back to back across a chunk seam.
+        let mut l = log();
+        let stream = Payload::pattern(7, 512);
+        let first = l.append(stream.slice(0, 128)).unwrap();
+        for i in 1..4 {
+            l.append(stream.slice(i * 128, 128)).unwrap();
+        }
+        let whole = l.read(first, 512).unwrap();
+        assert!(
+            matches!(whole, Payload::Pattern { .. }),
+            "expected one pattern window, got {whole:?}"
+        );
+        assert_eq!(whole, stream);
+    }
+
+    #[test]
     fn oversized_segment_rejected() {
         let mut l = log();
         assert!(l.append(Payload::pattern(1, 257)).is_err());

@@ -321,12 +321,12 @@ pub(crate) mod tests {
             chains.ensure(ClientId::new(0, rank), chain).unwrap();
         }
         let metadata = MetadataService::new(256, 4, 4);
-        let heat = Vec::new();
         (
             LockedCore {
                 chains,
                 metadata,
-                heat,
+                heat: Vec::new(),
+                heat_keys: Default::default(),
             },
             cfg,
         )

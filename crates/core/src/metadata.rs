@@ -125,6 +125,10 @@ pub struct CommitStats {
 pub struct BatchOutcome {
     /// Spans displaced by the punch over the batch's full range.
     pub displaced: Vec<Displaced>,
+    /// Keys whose record the punch removed without re-putting a left
+    /// fragment under them: the data they named is gone, even where one
+    /// of the batch's own records now reuses the key.
+    pub retired: Vec<SegKey>,
     /// Lock acquisitions spent on the whole commit.
     pub locks: CommitStats,
 }
@@ -435,7 +439,7 @@ impl MetadataService {
             &[(key.offset, record)],
         );
         let mut locks = CommitStats::default();
-        let displaced = self.punch_inner(key.fid, key.offset, end, &mut locks);
+        let (displaced, _) = self.punch_inner(key.fid, key.offset, end, &mut locks);
         let (server, _) = self.kv.put(key, record);
         self.local[producer_node]
             .write()
@@ -454,7 +458,7 @@ impl MetadataService {
     /// later releases) its span.
     pub fn punch(&self, fid: u64, lo: u64, hi: u64) -> Vec<Displaced> {
         let mut locks = CommitStats::default();
-        let displaced = self.punch_inner(fid, lo, hi, &mut locks);
+        let (displaced, _) = self.punch_inner(fid, lo, hi, &mut locks);
         if !displaced.is_empty() {
             self.bump_generation(fid);
         }
@@ -468,10 +472,17 @@ impl MetadataService {
     /// buffers (one write-lock acquisition each) drops the claimed keys and
     /// re-caches the fragments — versus one full node-buffer sweep per
     /// record on the old per-record path. Lock acquisitions are added to
-    /// `locks`.
-    fn punch_inner(&self, fid: u64, lo: u64, hi: u64, locks: &mut CommitStats) -> Vec<Displaced> {
+    /// `locks`. Returns the displaced spans and the retired keys (see
+    /// [`BatchOutcome::retired`]).
+    fn punch_inner(
+        &self,
+        fid: u64,
+        lo: u64,
+        hi: u64,
+        locks: &mut CommitStats,
+    ) -> (Vec<Displaced>, Vec<SegKey>) {
         if lo >= hi {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         let scan_lo = scan_start(lo, self.kv.partitioner().range_size);
         let mut overlapping: Vec<(SegKey, SegmentRecord)> = Vec::new();
@@ -491,7 +502,7 @@ impl MetadataService {
         );
         locks.kv_shard_acquisitions += servers.len() as u64;
         if overlapping.is_empty() {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         overlapping.sort_by_key(|(k, _)| *k);
 
@@ -511,7 +522,7 @@ impl MetadataService {
             displaced.push(split_overlapped(k, v, lo, hi, &mut fragments));
         }
         if removed.is_empty() {
-            return displaced;
+            return (displaced, removed);
         }
         locks.kv_shard_acquisitions += self.kv.put_batch(fragments.iter().cloned());
 
@@ -525,7 +536,10 @@ impl MetadataService {
             locks.node_buffer_acquisitions += 1;
             buffer_sweep(&mut node, fid, &removed, &fragments);
         }
-        displaced
+        // A record starting left of `lo` keeps its key for its left
+        // fragment; every other claimed key is retired.
+        removed.retain(|k| k.offset >= lo);
+        (displaced, removed)
     }
 
     /// Commit the records of one batched write call: a single punch over
@@ -551,7 +565,7 @@ impl MetadataService {
         self.inject("kv_insert")?;
         assert_batch_records(self.kv.partitioner().range_size, lo, hi, records);
         let mut locks = CommitStats::default();
-        let displaced = self.punch_inner(fid, lo, hi, &mut locks);
+        let (displaced, retired) = self.punch_inner(fid, lo, hi, &mut locks);
         locks.kv_shard_acquisitions += self.kv.put_batch(records.iter().map(|(offset, record)| {
             (
                 SegKey {
@@ -569,7 +583,11 @@ impl MetadataService {
             buffer_insert(&mut node, fid, records);
         }
         self.bump_generation(fid);
-        Ok(BatchOutcome { displaced, locks })
+        Ok(BatchOutcome {
+            displaced,
+            retired,
+            locks,
+        })
     }
 
     fn remove_local(&self, key: SegKey) {

@@ -661,19 +661,19 @@ impl<'a> ReadService<'a> {
                 trace.md_cache_misses += 1;
                 trace.readahead_bytes += fetch_hi - end;
             }
-            let mut seen: HashSet<SegKey> = records.iter().map(|(k, _)| *k).collect();
-            for (k, r) in remote.records {
-                // Readahead overshoot stays in the cache but out of this
-                // request's plan.
-                if k.offset >= end || k.offset + r.len <= offset {
-                    continue;
-                }
-                if seen.insert(k) {
-                    records.push((k, r));
-                }
-            }
+            // Readahead overshoot stays in the cache but out of this
+            // request's plan.
+            records.extend(
+                remote
+                    .records
+                    .into_iter()
+                    .filter(|(k, r)| k.offset < end && k.offset + r.len > offset),
+            );
         }
+        // The sort is stable and the node buffer's records come first, so
+        // a key both sources hold keeps the node buffer's copy.
         records.sort_by_key(|(k, _)| k.offset);
+        records.dedup_by_key(|(k, _)| *k);
         Ok(records)
     }
 

@@ -34,7 +34,7 @@ use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use univistor_sim::{Payload, SimResult};
@@ -43,6 +43,14 @@ use univistor_sim::{Payload, SimResult};
 /// caller busy-polls a reply slot before blocking — on multi-core hosts
 /// only (a single core has nobody to spin against).
 const SPIN_CAP: u32 = 64;
+
+/// The host's available parallelism, read once per process: the query
+/// reads cgroup files on Linux, and every job construction and flush
+/// sizes itself by it.
+pub(crate) fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// A typed reply, deposited into the request's [`ReplySlot`]. A handler
 /// that panicked hands its payload back, so the caller's thread panics as
@@ -217,10 +225,7 @@ impl WorkerPool {
     pub(crate) fn new(plane: &Arc<DataPlane>) -> Self {
         let cfg = &plane.cfg;
         let pool = cfg.partition_workers();
-        let spin_cap = match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => SPIN_CAP,
-            _ => 0,
-        };
+        let spin_cap = if host_cpus() > 1 { SPIN_CAP } else { 0 };
         let handles = plane.metrics.partition_handles(pool);
         let workers = handles
             .into_iter()

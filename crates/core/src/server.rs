@@ -58,7 +58,7 @@ use crate::va::Tier;
 use crate::workflow::StateFile;
 use crate::write::{self, WriteOp};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use univistor_mpi::driver::OpenMode;
 use univistor_obs::MetricsSnapshot;
@@ -130,6 +130,9 @@ pub(crate) struct LockedCore {
     pub(crate) metadata: MetadataService,
     /// Per-KV-partition heat shards (segment read counters).
     pub(crate) heat: Vec<RwLock<HashMap<SegKey, AtomicU32>>>,
+    /// Keys held across the heat shards, so an overwrite skips
+    /// [`retire_heat`](Self::retire_heat) while nothing has been read.
+    pub(crate) heat_keys: AtomicUsize,
 }
 
 impl LockedCore {
@@ -147,6 +150,7 @@ impl LockedCore {
             heat: (0..metadata.servers().max(1))
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
+            heat_keys: AtomicUsize::new(0),
             metadata,
         }
     }
@@ -164,7 +168,7 @@ impl LockedCore {
     /// increment in steady state; only a key's first touch takes the
     /// shard's write lock, to install the counter.
     pub(crate) fn bump_heat(&self, key: SegKey) {
-        let shard = &self.heat[self.metadata.partition_of(key.offset) % self.heat.len()];
+        let shard = self.heat_shard(key);
         {
             let shard = shard.read().expect("heat poisoned");
             if let Some(n) = shard.get(&key) {
@@ -176,8 +180,32 @@ impl LockedCore {
             .write()
             .expect("heat poisoned")
             .entry(key)
-            .or_insert_with(|| AtomicU32::new(0))
+            .or_insert_with(|| {
+                self.heat_keys.fetch_add(1, Ordering::Relaxed);
+                AtomicU32::new(0)
+            })
             .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Forget the heat of keys whose records an overwrite retired
+    /// ([`BatchOutcome::retired`](crate::metadata::BatchOutcome::retired)):
+    /// a record written at a reused key starts cold, and the shards hold
+    /// no key of a record that is gone. One atomic load while nothing has
+    /// been read.
+    pub(crate) fn retire_heat(&self, keys: &[SegKey]) {
+        if keys.is_empty() || self.heat_keys.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        for key in keys {
+            let mut shard = self.heat_shard(*key).write().expect("heat poisoned");
+            if shard.remove(key).is_some() {
+                self.heat_keys.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn heat_shard(&self, key: SegKey) -> &RwLock<HashMap<SegKey, AtomicU32>> {
+        &self.heat[self.metadata.partition_of(key.offset) % self.heat.len()]
     }
 }
 
@@ -1539,5 +1567,85 @@ mod tests {
             })
             .unwrap();
         assert!(got.content_eq(&Payload::pattern(1, 256)));
+    }
+
+    /// Keys in the heat shards, checked against the shards' key count.
+    fn heat_keys(j: &UniviStorJob) -> usize {
+        let core = &j.plane.core;
+        let held: usize = core.heat.iter().map(|s| s.read().unwrap().len()).sum();
+        assert_eq!(held, core.heat_keys.load(Ordering::Relaxed));
+        held
+    }
+
+    #[test]
+    fn an_overwritten_key_starts_cold() {
+        use crate::config::{PromotionPolicy, TieringConfig};
+        let mut cfg = UniviStorConfig::test_small(1, 1);
+        cfg.cal.dram_cache_capacity_per_node = 512;
+        cfg.chunk_size = 256;
+        cfg.segment_size = 256;
+        cfg.tiering = TieringConfig::on();
+        cfg.tiering.drain_cadence_ops = 0;
+        cfg.tiering.promotion.min_reads = 1000; // passes never promote
+        let j = UniviStorJob::new(cfg);
+        let promote = || {
+            let policy = PromotionPolicy {
+                min_reads: 1,
+                min_benefit: 0.0,
+            };
+            j.tiering().promote_now(policy).unwrap().promoted_segments
+        };
+        j.open_file("/h").read_write().by(client(0)).unwrap();
+        // 1 KiB: [0, 512) fills DRAM, the record at 512 spills to the BB.
+        j.write(client(0), "/h", 0, Payload::pattern(7, 1024))
+            .unwrap();
+        for _ in 0..3 {
+            j.read(client(0), "/h", 512, 512).unwrap();
+        }
+        // Overwrite the hot record under its own key (DRAM is full, so it
+        // lands on the BB again), then free DRAM by overwriting the rest.
+        j.write(client(0), "/h", 512, Payload::pattern(8, 512))
+            .unwrap();
+        j.write(client(0), "/h", 0, Payload::pattern(9, 512))
+            .unwrap();
+        assert_eq!(heat_keys(&j), 0);
+        assert_eq!(
+            promote(),
+            0,
+            "the old record's reads promoted its successor"
+        );
+        // Read once, the new record is promotable: only its heat was missing.
+        j.read(client(0), "/h", 512, 512).unwrap();
+        assert_eq!(promote(), 1);
+        let got = j.read(client(0), "/h", 0, 1024).unwrap();
+        assert!(got.content_eq(&Payload::chain([
+            Payload::pattern(9, 512),
+            Payload::pattern(8, 512)
+        ])));
+    }
+
+    #[test]
+    fn heat_holds_no_more_keys_than_live_records() {
+        let j = job();
+        j.open_file("/f").read_write().by(client(0)).unwrap();
+        j.write(client(0), "/f", 0, Payload::pattern(0, 1024))
+            .unwrap();
+        let mut rng = univistor_sim::rng::DetRng::seed(0x4ea7);
+        for i in 1..200u64 {
+            let off = rng.below(16) as u64 * 64;
+            let len = (64 * (1 + rng.below(4)) as u64).min(1024 - off);
+            let writer = client(rng.below(4) as u32);
+            j.write(writer, "/f", off, Payload::pattern(i, len))
+                .unwrap();
+            let off = rng.below(1024) as u64;
+            let len = 1 + rng.below((1024 - off) as usize) as u64;
+            j.read(client(rng.below(4) as u32), "/f", off, len).unwrap();
+            let live = j.index_of("/f").unwrap().len();
+            let held = heat_keys(&j);
+            assert!(
+                held > 0 && held <= live,
+                "step {i}: {held} heat keys, {live} records"
+            );
+        }
     }
 }

@@ -100,6 +100,7 @@ fn write_per_piece(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimResu
         })?;
         locks.kv_shard += outcome.locks.kv_shard_acquisitions;
         locks.node_buffer += outcome.locks.node_buffer_acquisitions;
+        core.retire_heat(&outcome.retired);
         // Free the log space of overwritten data (possibly owned by other
         // clients' chains), including replica copies. Each displaced span
         // was claimed exactly once by the punch, so it is released exactly

@@ -23,7 +23,7 @@
 //! concurrently retiring.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
@@ -304,7 +304,7 @@ pub(crate) fn run_pass(
         if every > 0 {
             let tick = state.pass_clock.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(every) {
-                report.heat_entries_decayed = decay_heat(&m.core.heat);
+                report.heat_entries_decayed = decay_heat(&m.core.heat, &m.core.heat_keys);
                 m.metrics.record_tiering_decay();
                 // Cooling can turn hot spans drainable without bumping
                 // any file generation, so the skip memo is void.
@@ -357,18 +357,21 @@ pub(crate) fn run_pass(
     Ok(report)
 }
 
-/// Halve every heat counter, dropping entries that reach zero. Returns
-/// the number of entries halved.
-fn decay_heat(heat: &[HeatShard]) -> u64 {
+/// Halve every heat counter, dropping entries that reach zero (and
+/// debiting `keys`, the shards' key count, for each). Returns the number
+/// of entries halved.
+fn decay_heat(heat: &[HeatShard], keys: &AtomicUsize) -> u64 {
     let mut decayed = 0u64;
     for shard in heat {
         let mut shard = shard.write().expect("heat poisoned");
+        let before = shard.len();
         shard.retain(|_, n| {
             decayed += 1;
             let halved = n.load(Ordering::Relaxed) / 2;
             n.store(halved, Ordering::Relaxed);
             halved > 0
         });
+        keys.fetch_sub(before - shard.len(), Ordering::Relaxed);
     }
     decayed
 }
@@ -892,7 +895,9 @@ mod tests {
             .write()
             .unwrap()
             .insert(key(64), AtomicU32::new(1));
-        assert_eq!(decay_heat(&shards), 2);
+        let keys = AtomicUsize::new(2);
+        assert_eq!(decay_heat(&shards, &keys), 2);
+        assert_eq!(keys.load(Ordering::Relaxed), 1);
         assert_eq!(
             shards[0].read().unwrap()[&key(0)].load(Ordering::Relaxed),
             2

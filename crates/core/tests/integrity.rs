@@ -603,3 +603,37 @@ fn clean_scan_verifies_from_the_memo_with_repeatable_counts() {
         assert_eq!(run(runtime), run(runtime), "{runtime:?}: counts drifted");
     }
 }
+
+/// A record written as eight pieces is stored as one extent, so reading
+/// it back fetches the stamped descriptor itself: the read's verify
+/// answers the whole record from the memo and digests nothing, under
+/// both runtimes.
+#[test]
+fn multi_piece_record_verifies_from_the_memo() {
+    const PIECE: u64 = MEMO_MIN_LEN;
+    const RECORD: u64 = 8 * PIECE;
+    for runtime in [Runtime::Locked, Runtime::Partitioned] {
+        let mut cfg = integrity_cfg(RECORD, FaultConfig::default());
+        cfg.fault = None;
+        cfg.replicate_volatile = false;
+        cfg.runtime = runtime;
+        cfg.chunk_size = RECORD;
+        cfg.segment_size = PIECE;
+        let j = UniviStorJob::new(cfg);
+        j.open_file("/rec").write().by(client(0)).unwrap();
+        let data = Payload::pattern(77, RECORD);
+        j.write(client(0), "/rec", 0, data.clone()).unwrap();
+        let index = j.index_of("/rec").unwrap();
+        assert_eq!(index.len(), 1, "{runtime:?}: the pieces form one record");
+        assert!(index[0].1.checksum.is_some(), "{runtime:?}: record stamped");
+
+        let before = j.metrics();
+        let got = j.read(client(0), "/rec", 0, RECORD).unwrap();
+        assert_eq!(got, data, "{runtime:?}: read back as the written window");
+        let after = j.metrics();
+        let delta =
+            |source| digest_bytes(&after, "read", source) - digest_bytes(&before, "read", source);
+        assert_eq!(delta("memo"), RECORD, "{runtime:?}");
+        assert_eq!(delta("absorbed"), 0, "{runtime:?}");
+    }
+}

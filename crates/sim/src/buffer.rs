@@ -3,8 +3,12 @@
 //! Every functional store in the reproduction — log-file chunks, burst-buffer
 //! objects, Lustre OST objects — is a [`SparseBuffer`]: an ordered map from
 //! byte offset to [`Payload`] extent. Writes split and overwrite overlapping
-//! extents (last-writer-wins, byte-granular); reads gather extents and can
-//! either fill holes with zeros or fail.
+//! extents (last-writer-wins, byte-granular), and a write that starts where
+//! its left neighbour ends and continues that neighbour's pattern stream
+//! extends the neighbour instead of adding an extent — so the pieces of one
+//! append run, laid down back to back, are stored (and read back) as one
+//! extent. Reads gather extents and can either fill holes with zeros or
+//! fail.
 
 use crate::error::{SimError, SimResult};
 use crate::payload::Payload;
@@ -90,6 +94,12 @@ impl SparseBuffer {
                     .insert(end, existing.slice(end - s, e_end - end));
             }
         }
+        // A write that continues its left neighbour's stream extends it.
+        if let Some((s, left)) = self.extents.range_mut(..offset).next_back() {
+            if *s + left.len() == offset && left.try_extend(&payload) {
+                return;
+            }
+        }
         self.extents.insert(offset, payload);
     }
 
@@ -111,15 +121,16 @@ impl SparseBuffer {
         let end = offset
             .checked_add(len)
             .expect("read range overflows u64 address space");
+        let first = self.extents.range(..=offset).next_back();
+        // One extent covers the whole range: its slice, no chain.
+        if let Some((s, p)) = first {
+            if s + p.len() >= end {
+                return Ok(p.slice(offset - s, len));
+            }
+        }
+        let first_candidate = first.map(|(s, _)| *s).unwrap_or(offset);
         let mut parts: Vec<Payload> = Vec::new();
         let mut cursor = offset;
-
-        let first_candidate = self
-            .extents
-            .range(..=offset)
-            .next_back()
-            .map(|(s, _)| *s)
-            .unwrap_or(offset);
         for (s, p) in self.extents.range(first_candidate..end) {
             let e_end = s + p.len();
             if e_end <= cursor {
@@ -253,6 +264,49 @@ mod tests {
         buf.write(1 << 42, Payload::pattern(2, 100 << 30));
         assert_eq!(buf.bytes_stored(), 200 << 30);
         assert_eq!(buf.read(10, 100).len(), 100);
+    }
+
+    #[test]
+    fn stream_contiguous_pattern_writes_coalesce() {
+        let mut buf = SparseBuffer::new();
+        // Stream positions [1000, 5096) of seed 3 at offsets [100, 4196).
+        let stream = Payload::pattern(3, 8192);
+        for i in 0..4u64 {
+            buf.write(100 + i * 1024, stream.slice(1000 + i * 1024, 1024));
+        }
+        assert_eq!(buf.extent_count(), 1);
+        // A read inside the extent is its slice, not a chain.
+        assert_eq!(buf.read(200, 3000), stream.slice(1100, 3000));
+        // Same seed but not the stream's next window: a new extent.
+        buf.write(4196, Payload::pattern(3, 10));
+        assert_eq!(buf.extent_count(), 2);
+        // Writes continue only a *left* neighbour: the window just before
+        // the extent's stream start stays its own extent...
+        buf.write(50, stream.slice(950, 50));
+        assert_eq!(buf.extent_count(), 3);
+        // ...and a read across both merges them back into one window.
+        assert_eq!(buf.read(50, 4146), stream.slice(950, 4146));
+    }
+
+    #[test]
+    fn overwrite_splits_a_coalesced_extent() {
+        let mut buf = SparseBuffer::new();
+        let stream = Payload::pattern(4, 300);
+        for i in 0..3u64 {
+            buf.write(i * 100, stream.slice(i * 100, 100));
+        }
+        assert_eq!(buf.extent_count(), 1);
+        buf.write(150, Payload::pattern(5, 100));
+        assert_eq!(buf.extent_count(), 3);
+        let got = buf.read(0, 300);
+        assert!(got.slice(0, 150).content_eq(&stream.slice(0, 150)));
+        assert!(got.slice(150, 100).content_eq(&Payload::pattern(5, 100)));
+        assert!(got.slice(250, 50).content_eq(&stream.slice(250, 50)));
+        // Rewriting the overwritten window with the stream's own bytes
+        // joins the left fragment again.
+        buf.write(150, stream.slice(150, 100));
+        assert_eq!(buf.extent_count(), 2);
+        assert_eq!(buf.read(0, 300), stream);
     }
 
     #[test]

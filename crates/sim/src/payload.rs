@@ -107,37 +107,38 @@ impl Payload {
     }
 
     /// Concatenate parts into one payload, flattening chains and merging
-    /// adjacent compatible parts (contiguous pattern windows, zero runs).
+    /// adjacent compatible parts (contiguous pattern windows, zero runs) in
+    /// one pass, merges across sub-chain boundaries included.
     pub fn chain(parts: impl IntoIterator<Item = Payload>) -> Payload {
-        let mut flat: Vec<Payload> = Vec::new();
+        let parts = parts.into_iter();
+        let mut merged: Vec<Payload> = Vec::with_capacity(parts.size_hint().0);
         for part in parts {
-            match part {
-                Payload::Chain(sub) => flat.extend(sub),
-                p if p.is_empty() => {}
-                p => flat.push(p),
-            }
-        }
-        // Merge adjacent parts where representation allows.
-        let mut merged: Vec<Payload> = Vec::with_capacity(flat.len());
-        for part in flat {
-            match (merged.last_mut(), part) {
-                (
-                    Some(Payload::Pattern { seed, offset, len }),
-                    Payload::Pattern {
-                        seed: s2,
-                        offset: o2,
-                        len: l2,
-                    },
-                ) if *seed == s2 && *offset + *len == o2 => *len += l2,
-                (Some(Payload::Zeros { len }), Payload::Zeros { len: l2 }) => *len += l2,
-                (_, part) => merged.push(part),
-            }
+            push_merged(&mut merged, part);
         }
         match merged.len() {
             0 => Payload::empty(),
             1 => merged.pop().expect("len checked"),
             _ => Payload::Chain(merged),
         }
+    }
+
+    /// Extend this payload in place by `next` when `next` continues it
+    /// without a seam — the next window of the same pattern stream, or
+    /// more zeros — and say whether it did.
+    pub(crate) fn try_extend(&mut self, next: &Payload) -> bool {
+        match (self, next) {
+            (
+                Payload::Pattern { seed, offset, len },
+                Payload::Pattern {
+                    seed: s2,
+                    offset: o2,
+                    len: l2,
+                },
+            ) if *seed == *s2 && *offset + *len == *o2 => *len += l2,
+            (Payload::Zeros { len }, Payload::Zeros { len: l2 }) => *len += l2,
+            _ => return false,
+        }
+        true
     }
 
     /// The sub-payload `[start, start + len)`. Panics if out of range —
@@ -294,6 +295,24 @@ impl Payload {
                 for p in parts {
                     p.absorb_to(state);
                 }
+            }
+        }
+    }
+}
+
+/// Append `part` to a chain under construction: flatten sub-chains, drop
+/// empty parts, and extend the last part when `part` continues it.
+fn push_merged(out: &mut Vec<Payload>, part: Payload) {
+    match part {
+        Payload::Chain(sub) => {
+            for p in sub {
+                push_merged(out, p);
+            }
+        }
+        p if p.is_empty() => {}
+        p => {
+            if !out.last_mut().is_some_and(|last| last.try_extend(&p)) {
+                out.push(p);
             }
         }
     }
@@ -705,6 +724,96 @@ mod tests {
         let rejoined = Payload::chain([a, b]);
         // Merged back into a single pattern — structural equality holds.
         assert_eq!(rejoined, p);
+    }
+
+    /// Reference for `Payload::chain`: flatten every part first, then
+    /// merge adjacent compatible parts in a second pass.
+    fn chain_two_pass(parts: Vec<Payload>) -> Payload {
+        let mut flat: Vec<Payload> = Vec::new();
+        for part in parts {
+            match part {
+                Payload::Chain(sub) => flat.extend(sub),
+                p if p.is_empty() => {}
+                p => flat.push(p),
+            }
+        }
+        let mut merged: Vec<Payload> = Vec::new();
+        for part in flat {
+            match (merged.last_mut(), part) {
+                (
+                    Some(Payload::Pattern { seed, offset, len }),
+                    Payload::Pattern {
+                        seed: s2,
+                        offset: o2,
+                        len: l2,
+                    },
+                ) if *seed == s2 && *offset + *len == o2 => *len += l2,
+                (Some(Payload::Zeros { len }), Payload::Zeros { len: l2 }) => *len += l2,
+                (_, part) => merged.push(part),
+            }
+        }
+        match merged.len() {
+            0 => Payload::empty(),
+            1 => merged.pop().unwrap(),
+            _ => Payload::Chain(merged),
+        }
+    }
+
+    #[test]
+    fn one_pass_chain_matches_two_pass_form() {
+        let stream = Payload::pattern(11, 4096);
+        let mut rng = DetRng::seed(0xc4a1_0001);
+        for trial in 0..500 {
+            // Parts: empty payloads, zero runs, bytes, windows of one
+            // stream (often back to back), and sub-chains of the same.
+            let mut cursor = rng.below(64) as u64;
+            let mut part = |rng: &mut DetRng| match rng.below(6) {
+                0 => Payload::empty(),
+                1 => Payload::zeros(1 + rng.below(8) as u64),
+                2 => Payload::from_bytes(vec![rng.below(256) as u8; 1 + rng.below(4)]),
+                _ => {
+                    if rng.chance(0.25) {
+                        cursor = rng.below(2048) as u64;
+                    }
+                    let len = rng.below(64) as u64;
+                    let w = stream.slice(cursor, len);
+                    cursor += len;
+                    w
+                }
+            };
+            let parts: Vec<Payload> = (0..rng.below(8))
+                .map(|_| {
+                    if rng.chance(0.3) {
+                        let n = rng.below(4);
+                        Payload::chain((0..n).map(|_| part(&mut rng)).collect::<Vec<_>>())
+                    } else {
+                        part(&mut rng)
+                    }
+                })
+                .collect();
+            let one = Payload::chain(parts.clone());
+            assert_eq!(one, chain_two_pass(parts.clone()), "trial {trial}");
+            let mut bytes = Vec::new();
+            for p in &parts {
+                p.materialize_into(&mut bytes);
+            }
+            assert_eq!(&one.to_bytes()[..], &bytes[..], "trial {trial}");
+        }
+        // A window split across a sub-chain boundary merges back whole.
+        let (a, b) = stream.slice(0, 300).split_at(100);
+        let (b1, b2) = b.split_at(100);
+        let nested = Payload::chain([
+            a,
+            Payload::chain([b1, Payload::zeros(0), Payload::from_bytes(&b"x"[..])]),
+        ]);
+        assert_eq!(
+            Payload::chain([nested, b2]),
+            Payload::chain([
+                stream.slice(0, 200),
+                Payload::from_bytes(&b"x"[..]),
+                stream.slice(200, 100),
+            ])
+        );
     }
 
     #[test]
