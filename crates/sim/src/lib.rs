@@ -25,6 +25,9 @@
 //! these rate caps, latencies and constants, and cross-checked against a
 //! max–min fair allocation by one test there.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod buffer;
 pub mod bytes;
 pub mod calibration;

@@ -30,7 +30,6 @@
 
 use crate::bytes::Bytes;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Maximum size `to_bytes` will materialize (1 GiB). Larger payloads are
 /// always synthetic at paper scale; materializing them indicates a bug.
@@ -323,47 +322,100 @@ const BLOCK_WORDS: usize = 64;
 
 type Block = [u64; BLOCK_WORDS];
 
-/// A block generator compiled for wider vectors than the build's
-/// baseline.
-///
-/// # Safety
-///
-/// Call only on a CPU that has the generator's target features; the one
-/// [`vector_fill`] returns has been detected on this CPU.
-type VectorFill = unsafe fn(u64, u64, &mut Block);
-
-/// `out[i] = splitmix64(seed ^ (first + i))`. The words are independent
-/// of each other, so the loop vectorises wherever the target has a
-/// 64-bit vector multiply. Always inlined, so each caller compiles the
-/// loop with its own target features.
-#[inline(always)]
+/// `out[i] = splitmix64(seed ^ (first + i))`, compiled for the build's
+/// baseline: the fill of the pipelined kernel's test-only reference
+/// instance.
+#[cfg(test)]
 fn fill_block(seed: u64, first: u64, out: &mut Block) {
     for (i, w) in out.iter_mut().enumerate() {
         *w = splitmix64(seed ^ (first + i as u64));
     }
 }
 
-/// [`fill_block`] compiled for AVX-512, where LLVM emits 8-wide `vpmullq`.
+/// `out[i] = splitmix64(seed ^ (first + i))`, eight words per explicit
+/// AVX-512 step (`vpmullq` on `zmm`). Left to LLVM, the plain loop is
+/// 4-wide wherever the target's tuning prefers 256-bit vectors
+/// (`-C target-cpu=native` on recent Xeons), which halves its rate.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 fn fill_block_avx512(seed: u64, first: u64, out: &mut Block) {
-    fill_block(seed, first, out)
+    use std::arch::x86_64::*;
+    let splat = |x: u64| _mm512_set1_epi64(x as i64);
+    let (seed, m0, m1, m2) = (
+        splat(seed),
+        splat(0x9E37_79B9_7F4A_7C15),
+        splat(0xBF58_476D_1CE4_E5B9),
+        splat(0x94D0_49BB_1331_11EB),
+    );
+    let mut k = _mm512_add_epi64(splat(first), _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+    for words in out.chunks_exact_mut(8) {
+        // `splitmix64(seed ^ k)` on eight consecutive `k`, with its
+        // constants.
+        let mut z = _mm512_add_epi64(_mm512_xor_si512(seed, k), m0);
+        z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), m1);
+        z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
+        z = _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z));
+        // SAFETY: `words` is eight writable `u64`s, the 64 bytes the
+        // unaligned store writes.
+        unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), z) };
+        k = _mm512_add_epi64(k, splat(8));
+    }
 }
 
-/// This CPU's vector block generator, if it has one; detected once per
-/// process. Without one, buffering the generated words only adds memory
-/// traffic, so aligned windows keep the fused scalar loop.
-fn vector_fill() -> Option<VectorFill> {
-    static PICK: OnceLock<Option<VectorFill>> = OnceLock::new();
-    *PICK.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-        {
-            return Some(fill_block_avx512 as VectorFill);
+/// Whether this CPU has the AVX-512 subsets the pipelined pattern
+/// kernel is compiled for (std caches the detection).
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+}
+
+/// Stage one of the pipelined pattern kernel: successive blocks of
+/// stream words from stream position `pos`. With `pos % 8 == s != 0`
+/// each stream word is `(b_k >> 8s) | (b_{k+1} << (64 - 8s))` over
+/// consecutive pattern words `b_k`, so the last word a block generates
+/// is carried into the next.
+struct StreamFill {
+    seed: u64,
+    /// The funnel shift in bits, `8 * (pos % 8)`.
+    sh: u32,
+    /// The next pattern word to generate.
+    k: u64,
+    /// The pattern word before `k`.
+    carry: u64,
+}
+
+impl StreamFill {
+    #[inline(always)]
+    fn new(seed: u64, pos: u64) -> Self {
+        let sh = 8 * (pos % 8) as u32;
+        StreamFill {
+            seed,
+            sh,
+            k: pos / 8 + u64::from(sh != 0),
+            carry: splitmix64(seed ^ (pos / 8)),
         }
-        None
-    })
+    }
+
+    /// Fill `out` with the next [`BLOCK_WORDS`] stream words, generating
+    /// pattern words with `fill`.
+    #[inline(always)]
+    fn next_block(&mut self, out: &mut Block, fill: impl Fn(u64, u64, &mut Block)) {
+        let sh = self.sh;
+        if sh == 0 {
+            fill(self.seed, self.k, out);
+        } else {
+            let mut raw: Block = [0; BLOCK_WORDS];
+            fill(self.seed, self.k, &mut raw);
+            let mut prev = self.carry;
+            for (w, &next) in out.iter_mut().zip(&raw) {
+                *w = (prev >> sh) | (next << (64 - sh));
+                prev = next;
+            }
+            self.carry = prev;
+        }
+        self.k += BLOCK_WORDS as u64;
+    }
 }
 
 /// The lane multiplier (odd, so xor-then-multiply is a bijection per
@@ -372,6 +424,38 @@ const WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Distinct nonzero lane seeds.
 const LANE_INIT: [u64; 4] = [splitmix64(1), splitmix64(2), splitmix64(3), splitmix64(4)];
+
+/// One lane absorb, `(lane ^ w) * WORD_MUL`, as a scalar multiply in
+/// every build. Left to LLVM, four lane chains written side by side can
+/// be packed into one 64-bit vector multiply wherever the code is
+/// compiled for AVX-512 (the pipelined kernel, or every loop under
+/// `-C target-cpu=native`), and `vpmullq`'s latency runs the chains
+/// ~2.5x slower. Whether that happens depends on the loop's shape and
+/// the compiler version; the one-instruction `asm!` is opaque to the
+/// vectoriser, so it never does. Other targets keep the plain multiply.
+#[inline(always)]
+fn lane_step(lane: u64, w: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut x = lane ^ w;
+        // SAFETY: a register-to-register `imul` (the low 64 bits of the
+        // product, i.e. `wrapping_mul`); it touches no memory and no
+        // stack, and only clobbers flags, which `asm!` assumes by default.
+        unsafe {
+            std::arch::asm!(
+                "imul {x}, {m}",
+                x = inout(reg) x,
+                m = in(reg) WORD_MUL,
+                options(pure, nomem, nostack),
+            );
+        }
+        x
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        (lane ^ w).wrapping_mul(WORD_MUL)
+    }
+}
 
 /// Streaming content-checksum state: four multiply-xor lanes fed
 /// round-robin with the stream's 8-byte little-endian words, a
@@ -383,12 +467,14 @@ const LANE_INIT: [u64; 4] = [splitmix64(1), splitmix64(2), splitmix64(3), splitm
 /// (bytes vs. synthetic). Word-granular absorption keeps four
 /// independent multiply chains in flight instead of the
 /// one-multiply-per-byte serial chain of a classic FNV loop: about
-/// 15 GiB/s on real bytes and, generating the words as it goes, about
-/// 9 GiB/s on a pattern with the AVX-512 block generator and 4–7 GiB/s
-/// without it (4 MiB digests on a 2-vCPU AVX-512 VM). Any corruption of
-/// a word changes its lane irreversibly (each absorb is a bijection),
-/// and zero runs and length changes are caught by the word counter
-/// folded into [`finalize`](Checksum::finalize).
+/// 17 GiB/s on real bytes and, generating the words as it goes, about
+/// 14 GiB/s on a word-aligned pattern (11 GiB/s misaligned) with the
+/// pipelined AVX-512 kernel and 6.5 GiB/s (4 GiB/s misaligned) with the
+/// fused scalar loop (4 MiB digests on one idle vCPU of a 2-vCPU
+/// AVX-512 VM). Any corruption of a word changes its lane irreversibly
+/// (each absorb is a bijection), and zero runs and length changes are
+/// caught by the word counter folded into
+/// [`finalize`](Checksum::finalize).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checksum {
     lanes: [u64; 4],
@@ -427,7 +513,7 @@ impl Checksum {
     #[inline]
     fn absorb_word(&mut self, w: u64) {
         let lane = (self.words & 3) as usize;
-        self.lanes[lane] = (self.lanes[lane] ^ w).wrapping_mul(WORD_MUL);
+        self.lanes[lane] = lane_step(self.lanes[lane], w);
         self.words += 1;
     }
 
@@ -439,15 +525,8 @@ impl Checksum {
         self.absorb_pattern_bytes(seed, offset, head);
         let pos = offset + head;
         let words = (len - head) / 8;
-        let vector = vector_fill();
-        if vector.is_none() && pos.is_multiple_of(8) {
-            let quads = words / 4;
-            self.absorb_pattern_quads(seed, pos / 8, quads);
-            for k in pos / 8 + quads * 4..pos / 8 + words {
-                self.absorb_word(splitmix64(seed ^ k));
-            }
-        } else if words > 0 {
-            self.absorb_pattern_blocks(seed, pos, words, vector);
+        if words > 0 {
+            self.absorb_pattern_words(seed, pos, words);
         }
         let tail = pos + words * 8;
         self.absorb_pattern_bytes(seed, tail, offset + len - tail);
@@ -467,62 +546,89 @@ impl Checksum {
         }
     }
 
+    /// Absorb `n` whole stream words from stream position `pos` through
+    /// this CPU's fastest kernel; the state must be word-aligned.
+    fn absorb_pattern_words(&mut self, seed: u64, pos: u64, n: u64) {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            // SAFETY: this CPU has avx512f and avx512dq, the kernel's
+            // target features.
+            return unsafe { self.absorb_pattern_avx512(seed, pos, n) };
+        }
+        self.absorb_pattern_fused(seed, pos, n);
+    }
+
+    /// [`absorb_pattern_pipelined`](Self::absorb_pattern_pipelined)
+    /// compiled for AVX-512, where the block fill is 8-wide `vpmullq`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn absorb_pattern_avx512(&mut self, seed: u64, pos: u64, n: u64) {
+        // Closures inherit the enclosing function's target features.
+        self.absorb_pattern_pipelined(seed, pos, n, |s, k, out| fill_block_avx512(s, k, out))
+    }
+
+    /// [`absorb_pattern_pipelined`](Self::absorb_pattern_pipelined)
+    /// compiled for the build's baseline: a test-only reference that
+    /// runs the pipeline's schedule on any CPU. The product never calls
+    /// it — without AVX-512 the fused loop is faster in both phases.
+    #[cfg(test)]
+    fn absorb_pattern_baseline(&mut self, seed: u64, pos: u64, n: u64) {
+        self.absorb_pattern_pipelined(seed, pos, n, fill_block)
+    }
+
     /// Absorb `n` whole stream words of `seed`'s pattern from stream
-    /// position `pos`; the state must be word-aligned. Generate, then
-    /// absorb: each step fills a block of [`BLOCK_WORDS`] pattern words
-    /// (through `vector` when given) and feeds it to the four lanes,
-    /// which stay in locals for the whole run. When `pos` is not on a
-    /// pattern word boundary, every stream word straddles two generated
-    /// words and is funnel-shifted out of them, so a misaligned window
-    /// runs at block speed too.
-    fn absorb_pattern_blocks(&mut self, seed: u64, pos: u64, n: u64, vector: Option<VectorFill>) {
+    /// position `pos`; the state must be word-aligned. A two-stage
+    /// pipeline over two stack blocks of [`BLOCK_WORDS`] stream words:
+    /// each step first fills the next block, then absorbs the current
+    /// one into the four lanes, which stay in locals for the whole run.
+    /// The two stages share no data within a step, so the out-of-order
+    /// core runs the (vector) generation beside the four scalar lane
+    /// chains and the digest runs at the chains' latency. When `pos` is
+    /// not on a pattern word boundary, every stream word straddles two
+    /// generated words: the fill funnel-shifts it out of them, carrying
+    /// the last generated word into the next block. Always inlined, so
+    /// each instance compiles the fill with its own target features.
+    #[inline(always)]
+    fn absorb_pattern_pipelined(
+        &mut self,
+        seed: u64,
+        pos: u64,
+        n: u64,
+        fill: impl Fn(u64, u64, &mut Block),
+    ) {
         debug_assert!(self.word_aligned());
-        let sh = 8 * (pos % 8) as u32;
-        let mut k = pos / 8 + u64::from(sh != 0);
-        // `raw[0]` holds the last generated word of the previous block:
-        // with `sh != 0` the block's first stream word starts in it.
-        let mut raw = [0u64; BLOCK_WORDS + 1];
-        raw[BLOCK_WORDS] = splitmix64(seed ^ (pos / 8));
-        let mut shifted: Block = [0; BLOCK_WORDS];
+        let mut stream = StreamFill::new(seed, pos);
+        let mut blocks: [Block; 2] = [[0; BLOCK_WORDS]; 2];
+        let [mut now, mut next] = blocks.each_mut();
+        stream.next_block(now, &fill);
         let p = (self.words & 3) as usize;
         let mut l0 = self.lanes[p];
         let mut l1 = self.lanes[(p + 1) & 3];
         let mut l2 = self.lanes[(p + 2) & 3];
         let mut l3 = self.lanes[(p + 3) & 3];
         let mut left = n;
-        while left > 0 {
-            raw[0] = raw[BLOCK_WORDS];
-            let fresh: &mut Block = (&mut raw[1..]).try_into().expect("one block");
-            match vector {
-                // SAFETY: `vector_fill` hands out a generator only after
-                // `is_x86_feature_detected!` found avx512f and avx512dq on
-                // this CPU.
-                Some(fill) => unsafe { fill(seed, k, fresh) },
-                None => fill_block(seed, k, fresh),
-            }
-            let words: &Block = if sh == 0 {
-                fresh
-            } else {
-                for (w, pair) in shifted.iter_mut().zip(raw.windows(2)) {
-                    *w = (pair[0] >> sh) | (pair[1] << (64 - sh));
-                }
-                &shifted
-            };
+        loop {
             let take = left.min(BLOCK_WORDS as u64) as usize;
-            let (quads, rest) = words[..take].split_at(take & !3);
+            left -= take as u64;
+            if left > 0 {
+                stream.next_block(next, &fill);
+            }
+            let (quads, rest) = now[..take].split_at(take & !3);
             for q in quads.chunks_exact(4) {
-                l0 = (l0 ^ q[0]).wrapping_mul(WORD_MUL);
-                l1 = (l1 ^ q[1]).wrapping_mul(WORD_MUL);
-                l2 = (l2 ^ q[2]).wrapping_mul(WORD_MUL);
-                l3 = (l3 ^ q[3]).wrapping_mul(WORD_MUL);
+                l0 = lane_step(l0, q[0]);
+                l1 = lane_step(l1, q[1]);
+                l2 = lane_step(l2, q[2]);
+                l3 = lane_step(l3, q[3]);
             }
             // Only the last block can end mid-quad; its words continue
             // the round-robin from lane `p`.
             for (lane, &w) in [&mut l0, &mut l1, &mut l2].into_iter().zip(rest) {
-                *lane = (*lane ^ w).wrapping_mul(WORD_MUL);
+                *lane = lane_step(*lane, w);
             }
-            left -= take as u64;
-            k += BLOCK_WORDS as u64;
+            if left == 0 {
+                break;
+            }
+            std::mem::swap(&mut now, &mut next);
         }
         self.lanes[p] = l0;
         self.lanes[(p + 1) & 3] = l1;
@@ -531,24 +637,54 @@ impl Checksum {
         self.words += n;
     }
 
-    /// Absorb `quads * 4` consecutive synthetic pattern blocks starting
-    /// at `first_block`, word-aligned: generation fused into the absorb
-    /// loop, the fastest form without a vector generator. The lanes live
-    /// in locals for the whole run, so the hot loop is four independent
-    /// xor-multiply chains plus the block generation — no per-word state
-    /// traffic.
-    fn absorb_pattern_quads(&mut self, seed: u64, first_block: u64, quads: u64) {
+    /// Absorb `n` whole stream words from stream position `pos` with
+    /// generation fused into the absorb loop: the fastest form without a
+    /// vector generator. The lanes live in locals for the whole run, so
+    /// the hot loop is four independent xor-multiply chains plus the word
+    /// generation — no per-word state traffic. A misaligned `pos`
+    /// funnel-shifts each stream word out of two consecutive pattern
+    /// words in registers, carrying the last one into the next quad.
+    fn absorb_pattern_fused(&mut self, seed: u64, pos: u64, n: u64) {
+        let sh = 8 * (pos % 8) as u32;
+        if sh == 0 {
+            self.absorb_fused_words(seed, pos / 8, 0, n, |_, w| w);
+        } else {
+            let carry = splitmix64(seed ^ (pos / 8));
+            self.absorb_fused_words(seed, pos / 8 + 1, carry, n, |prev, w| {
+                (prev >> sh) | (w << (64 - sh))
+            });
+        }
+    }
+
+    /// The fused loop over pattern words from `first`: stream word `i`
+    /// is `word(b_{first+i-1}, b_{first+i})`, with `prev` standing in
+    /// for `b_{first-1}`.
+    #[inline(always)]
+    fn absorb_fused_words(
+        &mut self,
+        seed: u64,
+        first: u64,
+        mut prev: u64,
+        n: u64,
+        word: impl Fn(u64, u64) -> u64,
+    ) {
         let p = (self.words & 3) as usize;
         let mut l0 = self.lanes[p];
         let mut l1 = self.lanes[(p + 1) & 3];
         let mut l2 = self.lanes[(p + 2) & 3];
         let mut l3 = self.lanes[(p + 3) & 3];
-        let mut k = first_block;
+        let quads = n / 4;
+        let mut k = first;
         for _ in 0..quads {
-            l0 = (l0 ^ splitmix64(seed ^ k)).wrapping_mul(WORD_MUL);
-            l1 = (l1 ^ splitmix64(seed ^ (k + 1))).wrapping_mul(WORD_MUL);
-            l2 = (l2 ^ splitmix64(seed ^ (k + 2))).wrapping_mul(WORD_MUL);
-            l3 = (l3 ^ splitmix64(seed ^ (k + 3))).wrapping_mul(WORD_MUL);
+            let b0 = splitmix64(seed ^ k);
+            let b1 = splitmix64(seed ^ (k + 1));
+            let b2 = splitmix64(seed ^ (k + 2));
+            let b3 = splitmix64(seed ^ (k + 3));
+            l0 = lane_step(l0, word(prev, b0));
+            l1 = lane_step(l1, word(b0, b1));
+            l2 = lane_step(l2, word(b1, b2));
+            l3 = lane_step(l3, word(b2, b3));
+            prev = b3;
             k += 4;
         }
         self.lanes[p] = l0;
@@ -556,6 +692,11 @@ impl Checksum {
         self.lanes[(p + 2) & 3] = l2;
         self.lanes[(p + 3) & 3] = l3;
         self.words += quads * 4;
+        for k in k..first + n {
+            let b = splitmix64(seed ^ k);
+            self.absorb_word(word(prev, b));
+            prev = b;
+        }
     }
 
     #[inline]
@@ -593,10 +734,10 @@ impl Checksum {
             let w1 = u64::from_le_bytes(q[8..16].try_into().expect("quad word"));
             let w2 = u64::from_le_bytes(q[16..24].try_into().expect("quad word"));
             let w3 = u64::from_le_bytes(q[24..32].try_into().expect("quad word"));
-            l0 = (l0 ^ w0).wrapping_mul(WORD_MUL);
-            l1 = (l1 ^ w1).wrapping_mul(WORD_MUL);
-            l2 = (l2 ^ w2).wrapping_mul(WORD_MUL);
-            l3 = (l3 ^ w3).wrapping_mul(WORD_MUL);
+            l0 = lane_step(l0, w0);
+            l1 = lane_step(l1, w1);
+            l2 = lane_step(l2, w2);
+            l3 = lane_step(l3, w3);
             n += 4;
         }
         self.lanes[p] = l0;
@@ -1008,17 +1149,47 @@ mod tests {
             (33, 0x13c5_ff12_5597_0e56),
             (2047, 0x48cc_b850_4d43_5274),
             (2048, 0x45ff_9304_358e_55f5),
+            // The pipeline's edges: one block short of, at and past one,
+            // two and three blocks.
+            (63, 0xb5fa_1f0b_5668_4eb9),
+            (64, 0xae9d_f7f0_a503_f2f8),
+            (65, 0xedf6_690f_9d16_1a49),
+            (127, 0x4768_50de_fde3_d45d),
+            (128, 0xd2fa_13cb_d135_98a5),
+            (129, 0xd7ea_12b2_b076_8dc0),
+            (191, 0xa141_5a3f_3bb7_99f9),
+            (192, 0x7a53_815c_a3f4_7455),
+            (193, 0xeee4_5492_85a2_52dc),
         ] {
             assert_eq!(digest(0, words * 8), want, "{words} words");
         }
+        // Misaligned windows: every funnel shift carries a word across
+        // blocks, and the last block is partial.
+        for (offset, len, want) in [
+            (1u64, 4u64 << 20, 0xe573_1f8d_a0e0_c20c_u64),
+            (5, 4 << 20, 0x706b_1744_e700_a615),
+            (7, 4 << 20, 0xde52_2e25_93dc_51a7),
+            (3, 3 * 64 * 8 + 13, 0x2f54_9dbd_62b3_9efd),
+        ] {
+            assert_eq!(digest(offset, len), want, "offset {offset}, {len} bytes");
+        }
     }
 
-    fn generator_name() -> &'static str {
-        if vector_fill().is_some() {
-            "avx512"
-        } else {
-            "scalar (no AVX-512 on this CPU)"
+    /// A bulk pattern kernel: absorb `n` stream words from a position.
+    type Kernel = fn(&mut Checksum, u64, u64, u64);
+
+    /// The pipelined kernel's product instance on this CPU, if it has
+    /// one.
+    fn vector_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            // SAFETY: only handed out after `has_avx512` found the
+            // instance's target features on this CPU.
+            return Some(|state, seed, pos, n| unsafe {
+                state.absorb_pattern_avx512(seed, pos, n)
+            });
         }
+        None
     }
 
     /// The state after absorbing `prefix`, and the digest of `prefix`
@@ -1033,7 +1204,19 @@ mod tests {
 
     #[test]
     fn pattern_kernels_agree_with_materialized_bytes() {
-        eprintln!("pattern block generator: {}", generator_name());
+        let mut kernels: Vec<(&str, Kernel)> =
+            vec![("baseline pipelined", |state, seed, pos, n| {
+                state.absorb_pattern_baseline(seed, pos, n)
+            })];
+        match vector_kernel() {
+            Some(k) => kernels.push(("avx512 pipelined", k)),
+            None => eprintln!("no AVX-512 on this CPU: its kernel instance is not checked"),
+        }
+        let names: Vec<&str> = kernels.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "pattern kernels checked: fused scalar, {}",
+            names.join(", ")
+        );
         let mut rng = DetRng::seed(0x5eed_d16e);
         for case in 0..500 {
             let seed = splitmix64(case);
@@ -1049,17 +1232,12 @@ mod tests {
             };
             let (start, want) = prefixed(&prefix, &window);
             let tag = format!("case {case}: seed {seed:#x} offset {offset} words {words}");
-            if offset.is_multiple_of(8) {
-                let mut scalar = start;
-                scalar.absorb_pattern_quads(seed, offset / 8, words / 4);
-                for k in offset / 8 + words / 4 * 4..offset / 8 + words {
-                    scalar.absorb_word(splitmix64(seed ^ k));
-                }
-                assert_eq!(scalar.finalize(), want, "scalar loop, {tag}");
-            }
-            for (name, vector) in [(generator_name(), vector_fill()), ("plain block", None)] {
+            let mut fused = start;
+            fused.absorb_pattern_fused(seed, offset, words);
+            assert_eq!(fused.finalize(), want, "fused scalar loop, {tag}");
+            for &(name, kernel) in &kernels {
                 let mut blocks = start;
-                blocks.absorb_pattern_blocks(seed, offset, words, vector);
+                kernel(&mut blocks, seed, offset, words);
                 assert_eq!(blocks.finalize(), want, "{name} kernel, {tag}");
             }
             let mut dispatched = start;
