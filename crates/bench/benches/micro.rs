@@ -110,6 +110,12 @@ fn bench_va_codec(filter: &Option<String>) {
     });
 }
 
+/// Index one record of file 1 at `offset`: a one-record `insert_batch`.
+fn insert(md: &MetadataService, offset: u64, record: SegmentRecord, node: usize) {
+    md.insert_batch(1, offset, offset + record.len, &[(offset, record)], node)
+        .expect("no injector");
+}
+
 fn bench_metadata(filter: &Option<String>) {
     let record = |i: u64| {
         SegmentRecord::new(
@@ -123,14 +129,7 @@ fn bench_metadata(filter: &Option<String>) {
         bench(filter, &format!("metadata/distributed_insert/{n}"), || {
             let md = MetadataService::new(1 << 20, 64, 8);
             for i in 0..n {
-                md.insert(
-                    SegKey {
-                        fid: 1,
-                        offset: i * 4096,
-                    },
-                    record(i),
-                    0,
-                );
+                insert(&md, i * 4096, record(i), 0);
             }
             md.len()
         });
@@ -152,14 +151,7 @@ fn bench_metadata(filter: &Option<String>) {
     // Range lookups over a populated store.
     let md = MetadataService::new(1 << 20, 64, 8);
     for i in 0..100_000u64 {
-        md.insert(
-            SegKey {
-                fid: 1,
-                offset: i * 4096,
-            },
-            record(i),
-            0,
-        );
+        insert(&md, i * 4096, record(i), 0);
     }
     let mut cursor = 0u64;
     bench(filter, "metadata/distributed_range_lookup", || {
@@ -204,11 +196,9 @@ fn bench_read_path(filter: &Option<String>) {
             let placed = chains
                 .append(client, Payload::pattern(logical, seg))
                 .unwrap();
-            md.insert(
-                SegKey {
-                    fid: 1,
-                    offset: logical,
-                },
+            insert(
+                &md,
+                logical,
                 SegmentRecord::new(client, placed.va, seg),
                 geometry.node_of_rank(rank as usize),
             );

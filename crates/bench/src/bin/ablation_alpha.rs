@@ -15,7 +15,7 @@ use univistor_bench::systems::{accumulated_metrics, uv_job, uv_micro_write, UvMo
 use univistor_bench::timing::Platform;
 use univistor_core::config::Features;
 use univistor_core::driver::UniviStorDriver;
-use univistor_core::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
+use univistor_core::metadata::{ClientId, MetadataService, SegmentRecord};
 use univistor_core::va::VirtualAddr;
 use univistor_workloads::MicroIo;
 
@@ -66,14 +66,17 @@ fn main() {
     for servers in [1usize, 4, 16, 64, 256, 1024] {
         let md = MetadataService::new(64 << 20, servers, 8);
         for i in 0..records {
-            md.insert(
-                SegKey {
-                    fid: 1,
-                    offset: i * (8 << 20),
-                },
-                SegmentRecord::new(ClientId::new(0, (i % 512) as u32), VirtualAddr(i), 8 << 20),
+            let offset = i * (8 << 20);
+            let record =
+                SegmentRecord::new(ClientId::new(0, (i % 512) as u32), VirtualAddr(i), 8 << 20);
+            md.insert_batch(
+                1,
+                offset,
+                offset + record.len,
+                &[(offset, record)],
                 (i % 8) as usize,
-            );
+            )
+            .expect("no injector");
         }
         let sizes = md.shard_sizes();
         let max = *sizes.iter().max().expect("servers > 0");

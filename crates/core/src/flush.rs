@@ -793,6 +793,7 @@ fn write_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::tests::insert_one;
     use crate::metadata::{ClientId, SegKey, SegmentRecord};
     use crate::placement::ProcChain;
     use univistor_sim::Payload;
@@ -843,8 +844,12 @@ mod tests {
                     let offset = (rank as u64 * segs_per_client + i) * 64;
                     let placed = self.chains.append(client, Payload::pattern(offset, 64));
                     let rec = SegmentRecord::new(client, placed.unwrap().va, 64);
-                    self.md
-                        .insert(SegKey { fid: 1, offset }, rec, (rank / 2) as usize);
+                    insert_one(
+                        &self.md,
+                        SegKey { fid: 1, offset },
+                        rec,
+                        (rank / 2) as usize,
+                    );
                 }
             }
             4 * segs_per_client * 64
@@ -1231,7 +1236,8 @@ mod tests {
                         .chains
                         .append(writer, Payload::pattern(7000 + i, 64))
                         .unwrap();
-                    h.md.insert(
+                    insert_one(
+                        &h.md,
                         SegKey { fid: 1, offset: 0 },
                         SegmentRecord::new(writer, placed.va, 64),
                         0,

@@ -297,6 +297,7 @@ impl Drop for NodeActors {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::metadata::tests::insert_one;
     use crate::metadata::MetadataService;
     use crate::placement::ChainSet;
     use crate::va::Tier;
@@ -345,7 +346,7 @@ pub(crate) mod tests {
             ..SegmentRecord::new(PRIMARY, p.va, CHUNK)
         };
         let key = SegKey { fid: 1, offset: 0 };
-        core.metadata.insert(key, rec, 0);
+        insert_one(&core.metadata, key, rec, 0);
         let (from, site, to) = ((PRIMARY, p.va), VerifySite::Tiering, None);
         let mv = Move {
             key,
@@ -407,7 +408,7 @@ pub(crate) mod tests {
                 setup: |core, mv| {
                     let p = core.chains.append(PRIMARY, Payload::pattern(8, CHUNK));
                     let overwrite = SegmentRecord::new(PRIMARY, p.unwrap().va, CHUNK);
-                    core.metadata.insert(mv.key, overwrite, 0);
+                    insert_one(&core.metadata, mv.key, overwrite, 0);
                     mv.to = to(PRIMARY, 1, false);
                 },
                 expect: |o| *o == Moved::LostRace,

@@ -13,11 +13,14 @@
 //!
 //! The service is internally synchronized: the KV shards carry their own
 //! locks and each node buffer has an `RwLock`, so every method takes
-//! `&self` and lookups by different clients proceed in parallel. Writers
-//! targeting the same byte range concurrently are the caller's problem
-//! (MPI leaves overlapping unsynchronized writes undefined); displacement
-//! is claimed per record with a compare-and-delete so each displaced span
-//! is released exactly once.
+//! `&self` and lookups by different clients proceed in parallel. Every
+//! index write is one splice: [`MetadataService::insert_batch`] write-locks
+//! the KV shards of its window, removes the overlapped records, inserts the
+//! surviving fragments and the new records and refreshes the node buffers
+//! before releasing any lock, so a reader sees the overwrite entirely or not
+//! at all, and each displaced span is reported by exactly one writer. Lock
+//! order: KV shards (ascending) → node buffers; nothing takes a node buffer
+//! and then a KV shard.
 
 use crate::fault::FaultInjector;
 use crate::va::VirtualAddr;
@@ -112,8 +115,7 @@ pub struct Displaced {
 /// the write pipeline can expose per-call lock costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
-    /// KV shard lock acquisitions: shared scan visits plus exclusive
-    /// claim/fragment/record groups.
+    /// KV shard write locks of the splice (the window's distinct shards).
     pub kv_shard_acquisitions: u64,
     /// Node shared-metadata-buffer write-lock acquisitions.
     pub node_buffer_acquisitions: u64,
@@ -123,9 +125,9 @@ pub struct CommitStats {
 /// index (for the caller to release) plus the lock accounting for the commit.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
-    /// Spans displaced by the punch over the batch's full range.
+    /// Spans displaced from the batch's full range.
     pub displaced: Vec<Displaced>,
-    /// Keys whose record the punch removed without re-putting a left
+    /// Keys whose record the splice removed without re-inserting a left
     /// fragment under them: the data they named is gone, even where one
     /// of the batch's own records now reuses the key.
     pub retired: Vec<SegKey>,
@@ -155,14 +157,14 @@ const READ_CACHE_WINDOWS_PER_FID: usize = 128;
 /// Where a bounded scan for records overlapping `[lo, ..)` starts: a
 /// record starting left of `lo` can still reach into the window, and no
 /// record exceeds one metadata range (the coalescing cap), so the scan
-/// widens left by exactly `range_size`. Every metadata scan — punch and
+/// widens left by exactly `range_size`. Every metadata scan — splice and
 /// lookup — starts here.
 #[inline]
 fn scan_start(lo: u64, range_size: u64) -> u64 {
     lo.saturating_sub(range_size)
 }
 
-/// The geometry of one record `(k, v)` overlapped by a punch of `[lo, hi)`:
+/// The geometry of one record `(k, v)` overlapped by a write of `[lo, hi)`:
 /// surviving left/right fragments plus the displaced middle. Note the
 /// fragment keys can never collide with the batch's new record keys: a
 /// left fragment keeps its original offset `< lo`, the right fragment sits
@@ -247,31 +249,30 @@ fn buffer_lookup(buffer: &NodeBuffer, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey
         .collect()
 }
 
-/// Refresh `buffer` with freshly committed records of `fid`.
-fn buffer_insert(buffer: &mut NodeBuffer, fid: u64, records: &[(u64, SegmentRecord)]) {
-    let per_fid = buffer.entry(fid).or_default();
-    for &(offset, record) in records {
-        per_fid.insert(offset, record);
-    }
-}
-
-/// A punch's pass over one node buffer: drop every claimed key, then
-/// re-cache the surviving fragments if the node tracks the fid at all (the
-/// producer's node is among those that do).
-fn buffer_sweep(
+/// One node buffer's share of an index mutation of `fid`: drop every
+/// removed key, re-cache the surviving fragments if the node tracks the fid
+/// at all, then, on the producer's node only (`install` is `Some`), track
+/// the fid and install the new records.
+fn buffer_apply(
     buffer: &mut NodeBuffer,
     fid: u64,
-    removed: &[SegKey],
+    removed: &[(SegKey, SegmentRecord)],
     fragments: &[(SegKey, SegmentRecord)],
+    install: Option<&[(u64, SegmentRecord)]>,
 ) {
-    let Some(per_fid) = buffer.get_mut(&fid) else {
-        return;
-    };
-    for k in removed {
-        per_fid.remove(&k.offset);
+    if let Some(per_fid) = buffer.get_mut(&fid) {
+        for (k, _) in removed {
+            per_fid.remove(&k.offset);
+        }
+        for (k, frag) in fragments {
+            per_fid.insert(k.offset, *frag);
+        }
     }
-    for (k, frag) in fragments {
-        per_fid.insert(k.offset, *frag);
+    if let Some(install) = install {
+        let per_fid = buffer.entry(fid).or_default();
+        for &(offset, record) in install {
+            per_fid.insert(offset, record);
+        }
     }
 }
 
@@ -321,9 +322,9 @@ fn cache_store(
 
 /// The preconditions of a batched commit over `[lo, hi)`: every record
 /// obeys the coalescing cap `len <= range` (the left-widened overlap scans
-/// in `punch`/`lookup_range` assume no record is longer than one metadata
-/// range) and lies within the batch span (so every record owner is a span
-/// owner). Checked by [`MetadataService::insert`] and
+/// of the splice and `lookup_range` assume no record is longer than one
+/// metadata range) and lies within the batch span (so the splice holds
+/// every record owner's lock). Checked by
 /// [`MetadataService::insert_batch`].
 fn assert_batch_records(range: u64, lo: u64, hi: u64, records: &[(u64, SegmentRecord)]) {
     for (offset, record) in records {
@@ -377,8 +378,8 @@ pub struct MetadataService {
     /// `generations` at hit time, so mutators only bump a counter instead
     /// of chasing cached copies.
     read_cache: Vec<RwLock<ReadCache>>,
-    /// Per fid: mutation generation, bumped by `insert`, `insert_batch`,
-    /// a displacing `punch` and a successful `replace_if_current`.
+    /// Per fid: mutation generation, bumped by `insert_batch` and a
+    /// successful `replace_if_current`.
     generations: Generations,
     /// Fault injector shared with the job; `None` (the default) costs the
     /// KV entry points only this `Option` check.
@@ -421,139 +422,22 @@ impl MetadataService {
         self.generations.bump(fid)
     }
 
-    /// Insert a record for a fresh segment, also caching it in the
-    /// producer node's shared metadata buffer. Any overlapped older
-    /// records are trimmed/removed; the displaced spans are returned so
-    /// the caller can release log space.
-    pub fn insert(
-        &self,
-        key: SegKey,
-        record: SegmentRecord,
-        producer_node: usize,
-    ) -> (ServerId, Vec<Displaced>) {
-        let end = key.offset + record.len;
-        assert_batch_records(
-            self.kv.partitioner().range_size,
-            key.offset,
-            end,
-            &[(key.offset, record)],
-        );
-        let mut locks = CommitStats::default();
-        let (displaced, _) = self.punch_inner(key.fid, key.offset, end, &mut locks);
-        let (server, _) = self.kv.put(key, record);
-        self.local[producer_node]
-            .write()
-            .expect("node buffer poisoned")
-            .entry(key.fid)
-            .or_default()
-            .insert(key.offset, record);
-        self.bump_generation(key.fid);
-        (server, displaced)
-    }
-
-    /// Remove every byte of `[lo, hi)` of `fid` from the index, trimming
-    /// partially-overlapped records. Returns the displaced spans. Each
-    /// overlapped record is claimed with a compare-and-delete, so when two
-    /// punches race over the same record only one of them reports (and
-    /// later releases) its span.
-    pub fn punch(&self, fid: u64, lo: u64, hi: u64) -> Vec<Displaced> {
-        let mut locks = CommitStats::default();
-        let (displaced, _) = self.punch_inner(fid, lo, hi, &mut locks);
-        if !displaced.is_empty() {
-            self.bump_generation(fid);
-        }
-        displaced
-    }
-
-    /// The punch implementation, shared with [`insert_batch`](Self::insert_batch).
-    /// Batched end to end: one borrowing scan collects the overlapping
-    /// records, one grouped compare-and-delete claims them, one grouped put
-    /// reinserts the surviving fragments, and a single pass over the node
-    /// buffers (one write-lock acquisition each) drops the claimed keys and
-    /// re-caches the fragments — versus one full node-buffer sweep per
-    /// record on the old per-record path. Lock acquisitions are added to
-    /// `locks`. Returns the displaced spans and the retired keys (see
-    /// [`BatchOutcome::retired`]).
-    fn punch_inner(
-        &self,
-        fid: u64,
-        lo: u64,
-        hi: u64,
-        locks: &mut CommitStats,
-    ) -> (Vec<Displaced>, Vec<SegKey>) {
-        if lo >= hi {
-            return (Vec::new(), Vec::new());
-        }
-        let scan_lo = scan_start(lo, self.kv.partitioner().range_size);
-        let mut overlapping: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        let servers = self.kv.for_each_in_range(
-            &SegKey {
-                fid,
-                offset: scan_lo,
-            },
-            &SegKey { fid, offset: hi },
-            scan_lo,
-            hi,
-            |k, v| {
-                if k.fid == fid && k.offset < hi && k.offset + v.len > lo {
-                    overlapping.push((*k, *v));
-                }
-            },
-        );
-        locks.kv_shard_acquisitions += servers.len() as u64;
-        if overlapping.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        overlapping.sort_by_key(|(k, _)| *k);
-
-        // Claim every overlapped record in one grouped compare-and-delete;
-        // records a racing punch already claimed (or replaced) stay put.
-        let (claims, claim_acq) = self.kv.remove_if_eq_batch(&overlapping);
-        locks.kv_shard_acquisitions += claim_acq;
-
-        let mut displaced = Vec::new();
-        let mut removed: Vec<SegKey> = Vec::new();
-        let mut fragments: Vec<(SegKey, SegmentRecord)> = Vec::new();
-        for ((k, v), claimed) in overlapping.into_iter().zip(claims) {
-            if !claimed {
-                continue;
-            }
-            removed.push(k);
-            displaced.push(split_overlapped(k, v, lo, hi, &mut fragments));
-        }
-        if removed.is_empty() {
-            return (displaced, removed);
-        }
-        locks.kv_shard_acquisitions += self.kv.put_batch(fragments.iter().cloned());
-
-        // One pass over the node buffers: drop every claimed key, then
-        // re-cache the surviving fragments on nodes tracking the fid (the
-        // producer's node is among them) — same final state as the old
-        // per-record remove_local/relocal sequence, at one lock acquisition
-        // per node instead of one per node per record.
-        for node in &self.local {
-            let mut node = node.write().expect("node buffer poisoned");
-            locks.node_buffer_acquisitions += 1;
-            buffer_sweep(&mut node, fid, &removed, &fragments);
-        }
-        // A record starting left of `lo` keeps its key for its left
-        // fragment; every other claimed key is retired.
-        removed.retain(|k| k.offset >= lo);
-        (displaced, removed)
-    }
-
-    /// Commit the records of one batched write call: a single punch over
-    /// `[lo, hi)` (the full span the records cover) replaces per-record
-    /// punches, the records land via a partition-grouped `put_batch` (one
-    /// shard write-lock acquisition per partition touched), and the producer
-    /// node's shared metadata buffer is refreshed under one lock
-    /// acquisition. `records` are `(offset, record)` pairs that must be
-    /// offset-sorted, mutually disjoint, and lie within `[lo, hi)`; each
-    /// record obeys the coalescing cap `len <= range_size` (the
-    /// left-widened-scan invariant, as for [`insert`](Self::insert)).
+    /// Commit the records of one write call as one splice over `[lo, hi)`
+    /// (the full span the records cover). Write-locks the distinct KV
+    /// shards owning `[scan_start(lo), hi]` — inclusive of `hi`, where a
+    /// right fragment is keyed — in ascending index, each once; removes
+    /// every record overlapping `[lo, hi)`; inserts the surviving fragments
+    /// and the new records; and refreshes the node buffers, one write lock
+    /// and one pass each (every node when anything was removed, else only
+    /// the producer's). Only then are the locks released, so readers see
+    /// the write entirely or not at all. `records` are `(offset, record)`
+    /// pairs that must be offset-sorted, mutually disjoint, and lie within
+    /// `[lo, hi)`; each obeys the coalescing cap `len <= range_size` (the
+    /// left-widened-scan invariant). With no records it punches `[lo, hi)`.
     ///
     /// Fails only by fault injection, *before* touching any state, so a
-    /// failed commit leaves the index unchanged and is safe to retry.
+    /// failed commit leaves the index unchanged and is safe to retry. The
+    /// fid's generation is bumped after the splice lands.
     pub fn insert_batch(
         &self,
         fid: u64,
@@ -563,26 +447,47 @@ impl MetadataService {
         producer_node: usize,
     ) -> SimResult<BatchOutcome> {
         self.inject("kv_insert")?;
-        assert_batch_records(self.kv.partitioner().range_size, lo, hi, records);
-        let mut locks = CommitStats::default();
-        let (displaced, retired) = self.punch_inner(fid, lo, hi, &mut locks);
-        locks.kv_shard_acquisitions += self.kv.put_batch(records.iter().map(|(offset, record)| {
-            (
-                SegKey {
-                    fid,
-                    offset: *offset,
-                },
-                *record,
-            )
-        }));
-        {
-            let mut node = self.local[producer_node]
-                .write()
-                .expect("node buffer poisoned");
-            locks.node_buffer_acquisitions += 1;
-            buffer_insert(&mut node, fid, records);
+        let range = self.kv.partitioner().range_size;
+        assert_batch_records(range, lo, hi, records);
+        self.assert_node(producer_node);
+        let scan_lo = scan_start(lo, range);
+        let mut splice = self.kv.splice(scan_lo, hi);
+        let overlapped = splice.take(
+            &SegKey {
+                fid,
+                offset: scan_lo,
+            },
+            &SegKey { fid, offset: hi },
+            |k, v| k.offset.max(lo) < (k.offset + v.len).min(hi),
+        );
+        let mut displaced = Vec::with_capacity(overlapped.len());
+        let mut fragments: Vec<(SegKey, SegmentRecord)> = Vec::new();
+        for &(k, v) in &overlapped {
+            displaced.push(split_overlapped(k, v, lo, hi, &mut fragments));
         }
+        for &(k, frag) in &fragments {
+            splice.insert(k, frag);
+        }
+        for &(offset, record) in records {
+            splice.insert(SegKey { fid, offset }, record);
+        }
+        #[cfg(test)]
+        tests::park_hook();
+        let node_buffer_acquisitions =
+            self.refresh_buffers(fid, &overlapped, &fragments, records, producer_node);
+        let locks = CommitStats {
+            kv_shard_acquisitions: splice.acquisitions(),
+            node_buffer_acquisitions,
+        };
+        drop(splice);
         self.bump_generation(fid);
+        // A record starting left of `lo` keeps its key for its left
+        // fragment; every other removed key is retired.
+        let retired = overlapped
+            .iter()
+            .map(|(k, _)| *k)
+            .filter(|k| k.offset >= lo)
+            .collect();
         Ok(BatchOutcome {
             displaced,
             retired,
@@ -590,13 +495,41 @@ impl MetadataService {
         })
     }
 
-    fn remove_local(&self, key: SegKey) {
-        for node in &self.local {
-            let mut node = node.write().expect("node buffer poisoned");
-            if let Some(per_fid) = node.get_mut(&key.fid) {
-                per_fid.remove(&key.offset);
+    /// Mutations check their producer node before taking any lock: a
+    /// panic under the KV shard locks would poison them.
+    fn assert_node(&self, node: usize) {
+        assert!(
+            node < self.local.len(),
+            "producer node {node} outside the job's {} nodes",
+            self.local.len()
+        );
+    }
+
+    /// The node-buffer pass of an index mutation of `fid`, run while the
+    /// mutation's KV shard locks are held: one write lock and one
+    /// [`buffer_apply`] per node — every node when records were removed
+    /// (any of them may cache one), else only the producer's. Returns the
+    /// node-buffer lock acquisitions.
+    fn refresh_buffers(
+        &self,
+        fid: u64,
+        removed: &[(SegKey, SegmentRecord)],
+        fragments: &[(SegKey, SegmentRecord)],
+        install: &[(u64, SegmentRecord)],
+        producer_node: usize,
+    ) -> u64 {
+        let mut acquisitions = 0;
+        for (node, buffer) in self.local.iter().enumerate() {
+            let producer = node == producer_node;
+            if removed.is_empty() && !producer {
+                continue;
             }
+            let mut buffer = buffer.write().expect("node buffer poisoned");
+            acquisitions += 1;
+            let install = producer.then_some(install);
+            buffer_apply(&mut buffer, fid, removed, fragments, install);
         }
+        acquisitions
     }
 
     /// Point lookup of one record (one metadata-server RPC).
@@ -605,9 +538,11 @@ impl MetadataService {
     }
 
     /// Compare-and-swap a record: replace `key`'s value with `new` only if
-    /// it still equals `expected`, refreshing the producer node's buffer on
-    /// success. The promotion path uses this so a record overwritten
-    /// between its read and its rewrite is left alone.
+    /// it still equals `expected`. On success the node buffers are
+    /// refreshed by the splice's node-buffer pass — `key` dropped
+    /// everywhere, `new` cached on the producer's node — under the key's
+    /// shard lock, in the same lock order. The promotion path uses this so
+    /// a record overwritten between its read and its rewrite is left alone.
     pub fn replace_if_current(
         &self,
         key: SegKey,
@@ -615,15 +550,17 @@ impl MetadataService {
         new: SegmentRecord,
         producer_node: usize,
     ) -> (ServerId, bool) {
-        let (server, swapped) = self.kv.replace_if_eq(&key, expected, new);
+        self.assert_node(producer_node);
+        let (server, swapped) = self.kv.replace_if_eq(&key, expected, new, || {
+            self.refresh_buffers(
+                key.fid,
+                &[(key, *expected)],
+                &[],
+                &[(key.offset, new)],
+                producer_node,
+            );
+        });
         if swapped {
-            self.remove_local(key);
-            self.local[producer_node]
-                .write()
-                .expect("node buffer poisoned")
-                .entry(key.fid)
-                .or_default()
-                .insert(key.offset, new);
             self.bump_generation(key.fid);
         }
         (server, swapped)
@@ -631,9 +568,11 @@ impl MetadataService {
 
     /// Distributed lookup of all records intersecting `[lo, hi)` of `fid`,
     /// sorted by offset. Returns the metadata servers visited (each visit
-    /// is an RPC in the timing plane). Takes only shared shard locks; the
-    /// borrowing scan copies only the records that actually overlap instead
-    /// of cloning every key/value in the scanned span.
+    /// is an RPC in the timing plane). Takes only shared shard locks, all of
+    /// them before visiting any, so the result is a consistent cut: an
+    /// overwrite is in it entirely or not at all. The borrowing scan copies
+    /// only the records that actually overlap instead of cloning every
+    /// key/value in the scanned span.
     pub fn lookup_range(
         &self,
         fid: u64,
@@ -667,9 +606,9 @@ impl MetadataService {
     /// over the possibly wider `[lo, fetch_hi)` — readahead passes
     /// `fetch_hi > hi` to pre-populate the cache for a sequential scan —
     /// and the result is installed unless the generation moved while the
-    /// lookup was in flight (a racing mutation; the records are still
-    /// returned, matching `lookup_range`'s racing semantics, they just
-    /// aren't cached). Hits take only the cache's shared lock; the one
+    /// lookup was in flight (a racing mutation; the records — a
+    /// consistent cut, like every `lookup_range` — are still returned,
+    /// they just aren't cached). Hits take only the cache's shared lock; the one
     /// exclusive acquisition on this path is the miss-time install.
     ///
     /// Fails only by fault injection, before touching the cache, so a
@@ -744,8 +683,73 @@ impl MetadataService {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::flush::CoreView;
+    use crate::placement::ChainSet;
+    use std::cell::RefCell;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Run by [`park_hook`] on the thread that installed it.
+        static PARK: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+    }
+
+    /// Park this thread's next `insert_batch` inside its critical section
+    /// by running `park` there.
+    pub(crate) fn set_park(park: Box<dyn FnMut()>) {
+        PARK.with(|p| *p.borrow_mut() = Some(park));
+    }
+
+    /// Called by `insert_batch` inside its critical section: KV shards
+    /// write-locked and mutated, node buffers not yet refreshed.
+    pub(crate) fn park_hook() {
+        PARK.with(|p| {
+            if let Some(park) = p.borrow_mut().as_mut() {
+                park();
+            }
+        });
+    }
+
+    /// Commit one record through `insert_batch` (the test suites' single-
+    /// record write), returning the displaced spans.
+    pub(crate) fn insert_one(
+        m: &MetadataService,
+        key: SegKey,
+        record: SegmentRecord,
+        producer_node: usize,
+    ) -> Vec<Displaced> {
+        let end = key.offset + record.len;
+        m.insert_batch(
+            key.fid,
+            key.offset,
+            end,
+            &[(key.offset, record)],
+            producer_node,
+        )
+        .expect("no injector")
+        .displaced
+    }
+
+    /// Remove every byte of `[lo, hi)` from the index: a splice with no
+    /// records.
+    fn punch(m: &MetadataService, fid: u64, lo: u64, hi: u64) -> Vec<Displaced> {
+        m.insert_batch(fid, lo, hi, &[], 0)
+            .expect("no injector")
+            .displaced
+    }
+
+    /// Bytes of `[lo, hi)` the union of `records` covers.
+    fn union_covered(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u64) -> u64 {
+        let mut covered = vec![false; (hi - lo) as usize];
+        for (k, r) in records {
+            for b in k.offset.max(lo)..(k.offset + r.len).min(hi) {
+                covered[(b - lo) as usize] = true;
+            }
+        }
+        covered.iter().filter(|c| **c).count() as u64
+    }
 
     fn svc() -> MetadataService {
         MetadataService::new(256, 4, 2)
@@ -758,8 +762,9 @@ mod tests {
     #[test]
     fn insert_then_lookup() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 100), 0);
-        m.insert(
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 100), 0);
+        insert_one(
+            &m,
             SegKey {
                 fid: 1,
                 offset: 100,
@@ -776,8 +781,8 @@ mod tests {
     #[test]
     fn lookup_is_fid_scoped() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
-        m.insert(SegKey { fid: 2, offset: 0 }, rec(0, 1, 0, 10), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
+        insert_one(&m, SegKey { fid: 2, offset: 0 }, rec(0, 1, 0, 10), 0);
         let (_, records) = m.lookup_range(1, 0, 100);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1.client.rank, 0);
@@ -787,7 +792,7 @@ mod tests {
     fn lookup_catches_left_overlapping_record() {
         let m = svc();
         // Record starts at 50, spans into the queried range [100, 150).
-        m.insert(SegKey { fid: 1, offset: 50 }, rec(0, 0, 0, 60), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 50 }, rec(0, 0, 0, 60), 0);
         let (_, records) = m.lookup_range(1, 100, 150);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].0.offset, 50);
@@ -796,8 +801,8 @@ mod tests {
     #[test]
     fn exact_overwrite_displaces_whole_record() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 7, 100), 0);
-        let (_, displaced) = m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 1, 200, 100), 1);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 7, 100), 0);
+        let displaced = insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 1, 200, 100), 1);
         assert_eq!(
             displaced,
             vec![Displaced {
@@ -816,9 +821,9 @@ mod tests {
     fn partial_overwrite_trims_record() {
         let m = svc();
         // Old record covers [0, 100) at VA 1000.
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 1000, 100), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 1000, 100), 0);
         // New write covers [30, 60).
-        let (_, displaced) = m.insert(SegKey { fid: 1, offset: 30 }, rec(0, 1, 0, 30), 0);
+        let displaced = insert_one(&m, SegKey { fid: 1, offset: 30 }, rec(0, 1, 0, 30), 0);
         assert_eq!(displaced.len(), 1);
         assert_eq!(displaced[0].va, VirtualAddr(1030));
         assert_eq!(displaced[0].len, 30);
@@ -840,7 +845,8 @@ mod tests {
     fn overwrite_spanning_multiple_records() {
         let m = svc();
         for i in 0..4u64 {
-            m.insert(
+            insert_one(
+                &m,
                 SegKey {
                     fid: 1,
                     offset: i * 50,
@@ -850,7 +856,7 @@ mod tests {
             );
         }
         // Overwrite [25, 175) — trims first and last, removes middles.
-        let (_, displaced) = m.insert(SegKey { fid: 1, offset: 25 }, rec(1, 0, 0, 150), 0);
+        let displaced = insert_one(&m, SegKey { fid: 1, offset: 25 }, rec(1, 0, 0, 150), 0);
         let total_displaced: u64 = displaced.iter().map(|d| d.len).sum();
         assert_eq!(total_displaced, 150);
         let (_, records) = m.lookup_range(1, 0, 200);
@@ -861,8 +867,8 @@ mod tests {
     #[test]
     fn local_buffer_serves_producer_node_records() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 64), 0);
-        m.insert(SegKey { fid: 1, offset: 64 }, rec(0, 32, 0, 64), 1);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 64), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 64 }, rec(0, 32, 0, 64), 1);
         // Node 0 sees only its own production.
         let hits = m.lookup_local(0, 1, 0, 128);
         assert_eq!(hits.len(), 1);
@@ -877,7 +883,8 @@ mod tests {
         let m = MetadataService::new(64, 4, 1);
         // 64 segments of 64 bytes → 16 ranges round-robin over 4 servers.
         for i in 0..64u64 {
-            m.insert(
+            insert_one(
+                &m,
                 SegKey {
                     fid: 1,
                     offset: i * 64,
@@ -892,15 +899,15 @@ mod tests {
     #[test]
     fn punch_empty_range_is_noop() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
-        assert!(m.punch(1, 5, 5).is_empty());
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
+        assert!(punch(&m, 1, 5, 5).is_empty());
         assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn cached_lookup_hits_without_rpcs_until_invalidated() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 100), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 100), 0);
         let (servers, records, hit) = m.lookup_range_cached(0, 1, 0, 100, 100).unwrap();
         assert!(!hit);
         assert!(!servers.is_empty());
@@ -916,7 +923,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         // An overwrite bumps the generation: next lookup misses and sees
         // the new record, never the stale VA.
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 1, 500, 100), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 1, 500, 100), 0);
         let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 100, 100).unwrap();
         assert!(!hit, "overwrite must invalidate the cached window");
         assert_eq!(records[0].1.va, VirtualAddr(500));
@@ -929,9 +936,9 @@ mod tests {
     fn punch_and_cas_invalidate_cached_windows() {
         let m = svc();
         let old = rec(0, 0, 0, 64);
-        m.insert(SegKey { fid: 1, offset: 0 }, old, 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, old, 0);
         m.lookup_range_cached(0, 1, 0, 64, 64).unwrap();
-        m.punch(1, 0, 32);
+        punch(&m, 1, 0, 32);
         let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 64, 64).unwrap();
         assert!(!hit);
         assert_eq!(records.len(), 1);
@@ -951,7 +958,7 @@ mod tests {
     #[test]
     fn cache_windows_are_per_node_and_capped() {
         let m = svc();
-        m.insert(SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
         m.lookup_range_cached(0, 1, 0, 10, 10).unwrap();
         // Node 1 has its own cache: same window misses there.
         let (_, _, hit) = m.lookup_range_cached(1, 1, 0, 10, 10).unwrap();
@@ -971,7 +978,8 @@ mod tests {
     fn readahead_fetch_widens_the_cached_window() {
         let m = svc();
         for i in 0..4u64 {
-            m.insert(
+            insert_one(
+                &m,
                 SegKey {
                     fid: 1,
                     offset: i * 50,
@@ -1009,7 +1017,7 @@ mod tests {
     fn replace_if_current_is_a_cas() {
         let m = svc();
         let old = rec(0, 0, 0, 64);
-        m.insert(SegKey { fid: 1, offset: 0 }, old, 0);
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, old, 0);
         let new = rec(0, 0, 4096, 64);
         assert!(
             m.replace_if_current(SegKey { fid: 1, offset: 0 }, &old, new, 0)
@@ -1022,5 +1030,74 @@ mod tests {
         );
         let (_, got) = m.get(&SegKey { fid: 1, offset: 0 });
         assert_eq!(got, Some(new));
+    }
+
+    /// An overwrite is atomic to readers. The writer parks inside its
+    /// splice over a 512-byte window spanning two partitions; readers on
+    /// other threads — `lookup_range` and the node-buffer-then-KV gather,
+    /// from the producer's node and from the other one — must see the
+    /// window fully covered, by the old records or by the new ones.
+    #[test]
+    fn parked_overwrite_is_invisible_to_readers() {
+        let m = MetadataService::new(256, 2, 2);
+        let chains = ChainSet::new();
+        let old = [(0, rec(0, 0, 0, 256)), (256, rec(0, 0, 256, 256))];
+        m.insert_batch(1, 0, 512, &old, 0).unwrap();
+        let new = [(0, rec(0, 1, 1000, 256)), (256, rec(0, 1, 1256, 256))];
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let seen = std::thread::scope(|s| {
+            s.spawn(|| {
+                set_park(Box::new(move || {
+                    parked_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                }));
+                m.insert_batch(1, 0, 512, &new, 0).unwrap();
+            });
+            parked_rx.recv().unwrap();
+            let (done_tx, done_rx) = mpsc::channel();
+            let readers: Vec<_> = (0..2usize)
+                .map(|node| {
+                    let (m, chains, done_tx) = (&m, &chains, done_tx.clone());
+                    s.spawn(move || {
+                        let (_, records) = m.lookup_range(1, 0, 512);
+                        let view = CoreView {
+                            metadata: m,
+                            chains,
+                        };
+                        let g = view.gather(node, 1, 0, 512, 512).unwrap();
+                        let mut gathered = g.local;
+                        gathered.extend(g.remote.map(|r| r.records).unwrap_or_default());
+                        done_tx.send(()).unwrap();
+                        (
+                            node,
+                            union_covered(&records, 0, 512),
+                            union_covered(&gathered, 0, 512),
+                        )
+                    })
+                })
+                .collect();
+            // Readers that are not held off finish well within this.
+            for _ in 0..2 {
+                if done_rx.recv_timeout(Duration::from_millis(200)).is_err() {
+                    break;
+                }
+            }
+            go_tx.send(()).unwrap();
+            readers
+                .into_iter()
+                .map(|r| r.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (node, lookup, gather) in &seen {
+            println!(
+                "node {node}: lookup_range covered {lookup} of 512 bytes, the gather {gather}"
+            );
+        }
+        assert!(
+            seen.iter()
+                .all(|&(_, lookup, gather)| lookup == 512 && gather == 512),
+            "a reader saw a hole in a fully written window: {seen:?}"
+        );
     }
 }

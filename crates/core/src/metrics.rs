@@ -631,7 +631,8 @@ pub struct JobMetrics {
 pub struct WriteLockCounts {
     /// Exclusive log-chain acquisitions (appends + displaced releases).
     pub chain: u64,
-    /// KV shard acquisitions (scans, claims, fragment and record puts).
+    /// KV shard write locks: each commit's splice locks its window's
+    /// shards once.
     pub kv_shard: u64,
     /// Shared-metadata-buffer acquisitions across nodes.
     pub node_buffer: u64,

@@ -610,8 +610,9 @@ impl<'a> ReadService<'a> {
         })
     }
 
-    /// Stage 1: the records covering `[offset, end)`, offset-sorted and
-    /// deduplicated. Shared between the fetch flavours and the sources, so
+    /// Stage 1: the records covering `[offset, end)`, offset-sorted: the
+    /// node buffer's when they cover the request, else the distributed
+    /// lookup's. Shared between the fetch flavours and the sources, so
     /// every [`ReadTrace`] field it feeds (RPCs, buffer/cache hits,
     /// readahead) is invariant across them. Fallible only under fault
     /// injection (the cached distributed lookup can fail transiently
@@ -652,29 +653,26 @@ impl<'a> ReadService<'a> {
         //    uncovered, through the node's read record cache.
         let Gathered { local, remote } = self.source.gather(my_node, fid, offset, end, fetch_hi)?;
         trace.local_md_hits += local.len() as u64;
-        let mut records = local;
-        if let Some(remote) = remote {
-            trace.md_rpcs += remote.rpcs;
-            if remote.cache_hit {
-                trace.md_cache_hits += 1;
-            } else {
-                trace.md_cache_misses += 1;
-                trace.readahead_bytes += fetch_hi - end;
-            }
-            // Readahead overshoot stays in the cache but out of this
-            // request's plan.
-            records.extend(
-                remote
-                    .records
-                    .into_iter()
-                    .filter(|(k, r)| k.offset < end && k.offset + r.len > offset),
-            );
+        let Some(remote) = remote else {
+            return Ok(local);
+        };
+        trace.md_rpcs += remote.rpcs;
+        if remote.cache_hit {
+            trace.md_cache_hits += 1;
+        } else {
+            trace.md_cache_misses += 1;
+            trace.readahead_bytes += fetch_hi - end;
         }
-        // The sort is stable and the node buffer's records come first, so
-        // a key both sources hold keeps the node buffer's copy.
-        records.sort_by_key(|(k, _)| k.offset);
-        records.dedup_by_key(|(k, _)| *k);
-        Ok(records)
+        // The distributed lookup alone answers: it is one consistent cut
+        // of the index, and the node buffer's records are a subset of it —
+        // or, when a splice landed between the two lookups, older records
+        // whose tiling may not fit the new one's. Readahead overshoot stays
+        // in the cache but out of this request's plan.
+        Ok(remote
+            .records
+            .into_iter()
+            .filter(|(k, r)| k.offset < end && k.offset + r.len > offset)
+            .collect())
     }
 
     /// Stage 3: group fragments by producer chain (first
@@ -752,6 +750,7 @@ impl<'a> ReadService<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::tests::{insert_one, set_park};
     use crate::placement::PlacedSegment;
 
     /// Two nodes × two clients each; tiny tiers: 128 B DRAM log, 128 B BB
@@ -789,7 +788,8 @@ mod tests {
             let logical = (client.rank as u64 * n + i) * 64;
             let seed = logical; // deterministic content per offset
             let placed: PlacedSegment = chains.append(client, Payload::pattern(seed, 64)).unwrap();
-            metadata.insert(
+            insert_one(
+                metadata,
                 SegKey {
                     fid: 1,
                     offset: logical,
@@ -1036,5 +1036,52 @@ mod tests {
         assert!(!state.advance(c, 1, 64, 128));
         // Streams are independent per (client, fid).
         assert!(!state.advance(ClientId::new(0, 1), 1, 128, 256));
+    }
+
+    /// A read whose node-buffer lookup runs before an overwrite's splice and
+    /// whose distributed lookup runs after it still sees the whole range.
+    /// Node 0's buffer holds `[0, 32)` of a window node 1 completed with
+    /// `[32, 64)`; the overwrite replaces both with one record at key 0.
+    /// Joining the node buffer's `[0, 32)` with the new index by key would
+    /// drop the new record and leave `[32, 64)` a hole.
+    #[test]
+    fn a_read_racing_an_overwrite_sees_no_hole() {
+        let (md, chains, geom) = setup();
+        let (a, c) = (ClientId::new(0, 0), ClientId::new(0, 2)); // nodes 0, 1
+        let pa = chains.append(a, Payload::pattern(0, 32)).unwrap();
+        let pc = chains.append(c, Payload::pattern(32, 32)).unwrap();
+        let key = |offset| SegKey { fid: 1, offset };
+        insert_one(&md, key(0), SegmentRecord::new(a, pa.va, 32), 0);
+        insert_one(&md, key(32), SegmentRecord::new(c, pc.va, 32), 1);
+        let whole = chains.append(a, Payload::pattern(100, 64)).unwrap();
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                set_park(Box::new(move || {
+                    parked_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                }));
+                let record = SegmentRecord::new(a, whole.va, 64);
+                md.insert_batch(1, 0, 64, &[(0, record)], 0).unwrap();
+            });
+            // The writer holds the window's shard locks, node buffers not
+            // yet refreshed: the read's node-buffer half sees the old
+            // `[0, 32)`, and its distributed half waits for the splice.
+            parked_rx.recv().unwrap();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let (md, chains, geom) = (&md, &chains, &geom);
+            let reader = s.spawn(move || {
+                let got = svc(md, chains, geom, true).read(a, 1, 0, 64);
+                done_tx.send(()).unwrap();
+                got
+            });
+            // Let a reader that is not held off finish first.
+            let _ = done_rx.recv_timeout(std::time::Duration::from_millis(200));
+            go_tx.send(()).unwrap();
+            reader.join().unwrap()
+        });
+        let got = got.expect("a fully written range reads without a hole");
+        assert!(got.payload.content_eq(&Payload::pattern(100, 64)));
     }
 }

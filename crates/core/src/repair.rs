@@ -175,6 +175,7 @@ mod tests {
     use crate::config::UniviStorConfig;
     use crate::integrity::Verifier;
     use crate::maint::tests::core as harness;
+    use crate::metadata::tests::insert_one;
     use crate::metadata::{ClientId, MetadataService, SegKey};
     use crate::metrics::JobMetrics;
     use crate::placement::ChainSet;
@@ -210,7 +211,7 @@ mod tests {
             replica: Some((buddy, r.va)),
             checksum: None,
         };
-        metadata.insert(key, rec, 0);
+        insert_one(metadata, key, rec, 0);
         (key, rec)
     }
 

@@ -366,8 +366,8 @@ mod tests {
     }
 
     /// A handler that panics hands the panic to its caller, and the
-    /// worker keeps serving. (The producer node past the geometry panics
-    /// on the node-buffer index before any lock is taken.)
+    /// worker keeps serving. (The producer node past the geometry fails
+    /// the metadata commit's node check before any lock is taken.)
     #[test]
     fn a_handler_panic_reaches_the_caller_and_the_worker_survives() {
         let mut cfg = UniviStorConfig::test_small(1, 2);

@@ -205,7 +205,7 @@ pub(crate) struct TieringState {
     drain: Mutex<HashMap<u64, DrainLedger>>,
     /// (fid, node) → file generation at the last drain sweep that saw
     /// that node's whole cold set. While the generation is unchanged
-    /// (every write, punch, and CAS bumps it) the node's pass skips the
+    /// (every write and CAS bumps it) the node's pass skips the
     /// file's index scan outright, so steady-state passes over a quiet
     /// file cost O(1). Keyed per node because each pass only sweeps the
     /// records its own node holds. Heat decay clears the memo, since
@@ -595,7 +595,7 @@ fn drain_phase(
             }
         };
         for (key, _) in candidates {
-            // Generation fence: any write/punch/CAS on this file between
+            // Generation fence: any write or CAS on this file between
             // here and the ledger commit bumps the generation, and the
             // copy is discarded instead of remembered.
             let gen0 = m.core.metadata.generation(fid);

@@ -158,7 +158,7 @@ fn replicate(
 /// Write `payload` at `op.offset` (the producer's chain must exist): plan
 /// every grid piece up front, place the run with one append, replicate
 /// volatile pieces with one buddy append, coalesce into records, stamp each
-/// sealed record once, commit them with one punch over the full span,
+/// sealed record once, commit them with one splice over the full span,
 /// release displaced log space grouped by owning chain, and account the
 /// call.
 pub(crate) fn write(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimResult<()> {
@@ -198,9 +198,9 @@ pub(crate) fn write(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimRes
 
     // Free the log space of overwritten data (possibly owned by other
     // clients' chains), including replica copies. Each displaced span was
-    // claimed exactly once by the punch and is released exactly once,
-    // grouped so each owning chain is visited once (the stable sort keeps
-    // punch order within an owner).
+    // removed from the index by exactly one splice and is released exactly
+    // once, grouped so each owning chain is visited once (the stable sort
+    // keeps splice order within an owner).
     let mut spans: Vec<Span> = Vec::new();
     for d in &outcome.displaced {
         spans.push((d.client, d.va, d.len));

@@ -11,11 +11,11 @@
 //! and the release-mode CI job (see `.github/workflows/ci.yml`) runs the
 //! full 8 × 1000-op mix where lock bugs actually get schedule pressure.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use univistor_core::config::UniviStorConfig;
-use univistor_core::metadata::ClientId;
+use univistor_core::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use univistor_core::server::UniviStorJob;
-use univistor_core::va::Tier;
+use univistor_core::va::{Tier, VirtualAddr};
 use univistor_mpi::driver::OpenMode;
 use univistor_sim::Payload;
 
@@ -28,6 +28,94 @@ const BLOCK: u64 = 128;
 /// Distinct block slots each thread cycles over; later iterations
 /// overwrite earlier ones, hammering the punch/displacement path.
 const WINDOW: u64 = 8;
+
+/// Overwrites of the window in the metadata stress: ≥ 100 k in release
+/// (the CI stress job and the TSan job), trimmed in debug.
+const SPLICES: u64 = if cfg!(debug_assertions) {
+    5_000
+} else {
+    100_000
+};
+
+/// Bytes of `[lo, hi)` the union of `records` covers.
+fn union_covered(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u64) -> u64 {
+    let mut covered = vec![false; (hi - lo) as usize];
+    for (k, r) in records {
+        for b in k.offset.max(lo)..(k.offset + r.len).min(hi) {
+            covered[(b - lo) as usize] = true;
+        }
+    }
+    covered.iter().filter(|c| **c).count() as u64
+}
+
+/// An overwrite is one splice, atomic to every reader. One thread
+/// overwrites a window spanning three metadata partitions, alternating two
+/// record tilings and the producer node; two readers loop over
+/// `lookup_range` and, from each node, the node-buffer-then-KV gather
+/// (`lookup_local`, then `lookup_range_cached` when the node buffer leaves
+/// the window uncovered). The window is always fully written, so every
+/// read must cover all of it, from the old records or from the new ones.
+#[test]
+fn overwrites_are_atomic_to_concurrent_lookups() {
+    // Range 256 over 3 servers: [128, 640) touches partitions 0, 1 and 2.
+    let m = MetadataService::new(256, 3, 2);
+    let (fid, lo, hi) = (1, 128, 640);
+    let tiling = |i: u64| -> Vec<(u64, SegmentRecord)> {
+        let bounds: &[u64] = if i.is_multiple_of(2) {
+            &[128, 384, 640]
+        } else {
+            &[128, 256, 512, 640]
+        };
+        let client = ClientId::new(0, (i % 2) as u32);
+        bounds
+            .windows(2)
+            .map(|w| {
+                (
+                    w[0],
+                    SegmentRecord::new(client, VirtualAddr(i * 1024 + w[0]), w[1] - w[0]),
+                )
+            })
+            .collect()
+    };
+    m.insert_batch(fid, lo, hi, &tiling(0), 0).unwrap();
+    let overwrites = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1..=SPLICES {
+                m.insert_batch(fid, lo, hi, &tiling(i), (i % 2) as usize)
+                    .unwrap();
+                overwrites.store(i, Ordering::Relaxed);
+            }
+            done.store(true, Ordering::Release);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let (_, records) = m.lookup_range(fid, lo, hi);
+                    let covered = union_covered(&records, lo, hi);
+                    let at = overwrites.load(Ordering::Relaxed);
+                    assert_eq!(covered, hi - lo, "lookup_range hole after {at} overwrites");
+                    for node in 0..2 {
+                        let mut gathered = m.lookup_local(node, fid, lo, hi);
+                        if union_covered(&gathered, lo, hi) < hi - lo {
+                            let (_, remote, _) =
+                                m.lookup_range_cached(node, fid, lo, hi, hi).unwrap();
+                            gathered.extend(remote);
+                        }
+                        let covered = union_covered(&gathered, lo, hi);
+                        let at = overwrites.load(Ordering::Relaxed);
+                        assert_eq!(
+                            covered,
+                            hi - lo,
+                            "node {node} gather hole after {at} overwrites"
+                        );
+                    }
+                }
+            });
+        }
+    });
+}
 
 #[test]
 fn stress_mixed_ops_eight_threads() {

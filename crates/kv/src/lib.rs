@@ -10,17 +10,24 @@
 //! The crate provides:
 //!
 //! * [`RangePartitioner`] — the offset→server mapping;
-//! * [`DistKv`] — the distributed store (one [`shard`](KvShard) per
-//!   server) with put/get/remove/range-scan and per-server statistics;
+//! * [`DistKv`] — the distributed store, one `RwLock`-guarded ordered map
+//!   per server. Its one multi-record mutation is the [`Splice`]: it
+//!   write-locks every shard owning a window, in ascending index and each
+//!   once, and everything removed and inserted through it lands as one
+//!   atomic change. Its range read
+//!   ([`for_each_in_range`](DistKv::for_each_in_range)) read-locks all of
+//!   its shards, in the same order, before visiting any, so it is a
+//!   consistent cut that sees a splice entirely or not at all. Beside
+//!   those: point `get`, the compare-and-swap `replace_if_eq`, and
+//!   `put_batch` for bulk loads;
 //! * [`CentralizedKv`] — the paper's rejected "naïve solution" (a global
 //!   map on a single server), kept as the scalability ablation baseline.
 //!
-//! Both stores report which server serviced each operation so the timing
-//! plane can charge RPC costs, and both count per-server operations so
-//! experiments can verify load balance.
+//! Lookups report which servers serviced them so the timing plane can
+//! charge RPC costs; `DistKv::shard_sizes` shows the load balance.
 
 pub mod partition;
 pub mod store;
 
 pub use partition::{PartitionKey, RangePartitioner, ServerId};
-pub use store::{CentralizedKv, DistKv, KvShard, KvStats};
+pub use store::{CentralizedKv, DistKv, Splice};

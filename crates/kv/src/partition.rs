@@ -59,24 +59,29 @@ impl RangePartitioner {
         ServerId((self.range_index(point) % self.servers as u64) as usize)
     }
 
-    /// Servers whose ranges intersect `[lo, hi)`, deduplicated, in first-
-    /// touch order. Visits at most `servers` entries even for huge spans.
+    /// Servers whose ranges intersect `[lo, hi)`, deduplicated and
+    /// ascending.
     pub fn servers_for_span(&self, lo: u64, hi: u64) -> Vec<ServerId> {
         if lo >= hi {
             return Vec::new();
         }
-        let first = self.range_index(lo);
-        let last = self.range_index(hi - 1);
-        let n_ranges = last - first + 1;
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.servers];
-        for r in first..first + n_ranges.min(self.servers as u64) {
-            let s = (r % self.servers as u64) as usize;
-            if !seen[s] {
-                seen[s] = true;
-                out.push(ServerId(s));
-            }
+        self.servers_for_points(lo, hi - 1)
+    }
+
+    /// Servers owning any point of the inclusive span `[first, last]`,
+    /// deduplicated and ascending — the order every multi-shard lock set
+    /// is taken in. Visits at most `servers` ranges even for huge spans.
+    pub fn servers_for_points(&self, first: u64, last: u64) -> Vec<ServerId> {
+        if first > last {
+            return Vec::new();
         }
+        let n = self.servers as u64;
+        let (a, b) = (self.range_index(first), self.range_index(last));
+        // At most `servers` consecutive ranges, so the owners are distinct.
+        let mut out: Vec<ServerId> = (a..=b.min(a + n - 1))
+            .map(|r| ServerId((r % n) as usize))
+            .collect();
+        out.sort_unstable();
         out
     }
 }
@@ -107,6 +112,22 @@ mod tests {
         assert_eq!(servers, vec![ServerId(0)]);
         let servers = p.servers_for_span(5, 15);
         assert_eq!(servers, vec![ServerId(0), ServerId(1)]);
+        // Ranges 2, 3, 4 wrap onto S2, S0, S1: reported ascending.
+        let servers = p.servers_for_span(25, 45);
+        assert_eq!(servers, vec![ServerId(0), ServerId(1), ServerId(2)]);
+    }
+
+    #[test]
+    fn inclusive_span_reaches_the_boundary_owner() {
+        let p = RangePartitioner::new(10, 3);
+        // A point exactly on a range boundary belongs to the next range.
+        assert_eq!(p.servers_for_points(5, 10), vec![ServerId(0), ServerId(1)]);
+        assert_eq!(p.servers_for_span(5, 10), vec![ServerId(0)]);
+        assert_eq!(p.servers_for_points(7, 7), vec![ServerId(0)]);
+        assert!(p.servers_for_points(8, 7).is_empty());
+        // One server: every window wraps onto it.
+        let one = RangePartitioner::new(10, 1);
+        assert_eq!(one.servers_for_points(0, 95), vec![ServerId(0)]);
     }
 
     #[test]

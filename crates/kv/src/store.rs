@@ -1,77 +1,25 @@
 //! The distributed store and its centralized ablation baseline.
 //!
 //! [`DistKv`] is internally synchronized: each server shard carries its own
-//! `RwLock` and the per-server operation counters are atomics, so clients on
-//! different threads whose keys land on different shards never contend — the
-//! in-process analogue of the paper's independent metadata servers (§II-B3).
-//! Every method therefore takes `&self`; lookups return owned values so no
-//! shard lock outlives the call.
+//! `RwLock`, so clients on different threads whose keys land on different
+//! shards never contend — the in-process analogue of the paper's
+//! independent metadata servers (§II-B3). Every method takes `&self`;
+//! lookups return owned values or run a visitor under the locks, so no
+//! shard lock outlives the call — except a [`Splice`]'s, which is held
+//! until the splice is dropped.
+//!
+//! **Lock order.** An operation on several shards takes them in ascending
+//! server index, each once: a [`splice`](DistKv::splice) write-locks the
+//! shards of its span, a range read
+//! ([`for_each_in_range`](DistKv::for_each_in_range)) read-locks every
+//! shard of its span before visiting any, and [`put_batch`](DistKv::put_batch)
+//! holds one shard at a time. No path waits for a lower shard while holding
+//! a higher one, so they cannot deadlock, and a range read is a consistent
+//! cut: it sees each splice entirely or not at all.
 
 use crate::partition::{PartitionKey, RangePartitioner, ServerId};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
-
-/// Per-server operation counters, used both for load-balance assertions in
-/// tests and by the timing plane to charge RPC costs.
-#[derive(Debug, Clone, Default)]
-pub struct KvStats {
-    /// Puts serviced per server.
-    pub puts: Vec<u64>,
-    /// Gets (including range-scan visits) serviced per server.
-    pub gets: Vec<u64>,
-}
-
-impl KvStats {
-    /// Max-over-min load ratio across servers (1.0 = perfectly balanced).
-    /// Servers with zero load are ignored in the min.
-    pub fn imbalance(&self) -> f64 {
-        let loads: Vec<u64> = self
-            .puts
-            .iter()
-            .zip(&self.gets)
-            .map(|(p, g)| p + g)
-            .collect();
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let min = loads.iter().copied().filter(|&l| l > 0).min().unwrap_or(0);
-        if min == 0 {
-            return f64::INFINITY;
-        }
-        max as f64 / min as f64
-    }
-}
-
-/// One server's shard: an ordered map. Used directly by the centralized
-/// baseline; `DistKv` wraps one per server in an `RwLock`.
-#[derive(Debug, Clone)]
-pub struct KvShard<K: Ord, V> {
-    map: BTreeMap<K, V>,
-}
-
-impl<K: Ord, V> Default for KvShard<K, V> {
-    fn default() -> Self {
-        KvShard {
-            map: BTreeMap::new(),
-        }
-    }
-}
-
-impl<K: Ord, V> KvShard<K, V> {
-    /// Records stored in this shard.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when the shard holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterate records in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter()
-    }
-}
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The distributed KV store: `servers` shards with range partitioning, each
 /// shard behind its own `RwLock`.
@@ -79,19 +27,14 @@ impl<K: Ord, V> KvShard<K, V> {
 pub struct DistKv<K: Ord + PartitionKey, V> {
     partitioner: RangePartitioner,
     shards: Vec<RwLock<BTreeMap<K, V>>>,
-    puts: Vec<AtomicU64>,
-    gets: Vec<AtomicU64>,
 }
 
 impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
     /// A store with `servers` shards and the given range width.
     pub fn new(range_size: u64, servers: usize) -> Self {
-        let partitioner = RangePartitioner::new(range_size, servers);
         DistKv {
-            partitioner,
+            partitioner: RangePartitioner::new(range_size, servers),
             shards: (0..servers).map(|_| RwLock::new(BTreeMap::new())).collect(),
-            puts: (0..servers).map(|_| AtomicU64::new(0)).collect(),
-            gets: (0..servers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -105,68 +48,41 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
         self.shards.len()
     }
 
-    fn shard(&self, s: ServerId) -> std::sync::RwLockReadGuard<'_, BTreeMap<K, V>> {
+    fn shard(&self, s: ServerId) -> RwLockReadGuard<'_, BTreeMap<K, V>> {
         self.shards[s.0].read().expect("kv shard poisoned")
     }
 
-    fn shard_mut(&self, s: ServerId) -> std::sync::RwLockWriteGuard<'_, BTreeMap<K, V>> {
+    fn shard_mut(&self, s: ServerId) -> RwLockWriteGuard<'_, BTreeMap<K, V>> {
         self.shards[s.0].write().expect("kv shard poisoned")
-    }
-
-    /// Insert, returning the servicing server and any displaced value.
-    pub fn put(&self, key: K, value: V) -> (ServerId, Option<V>) {
-        let server = self.partitioner.server_for(key.partition_point());
-        self.puts[server.0].fetch_add(1, Ordering::Relaxed);
-        let old = self.shard_mut(server).insert(key, value);
-        (server, old)
     }
 
     /// Look up a key, returning a copy of the value and the servicing server.
     pub fn get(&self, key: &K) -> (ServerId, Option<V>) {
         let server = self.partitioner.server_for(key.partition_point());
-        self.gets[server.0].fetch_add(1, Ordering::Relaxed);
         (server, self.shard(server).get(key).cloned())
     }
 
-    /// Remove a key.
-    pub fn remove(&self, key: &K) -> (ServerId, Option<V>) {
-        let server = self.partitioner.server_for(key.partition_point());
-        self.puts[server.0].fetch_add(1, Ordering::Relaxed);
-        (server, self.shard_mut(server).remove(key))
-    }
-
-    /// Remove `key` only if its current value equals `expected` — a
-    /// compare-and-delete claim. Concurrent displacement paths use this so a
-    /// record observed by two threads is released by exactly one of them.
-    pub fn remove_if_eq(&self, key: &K, expected: &V) -> (ServerId, bool)
-    where
-        V: PartialEq,
-    {
-        let server = self.partitioner.server_for(key.partition_point());
-        self.puts[server.0].fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_mut(server);
-        let claimed = match shard.get(key) {
-            Some(v) if v == expected => {
-                shard.remove(key);
-                true
-            }
-            _ => false,
-        };
-        (server, claimed)
-    }
-
     /// Replace `key`'s value with `new` only if it currently equals
-    /// `expected` — a compare-and-swap. Returns whether the swap happened.
-    pub fn replace_if_eq(&self, key: &K, expected: &V, new: V) -> (ServerId, bool)
+    /// `expected` — a compare-and-swap. On a swap, `then` runs before the
+    /// shard's write lock is released, so a caller can refresh state
+    /// derived from the record atomically with it. Returns whether the swap
+    /// happened.
+    pub fn replace_if_eq(
+        &self,
+        key: &K,
+        expected: &V,
+        new: V,
+        then: impl FnOnce(),
+    ) -> (ServerId, bool)
     where
         V: PartialEq,
     {
         let server = self.partitioner.server_for(key.partition_point());
-        self.puts[server.0].fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_mut(server);
         let swapped = match shard.get_mut(key) {
             Some(v) if v == expected => {
                 *v = new;
+                then();
                 true
             }
             _ => false,
@@ -174,42 +90,12 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
         (server, swapped)
     }
 
-    /// Scan all records whose partition point lies in `[lo, hi)` and whose
-    /// key satisfies `filter`. Returns the records sorted by key, plus the
-    /// servers visited (for RPC accounting). Each shard is locked shared for
-    /// the duration of its scan only — the result set is a snapshot, not a
-    /// consistent cut across shards.
-    ///
-    /// This walks every record of each visited shard — fine for modest
-    /// stores; hot paths with ordered keys should use
-    /// [`range_scan_bounded`](Self::range_scan_bounded).
-    pub fn range_scan(
-        &self,
-        lo: u64,
-        hi: u64,
-        filter: impl Fn(&K) -> bool,
-    ) -> (Vec<ServerId>, Vec<(K, V)>) {
-        let servers = self.partitioner.servers_for_span(lo, hi);
-        let mut out: Vec<(K, V)> = Vec::new();
-        for s in &servers {
-            self.gets[s.0].fetch_add(1, Ordering::Relaxed);
-            for (k, v) in self.shard(*s).iter() {
-                let p = k.partition_point();
-                if p >= lo && p < hi && filter(k) {
-                    out.push((k.clone(), v.clone()));
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        (servers, out)
-    }
-
-    /// Like [`range_scan`](Self::range_scan), but additionally bounded by
-    /// a key interval `[lo_key, hi_key)` that the caller guarantees
-    /// contains every key with a partition point in `[lo, hi)` (plus
-    /// whatever filtering slack it wants). Each visited shard is scanned
-    /// with an O(log n + hits) ordered-map range, which keeps million-
-    /// record stores fast.
+    /// Every record whose partition point lies in `[lo, hi)` and whose key
+    /// lies in `[lo_key, hi_key)` (which the caller guarantees contains
+    /// every key with a partition point in `[lo, hi)`, plus whatever
+    /// slack it wants) and satisfies `filter`, sorted by key — a collect
+    /// over [`for_each_in_range`](Self::for_each_in_range), so it is a
+    /// consistent cut too. Returns the servers visited as well.
     pub fn range_scan_bounded(
         &self,
         lo_key: &K,
@@ -218,30 +104,27 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
         hi: u64,
         filter: impl Fn(&K) -> bool,
     ) -> (Vec<ServerId>, Vec<(K, V)>) {
-        let servers = self.partitioner.servers_for_span(lo, hi);
         let mut out: Vec<(K, V)> = Vec::new();
-        for s in &servers {
-            self.gets[s.0].fetch_add(1, Ordering::Relaxed);
-            for (k, v) in self.shard(*s).range(lo_key.clone()..hi_key.clone()) {
-                let p = k.partition_point();
-                if p >= lo && p < hi && filter(k) {
-                    out.push((k.clone(), v.clone()));
-                }
+        let servers = self.for_each_in_range(lo_key, hi_key, lo, hi, |k, v| {
+            if filter(k) {
+                out.push((k.clone(), v.clone()));
             }
-        }
+        });
         out.sort_by(|a, b| a.0.cmp(&b.0));
         (servers, out)
     }
 
-    /// Borrowing variant of [`range_scan_bounded`](Self::range_scan_bounded):
-    /// visit every record whose partition point lies in `[lo, hi)` and whose
-    /// key lies in `[lo_key, hi_key)` without cloning keys or values. Shards
-    /// are visited in first-touch server order and each shard's records in
-    /// key order, so the overall visit order is **not** globally key-sorted —
-    /// callers that need order collect and sort what they keep. The visitor
-    /// runs under the shard's read lock and must not reenter the store.
-    /// Returns the servers visited (each visit is one get for accounting,
-    /// exactly as for the cloning scans).
+    /// Visit every record whose partition point lies in `[lo, hi)` and
+    /// whose key lies in `[lo_key, hi_key)` without cloning keys or values.
+    /// The read locks of all the span's shards are taken, in ascending
+    /// index, before any is visited, so the visit is a **consistent cut**:
+    /// a [`splice`](Self::splice) is seen entirely or not at all, even
+    /// across shards. Each shard's records are visited in key order,
+    /// shards in ascending index, so the overall order is **not** globally
+    /// key-sorted — callers that need order sort what they keep. The
+    /// visitor runs under the read locks and must not reenter the store.
+    /// Each `O(log n + hits)` ordered-map range keeps million-record stores
+    /// fast. Returns the servers visited, ascending.
     pub fn for_each_in_range(
         &self,
         lo_key: &K,
@@ -251,9 +134,9 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
         mut visit: impl FnMut(&K, &V),
     ) -> Vec<ServerId> {
         let servers = self.partitioner.servers_for_span(lo, hi);
-        for s in &servers {
-            self.gets[s.0].fetch_add(1, Ordering::Relaxed);
-            for (k, v) in self.shard(*s).range(lo_key.clone()..hi_key.clone()) {
+        let shards: Vec<_> = servers.iter().map(|&s| self.shard(s)).collect();
+        for shard in &shards {
+            for (k, v) in shard.range(lo_key.clone()..hi_key.clone()) {
                 let p = k.partition_point();
                 if p >= lo && p < hi {
                     visit(k, v);
@@ -267,55 +150,44 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
     /// consecutive same-server group rather than once per record. Callers
     /// pass key-sorted runs so that each partition touched costs exactly one
     /// lock round-trip (range partitioning maps sorted keys to grouped
-    /// servers). Per-server put counters advance once per record, as for
-    /// [`put`](Self::put). Returns the number of shard write-lock
-    /// acquisitions taken.
+    /// servers). One shard is held at a time, so the batch is atomic per
+    /// group, not as a whole — a [`splice`](Self::splice) is. Returns the
+    /// number of shard write-lock acquisitions taken.
     pub fn put_batch(&self, items: impl IntoIterator<Item = (K, V)>) -> u64 {
         let mut acquisitions = 0u64;
-        let mut held: Option<(ServerId, std::sync::RwLockWriteGuard<'_, BTreeMap<K, V>>)> = None;
+        let mut held: Option<(ServerId, RwLockWriteGuard<'_, BTreeMap<K, V>>)> = None;
         for (k, v) in items {
             let server = self.partitioner.server_for(k.partition_point());
             if !matches!(&held, Some((s, _)) if *s == server) {
+                // Release before acquiring: never two shards at once.
+                drop(held.take());
                 held = Some((server, self.shard_mut(server)));
                 acquisitions += 1;
             }
-            self.puts[server.0].fetch_add(1, Ordering::Relaxed);
             held.as_mut().expect("guard just installed").1.insert(k, v);
         }
         acquisitions
     }
 
-    /// Compare-and-delete a run of `(key, expected)` pairs, grouping
-    /// consecutive same-server items under one shard write-lock acquisition.
-    /// Each item has the exact semantics of
-    /// [`remove_if_eq`](Self::remove_if_eq), including its per-attempt put
-    /// accounting. Returns the per-item claim flags (in input order) and the
-    /// number of shard write-lock acquisitions taken.
-    pub fn remove_if_eq_batch(&self, items: &[(K, V)]) -> (Vec<bool>, u64)
-    where
-        V: PartialEq,
-    {
-        let mut claimed = Vec::with_capacity(items.len());
-        let mut acquisitions = 0u64;
-        let mut held: Option<(ServerId, std::sync::RwLockWriteGuard<'_, BTreeMap<K, V>>)> = None;
-        for (k, expected) in items {
-            let server = self.partitioner.server_for(k.partition_point());
-            if !matches!(&held, Some((s, _)) if *s == server) {
-                held = Some((server, self.shard_mut(server)));
-                acquisitions += 1;
-            }
-            self.puts[server.0].fetch_add(1, Ordering::Relaxed);
-            let shard = &mut held.as_mut().expect("guard just installed").1;
-            let ok = match shard.get(k) {
-                Some(v) if v == expected => {
-                    shard.remove(k);
-                    true
-                }
-                _ => false,
-            };
-            claimed.push(ok);
+    /// Write-lock every shard owning a point of the inclusive span
+    /// `[first, last]`, in ascending index and each once (a window whose
+    /// ranges wrap onto one shard locks it once), and return the held
+    /// locks as a [`Splice`]. Everything done through it is one atomic
+    /// mutation to every reader: the locks are released together when it
+    /// is dropped.
+    pub fn splice(&self, first: u64, last: u64) -> Splice<'_, K, V> {
+        let guards = self
+            .partitioner
+            .servers_for_points(first, last)
+            .into_iter()
+            .map(|s| (s, self.shard_mut(s)))
+            .collect();
+        Splice {
+            partitioner: self.partitioner,
+            first,
+            last,
+            guards,
         }
-        (claimed, acquisitions)
     }
 
     /// Records per server (distribution inspection).
@@ -335,21 +207,71 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Snapshot of the operation counters.
-    pub fn stats(&self) -> KvStats {
-        KvStats {
-            puts: self
-                .puts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            gets: self
-                .gets
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+/// The write locks of every shard owning a point of a span `[first, last]`
+/// (see [`DistKv::splice`]). Records are removed and inserted through it;
+/// readers see none of it until it is dropped, then all of it.
+#[derive(Debug)]
+pub struct Splice<'a, K: Ord, V> {
+    partitioner: RangePartitioner,
+    first: u64,
+    last: u64,
+    /// Ascending by server.
+    guards: Vec<(ServerId, RwLockWriteGuard<'a, BTreeMap<K, V>>)>,
+}
+
+impl<K: Ord + PartitionKey + Clone, V> Splice<'_, K, V> {
+    /// Shard write locks held (the splice's lock accounting).
+    pub fn acquisitions(&self) -> u64 {
+        self.guards.len() as u64
+    }
+
+    /// Remove and return, sorted by key, every record whose key lies in
+    /// `[lo_key, hi_key)`, whose partition point lies in the span, and
+    /// which `select` accepts. Each shard is scanned with an ordered-map
+    /// range, then only the selected keys are removed.
+    pub fn take(
+        &mut self,
+        lo_key: &K,
+        hi_key: &K,
+        mut select: impl FnMut(&K, &V) -> bool,
+    ) -> Vec<(K, V)> {
+        let (first, last) = (self.first, self.last);
+        let mut out: Vec<(K, V)> = Vec::new();
+        for (_, shard) in &mut self.guards {
+            let keys: Vec<K> = shard
+                .range(lo_key.clone()..hi_key.clone())
+                .filter(|(k, v)| {
+                    let p = k.partition_point();
+                    p >= first && p <= last && select(k, v)
+                })
+                .map(|(k, _)| k.clone())
+                .collect();
+            for k in keys {
+                let v = shard.remove(&k).expect("selected under the lock");
+                out.push((k, v));
+            }
         }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Insert a record, returning the value it displaced. Panics if the
+    /// key's partition point lies outside the span: its shard may not be
+    /// locked.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let p = key.partition_point();
+        assert!(
+            p >= self.first && p <= self.last,
+            "key at {p} outside the splice's span"
+        );
+        let server = self.partitioner.server_for(p);
+        let i = self
+            .guards
+            .binary_search_by_key(&server, |(s, _)| *s)
+            .expect("span owners are locked");
+        self.guards[i].1.insert(key, value)
     }
 }
 
@@ -358,7 +280,7 @@ impl<K: Ord + PartitionKey + Clone, V: Clone> DistKv<K, V> {
 /// bottleneck the distributed design removes.
 #[derive(Debug, Clone)]
 pub struct CentralizedKv<K: Ord, V> {
-    shard: KvShard<K, V>,
+    map: BTreeMap<K, V>,
     ops: u64,
 }
 
@@ -366,7 +288,7 @@ impl<K: Ord + Clone, V> CentralizedKv<K, V> {
     /// An empty centralized store.
     pub fn new() -> Self {
         CentralizedKv {
-            shard: KvShard::default(),
+            map: BTreeMap::new(),
             ops: 0,
         }
     }
@@ -374,20 +296,19 @@ impl<K: Ord + Clone, V> CentralizedKv<K, V> {
     /// Insert. Always serviced by the single server.
     pub fn put(&mut self, key: K, value: V) -> Option<V> {
         self.ops += 1;
-        self.shard.map.insert(key, value)
+        self.map.insert(key, value)
     }
 
     /// Look up.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.ops += 1;
-        self.shard.map.get(key)
+        self.map.get(key)
     }
 
     /// Range scan by key order.
     pub fn range_scan(&mut self, lo: &K, hi: &K) -> Vec<(K, &V)> {
         self.ops += 1;
-        self.shard
-            .map
+        self.map
             .range(lo.clone()..hi.clone())
             .map(|(k, v)| (k.clone(), v))
             .collect()
@@ -400,12 +321,12 @@ impl<K: Ord + Clone, V> CentralizedKv<K, V> {
 
     /// Records stored.
     pub fn len(&self) -> usize {
-        self.shard.len()
+        self.map.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.shard.is_empty()
+        self.map.is_empty()
     }
 }
 
@@ -440,8 +361,7 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let kv: DistKv<SegKey, &str> = DistKv::new(16, 4);
-        kv.put(key(1, 0), "a");
-        kv.put(key(1, 100), "b");
+        kv.put_batch([(key(1, 0), "a"), (key(1, 100), "b")]);
         assert_eq!(kv.get(&key(1, 0)).1, Some("a"));
         assert_eq!(kv.get(&key(1, 100)).1, Some("b"));
         assert_eq!(kv.get(&key(2, 0)).1, None);
@@ -449,38 +369,67 @@ mod tests {
     }
 
     #[test]
-    fn put_returns_displaced_value() {
+    fn splice_insert_returns_displaced_value() {
         let kv: DistKv<SegKey, u32> = DistKv::new(16, 2);
-        assert_eq!(kv.put(key(1, 5), 10).1, None);
-        assert_eq!(kv.put(key(1, 5), 20).1, Some(10));
+        let mut splice = kv.splice(5, 5);
+        assert_eq!(splice.insert(key(1, 5), 10), None);
+        assert_eq!(splice.insert(key(1, 5), 20), Some(10));
+        drop(splice);
         assert_eq!(kv.len(), 1);
     }
 
     #[test]
-    fn remove_works() {
-        let kv: DistKv<SegKey, u32> = DistKv::new(16, 2);
-        kv.put(key(1, 5), 10);
-        assert_eq!(kv.remove(&key(1, 5)).1, Some(10));
-        assert_eq!(kv.get(&key(1, 5)).1, None);
-        assert!(kv.is_empty());
+    fn splice_take_removes_selected_records_in_key_order() {
+        // Range 4, 2 servers: offsets 0..12 alternate S0, S1, S0.
+        let kv: DistKv<SegKey, u64> = DistKv::new(4, 2);
+        kv.put_batch((0..12).map(|off| (key(1, off), off)));
+        kv.put_batch([(key(2, 3), 99)]);
+        let mut splice = kv.splice(2, 9);
+        assert_eq!(splice.acquisitions(), 2);
+        let taken = splice.take(&key(1, 0), &key(1, 12), |_, v| v % 3 != 0);
+        drop(splice);
+        // In the span, of fid 1, not a multiple of 3 — sorted across shards.
+        let offsets: Vec<u64> = taken.iter().map(|(k, _)| k.offset).collect();
+        assert_eq!(offsets, vec![2, 4, 5, 7, 8]);
+        assert_eq!(kv.len(), 13 - 5);
+        assert_eq!(kv.get(&key(1, 1)).1, Some(1), "left of the span");
+        assert_eq!(kv.get(&key(1, 10)).1, Some(10), "right of the span");
+        assert_eq!(kv.get(&key(2, 3)).1, Some(99), "outside the key range");
     }
 
     #[test]
-    fn remove_if_eq_claims_exactly_once() {
-        let kv: DistKv<SegKey, u32> = DistKv::new(16, 2);
-        kv.put(key(1, 5), 10);
-        assert!(!kv.remove_if_eq(&key(1, 5), &99).1); // wrong value
-        assert!(kv.remove_if_eq(&key(1, 5), &10).1); // claims
-        assert!(!kv.remove_if_eq(&key(1, 5), &10).1); // already gone
-        assert!(kv.is_empty());
+    fn splice_locks_each_owner_once_ascending() {
+        // Ranges 2..=4 of width 10 over 3 servers wrap: S2, S0, S1.
+        let kv: DistKv<SegKey, u64> = DistKv::new(10, 3);
+        let splice = kv.splice(25, 45);
+        let owners: Vec<ServerId> = splice.guards.iter().map(|(s, _)| *s).collect();
+        assert_eq!(owners, vec![ServerId(0), ServerId(1), ServerId(2)]);
+        drop(splice);
+        // A window longer than the ring locks every shard once; with one
+        // server, every window is one lock.
+        assert_eq!(kv.splice(0, 1000).acquisitions(), 3);
+        let one: DistKv<SegKey, u64> = DistKv::new(10, 1);
+        assert_eq!(one.splice(0, 1000).acquisitions(), 1);
+        // `last` is inclusive: a point on a boundary locks the next owner.
+        assert_eq!(kv.splice(5, 10).acquisitions(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the splice's span")]
+    fn splice_rejects_keys_outside_its_span() {
+        let kv: DistKv<SegKey, u64> = DistKv::new(10, 3);
+        kv.splice(0, 9).insert(key(1, 10), 0);
     }
 
     #[test]
     fn replace_if_eq_is_a_cas() {
         let kv: DistKv<SegKey, u32> = DistKv::new(16, 2);
-        kv.put(key(1, 5), 10);
-        assert!(kv.replace_if_eq(&key(1, 5), &10, 11).1);
-        assert!(!kv.replace_if_eq(&key(1, 5), &10, 12).1); // stale expectation
+        kv.put_batch([(key(1, 5), 10)]);
+        let mut thens = 0;
+        assert!(kv.replace_if_eq(&key(1, 5), &10, 11, || thens += 1).1);
+        // Stale expectation: no swap, and `then` does not run.
+        assert!(!kv.replace_if_eq(&key(1, 5), &10, 12, || thens += 1).1);
+        assert_eq!(thens, 1);
         assert_eq!(kv.get(&key(1, 5)).1, Some(11));
     }
 
@@ -489,11 +438,8 @@ mod tests {
         // 64 records at offsets 0..64, range width 4, 4 servers → each
         // server owns exactly 4 ranges × 4 records.
         let kv: DistKv<SegKey, u64> = DistKv::new(4, 4);
-        for off in 0..64 {
-            kv.put(key(1, off), off);
-        }
+        kv.put_batch((0..64).map(|off| (key(1, off), off)));
         assert_eq!(kv.shard_sizes(), vec![16, 16, 16, 16]);
-        assert!(kv.stats().imbalance() < 1.01);
     }
 
     #[test]
@@ -501,8 +447,7 @@ mod tests {
         // Segments from different source processes can share a VA/offset —
         // the composite key keeps them distinct.
         let kv: DistKv<SegKey, &str> = DistKv::new(16, 2);
-        kv.put(key(1, 42), "file1");
-        kv.put(key(2, 42), "file2");
+        kv.put_batch([(key(1, 42), "file1"), (key(2, 42), "file2")]);
         assert_eq!(kv.get(&key(1, 42)).1, Some("file1"));
         assert_eq!(kv.get(&key(2, 42)).1, Some("file2"));
     }
@@ -511,10 +456,10 @@ mod tests {
     fn range_scan_returns_sorted_and_filtered() {
         let kv: DistKv<SegKey, u64> = DistKv::new(8, 3);
         for off in (0..100).step_by(10) {
-            kv.put(key(1, off), off);
-            kv.put(key(2, off), off + 1000);
+            kv.put_batch([(key(1, off), off), (key(2, off), off + 1000)]);
         }
-        let (servers, records) = kv.range_scan(20, 60, |k| k.fid == 1);
+        let (servers, records) =
+            kv.range_scan_bounded(&key(0, 0), &key(3, 0), 20, 60, |k| k.fid == 1);
         assert!(!servers.is_empty());
         let offsets: Vec<u64> = records.iter().map(|(k, _)| k.offset).collect();
         assert_eq!(offsets, vec![20, 30, 40, 50]);
@@ -529,8 +474,8 @@ mod tests {
     #[test]
     fn range_scan_empty_span() {
         let kv: DistKv<SegKey, u64> = DistKv::new(8, 3);
-        kv.put(key(1, 5), 5);
-        let (servers, records) = kv.range_scan(100, 100, |_| true);
+        kv.put_batch([(key(1, 5), 5)]);
+        let (servers, records) = kv.range_scan_bounded(&key(0, 0), &key(3, 0), 100, 100, |_| true);
         assert!(servers.is_empty());
         assert!(records.is_empty());
     }
@@ -539,10 +484,8 @@ mod tests {
     fn for_each_in_range_matches_cloning_scan() {
         let kv: DistKv<SegKey, u64> = DistKv::new(8, 3);
         for off in (0..100).step_by(10) {
-            kv.put(key(1, off), off);
-            kv.put(key(2, off), off + 1000);
+            kv.put_batch([(key(1, off), off), (key(2, off), off + 1000)]);
         }
-        let gets_before = kv.stats().gets.iter().sum::<u64>();
         let (scan_servers, scan_records) =
             kv.range_scan_bounded(&key(1, 20), &key(1, 60), 20, 60, |k| k.fid == 1);
         let mut visited: Vec<(SegKey, u64)> = Vec::new();
@@ -554,9 +497,6 @@ mod tests {
         visited.sort_by_key(|(k, _)| *k);
         assert_eq!(visit_servers, scan_servers);
         assert_eq!(visited, scan_records);
-        // Both scans charge one get per visited server.
-        let gets_after = kv.stats().gets.iter().sum::<u64>();
-        assert_eq!(gets_after - gets_before, 2 * scan_servers.len() as u64);
     }
 
     #[test]
@@ -569,33 +509,9 @@ mod tests {
         assert_eq!(acquisitions, 4);
         assert_eq!(kv.len(), 16);
         assert_eq!(kv.shard_sizes(), vec![4, 4, 4, 4]);
-        // Put accounting matches the one-at-a-time path: one per record.
-        assert_eq!(kv.stats().puts, vec![4; 4]);
         for off in 0..16 {
             assert_eq!(kv.get(&key(1, off)).1, Some(off));
         }
-    }
-
-    #[test]
-    fn remove_if_eq_batch_claims_like_singles() {
-        let kv: DistKv<SegKey, u64> = DistKv::new(4, 2);
-        kv.put(key(1, 0), 10);
-        kv.put(key(1, 1), 20);
-        kv.put(key(1, 4), 30);
-        let items = vec![
-            (key(1, 0), 10u64), // matches → claimed
-            (key(1, 1), 99),    // stale expectation → left alone
-            (key(1, 4), 30),    // matches → claimed
-            (key(1, 5), 40),    // absent → not claimed
-        ];
-        let (claims, acquisitions) = kv.remove_if_eq_batch(&items);
-        assert_eq!(claims, vec![true, false, true, false]);
-        // Offsets 0/1 share partition 0 (server 0), 4/5 share partition 1
-        // (server 1): two grouped acquisitions for four items.
-        assert_eq!(acquisitions, 2);
-        assert_eq!(kv.get(&key(1, 0)).1, None);
-        assert_eq!(kv.get(&key(1, 1)).1, Some(20));
-        assert_eq!(kv.get(&key(1, 4)).1, None);
     }
 
     #[test]
@@ -609,14 +525,69 @@ mod tests {
                     // Each thread owns one partition range stride.
                     for i in 0..256u64 {
                         let off = (i * 4 + t) * 16; // lands on server (i*4+t)%4 == t
-                        kv.put(key(t as u32, off), off);
+                        kv.put_batch([(key(t as u32, off), off)]);
                     }
                 });
             }
         });
         assert_eq!(kv.len(), 4 * 256);
-        let stats = kv.stats();
-        assert_eq!(stats.puts, vec![256; 4]);
+        assert_eq!(kv.shard_sizes(), vec![256; 4]);
+    }
+
+    /// A writer moves one record back and forth between two shards, each
+    /// move one splice; concurrent range reads over both shards must see
+    /// exactly one copy every time — a read that visited the shards one
+    /// lock at a time would see zero or two.
+    #[test]
+    fn range_reads_are_consistent_cuts_of_splices() {
+        let kv: DistKv<SegKey, u64> = DistKv::new(8, 2);
+        kv.put_batch([(key(1, 0), 0)]);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..20_000u64 {
+                    let mut splice = kv.splice(0, 15);
+                    let taken = splice.take(&key(1, 0), &key(1, 16), |_, _| true);
+                    assert_eq!(taken.len(), 1);
+                    splice.insert(key(1, (i % 2) * 8), i);
+                }
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..20_000 {
+                        let mut seen = 0;
+                        kv.for_each_in_range(&key(1, 0), &key(1, 16), 0, 16, |_, _| seen += 1);
+                        assert_eq!(seen, 1, "a range read saw a splice half done");
+                    }
+                });
+            }
+        });
+    }
+
+    /// Two threads race to take the same records, one single-key splice
+    /// each: every record is taken by exactly one of them.
+    #[test]
+    fn racing_splices_take_each_record_once() {
+        let kv: DistKv<SegKey, u64> = DistKv::new(4, 3);
+        kv.put_batch((0..2_000).map(|off| (key(1, off), off)));
+        let taken: Vec<usize> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..2_000)
+                            .map(|off| {
+                                let k = key(1, off);
+                                kv.splice(off, off)
+                                    .take(&k, &key(1, off + 1), |_, _| true)
+                                    .len()
+                            })
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(taken.iter().sum::<usize>(), 2_000);
+        assert!(kv.is_empty());
     }
 
     #[test]
@@ -625,11 +596,11 @@ mod tests {
         let dist: DistKv<SegKey, u64> = DistKv::new(4, 8);
         for off in 0..800 {
             central.put(key(1, off), off);
-            dist.put(key(1, off), off);
         }
+        dist.put_batch((0..800).map(|off| (key(1, off), off)));
         assert_eq!(central.ops(), 800);
-        // Distributed: no server saw more than ~1/8 of the puts.
-        let max_per_server = *dist.stats().puts.iter().max().unwrap();
+        // Distributed: no server holds more than ~1/8 of the records.
+        let max_per_server = *dist.shard_sizes().iter().max().unwrap();
         assert!(max_per_server <= 101, "max {max_per_server}");
     }
 

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example tier_explorer`
 
-use univistor::core::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
+use univistor::core::metadata::{ClientId, MetadataService, SegmentRecord};
 use univistor::core::placement::ProcChain;
 use univistor::core::striping::{adaptive_plan, naive_plan, ost_loads};
 use univistor::core::va::Tier;
@@ -42,21 +42,23 @@ fn main() {
     // 16 records over 4 ranges, assigned round-robin to 4 servers.
     let md = MetadataService::new(4 * unit, 4, 2);
     for i in 0..16u64 {
-        let key = SegKey {
-            fid: 1,
-            offset: i * unit,
-        };
-        let (server, _) = md.insert(
-            key,
-            SegmentRecord::new(
-                ClientId::new(0, (i / 8) as u32),
-                univistor::core::va::VirtualAddr((i % 8) * unit),
-                unit,
-            ),
-            (i / 8) as usize,
+        let offset = i * unit;
+        let record = SegmentRecord::new(
+            ClientId::new(0, (i / 8) as u32),
+            univistor::core::va::VirtualAddr((i % 8) * unit),
+            unit,
         );
+        md.insert_batch(
+            1,
+            offset,
+            offset + unit,
+            &[(offset, record)],
+            (i / 8) as usize,
+        )
+        .expect("no injector");
         if i % 4 == 0 {
-            println!("  records for offsets {}..{} → {server}", i, i + 4);
+            let server = md.partition_of(offset);
+            println!("  records for offsets {}..{} → S{server}", i, i + 4);
         }
     }
     println!("  per-server record counts: {:?}", md.shard_sizes());
