@@ -100,7 +100,7 @@ fn run_once(segments: u64, read_passes: u64) -> RunStats {
         start.elapsed().as_secs_f64()
     };
 
-    // Warm the metadata caches and readahead state before timing, so
+    // Warm the nodes' read record caches before timing, so
     // the healthy phase doesn't absorb every cold miss.
     scan("warmup");
     let healthy_s = scan("healthy");

@@ -392,7 +392,7 @@ impl Platform {
     /// Direct-Lustre read.
     pub fn lustre_read_time(&self, total_bytes: u64) -> f64 {
         let p = self.procs() as u64;
-        // Readers share locks and server-side readahead amortizes part of
+        // Readers share locks and server-side prefetching amortizes part of
         // the per-stripe RPC cost, so reads see half of the write
         // overhead.
         let stripe_eff = small_io_efficiency(

@@ -48,18 +48,6 @@ impl Features {
             ..Features::default()
         }
     }
-
-    /// Every optimization off — the unoptimized baseline in Fig. 5.
-    pub fn none() -> Self {
-        Features {
-            interference_aware: false,
-            collective_open_close: false,
-            adaptive_striping: false,
-            workflow: false,
-            location_aware_reads: false,
-            flush_on_close: true,
-        }
-    }
 }
 
 /// Which threads run [`UniviStorJob`](crate::server::UniviStorJob)'s
@@ -330,15 +318,6 @@ pub struct UniviStorConfig {
     /// Mirror volatile-layer segments to a buddy process on another node
     /// (the paper's future work: resilience for data in volatile layers).
     pub replicate_volatile: bool,
-    /// Bytes of extra metadata lookup issued past a sequential read's end
-    /// (a `(client, fid)` stream counts as sequential after
-    /// [`READAHEAD_MIN_STREAK`](crate::read::READAHEAD_MIN_STREAK) forward
-    /// reads, so interleaved streams don't defeat the detection);
-    /// the widened window lands in the node's read record cache, so the
-    /// following reads of the scan are served without metadata RPCs.
-    /// `0` disables readahead (the default for the figure configurations,
-    /// whose timing plane charges per metadata RPC).
-    pub readahead_window: u64,
     /// Retry budget for transient I/O faults (injected or environmental).
     /// Only consulted when an operation actually fails transiently, so
     /// the default policy costs nothing on healthy runs.
@@ -384,7 +363,6 @@ impl UniviStorConfig {
             enable_dram: true,
             enable_bb: true,
             replicate_volatile: false,
-            readahead_window: 0,
             retry: RetryPolicy::default(),
             fault: None,
             tiering: TieringConfig::default(),
@@ -657,7 +635,5 @@ mod tests {
         assert!(Features::default().adaptive_striping);
         assert!(!Features::default().workflow);
         assert!(Features::all().workflow);
-        let none = Features::none();
-        assert!(!none.interference_aware && !none.collective_open_close);
     }
 }

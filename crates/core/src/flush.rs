@@ -40,7 +40,6 @@ use crate::integrity::{verified_clip, StampedFetch, Verifier};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
-use crate::read::{covered_bytes, Gathered, RemoteLookup};
 use crate::runtime::host_cpus;
 use crate::striping::{adaptive_plan, naive_plan, StripePlan};
 use crate::tiering::DrainLedger;
@@ -145,36 +144,6 @@ impl CoreView<'_> {
     /// The fid's current mutation generation — the catch-up fence.
     pub(crate) fn generation(&self, fid: u64) -> u64 {
         self.metadata.generation(fid)
-    }
-
-    /// The gather stage of a location-aware read by a client on `node`:
-    /// the node buffer's hits over `[lo, hi)` and — only when they leave
-    /// the request uncovered — the distributed lookup through the node's
-    /// generation-validated read record cache, widened to `[lo, fetch_hi)`
-    /// on a miss (readahead). Fails only by the `kv_lookup` fault draw,
-    /// before touching any state, so the caller may retry it.
-    pub(crate) fn gather(
-        &self,
-        node: usize,
-        fid: u64,
-        lo: u64,
-        hi: u64,
-        fetch_hi: u64,
-    ) -> SimResult<Gathered> {
-        let local = self.metadata.lookup_local(node, fid, lo, hi);
-        let remote = if covered_bytes(&local, lo, hi) < hi - lo {
-            let (servers, records, cache_hit) = self
-                .metadata
-                .lookup_range_cached(node, fid, lo, hi, fetch_hi)?;
-            Some(RemoteLookup {
-                records,
-                rpcs: servers.len() as u64,
-                cache_hit,
-            })
-        } else {
-            None
-        };
-        Ok(Gathered { local, remote })
     }
 }
 
@@ -585,7 +554,7 @@ enum SpanOutcome {
     Drained { len: u64 },
     /// No healthy copy anywhere.
     Lost { len: u64 },
-    /// Gathered bytes ready for the writer stage.
+    /// Bytes gathered and ready for the writer stage.
     Data {
         clip_lo: u64,
         len: u64,

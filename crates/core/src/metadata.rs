@@ -231,27 +231,38 @@ type NodeBuffer = HashMap<u64, BTreeMap<u64, SegmentRecord>>;
 /// One node's read record cache: fid → window lo → cached lookup result.
 type ReadCache = HashMap<u64, BTreeMap<u64, CacheEntry>>;
 
-/// Records of `fid` in `buffer` intersecting `[lo, hi)`.
-fn buffer_lookup(buffer: &NodeBuffer, fid: u64, lo: u64, hi: u64) -> Vec<(SegKey, SegmentRecord)> {
-    let Some(per_fid) = buffer.get(&fid) else {
-        return Vec::new();
-    };
-    // Start one record earlier in case it overlaps from the left.
-    let start = per_fid
-        .range(..lo)
-        .next_back()
-        .map(|(o, _)| *o)
-        .unwrap_or(lo);
-    per_fid
-        .range(start..hi)
-        .filter(|(o, r)| **o < hi && **o + r.len > lo)
-        .map(|(o, r)| (SegKey { fid, offset: *o }, *r))
-        .collect()
+/// The records of `fid` in `buffer` that tile `[lo, hi)`, offset-sorted:
+/// the walk starts at the record at or left of `lo` and stops at the first
+/// gap, so `None` (the buffer leaves part of the request uncovered) clones
+/// nothing.
+fn buffer_cover(
+    buffer: &NodeBuffer,
+    fid: u64,
+    lo: u64,
+    hi: u64,
+) -> Option<Vec<(SegKey, SegmentRecord)>> {
+    let per_fid = buffer.get(&fid)?;
+    let (&start, _) = per_fid.range(..=lo).next_back()?;
+    let mut covered = lo;
+    for (&offset, r) in per_fid.range(start..hi) {
+        if offset > covered {
+            return None;
+        }
+        covered = covered.max(offset + r.len);
+    }
+    (covered >= hi).then(|| {
+        per_fid
+            .range(start..hi)
+            .map(|(&offset, &r)| (SegKey { fid, offset }, r))
+            .collect()
+    })
 }
 
 /// One node buffer's share of an index mutation of `fid`: drop every
-/// removed key, re-cache the surviving fragments if the node tracks the fid
-/// at all, then, on the producer's node only (`install` is `Some`), track
+/// removed key and re-cache the surviving fragments of the records this
+/// buffer held (a fragment lies inside its parent's span, and the index's
+/// records are disjoint), so a buffer only ever holds its own node's
+/// records; then, on the producer's node only (`install` is `Some`), track
 /// the fid and install the new records.
 fn buffer_apply(
     buffer: &mut NodeBuffer,
@@ -261,11 +272,16 @@ fn buffer_apply(
     install: Option<&[(u64, SegmentRecord)]>,
 ) {
     if let Some(per_fid) = buffer.get_mut(&fid) {
-        for (k, _) in removed {
-            per_fid.remove(&k.offset);
-        }
-        for (k, frag) in fragments {
-            per_fid.insert(k.offset, *frag);
+        for (k, v) in removed {
+            if per_fid.remove(&k.offset).is_none() {
+                continue;
+            }
+            let parent = k.offset..k.offset + v.len;
+            for (fk, frag) in fragments {
+                if parent.contains(&fk.offset) {
+                    per_fid.insert(fk.offset, *frag);
+                }
+            }
         }
     }
     if let Some(install) = install {
@@ -297,12 +313,12 @@ fn cache_probe(
     })
 }
 
-/// Install the window `[lo, fetch_hi)` fetched at generation `gen`.
+/// Install the window `[lo, hi)` fetched at generation `gen`.
 fn cache_store(
     cache: &mut ReadCache,
     fid: u64,
     lo: u64,
-    fetch_hi: u64,
+    hi: u64,
     gen: u64,
     records: Vec<(SegKey, SegmentRecord)>,
 ) {
@@ -310,14 +326,7 @@ fn cache_store(
     if per_fid.len() >= READ_CACHE_WINDOWS_PER_FID {
         per_fid.clear();
     }
-    per_fid.insert(
-        lo,
-        CacheEntry {
-            hi: fetch_hi,
-            gen,
-            records,
-        },
-    );
+    per_fid.insert(lo, CacheEntry { hi, gen, records });
 }
 
 /// The preconditions of a batched commit over `[lo, hi)`: every record
@@ -603,8 +612,6 @@ impl MetadataService {
     /// cache. A cached window containing `[lo, hi)` whose generation still
     /// matches the fid's answers with **zero** metadata RPCs (a *hit*, the
     /// third return value `true`); otherwise the distributed lookup runs
-    /// over the possibly wider `[lo, fetch_hi)` — readahead passes
-    /// `fetch_hi > hi` to pre-populate the cache for a sequential scan —
     /// and the result is installed unless the generation moved while the
     /// lookup was in flight (a racing mutation; the records — a
     /// consistent cut, like every `lookup_range` — are still returned,
@@ -620,10 +627,8 @@ impl MetadataService {
         fid: u64,
         lo: u64,
         hi: u64,
-        fetch_hi: u64,
     ) -> SimResult<(Vec<ServerId>, Vec<(SegKey, SegmentRecord)>, bool)> {
         self.inject("kv_lookup")?;
-        debug_assert!(fetch_hi >= hi);
         let gen = self.generation(fid);
         {
             let cache = self.read_cache[node].read().expect("read cache poisoned");
@@ -631,13 +636,13 @@ impl MetadataService {
                 return Ok((Vec::new(), records, true));
             }
         }
-        let (servers, records) = self.lookup_range(fid, lo, fetch_hi);
+        let (servers, records) = self.lookup_range(fid, lo, hi);
         // Re-check before installing: if a mutation landed (and bumped)
         // while we scanned, the window may mix old and new state — serve
         // it once but never cache it.
         if self.generation(fid) == gen {
             let mut cache = self.read_cache[node].write().expect("read cache poisoned");
-            cache_store(&mut cache, fid, lo, fetch_hi, gen, records.clone());
+            cache_store(&mut cache, fid, lo, hi, gen, records.clone());
         }
         Ok((servers, records, false))
     }
@@ -648,17 +653,19 @@ impl MetadataService {
         self.kv.partitioner().server_for(offset).0
     }
 
-    /// Node-local lookup in the shared metadata buffer: records produced on
-    /// `node` intersecting `[lo, hi)`. No server RPC, shared lock only.
+    /// Covering lookup in `node`'s shared metadata buffer: the records
+    /// produced on `node` that tile `[lo, hi)` without a gap, offset-sorted,
+    /// or `None` when they leave any byte of it uncovered. No server RPC,
+    /// shared lock only.
     pub fn lookup_local(
         &self,
         node: usize,
         fid: u64,
         lo: u64,
         hi: u64,
-    ) -> Vec<(SegKey, SegmentRecord)> {
+    ) -> Option<Vec<(SegKey, SegmentRecord)>> {
         let node = self.local[node].read().expect("node buffer poisoned");
-        buffer_lookup(&node, fid, lo, hi)
+        buffer_cover(&node, fid, lo, hi)
     }
 
     /// Per-server record counts (distribution inspection).
@@ -685,8 +692,6 @@ impl MetadataService {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::flush::CoreView;
-    use crate::placement::ChainSet;
     use std::cell::RefCell;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -869,13 +874,74 @@ pub(crate) mod tests {
         let m = svc();
         insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 64), 0);
         insert_one(&m, SegKey { fid: 1, offset: 64 }, rec(0, 32, 0, 64), 1);
-        // Node 0 sees only its own production.
-        let hits = m.lookup_local(0, 1, 0, 128);
+        // Each node covers only its own production.
+        let hits = m.lookup_local(0, 1, 16, 48).expect("node 0 covers [0, 64)");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.offset, 0);
-        let hits = m.lookup_local(1, 1, 0, 128);
+        let hits = m
+            .lookup_local(1, 1, 64, 128)
+            .expect("node 1 covers [64, 128)");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.offset, 64);
+        // A request either node covers only in part is answered by neither.
+        assert_eq!(m.lookup_local(0, 1, 0, 128), None);
+        assert_eq!(m.lookup_local(1, 1, 0, 128), None);
+        assert_eq!(m.lookup_local(1, 1, 0, 64), None);
+    }
+
+    #[test]
+    fn local_buffer_covers_across_adjacent_records_only() {
+        let m = svc();
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 64), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 64 }, rec(0, 1, 0, 64), 0);
+        insert_one(
+            &m,
+            SegKey {
+                fid: 1,
+                offset: 192,
+            },
+            rec(0, 1, 64, 64),
+            0,
+        );
+        let hits = m.lookup_local(0, 1, 32, 128).expect("[0, 128) is tiled");
+        let keys: Vec<u64> = hits.iter().map(|(k, _)| k.offset).collect();
+        assert_eq!(keys, vec![0, 64]);
+        // [128, 192) is a gap: any request touching it is uncovered.
+        assert_eq!(m.lookup_local(0, 1, 64, 200), None);
+        assert_eq!(m.lookup_local(0, 1, 130, 140), None);
+        assert_eq!(m.lookup_local(0, 2, 0, 64), None, "untracked fid");
+    }
+
+    /// An overwrite's surviving fragments go back only into the buffer that
+    /// held their parent record: node 1 tracks the fid (it produced
+    /// `[512, 576)`), but node 0's fragments must not appear in its buffer,
+    /// or a node-1 read of them would count as served without an RPC.
+    #[test]
+    fn overwrite_fragments_stay_in_the_parent_records_buffer() {
+        let m = svc();
+        insert_one(
+            &m,
+            SegKey {
+                fid: 1,
+                offset: 512,
+            },
+            rec(0, 1, 0, 64),
+            1,
+        );
+        insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 128), 0);
+        insert_one(&m, SegKey { fid: 1, offset: 32 }, rec(0, 0, 128, 32), 0);
+        let held = |node: usize| -> Vec<u64> {
+            let buffer = m.local[node].read().unwrap();
+            buffer[&1].keys().copied().collect()
+        };
+        assert_eq!(held(1), vec![512], "node 1 holds only its own record");
+        assert_eq!(held(0), vec![0, 32, 64]);
+        assert_eq!(m.lookup_local(1, 1, 0, 32), None);
+        assert_eq!(m.lookup_local(1, 1, 64, 128), None);
+        let hits = m
+            .lookup_local(0, 1, 0, 128)
+            .expect("node 0 covers [0, 128)");
+        assert_eq!(hits.len(), 3);
     }
 
     #[test]
@@ -908,27 +974,27 @@ pub(crate) mod tests {
     fn cached_lookup_hits_without_rpcs_until_invalidated() {
         let m = svc();
         insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 100), 0);
-        let (servers, records, hit) = m.lookup_range_cached(0, 1, 0, 100, 100).unwrap();
+        let (servers, records, hit) = m.lookup_range_cached(0, 1, 0, 100).unwrap();
         assert!(!hit);
         assert!(!servers.is_empty());
         assert_eq!(records.len(), 1);
         // Second identical lookup: served by the cache, zero RPCs.
-        let (servers, records, hit) = m.lookup_range_cached(0, 1, 0, 100, 100).unwrap();
+        let (servers, records, hit) = m.lookup_range_cached(0, 1, 0, 100).unwrap();
         assert!(hit);
         assert!(servers.is_empty());
         assert_eq!(records.len(), 1);
         // A narrower window inside the cached one also hits.
-        let (_, records, hit) = m.lookup_range_cached(0, 1, 20, 80, 80).unwrap();
+        let (_, records, hit) = m.lookup_range_cached(0, 1, 20, 80).unwrap();
         assert!(hit);
         assert_eq!(records.len(), 1);
         // An overwrite bumps the generation: next lookup misses and sees
         // the new record, never the stale VA.
         insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 1, 500, 100), 0);
-        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 100, 100).unwrap();
+        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 100).unwrap();
         assert!(!hit, "overwrite must invalidate the cached window");
         assert_eq!(records[0].1.va, VirtualAddr(500));
         // …and the fresh result is cached again.
-        let (_, _, hit) = m.lookup_range_cached(0, 1, 0, 100, 100).unwrap();
+        let (_, _, hit) = m.lookup_range_cached(0, 1, 0, 100).unwrap();
         assert!(hit);
     }
 
@@ -937,20 +1003,20 @@ pub(crate) mod tests {
         let m = svc();
         let old = rec(0, 0, 0, 64);
         insert_one(&m, SegKey { fid: 1, offset: 0 }, old, 0);
-        m.lookup_range_cached(0, 1, 0, 64, 64).unwrap();
+        m.lookup_range_cached(0, 1, 0, 64).unwrap();
         punch(&m, 1, 0, 32);
-        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 64, 64).unwrap();
+        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 64).unwrap();
         assert!(!hit);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].0.offset, 32);
         let trimmed = records[0].1;
-        m.lookup_range_cached(0, 1, 0, 64, 64).unwrap();
+        m.lookup_range_cached(0, 1, 0, 64).unwrap();
         let promoted = rec(0, 0, 900, 32);
         assert!(
             m.replace_if_current(SegKey { fid: 1, offset: 32 }, &trimmed, promoted, 0)
                 .1
         );
-        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 64, 64).unwrap();
+        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 64).unwrap();
         assert!(!hit, "CAS must invalidate the cached window");
         assert_eq!(records[0].1.va, VirtualAddr(900));
     }
@@ -959,49 +1025,19 @@ pub(crate) mod tests {
     fn cache_windows_are_per_node_and_capped() {
         let m = svc();
         insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 10), 0);
-        m.lookup_range_cached(0, 1, 0, 10, 10).unwrap();
+        m.lookup_range_cached(0, 1, 0, 10).unwrap();
         // Node 1 has its own cache: same window misses there.
-        let (_, _, hit) = m.lookup_range_cached(1, 1, 0, 10, 10).unwrap();
+        let (_, _, hit) = m.lookup_range_cached(1, 1, 0, 10).unwrap();
         assert!(!hit);
         // Overflowing the per-fid cap clears the node's windows instead of
         // growing without bound; disjoint windows past the first entry's
         // end each miss and install, eventually tripping the clear.
         for i in 0..(READ_CACHE_WINDOWS_PER_FID as u64 + 4) {
             let lo = 1000 + i;
-            m.lookup_range_cached(0, 1, lo, lo + 1, lo + 1).unwrap();
+            m.lookup_range_cached(0, 1, lo, lo + 1).unwrap();
         }
-        let (_, _, hit) = m.lookup_range_cached(0, 1, 0, 10, 10).unwrap();
+        let (_, _, hit) = m.lookup_range_cached(0, 1, 0, 10).unwrap();
         assert!(!hit, "the original window should have been evicted");
-    }
-
-    #[test]
-    fn readahead_fetch_widens_the_cached_window() {
-        let m = svc();
-        for i in 0..4u64 {
-            insert_one(
-                &m,
-                SegKey {
-                    fid: 1,
-                    offset: i * 50,
-                },
-                rec(0, i as u32, i * 1000, 50),
-                0,
-            );
-        }
-        // Ask for [0, 50) but fetch through 200: the wide window is cached.
-        let (_, records, hit) = m.lookup_range_cached(0, 1, 0, 50, 200).unwrap();
-        assert!(!hit);
-        assert_eq!(records.len(), 4, "fetch covers the widened window");
-        // The rest of the scan hits without RPCs.
-        for i in 1..4u64 {
-            let (servers, records, hit) = m
-                .lookup_range_cached(0, 1, i * 50, i * 50 + 50, i * 50 + 50)
-                .unwrap();
-            assert!(hit, "window {i} should be prefetched");
-            assert!(servers.is_empty());
-            assert_eq!(records.len(), 1);
-            assert_eq!(records[0].0.offset, i * 50);
-        }
     }
 
     #[test]
@@ -1034,13 +1070,13 @@ pub(crate) mod tests {
 
     /// An overwrite is atomic to readers. The writer parks inside its
     /// splice over a 512-byte window spanning two partitions; readers on
-    /// other threads — `lookup_range` and the node-buffer-then-KV gather,
+    /// other threads — `lookup_range` and the read's gather (the node
+    /// buffer's covering answer, else the cached distributed lookup alone),
     /// from the producer's node and from the other one — must see the
     /// window fully covered, by the old records or by the new ones.
     #[test]
     fn parked_overwrite_is_invisible_to_readers() {
         let m = MetadataService::new(256, 2, 2);
-        let chains = ChainSet::new();
         let old = [(0, rec(0, 0, 0, 256)), (256, rec(0, 0, 256, 256))];
         m.insert_batch(1, 0, 512, &old, 0).unwrap();
         let new = [(0, rec(0, 1, 1000, 256)), (256, rec(0, 1, 1256, 256))];
@@ -1058,16 +1094,13 @@ pub(crate) mod tests {
             let (done_tx, done_rx) = mpsc::channel();
             let readers: Vec<_> = (0..2usize)
                 .map(|node| {
-                    let (m, chains, done_tx) = (&m, &chains, done_tx.clone());
+                    let (m, done_tx) = (&m, done_tx.clone());
                     s.spawn(move || {
                         let (_, records) = m.lookup_range(1, 0, 512);
-                        let view = CoreView {
-                            metadata: m,
-                            chains,
+                        let gathered = match m.lookup_local(node, 1, 0, 512) {
+                            Some(local) => local,
+                            None => m.lookup_range_cached(node, 1, 0, 512).unwrap().1,
                         };
-                        let g = view.gather(node, 1, 0, 512, 512).unwrap();
-                        let mut gathered = g.local;
-                        gathered.extend(g.remote.map(|r| r.records).unwrap_or_default());
                         done_tx.send(()).unwrap();
                         (
                             node,

@@ -91,7 +91,7 @@ families! {
         "metadata-server RPCs issued", "open/close storms, per-segment puts, read lookups";
     MdLocalHits = C, "univistor_md_local_hits_total", [], EAGER,
         "lookups satisfied by the node's shared metadata buffer (no RPC)",
-        "shared-metadata-buffer hits in `read`";
+        "records of `read`s the shared metadata buffer covers alone";
     Segments = C, "univistor_segments_total", [], EAGER,
         "segments appended by DHP";
     CachedBytes = C, "univistor_cached_bytes_total", ["tier": TIER], EAGER,
@@ -147,8 +147,6 @@ families! {
         "distributed lookups served by the node's read record cache";
     ReadMdCacheMisses = C, "univistor_read_md_cache_misses_total", [], EAGER,
         "distributed lookups that missed the cache and visited the KV servers";
-    ReadReadaheadBytes = C, "univistor_read_readahead_bytes_total", [], EAGER,
-        "lookup-window bytes issued past request ends by sequential readahead";
     FaultsInjected = C, "univistor_faults_injected_total",
         ["kind": &["transient", "node_loss", "latency", "corruption"]], EAGER,
         "fault injector firings, by kind",
@@ -936,7 +934,6 @@ impl JobMetrics {
         self.eager.add(at!(ReadReplicaBytes), t.replica_bytes);
         self.eager.add(at!(ReadMdCacheHits), t.md_cache_hits);
         self.eager.add(at!(ReadMdCacheMisses), t.md_cache_misses);
-        self.eager.add(at!(ReadReadaheadBytes), t.readahead_bytes);
     }
 
     /// A read call's lock accounting: shared chain-lock round-trips spent
@@ -1073,7 +1070,6 @@ mod tests {
             replica_bytes: 5,
             md_cache_hits: 4,
             md_cache_misses: 6,
-            readahead_bytes: 7,
         });
         m.record_read_locks(ReadLockCounts { chain: 9 });
         let snap = m.snapshot();
@@ -1094,10 +1090,6 @@ mod tests {
         assert_eq!(
             snap.counter_total("univistor_read_md_cache_misses_total"),
             6
-        );
-        assert_eq!(
-            snap.counter_total("univistor_read_readahead_bytes_total"),
-            7
         );
         assert_eq!(
             snap.counter(

@@ -17,9 +17,9 @@
 //!   servers.
 //!
 //! [`ReadService`] executes one request in four stages:
-//! 1. **gather** the covering metadata records — local buffer first, then
-//!    the distributed KV through the node's read record cache, optionally
-//!    widened by sequential readahead ([`ReadState`]);
+//! 1. **gather** the covering metadata records from one source: the node
+//!    buffer when its records tile the whole request, else the distributed
+//!    KV through the node's read record cache;
 //! 2. **plan** every clipped fragment up front, resolving replica
 //!    rerouting around failed nodes in the plan;
 //! 3. **fetch** the fragments, grouped by producer chain: one fetch
@@ -30,7 +30,7 @@
 //!
 //! The service reads through the locked core's view ([`CoreView`]), the
 //! same one the flush engine drains through: the gather stage is
-//! [`MetadataService::lookup_local`] +
+//! [`MetadataService::lookup_local`] or else
 //! [`MetadataService::lookup_range_cached`], a fetch one shared chain-lock
 //! acquisition ([`ChainSet::read_at_many`]). Both runtimes run this one
 //! service; they differ only in which thread calls it.
@@ -43,9 +43,7 @@ use crate::metrics::{JobMetrics, VerifySite};
 use crate::placement::ChainSet;
 use crate::scrub::CorruptQueue;
 use crate::va::{Tier, VirtualAddr};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::collections::HashSet;
 use univistor_sim::{Payload, SimError, SimResult};
 
 /// Byte/RPC accounting of one (or many aggregated) read operations — the
@@ -67,8 +65,9 @@ pub struct ReadTrace {
     pub remote_bytes: u64,
     /// Metadata RPCs issued (distributed KV server visits).
     pub md_rpcs: u64,
-    /// Metadata records found in the node's shared metadata buffer —
-    /// lookups that never left the node (location-aware path only).
+    /// Metadata records served by the node's shared metadata buffer alone
+    /// — reads whose lookup never left the node (location-aware path
+    /// only).
     pub local_md_hits: u64,
     /// Read requests planned.
     pub requests: u64,
@@ -81,9 +80,6 @@ pub struct ReadTrace {
     /// Distributed lookups that missed the cache and visited the KV
     /// servers.
     pub md_cache_misses: u64,
-    /// Extra lookup-window bytes issued past the request's end by
-    /// sequential readahead (pre-populating the read record cache).
-    pub readahead_bytes: u64,
 }
 
 impl ReadTrace {
@@ -109,7 +105,6 @@ impl ReadTrace {
         self.replica_bytes += other.replica_bytes;
         self.md_cache_hits += other.md_cache_hits;
         self.md_cache_misses += other.md_cache_misses;
-        self.readahead_bytes += other.readahead_bytes;
     }
 }
 
@@ -138,106 +133,6 @@ pub struct ReadOutcome {
     pub touched: Vec<SegKey>,
     /// Lock acquisitions spent fetching.
     pub locks: ReadLockCounts,
-}
-
-/// Per-`(client, fid)` forward-scan detector driving sequential
-/// readahead. The cursors live behind a shared lock with atomic fields,
-/// so the steady state of a scan costs no exclusive acquisition; only the
-/// first read of a brand-new `(client, fid)` stream takes the write lock
-/// to install its cursor (the `ensure_chain` pattern).
-#[derive(Debug, Default)]
-pub struct ReadState {
-    cursors: RwLock<HashMap<(ClientId, u64), SeqCursor>>,
-}
-
-#[derive(Debug, Default)]
-struct SeqCursor {
-    last_end: AtomicU64,
-    streak: AtomicU32,
-}
-
-/// Forward reads by one `(client, fid)` stream, each starting where the
-/// previous ended, before readahead kicks in.
-pub const READAHEAD_MIN_STREAK: u32 = 2;
-
-impl SeqCursor {
-    /// Record a read of `[offset, end)`; true when the forward streak has
-    /// reached [`READAHEAD_MIN_STREAK`].
-    fn advance(&self, offset: u64, end: u64) -> bool {
-        if self.last_end.swap(end, Ordering::Relaxed) == offset {
-            let streak = self
-                .streak
-                .fetch_add(1, Ordering::Relaxed)
-                .saturating_add(1);
-            streak >= READAHEAD_MIN_STREAK
-        } else {
-            self.streak.store(0, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
-impl ReadState {
-    /// An empty detector.
-    pub fn new() -> Self {
-        ReadState::default()
-    }
-
-    /// Record `client` reading `[offset, end)` of `fid`; true when the
-    /// stream has sustained a forward scan for at least
-    /// [`READAHEAD_MIN_STREAK`] consecutive reads (each starting where the
-    /// previous ended).
-    pub fn advance(&self, client: ClientId, fid: u64, offset: u64, end: u64) -> bool {
-        let key = (client, fid);
-        {
-            let cursors = self.cursors.read().expect("read state poisoned");
-            if let Some(cursor) = cursors.get(&key) {
-                return cursor.advance(offset, end);
-            }
-        }
-        self.cursors
-            .write()
-            .expect("read state poisoned")
-            .entry(key)
-            .or_default()
-            .advance(offset, end)
-    }
-}
-
-/// What the gather stage found for one location-aware read (see
-/// [`CoreView::gather`]).
-#[derive(Debug)]
-pub(crate) struct Gathered {
-    /// Node-buffer hits overlapping the request.
-    pub(crate) local: Vec<(SegKey, SegmentRecord)>,
-    /// `None` when the node buffer fully covered the request; otherwise
-    /// the distributed lookup's answer.
-    pub(crate) remote: Option<RemoteLookup>,
-}
-
-/// The distributed half of a gather, served by the node's read record
-/// cache or by the metadata servers.
-#[derive(Debug)]
-pub(crate) struct RemoteLookup {
-    /// Records intersecting the (possibly readahead-widened) window.
-    pub(crate) records: Vec<(SegKey, SegmentRecord)>,
-    /// Metadata servers visited — zero on a cache hit.
-    pub(crate) rpcs: u64,
-    /// Whether the read record cache answered.
-    pub(crate) cache_hit: bool,
-}
-
-/// Bytes of `[lo, hi)` the (disjoint) `records` cover — the gather stage's
-/// "does the node buffer answer this request alone" test.
-pub(crate) fn covered_bytes(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u64) -> u64 {
-    records
-        .iter()
-        .map(|(k, r)| {
-            let a = k.offset.max(lo);
-            let b = (k.offset + r.len).min(hi);
-            b.saturating_sub(a)
-        })
-        .sum()
 }
 
 /// One clipped fragment of the read plan: `len` bytes at `va` of
@@ -433,19 +328,15 @@ fn classify_fragment(
 /// The read path's execution context: borrow the job's shared structures
 /// once, then serve any number of requests through [`read`](Self::read).
 ///
-/// The whole path takes only shared locks in steady
-/// state (metadata shards, node buffers, read caches, producer chains);
-/// the exceptions are first-touch installs (a new `(client, fid)`
-/// readahead cursor) and the one exclusive node-cache acquisition a cache
-/// *miss* pays to install its window — cache hits never write. Concurrent
-/// readers never serialize on each other.
+/// The whole path takes only shared locks (metadata shards, node buffers,
+/// read caches, producer chains) except the one exclusive node-cache
+/// acquisition a cache *miss* pays to install its window — cache hits
+/// never write. Concurrent readers never serialize on each other.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadService<'a> {
     source: CoreView<'a>,
     geometry: &'a JobGeometry,
     location_aware: bool,
-    readahead_window: u64,
-    state: Option<&'a ReadState>,
     failed_nodes: Option<&'a HashSet<usize>>,
     verifier: &'a Verifier,
     metrics: Option<&'a JobMetrics>,
@@ -454,8 +345,8 @@ pub struct ReadService<'a> {
 
 impl<'a> ReadService<'a> {
     /// A service over the job's metadata, chains, and geometry, verifying
-    /// stamped records through `verifier`. Defaults: location-aware,
-    /// readahead off, no failed nodes.
+    /// stamped records through `verifier`. Defaults: location-aware, no
+    /// failed nodes.
     pub fn new(
         metadata: &'a MetadataService,
         chains: &'a ChainSet,
@@ -476,8 +367,6 @@ impl<'a> ReadService<'a> {
             source,
             geometry,
             location_aware: true,
-            readahead_window: 0,
-            state: None,
             failed_nodes: None,
             verifier,
             metrics: None,
@@ -500,26 +389,10 @@ impl<'a> ReadService<'a> {
     }
 
     /// Toggle the location-aware path (§II-B4). The naive path performs
-    /// a raw distributed lookup per request — no node buffer, no cache,
-    /// no readahead — exactly the baseline the figures ablate.
+    /// a raw distributed lookup per request — no node buffer, no cache —
+    /// exactly the baseline the figures ablate.
     pub fn location_aware(mut self, aware: bool) -> Self {
         self.location_aware = aware;
-        self
-    }
-
-    /// Configure sequential readahead: widen distributed lookups by
-    /// `window` bytes once a `(client, fid)` stream has read forward for
-    /// [`READAHEAD_MIN_STREAK`] consecutive requests. `window == 0`
-    /// disables it. Requires [`with_state`](Self::with_state) to take
-    /// effect.
-    pub fn readahead(mut self, window: u64) -> Self {
-        self.readahead_window = window;
-        self
-    }
-
-    /// Attach the scan detector readahead persists its cursors in.
-    pub fn with_state(mut self, state: &'a ReadState) -> Self {
-        self.state = Some(state);
         self
     }
 
@@ -570,7 +443,7 @@ impl<'a> ReadService<'a> {
         let my_node = self.geometry.node_of_rank(client.rank as usize);
         let end = offset + len;
 
-        let records = self.gather_records(client, my_node, fid, offset, end, &mut trace)?;
+        let records = self.gather_records(my_node, fid, offset, end, &mut trace)?;
         let no_failures = HashSet::new();
         let failed = self.failed_nodes.unwrap_or(&no_failures);
         let (fragments, touched) =
@@ -610,16 +483,18 @@ impl<'a> ReadService<'a> {
         })
     }
 
-    /// Stage 1: the records covering `[offset, end)`, offset-sorted: the
-    /// node buffer's when they cover the request, else the distributed
-    /// lookup's. Shared between the fetch flavours and the sources, so
-    /// every [`ReadTrace`] field it feeds (RPCs, buffer/cache hits,
-    /// readahead) is invariant across them. Fallible only under fault
-    /// injection (the cached distributed lookup can fail transiently
-    /// before touching any state).
+    /// Stage 1: the records covering `[offset, end)`, offset-sorted, from
+    /// one source: the node buffer when its records tile the request,
+    /// else the distributed lookup through the node's read record cache —
+    /// one consistent cut of the index, never joined with the buffer's
+    /// (a splice landing between the two lookups could make the join's
+    /// tilings disagree). Shared between the fetch flavours and the
+    /// sources, so every [`ReadTrace`] field it feeds (RPCs, buffer/cache
+    /// hits) is invariant across them. Fallible only under fault injection
+    /// (the cached distributed lookup can fail transiently before touching
+    /// any state).
     fn gather_records(
         &self,
-        client: ClientId,
         my_node: usize,
         fid: u64,
         offset: u64,
@@ -634,45 +509,20 @@ impl<'a> ReadService<'a> {
             trace.md_rpcs += servers as u64;
             return Ok(records);
         }
-        // Every location-aware read advances the scan detector (even ones
-        // the node buffer fully covers), so a stream stays "hot" when it
-        // transitions from local to remote data.
-        let readahead_active = match (self.state, self.readahead_window) {
-            (Some(state), window) if window > 0 => state.advance(client, fid, offset, end),
-            _ => false,
-        };
-        // A sequential scan widens the distributed fetch window so the
-        // following reads become cache hits.
-        let fetch_hi = if readahead_active {
-            end.saturating_add(self.readahead_window)
-        } else {
-            end
-        };
-        // 1. Shared metadata buffer: free lookups for locally-produced
-        //    data. 2. Distributed lookup only when that leaves the request
-        //    uncovered, through the node's read record cache.
-        let Gathered { local, remote } = self.source.gather(my_node, fid, offset, end, fetch_hi)?;
-        trace.local_md_hits += local.len() as u64;
-        let Some(remote) = remote else {
+        let metadata = self.source.metadata;
+        if let Some(local) = metadata.lookup_local(my_node, fid, offset, end) {
+            trace.local_md_hits += local.len() as u64;
             return Ok(local);
-        };
-        trace.md_rpcs += remote.rpcs;
-        if remote.cache_hit {
+        }
+        let (servers, records, cache_hit) =
+            metadata.lookup_range_cached(my_node, fid, offset, end)?;
+        trace.md_rpcs += servers.len() as u64;
+        if cache_hit {
             trace.md_cache_hits += 1;
         } else {
             trace.md_cache_misses += 1;
-            trace.readahead_bytes += fetch_hi - end;
         }
-        // The distributed lookup alone answers: it is one consistent cut
-        // of the index, and the node buffer's records are a subset of it —
-        // or, when a splice landed between the two lookups, older records
-        // whose tiling may not fit the new one's. Readahead overshoot stays
-        // in the cache but out of this request's plan.
-        Ok(remote
-            .records
-            .into_iter()
-            .filter(|(k, r)| k.offset < end && k.offset + r.len > offset)
-            .collect())
+        Ok(records)
     }
 
     /// Stage 3: group fragments by producer chain (first
@@ -944,33 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn readahead_widens_then_serves_the_scan_from_cache() {
-        let (md, chains, geom) = setup();
-        // Rank 2 (node 1) produces 4 segments; rank 0 (node 0) scans them
-        // sequentially in 64 B reads.
-        write_segments(&md, &chains, &geom, ClientId::new(0, 2), 4);
-        let state = ReadState::new();
-        let service = svc(&md, &chains, &geom, true)
-            .readahead(256)
-            .with_state(&state);
-        let base = 8 * 64;
-        let mut trace = ReadTrace::default();
-        for i in 0..4u64 {
-            let out = service
-                .read(ClientId::new(0, 0), 1, base + i * 64, 64)
-                .unwrap();
-            assert!(out.payload.content_eq(&Payload::pattern(base + i * 64, 64)));
-            trace.absorb(&out.trace);
-        }
-        // Reads 0 and 1 miss un-widened (the streak needs two contiguous
-        // pairs), read 2 misses but fetches the widened window [640, 960),
-        // and read 3 is served from the prefetched cache.
-        assert_eq!(trace.md_cache_misses, 3);
-        assert_eq!(trace.md_cache_hits, 1);
-        assert_eq!(trace.readahead_bytes, 256);
-    }
-
-    #[test]
     fn bb_resident_data_fetched_directly_when_aware() {
         let (md, chains, geom) = setup();
         // Rank 2 writes 4 segments: 2 fill DRAM, 2 spill to BB.
@@ -1022,20 +845,6 @@ mod tests {
         assert!(out.payload.is_empty());
         assert_eq!(out.trace.total_bytes(), 0);
         assert_eq!(out.locks.chain, 0);
-    }
-
-    #[test]
-    fn scan_detector_requires_contiguous_forward_reads() {
-        let state = ReadState::new();
-        let c = ClientId::new(0, 0);
-        assert!(!state.advance(c, 1, 64, 128), "fresh stream");
-        assert!(!state.advance(c, 1, 128, 192), "streak 1 of 2");
-        assert!(state.advance(c, 1, 192, 256), "streak reached 2");
-        // A backward jump resets the streak.
-        assert!(!state.advance(c, 1, 0, 64));
-        assert!(!state.advance(c, 1, 64, 128));
-        // Streams are independent per (client, fid).
-        assert!(!state.advance(ClientId::new(0, 1), 1, 128, 256));
     }
 
     /// A read whose node-buffer lookup runs before an overwrite's splice and

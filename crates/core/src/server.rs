@@ -49,7 +49,7 @@ use crate::maint::{FileSnap, Maint};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use crate::metrics::{tier_label, Fam, JobMetrics, TIERS};
 use crate::placement::{healthy_buddy, layer_caps_with_node_local, ChainSet, ProcChain};
-use crate::read::{ReadService, ReadState, ReadTrace};
+use crate::read::{ReadService, ReadTrace};
 use crate::repair::{self, RepairReport};
 use crate::runtime::WorkerPool;
 use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubHandle, ScrubReport, ScrubState};
@@ -221,8 +221,6 @@ pub(crate) struct DataPlane {
     /// The job's digest authority (per-job digest memo): every stamp and
     /// verify of the integrity plane goes through it.
     pub(crate) verifier: Verifier,
-    /// Sequential-scan detector feeding the read pipeline's readahead.
-    read_state: ReadState,
     /// Reader-reported corrupt copies awaiting online repair. Touched by
     /// the data path only on a verify *failure*.
     pub(crate) corrupt_queue: CorruptQueue,
@@ -289,8 +287,6 @@ impl DataPlane {
     pub(crate) fn read_service<'a>(&'a self, failed: &'a HashSet<usize>) -> ReadService<'a> {
         ReadService::over(self.core.view(), &self.cfg.geometry, &self.verifier)
             .location_aware(self.cfg.features.location_aware_reads)
-            .readahead(self.cfg.readahead_window)
-            .with_state(&self.read_state)
             .with_failed_nodes(failed)
             .with_integrity(Some(&self.metrics), Some(&self.corrupt_queue))
     }
@@ -480,7 +476,6 @@ impl UniviStorJob {
             verifier: Verifier::new(Arc::clone(&metrics)),
             cfg,
             metrics,
-            read_state: ReadState::new(),
             corrupt_queue: CorruptQueue::default(),
             failed_nodes: RwLock::new(HashSet::new()),
             failed_any: AtomicBool::new(false),
@@ -1215,7 +1210,6 @@ impl JobStats {
                 replica_bytes: total(Fam::ReadReplicaBytes),
                 md_cache_hits: total(Fam::ReadMdCacheHits),
                 md_cache_misses: total(Fam::ReadMdCacheMisses),
-                readahead_bytes: total(Fam::ReadReadaheadBytes),
             },
             flush_receipts,
             replicated_bytes: total(Fam::ReplicatedBytes),

@@ -51,10 +51,12 @@ fn union_covered(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u64) -> u64 {
 /// An overwrite is one splice, atomic to every reader. One thread
 /// overwrites a window spanning three metadata partitions, alternating two
 /// record tilings and the producer node; two readers loop over
-/// `lookup_range` and, from each node, the node-buffer-then-KV gather
-/// (`lookup_local`, then `lookup_range_cached` when the node buffer leaves
-/// the window uncovered). The window is always fully written, so every
-/// read must cover all of it, from the old records or from the new ones.
+/// `lookup_range` and, from each node, the read's gather: the node
+/// buffer's covering answer (`lookup_local`), else the cached distributed
+/// lookup (`lookup_range_cached`) alone — never a join of the two, which
+/// could hide a hole either source alone would show. The window is always
+/// fully written, so every read must cover all of it, from the old records
+/// or from the new ones.
 #[test]
 fn overwrites_are_atomic_to_concurrent_lookups() {
     // Range 256 over 3 servers: [128, 640) touches partitions 0, 1 and 2.
@@ -97,12 +99,10 @@ fn overwrites_are_atomic_to_concurrent_lookups() {
                     let at = overwrites.load(Ordering::Relaxed);
                     assert_eq!(covered, hi - lo, "lookup_range hole after {at} overwrites");
                     for node in 0..2 {
-                        let mut gathered = m.lookup_local(node, fid, lo, hi);
-                        if union_covered(&gathered, lo, hi) < hi - lo {
-                            let (_, remote, _) =
-                                m.lookup_range_cached(node, fid, lo, hi, hi).unwrap();
-                            gathered.extend(remote);
-                        }
+                        let gathered = match m.lookup_local(node, fid, lo, hi) {
+                            Some(local) => local,
+                            None => m.lookup_range_cached(node, fid, lo, hi).unwrap().1,
+                        };
                         let covered = union_covered(&gathered, lo, hi);
                         let at = overwrites.load(Ordering::Relaxed);
                         assert_eq!(

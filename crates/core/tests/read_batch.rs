@@ -1,7 +1,6 @@
 //! Read-path properties that need no oracle: an overwrite must invalidate
-//! cached read records immediately, readahead must cut metadata RPCs on
-//! sequential scans, and promotion racing overwrites must never corrupt
-//! the index. The differentials against the per-record reference fetch
+//! cached read records immediately, and promotion racing overwrites must
+//! never corrupt the index. The differentials against the per-record reference fetch
 //! live with the test oracles (`server::oracle` unit tests).
 
 use std::sync::Arc;
@@ -58,46 +57,6 @@ fn overwrite_invalidates_cached_read_records() {
         .slice(128, 128)
         .content_eq(&Payload::pattern(1, 256).slice(128, 128)));
     assert_eq!((hits(&job), misses(&job)), (1, 2));
-}
-
-/// Sequential scans with readahead enabled issue far fewer metadata RPCs
-/// than with it disabled, at identical bytes.
-#[test]
-fn readahead_cuts_metadata_rpcs_on_sequential_scans() {
-    let mk = |window: u64| {
-        let mut cfg = UniviStorConfig::test_small(2, 2);
-        cfg.readahead_window = window;
-        Arc::new(UniviStorJob::new(cfg))
-    };
-    let total = 4096u64;
-    let step = 128u64;
-    let scan = |j: &UniviStorJob| {
-        j.open_file("/s")
-            .read_write()
-            .representing(4)
-            .by(ClientId::new(0, 0))
-            .unwrap();
-        // Producer on node 1, scanning reader on node 0.
-        j.write(ClientId::new(0, 2), "/s", 0, Payload::pattern(3, total))
-            .unwrap();
-        for off in (0..total).step_by(step as usize) {
-            let got = j.read(ClientId::new(0, 0), "/s", off, step).unwrap();
-            assert!(got.content_eq(&Payload::pattern(3, total).slice(off, step)));
-        }
-        j.stats().read_trace
-    };
-    let off_trace = scan(&mk(0));
-    let on_trace = scan(&mk(1024));
-    assert_eq!(off_trace.readahead_bytes, 0);
-    assert!(on_trace.readahead_bytes > 0);
-    assert!(
-        on_trace.md_rpcs < off_trace.md_rpcs / 2,
-        "readahead should batch lookups: {} vs {} RPCs",
-        on_trace.md_rpcs,
-        off_trace.md_rpcs
-    );
-    assert!(on_trace.md_cache_hits > on_trace.md_cache_misses);
-    assert_eq!(on_trace.total_bytes(), off_trace.total_bytes());
 }
 
 /// Promotion racing concurrent overwrites and reads must never corrupt
