@@ -127,7 +127,7 @@ fn bench_metadata(filter: &Option<String>) {
 
     for n in [1_000u64, 10_000] {
         bench(filter, &format!("metadata/distributed_insert/{n}"), || {
-            let md = MetadataService::new(1 << 20, 64, 8);
+            let md = MetadataService::new(1 << 20, 64, 8, 64);
             for i in 0..n {
                 insert(&md, i * 4096, record(i), 0);
             }
@@ -149,7 +149,7 @@ fn bench_metadata(filter: &Option<String>) {
     }
 
     // Range lookups over a populated store.
-    let md = MetadataService::new(1 << 20, 64, 8);
+    let md = MetadataService::new(1 << 20, 64, 8, 64);
     for i in 0..100_000u64 {
         insert(&md, i * 4096, record(i), 0);
     }
@@ -181,7 +181,7 @@ fn bench_read_path(filter: &Option<String>) {
         procs_per_node: 8,
         servers_per_node: 2,
     };
-    let md = MetadataService::new(16 << 20, 8, 4);
+    let md = MetadataService::new(16 << 20, 8, geometry.nodes, geometry.procs_per_node);
     let chains = ChainSet::new();
     let seg = 64u64 << 10;
     for rank in 0..32u32 {

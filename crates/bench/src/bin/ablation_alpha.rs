@@ -64,17 +64,17 @@ fn main() {
     );
     let records = 100_000u64;
     for servers in [1usize, 4, 16, 64, 256, 1024] {
-        let md = MetadataService::new(64 << 20, servers, 8);
+        let md = MetadataService::new(64 << 20, servers, 8, 64);
         for i in 0..records {
             let offset = i * (8 << 20);
-            let record =
-                SegmentRecord::new(ClientId::new(0, (i % 512) as u32), VirtualAddr(i), 8 << 20);
+            let rank = (i % 512) as u32;
+            let record = SegmentRecord::new(ClientId::new(0, rank), VirtualAddr(i), 8 << 20);
             md.insert_batch(
                 1,
                 offset,
                 offset + record.len,
                 &[(offset, record)],
-                (i % 8) as usize,
+                rank as usize / 64,
             )
             .expect("no injector");
         }

@@ -105,8 +105,8 @@ fn run_once(w: &TierPressure, tiered: bool) -> RunStats {
     let close_s = start.elapsed().as_secs_f64();
     daemon.shutdown();
 
-    let stats = job.stats();
-    let receipt = stats.flush_receipts.last().expect("last close flushed");
+    let receipts = job.take_flush_receipts();
+    let receipt = receipts.last().expect("last close flushed");
     assert_eq!(receipt.file_size, w.file_size());
     assert!(
         job.verify_flush(ClientId::new(0, 0), PATH).unwrap(),

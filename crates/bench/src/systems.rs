@@ -90,6 +90,32 @@ pub fn accumulated_metrics() -> MetricsSnapshot {
     total
 }
 
+/// Every job a phase was taken of, with its panel at that phase boundary.
+/// Holding the panel keeps its address from being reused by a later job.
+type PhaseBases = Mutex<Vec<(Arc<JobMetrics>, MetricsSnapshot)>>;
+
+fn phase_bases() -> &'static PhaseBases {
+    static BASES: OnceLock<PhaseBases> = OnceLock::new();
+    BASES.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// End `job`'s current phase: what its panel counted since the previous
+/// phase boundary (since construction at the first), and the receipts of
+/// the flushes in between. Phases are per job, whichever driver ran them.
+fn take_phase(job: &UniviStorJob) -> (MetricsSnapshot, Vec<FlushReceipt>) {
+    let mut bases = phase_bases().lock().expect("phase bases poisoned");
+    let now = job.metrics();
+    let panel = job.metrics_handle();
+    let delta = match bases.iter_mut().find(|(p, _)| Arc::ptr_eq(p, panel)) {
+        Some((_, base)) => now.since(&std::mem::replace(base, now.clone())),
+        None => {
+            bases.push((Arc::clone(panel), now.clone()));
+            now
+        }
+    };
+    (delta, job.take_flush_receipts())
+}
+
 /// Build the paper-configured UniviStor job.
 pub fn uv_job(platform: &Platform, mode: UvMode, features: Features) -> Arc<UniviStorJob> {
     let mut cfg = UniviStorConfig::paper(platform.procs());
@@ -126,12 +152,12 @@ pub fn uv_micro_write(
     path: &str,
 ) -> SimResult<WriteOutcome> {
     micro.write_phase(driver, path)?;
-    let stats = driver.job().take_stats();
+    let (delta, receipts) = take_phase(driver.job());
     let features = driver.job().cfg().features;
-    let tier_bytes = TierBytes::from_totals(&stats.bytes_by_tier, micro.procs);
-    let segments = stats.segments / micro.procs.max(1) as u64;
+    let tier_bytes = TierBytes::from_delta(&delta, micro.procs);
+    let segments = delta.counter_total("univistor_segments_total") / micro.procs.max(1) as u64;
     let write_time = platform.univistor_write_time(&features, tier_bytes, segments);
-    let receipt = stats.flush_receipts.into_iter().next_back();
+    let receipt = receipts.into_iter().next_back();
     let flush_time = receipt
         .as_ref()
         .map(|r| platform.univistor_flush_time(&features, r))
@@ -152,9 +178,9 @@ pub fn uv_micro_read(
     path: &str,
 ) -> SimResult<f64> {
     micro.read_phase(driver, path, false)?;
-    let stats = driver.job().take_stats();
+    let (delta, _) = take_phase(driver.job());
     let features = driver.job().cfg().features;
-    Ok(platform.univistor_read_time(&features, &stats.read_trace))
+    Ok(platform.univistor_read_time(&features, &delta))
 }
 
 /// Run the micro write on Data Elevator; returns (write_time, flush_time).
@@ -241,14 +267,14 @@ pub fn uv_vpic_run(
             clock = flush_busy_until;
         }
         vpic.write_step(driver, step)?;
-        let stats = driver.job().take_stats();
-        let tier_bytes = TierBytes::from_totals(&stats.bytes_by_tier, vpic.layout.procs);
-        let segments = stats.segments / vpic.layout.procs.max(1) as u64;
+        let (delta, receipts) = take_phase(driver.job());
+        let tier_bytes = TierBytes::from_delta(&delta, vpic.layout.procs);
+        let segments =
+            delta.counter_total("univistor_segments_total") / vpic.layout.procs.max(1) as u64;
         let w = platform.univistor_write_time(&features, tier_bytes, segments);
         out.write_times.push(w);
         clock += w;
-        let f = stats
-            .flush_receipts
+        let f = receipts
             .last()
             .map(|r| platform.univistor_flush_time(&features, r))
             .unwrap_or(0.0);
@@ -325,8 +351,8 @@ pub fn uv_bdcats_run(
     let mut times = Vec::with_capacity(steps);
     for step in 0..steps {
         bdcats.read_step(driver, step, false)?;
-        let stats = driver.job().take_stats();
-        times.push(platform.univistor_read_time(&features, &stats.read_trace));
+        let (delta, _) = take_phase(driver.job());
+        times.push(platform.univistor_read_time(&features, &delta));
     }
     Ok(times)
 }
@@ -465,7 +491,7 @@ mod tests {
         let micro = MicroIo::scaled(64, 1 << 20);
         uv_micro_write(&p, &driver, &micro, "/acc").unwrap();
         // The job's panel feeds the process-wide accumulator even though
-        // take_stats() already reset the per-phase JobStats view.
+        // take_phase() already advanced the job's phase boundary.
         let after = accumulated_metrics();
         let placed = driver
             .job()

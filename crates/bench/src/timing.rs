@@ -16,12 +16,13 @@
 
 use univistor_core::config::{Features, JobGeometry};
 use univistor_core::flush::FlushReceipt;
-use univistor_core::read::ReadTrace;
-use univistor_core::sched::InterferenceAwarePolicy;
+use univistor_core::metrics::tier_label;
 use univistor_core::va::Tier;
+use univistor_core::MetricsSnapshot;
 use univistor_sim::calibration::{small_io_efficiency, Calibration};
 use univistor_sim::cores::{
-    CfsPolicy, ContentionModel, CoreAssignment, NodeShape, PlacementPolicy, SERVER_PROGRAM,
+    CfsPolicy, ContentionModel, CoreAssignment, InterferenceAwarePolicy, NodeShape,
+    PlacementPolicy, SERVER_PROGRAM,
 };
 use univistor_sim::latency::{all_to_one_storm, collective_open_close};
 
@@ -39,9 +40,13 @@ pub struct TierBytes {
 }
 
 impl TierBytes {
-    /// Extract the per-process averages from a job's per-tier totals.
-    pub fn from_totals(totals: &std::collections::BTreeMap<Tier, u64>, procs: usize) -> Self {
-        let per = |t: Tier| totals.get(&t).copied().unwrap_or(0) / procs.max(1) as u64;
+    /// The per-process averages of a phase's per-tier
+    /// `univistor_cached_bytes_total` samples (a panel delta).
+    pub fn from_delta(delta: &MetricsSnapshot, procs: usize) -> Self {
+        let per = |t: Tier| {
+            let total = delta.counter("univistor_cached_bytes_total", &[("tier", tier_label(t))]);
+            total.unwrap_or(0) / procs.max(1) as u64
+        };
         TierBytes {
             dram: per(Tier::Dram),
             node_local: per(Tier::NodeLocal),
@@ -314,14 +319,21 @@ impl Platform {
 
     // ----- read phases -----------------------------------------------
 
-    /// Time of one UniviStor read phase from an aggregated [`ReadTrace`].
-    pub fn univistor_read_time(&self, features: &Features, trace: &ReadTrace) -> f64 {
+    /// Time of one UniviStor read phase from its panel delta: the
+    /// per-path `univistor_read_bytes_total` samples, and the read ops and
+    /// read metadata RPCs.
+    pub fn univistor_read_time(&self, features: &Features, delta: &MetricsSnapshot) -> f64 {
         let profile = self.mem_profile(features.interference_aware);
         let p = self.procs() as f64;
         let per = |total: u64| total as f64 / p;
+        let count = |family, key, value| delta.counter(family, &[(key, value)]).unwrap_or(0);
+        let path = |value| count("univistor_read_bytes_total", "path", value);
+        let shared_direct_bytes = path("bb_direct");
+        let pfs_direct_bytes = path("pfs_direct");
+        let remote_bytes = path("remote_hop");
 
         // Local direct: memcpy out of node-local logs.
-        let ld = per(trace.local_direct_bytes);
+        let ld = per(path("local_hit"));
         let t_local = if ld > 0.0 {
             let socket = profile.max_socket_clients as f64 * ld / self.cal.socket_mem_bw;
             socket.max(ld / profile.min_client_rate)
@@ -331,7 +343,7 @@ impl Platform {
 
         // Local via server: two copies through the socket plus the
         // co-located servers' CPU.
-        let vs = per(trace.local_via_server_bytes);
+        let vs = per(path("local_via_server"));
         let t_via = if vs > 0.0 {
             let socket = 2.0 * profile.max_socket_clients as f64 * vs / self.cal.socket_mem_bw;
             let node_bytes = vs * self.geometry.procs_per_node as f64;
@@ -344,22 +356,21 @@ impl Platform {
 
         // Shared layers fetched directly (BB and PFS logs are globally
         // visible; the SSDs' read channel is independent of writes).
-        let t_shared = if trace.shared_direct_bytes > 0 {
-            trace.shared_direct_bytes as f64 / self.bb_aggregate_bw().min(self.nic_aggregate_bw())
+        let t_shared = if shared_direct_bytes > 0 {
+            shared_direct_bytes as f64 / self.bb_aggregate_bw().min(self.nic_aggregate_bw())
         } else {
             0.0
         };
-        let t_pfs = if trace.pfs_direct_bytes > 0 {
+        let t_pfs = if pfs_direct_bytes > 0 {
             let used_osts = self.procs().min(self.cal.ost_count) as f64;
-            trace.pfs_direct_bytes as f64
-                / (used_osts * self.cal.ost_bw).min(self.nic_aggregate_bw())
+            pfs_direct_bytes as f64 / (used_osts * self.cal.ost_bw).min(self.nic_aggregate_bw())
         } else {
             0.0
         };
 
         // Remote round trips cross two NICs.
-        let t_remote = if trace.remote_bytes > 0 {
-            trace.remote_bytes as f64 / (self.nic_aggregate_bw() / 2.0)
+        let t_remote = if remote_bytes > 0 {
+            remote_bytes as f64 / (self.nic_aggregate_bw() / 2.0)
         } else {
             0.0
         };
@@ -367,8 +378,10 @@ impl Platform {
         // Metadata lookups: spread over the metadata servers; the hot-spot
         // is the per-server queue.
         let servers = self.geometry.total_servers() as f64;
-        let t_md = (trace.md_rpcs as f64 / servers) * self.cal.rpc_service_time
-            + (trace.requests as f64 / p) * 2.0 * self.cal.net_latency;
+        let md_rpcs = count("univistor_md_rpcs_total", "op", "read");
+        let requests = count("univistor_ops_total", "op", "read");
+        let t_md = (md_rpcs as f64 / servers) * self.cal.rpc_service_time
+            + (requests as f64 / p) * 2.0 * self.cal.net_latency;
 
         t_local + t_via + t_shared + t_pfs + t_remote + t_md + 2.0 * self.open_close_cost(features)
     }
@@ -672,9 +685,6 @@ mod tests {
         // against the reference with one flow per client, at the
         // calibrated socket bandwidth (the clients' rate caps bind) and at
         // a starved one (the socket binds).
-        use univistor_core::sched::InterferenceAwarePolicy;
-        use univistor_sim::cores::{ContentionModel, PlacementPolicy, SERVER_PROGRAM};
-
         let mut p = Platform::paper(256); // 8 nodes x 32 clients
         let bytes = 64u64 << 20;
         let f = Features {

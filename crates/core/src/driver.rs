@@ -156,8 +156,13 @@ mod tests {
             f.write_at(0, Payload::pattern(1, 64)).unwrap();
             f.close().unwrap();
         });
-        let coc_rpcs = d_coc.job().stats().open_close_md_rpcs;
-        let storm_rpcs = d_storm.job().stats().open_close_md_rpcs;
+        let open_close_rpcs = |d: &UniviStorDriver| {
+            d.job()
+                .metrics()
+                .counter("univistor_md_rpcs_total", &[("op", "open_close")])
+                .unwrap_or(0)
+        };
+        let (coc_rpcs, storm_rpcs) = (open_close_rpcs(&d_coc), open_close_rpcs(&d_storm));
         assert_eq!(coc_rpcs, 2, "COC: one open + one close");
         assert_eq!(storm_rpcs, 8, "storm: nprocs opens + nprocs closes");
     }

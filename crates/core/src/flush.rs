@@ -9,7 +9,7 @@
 //! [`crate::striping::adaptive_plan`] (or the all-OST naive layout when
 //! ADPT is disabled).
 //!
-//! One engine drains it, the pipelined one ([`parallel_drain`]): each
+//! One engine drains it, the pipelined one (`parallel_drain`): each
 //! server range is gathered by its own worker (scoped threads over a
 //! shared cursor), a single writer stage drains gathered ranges through a
 //! reorder buffer (so Lustre writes stay server-major and offset-ascending
@@ -22,8 +22,8 @@
 //!
 //! The record-at-a-time reference engine — one chain read and one Lustre
 //! write per clipped span — is a test oracle (`server::oracle`, DESIGN.md
-//! §8a). It plugs into the same [`Engine`] slot of [`FlushRequest`],
-//! shares the stripe writer ([`write_stripes`]) and must produce
+//! §8a). It plugs into the same `Engine` slot of `FlushRequest`,
+//! shares the stripe writer (`write_stripes`) and must produce
 //! byte-identical PFS contents and identical semantic receipts (bytes per
 //! server/OST/tier, loss ledger, revocations); the two differ only in the
 //! operation counters (`ost_writes`, `write_calls`, `gather_round_trips`)
@@ -794,7 +794,7 @@ mod tests {
             chains.ensure(ClientId::new(0, rank), chain).unwrap();
         }
         Harness {
-            md: MetadataService::new(256, 4, 2),
+            md: MetadataService::new(256, 4, 2, 2),
             chains,
             lustre: RwLock::new(Lustre::new(8)),
             cfg,

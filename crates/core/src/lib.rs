@@ -15,7 +15,6 @@
 //! | [`va`]     | §II-B2 | virtual addresses (Eq. 1) |
 //! | [`metadata`] | §II-B3 | distributed metadata service over the range-partitioned KV |
 //! | [`read`]   | §II-B4 | naive vs. location-aware read planning |
-//! | [`sched`]  | §II-C  | interference-aware resource scheduling (Fig. 4) |
 //! | [`striping`] | §II-D | adaptive data striping (Eqs. 2–6) |
 //! | [`flush`]  | §II-D  | server-side asynchronous flush to Lustre |
 //! | [`workflow`] | §II-E | lightweight workflow management (state file + lock piggybacking) |
@@ -30,8 +29,12 @@
 //!
 //! The data plane is functional: every byte written through the driver is
 //! stored in a log chunk on some tier and reads back exactly, including
-//! after spilling across tiers and flushing to the PFS. The timing plane
-//! consumes the receipts these modules produce.
+//! after spilling across tiers and flushing to the PFS. The job's one
+//! accounting surface is its metrics panel ([`UniviStorJob::metrics`]) plus
+//! the flush receipts ([`UniviStorJob::take_flush_receipts`]); the modeled
+//! clock in `univistor-bench` reads phase deltas of both. The
+//! interference-aware core placement (§II-C, Fig. 4) feeds only that clock
+//! and lives beside its CFS baseline in `univistor_sim::cores`.
 
 pub mod config;
 pub mod driver;
@@ -47,7 +50,6 @@ pub mod placement;
 pub mod read;
 pub mod repair;
 pub(crate) mod runtime;
-pub mod sched;
 pub mod scrub;
 pub mod server;
 pub mod striping;
@@ -68,7 +70,7 @@ pub use metadata::{ClientId, SegKey, SegmentRecord};
 pub use metrics::JobMetrics;
 pub use repair::RepairReport;
 pub use scrub::{CorruptReport, ScrubDaemon, ScrubHandle, ScrubReport};
-pub use server::{JobStats, OpenRequest, UniviStorJob};
+pub use server::{OpenRequest, UniviStorJob};
 pub use tiering::{TieringDaemon, TieringHandle, TieringPassReport, TieringStats};
 pub use univistor_obs::MetricsSnapshot;
 pub use va::{Tier, TierMap, VirtualAddr};

@@ -321,7 +321,7 @@ pub(crate) mod tests {
             let chain = || ProcChain::new(caps, CHUNK);
             chains.ensure(ClientId::new(0, rank), chain).unwrap();
         }
-        let metadata = MetadataService::new(256, 4, 4);
+        let metadata = MetadataService::new(256, 4, 4, 2);
         (
             LockedCore {
                 chains,

@@ -381,8 +381,11 @@ impl Generations {
 #[derive(Debug)]
 pub struct MetadataService {
     kv: DistKv<SegKey, SegmentRecord>,
-    /// Per node: the shared metadata buffer.
+    /// Per node: the shared metadata buffer. A record lives only in its
+    /// producer's, `local[node_of(record.client)]`.
     local: Vec<RwLock<NodeBuffer>>,
+    /// Ranks per node, so a record's buffer follows from its producer.
+    procs_per_node: usize,
     /// Per node: the read record cache. Entries are validated against
     /// `generations` at hit time, so mutators only bump a counter instead
     /// of chasing cached copies.
@@ -396,11 +399,14 @@ pub struct MetadataService {
 }
 
 impl MetadataService {
-    /// A service over `servers` metadata servers and `nodes` compute nodes.
-    pub fn new(range_size: u64, servers: usize, nodes: usize) -> Self {
+    /// A service over `servers` metadata servers and `nodes` compute nodes
+    /// of `procs_per_node` ranks each (rank `r` runs on node
+    /// `r / procs_per_node`).
+    pub fn new(range_size: u64, servers: usize, nodes: usize, procs_per_node: usize) -> Self {
         MetadataService {
             kv: DistKv::new(range_size, servers),
             local: (0..nodes).map(|_| RwLock::new(HashMap::new())).collect(),
+            procs_per_node: procs_per_node.max(1),
             read_cache: (0..nodes).map(|_| RwLock::new(HashMap::new())).collect(),
             generations: Generations::default(),
             injector: None,
@@ -437,12 +443,13 @@ impl MetadataService {
     /// right fragment is keyed — in ascending index, each once; removes
     /// every record overlapping `[lo, hi)`; inserts the surviving fragments
     /// and the new records; and refreshes the node buffers, one write lock
-    /// and one pass each (every node when anything was removed, else only
-    /// the producer's). Only then are the locks released, so readers see
-    /// the write entirely or not at all. `records` are `(offset, record)`
-    /// pairs that must be offset-sorted, mutually disjoint, and lie within
-    /// `[lo, hi)`; each obeys the coalescing cap `len <= range_size` (the
-    /// left-widened-scan invariant). With no records it punches `[lo, hi)`.
+    /// and one pass each (the producer's and those of the removed records'
+    /// producers). Only then are the locks released, so readers see the
+    /// write entirely or not at all. `records` are `(offset, record)` pairs
+    /// that must be offset-sorted, mutually disjoint, lie within `[lo, hi)`
+    /// and be produced on `producer_node`; each obeys the coalescing cap
+    /// `len <= range_size` (the left-widened-scan invariant). With no
+    /// records it punches `[lo, hi)`.
     ///
     /// Fails only by fault injection, *before* touching any state, so a
     /// failed commit leaves the index unchanged and is safe to retry. The
@@ -458,7 +465,7 @@ impl MetadataService {
         self.inject("kv_insert")?;
         let range = self.kv.partitioner().range_size;
         assert_batch_records(range, lo, hi, records);
-        self.assert_node(producer_node);
+        self.assert_producer(producer_node, records.iter().map(|(_, r)| r));
         let scan_lo = scan_start(lo, range);
         let mut splice = self.kv.splice(scan_lo, hi);
         let overlapped = splice.take(
@@ -504,21 +511,36 @@ impl MetadataService {
         })
     }
 
-    /// Mutations check their producer node before taking any lock: a
-    /// panic under the KV shard locks would poison them.
-    fn assert_node(&self, node: usize) {
+    /// The node whose buffer holds `client`'s records.
+    fn node_of(&self, client: ClientId) -> usize {
+        client.rank as usize / self.procs_per_node
+    }
+
+    /// Mutations check their producer node, and that every record they
+    /// install was produced there, before taking any lock: a panic under
+    /// the KV shard locks would poison them.
+    fn assert_producer<'r>(
+        &self,
+        node: usize,
+        mut records: impl Iterator<Item = &'r SegmentRecord>,
+    ) {
         assert!(
             node < self.local.len(),
             "producer node {node} outside the job's {} nodes",
             self.local.len()
         );
+        assert!(
+            records.all(|r| self.node_of(r.client) == node),
+            "a record installed on node {node} was produced elsewhere"
+        );
     }
 
     /// The node-buffer pass of an index mutation of `fid`, run while the
     /// mutation's KV shard locks are held: one write lock and one
-    /// [`buffer_apply`] per node — every node when records were removed
-    /// (any of them may cache one), else only the producer's. Returns the
-    /// node-buffer lock acquisitions.
+    /// [`buffer_apply`] for each distinct node among the producer's and
+    /// the removed records' producers', ascending — a record is cached
+    /// only on its producer's node, so no other buffer can change. Returns
+    /// the node-buffer lock acquisitions.
     fn refresh_buffers(
         &self,
         fid: u64,
@@ -527,18 +549,19 @@ impl MetadataService {
         install: &[(u64, SegmentRecord)],
         producer_node: usize,
     ) -> u64 {
-        let mut acquisitions = 0;
-        for (node, buffer) in self.local.iter().enumerate() {
-            let producer = node == producer_node;
-            if removed.is_empty() && !producer {
-                continue;
-            }
-            let mut buffer = buffer.write().expect("node buffer poisoned");
-            acquisitions += 1;
-            let install = producer.then_some(install);
+        let mut nodes: Vec<usize> = removed
+            .iter()
+            .map(|(_, r)| self.node_of(r.client))
+            .chain([producer_node])
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        for &node in &nodes {
+            let mut buffer = self.local[node].write().expect("node buffer poisoned");
+            let install = (node == producer_node).then_some(install);
             buffer_apply(&mut buffer, fid, removed, fragments, install);
         }
-        acquisitions
+        nodes.len() as u64
     }
 
     /// Point lookup of one record (one metadata-server RPC).
@@ -548,8 +571,8 @@ impl MetadataService {
 
     /// Compare-and-swap a record: replace `key`'s value with `new` only if
     /// it still equals `expected`. On success the node buffers are
-    /// refreshed by the splice's node-buffer pass — `key` dropped
-    /// everywhere, `new` cached on the producer's node — under the key's
+    /// refreshed by the splice's node-buffer pass — `key` dropped from
+    /// `expected`'s producer's buffer, `new` cached on `new`'s — under the key's
     /// shard lock, in the same lock order. The promotion path uses this so
     /// a record overwritten between its read and its rewrite is left alone.
     pub fn replace_if_current(
@@ -559,7 +582,7 @@ impl MetadataService {
         new: SegmentRecord,
         producer_node: usize,
     ) -> (ServerId, bool) {
-        self.assert_node(producer_node);
+        self.assert_producer(producer_node, std::iter::once(&new));
         let (server, swapped) = self.kv.replace_if_eq(&key, expected, new, || {
             self.refresh_buffers(
                 key.fid,
@@ -757,7 +780,7 @@ pub(crate) mod tests {
     }
 
     fn svc() -> MetadataService {
-        MetadataService::new(256, 4, 2)
+        MetadataService::new(256, 4, 2, 32)
     }
 
     fn rec(app: u32, rank: u32, va: u64, len: u64) -> SegmentRecord {
@@ -774,13 +797,13 @@ pub(crate) mod tests {
                 fid: 1,
                 offset: 100,
             },
-            rec(0, 1, 0, 100),
+            rec(0, 32, 0, 100),
             1,
         );
         let (_, records) = m.lookup_range(1, 0, 200);
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].0.offset, 0);
-        assert_eq!(records[1].1.client.rank, 1);
+        assert_eq!(records[1].1.client.rank, 32);
     }
 
     #[test]
@@ -807,7 +830,7 @@ pub(crate) mod tests {
     fn exact_overwrite_displaces_whole_record() {
         let m = svc();
         insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 7, 100), 0);
-        let displaced = insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 1, 200, 100), 1);
+        let displaced = insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 32, 200, 100), 1);
         assert_eq!(
             displaced,
             vec![Displaced {
@@ -819,7 +842,7 @@ pub(crate) mod tests {
         );
         let (_, records) = m.lookup_range(1, 0, 100);
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].1.client.rank, 1);
+        assert_eq!(records[0].1.client.rank, 32);
     }
 
     #[test]
@@ -925,7 +948,7 @@ pub(crate) mod tests {
                 fid: 1,
                 offset: 512,
             },
-            rec(0, 1, 0, 64),
+            rec(0, 32, 0, 64),
             1,
         );
         insert_one(&m, SegKey { fid: 1, offset: 0 }, rec(0, 0, 0, 128), 0);
@@ -944,9 +967,52 @@ pub(crate) mod tests {
         assert_eq!(hits.len(), 3);
     }
 
+    /// A record is cached only in its producer's node buffer, so an index
+    /// mutation write-locks only the writer's buffer and those of the
+    /// removed records' producers: node 0 overwriting its own records on a
+    /// 4-node service takes one node-buffer lock, not four, and leaves the
+    /// other nodes' buffers as they were.
+    #[test]
+    fn overwrite_locks_only_the_producers_node_buffers() {
+        let m = MetadataService::new(256, 4, 4, 32);
+        let locks = |records: &[(u64, SegmentRecord)], node: usize| {
+            m.insert_batch(1, 0, 128, records, node)
+                .expect("no injector")
+                .locks
+                .node_buffer_acquisitions
+        };
+        assert_eq!(locks(&[(0, rec(0, 0, 0, 128))], 0), 1, "fresh write");
+        insert_one(
+            &m,
+            SegKey {
+                fid: 1,
+                offset: 512,
+            },
+            rec(0, 64, 0, 64),
+            2,
+        );
+        assert_eq!(locks(&[(0, rec(0, 1, 128, 128))], 0), 1, "own overwrite");
+        let held = |node: usize| -> Vec<u64> {
+            let buffer = m.local[node].read().unwrap();
+            buffer
+                .get(&1)
+                .map_or(Vec::new(), |f| f.keys().copied().collect())
+        };
+        assert_eq!(held(0), vec![0]);
+        assert_eq!(held(2), vec![512]);
+        // Node 3 overwriting node 0's record locks both buffers, once each.
+        assert_eq!(
+            locks(&[(0, rec(0, 96, 0, 64)), (64, rec(0, 96, 64, 64))], 3),
+            2
+        );
+        assert_eq!(held(0), Vec::<u64>::new());
+        assert_eq!(held(3), vec![0, 64]);
+        assert_eq!(held(2), vec![512]);
+    }
+
     #[test]
     fn records_distribute_across_servers_round_robin() {
-        let m = MetadataService::new(64, 4, 1);
+        let m = MetadataService::new(64, 4, 1, 32);
         // 64 segments of 64 bytes → 16 ranges round-robin over 4 servers.
         for i in 0..64u64 {
             insert_one(
@@ -1042,7 +1108,7 @@ pub(crate) mod tests {
 
     #[test]
     fn partition_of_matches_round_robin_ranges() {
-        let m = MetadataService::new(64, 4, 1);
+        let m = MetadataService::new(64, 4, 1, 32);
         assert_eq!(m.partition_of(0), 0);
         assert_eq!(m.partition_of(63), 0);
         assert_eq!(m.partition_of(64), 1);
@@ -1076,7 +1142,7 @@ pub(crate) mod tests {
     /// window fully covered, by the old records or by the new ones.
     #[test]
     fn parked_overwrite_is_invisible_to_readers() {
-        let m = MetadataService::new(256, 2, 2);
+        let m = MetadataService::new(256, 2, 2, 32);
         let old = [(0, rec(0, 0, 0, 256)), (256, rec(0, 0, 256, 256))];
         m.insert_batch(1, 0, 512, &old, 0).unwrap();
         let new = [(0, rec(0, 1, 1000, 256)), (256, rec(0, 1, 1256, 256))];

@@ -1,15 +1,16 @@
 //! Job-wide telemetry: every hot path of the UniviStor runtime reports
 //! into one [`JobMetrics`] instrument panel, and the panel is the job's
 //! only accounting plane — [`UniviStorJob::metrics`](crate::server::UniviStorJob::metrics)
-//! snapshots it, and the typed views ([`JobStats`](crate::server::JobStats),
-//! [`TieringStats`](crate::tiering::TieringStats)) are reads of it.
+//! snapshots it, phases diff two snapshots ([`MetricsSnapshot::since`]),
+//! and the typed view [`TieringStats`](crate::tiering::TieringStats) is a
+//! read of it.
 //!
 //! Every family the panel can publish is one row of [`FAMILIES`]: name,
 //! kind, labels, whether [`JobMetrics::new`] allocates it or its plane does
 //! on first use, help, and what feeds it. The panel is a projection of that
 //! table: one block of atomic cells holds every eager series in table
 //! order, and each lazy plane gets a block of its own. Recording is a
-//! single `fetch_add` on a cell whose index [`at!`] resolves at compile
+//! single `fetch_add` on a cell whose index `at!` resolves at compile
 //! time — no lock, no allocation, no label lookup; labels exist only in
 //! [`JobMetrics::snapshot`]. The rendered table lives in the README
 //! ("Telemetry"); a test keeps it equal to this one and to what an
@@ -130,9 +131,6 @@ families! {
         "chain read round-trips gathering flush data";
     FlushCatchupPasses = C, "univistor_flush_catchup_passes_total", [], EAGER,
         "generation-invalidated redo passes of the write-overlapped drain";
-    SchedDecisions = C, "univistor_sched_decisions_total",
-        ["decision": &["free_core", "stacked", "flush_migration"]], EAGER,
-        "interference-aware scheduler placement decisions", "placement/migration choices (`sched`)";
     WritePieces = C, "univistor_write_pieces_total", [], EAGER,
         "segment-grid pieces planned by write calls";
     WriteRecords = C, "univistor_write_records_total", [], EAGER,
@@ -512,14 +510,6 @@ pub fn tier_label(tier: Tier) -> &'static str {
     TIER[tier as usize]
 }
 
-/// All tiers, in chain order (the order of the `tier` label values).
-pub(crate) const TIERS: [Tier; 4] = [
-    Tier::Dram,
-    Tier::NodeLocal,
-    Tier::SharedBurstBuffer,
-    Tier::Pfs,
-];
-
 /// Map a fault-injection site tag to its position among the `op` values
 /// of `univistor_retries_total`.
 fn retry_index(site: &str) -> usize {
@@ -555,18 +545,6 @@ pub struct IntegrityMetrics {
     pub verify_bytes: [DigestBytes; 5],
     /// Descriptors the digest memo currently remembers.
     pub memo_entries: Gauge,
-}
-
-/// Cached scheduler counters handed to [`crate::sched`] so the placement
-/// policy can report without holding the panel.
-#[derive(Debug, Clone)]
-pub struct SchedCounters {
-    /// Processes placed on a free core.
-    pub free_core: Counter,
-    /// Processes stacked onto an occupied core (oversubscription).
-    pub stacked: Counter,
-    /// Client processes migrated off server cores for a flush.
-    pub flush_migrations: Counter,
 }
 
 /// Cached fault-injection counters handed to
@@ -745,15 +723,6 @@ impl JobMetrics {
     /// Record `v` into an eager histogram.
     fn observe(&self, fam: Fam, v: f64) {
         self.eager.observe(SLOT[fam as usize], fam, v);
-    }
-
-    /// Cached scheduler counters for [`crate::sched`].
-    pub fn sched_counters(&self) -> SchedCounters {
-        SchedCounters {
-            free_core: self.eager.counter(at!(SchedDecisions, "free_core")),
-            stacked: self.eager.counter(at!(SchedDecisions, "stacked")),
-            flush_migrations: self.eager.counter(at!(SchedDecisions, "flush_migration")),
-        }
     }
 
     /// Cached fault-injection counters for

@@ -28,7 +28,7 @@
 //! 4. **assemble** the payload in logical order and classify each
 //!    fragment for the timing plane.
 //!
-//! The service reads through the locked core's view ([`CoreView`]), the
+//! The service reads through the locked core's view (`CoreView`), the
 //! same one the flush engine drains through: the gather stage is
 //! [`MetadataService::lookup_local`] or else
 //! [`MetadataService::lookup_range_cached`], a fetch one shared chain-lock
@@ -611,7 +611,7 @@ mod tests {
             procs_per_node: 2,
             servers_per_node: 1,
         };
-        let metadata = MetadataService::new(256, 2, 2);
+        let metadata = MetadataService::new(256, 2, 2, 2);
         let chains = ChainSet::new();
         for rank in 0..4u32 {
             let caps = vec![

@@ -5,7 +5,7 @@
 //! copy and enqueues it here).
 //!
 //! The scrubber is structured like the tiering engine: a pass is a
-//! budgeted, per-node unit of work ([`scrub_pass`]) that any caller can
+//! budgeted, per-node unit of work (`run_scrub_pass`) that any caller can
 //! drive synchronously ([`ScrubHandle::scrub_now`]), and
 //! [`ScrubDaemon`] runs one actor thread per node that ticks passes in
 //! the background. The daemon is config-gated

@@ -9,10 +9,10 @@
 //! state file. Client-side drivers (`crate::driver`) call into it; the
 //! bench harness calls the same methods rank-by-rank at paper scale.
 //!
-//! The job's write/read state is one [`DataPlane`] — the locked core
-//! ([`LockedCore`]: per-client chains, the metadata service, heat shards)
-//! plus the config, verifier, read state, corrupt queue, metrics and the
-//! failed-node set — decomposed into independently locked shards so that
+//! The job's write/read state is one `DataPlane` — the locked core
+//! (`LockedCore`: per-client chains, the metadata service, heat shards)
+//! plus the config, verifier, corrupt queue, metrics and the failed-node
+//! set — decomposed into independently locked shards so that
 //! operations by different clients proceed in parallel: the in-process
 //! analogue of the contention avoidance the paper builds at system scale
 //! (per-process logs, range-partitioned metadata servers). The file table
@@ -22,10 +22,10 @@
 //! read path takes only the shared side. See DESIGN.md §"Concurrency
 //! model" for the shard map and the lock acquisition order.
 //!
-//! [`Runtime`](crate::config::Runtime) says only which thread runs a write
+//! [`Runtime`] says only which thread runs a write
 //! or read over that plane: the caller's (**Locked**, the default), or the
 //! partition worker owning the caller's node, reached by one message
-//! (**Partitioned**, see [`crate::runtime`]). Flushes, maintenance passes
+//! (**Partitioned**, see `crate::runtime`). Flushes, maintenance passes
 //! and diagnostics run on the plane from the caller's thread under both.
 //! Each stage has one product path; the reference flavours the
 //! differential tests compare it against (per-piece write, per-fragment
@@ -33,10 +33,10 @@
 //! module.
 //!
 //! Every hot path reports into the job's [`JobMetrics`] panel — the only
-//! accounting the job keeps — and [`UniviStorJob::metrics`] snapshots it.
-//! [`JobStats`] is the typed delta of two such snapshots (plus the one
-//! structured leftover the panel cannot hold, the flush receipts), so the
-//! two can never disagree.
+//! accounting the job keeps — and [`UniviStorJob::metrics`] snapshots it; a
+//! phase is the delta of two snapshots ([`MetricsSnapshot::since`]). The
+//! one structured leftover the flat panel cannot hold, the flush receipts,
+//! is drained by [`UniviStorJob::take_flush_receipts`].
 
 use crate::config::{Runtime, UniviStorConfig};
 use crate::error::{Error, Result};
@@ -47,9 +47,9 @@ use crate::flush::{
 use crate::integrity::Verifier;
 use crate::maint::{FileSnap, Maint};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
-use crate::metrics::{tier_label, Fam, JobMetrics, TIERS};
+use crate::metrics::JobMetrics;
 use crate::placement::{healthy_buddy, layer_caps_with_node_local, ChainSet, ProcChain};
-use crate::read::{ReadService, ReadTrace};
+use crate::read::ReadService;
 use crate::repair::{self, RepairReport};
 use crate::runtime::WorkerPool;
 use crate::scrub::{run_scrub_pass, CorruptQueue, ScrubHandle, ScrubReport, ScrubState};
@@ -57,46 +57,13 @@ use crate::tiering::{run_pass, PassOptions, TieringHandle, TieringPassReport, Ti
 use crate::va::Tier;
 use crate::workflow::StateFile;
 use crate::write::{self, WriteOp};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use univistor_mpi::driver::OpenMode;
 use univistor_obs::MetricsSnapshot;
 use univistor_pfs::Lustre;
 use univistor_sim::{Payload, SimError, SimResult};
-
-/// Aggregated operation counters of one phase — the timing plane's raw
-/// material.
-///
-/// The typed delta of two [`JobMetrics`] snapshots (see
-/// [`UniviStorJob::stats`]); [`UniviStorJob::metrics`] exposes the full
-/// panel, including histograms and spill events this flat shape cannot
-/// carry.
-#[derive(Debug, Clone, Default)]
-pub struct JobStats {
-    /// Metadata RPCs hitting the (single, file-name-hashed) server during
-    /// open/close. Without COC this grows by the full process count per
-    /// collective open — the all-to-one storm.
-    pub open_close_md_rpcs: u64,
-    /// Collective opens served (root-only under COC).
-    pub opens: u64,
-    /// Closes served.
-    pub closes: u64,
-    /// Segments appended.
-    pub segments: u64,
-    /// Bytes cached per tier.
-    pub bytes_by_tier: BTreeMap<Tier, u64>,
-    /// Metadata-put RPCs from writes.
-    pub write_md_rpcs: u64,
-    /// Aggregated read accounting.
-    pub read_trace: ReadTrace,
-    /// Receipts of every flush performed, in order.
-    pub flush_receipts: Vec<FlushReceipt>,
-    /// Bytes written twice for resilience (replica copies).
-    pub replicated_bytes: u64,
-    /// Segments promoted to a faster tier by adaptive placement.
-    pub promotions: u64,
-}
 
 /// One cached file. `size` is atomic so the data path updates it under
 /// the file table's *shared* lock; it stays 0 until the first write, so
@@ -107,17 +74,6 @@ struct FileEntry {
     fid: u64,
     size: AtomicU64,
     open_count: usize,
-}
-
-/// The flush receipts (structured, so the flat panel cannot hold them)
-/// and the baseline `stats()` diffs against. Taken only at flush
-/// completion and in `stats()`/`take_stats()`, so a plain mutex.
-#[derive(Debug, Default)]
-struct Accounting {
-    /// The panel at the last `take_stats` (empty at construction: every
-    /// counter starts at zero) — `stats()` reports the delta since.
-    stats_base: MetricsSnapshot,
-    flush_receipts: Vec<FlushReceipt>,
 }
 
 /// The locked core: the three structures every write, read, flush and
@@ -138,8 +94,12 @@ pub(crate) struct LockedCore {
 impl LockedCore {
     fn new(cfg: &UniviStorConfig, injector: Option<&Arc<FaultInjector>>) -> Self {
         let servers = cfg.geometry.total_servers().max(1);
-        let mut metadata =
-            MetadataService::new(cfg.metadata_range_size, servers, cfg.geometry.nodes);
+        let mut metadata = MetadataService::new(
+            cfg.metadata_range_size,
+            servers,
+            cfg.geometry.nodes,
+            cfg.geometry.procs_per_node,
+        );
         let mut chains = ChainSet::new();
         if let Some(inj) = injector {
             chains.set_injector(Arc::clone(inj));
@@ -357,7 +317,11 @@ pub struct UniviStorJob {
     lustre: RwLock<Lustre>,
     connected: RwLock<HashSet<ClientId>>,
     next_fid: AtomicU64,
-    accounting: Mutex<Accounting>,
+    /// Receipts of the flushes since the last
+    /// [`take_flush_receipts`](Self::take_flush_receipts), in completion
+    /// order (structured, so the flat panel cannot hold them). Taken only
+    /// at flush completion and by that drain — a leaf mutex.
+    flush_receipts: Mutex<Vec<FlushReceipt>>,
     state_file: StateFile,
     /// Deterministic fault schedule (`cfg.fault`); `None` — the default —
     /// means the data path pays only this `Option` check.
@@ -488,7 +452,7 @@ impl UniviStorJob {
             lustre: RwLock::new(lustre),
             connected: RwLock::new(HashSet::new()),
             next_fid: AtomicU64::new(1),
-            accounting: Mutex::new(Accounting::default()),
+            flush_receipts: Mutex::new(Vec::new()),
             state_file: StateFile::new(),
             injector,
             tiering: TieringState::default(),
@@ -1073,10 +1037,9 @@ impl UniviStorJob {
         if workflow {
             self.state_file.end_flush(path);
         }
-        self.accounting
+        self.flush_receipts
             .lock()
-            .expect("accounting poisoned")
-            .flush_receipts
+            .expect("flush receipts poisoned")
             .push(receipt.clone());
         Ok(Some(receipt))
     }
@@ -1158,63 +1121,11 @@ impl UniviStorJob {
         self.lustre.read().expect("lustre poisoned").ost_loads()
     }
 
-    /// What the panel counted since construction or the last
-    /// [`Self::take_stats`], with the flush receipts of that phase.
-    pub fn stats(&self) -> JobStats {
-        let acct = self.accounting.lock().expect("accounting poisoned");
-        let delta = self.plane.metrics.snapshot().since(&acct.stats_base);
-        JobStats::from_delta(&delta, acct.flush_receipts.clone())
-    }
-
-    /// Take the phase's stats and start the next phase (phase boundaries
-    /// in experiments). The panel is monotonic and unaffected; only the
-    /// baseline this view diffs against advances.
-    pub fn take_stats(&self) -> JobStats {
-        let mut acct = self.accounting.lock().expect("accounting poisoned");
-        let now = self.plane.metrics.snapshot();
-        let delta = now.since(&acct.stats_base);
-        acct.stats_base = now;
-        JobStats::from_delta(&delta, std::mem::take(&mut acct.flush_receipts))
-    }
-}
-
-impl JobStats {
-    /// The one place the typed view is read off a panel delta
-    /// ([`MetricsSnapshot::since`]).
-    fn from_delta(delta: &MetricsSnapshot, flush_receipts: Vec<FlushReceipt>) -> JobStats {
-        let total = |fam: Fam| delta.counter_total(fam.name());
-        let of = |fam: Fam, key: &str, value: &str| {
-            delta.counter(fam.name(), &[(key, value)]).unwrap_or(0)
-        };
-        JobStats {
-            open_close_md_rpcs: of(Fam::MdRpcs, "op", "open_close"),
-            opens: of(Fam::Ops, "op", "open"),
-            closes: of(Fam::Ops, "op", "close"),
-            segments: total(Fam::Segments),
-            // Tiers nothing landed on are omitted.
-            bytes_by_tier: TIERS
-                .into_iter()
-                .map(|t| (t, of(Fam::CachedBytes, "tier", tier_label(t))))
-                .filter(|&(_, bytes)| bytes > 0)
-                .collect(),
-            write_md_rpcs: of(Fam::MdRpcs, "op", "write"),
-            read_trace: ReadTrace {
-                local_direct_bytes: of(Fam::ReadBytes, "path", "local_hit"),
-                local_via_server_bytes: of(Fam::ReadBytes, "path", "local_via_server"),
-                shared_direct_bytes: of(Fam::ReadBytes, "path", "bb_direct"),
-                pfs_direct_bytes: of(Fam::ReadBytes, "path", "pfs_direct"),
-                remote_bytes: of(Fam::ReadBytes, "path", "remote_hop"),
-                md_rpcs: of(Fam::MdRpcs, "op", "read"),
-                local_md_hits: total(Fam::MdLocalHits),
-                requests: of(Fam::Ops, "op", "read"),
-                replica_bytes: total(Fam::ReadReplicaBytes),
-                md_cache_hits: total(Fam::ReadMdCacheHits),
-                md_cache_misses: total(Fam::ReadMdCacheMisses),
-            },
-            flush_receipts,
-            replicated_bytes: total(Fam::ReplicatedBytes),
-            promotions: total(Fam::TieringPromotedSegments),
-        }
+    /// Drain the receipts of every flush since construction or the last
+    /// call, in completion order. The panel is unaffected: a phase's
+    /// counters are a [`MetricsSnapshot::since`] delta of [`Self::metrics`].
+    pub fn take_flush_receipts(&self) -> Vec<FlushReceipt> {
+        std::mem::take(&mut *self.flush_receipts.lock().expect("flush receipts poisoned"))
     }
 }
 
@@ -1337,9 +1248,10 @@ mod tests {
             .unwrap();
         j.close("/f", client(0), OpenMode::Write, 1, true).unwrap();
         j.open_file("/f").read().by(client(1)).unwrap();
-        let flushes_before = j.stats().flush_receipts.len();
+        assert_eq!(j.take_flush_receipts().len(), 1, "the write close flushed");
         j.close("/f", client(1), OpenMode::Read, 1, true).unwrap();
-        assert_eq!(j.stats().flush_receipts.len(), flushes_before);
+        assert!(j.take_flush_receipts().is_empty());
+        assert_eq!(j.metrics().counter_total("univistor_flushes_total"), 1);
     }
 
     /// `features.location_aware_reads` picks the read path: on, a
@@ -1355,12 +1267,19 @@ mod tests {
             j.write(client(0), "/la", 0, Payload::pattern(1, 128))
                 .unwrap();
             j.read(client(0), "/la", 0, 128).unwrap();
-            let t = j.stats().read_trace;
+            let snap = j.metrics();
+            let bytes = |path| {
+                snap.counter("univistor_read_bytes_total", &[("path", path)])
+                    .unwrap_or(0)
+            };
+            let rpcs = snap
+                .counter("univistor_md_rpcs_total", &[("op", "read")])
+                .unwrap_or(0);
             if aware {
-                assert_eq!((t.local_direct_bytes, t.md_rpcs), (128, 0));
+                assert_eq!((bytes("local_hit"), rpcs), (128, 0));
             } else {
-                assert_eq!(t.local_via_server_bytes, 128);
-                assert!(t.md_rpcs > 0, "{t:?}");
+                assert_eq!(bytes("local_via_server"), 128);
+                assert!(rpcs > 0);
             }
         }
     }
@@ -1449,45 +1368,54 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn take_flush_receipts_does_not_reset_the_panel() {
         let j = job();
         j.open_file("/f").write().by(client(0)).unwrap();
         j.write(client(0), "/f", 0, Payload::pattern(1, 512))
             .unwrap();
         j.read(client(0), "/f", 0, 512).unwrap();
-        let s = j.stats();
-        assert!(s.segments >= 4); // 512 B in 128 B segments
-        assert_eq!(s.read_trace.total_bytes(), 512);
-        assert_eq!(s.opens, 1);
-        j.take_stats();
-        assert_eq!(j.stats().segments, 0);
-        // The panel is monotonic: take_stats must not reset it.
-        assert_eq!(j.metrics().counter_total("univistor_segments_total"), 4);
+        j.close("/f", client(0), OpenMode::Write, 1, true).unwrap();
+        assert_eq!(j.take_flush_receipts().len(), 1);
+        // The panel is monotonic: draining the receipts must not reset it.
+        let snap = j.metrics();
+        assert_eq!(snap.counter_total("univistor_segments_total"), 4); // 512 B in 128 B segments
+        assert_eq!(snap.counter_total("univistor_read_bytes_total"), 512);
+        assert_eq!(
+            snap.counter("univistor_ops_total", &[("op", "open")]),
+            Some(1)
+        );
+        assert_eq!(snap.counter_total("univistor_flushes_total"), 1);
     }
 
+    /// `take_flush_receipts` hands back one receipt per flush since the last
+    /// drain, in close order, and leaves nothing behind.
     #[test]
-    fn stats_view_agrees_with_metrics_panel() {
+    fn take_flush_receipts_drains_in_close_order() {
         let j = job();
-        j.open_file("/f").write().by(client(0)).unwrap();
-        j.write(client(0), "/f", 0, Payload::pattern(7, 640))
+        let base = j.metrics();
+        for (i, path) in ["/c", "/a", "/b"].into_iter().enumerate() {
+            j.open_file(path).write().by(client(0)).unwrap();
+            j.write(
+                client(0),
+                path,
+                0,
+                Payload::pattern(i as u64, 128 * (i as u64 + 1)),
+            )
             .unwrap();
-        j.read(client(0), "/f", 0, 640).unwrap();
-        let s = j.stats();
-        let snap = j.metrics();
-        assert_eq!(s.segments, snap.counter_total("univistor_segments_total"));
+            j.close(path, client(0), OpenMode::Write, 1, true).unwrap();
+        }
+        let receipts = j.take_flush_receipts();
+        let order: Vec<(&str, u64)> = receipts
+            .iter()
+            .map(|r| (r.dest.as_str(), r.file_size))
+            .collect();
+        assert_eq!(order, [("/c", 128), ("/a", 256), ("/b", 384)]);
+        let flushes = j.metrics().since(&base);
         assert_eq!(
-            s.bytes_by_tier.values().sum::<u64>(),
-            snap.counter_total("univistor_cached_bytes_total")
+            receipts.len() as u64,
+            flushes.counter_total("univistor_flushes_total")
         );
-        assert_eq!(
-            s.read_trace.total_bytes(),
-            snap.counter_total("univistor_read_bytes_total")
-        );
-        assert_eq!(
-            s.open_close_md_rpcs,
-            snap.counter("univistor_md_rpcs_total", &[("op", "open_close")])
-                .unwrap_or(0)
-        );
+        assert!(j.take_flush_receipts().is_empty());
     }
 
     #[test]

@@ -14,11 +14,41 @@ use crate::metadata::ClientId;
 use crate::server::UniviStorJob;
 use std::sync::Arc;
 use univistor_mpi::driver::{FsDriver, OpenMode};
+use univistor_obs::FamilySnapshot;
 use univistor_sim::rng::DetRng;
 use univistor_sim::{Payload, SparseBuffer};
 
 fn client(rank: u32) -> ClientId {
     ClientId::new(0, rank)
+}
+
+/// The figure statistics two equivalent paths must agree on: op counts,
+/// metadata RPCs and local hits, segments, cached bytes per tier, read
+/// bytes per path, replica reads, read-cache hits and misses, replicated
+/// bytes and promotions.
+const STAT_FAMILIES: [&str; 11] = [
+    "univistor_ops_total",
+    "univistor_md_rpcs_total",
+    "univistor_md_local_hits_total",
+    "univistor_segments_total",
+    "univistor_cached_bytes_total",
+    "univistor_read_bytes_total",
+    "univistor_read_replica_bytes_total",
+    "univistor_read_md_cache_hits_total",
+    "univistor_read_md_cache_misses_total",
+    "univistor_replicated_bytes_total",
+    "univistor_tiering_promoted_segments_total",
+];
+
+/// `job`'s figure statistics since construction (a fresh job's panel is
+/// its phase delta), except the families in `skip`.
+fn stat_families(job: &UniviStorJob, skip: &[&str]) -> Vec<FamilySnapshot> {
+    let snap = job.metrics();
+    STAT_FAMILIES
+        .iter()
+        .filter(|name| !skip.contains(name))
+        .map(|name| snap.family(name).expect("eager family").clone())
+        .collect()
 }
 
 /// A differential pair over `cfg`: `[oracle side, product side]`. The
@@ -202,11 +232,7 @@ fn fresh_sequential_write_stats_are_pipeline_invariant() {
             write_via(i == 0, j, client(rank), "/s", rank as u64 * 4096, data);
         }
     }
-    let (a, b) = (jobs[0].stats(), jobs[1].stats());
-    assert_eq!(a.segments, b.segments);
-    assert_eq!(a.bytes_by_tier, b.bytes_by_tier);
-    assert_eq!(a.write_md_rpcs, b.write_md_rpcs);
-    assert_eq!(a.replicated_bytes, b.replicated_bytes);
+    assert_eq!(stat_families(&jobs[0], &[]), stat_families(&jobs[1], &[]));
     // Sequential 4 KiB runs coalesce fully (range 1024 B caps each record
     // at 8 segments): a quarter of the per-piece index.
     assert_eq!(jobs[0].metadata_records(), 4 * 32);
@@ -273,7 +299,7 @@ fn batched_call_coalesces_8x_within_two_chain_locks() {
 // ---------------------------------------------------------------------
 // Read: the grouped fetch (fragment planning + `read_at_many` + the
 // node-local read record cache) against the per-record reference — same
-// bytes, same `ReadTrace` accounting, with and without replication and
+// bytes, same figure statistics, with and without replication and
 // failed nodes.
 // ---------------------------------------------------------------------
 
@@ -292,7 +318,8 @@ fn read_pair(replicate: bool) -> [Arc<UniviStorJob>; 2] {
 /// clients, applied identically to the per-record oracle, the product
 /// read, and a flat sparse-buffer model. Trials rotate through plain /
 /// replicated / replicated-with-a-failed-node configurations. Bytes and
-/// the full `ReadTrace` must agree between the two in every trial.
+/// every figure-statistics family must agree between the two in every
+/// trial.
 #[test]
 fn batched_read_matches_per_record_reference() {
     let mut rng = DetRng::seed(0x4ead_0004);
@@ -354,10 +381,10 @@ fn batched_read_matches_per_record_reference() {
                 assert!(got.content_eq(p), "trial {trial}: extent at {off} diverged");
             }
         }
-        let (a, b) = (jobs[0].stats(), jobs[1].stats());
         assert_eq!(
-            a.read_trace, b.read_trace,
-            "trial {trial}: ReadTrace must be pipeline-invariant"
+            stat_families(&jobs[0], &[]),
+            stat_families(&jobs[1], &[]),
+            "trial {trial}: the figure statistics must be pipeline-invariant"
         );
     }
 }
@@ -393,15 +420,18 @@ fn replica_reads_span_coalesced_multi_chunk_records() {
             got.content_eq(&data.slice(300, 500)),
             "oracle={oracle}: unaligned replica read"
         );
-        let trace = j.stats().read_trace;
-        assert_eq!(trace.replica_bytes, 1024 + 500);
+        let replica_bytes = j
+            .metrics()
+            .counter_total("univistor_read_replica_bytes_total");
+        assert_eq!(replica_bytes, 1024 + 500);
     }
 }
 
 /// The deterministic counter of the retired `read_batch` bench, at its
 /// shape: a 64 KiB read over 128 segment records of one producer's chain
 /// takes 128 shared chain-lock acquisitions on the per-record path and 1
-/// on the grouped path; every `ReadTrace` field is the same on both.
+/// on the grouped path; every figure-statistics family is the same on
+/// both.
 #[test]
 fn batched_read_takes_one_chain_lock_for_128_records() {
     const SEGMENT: u64 = 512;
@@ -427,12 +457,12 @@ fn batched_read_takes_one_chain_lock_for_128_records() {
                 &[("lock", "chain")],
             )
             .unwrap_or(0);
-        (chain_locks, job.stats().read_trace)
+        (chain_locks, stat_families(&job, &[]))
     };
-    let (per_record_locks, per_record_trace) = run(true);
-    let (batched_locks, batched_trace) = run(false);
+    let (per_record_locks, per_record_stats) = run(true);
+    let (batched_locks, batched_stats) = run(false);
     assert_eq!((per_record_locks, batched_locks), (128, 1));
-    assert_eq!(per_record_trace, batched_trace);
+    assert_eq!(per_record_stats, batched_stats);
 }
 
 // ---------------------------------------------------------------------
@@ -733,23 +763,15 @@ fn batched_pipeline_preserves_figure_stats() {
         let micro = univistor_workloads::MicroIo::scaled(32, 64 << 10);
         micro.write_phase(driver.as_ref(), "/fig").unwrap();
         micro.read_phase(driver.as_ref(), "/fig", false).unwrap();
-        let stats = job.stats();
-        // `local_md_hits` counts metadata *records* served from the
-        // shared buffer; coalescing legitimately shrinks it, and the
-        // timing plane never reads it — zero it before comparing.
-        let mut trace = stats.read_trace;
-        trace.local_md_hits = 0;
+        // `univistor_md_local_hits_total` counts metadata *records*
+        // served from the shared buffer; coalescing legitimately shrinks
+        // it, and the timing plane never reads it.
+        let stats = stat_families(&job, &["univistor_md_local_hits_total"]);
         let checksum = job
             .lustre_read("/fig", 0, micro.file_size())
             .unwrap()
             .content_checksum();
-        (
-            stats.segments,
-            stats.open_close_md_rpcs,
-            stats.bytes_by_tier.clone(),
-            trace,
-            checksum,
-        )
+        (stats, checksum)
     };
     assert_eq!(run(product_job, false), run(oracle_job, true));
 }

@@ -60,7 +60,7 @@ fn union_covered(records: &[(SegKey, SegmentRecord)], lo: u64, hi: u64) -> u64 {
 #[test]
 fn overwrites_are_atomic_to_concurrent_lookups() {
     // Range 256 over 3 servers: [128, 640) touches partitions 0, 1 and 2.
-    let m = MetadataService::new(256, 3, 2);
+    let m = MetadataService::new(256, 3, 2, 1);
     let (fid, lo, hi) = (1, 128, 640);
     let tiling = |i: u64| -> Vec<(u64, SegmentRecord)> {
         let bounds: &[u64] = if i.is_multiple_of(2) {
@@ -195,23 +195,24 @@ fn stress_mixed_ops_eight_threads() {
     let total_writes: u64 = writes_done.iter().map(|c| c.load(Ordering::Relaxed)).sum();
     let total_reads: u64 = reads_done.iter().map(|c| c.load(Ordering::Relaxed)).sum();
     assert_eq!(total_writes, (THREADS * OPS) as u64);
-    let stats = job.stats();
-    assert_eq!(stats.opens, THREADS as u64);
-    assert_eq!(stats.closes, THREADS as u64);
+    let snap = job.metrics();
+    let ops = |op| {
+        snap.counter("univistor_ops_total", &[("op", op)])
+            .unwrap_or(0)
+    };
+    assert_eq!(ops("open"), THREADS as u64);
+    assert_eq!(ops("close"), THREADS as u64);
     // BLOCK == segment_size and every write is grid-aligned, so segments
     // placed == writes issued.
-    assert_eq!(stats.segments, total_writes);
+    assert_eq!(snap.counter_total("univistor_segments_total"), total_writes);
     // + WINDOW verification reads per thread after the loop.
+    assert_eq!(ops("read"), total_reads + (THREADS as u64 * WINDOW));
     assert_eq!(
-        stats.read_trace.requests,
-        total_reads + (THREADS as u64 * WINDOW)
-    );
-    assert_eq!(
-        stats.read_trace.total_bytes(),
+        snap.counter_total("univistor_read_bytes_total"),
         (total_reads + THREADS as u64 * WINDOW) * BLOCK
     );
     // Flush-on-close persisted each thread's file; PFS copies verify.
-    assert_eq!(stats.flush_receipts.len(), THREADS);
+    assert_eq!(job.take_flush_receipts().len(), THREADS);
     for t in 0..THREADS {
         assert_eq!(
             job.lustre_file_size(&format!("/stress/{t}")).unwrap(),

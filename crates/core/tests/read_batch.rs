@@ -39,11 +39,16 @@ fn overwrite_invalidates_cached_read_records() {
     assert!(got.content_eq(&Payload::pattern(1, 256)));
     assert_eq!((hits(&job), misses(&job)), (0, 1));
     // Same window again: served from the cache, no RPCs.
-    let md_rpcs_before = job.stats().read_trace.md_rpcs;
+    let read_rpcs = |j: &UniviStorJob| {
+        j.metrics()
+            .counter("univistor_md_rpcs_total", &[("op", "read")])
+            .unwrap_or(0)
+    };
+    let md_rpcs_before = read_rpcs(&job);
     let got = job.read(reader, "/c", 0, 256).unwrap();
     assert!(got.content_eq(&Payload::pattern(1, 256)));
     assert_eq!((hits(&job), misses(&job)), (1, 1));
-    assert_eq!(job.stats().read_trace.md_rpcs, md_rpcs_before);
+    assert_eq!(read_rpcs(&job), md_rpcs_before);
     // Overwrite the middle: the cached window dies with the generation
     // bump, and the next read returns the fresh bytes at miss cost.
     job.write(writer, "/c", 64, Payload::pattern(2, 64))

@@ -1,7 +1,7 @@
 //! Partitioned-runtime pinning (DESIGN.md §13): the partitioned runtime
 //! runs the locked core's own write and read on its workers, so it must be
-//! observably identical to the locked runtime — same bytes, same
-//! `ReadTrace` accounting, same placement statistics, same counted locks —
+//! observably identical to the locked runtime — same bytes, same figure
+//! statistics (read classification, placement), same counted locks —
 //! while every write or read costs exactly one message and one awaited
 //! round-trip. Plus the routing edge cases: spans crossing every KV
 //! partition, a single-worker pool, `fail_node`/`restore_node` racing
@@ -21,6 +21,24 @@ use univistor_sim::{Payload, SparseBuffer};
 fn client(rank: u32) -> ClientId {
     ClientId::new(0, rank)
 }
+
+/// The figure statistics two equivalent paths must agree on: op counts,
+/// metadata RPCs and local hits, segments, cached bytes per tier, read
+/// bytes per path, replica reads, read-cache hits and misses, replicated
+/// bytes and promotions.
+const STAT_FAMILIES: [&str; 11] = [
+    "univistor_ops_total",
+    "univistor_md_rpcs_total",
+    "univistor_md_local_hits_total",
+    "univistor_segments_total",
+    "univistor_cached_bytes_total",
+    "univistor_read_bytes_total",
+    "univistor_read_replica_bytes_total",
+    "univistor_read_md_cache_hits_total",
+    "univistor_read_md_cache_misses_total",
+    "univistor_replicated_bytes_total",
+    "univistor_tiering_promoted_segments_total",
+];
 
 /// 2 nodes × 2 procs with an explicit 4-worker pool, so the partition
 /// dimension is exercised even on a single-CPU host (where the
@@ -139,15 +157,14 @@ fn runtimes_agree_on_bytes_traces_and_stats() {
                 "{ctx}: index records (VAs, replicas, checksums)"
             );
 
-            let (a, b) = (locked.stats(), part.stats());
-            assert_eq!(a.segments, b.segments, "{ctx}");
-            assert_eq!(a.bytes_by_tier, b.bytes_by_tier, "{ctx}");
-            assert_eq!(a.write_md_rpcs, b.write_md_rpcs, "{ctx}");
-            assert_eq!(a.replicated_bytes, b.replicated_bytes, "{ctx}");
-            assert_eq!(
-                a.read_trace, b.read_trace,
-                "{ctx}: ReadTrace accounting must be runtime-invariant"
-            );
+            let (a, b) = (locked.metrics(), part.metrics());
+            for family in STAT_FAMILIES {
+                assert_eq!(
+                    a.family(family),
+                    b.family(family),
+                    "{ctx}: {family} must be runtime-invariant"
+                );
+            }
             assert_eq!(locked.tier_usage(), part.tier_usage(), "{ctx}");
             assert_eq!(locked.metadata_records(), part.metadata_records(), "{ctx}");
             assert_eq!(
@@ -155,7 +172,6 @@ fn runtimes_agree_on_bytes_traces_and_stats() {
                 part.file_size("/d").unwrap()
             );
 
-            let (a, b) = (locked.metrics(), part.metrics());
             for family in [
                 "univistor_faults_injected_total",
                 "univistor_retries_total",

@@ -472,6 +472,5 @@ fn promote_now_feeds_tiering_stats() {
         .unwrap();
     assert_eq!(report.promoted_segments, 1);
     assert_eq!(j.tiering().stats().promoted_segments, 1);
-    assert_eq!(j.stats().promotions, 1);
     assert_stats_are_the_panel(&j);
 }

@@ -2,13 +2,28 @@
 //!
 //! This module provides what §II-C of the paper calls the scheduling
 //! substrate: a description of a node's sockets/cores, an assignment of
-//! processes to cores, the CFS-like *baseline* placement policy (oblivious
-//! to program membership and NUMA), and a contention model that converts an
-//! assignment into per-process effective memory rates.
+//! processes to cores, the two [`PlacementPolicy`] implementations — the
+//! CFS-like *baseline* (oblivious to program membership and NUMA) and
+//! UniviStor's [`InterferenceAwarePolicy`] with its flush-time migration —
+//! and a contention model that converts an assignment into per-process
+//! effective memory rates.
 //!
-//! UniviStor's interference-aware policy implements [`PlacementPolicy`] in
-//! `univistor-core::sched` — it is part of the paper's contribution, not the
-//! substrate.
+//! UniviStor servers know how many processes of each parallel program
+//! (including themselves) share each node, and use that to replace the
+//! oblivious CFS placement (Fig. 4):
+//!
+//! 1. **NUMA spreading** — each program's processes are spread evenly
+//!    across the sockets; remainders go to the less-loaded socket
+//!    (Fig. 4b).
+//! 2. **State-aware stacking** — when processes outnumber cores, extra
+//!    client processes stack on *server* cores, which are idle outside
+//!    flush phases (Fig. 4d), rather than on busy client cores (Fig. 4c).
+//! 3. **Flush migration** — when a flush starts, client processes sharing
+//!    a server core are migrated to other cores so servers flush without
+//!    interference; they move back afterwards.
+//!
+//! Its one user is the modeled clock in `bench::timing`, which turns the
+//! placements into per-process rate caps.
 
 use crate::rng::DetRng;
 use std::collections::HashMap;
@@ -193,6 +208,140 @@ impl PlacementPolicy for CfsPolicy {
             assignment.assign(slot, core);
         }
         assignment
+    }
+}
+
+/// UniviStor's interference-aware placement policy (§II-C, Fig. 4b/4d);
+/// placement is fully deterministic.
+#[derive(Debug, Default)]
+pub struct InterferenceAwarePolicy;
+
+impl InterferenceAwarePolicy {
+    /// New policy.
+    pub fn new() -> Self {
+        InterferenceAwarePolicy
+    }
+}
+
+impl PlacementPolicy for InterferenceAwarePolicy {
+    fn place(&mut self, shape: NodeShape, programs: &[(u32, usize)]) -> CoreAssignment {
+        let mut assignment = CoreAssignment::new(shape);
+        let mut socket_load = vec![0usize; shape.sockets];
+
+        for &(program, count) in programs {
+            // Spread this program across sockets: base share everywhere,
+            // remainders to the least-loaded sockets.
+            let base = count / shape.sockets;
+            let remainder = count % shape.sockets;
+            let mut shares = vec![base; shape.sockets];
+            // Order sockets by current load (stable by index) and give the
+            // remainder to the least loaded ones.
+            let mut order: Vec<usize> = (0..shape.sockets).collect();
+            order.sort_by_key(|&s| (socket_load[s], s));
+            for &s in order.iter().take(remainder) {
+                shares[s] += 1;
+            }
+
+            let mut index = 0u32;
+            for (socket, &share) in shares.iter().enumerate() {
+                socket_load[socket] += share;
+                for _ in 0..share {
+                    let core = pick_core(&assignment, shape, socket, program);
+                    assignment.assign(ProcSlot { program, index }, core);
+                    index += 1;
+                }
+            }
+        }
+        assignment
+    }
+}
+
+/// Choose the best core of `socket` for a process of `program`:
+/// 1. a free core;
+/// 2. otherwise (oversubscription) the core with the fewest processes of
+///    *other non-server* programs — i.e. prefer stacking on idle server
+///    cores (state-aware, Fig. 4d) unless the program being placed *is*
+///    the server program, which prefers client cores symmetric­ally;
+/// 3. ties broken by total occupancy, then core index.
+fn pick_core(assignment: &CoreAssignment, shape: NodeShape, socket: usize, program: u32) -> usize {
+    shape
+        .cores_of_socket(socket)
+        .min_by_key(|&core| {
+            let procs = assignment.procs_on_core(core);
+            let busy_conflicts = procs
+                .iter()
+                .filter(|p| {
+                    if program == SERVER_PROGRAM {
+                        // A server avoids cores with other servers.
+                        p.program == SERVER_PROGRAM
+                    } else {
+                        // A client avoids cores with other clients; a
+                        // lone server is the preferred stacking target.
+                        p.program != SERVER_PROGRAM
+                    }
+                })
+                .count();
+            (busy_conflicts, procs.len(), core)
+        })
+        .expect("socket has cores")
+}
+
+/// Migrate client processes off server cores for the duration of a flush
+/// (Fig. 4d, right). Returns the moved slots with their original cores so
+/// [`restore_after_flush`] can undo the migration.
+pub fn migrate_for_flush(assignment: &mut CoreAssignment) -> Vec<(ProcSlot, usize)> {
+    let shape = assignment.shape;
+    let mut moved = Vec::new();
+    for core in 0..shape.cores() {
+        if !assignment
+            .procs_on_core(core)
+            .iter()
+            .any(|p| p.program == SERVER_PROGRAM)
+        {
+            continue;
+        }
+        // Walk the core's live slot list by re-borrowing it after each
+        // migration (which compacts the list in place, preserving
+        // relative order) instead of cloning it: `skip` counts the
+        // unmovable slots already passed over. Nothing migrates *into* a
+        // server core, so the walk visits exactly the original clients.
+        let mut skip = 0;
+        loop {
+            let slot = assignment
+                .procs_on_core(core)
+                .iter()
+                .filter(|p| p.program != SERVER_PROGRAM)
+                .nth(skip)
+                .copied();
+            let Some(slot) = slot else { break };
+            // Least-loaded core without a server, same socket preferred.
+            let socket = shape.socket_of(core);
+            let candidates = shape
+                .cores_of_socket(socket)
+                .chain(0..shape.cores())
+                .filter(|&c| {
+                    c != core
+                        && !assignment
+                            .procs_on_core(c)
+                            .iter()
+                            .any(|p| p.program == SERVER_PROGRAM)
+                });
+            if let Some(target) = candidates.min_by_key(|&c| (assignment.procs_on_core(c).len(), c))
+            {
+                moved.push((slot, core));
+                assignment.migrate(slot, target);
+            } else {
+                skip += 1;
+            }
+        }
+    }
+    moved
+}
+
+/// Undo [`migrate_for_flush`].
+pub fn restore_after_flush(assignment: &mut CoreAssignment, moved: Vec<(ProcSlot, usize)>) {
+    for (slot, core) in moved {
+        assignment.migrate(slot, core);
     }
 }
 
@@ -430,5 +579,125 @@ mod tests {
         a.assign(slot(0, 0), 4); // socket 1
         let rates = model.proc_rates(&a, |_| true);
         assert_eq!(rates[0].socket, 1);
+    }
+
+    #[test]
+    fn fig4b_every_program_spreads_across_sockets() {
+        // App 1 ×2, App 2 ×2, servers ×2 on 6 cores: one process per core,
+        // each program on both sockets.
+        let programs = [(0u32, 2usize), (1, 2), (SERVER_PROGRAM, 2)];
+        let a = InterferenceAwarePolicy::new().place(SHAPE, &programs);
+        assert_eq!(a.stacked_cores(), 0);
+        assert_eq!(a.numa_imbalance(), 0);
+        for &(program, _) in &programs {
+            let sockets: std::collections::HashSet<usize> = a
+                .slots()
+                .filter(|s| s.program == program)
+                .map(|s| SHAPE.socket_of(a.core_of(s).expect("placed")))
+                .collect();
+            assert_eq!(sockets.len(), 2, "program {program} not spread");
+        }
+    }
+
+    #[test]
+    fn fig4d_oversubscription_stacks_on_server_cores() {
+        // App 1 ×4, App 2 ×2, servers ×2 → 8 procs on 6 cores. The two
+        // extra client processes must land on the two server cores.
+        let programs = [(0u32, 4usize), (1, 2), (SERVER_PROGRAM, 2)];
+        let a = InterferenceAwarePolicy::new().place(SHAPE, &programs);
+        for core in 0..SHAPE.cores() {
+            let procs = a.procs_on_core(core);
+            if procs.len() > 1 {
+                assert!(
+                    procs.iter().any(|p| p.program == SERVER_PROGRAM),
+                    "stacked core {core} has no server: {procs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remainders_go_to_less_loaded_socket() {
+        // 3 processes of one program on 2 sockets: 2 + 1. A second
+        // 3-process program must put its extra on the other socket.
+        let programs = [(0u32, 3usize), (1, 3)];
+        let a = InterferenceAwarePolicy::new().place(SHAPE, &programs);
+        assert_eq!(a.numa_imbalance(), 0);
+    }
+
+    #[test]
+    fn flush_migration_clears_server_cores_and_restores() {
+        // Oversubscribed: 6 clients + 2 servers on 6 cores → two clients
+        // are stacked on the server cores and must migrate for the flush.
+        let programs = [(0u32, 6usize), (SERVER_PROGRAM, 2)];
+        let mut a = InterferenceAwarePolicy::new().place(SHAPE, &programs);
+        let before: Vec<Option<usize>> = a.slots().map(|s| a.core_of(s)).collect();
+        let moved = migrate_for_flush(&mut a);
+        assert!(!moved.is_empty());
+        // No server core hosts a client during the flush.
+        for core in 0..SHAPE.cores() {
+            let procs = a.procs_on_core(core);
+            let has_server = procs.iter().any(|p| p.program == SERVER_PROGRAM);
+            let has_client = procs.iter().any(|p| p.program != SERVER_PROGRAM);
+            assert!(
+                !(has_server && has_client),
+                "core {core} mixed during flush"
+            );
+        }
+        restore_after_flush(&mut a, moved);
+        let after: Vec<Option<usize>> = a.slots().map(|s| a.core_of(s)).collect();
+        // Restoration is exact (slots() iteration order is stable between
+        // calls because no insertions happened in between).
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn ia_beats_cfs_on_worst_case_rate() {
+        // Paper-shaped node: 2×16 cores, 32 clients + 2 servers. The IA
+        // policy's worst per-process rate must dominate the CFS baseline's
+        // across seeds (the phase time is set by the slowest process).
+        let shape = NodeShape {
+            sockets: 2,
+            cores_per_socket: 16,
+        };
+        let programs = [(0u32, 32usize), (SERVER_PROGRAM, 2)];
+        let model = ContentionModel {
+            per_proc_copy_bw: 1.5e9,
+            ctx_switch_efficiency: 0.7,
+        };
+        let ia = InterferenceAwarePolicy::new().place(shape, &programs);
+        let ia_worst = model
+            .proc_rates(&ia, |s| s.program == 0)
+            .iter()
+            .map(|r| r.rate_cap)
+            .fold(f64::INFINITY, f64::min);
+
+        let mut cfs_better = 0;
+        for seed in 0..20 {
+            let cfs = CfsPolicy::new(seed, 0.3).place(shape, &programs);
+            let cfs_worst = model
+                .proc_rates(&cfs, |s| s.program == 0)
+                .iter()
+                .map(|r| r.rate_cap)
+                .fold(f64::INFINITY, f64::min);
+            if cfs_worst >= ia_worst {
+                cfs_better += 1;
+            }
+        }
+        assert!(
+            cfs_better <= 2,
+            "CFS matched IA on {cfs_better}/20 seeds — interference model broken"
+        );
+    }
+
+    #[test]
+    fn servers_spread_across_sockets() {
+        let programs = [(SERVER_PROGRAM, 2usize)];
+        let a = InterferenceAwarePolicy::new().place(SHAPE, &programs);
+        let sockets: Vec<usize> = a
+            .slots()
+            .map(|s| SHAPE.socket_of(a.core_of(s).expect("placed")))
+            .collect();
+        assert_ne!(sockets[0], sockets[1]);
     }
 }

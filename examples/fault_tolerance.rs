@@ -46,7 +46,9 @@ fn main() {
     println!("cached [{}]", tiers(&job));
     println!(
         "replicated {} KiB for resilience",
-        job.stats().replicated_bytes >> 10
+        job.metrics()
+            .counter_total("univistor_replicated_bytes_total")
+            >> 10
     );
 
     println!("\n--- 2. node 0 dies ---");
@@ -65,7 +67,9 @@ fn main() {
     println!(
         "all {} KiB verified; {} KiB were served from replicas",
         (8 * per_rank) >> 10,
-        job.stats().read_trace.replica_bytes >> 10
+        job.metrics()
+            .counter_total("univistor_read_replica_bytes_total")
+            >> 10
     );
 
     // The close-time flush also survives the failure.

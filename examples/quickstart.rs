@@ -78,17 +78,16 @@ fn main() {
         on_pfs >> 20
     );
 
-    let stats = job.stats();
-    println!(
-        "stats: {} segments cached, {} open/close RPCs (COC on), {} flush(es)",
-        stats.segments,
-        stats.open_close_md_rpcs,
-        stats.flush_receipts.len()
-    );
-
-    // The full telemetry panel behind those stats — every hot path is
-    // instrumented; dump it as Prometheus-style families.
+    // The telemetry panel is the job's accounting: every hot path is
+    // instrumented, and families are read by name (Prometheus-style).
     let metrics = job.metrics();
+    println!(
+        "stats: {} open/close RPCs (COC on), {} flush(es)",
+        metrics
+            .counter("univistor_md_rpcs_total", &[("op", "open_close")])
+            .unwrap_or(0),
+        metrics.counter_total("univistor_flushes_total"),
+    );
     println!(
         "telemetry: {} segments placed, {} B read via local hits, {} spill events below DRAM",
         metrics.counter_total("univistor_segments_total"),

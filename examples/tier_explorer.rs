@@ -40,7 +40,7 @@ fn main() {
 
     println!("\n=== 2. Distributed metadata service (Fig. 3) ===");
     // 16 records over 4 ranges, assigned round-robin to 4 servers.
-    let md = MetadataService::new(4 * unit, 4, 2);
+    let md = MetadataService::new(4 * unit, 4, 2, 1);
     for i in 0..16u64 {
         let offset = i * unit;
         let record = SegmentRecord::new(

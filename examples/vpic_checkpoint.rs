@@ -57,14 +57,21 @@ fn main() {
         .expect("analysis read");
     println!("BD-CATS-IO verified all {steps} steps ✓");
 
-    let stats = job.stats();
+    let metrics = job.metrics();
+    let read_kib = |path| {
+        metrics
+            .counter("univistor_read_bytes_total", &[("path", path)])
+            .unwrap_or(0)
+            >> 10
+    };
     println!(
         "reads served: {} KiB node-local, {} KiB from the BB, {} KiB remote",
-        stats.read_trace.local_direct_bytes >> 10,
-        stats.read_trace.shared_direct_bytes >> 10,
-        stats.read_trace.remote_bytes >> 10,
+        read_kib("local_hit"),
+        read_kib("bb_direct"),
+        read_kib("remote_hop"),
     );
-    let last = stats.flush_receipts.last().expect("flushes happened");
+    let receipts = job.take_flush_receipts();
+    let last = receipts.last().expect("flushes happened");
     println!(
         "last flush: {} KiB over {} servers, {:?} striping, {} OSTs/server",
         last.file_size >> 10,

@@ -33,7 +33,7 @@ pub mod prelude {
     pub use univistor_core::metadata::ClientId;
     pub use univistor_core::metrics::JobMetrics;
     pub use univistor_core::repair::RepairReport;
-    pub use univistor_core::server::{JobStats, OpenRequest, UniviStorJob};
+    pub use univistor_core::server::{OpenRequest, UniviStorJob};
     pub use univistor_core::va::Tier;
     pub use univistor_mpi::driver::OpenMode;
     pub use univistor_obs::MetricsSnapshot;

@@ -34,7 +34,11 @@ fn replication_doubles_cached_bytes() {
         .unwrap();
     let live: u64 = j.tier_usage().iter().map(|(_, b)| b).sum();
     assert_eq!(live, 1024, "primary + replica");
-    assert_eq!(j.stats().replicated_bytes, 512);
+    assert_eq!(
+        j.metrics()
+            .counter_total("univistor_replicated_bytes_total"),
+        512
+    );
 }
 
 #[test]
@@ -62,7 +66,10 @@ fn reads_survive_node_failure() {
             "rank {rank}'s data lost"
         );
     }
-    assert!(j.stats().read_trace.replica_bytes > 0, "replicas unused?");
+    let replica_bytes = j
+        .metrics()
+        .counter_total("univistor_read_replica_bytes_total");
+    assert!(replica_bytes > 0, "replicas unused?");
 }
 
 #[test]
@@ -197,7 +204,11 @@ fn hot_segments_get_promoted_to_dram() {
         promoted, 1,
         "the hot 512 B coalesced record fits the freed DRAM chunks"
     );
-    assert_eq!(j.stats().promotions, 1);
+    assert_eq!(
+        j.metrics()
+            .counter_total("univistor_tiering_promoted_segments_total"),
+        1
+    );
 
     // The whole file still reads correctly after all the shuffling.
     let got = j.read(client(0), "/f", 0, 1024).unwrap();
@@ -207,11 +218,15 @@ fn hot_segments_get_promoted_to_dram() {
         .content_eq(&Payload::pattern(7, 1024).slice(512, 512)));
     // And the promoted record (the coalesced 512 B span) is now served
     // entirely from DRAM.
-    let before = j.stats().read_trace;
+    let local_hits = |j: &UniviStorJob| {
+        j.metrics()
+            .counter("univistor_read_bytes_total", &[("path", "local_hit")])
+            .unwrap_or(0)
+    };
+    let before = local_hits(&j);
     j.read(client(0), "/f", 512, 512).unwrap();
-    let after = j.stats().read_trace;
     assert_eq!(
-        after.local_direct_bytes - before.local_direct_bytes,
+        local_hits(&j) - before,
         512,
         "promoted record should be node-local now"
     );

@@ -67,18 +67,28 @@ fn identical_runs_are_bit_identical() {
         let micro = univistor::workloads::MicroIo::scaled(32, 64 << 10);
         micro.write_phase(&driver, "/det").unwrap();
         micro.read_phase(&driver, "/det", false).unwrap();
-        let stats = job.stats();
+        // Op counts, RPCs, segments, tier and read-path byte splits.
+        let snap = job.metrics();
+        let stats: Vec<_> = [
+            "univistor_ops_total",
+            "univistor_md_rpcs_total",
+            "univistor_md_local_hits_total",
+            "univistor_segments_total",
+            "univistor_cached_bytes_total",
+            "univistor_read_bytes_total",
+            "univistor_read_replica_bytes_total",
+            "univistor_read_md_cache_hits_total",
+            "univistor_read_md_cache_misses_total",
+            "univistor_replicated_bytes_total",
+            "univistor_tiering_promoted_segments_total",
+        ]
+        .map(|family| snap.family(family).cloned())
+        .into();
         let checksum = job
             .lustre_read("/det", 0, micro.file_size())
             .unwrap()
             .content_checksum();
-        (
-            stats.segments,
-            stats.open_close_md_rpcs,
-            stats.bytes_by_tier.clone(),
-            stats.read_trace,
-            checksum,
-        )
+        (stats, job.take_flush_receipts().len(), checksum)
     };
     assert_eq!(run(), run());
 }
@@ -108,8 +118,7 @@ fn fifty_files_cycle_cleanly() {
             .unwrap()
             .expect("flush");
     }
-    let stats = job.stats();
-    assert_eq!(stats.flush_receipts.len(), 50);
+    assert_eq!(job.take_flush_receipts().len(), 50);
     for i in 0..50u64 {
         let path = format!("/f{i:02}");
         assert_eq!(job.lustre_file_size(&path).unwrap(), 4 * 2048);
