@@ -105,8 +105,7 @@ fn run_once(w: &TierPressure, tiered: bool) -> RunStats {
     let close_s = start.elapsed().as_secs_f64();
     daemon.shutdown();
 
-    let receipts = job.take_flush_receipts();
-    let receipt = receipts.last().expect("last close flushed");
+    let receipt = job.take_last_flush_receipt().expect("last close flushed");
     assert_eq!(receipt.file_size, w.file_size());
     assert!(
         job.verify_flush(ClientId::new(0, 0), PATH).unwrap(),

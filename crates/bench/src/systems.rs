@@ -100,9 +100,9 @@ fn phase_bases() -> &'static PhaseBases {
 }
 
 /// End `job`'s current phase: what its panel counted since the previous
-/// phase boundary (since construction at the first), and the receipts of
-/// the flushes in between. Phases are per job, whichever driver ran them.
-fn take_phase(job: &UniviStorJob) -> (MetricsSnapshot, Vec<FlushReceipt>) {
+/// phase boundary (since construction at the first), and the receipt of
+/// the last flush in between. Phases are per job, whichever driver ran them.
+fn take_phase(job: &UniviStorJob) -> (MetricsSnapshot, Option<FlushReceipt>) {
     let mut bases = phase_bases().lock().expect("phase bases poisoned");
     let now = job.metrics();
     let panel = job.metrics_handle();
@@ -113,7 +113,7 @@ fn take_phase(job: &UniviStorJob) -> (MetricsSnapshot, Vec<FlushReceipt>) {
             now
         }
     };
-    (delta, job.take_flush_receipts())
+    (delta, job.take_last_flush_receipt())
 }
 
 /// Build the paper-configured UniviStor job.
@@ -152,12 +152,11 @@ pub fn uv_micro_write(
     path: &str,
 ) -> SimResult<WriteOutcome> {
     micro.write_phase(driver, path)?;
-    let (delta, receipts) = take_phase(driver.job());
+    let (delta, receipt) = take_phase(driver.job());
     let features = driver.job().cfg().features;
     let tier_bytes = TierBytes::from_delta(&delta, micro.procs);
     let segments = delta.counter_total("univistor_segments_total") / micro.procs.max(1) as u64;
     let write_time = platform.univistor_write_time(&features, tier_bytes, segments);
-    let receipt = receipts.into_iter().next_back();
     let flush_time = receipt
         .as_ref()
         .map(|r| platform.univistor_flush_time(&features, r))
@@ -267,15 +266,15 @@ pub fn uv_vpic_run(
             clock = flush_busy_until;
         }
         vpic.write_step(driver, step)?;
-        let (delta, receipts) = take_phase(driver.job());
+        let (delta, receipt) = take_phase(driver.job());
         let tier_bytes = TierBytes::from_delta(&delta, vpic.layout.procs);
         let segments =
             delta.counter_total("univistor_segments_total") / vpic.layout.procs.max(1) as u64;
         let w = platform.univistor_write_time(&features, tier_bytes, segments);
         out.write_times.push(w);
         clock += w;
-        let f = receipts
-            .last()
+        let f = receipt
+            .as_ref()
             .map(|r| platform.univistor_flush_time(&features, r))
             .unwrap_or(0.0);
         out.flush_times.push(f);

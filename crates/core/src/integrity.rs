@@ -39,11 +39,11 @@
 //! [`Payload::content_checksum`] stays uncached: it is the oracle the
 //! memo is tested against.
 
+use crate::hash::FoldMap;
 use crate::metadata::{ClientId, SegKey, SegmentRecord};
 use crate::metrics::{DigestBytes, IntegrityMetrics, JobMetrics, VerifySite};
 use crate::scrub::{CorruptQueue, CorruptReport};
 use crate::va::{Tier, VirtualAddr};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 use univistor_sim::{Payload, SimError, SimResult};
 
@@ -68,7 +68,7 @@ pub struct Verifier {
     /// The digest memo. Starts unallocated and grows with use, so a job
     /// that never writes a large pattern pays nothing. A leaf lock, and
     /// uncounted.
-    memo: RwLock<HashMap<Descriptor, u64>>,
+    memo: RwLock<FoldMap<Descriptor, u64>>,
     /// The job panel whose integrity block the instruments view, taken at
     /// the first digest (see [`JobMetrics::integrity_handles`]).
     panel: Arc<JobMetrics>,

@@ -31,8 +31,9 @@
 //! stored in a log chunk on some tier and reads back exactly, including
 //! after spilling across tiers and flushing to the PFS. The job's one
 //! accounting surface is its metrics panel ([`UniviStorJob::metrics`]) plus
-//! the flush receipts ([`UniviStorJob::take_flush_receipts`]); the modeled
-//! clock in `univistor-bench` reads phase deltas of both. The
+//! the latest flush receipt ([`UniviStorJob::take_last_flush_receipt`]);
+//! the modeled clock in `univistor-bench` reads phase deltas of the one and
+//! the phase's last receipt. The
 //! interference-aware core placement (§II-C, Fig. 4) feeds only that clock
 //! and lives beside its CFS baseline in `univistor_sim::cores`.
 
@@ -41,6 +42,7 @@ pub mod driver;
 pub mod error;
 pub mod fault;
 pub mod flush;
+pub(crate) mod hash;
 pub mod integrity;
 pub mod log;
 pub(crate) mod maint;

@@ -322,15 +322,7 @@ pub(crate) mod tests {
             chains.ensure(ClientId::new(0, rank), chain).unwrap();
         }
         let metadata = MetadataService::new(256, 4, 4, 2);
-        (
-            LockedCore {
-                chains,
-                metadata,
-                heat: Vec::new(),
-                heat_keys: Default::default(),
-            },
-            cfg,
-        )
+        (LockedCore { chains, metadata }, cfg)
     }
 
     /// [`core`] holding one stamped 128 B record: primary on rank 0,

@@ -23,8 +23,10 @@
 //! and then a KV shard.
 
 use crate::fault::FaultInjector;
+use crate::hash::FoldMap;
 use crate::va::VirtualAddr;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 use univistor_kv::{DistKv, PartitionKey, ServerId};
 use univistor_sim::SimResult;
@@ -127,10 +129,6 @@ pub struct CommitStats {
 pub struct BatchOutcome {
     /// Spans displaced from the batch's full range.
     pub displaced: Vec<Displaced>,
-    /// Keys whose record the splice removed without re-inserting a left
-    /// fragment under them: the data they named is gone, even where one
-    /// of the batch's own records now reuses the key.
-    pub retired: Vec<SegKey>,
     /// Lock acquisitions spent on the whole commit.
     pub locks: CommitStats,
 }
@@ -223,13 +221,31 @@ fn split_overlapped(
     }
 }
 
+/// A node buffer's entry: one record produced on the node and its read
+/// heat — the reads served from exactly this record, halved by each decay
+/// tick. Bumped under the buffer's shared lock.
+#[derive(Debug)]
+struct Held {
+    record: SegmentRecord,
+    heat: AtomicU32,
+}
+
+impl Held {
+    fn new(record: SegmentRecord, heat: u32) -> Self {
+        Held {
+            record,
+            heat: AtomicU32::new(heat),
+        }
+    }
+}
+
 /// One node's shared metadata buffer: fid → offset → record, for records
 /// produced on that node, kept behind a lock per node; the functions below
 /// are the buffer and read-cache logic.
-type NodeBuffer = HashMap<u64, BTreeMap<u64, SegmentRecord>>;
+type NodeBuffer = FoldMap<u64, BTreeMap<u64, Held>>;
 
 /// One node's read record cache: fid → window lo → cached lookup result.
-type ReadCache = HashMap<u64, BTreeMap<u64, CacheEntry>>;
+type ReadCache = FoldMap<u64, BTreeMap<u64, CacheEntry>>;
 
 /// The records of `fid` in `buffer` that tile `[lo, hi)`, offset-sorted:
 /// the walk starts at the record at or left of `lo` and stops at the first
@@ -244,16 +260,16 @@ fn buffer_cover(
     let per_fid = buffer.get(&fid)?;
     let (&start, _) = per_fid.range(..=lo).next_back()?;
     let mut covered = lo;
-    for (&offset, r) in per_fid.range(start..hi) {
+    for (&offset, held) in per_fid.range(start..hi) {
         if offset > covered {
             return None;
         }
-        covered = covered.max(offset + r.len);
+        covered = covered.max(offset + held.record.len);
     }
     (covered >= hi).then(|| {
         per_fid
             .range(start..hi)
-            .map(|(&offset, &r)| (SegKey { fid, offset }, r))
+            .map(|(&offset, held)| (SegKey { fid, offset }, held.record))
             .collect()
     })
 }
@@ -262,24 +278,32 @@ fn buffer_cover(
 /// removed key and re-cache the surviving fragments of the records this
 /// buffer held (a fragment lies inside its parent's span, and the index's
 /// records are disjoint), so a buffer only ever holds its own node's
-/// records; then, on the producer's node only (`install` is `Some`), track
-/// the fid and install the new records.
+/// records — a left fragment keeps its parent's key and so its heat, a
+/// right one starts cold; then, on the producer's node only (`install` is
+/// `Some`), track the fid and install the new records at heat `heat`.
 fn buffer_apply(
     buffer: &mut NodeBuffer,
     fid: u64,
     removed: &[(SegKey, SegmentRecord)],
     fragments: &[(SegKey, SegmentRecord)],
     install: Option<&[(u64, SegmentRecord)]>,
+    heat: u32,
 ) {
     if let Some(per_fid) = buffer.get_mut(&fid) {
         for (k, v) in removed {
-            if per_fid.remove(&k.offset).is_none() {
+            let Some(parent) = per_fid.remove(&k.offset) else {
                 continue;
-            }
-            let parent = k.offset..k.offset + v.len;
+            };
+            let parent_heat = parent.heat.into_inner();
+            let span = k.offset..k.offset + v.len;
             for (fk, frag) in fragments {
-                if parent.contains(&fk.offset) {
-                    per_fid.insert(fk.offset, *frag);
+                if span.contains(&fk.offset) {
+                    let heat = if fk.offset == k.offset {
+                        parent_heat
+                    } else {
+                        0
+                    };
+                    per_fid.insert(fk.offset, Held::new(*frag, heat));
                 }
             }
         }
@@ -287,7 +311,7 @@ fn buffer_apply(
     if let Some(install) = install {
         let per_fid = buffer.entry(fid).or_default();
         for &(offset, record) in install {
-            per_fid.insert(offset, record);
+            per_fid.insert(offset, Held::new(record, heat));
         }
     }
 }
@@ -355,7 +379,7 @@ fn assert_batch_records(range: u64, lo: u64, hi: u64, records: &[(u64, SegmentRe
 /// validated against it at hit time) and fences the parallel flush's
 /// catch-up passes.
 #[derive(Debug, Default)]
-struct Generations(RwLock<HashMap<u64, u64>>);
+struct Generations(RwLock<FoldMap<u64, u64>>);
 
 impl Generations {
     /// The fid's current generation (0 if never mutated).
@@ -405,9 +429,9 @@ impl MetadataService {
     pub fn new(range_size: u64, servers: usize, nodes: usize, procs_per_node: usize) -> Self {
         MetadataService {
             kv: DistKv::new(range_size, servers),
-            local: (0..nodes).map(|_| RwLock::new(HashMap::new())).collect(),
+            local: (0..nodes).map(|_| RwLock::default()).collect(),
             procs_per_node: procs_per_node.max(1),
-            read_cache: (0..nodes).map(|_| RwLock::new(HashMap::new())).collect(),
+            read_cache: (0..nodes).map(|_| RwLock::default()).collect(),
             generations: Generations::default(),
             injector: None,
         }
@@ -490,25 +514,14 @@ impl MetadataService {
         #[cfg(test)]
         tests::park_hook();
         let node_buffer_acquisitions =
-            self.refresh_buffers(fid, &overlapped, &fragments, records, producer_node);
+            self.refresh_buffers(fid, &overlapped, &fragments, records, producer_node, 0);
         let locks = CommitStats {
             kv_shard_acquisitions: splice.acquisitions(),
             node_buffer_acquisitions,
         };
         drop(splice);
         self.bump_generation(fid);
-        // A record starting left of `lo` keeps its key for its left
-        // fragment; every other removed key is retired.
-        let retired = overlapped
-            .iter()
-            .map(|(k, _)| *k)
-            .filter(|k| k.offset >= lo)
-            .collect();
-        Ok(BatchOutcome {
-            displaced,
-            retired,
-            locks,
-        })
+        Ok(BatchOutcome { displaced, locks })
     }
 
     /// The node whose buffer holds `client`'s records.
@@ -539,8 +552,9 @@ impl MetadataService {
     /// mutation's KV shard locks are held: one write lock and one
     /// [`buffer_apply`] for each distinct node among the producer's and
     /// the removed records' producers', ascending — a record is cached
-    /// only on its producer's node, so no other buffer can change. Returns
-    /// the node-buffer lock acquisitions.
+    /// only on its producer's node, so no other buffer can change. The
+    /// installed records start at heat `heat`. Returns the node-buffer lock
+    /// acquisitions.
     fn refresh_buffers(
         &self,
         fid: u64,
@@ -548,6 +562,7 @@ impl MetadataService {
         fragments: &[(SegKey, SegmentRecord)],
         install: &[(u64, SegmentRecord)],
         producer_node: usize,
+        heat: u32,
     ) -> u64 {
         let mut nodes: Vec<usize> = removed
             .iter()
@@ -559,7 +574,7 @@ impl MetadataService {
         for &node in &nodes {
             let mut buffer = self.local[node].write().expect("node buffer poisoned");
             let install = (node == producer_node).then_some(install);
-            buffer_apply(&mut buffer, fid, removed, fragments, install);
+            buffer_apply(&mut buffer, fid, removed, fragments, install, heat);
         }
         nodes.len() as u64
     }
@@ -572,9 +587,11 @@ impl MetadataService {
     /// Compare-and-swap a record: replace `key`'s value with `new` only if
     /// it still equals `expected`. On success the node buffers are
     /// refreshed by the splice's node-buffer pass — `key` dropped from
-    /// `expected`'s producer's buffer, `new` cached on `new`'s — under the key's
-    /// shard lock, in the same lock order. The promotion path uses this so
-    /// a record overwritten between its read and its rewrite is left alone.
+    /// `expected`'s producer's buffer, `new` cached on `new`'s with the
+    /// heat `expected` had (a relocation moves the bytes, not their
+    /// reads) — under the key's shard lock, in the same lock order. The
+    /// promotion path uses this so a record overwritten between its read
+    /// and its rewrite is left alone.
     pub fn replace_if_current(
         &self,
         key: SegKey,
@@ -584,12 +601,14 @@ impl MetadataService {
     ) -> (ServerId, bool) {
         self.assert_producer(producer_node, std::iter::once(&new));
         let (server, swapped) = self.kv.replace_if_eq(&key, expected, new, || {
+            let heat = self.heat(key, expected.client);
             self.refresh_buffers(
                 key.fid,
                 &[(key, *expected)],
                 &[],
                 &[(key.offset, new)],
                 producer_node,
+                heat,
             );
         });
         if swapped {
@@ -670,8 +689,7 @@ impl MetadataService {
         Ok((servers, records, false))
     }
 
-    /// The metadata partition (KV server index) owning logical `offset` —
-    /// the shard map the job's heat counters reuse for routing.
+    /// The metadata partition (KV server index) owning logical `offset`.
     pub fn partition_of(&self, offset: u64) -> usize {
         self.kv.partitioner().server_for(offset).0
     }
@@ -689,6 +707,67 @@ impl MetadataService {
     ) -> Option<Vec<(SegKey, SegmentRecord)>> {
         let node = self.local[node].read().expect("node buffer poisoned");
         buffer_cover(&node, fid, lo, hi)
+    }
+
+    /// Count one read of each `(key, producer, VA)` on the producer's node
+    /// buffer, each buffer under its shared lock: an entry is bumped only
+    /// while it still holds the record the read was planned from (same
+    /// producer and VA), so a read that lost a race with an overwrite or a
+    /// relocation heats nothing.
+    pub(crate) fn record_reads(
+        &self,
+        reads: impl IntoIterator<Item = (SegKey, ClientId, VirtualAddr)>,
+    ) {
+        let mut held = None;
+        for (key, client, va) in reads {
+            let node = self.node_of(client);
+            if held.as_ref().is_none_or(|(n, _)| *n != node) {
+                drop(held.take()); // one buffer lock at a time
+                held = Some((node, self.local[node].read().expect("node buffer poisoned")));
+            }
+            let (_, buffer) = held.as_ref().expect("locked above");
+            let entry = buffer.get(&key.fid).and_then(|f| f.get(&key.offset));
+            if let Some(e) = entry.filter(|e| e.record.client == client && e.record.va == va) {
+                e.heat.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
+    /// The read heat of `key`'s record in `client`'s node buffer (0 when
+    /// the buffer holds no record at `key`).
+    pub(crate) fn heat(&self, key: SegKey, client: ClientId) -> u32 {
+        let buffer = self.local[self.node_of(client)]
+            .read()
+            .expect("node buffer poisoned");
+        let entry = buffer.get(&key.fid).and_then(|f| f.get(&key.offset));
+        entry.map_or(0, |e| e.heat.load(Relaxed))
+    }
+
+    /// The records in `node`'s buffer read at least `min_reads` times (and
+    /// at least once), with their heat.
+    pub(crate) fn hot(&self, node: usize, min_reads: u32) -> Vec<(SegKey, u32)> {
+        let buffer = self.local[node].read().expect("node buffer poisoned");
+        let entries = buffer.iter().flat_map(|(&fid, per_fid)| {
+            per_fid
+                .iter()
+                .map(move |(&offset, e)| (SegKey { fid, offset }, e.heat.load(Relaxed)))
+        });
+        entries.filter(|&(_, n)| n > 0 && n >= min_reads).collect()
+    }
+
+    /// Halve every record's heat, one node buffer at a time under its
+    /// shared lock (an atomic halving, so no concurrent bump is lost).
+    /// Returns the records whose heat was nonzero.
+    pub(crate) fn decay_heat(&self) -> u64 {
+        let mut decayed = 0;
+        for buffer in &self.local {
+            let buffer = buffer.read().expect("node buffer poisoned");
+            for e in buffer.values().flat_map(|per_fid| per_fid.values()) {
+                let halve = |n: u32| (n > 0).then_some(n / 2);
+                decayed += e.heat.fetch_update(Relaxed, Relaxed, halve).is_ok() as u64;
+            }
+        }
+        decayed
     }
 
     /// Per-server record counts (distribution inspection).
@@ -1113,6 +1192,69 @@ pub(crate) mod tests {
         assert_eq!(m.partition_of(63), 0);
         assert_eq!(m.partition_of(64), 1);
         assert_eq!(m.partition_of(64 * 4), 0);
+    }
+
+    /// `n` reads of `key`'s record `r`.
+    fn read_n(m: &MetadataService, key: SegKey, r: SegmentRecord, n: usize) {
+        m.record_reads((0..n).map(|_| (key, r.client, r.va)));
+    }
+
+    /// A read planned from a record that an overwrite replaced before the
+    /// read's heat landed heats nothing: the key's new record stays cold.
+    #[test]
+    fn a_bump_carrying_a_stale_record_leaves_the_new_record_cold() {
+        let m = svc();
+        let key = SegKey { fid: 1, offset: 0 };
+        let (old, new) = (rec(0, 0, 0, 64), rec(0, 1, 64, 64));
+        insert_one(&m, key, old, 0);
+        read_n(&m, key, old, 2);
+        assert_eq!(m.heat(key, old.client), 2);
+        insert_one(&m, key, new, 0);
+        read_n(&m, key, old, 3);
+        assert_eq!(m.heat(key, new.client), 0);
+        read_n(&m, key, new, 1);
+        assert_eq!(m.heat(key, new.client), 1);
+    }
+
+    /// An overwrite of a record's tail leaves its left fragment under the
+    /// same key with the record's heat; the right fragment of an overwrite
+    /// inside a record is a new key and starts cold.
+    #[test]
+    fn a_left_fragment_keeps_its_parents_heat() {
+        let m = svc();
+        let key = |offset| SegKey { fid: 1, offset };
+        let parent = rec(0, 0, 1000, 100);
+        insert_one(&m, key(0), parent, 0);
+        read_n(&m, key(0), parent, 4);
+        insert_one(&m, key(30), rec(0, 1, 0, 30), 0);
+        let (_, left) = m.get(&key(0));
+        assert_eq!(left.map(|r| r.len), Some(30));
+        assert_eq!(m.heat(key(0), parent.client), 4);
+        assert_eq!(m.heat(key(30), ClientId::new(0, 1)), 0, "the new record");
+        assert_eq!(m.heat(key(60), parent.client), 0, "the right fragment");
+        // The fragment keeps the parent's VA, so a read planned from the
+        // parent still lands on it.
+        read_n(&m, key(0), parent, 1);
+        assert_eq!(m.heat(key(0), parent.client), 5);
+    }
+
+    /// A relocation keeps the record's reads, on the same node and when it
+    /// moves the primary to another node's producer.
+    #[test]
+    fn a_relocation_carries_heat() {
+        let m = svc();
+        let key = SegKey { fid: 1, offset: 0 };
+        let old = rec(0, 0, 0, 64);
+        insert_one(&m, key, old, 0);
+        read_n(&m, key, old, 3);
+        let moved = rec(0, 0, 4096, 64);
+        assert!(m.replace_if_current(key, &old, moved, 0).1);
+        assert_eq!(m.heat(key, moved.client), 3);
+        let elsewhere = rec(0, 32, 0, 64);
+        assert!(m.replace_if_current(key, &moved, elsewhere, 1).1);
+        assert_eq!(m.heat(key, elsewhere.client), 3);
+        assert_eq!(m.heat(key, moved.client), 0, "node 0 holds it no more");
+        assert_eq!(m.hot(1, 3), vec![(key, 3)]);
     }
 
     #[test]

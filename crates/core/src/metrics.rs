@@ -886,31 +886,37 @@ impl JobMetrics {
             .add(at!(WriteLockAcquisitions, "node_buffer"), locks.node_buffer);
     }
 
-    /// A read call's aggregated accounting.
+    /// A read call's aggregated accounting. Most fields of one read are 0,
+    /// and only the others pay an atomic add.
     pub fn record_read_trace(&self, t: &ReadTrace) {
-        self.eager.add(at!(Ops, "read"), t.requests);
-        self.eager.add(at!(MdRpcs, "read"), t.md_rpcs);
-        self.eager.add(at!(MdLocalHits), t.local_md_hits);
-        self.eager
-            .add(at!(ReadBytes, "local_hit"), t.local_direct_bytes);
-        self.eager
-            .add(at!(ReadBytes, "local_via_server"), t.local_via_server_bytes);
-        self.eager
-            .add(at!(ReadBytes, "bb_direct"), t.shared_direct_bytes);
-        self.eager
-            .add(at!(ReadBytes, "pfs_direct"), t.pfs_direct_bytes);
-        self.eager.add(at!(ReadBytes, "remote_hop"), t.remote_bytes);
-        self.eager.add(at!(ReadReplicaBytes), t.replica_bytes);
-        self.eager.add(at!(ReadMdCacheHits), t.md_cache_hits);
-        self.eager.add(at!(ReadMdCacheMisses), t.md_cache_misses);
+        let cells = [
+            (at!(Ops, "read"), t.requests),
+            (at!(MdRpcs, "read"), t.md_rpcs),
+            (at!(MdLocalHits), t.local_md_hits),
+            (at!(ReadBytes, "local_hit"), t.local_direct_bytes),
+            (at!(ReadBytes, "local_via_server"), t.local_via_server_bytes),
+            (at!(ReadBytes, "bb_direct"), t.shared_direct_bytes),
+            (at!(ReadBytes, "pfs_direct"), t.pfs_direct_bytes),
+            (at!(ReadBytes, "remote_hop"), t.remote_bytes),
+            (at!(ReadReplicaBytes), t.replica_bytes),
+            (at!(ReadMdCacheHits), t.md_cache_hits),
+            (at!(ReadMdCacheMisses), t.md_cache_misses),
+        ];
+        for (cell, n) in cells {
+            if n != 0 {
+                self.eager.add(cell, n);
+            }
+        }
     }
 
     /// A read call's lock accounting: shared chain-lock round-trips spent
     /// fetching fragments (one per producer group; one per fragment under
     /// the per-record reference fetch of the differential tests).
     pub fn record_read_locks(&self, locks: ReadLockCounts) {
-        self.eager
-            .add(at!(ReadLockAcquisitions, "chain"), locks.chain);
+        if locks.chain != 0 {
+            self.eager
+                .add(at!(ReadLockAcquisitions, "chain"), locks.chain);
+        }
     }
 
     /// A flush entered the pipeline. Pair with [`Self::flush_finished`].

@@ -14,10 +14,11 @@
 
 use crate::config::JobGeometry;
 use crate::fault::FaultInjector;
+use crate::hash::FoldMap;
 use crate::log::LogFile;
 use crate::metadata::ClientId;
 use crate::va::{Tier, TierMap, VirtualAddr};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, RwLock};
 use univistor_sim::{Payload, SimError, SimResult};
 
@@ -162,7 +163,7 @@ impl ProcChain {
 /// the owners' locks sequentially, never together).
 #[derive(Debug, Default)]
 pub struct ChainSet {
-    chains: RwLock<HashMap<ClientId, Arc<RwLock<ProcChain>>>>,
+    chains: RwLock<FoldMap<ClientId, Arc<RwLock<ProcChain>>>>,
     /// Fault injector shared with the job; `None` (the default) costs the
     /// data ops only this `Option` check.
     injector: Option<Arc<FaultInjector>>,
@@ -221,7 +222,7 @@ impl ChainSet {
 
     fn read_map(
         &self,
-    ) -> std::sync::RwLockReadGuard<'_, HashMap<ClientId, Arc<RwLock<ProcChain>>>> {
+    ) -> std::sync::RwLockReadGuard<'_, FoldMap<ClientId, Arc<RwLock<ProcChain>>>> {
         self.chains.read().expect("chain map poisoned")
     }
 
@@ -229,7 +230,7 @@ impl ChainSet {
         self.read_map()
             .get(&client)
             .cloned()
-            .ok_or_else(|| SimError::InvalidConfig(format!("no chain for producer {client:?}")))
+            .ok_or_else(|| no_chain(client))
     }
 
     /// Insert `client`'s chain if absent, building it with `make`.
@@ -300,34 +301,47 @@ impl ChainSet {
         va: VirtualAddr,
         len: u64,
     ) -> SimResult<(Payload, Tier)> {
-        let chain = self.chain(client)?;
-        let chain = chain.read().expect("chain poisoned");
-        let payload = chain.read(va, len)?;
-        let tier = chain.tier_of(va);
-        self.inject("chain_read", tier)?;
-        Ok((self.corrupt(client, va, payload), tier))
+        let mut got = None;
+        self.read_each(client, [(va, len)], |fetched| got = Some(fetched))?;
+        Ok(got.expect("one span requested"))
     }
 
     /// Read every `(va, len)` request from `client`'s chain under a
-    /// **single** shared lock acquisition — the batched read pipeline's
-    /// grouped fetch, mirroring `append_many` on the write side. Results
-    /// come back in request order.
+    /// **single** shared lock acquisition, results in request order — the
+    /// flush gather's batch, mirroring `append_many` on the write side.
     pub fn read_at_many(
         &self,
         client: ClientId,
         requests: &[(VirtualAddr, u64)],
     ) -> SimResult<Vec<(Payload, Tier)>> {
-        let chain = self.chain(client)?;
+        let mut out = Vec::with_capacity(requests.len());
+        self.read_each(client, requests.iter().copied(), |fetched| {
+            out.push(fetched)
+        })?;
+        Ok(out)
+    }
+
+    /// Read each `(va, len)` request from `client`'s chain, handing the
+    /// results to `each` in request order, under one shared chain-lock
+    /// acquisition taken beneath the map's read guard (chain locks nest
+    /// inside the map lock), so a fetch clones no `Arc` — the read
+    /// pipeline's grouped fetch.
+    pub(crate) fn read_each(
+        &self,
+        client: ClientId,
+        requests: impl IntoIterator<Item = (VirtualAddr, u64)>,
+        mut each: impl FnMut((Payload, Tier)),
+    ) -> SimResult<()> {
+        let map = self.read_map();
+        let chain = map.get(&client).ok_or_else(|| no_chain(client))?;
         let chain = chain.read().expect("chain poisoned");
-        requests
-            .iter()
-            .map(|&(va, len)| {
-                let payload = chain.read(va, len)?;
-                let tier = chain.tier_of(va);
-                self.inject("chain_read", tier)?;
-                Ok((self.corrupt(client, va, payload), tier))
-            })
-            .collect()
+        for (va, len) in requests {
+            let payload = chain.read(va, len)?;
+            let tier = chain.tier_of(va);
+            self.inject("chain_read", tier)?;
+            each((self.corrupt(client, va, payload), tier));
+        }
+        Ok(())
     }
 
     /// Release `len` bytes at `va` of `client`'s chain. A missing chain is
@@ -412,6 +426,11 @@ impl ChainSet {
             }
         }
     }
+}
+
+/// The error for a producer without a chain.
+fn no_chain(client: ClientId) -> SimError {
+    SimError::InvalidConfig(format!("no chain for producer {client:?}"))
 }
 
 /// Place a run of payloads on `chain` from layer `min_layer` down — the one

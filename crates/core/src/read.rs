@@ -32,8 +32,8 @@
 //! same one the flush engine drains through: the gather stage is
 //! [`MetadataService::lookup_local`] or else
 //! [`MetadataService::lookup_range_cached`], a fetch one shared chain-lock
-//! acquisition ([`ChainSet::read_at_many`]). Both runtimes run this one
-//! service; they differ only in which thread calls it.
+//! acquisition per producer (`ChainSet::read_each`). Both runtimes run this
+//! one service; they differ only in which thread calls it.
 
 use crate::config::JobGeometry;
 use crate::flush::CoreView;
@@ -121,18 +121,27 @@ pub struct ReadLockCounts {
 }
 
 /// Everything one read call produced: the assembled bytes, the timing
-/// plane's accounting, the metadata keys touched (for access-pattern
-/// tracking), and the lock costs.
+/// plane's accounting, the lock costs, and the fetch plan (whose fragments
+/// name the records read, for access-pattern tracking).
 #[derive(Debug)]
 pub struct ReadOutcome {
     /// The assembled payload, exactly `len` bytes.
     pub payload: Payload,
     /// Byte/RPC accounting.
     pub trace: ReadTrace,
-    /// Metadata keys of every record a fragment was read from.
-    pub touched: Vec<SegKey>,
     /// Lock acquisitions spent fetching.
     pub locks: ReadLockCounts,
+    /// The fetch plan: one fragment per record read, in logical order.
+    pub(crate) fragments: Vec<Fragment>,
+}
+
+impl ReadOutcome {
+    /// Every record read, as `(key, producer, VA)`: what its heat counts.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = (SegKey, ClientId, VirtualAddr)> + '_ {
+        self.fragments
+            .iter()
+            .map(|f| (f.key, f.record.0, f.record.1))
+    }
 }
 
 /// One clipped fragment of the read plan: `len` bytes at `va` of
@@ -159,10 +168,13 @@ pub(crate) struct Fragment {
     /// The other copy of the record (record-base VA) when one exists on
     /// a healthy node: the reroute target after a verify failure.
     alternate: Option<(ClientId, VirtualAddr)>,
-    /// Metadata key of the record (repair enqueue) and the clip's
+    /// Metadata key of the record (repair enqueue, heat) and the clip's
     /// logical file offset (error context).
     key: SegKey,
     logical: u64,
+    /// The record's producer and VA in the index: the read's heat lands on
+    /// it only while the index still holds exactly this record.
+    record: (ClientId, VirtualAddr),
 }
 
 /// The span to request for `f`: the full record when stamped (so the
@@ -224,9 +236,8 @@ fn plan_fragments(
     offset: u64,
     end: u64,
     trace: &mut ReadTrace,
-) -> SimResult<(Vec<Fragment>, Vec<SegKey>)> {
+) -> SimResult<Vec<Fragment>> {
     let mut fragments = Vec::with_capacity(records.len());
-    let mut touched = Vec::with_capacity(records.len());
     let mut cursor = offset;
     for &(k, r) in records {
         let seg_end = k.offset + r.len;
@@ -242,7 +253,6 @@ fn plan_fragments(
         let clip_lo = cursor.max(k.offset);
         let clip_hi = end.min(seg_end);
         let clip_len = clip_hi - clip_lo;
-        touched.push(k);
 
         // Route around failed producers using the resilience replica.
         let primary_node = geometry.node_of_rank(r.client.rank as usize);
@@ -280,6 +290,7 @@ fn plan_fragments(
             alternate,
             key: k,
             logical: clip_lo,
+            record: (r.client, r.va),
         });
         cursor = clip_hi;
     }
@@ -289,7 +300,7 @@ fn plan_fragments(
             len: end - cursor,
         });
     }
-    Ok((fragments, touched))
+    Ok(fragments)
 }
 
 /// Stage 4 helper: attribute one fetched fragment to its timing-plane
@@ -436,8 +447,8 @@ impl<'a> ReadService<'a> {
             return Ok(ReadOutcome {
                 payload: Payload::empty(),
                 trace,
-                touched: Vec::new(),
                 locks,
+                fragments: Vec::new(),
             });
         }
         let my_node = self.geometry.node_of_rank(client.rank as usize);
@@ -446,8 +457,7 @@ impl<'a> ReadService<'a> {
         let records = self.gather_records(my_node, fid, offset, end, &mut trace)?;
         let no_failures = HashSet::new();
         let failed = self.failed_nodes.unwrap_or(&no_failures);
-        let (fragments, touched) =
-            plan_fragments(self.geometry, failed, &records, offset, end, &mut trace)?;
+        let fragments = plan_fragments(self.geometry, failed, &records, offset, end, &mut trace)?;
         let fetched = fetch(&fragments, &mut locks)?;
 
         let mut parts = Vec::with_capacity(fetched.len());
@@ -478,8 +488,8 @@ impl<'a> ReadService<'a> {
         Ok(ReadOutcome {
             payload: Payload::chain(parts),
             trace,
-            touched,
             locks,
+            fragments,
         })
     }
 
@@ -525,75 +535,35 @@ impl<'a> ReadService<'a> {
         Ok(records)
     }
 
-    /// Stage 3: group fragments by producer chain (first
-    /// appearance order) and fetch each group in one round-trip. Payloads
-    /// come back in plan order regardless.
+    /// Stage 3: fetch each producer's fragments in one round-trip, the
+    /// producers in first-appearance order, each payload landing in its
+    /// plan slot — so no side vectors beyond the slots themselves.
     fn fetch_batched(
         &self,
         fragments: &[Fragment],
         locks: &mut ReadLockCounts,
     ) -> SimResult<Vec<(Payload, Tier)>> {
-        // Group fragments by producer with a counting sort. Reads span a
-        // handful of producers, so a linear probe over a small vec beats
-        // hashing, and the flat slot buffer avoids per-group Vecs.
         let n = fragments.len();
-        let mut groups: Vec<(ClientId, u32)> = Vec::new();
-        let mut group_of: Vec<u32> = Vec::with_capacity(n);
-        for f in fragments {
-            let g = match groups.iter().position(|&(source, _)| source == f.source) {
-                Some(g) => {
-                    groups[g].1 += 1;
-                    g
-                }
-                None => {
-                    groups.push((f.source, 1));
-                    groups.len() - 1
-                }
-            };
-            group_of.push(g as u32);
-        }
-        if let [(source, _)] = groups[..] {
-            // Single producer: the plan order is already the group order.
-            let requests: Vec<(VirtualAddr, u64)> = fragments.iter().map(fetch_span).collect();
-            let fetched = self.source.read_spans(source, &requests)?;
+        let mut slots: Vec<Option<(Payload, Tier)>> = (0..n).map(|_| None).collect();
+        for (first, f) in fragments.iter().enumerate() {
+            if slots[first].is_some() {
+                continue; // fetched with an earlier fragment of its producer
+            }
+            let group = || (first..n).filter(|&i| fragments[i].source == f.source);
+            let mut targets = group();
+            let requests = group().map(|i| fetch_span(&fragments[i]));
+            self.source
+                .chains
+                .read_each(f.source, requests, |fetched| {
+                    slots[targets.next().expect("one slot per request")] = Some(fetched);
+                })?;
             locks.chain += 1;
-            return Ok(fetched);
         }
-        // Prefix sums give each group a slot range in the flat buffer.
-        let mut next: Vec<u32> = Vec::with_capacity(groups.len());
-        let mut acc = 0u32;
-        for &(_, count) in &groups {
-            next.push(acc);
-            acc += count;
-        }
-        let mut slot: Vec<u32> = Vec::with_capacity(n);
-        let mut requests: Vec<(VirtualAddr, u64)> = vec![(VirtualAddr(0), 0); n];
-        for (f, &g) in fragments.iter().zip(&group_of) {
-            let s = next[g as usize];
-            next[g as usize] = s + 1;
-            requests[s as usize] = fetch_span(f);
-            slot.push(s);
-        }
-        // One fetch round-trip per producer group.
-        let mut grouped: Vec<Option<(Payload, Tier)>> = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for &(source, count) in &groups {
-            let end = start + count as usize;
-            grouped.extend(
-                self.source
-                    .read_spans(source, &requests[start..end])?
-                    .into_iter()
-                    .map(Some),
-            );
-            locks.chain += 1;
-            start = end;
-        }
-        // Restore plan order.
-        let mut fetched = Vec::with_capacity(n);
-        for &s in &slot {
-            fetched.push(grouped[s as usize].take().expect("each slot taken once"));
-        }
-        Ok(fetched)
+        // Same layout (the `Option` fits a niche), so this reuses `slots`.
+        Ok(slots
+            .into_iter()
+            .map(|s| s.expect("every slot fetched"))
+            .collect())
     }
 }
 
@@ -723,7 +693,7 @@ mod tests {
         // Everything else is fetch-invariant.
         assert!(batched.payload.content_eq(&per_record.payload));
         assert_eq!(batched.trace, per_record.trace);
-        assert_eq!(batched.touched, per_record.touched);
+        assert!(batched.reads().eq(per_record.reads()));
     }
 
     #[test]

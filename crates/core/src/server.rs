@@ -10,7 +10,7 @@
 //! bench harness calls the same methods rank-by-rank at paper scale.
 //!
 //! The job's write/read state is one `DataPlane` — the locked core
-//! (`LockedCore`: per-client chains, the metadata service, heat shards)
+//! (`LockedCore`: per-client chains and the metadata service)
 //! plus the config, verifier, corrupt queue, metrics and the failed-node
 //! set — decomposed into independently locked shards so that
 //! operations by different clients proceed in parallel: the in-process
@@ -35,8 +35,8 @@
 //! Every hot path reports into the job's [`JobMetrics`] panel — the only
 //! accounting the job keeps — and [`UniviStorJob::metrics`] snapshots it; a
 //! phase is the delta of two snapshots ([`MetricsSnapshot::since`]). The
-//! one structured leftover the flat panel cannot hold, the flush receipts,
-//! is drained by [`UniviStorJob::take_flush_receipts`].
+//! one structured leftover the flat panel cannot hold, the latest flush
+//! receipt, is taken by [`UniviStorJob::take_last_flush_receipt`].
 
 use crate::config::{Runtime, UniviStorConfig};
 use crate::error::{Error, Result};
@@ -44,6 +44,7 @@ use crate::fault::{with_retries, FaultInjector};
 use crate::flush::{
     flush_with_source, parallel_drain, CoreView, Engine, FlushReceipt, FlushRequest,
 };
+use crate::hash::FoldMap;
 use crate::integrity::Verifier;
 use crate::maint::{FileSnap, Maint};
 use crate::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
@@ -57,8 +58,8 @@ use crate::tiering::{run_pass, PassOptions, TieringHandle, TieringPassReport, Ti
 use crate::va::Tier;
 use crate::workflow::StateFile;
 use crate::write::{self, WriteOp};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use univistor_mpi::driver::OpenMode;
 use univistor_obs::MetricsSnapshot;
@@ -76,19 +77,15 @@ struct FileEntry {
     open_count: usize,
 }
 
-/// The locked core: the three structures every write, read, flush and
+/// The locked core: the two structures every write, read, flush and
 /// maintenance pass works on, each sharded behind its own locks.
 #[derive(Debug)]
 pub(crate) struct LockedCore {
     /// Per-client log chains.
     pub(crate) chains: ChainSet,
-    /// Distributed metadata service (KV + node buffers + read caches).
+    /// Distributed metadata service (KV + node buffers, which hold each
+    /// record's read heat, + read caches).
     pub(crate) metadata: MetadataService,
-    /// Per-KV-partition heat shards (segment read counters).
-    pub(crate) heat: Vec<RwLock<HashMap<SegKey, AtomicU32>>>,
-    /// Keys held across the heat shards, so an overwrite skips
-    /// [`retire_heat`](Self::retire_heat) while nothing has been read.
-    pub(crate) heat_keys: AtomicUsize,
 }
 
 impl LockedCore {
@@ -105,14 +102,7 @@ impl LockedCore {
             chains.set_injector(Arc::clone(inj));
             metadata.set_injector(Arc::clone(inj));
         }
-        LockedCore {
-            chains,
-            heat: (0..metadata.servers().max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            heat_keys: AtomicUsize::new(0),
-            metadata,
-        }
+        LockedCore { chains, metadata }
     }
 
     /// The read pipeline's and flush engine's view of the core.
@@ -121,51 +111,6 @@ impl LockedCore {
             metadata: &self.metadata,
             chains: &self.chains,
         }
-    }
-
-    /// Count one read of `key` against the heat shards (sharded like the
-    /// metadata KV's range partitioning): shared shard lock + atomic
-    /// increment in steady state; only a key's first touch takes the
-    /// shard's write lock, to install the counter.
-    pub(crate) fn bump_heat(&self, key: SegKey) {
-        let shard = self.heat_shard(key);
-        {
-            let shard = shard.read().expect("heat poisoned");
-            if let Some(n) = shard.get(&key) {
-                n.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        shard
-            .write()
-            .expect("heat poisoned")
-            .entry(key)
-            .or_insert_with(|| {
-                self.heat_keys.fetch_add(1, Ordering::Relaxed);
-                AtomicU32::new(0)
-            })
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Forget the heat of keys whose records an overwrite retired
-    /// ([`BatchOutcome::retired`](crate::metadata::BatchOutcome::retired)):
-    /// a record written at a reused key starts cold, and the shards hold
-    /// no key of a record that is gone. One atomic load while nothing has
-    /// been read.
-    pub(crate) fn retire_heat(&self, keys: &[SegKey]) {
-        if keys.is_empty() || self.heat_keys.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        for key in keys {
-            let mut shard = self.heat_shard(*key).write().expect("heat poisoned");
-            if shard.remove(key).is_some() {
-                self.heat_keys.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn heat_shard(&self, key: SegKey) -> &RwLock<HashMap<SegKey, AtomicU32>> {
-        &self.heat[self.metadata.partition_of(key.offset) % self.heat.len()]
     }
 }
 
@@ -212,7 +157,8 @@ impl DataPlane {
     /// nothing, so a transient fault anywhere is absorbed by replanning the
     /// whole read — then the lock, heat and trace accounting. Shared locks
     /// only (metadata shards, node buffers, read caches, producer chains):
-    /// concurrent readers never block each other.
+    /// concurrent readers never block each other. The heat lands on the
+    /// records the read was planned from, in their producers' node buffers.
     pub(crate) fn read(
         &self,
         client: ClientId,
@@ -236,9 +182,7 @@ impl DataPlane {
             service.read(client, fid, offset, len)
         })?;
         self.metrics.record_read_locks(out.locks);
-        for &key in &out.touched {
-            self.core.bump_heat(key);
-        }
+        self.core.metadata.record_reads(out.reads());
         self.metrics.record_read_trace(&out.trace);
         Ok(out.payload)
     }
@@ -307,7 +251,7 @@ pub(crate) fn job_layer_caps(cfg: &UniviStorConfig) -> Vec<(Tier, u64)> {
 /// The running UniviStor service for one job.
 pub struct UniviStorJob {
     /// path → file entry. Read-mostly: exclusive only in open/close.
-    files: RwLock<HashMap<String, FileEntry>>,
+    files: RwLock<FoldMap<String, FileEntry>>,
     /// The write/read state, shared with the partition workers.
     plane: Arc<DataPlane>,
     /// The partition workers under [`Runtime::Partitioned`]; `None` runs
@@ -317,11 +261,11 @@ pub struct UniviStorJob {
     lustre: RwLock<Lustre>,
     connected: RwLock<HashSet<ClientId>>,
     next_fid: AtomicU64,
-    /// Receipts of the flushes since the last
-    /// [`take_flush_receipts`](Self::take_flush_receipts), in completion
-    /// order (structured, so the flat panel cannot hold them). Taken only
-    /// at flush completion and by that drain — a leaf mutex.
-    flush_receipts: Mutex<Vec<FlushReceipt>>,
+    /// The receipt of the latest flush since the last
+    /// [`take_last_flush_receipt`](Self::take_last_flush_receipt)
+    /// (structured, so the flat panel cannot hold it). Taken only at flush
+    /// completion and by that call — a leaf mutex.
+    last_flush_receipt: Mutex<Option<FlushReceipt>>,
     state_file: StateFile,
     /// Deterministic fault schedule (`cfg.fault`); `None` — the default —
     /// means the data path pays only this `Option` check.
@@ -446,13 +390,13 @@ impl UniviStorJob {
         });
         let pool = (plane.cfg.runtime == Runtime::Partitioned).then(|| WorkerPool::new(&plane));
         UniviStorJob {
-            files: RwLock::new(HashMap::new()),
+            files: RwLock::default(),
             plane,
             pool,
             lustre: RwLock::new(lustre),
             connected: RwLock::new(HashSet::new()),
             next_fid: AtomicU64::new(1),
-            flush_receipts: Mutex::new(Vec::new()),
+            last_flush_receipt: Mutex::new(None),
             state_file: StateFile::new(),
             injector,
             tiering: TieringState::default(),
@@ -733,7 +677,10 @@ impl UniviStorJob {
     /// chain. `f` may run concurrent job operations, but must not *wait* on
     /// another thread acquiring a view of the same chain (with a writer
     /// queued, that view defers to the writer, which in turn waits for `f`
-    /// — a cycle), and exclusive operations on `client`'s own chain from
+    /// — a cycle; a read from `f` itself can wait on such a thread too,
+    /// since readers take chain locks under the chain map's shared guard
+    /// and a queued chain creation holds new map readers back), and
+    /// exclusive operations on `client`'s own chain from
     /// the calling thread deadlock by definition (under
     /// [`Runtime::Partitioned`] the worker runs them, and the caller waits
     /// on it just the same).
@@ -1037,10 +984,10 @@ impl UniviStorJob {
         if workflow {
             self.state_file.end_flush(path);
         }
-        self.flush_receipts
+        *self
+            .last_flush_receipt
             .lock()
-            .expect("flush receipts poisoned")
-            .push(receipt.clone());
+            .expect("flush receipt poisoned") = Some(receipt.clone());
         Ok(Some(receipt))
     }
 
@@ -1121,11 +1068,15 @@ impl UniviStorJob {
         self.lustre.read().expect("lustre poisoned").ost_loads()
     }
 
-    /// Drain the receipts of every flush since construction or the last
-    /// call, in completion order. The panel is unaffected: a phase's
-    /// counters are a [`MetricsSnapshot::since`] delta of [`Self::metrics`].
-    pub fn take_flush_receipts(&self) -> Vec<FlushReceipt> {
-        std::mem::take(&mut *self.flush_receipts.lock().expect("flush receipts poisoned"))
+    /// Take the receipt of the latest flush to complete since construction
+    /// or the last call; `None` when no flush completed in between. The
+    /// panel is unaffected: a phase's counters, the number of flushes
+    /// included, are a [`MetricsSnapshot::since`] delta of [`Self::metrics`].
+    pub fn take_last_flush_receipt(&self) -> Option<FlushReceipt> {
+        self.last_flush_receipt
+            .lock()
+            .expect("flush receipt poisoned")
+            .take()
     }
 }
 
@@ -1248,9 +1199,12 @@ mod tests {
             .unwrap();
         j.close("/f", client(0), OpenMode::Write, 1, true).unwrap();
         j.open_file("/f").read().by(client(1)).unwrap();
-        assert_eq!(j.take_flush_receipts().len(), 1, "the write close flushed");
+        assert!(
+            j.take_last_flush_receipt().is_some(),
+            "the write close flushed"
+        );
         j.close("/f", client(1), OpenMode::Read, 1, true).unwrap();
-        assert!(j.take_flush_receipts().is_empty());
+        assert!(j.take_last_flush_receipt().is_none());
         assert_eq!(j.metrics().counter_total("univistor_flushes_total"), 1);
     }
 
@@ -1368,15 +1322,15 @@ mod tests {
     }
 
     #[test]
-    fn take_flush_receipts_does_not_reset_the_panel() {
+    fn take_last_flush_receipt_does_not_reset_the_panel() {
         let j = job();
         j.open_file("/f").write().by(client(0)).unwrap();
         j.write(client(0), "/f", 0, Payload::pattern(1, 512))
             .unwrap();
         j.read(client(0), "/f", 0, 512).unwrap();
         j.close("/f", client(0), OpenMode::Write, 1, true).unwrap();
-        assert_eq!(j.take_flush_receipts().len(), 1);
-        // The panel is monotonic: draining the receipts must not reset it.
+        assert!(j.take_last_flush_receipt().is_some());
+        // The panel is monotonic: taking the receipt must not reset it.
         let snap = j.metrics();
         assert_eq!(snap.counter_total("univistor_segments_total"), 4); // 512 B in 128 B segments
         assert_eq!(snap.counter_total("univistor_read_bytes_total"), 512);
@@ -1387,10 +1341,10 @@ mod tests {
         assert_eq!(snap.counter_total("univistor_flushes_total"), 1);
     }
 
-    /// `take_flush_receipts` hands back one receipt per flush since the last
-    /// drain, in close order, and leaves nothing behind.
+    /// `take_last_flush_receipt` hands back the receipt of the latest close
+    /// since the last call, once: the job keeps no other.
     #[test]
-    fn take_flush_receipts_drains_in_close_order() {
+    fn take_last_flush_receipt_returns_the_latest_close() {
         let j = job();
         let base = j.metrics();
         for (i, path) in ["/c", "/a", "/b"].into_iter().enumerate() {
@@ -1404,18 +1358,11 @@ mod tests {
             .unwrap();
             j.close(path, client(0), OpenMode::Write, 1, true).unwrap();
         }
-        let receipts = j.take_flush_receipts();
-        let order: Vec<(&str, u64)> = receipts
-            .iter()
-            .map(|r| (r.dest.as_str(), r.file_size))
-            .collect();
-        assert_eq!(order, [("/c", 128), ("/a", 256), ("/b", 384)]);
+        let last = j.take_last_flush_receipt().expect("three closes flushed");
+        assert_eq!((last.dest.as_str(), last.file_size), ("/b", 384));
         let flushes = j.metrics().since(&base);
-        assert_eq!(
-            receipts.len() as u64,
-            flushes.counter_total("univistor_flushes_total")
-        );
-        assert!(j.take_flush_receipts().is_empty());
+        assert_eq!(flushes.counter_total("univistor_flushes_total"), 3);
+        assert!(j.take_last_flush_receipt().is_none());
     }
 
     #[test]
@@ -1491,12 +1438,13 @@ mod tests {
         assert!(got.content_eq(&Payload::pattern(1, 256)));
     }
 
-    /// Keys in the heat shards, checked against the shards' key count.
-    fn heat_keys(j: &UniviStorJob) -> usize {
-        let core = &j.plane.core;
-        let held: usize = core.heat.iter().map(|s| s.read().unwrap().len()).sum();
-        assert_eq!(held, core.heat_keys.load(Ordering::Relaxed));
-        held
+    /// Records read at least once since they were installed (or decayed
+    /// cold), across every node buffer.
+    fn hot_records(j: &UniviStorJob) -> usize {
+        let nodes = j.plane.cfg.geometry.nodes;
+        (0..nodes)
+            .map(|n| j.plane.core.metadata.hot(n, 0).len())
+            .sum()
     }
 
     #[test]
@@ -1530,7 +1478,7 @@ mod tests {
             .unwrap();
         j.write(client(0), "/h", 0, Payload::pattern(9, 512))
             .unwrap();
-        assert_eq!(heat_keys(&j), 0);
+        assert_eq!(hot_records(&j), 0);
         assert_eq!(
             promote(),
             0,
@@ -1563,10 +1511,10 @@ mod tests {
             let len = 1 + rng.below((1024 - off) as usize) as u64;
             j.read(client(rng.below(4) as u32), "/f", off, len).unwrap();
             let live = j.index_of("/f").unwrap().len();
-            let held = heat_keys(&j);
+            let held = hot_records(&j);
             assert!(
                 held > 0 && held <= live,
-                "step {i}: {held} heat keys, {live} records"
+                "step {i}: {held} hot records, {live} records"
             );
         }
     }

@@ -100,7 +100,6 @@ fn write_per_piece(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimResu
         })?;
         locks.kv_shard += outcome.locks.kv_shard_acquisitions;
         locks.node_buffer += outcome.locks.node_buffer_acquisitions;
-        core.retire_heat(&outcome.retired);
         // Free the log space of overwritten data (possibly owned by other
         // clients' chains), including replica copies. Each displaced span
         // was claimed exactly once by the punch, so it is released exactly
@@ -160,9 +159,7 @@ fn read_per_record(
         })
     })?;
     plane.metrics.record_read_locks(out.locks);
-    for &key in &out.touched {
-        plane.core.bump_heat(key);
-    }
+    plane.core.metadata.record_reads(out.reads());
     plane.metrics.record_read_trace(&out.trace);
     Ok(out.payload)
 }

@@ -11,7 +11,8 @@
 //!    remembered in a [`DrainLedger`]; the close-time flush then skips
 //!    every span whose ledger entry still matches the live index, making
 //!    close a fast catch-up instead of a stop-the-world event.
-//! 3. **Promote** — hot segments (per the sharded heat counters) move up
+//! 3. **Promote** — hot segments (per the read heat each node buffer keeps
+//!    beside its records; a node's pass walks only its own buffer) move up
 //!    to the chain's top layer when the Unimem-style benefit/cost score
 //!    `heat × (c_src − c_dst) / (c_src + c_dst)` clears the policy's
 //!    threshold.
@@ -23,8 +24,8 @@
 //! concurrently retiring.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::config::{PromotionPolicy, UniviStorConfig};
@@ -273,10 +274,6 @@ impl TieringState {
     }
 }
 
-/// A heat shard: offset-partitioned read counters (mirrors the job's
-/// layout).
-pub(crate) type HeatShard = RwLock<HashMap<SegKey, AtomicU32>>;
-
 /// One file's share of a pass's index scan: index into [`Maint::files`],
 /// the file generation captured just before the scan, and this node's
 /// records (offset-sorted).
@@ -304,7 +301,7 @@ pub(crate) fn run_pass(
         if every > 0 {
             let tick = state.pass_clock.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(every) {
-                report.heat_entries_decayed = decay_heat(&m.core.heat, &m.core.heat_keys);
+                report.heat_entries_decayed = m.core.metadata.decay_heat();
                 m.metrics.record_tiering_decay();
                 // Cooling can turn hot spans drainable without bumping
                 // any file generation, so the skip memo is void.
@@ -355,36 +352,6 @@ pub(crate) fn run_pass(
         promote_phase(m, state, node, &opts.policy, &mut report)?;
     }
     Ok(report)
-}
-
-/// Halve every heat counter, dropping entries that reach zero (and
-/// debiting `keys`, the shards' key count, for each). Returns the number
-/// of entries halved.
-fn decay_heat(heat: &[HeatShard], keys: &AtomicUsize) -> u64 {
-    let mut decayed = 0u64;
-    for shard in heat {
-        let mut shard = shard.write().expect("heat poisoned");
-        let before = shard.len();
-        shard.retain(|_, n| {
-            decayed += 1;
-            let halved = n.load(Ordering::Relaxed) / 2;
-            n.store(halved, Ordering::Relaxed);
-            halved > 0
-        });
-        keys.fetch_sub(before - shard.len(), Ordering::Relaxed);
-    }
-    decayed
-}
-
-/// Read `key`'s current heat (0 when never read or already decayed out).
-fn heat_of(m: &Maint, key: &SegKey) -> u32 {
-    let heat = &m.core.heat;
-    heat[m.core.metadata.partition_of(key.offset) % heat.len()]
-        .read()
-        .expect("heat poisoned")
-        .get(key)
-        .map(|n| n.load(Ordering::Relaxed))
-        .unwrap_or(0)
 }
 
 /// True when any capped layer of any of `node`'s chains sits above its
@@ -458,7 +425,14 @@ fn spill_phase(
             .iter()
             .flat_map(|(_, _, records)| records.iter())
             .filter(|(_, r)| r.client == client)
-            .map(|(k, r)| (*k, *r, tiers.decode(r.va).0, heat_of(m, k)))
+            .map(|(k, r)| {
+                (
+                    *k,
+                    *r,
+                    tiers.decode(r.va).0,
+                    m.core.metadata.heat(*k, client),
+                )
+            })
             .collect();
         // The last layer (PFS) has nowhere to spill to.
         let spillable = usage.len().saturating_sub(1);
@@ -551,7 +525,7 @@ fn drain_phase(
         // between bursts is simply picked up again by a later pass.
         let cold: Vec<&(SegKey, SegmentRecord)> = records
             .iter()
-            .filter(|(k, r)| heat_of(m, k) == 0 && !m.node_failed(r.client))
+            .filter(|(k, r)| m.core.metadata.heat(*k, r.client) == 0 && !m.node_failed(r.client))
             .collect();
         let mut candidates: Vec<&(SegKey, SegmentRecord)> = Vec::new();
         for burst in cold.chunks(64) {
@@ -636,8 +610,8 @@ fn drain_phase(
     Ok(())
 }
 
-/// Promotion phase: move segments whose heat and benefit/cost score
-/// clear the policy up to the chain's top layer. Segments already on
+/// Promotion phase: move this node's segments whose heat and benefit/cost
+/// score clear the policy up to the chain's top layer. Segments already on
 /// layer 0 are skipped (which also covers DRAM-less chains, where layer
 /// 0 is the node-local log).
 fn promote_phase(
@@ -647,22 +621,10 @@ fn promote_phase(
     policy: &PromotionPolicy,
     report: &mut TieringPassReport,
 ) -> SimResult<()> {
-    let mut hot: Vec<(SegKey, u32)> = m
-        .core
-        .heat
-        .iter()
-        .flat_map(|shard| {
-            let shard = shard.read().expect("heat poisoned");
-            shard
-                .iter()
-                .map(|(k, n)| (*k, n.load(Ordering::Relaxed)))
-                .filter(|(_, n)| *n >= policy.min_reads)
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let mut hot = m.core.metadata.hot(node, policy.min_reads);
     // Hottest first (key as tie-break): the scarce top layer goes to the
     // most-read segments, and the order — hence the whole pass — is
-    // deterministic rather than at the mercy of shard iteration order,
+    // deterministic rather than at the mercy of map iteration order,
     // which the cross-runtime differential tests rely on.
     hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     for (key, heat) in hot {
@@ -802,7 +764,8 @@ impl TieringDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::ClientId;
+    use crate::metadata::tests::insert_one;
+    use crate::metadata::{ClientId, MetadataService};
     use crate::striping::naive_plan;
     use crate::va::VirtualAddr;
 
@@ -888,21 +851,23 @@ mod tests {
 
     #[test]
     fn heat_decay_halves_and_evicts() {
-        let shards: Vec<HeatShard> = (0..2).map(|_| RwLock::new(HashMap::new())).collect();
+        let m = MetadataService::new(256, 2, 2, 32);
         let key = |o| SegKey { fid: 1, offset: o };
-        shards[0].write().unwrap().insert(key(0), AtomicU32::new(5));
-        shards[1]
-            .write()
-            .unwrap()
-            .insert(key(64), AtomicU32::new(1));
-        let keys = AtomicUsize::new(2);
-        assert_eq!(decay_heat(&shards, &keys), 2);
-        assert_eq!(keys.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            shards[0].read().unwrap()[&key(0)].load(Ordering::Relaxed),
-            2
+        // Two records on two nodes' buffers, read 5 times and once.
+        let (a, b) = (ClientId::new(0, 0), ClientId::new(0, 32));
+        let (ra, rb) = (
+            SegmentRecord::new(a, VirtualAddr(0), 64),
+            SegmentRecord::new(b, VirtualAddr(0), 64),
         );
-        // 1 / 2 == 0: the entry is evicted entirely.
-        assert!(shards[1].read().unwrap().get(&key(64)).is_none());
+        insert_one(&m, key(0), ra, 0);
+        insert_one(&m, key(64), rb, 1);
+        m.record_reads((0..5).map(|_| (key(0), a, ra.va)));
+        m.record_reads([(key(64), b, rb.va)]);
+        assert_eq!(m.decay_heat(), 2);
+        assert_eq!(m.heat(key(0), a), 2);
+        // 1 / 2 == 0: the record drops out of the hot set entirely.
+        assert_eq!(m.heat(key(64), b), 0);
+        assert!(m.hot(1, 0).is_empty());
+        assert_eq!(m.hot(0, 0), vec![(key(0), 2)]);
     }
 }

@@ -194,7 +194,6 @@ pub(crate) fn write(plane: &DataPlane, op: &WriteOp, payload: Payload) -> SimRes
     })?;
     locks.kv_shard += outcome.locks.kv_shard_acquisitions;
     locks.node_buffer += outcome.locks.node_buffer_acquisitions;
-    core.retire_heat(&outcome.retired);
 
     // Free the log space of overwritten data (possibly owned by other
     // clients' chains), including replica copies. Each displaced span was

@@ -12,7 +12,7 @@
 //! full 8 × 1000-op mix where lock bugs actually get schedule pressure.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use univistor_core::config::UniviStorConfig;
+use univistor_core::config::{PromotionPolicy, UniviStorConfig};
 use univistor_core::metadata::{ClientId, MetadataService, SegKey, SegmentRecord};
 use univistor_core::server::UniviStorJob;
 use univistor_core::va::{Tier, VirtualAddr};
@@ -212,7 +212,8 @@ fn stress_mixed_ops_eight_threads() {
         (total_reads + THREADS as u64 * WINDOW) * BLOCK
     );
     // Flush-on-close persisted each thread's file; PFS copies verify.
-    assert_eq!(job.take_flush_receipts().len(), THREADS);
+    let flushes = snap.counter_total("univistor_flushes_total");
+    assert_eq!(flushes, THREADS as u64);
     for t in 0..THREADS {
         assert_eq!(
             job.lustre_file_size(&format!("/stress/{t}")).unwrap(),
@@ -294,4 +295,74 @@ fn concurrent_writers_then_cross_readers() {
             });
         }
     });
+}
+
+/// Versions of the raced record in the heat race. The burst buffer's
+/// active log chunk holds 256 of them without recycling any, so every
+/// version has a VA of its own.
+const VERSIONS: u64 = if cfg!(debug_assertions) { 60 } else { 200 };
+
+/// A read's heat lands on the record it read: one thread reads a record
+/// while another overwrites it under the same key, and a read planned from
+/// a version an overwrite already replaced heats nothing. DRAM is full, so
+/// every version lands in the same burst-buffer chunk; after the race, the
+/// final version's heat — seen through promotion — is exactly the number
+/// of reads that returned its bytes.
+#[test]
+fn reads_racing_overwrites_heat_only_the_record_they_read() {
+    const REC: u64 = 256;
+    const DRAM: u64 = 64 << 10;
+    let mut cfg = UniviStorConfig::test_small(1, 1);
+    cfg.chunk_size = DRAM;
+    cfg.segment_size = REC;
+    cfg.cal.dram_cache_capacity_per_node = DRAM;
+    cfg.cal.bb_capacity_per_node = 16 << 20;
+    let job = UniviStorJob::new(cfg);
+    let c = ClientId::new(0, 0);
+    job.open_file("/heat").read_write().by(c).unwrap();
+    job.write(c, "/heat", 0, Payload::pattern(u64::MAX, DRAM))
+        .unwrap();
+    job.write(c, "/heat", DRAM, Payload::pattern(0, REC))
+        .unwrap();
+    let done = AtomicBool::new(false);
+    let seen = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut seen = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                seen.push(job.read(c, "/heat", DRAM, REC).unwrap());
+            }
+            // A few reads of the settled final version.
+            for _ in 0..4 {
+                seen.push(job.read(c, "/heat", DRAM, REC).unwrap());
+            }
+            seen
+        });
+        for v in 1..VERSIONS {
+            job.write(c, "/heat", DRAM, Payload::pattern(v, REC))
+                .unwrap();
+        }
+        done.store(true, Ordering::Release);
+        reader.join().unwrap()
+    });
+    let last = Payload::pattern(VERSIONS - 1, REC);
+    let hits = seen.iter().filter(|p| p.content_eq(&last)).count() as u32;
+    println!("{} reads, {hits} of the final version", seen.len());
+    // Free DRAM (the rewrite lands on the burst buffer), so the raced
+    // record can be promoted.
+    job.write(c, "/heat", 0, Payload::pattern(1, DRAM)).unwrap();
+    let promote = |min_reads| {
+        let policy = PromotionPolicy {
+            min_reads,
+            min_benefit: 0.0,
+        };
+        job.tiering().promote_now(policy).unwrap().promoted_segments
+    };
+    assert_eq!(
+        promote(hits + 1),
+        0,
+        "the final version is hotter than its {hits} reads"
+    );
+    if hits > 0 {
+        assert_eq!(promote(hits), 1, "the final version lost reads");
+    }
 }

@@ -70,8 +70,7 @@ fn main() {
         read_kib("bb_direct"),
         read_kib("remote_hop"),
     );
-    let receipts = job.take_flush_receipts();
-    let last = receipts.last().expect("flushes happened");
+    let last = job.take_last_flush_receipt().expect("flushes happened");
     println!(
         "last flush: {} KiB over {} servers, {:?} striping, {} OSTs/server",
         last.file_size >> 10,

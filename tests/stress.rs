@@ -88,7 +88,8 @@ fn identical_runs_are_bit_identical() {
             .lustre_read("/det", 0, micro.file_size())
             .unwrap()
             .content_checksum();
-        (stats, job.take_flush_receipts().len(), checksum)
+        let flushes = snap.counter_total("univistor_flushes_total");
+        (stats, flushes, checksum)
     };
     assert_eq!(run(), run());
 }
@@ -118,7 +119,8 @@ fn fifty_files_cycle_cleanly() {
             .unwrap()
             .expect("flush");
     }
-    assert_eq!(job.take_flush_receipts().len(), 50);
+    let flushes = job.metrics().counter_total("univistor_flushes_total");
+    assert_eq!(flushes, 50);
     for i in 0..50u64 {
         let path = format!("/f{i:02}");
         assert_eq!(job.lustre_file_size(&path).unwrap(), 4 * 2048);
